@@ -162,14 +162,11 @@ impl<'a> UnitContext<'a> {
     /// Creates a fresh tag; the unit receives `t+auth` and `t-auth` over it
     /// (§3.1.3).
     pub fn create_tag(&mut self, name: impl AsRef<str>) -> Tag {
-        let tag = self
-            .core
-            .tags
-            .create_tag(self.state.id, Some(name.as_ref()));
+        let tag = Tag::with_name(name.as_ref());
         self.state
             .privileges
             .absorb(&PrivilegeSet::for_created_tag(&tag));
-        self.core.bump_security_epoch();
+        self.snapshotted_state_changed();
         tag
     }
 
@@ -191,8 +188,19 @@ impl<'a> UnitContext<'a> {
         let privilege = Privilege::new(tag.clone(), kind);
         self.state.privileges.check_may_delegate(&privilege)?;
         self.state.privileges.grant(privilege);
-        self.core.bump_security_epoch();
+        self.snapshotted_state_changed();
         Ok(())
+    }
+
+    /// Gives up every privilege the unit holds over `tag` — `t+`, `t-`,
+    /// `t+auth` and `t-auth`. Always flow-safe (it can only shrink what the
+    /// unit may do), so nothing is checked. Units call it on tags they are
+    /// done with, such as a per-order tag once the order is published, so
+    /// their privilege sets do not grow with every order.
+    pub fn drop_privileges(&mut self, tag: &Tag) {
+        if self.state.privileges.revoke_all(tag) {
+            self.snapshotted_state_changed();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -319,18 +327,20 @@ impl<'a> UnitContext<'a> {
         let name = name.as_ref();
         let checks = self.checks_labels();
         let mut results = Vec::new();
+        let mut granted = false;
         for part in event.parts_named(name) {
             self.intercept();
             if checks && !self.state.can_see(part.label()) {
                 continue;
             }
             for privilege in part.privileges() {
-                // Reading a privilege-carrying part changes the unit's
-                // security state: retire cached dispatch snapshots.
                 self.state.privileges.grant(privilege.clone());
-                self.core.bump_security_epoch();
+                granted = true;
             }
             results.push((part.label().clone(), part.data().clone()));
+        }
+        if granted {
+            self.snapshotted_state_changed();
         }
         if results.is_empty() {
             return Err(EngineError::Event(defcon_events::EventError::NoSuchPart(
@@ -430,6 +440,7 @@ impl<'a> UnitContext<'a> {
         }
         let subscription = Subscription::managed(self.state.id, filter, factory);
         let id = subscription.id;
+        self.state.owns_managed = true;
         self.push_subscription(subscription);
         Ok(id)
     }
@@ -477,7 +488,7 @@ impl<'a> UnitContext<'a> {
         let new_output =
             self.apply_label_op(&self.state.output_label.clone(), component, op, tag)?;
         self.state.output_label = new_output;
-        self.core.bump_security_epoch();
+        self.snapshotted_state_changed();
         Ok(())
     }
 
@@ -565,6 +576,16 @@ impl<'a> UnitContext<'a> {
     // ------------------------------------------------------------------
     // Internal helpers
     // ------------------------------------------------------------------
+
+    /// Retires cached dispatch snapshots after a change to the unit's output
+    /// label or privileges. Only the owner of a managed subscription has
+    /// those in the snapshot (its handlers are instantiated from them), so
+    /// for every other unit the change is invisible to dispatch.
+    fn snapshotted_state_changed(&self) {
+        if self.state.owns_managed {
+            self.core.bump_security_epoch();
+        }
+    }
 
     /// Applies contamination independence: `S' = S ∪ S_out`, `I' = I ∩ I_out`.
     fn effective_label(&self, requested: Label) -> Label {

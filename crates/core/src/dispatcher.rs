@@ -31,22 +31,25 @@
 //! its events in batch order, while deliveries to *different* units interleave
 //! in group order. The snapshot itself is cached across batches and keyed on
 //! the engine's security epoch, so consecutive batches over an unchanged
-//! subscription/label population skip the rebuild entirely; any label,
-//! privilege or unit-set mutation bumps the epoch and the next batch starts
-//! from a fresh snapshot.
+//! subscription/label population skip the rebuild entirely. The epoch moves
+//! only when something the snapshot holds changes — the subscription list, an
+//! input label, or a managed owner's output label or privileges — so tag
+//! creation and privilege traffic of ordinary units never force a rebuild.
 //!
 //! # The subscription index
 //!
 //! With [`EngineConfig::subscription_index`](crate::EngineConfig) on (the
 //! default), the batch snapshot also carries an inverted
-//! [`SubscriptionIndex`](crate::sub_index) from part names — and, for string
-//! equality and `OneOf` clauses, part values — to the subscriptions whose
-//! filters could possibly match. Planning looks up each event's parts and
-//! runs the exact filter (and flow check) only over the returned candidate
-//! set, which is a provable superset of the matches: fan-out cost scales with
-//! candidates per event instead of total registered subscriptions. The index
-//! rides the same epoch-keyed snapshot cache, so subscribe/unsubscribe/swap
-//! invalidate it for free and an unchanged population never rebuilds it.
+//! [`SubscriptionIndex`](crate::sub_index) from part names — and, for
+//! string/integer equality and `OneOf` clauses, part values — to the
+//! subscriptions whose filters could possibly match. Planning looks up each
+//! event's parts and runs the exact filter (and flow check) only over the
+//! returned candidate set, which is a provable superset of the matches (and,
+//! with each subscription keyed by its most selective literal, usually the
+//! match set itself): fan-out cost scales with candidates per event instead
+//! of total registered subscriptions. The index rides the same epoch-keyed
+//! snapshot cache, so subscribe/unsubscribe/swap invalidate it for free and
+//! an unchanged population never rebuilds it.
 //! Parts released by main-path augmentation are looked up incrementally —
 //! per delivery on the per-event path, per overflow wave on the grouped path
 //! — so filters naming augmentation-released parts match under either
@@ -69,7 +72,7 @@ use crate::error::EngineResult;
 use crate::steal::{LocalRuns, StealGrid};
 use crate::sub_index::SubscriptionIndex;
 use crate::subscription::{Subscription, SubscriptionKind};
-use crate::unit::{UnitSpec, UnitState};
+use crate::unit::{UnitId, UnitSpec, UnitState};
 
 /// A pump over an engine's sharded run queue.
 ///
@@ -96,12 +99,17 @@ pub struct Dispatcher {
 ///
 /// Labels are interned (`Arc`-backed), so the snapshot clones are
 /// reference-count bumps. The output label, privileges and name are only
-/// needed to resolve managed handler instances, so direct subscriptions —
-/// the common case — snapshot just the input label.
+/// needed to resolve managed handler instances, so only owners of a managed
+/// subscription snapshot them — shared by all of the owner's subscriptions.
+#[derive(Clone)]
 struct OwnerSnapshot {
     input: Label,
-    managed: Option<ManagedOwnerState>,
+    managed: Option<Arc<ManagedOwnerState>>,
 }
+
+/// A subscription's owner slot and snapshot; `None` when the owner was
+/// removed.
+type ResolvedOwner = Option<(Arc<UnitSlot>, OwnerSnapshot)>;
 
 /// The extra owner state a managed subscription needs to instantiate handlers.
 struct ManagedOwnerState {
@@ -150,7 +158,7 @@ const FLOW_MEMO_CAP: usize = 4096;
 /// security-state snapshot (`None` when the owner was removed).
 struct BatchContext {
     subscriptions: Arc<Vec<Subscription>>,
-    owners: Vec<Option<(Arc<UnitSlot>, OwnerSnapshot)>>,
+    owners: Vec<ResolvedOwner>,
     /// The inverted subscription index over `subscriptions` (`None` with the
     /// `subscription_index` knob off): part name/value → candidate
     /// subscription indices, a provable superset of the true matches. Living
@@ -282,7 +290,7 @@ impl BatchContext {
 enum TargetKey {
     /// A direct subscription delivers into its owner: keyed by unit id, so
     /// the plan never resolves or clones a slot per delivery.
-    Direct(crate::unit::UnitId),
+    Direct(UnitId),
     /// A managed delivery's handler instance: keyed by slot identity (each
     /// event's contamination can resolve to a different instance).
     Managed(usize),
@@ -657,10 +665,11 @@ impl Dispatcher {
     ///
     /// The context is *cached across batches* and keyed on the subscription
     /// snapshot's identity plus the engine's security epoch: while nothing
-    /// security-relevant changes — the overwhelmingly common steady state — a
-    /// worker pays the snapshot cost once, not once per batch. Any label or
-    /// privilege change, unit registration/removal or (un)subscribe bumps the
-    /// epoch and the next batch rebuilds. Within one batch dispatch therefore
+    /// snapshotted changes — the overwhelmingly common steady state — a
+    /// worker pays the snapshot cost once, not once per batch. An input-label
+    /// change, a managed owner's output-label or privilege change, unit
+    /// registration/removal/swap or (un)subscribe bumps the epoch and the
+    /// next batch rebuilds. Within one batch dispatch therefore
     /// still observes a consistent owner-state snapshot, and a unit changing
     /// its own labels during a delivery affects visibility filtering from the
     /// *next batch* on, exactly as before — the epoch makes the window end at
@@ -693,25 +702,33 @@ impl Dispatcher {
     /// registry (the slow path behind both context caches).
     fn build_context(&self) -> Arc<BatchContext> {
         let subscriptions: Arc<Vec<Subscription>> = Arc::clone(&self.core.subscriptions.read());
-        let owners = subscriptions
-            .iter()
-            .map(|subscription| {
+        let mut owners = Vec::with_capacity(subscriptions.len());
+        // A unit's subscriptions usually sit next to each other (it issues
+        // them in one `init`), so the owner's cell is locked once per run.
+        let mut run: Option<(UnitId, ResolvedOwner)> = None;
+        for subscription in subscriptions.iter() {
+            if run.as_ref().map(|(owner, _)| *owner) != Some(subscription.owner) {
                 // Owner removed since the subscription snapshot: skip silently
                 // (per-delivery re-checks handle mid-batch removal).
-                let slot = self.core.slot(subscription.owner).ok()?;
-                let cell = slot.cell.lock();
-                let snapshot = OwnerSnapshot {
-                    input: cell.state.input_label.clone(),
-                    managed: subscription.is_managed().then(|| ManagedOwnerState {
-                        output: cell.state.output_label.clone(),
-                        privileges: cell.state.privileges.clone(),
-                        name: cell.state.name.clone(),
-                    }),
-                };
-                drop(cell);
-                Some((slot, snapshot))
-            })
-            .collect();
+                let resolved = self.core.slot(subscription.owner).ok().map(|slot| {
+                    let cell = slot.cell.lock();
+                    let snapshot = OwnerSnapshot {
+                        input: cell.state.input_label.clone(),
+                        managed: cell.state.owns_managed.then(|| {
+                            Arc::new(ManagedOwnerState {
+                                output: cell.state.output_label.clone(),
+                                privileges: cell.state.privileges.clone(),
+                                name: cell.state.name.clone(),
+                            })
+                        }),
+                    };
+                    drop(cell);
+                    (slot, snapshot)
+                });
+                run = Some((subscription.owner, resolved));
+            }
+            owners.push(run.as_ref().and_then(|(_, resolved)| resolved.clone()));
+        }
         let index = self.core.config.subscription_index.then(|| {
             self.core
                 .index_stats
@@ -1380,7 +1397,7 @@ impl Dispatcher {
     fn forwarded_slot(
         &self,
         stale: &Arc<UnitSlot>,
-        owner: crate::unit::UnitId,
+        owner: UnitId,
         managed: bool,
     ) -> Option<Arc<UnitSlot>> {
         if managed {

@@ -1,6 +1,6 @@
 //! The DEFCon engine: configuration, unit registry, event queue and statistics.
 //!
-//! The [`Engine`] owns all trusted state: the tag store, per-unit security state,
+//! The [`Engine`] owns all trusted state: per-unit security state,
 //! subscriptions, the queue of published-but-not-yet-dispatched events, the recent
 //! event cache (the paper's tick cache) and the isolation runtime. Units only ever
 //! see a [`UnitContext`](crate::UnitContext) borrowing this state.
@@ -29,7 +29,6 @@ use crate::handle::{EngineHandle, Publisher};
 use crate::pool::WorkerPool;
 use crate::run_queue::RunQueue;
 use crate::subscription::{Subscription, SubscriptionId};
-use crate::tag_store::TagStore;
 use crate::unit::{Unit, UnitFactory, UnitId, UnitSpec, UnitState};
 
 /// The four security configurations evaluated in Figures 5–7 of the paper.
@@ -403,7 +402,6 @@ pub(crate) struct UnitSlot {
 /// Shared internals of the engine.
 pub(crate) struct EngineCore {
     pub(crate) config: EngineConfig,
-    pub(crate) tags: TagStore,
     pub(crate) isolation: IsolationRuntime,
     pub(crate) units: RwLock<HashMap<UnitId, Arc<UnitSlot>>>,
     pub(crate) subscriptions: RwLock<Arc<Vec<Subscription>>>,
@@ -427,10 +425,14 @@ pub(crate) struct EngineCore {
     /// first worker to need a snapshot for an epoch builds and publishes it;
     /// every other worker validates the epoch and clones the `Arc`.
     pub(crate) shared_context: Option<crate::dispatcher::SharedContextSlot>,
-    /// Bumped by every security-relevant mutation (label/privilege changes,
-    /// unit registration/removal); dispatchers key their cached batch context
-    /// on it, so an unchanged epoch lets consecutive batches reuse one
-    /// subscription/owner snapshot instead of rebuilding it per batch.
+    /// Bumped by every mutation of state the batch context snapshots: the
+    /// subscription list (subscribe, unsubscribe, register, remove, swap),
+    /// input labels (`change_in_out_label`), and the output label and
+    /// privileges of managed-subscription owners. Tag creation and privilege
+    /// or output-label changes of any other unit touch nothing snapshotted
+    /// and leave it alone. Dispatchers key their cached batch context on it,
+    /// so an unchanged epoch lets consecutive batches reuse one
+    /// subscription/owner snapshot and index instead of rebuilding them.
     pub(crate) security_epoch: AtomicU64,
     /// The write-ahead log appender, present when [`EngineConfig::wal`] is
     /// set. The mutex serialises appends from concurrent publishers, which
@@ -461,7 +463,7 @@ impl EngineCore {
         UnitId::from_raw(self.unit_sequence.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Records a security-relevant mutation (labels, privileges, unit set):
+    /// Records a mutation of snapshotted state (see `security_epoch`):
     /// invalidates every dispatcher's cached batch context.
     pub(crate) fn bump_security_epoch(&self) {
         self.security_epoch.fetch_add(1, Ordering::Release);
@@ -808,6 +810,7 @@ impl EngineCore {
                 isolate: self.isolation.create_isolate(),
                 delivered: old.state.delivered,
                 version,
+                owns_managed: old.state.owns_managed,
             };
             let state_size = state.estimated_size();
             let mut cell = UnitCell::new(state, replacement.take().expect("one swap per loop"));
@@ -975,7 +978,6 @@ impl Engine {
         Engine {
             core: Arc::new(EngineCore {
                 config,
-                tags: TagStore::new(),
                 isolation,
                 units: RwLock::new(HashMap::new()),
                 subscriptions: RwLock::new(Arc::new(Vec::new())),
@@ -1364,8 +1366,7 @@ impl Engine {
     /// and isolation overhead (Figure 7's metric).
     pub fn memory_mib(&self) -> f64 {
         let isolation = self.core.isolation.memory_overhead_bytes();
-        let engine = self.core.tags.estimated_size()
-            + self.core.subscriptions.read().len() * 128
+        let engine = self.core.subscriptions.read().len() * 128
             + self.core.units.read().len() * 64
             // The process-wide interned-label table is shared between engines;
             // attributing it wholly to each reporting engine matches how the

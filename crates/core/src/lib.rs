@@ -6,8 +6,9 @@
 //!
 //! The engine provides:
 //!
-//! * **Label/tag management** — a [`TagStore`] creating opaque tags on behalf of
-//!   units and tracking per-unit input/output labels and privileges.
+//! * **Label/tag management** — units create opaque tags through their
+//!   [`UnitContext`]; the engine tracks per-unit input/output labels and
+//!   privileges.
 //! * **Inter-unit communication** — a publish/subscribe [`Dispatcher`] that matches
 //!   events against subscriptions, checking the can-flow-to relation per part at
 //!   matching time, and delivers events to units without revealing who else was
@@ -83,7 +84,6 @@ mod run_queue;
 mod steal;
 mod sub_index;
 pub mod subscription;
-pub mod tag_store;
 pub mod unit;
 
 pub use admission::{
@@ -97,7 +97,6 @@ pub use error::{EngineError, EngineResult};
 pub use fault::{FaultAction, FaultCounters, FaultPolicy};
 pub use handle::{EngineHandle, EventDraft, Publisher};
 pub use subscription::{Subscription, SubscriptionId, SubscriptionKind};
-pub use tag_store::TagStore;
 pub use unit::{Unit, UnitFactory, UnitId, UnitSpec, UnitState};
 
 // Durability configuration types, re-exported so deployments can enable the

@@ -5,8 +5,8 @@
 //! "millions of users" fan-out scale. This module inverts the problem the way
 //! content-based pub/sub brokers do: each subscription is indexed under **one**
 //! clause of its filter, and an event's candidate set is the union of the index
-//! lists for its part names (and string part values). The exact filter — and
-//! the flow check — then run only on candidates.
+//! lists for its part names (and string or integer part values). The exact
+//! filter — and the flow check — then run only on candidates.
 //!
 //! # The candidate-superset invariant
 //!
@@ -19,33 +19,41 @@
 //! False positives are eliminated by running the exact filter on candidates;
 //! false negatives cannot happen.
 //!
-//! Two refinements sharpen the candidate sets without breaking the invariant:
+//! # Keying by the most selective literal
 //!
-//! * A clause `name == "literal"` (or `name in [...]`) is keyed by **value** as
-//!   well as name: [`Value::structurally_equals`] never equates across
-//!   variants, so such a clause can only match a part whose data is exactly
-//!   that string — looking up each string-valued part's content finds every
-//!   such subscription, and non-string parts can never satisfy the clause.
-//! * Among a filter's clauses the index prefers a string-equality clause (the
-//!   most selective key available); only filters without one fall back to the
-//!   name-only bucket.
+//! * A clause `name == literal` with a string or integer literal (or `name in
+//!   [...]`) is keyed by **value** as well as name: [`Value::structurally_equals`]
+//!   never equates across variants, so such a clause can only match a part
+//!   whose data is exactly that string or integer — looking up each string- or
+//!   integer-valued part's content finds every such subscription, and parts of
+//!   any other variant can never satisfy the clause.
+//! * A filter with several such clauses is keyed under the one whose
+//!   `(name, literal)` pairs the fewest filters name; a `OneOf` costs the sum
+//!   of its options. A Pair Monitor (`type == tick ∧ symbol == S`) thus lands
+//!   under its symbol rather than under every tick, and a Trader (`type ==
+//!   match ∧ trader == id`) under its own id, so a tick's or a match's
+//!   candidates are its matches. The counts come from a first pass over just
+//!   the filters that have a choice (two or more keyable clauses), borrowing
+//!   their literals; a filter with one keyable clause is keyed by it, and one
+//!   with none falls back to the name-only bucket of its first clause.
 //!
-//! Keys hash by **string content**, not by interned-pointer identity: the
+//! Keys hash by **content**, not by interned-pointer identity: the
 //! `part_name()` intern table stops deduplicating past its capacity, so pointer
 //! identity is not guaranteed for rare names.
 //!
 //! # Maintenance
 //!
-//! The index is built inside the dispatcher's epoch-cached
-//! `BatchContext` (see `Dispatcher::build_context`), so incremental maintenance
-//! rides the existing invalidation protocol for free: every
-//! subscribe/unsubscribe, unit registration/removal and swap already bumps the
-//! engine's `security_epoch`, which retires the cached context — index
-//! included — and the next batch rebuilds both atomically. Under scheduler v3
-//! the rebuilt index is published through the process-shared context slot, so
-//! one epoch bump costs one rebuild process-wide. [`IndexCounters`] exposes the
-//! rebuild count plus per-plan candidate/reject telemetry through
-//! `queue_stats()`.
+//! The index is built inside the dispatcher's epoch-cached `BatchContext`
+//! (see `Dispatcher::build_context`), so it is rebuilt exactly when the
+//! subscription list can have changed: every subscribe/unsubscribe, unit
+//! registration/removal and swap bumps the engine's `security_epoch`, which
+//! retires the cached context — index included — and the next batch rebuilds
+//! both atomically. Tag creation and privilege traffic of units without a
+//! managed subscription leave the epoch, and so the index, alone. Under
+//! scheduler v3 the rebuilt index is published through the process-shared
+//! context slot, so one epoch bump costs one rebuild process-wide.
+//! [`IndexCounters`] exposes the rebuild count plus per-plan candidate/reject
+//! telemetry through `queue_stats()`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,21 +93,67 @@ impl IndexCounters {
     }
 }
 
-/// The per-name bucket: subscriptions keyed by an exact string value of an
-/// equality clause on this name, plus those keyed by name only.
+/// A literal an equality clause can confine its part to, borrowed from the
+/// filter (or the event part) it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Literal<'a> {
+    Str(&'a str),
+    Int(i64),
+}
+
+impl<'a> Literal<'a> {
+    /// The key `value` is looked up (or indexed) by, if it has one.
+    fn of(value: &'a Value) -> Option<Self> {
+        match value {
+            Value::Str(text) => Some(Literal::Str(text)),
+            Value::Int(number) => Some(Literal::Int(*number)),
+            _ => None,
+        }
+    }
+}
+
+/// Whether a clause can only match parts carrying one of finitely many
+/// keyable literals.
+fn keyable(predicate: &Predicate) -> bool {
+    match predicate {
+        Predicate::Equals(value) => Literal::of(value).is_some(),
+        Predicate::OneOf(_) => true,
+        _ => false,
+    }
+}
+
+/// The literals a keyable clause can match (none for any other shape).
+fn literals(predicate: &Predicate) -> impl Iterator<Item = Literal<'_>> {
+    let (equal, options) = match predicate {
+        Predicate::Equals(value) => (Literal::of(value), &[][..]),
+        Predicate::OneOf(options) => (None, options.as_slice()),
+        _ => (None, &[][..]),
+    };
+    equal
+        .into_iter()
+        .chain(options.iter().map(|option| Literal::Str(option)))
+}
+
+/// How many filters with a choice of key name each `(part name, literal)`.
+type KeyCounts<'a> = HashMap<(&'a str, Literal<'a>), u32>;
+
+/// The per-name bucket: subscriptions keyed by an exact value of an equality
+/// clause on this name, plus those keyed by name only.
 #[derive(Debug, Default)]
 struct NameEntry {
-    /// Subscriptions whose chosen clause is `name == value` / `name in
-    /// [...values]`, listed under each value they can match.
-    by_value: HashMap<String, Vec<u32>>,
-    /// Subscriptions whose chosen clause constrains this name with any other
-    /// predicate shape (exists, ranges, non-string equality): candidates for
-    /// every event carrying the name.
+    /// Subscriptions whose chosen clause is `name == "text"` / `name in
+    /// [...]`, listed under each string they can match.
+    by_str: HashMap<String, Vec<u32>>,
+    /// Subscriptions whose chosen clause is `name == integer`.
+    by_int: HashMap<i64, Vec<u32>>,
+    /// Subscriptions whose filter has no keyable clause and whose first
+    /// clause names this part: candidates for every event carrying the name.
     any_value: Vec<u32>,
 }
 
-/// An inverted index from part name (and string part value) to the
-/// subscription indices whose filters could match an event carrying that part.
+/// An inverted index from part name (and string or integer part value) to
+/// the subscription indices whose filters could match an event carrying that
+/// part.
 ///
 /// Built per security epoch from the subscription snapshot; lists hold indices
 /// into that snapshot in ascending order, so unioned candidate sets preserve
@@ -111,38 +165,52 @@ pub(crate) struct SubscriptionIndex {
 
 impl SubscriptionIndex {
     /// Builds the index over a subscription snapshot's filters, in snapshot
-    /// order. Empty filters (which never match — the engine rejects them at
-    /// subscribe anyway) are left out entirely.
-    pub(crate) fn build<'a>(filters: impl Iterator<Item = &'a Filter>) -> Self {
+    /// order: one pass counting the keys of filters with a choice to make,
+    /// one pass inserting. Empty filters (which never match — the engine
+    /// rejects them at subscribe anyway) are left out entirely.
+    pub(crate) fn build<'a>(filters: impl Iterator<Item = &'a Filter> + Clone) -> Self {
+        let mut counts = KeyCounts::new();
+        for filter in filters.clone() {
+            let clauses = filter.clauses();
+            let mut keyed = clauses.iter().filter(|(_, predicate)| keyable(predicate));
+            if keyed.nth(1).is_none() {
+                continue;
+            }
+            for (name, predicate) in clauses {
+                for literal in literals(predicate) {
+                    *counts.entry((name.as_str(), literal)).or_default() += 1;
+                }
+            }
+        }
         let mut index = SubscriptionIndex::default();
         for (position, filter) in filters.enumerate() {
-            index.insert(position as u32, filter);
+            index.insert(position as u32, filter, &counts);
         }
         index
     }
 
-    fn insert(&mut self, position: u32, filter: &Filter) {
+    fn insert(&mut self, position: u32, filter: &Filter, counts: &KeyCounts<'_>) {
         let clauses = filter.clauses();
-        // Prefer the most selective key available: a string-equality clause
-        // confines the subscription to events carrying that exact value.
-        let keyed = clauses.iter().find(|(_, predicate)| {
-            matches!(predicate, Predicate::Equals(value) if value.as_str().is_some())
-                || matches!(predicate, Predicate::OneOf(_))
-        });
+        // The keyable clause whose literals the fewest filters name, the
+        // first on ties; a lone keyable clause wins whatever its count.
+        let cost = |(name, predicate): &&(String, Predicate)| -> u32 {
+            literals(predicate)
+                .map(|literal| counts.get(&(name.as_str(), literal)).copied().unwrap_or(0))
+                .sum()
+        };
+        let keyed = clauses
+            .iter()
+            .filter(|(_, predicate)| keyable(predicate))
+            .min_by_key(cost);
         match keyed {
-            Some((name, Predicate::Equals(value))) => {
-                let literal = value.as_str().expect("selected for string equality");
-                self.entry(name).push_value(literal, position);
-            }
-            Some((name, Predicate::OneOf(options))) => {
-                // `in []` matches nothing; indexing it nowhere keeps it out of
-                // every candidate set, which is exactly its match set.
+            Some((name, predicate)) => {
+                // `in []` lists no literal and so is indexed nowhere, which
+                // keeps it out of every candidate set — exactly its match set.
                 let entry = self.entry(name);
-                for option in options {
-                    entry.push_value(option, position);
+                for literal in literals(predicate) {
+                    entry.push(literal, position);
                 }
             }
-            Some(_) => unreachable!("keyed clause is string equality or one-of"),
             None => {
                 if let Some((name, _)) = clauses.first() {
                     self.entry(name).any_value.push(position);
@@ -161,17 +229,20 @@ impl SubscriptionIndex {
     }
 
     /// Appends the candidate subscriptions for one part (by name, and by value
-    /// for string-valued data) to `out`. Duplicates across parts are expected;
-    /// callers dedupe once per event.
+    /// for string- or integer-valued data) to `out`. Duplicates across parts
+    /// are expected; callers dedupe once per event.
     pub(crate) fn candidates_for_part(&self, name: &str, data: &Value, out: &mut Vec<u32>) {
         let Some(entry) = self.names.get(name) else {
             return;
         };
         out.extend_from_slice(&entry.any_value);
-        if let Some(literal) = data.as_str() {
-            if let Some(list) = entry.by_value.get(literal) {
-                out.extend_from_slice(list);
-            }
+        let keyed = match Literal::of(data) {
+            Some(Literal::Str(text)) => entry.by_str.get(text),
+            Some(Literal::Int(number)) => entry.by_int.get(&number),
+            None => None,
+        };
+        if let Some(list) = keyed {
+            out.extend_from_slice(list);
         }
     }
 
@@ -189,8 +260,17 @@ impl SubscriptionIndex {
 }
 
 impl NameEntry {
-    fn push_value(&mut self, literal: &str, position: u32) {
-        let list = self.by_value.entry(literal.to_string()).or_default();
+    fn push(&mut self, literal: Literal<'_>, position: u32) {
+        let list = match literal {
+            Literal::Str(text) => {
+                // Owned-key insertion only on first sight of a literal.
+                if !self.by_str.contains_key(text) {
+                    self.by_str.insert(text.to_string(), Vec::new());
+                }
+                self.by_str.get_mut(text).expect("entry just ensured")
+            }
+            Literal::Int(number) => self.by_int.entry(number).or_default(),
+        };
         // One-of clauses listing an option twice must not list the
         // subscription twice.
         if list.last() != Some(&position) {
@@ -306,6 +386,140 @@ mod tests {
             !candidate_set.contains(&4),
             "value-keyed miss prunes the non-matching type"
         );
+    }
+
+    #[test]
+    fn monitor_filters_key_by_symbol_not_by_type() {
+        // Pair Monitors name both `type == tick` and their symbol; every
+        // monitor names the same type, so the symbol is the selective key.
+        let filters = [
+            Filter::for_type("tick").where_eq("symbol", "MSFT"),
+            Filter::for_type("tick").where_eq("symbol", "GOOG"),
+            Filter::for_type("tick").where_eq("symbol", "MSFT"),
+            Filter::for_type("tick"), // a probe: one keyable clause, keyed by it
+        ];
+        let index = SubscriptionIndex::build(filters.iter());
+        let goog = event(&[("type", Value::str("tick")), ("symbol", Value::str("GOOG"))]);
+        assert_eq!(candidates(&index, &goog), vec![1, 3]);
+        let msft = event(&[("type", Value::str("tick")), ("symbol", Value::str("MSFT"))]);
+        assert_eq!(candidates(&index, &msft), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn integer_equality_keys_by_value() {
+        // Traders name `type == match` and their integer id: the id is keyed,
+        // so a match reaches only its trader's subscription.
+        let filters: Vec<Filter> = (0..3)
+            .map(|trader| Filter::for_type("match").where_eq("trader", trader as i64))
+            .collect();
+        let index = SubscriptionIndex::build(filters.iter());
+        let for_one = event(&[("type", Value::str("match")), ("trader", Value::Int(1))]);
+        assert_eq!(candidates(&index, &for_one), vec![1]);
+        // `structurally_equals` never crosses variants: a string "1" or a
+        // float 1.0 cannot satisfy `trader == 1`, so neither is looked up.
+        for other in [Value::str("1"), Value::Float(1.0)] {
+            let miss = event(&[("type", Value::str("match")), ("trader", other)]);
+            assert!(candidates(&index, &miss).is_empty());
+        }
+        // A lone integer clause is keyed by value too.
+        let single = [Filter::new().where_eq("trader", 7i64)];
+        let index = SubscriptionIndex::build(single.iter());
+        assert_eq!(
+            candidates(&index, &event(&[("trader", Value::Int(7))])),
+            vec![0]
+        );
+        assert!(candidates(&index, &event(&[("trader", Value::Int(8))])).is_empty());
+    }
+
+    #[test]
+    fn one_of_costs_the_sum_of_its_options() {
+        // `symbol in [A, B]` would pull in every subscription keyed under A or
+        // B: 2 + 2 filters name those, more than the 3 naming `lane == L1`,
+        // so filter 2 is keyed by its lane while 0 and 1 keep their symbols.
+        let filters = [
+            Filter::new().where_eq("symbol", "A").where_eq("lane", "L1"),
+            Filter::new().where_eq("symbol", "B").where_eq("lane", "L1"),
+            Filter::new()
+                .where_part("symbol", Predicate::OneOf(vec!["A".into(), "B".into()]))
+                .where_eq("lane", "L1"),
+        ];
+        let index = SubscriptionIndex::build(filters.iter());
+        let lane_only = event(&[("lane", Value::str("L1")), ("symbol", Value::str("Z"))]);
+        assert_eq!(candidates(&index, &lane_only), vec![2]);
+        let symbol_only = event(&[("symbol", Value::str("A"))]);
+        assert_eq!(candidates(&index, &symbol_only), vec![0]);
+    }
+
+    #[test]
+    fn candidates_cover_every_match_over_a_mixed_vocabulary() {
+        // Every one- and two-clause filter over string, integer, `OneOf` and
+        // open-ended clauses, against every event over the same vocabulary:
+        // whatever key each filter got, no match may be missing.
+        let clauses = [
+            ("type", Predicate::Equals(Value::str("tick"))),
+            ("type", Predicate::Equals(Value::str("match"))),
+            ("symbol", Predicate::Equals(Value::str("A"))),
+            ("symbol", Predicate::Equals(Value::str("B"))),
+            ("symbol", Predicate::OneOf(vec!["A".into(), "B".into()])),
+            ("trader", Predicate::Equals(Value::Int(1))),
+            ("trader", Predicate::Equals(Value::Int(2))),
+            ("price", Predicate::Exists),
+            ("symbol", Predicate::NotEquals(Value::str("A"))),
+        ];
+        let mut filters = Vec::new();
+        for (i, (first_name, first)) in clauses.iter().enumerate() {
+            filters.push(Filter::new().where_part(*first_name, first.clone()));
+            for (second_name, second) in &clauses[i..] {
+                filters.push(
+                    Filter::new()
+                        .where_part(*first_name, first.clone())
+                        .where_part(*second_name, second.clone()),
+                );
+            }
+        }
+        let index = SubscriptionIndex::build(filters.iter());
+        let types = [Some(Value::str("tick")), Some(Value::str("match")), None];
+        let symbols = [Some(Value::str("A")), Some(Value::str("B")), None];
+        let traders = [
+            Some(Value::Int(1)),
+            Some(Value::Int(2)),
+            Some(Value::str("1")),
+            None,
+        ];
+        let prices = [Some(Value::Float(1.0)), None];
+        let mut checked = 0;
+        for kind in &types {
+            for symbol in &symbols {
+                for trader in &traders {
+                    for price in &prices {
+                        let parts: Vec<(&str, Value)> = [
+                            ("type", kind),
+                            ("symbol", symbol),
+                            ("trader", trader),
+                            ("price", price),
+                        ]
+                        .into_iter()
+                        .filter_map(|(name, data)| data.clone().map(|data| (name, data)))
+                        .collect();
+                        if parts.is_empty() {
+                            continue;
+                        }
+                        let event = event(&parts);
+                        let candidate_set = candidates(&index, &event);
+                        for (position, filter) in filters.iter().enumerate() {
+                            if filter.matches_any_visibility(&event) {
+                                checked += 1;
+                                assert!(
+                                    candidate_set.contains(&(position as u32)),
+                                    "{filter} matches {parts:?} but is not a candidate"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "the vocabulary must produce matches");
     }
 
     #[test]

@@ -158,6 +158,10 @@ pub struct UnitState {
     /// swaps (subscriptions and publishers keep working); the version tells
     /// observers *which* instance is currently serving it.
     pub version: u64,
+    /// Whether the unit has ever declared a managed subscription. Only such
+    /// owners have their output label and privileges in the dispatcher's
+    /// security snapshot, so only their changes to those bump the epoch.
+    pub(crate) owns_managed: bool,
 }
 
 impl UnitState {
@@ -172,6 +176,7 @@ impl UnitState {
             isolate,
             delivered: 0,
             version: 1,
+            owns_managed: false,
         }
     }
 

@@ -2,9 +2,10 @@
 //! event stream and runtime configuration, planning through the inverted
 //! index must produce *exactly* the delivery sets the linear scan produces.
 //!
-//! Each case generates a random population of filters (string equality,
-//! `OneOf`, existence, numeric range and inequality clauses — the index's
-//! value-keyed fast path plus every name-bucket fallback), a random event
+//! Each case generates a random population of filters (string and integer
+//! equality, two-equality conjunctions, `OneOf`, existence, numeric range and
+//! inequality clauses — the index's value-keyed fast path, its choice between
+//! keys, and every name-bucket fallback), a random event
 //! stream over a small part-name vocabulary, and a random runtime
 //! configuration (workers, batch size, grouped on/off, all four
 //! [`SecurityMode`]s). The same workload then runs twice — index on, index
@@ -52,14 +53,15 @@ impl Rng {
 const LANES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 const TYPES: [&str; 2] = ["tick", "trade"];
 
-/// One random filter: one or two clauses drawn across every predicate shape
-/// the index treats differently (value-keyed string equality and `OneOf`,
-/// name-bucketed everything else).
+/// One random filter: one or two draws across every predicate shape the
+/// index treats differently (value-keyed string and integer equality and
+/// `OneOf`, name-bucketed everything else), one of which adds two equality
+/// clauses at once so the index must pick the more selective key.
 fn random_filter(rng: &mut Rng) -> Filter {
     let mut filter = Filter::new();
     let clauses = 1 + rng.below(2);
     for _ in 0..clauses {
-        filter = match rng.below(6) {
+        filter = match rng.below(8) {
             0 => filter.where_eq("lane", Value::str(LANES[rng.below(4) as usize])),
             1 => {
                 let first = LANES[rng.below(4) as usize].to_string();
@@ -69,22 +71,33 @@ fn random_filter(rng: &mut Rng) -> Filter {
             2 => filter.where_exists("flag"),
             3 => filter.where_part("price", Predicate::GreaterThan(rng.below(100) as f64)),
             4 => filter.where_part("price", Predicate::LessThan(rng.below(100) as f64)),
-            _ => filter.where_part(
+            5 => filter.where_part(
                 "lane",
                 Predicate::NotEquals(Value::str(LANES[rng.below(4) as usize])),
             ),
+            6 => filter.where_eq("bucket", Value::Int(rng.below(4) as i64)),
+            _ => filter
+                .where_eq("type", Value::str(TYPES[rng.below(2) as usize]))
+                .where_eq("lane", Value::str(LANES[rng.below(4) as usize])),
         };
     }
     filter
 }
 
-/// One random event draft: always a type, a lane, a price and a unique
-/// sequence number; sometimes a flag (so existence clauses discriminate).
+/// One random event draft: always a type, a lane, a price, a bucket and a
+/// unique sequence number; sometimes a flag (so existence clauses
+/// discriminate). The bucket is usually an integer and sometimes the string
+/// spelling of one, which an integer-equality clause must never match.
 fn random_draft(rng: &mut Rng, seq: i64) -> EventDraft {
+    let bucket = match rng.below(5) {
+        0 => Value::str(rng.below(4).to_string()),
+        _ => Value::Int(rng.below(4) as i64),
+    };
     let mut draft = EventDraft::new()
         .public_part("type", Value::str(TYPES[rng.below(2) as usize]))
         .public_part("lane", Value::str(LANES[rng.below(4) as usize]))
         .public_part("price", Value::Float(rng.below(100) as f64))
+        .public_part("bucket", bucket)
         .public_part("seq", Value::Int(seq));
     if rng.below(2) == 0 {
         draft = draft.public_part("flag", Value::Bool(true));

@@ -171,6 +171,15 @@ impl PrivilegeSet {
         self.set_for_mut(privilege.kind).remove(&privilege.tag)
     }
 
+    /// Revokes all four privileges over `tag`; returns `true` if any was held.
+    pub fn revoke_all(&mut self, tag: &Tag) -> bool {
+        // Non-short-circuiting `|`: every set must drop the tag.
+        self.add.remove(tag)
+            | self.remove.remove(tag)
+            | self.add_auth.remove(tag)
+            | self.remove_auth.remove(tag)
+    }
+
     /// Merges all privileges of `other` into `self`.
     pub fn absorb(&mut self, other: &PrivilegeSet) {
         self.add = self.add.union(&other.add);
@@ -402,6 +411,17 @@ mod tests {
         assert_eq!(set.len(), 3);
         let kinds: Vec<_> = set.iter().map(|p| p.kind).collect();
         assert!(!kinds.contains(&PrivilegeKind::Add));
+    }
+
+    #[test]
+    fn revoke_all_drops_every_kind_over_one_tag() {
+        let t = Tag::with_name("t");
+        let other = Tag::with_name("other");
+        let mut set = PrivilegeSet::owner(&t);
+        set.absorb(&PrivilegeSet::owner(&other));
+        assert!(set.revoke_all(&t));
+        assert!(!set.revoke_all(&t), "nothing left to revoke");
+        assert_eq!(set, PrivilegeSet::owner(&other));
     }
 
     #[test]

@@ -141,15 +141,16 @@ impl BrokerHandler {
             Tag::from_id(tag_id),
         )))
     }
-}
 
-impl Unit for BrokerHandler {
-    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
-        self.shared.orders.fetch_add(1, Ordering::Relaxed);
-        let Some((incoming, order_tag)) = Self::parse_order(ctx, event)? else {
-            return Ok(());
-        };
-
+    /// Submits a parsed order to the book and publishes the trade it
+    /// completes, if any.
+    fn trade(
+        &self,
+        ctx: &mut UnitContext<'_>,
+        event: &Event,
+        incoming: Order,
+        order_tag: &Tag,
+    ) -> EngineResult<()> {
         let matched = self
             .shared
             .book
@@ -162,7 +163,7 @@ impl Unit for BrokerHandler {
         // Step 6: publish the trade. The body is declassified (the broker holds b-);
         // the two identities stay protected by the per-order tags of their sides.
         debug_assert!(
-            ctx.has_privilege(&order_tag, PrivilegeKind::Add),
+            ctx.has_privilege(order_tag, PrivilegeKind::Add),
             "reading the order body must have bestowed t_r+"
         );
         let (buyer_tag, seller_tag) = if incoming.side == OrderSide::Buy {
@@ -237,5 +238,20 @@ impl Unit for BrokerHandler {
         self.shared.latency.record(latency);
         self.shared.trades.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+}
+
+impl Unit for BrokerHandler {
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        self.shared.orders.fetch_add(1, Ordering::Relaxed);
+        let Some((incoming, order_tag)) = Self::parse_order(ctx, event)? else {
+            return Ok(());
+        };
+        let traded = self.trade(ctx, event, incoming, &order_tag);
+        // Everything t_r grants has been used or delegated to the Regulator by
+        // now; retired, so that the one handler which serves every order when
+        // label checks are off does not accumulate two privileges per order.
+        ctx.drop_privileges(&order_tag);
+        traded
     }
 }

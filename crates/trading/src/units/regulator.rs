@@ -149,6 +149,10 @@ impl Unit for RegulatorHandler {
             ctx.has_privilege(&order_tag, PrivilegeKind::Add),
             "reading the audit part must bestow t_r+"
         );
+        // t_r+ has served its purpose; retired, so that the one handler which
+        // serves every trade when label checks are off does not accumulate a
+        // privilege per audit.
+        ctx.drop_privileges(&order_tag);
 
         // Verify the trader's volume quota.
         let breached = {

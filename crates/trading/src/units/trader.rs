@@ -11,7 +11,8 @@
 //! * reacts to match events by submitting a dark-pool order whose details are
 //!   protected by the broker tag `b` and whose identity is additionally protected by
 //!   a fresh per-order tag `t_r` (step 4), with `t_r+` attached to the details part
-//!   and `t_r+auth` attached to the identity part.
+//!   and `t_r+auth` attached to the identity part; once the order is published
+//!   the trader drops its own privileges over `t_r`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -194,6 +195,10 @@ impl Unit for Trader {
             Privilege::add_authority(order_tag.clone()),
         )?;
         ctx.publish(draft)?;
+        // The order now carries everything t_r grants; the trader never uses
+        // its own four privileges over t_r again, so it retires them instead
+        // of accumulating four per order.
+        ctx.drop_privileges(&order_tag);
         self.orders_placed.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -1,6 +1,9 @@
 //! End-to-end tests of the Figure 4 workflow on the assembled trading platform.
 
-use defcon_core::SecurityMode;
+use defcon_core::unit::NullUnit;
+use defcon_core::{Engine, SecurityMode, UnitId, UnitSpec};
+use defcon_events::Filter;
+use defcon_trading::messages::event_type;
 use defcon_trading::{TradingPlatform, TradingPlatformConfig};
 use defcon_workload::TickGeneratorConfig;
 
@@ -18,6 +21,33 @@ fn small_config(mode: SecurityMode, traders: usize) -> TradingPlatformConfig {
         },
         ..TradingPlatformConfig::default()
     }
+}
+
+/// Registers a unit that subscribes to every MATCH event without holding any
+/// trader's tag.
+fn register_match_snooper(engine: &Engine) -> UnitId {
+    let snooper = engine
+        .register_unit(UnitSpec::new("snooper"), Box::new(NullUnit))
+        .unwrap();
+    engine
+        .with_unit(snooper, |_, ctx| {
+            ctx.subscribe(Filter::for_type(event_type::MATCH))
+        })
+        .unwrap();
+    snooper
+}
+
+/// Every match is confined to its trader's tag, so the snooper receives none
+/// and each match it was refused is counted as a label rejection (every
+/// order answers a distinct match).
+fn assert_matches_confined(engine: &Engine, snooper: UnitId, orders: u64) {
+    assert!(orders > 0);
+    assert_eq!(engine.unit_state(snooper).unwrap().delivered, 0);
+    assert!(
+        engine.stats().label_rejections() >= orders,
+        "{} rejections for {orders} orders",
+        engine.stats().label_rejections()
+    );
 }
 
 #[test]
@@ -108,14 +138,13 @@ fn workflow_works_with_dispatcher_workers_in_every_security_mode() {
         };
         let mut platform = TradingPlatform::build(config).unwrap();
         assert_eq!(platform.handle().worker_count(), 4);
+        let snooper = register_match_snooper(platform.engine());
         let report = platform.run_ticks(600).unwrap();
         assert!(report.orders > 0, "mode {mode}: no orders with workers");
         assert!(report.trades > 0, "mode {mode}: no trades with workers");
+        // Label checks must run under concurrent dispatch.
         if mode.checks_labels() {
-            assert!(
-                platform.engine().stats().label_rejections() > 0,
-                "mode {mode}: label checks must run under concurrent dispatch"
-            );
+            assert_matches_confined(platform.engine(), snooper, report.orders);
         }
     }
 }
@@ -238,6 +267,7 @@ fn traders_never_receive_other_traders_opportunities() {
     // the number of deliveries of match events equals the number of match events
     // published (each goes to exactly one trader), never a multiple.
     let mut platform = TradingPlatform::build(small_config(SecurityMode::LabelsFreeze, 6)).unwrap();
+    let snooper = register_match_snooper(platform.engine());
     platform.run_ticks(1_000).unwrap();
     // Orders placed == match deliveries that resulted in an order; every order comes
     // from exactly one trader seeing one match. If confinement were broken, a single
@@ -248,10 +278,46 @@ fn traders_never_receive_other_traders_opportunities() {
         orders >= trades,
         "every trade needs at least two orders in the pool"
     );
-    assert!(
-        platform.engine().stats().label_rejections() > 0,
-        "label checks must have filtered deliveries"
-    );
+    // A unit outside every trader's tag sees no opportunity at all.
+    assert_matches_confined(platform.engine(), snooper, orders);
+}
+
+#[test]
+fn traders_retire_their_order_tag_privileges() {
+    // Every order mints a tag t_r whose four privileges the trader drops once
+    // the order is out, so a trader's privilege set does not grow with its
+    // order count.
+    let traders = 8;
+    let mut platform =
+        TradingPlatform::build(small_config(SecurityMode::LabelsFreeze, traders)).unwrap();
+    // Engines number units from 1 in registration order, so every trader's
+    // id lies below that of a unit registered after the build.
+    let after_build = register_match_snooper(platform.engine());
+    let report = platform.run_ticks(1_000).unwrap();
+    assert!(report.orders > 0, "traders must have placed orders");
+
+    let mut seen = 0;
+    for raw in 1..after_build.as_u64() {
+        let state = platform.engine().unit_state(UnitId::from_raw(raw)).unwrap();
+        if !state.name.starts_with("trader-") {
+            continue;
+        }
+        seen += 1;
+        let order_tags: Vec<_> = state
+            .privileges
+            .iter()
+            .filter(|privilege| {
+                privilege
+                    .tag
+                    .name()
+                    .is_some_and(|name| name.starts_with("t-order-"))
+            })
+            .collect();
+        assert!(order_tags.is_empty(), "{}: {order_tags:?}", state.name);
+        // Its own tag's four privileges plus b+.
+        assert_eq!(state.privileges.len(), 5, "{}", state.name);
+    }
+    assert_eq!(seen, traders);
 }
 
 #[test]

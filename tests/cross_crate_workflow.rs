@@ -5,6 +5,7 @@
 use defcon::prelude::*;
 use defcon_baseline::{BaselineConfig, BaselinePlatform};
 use defcon_isolation::{ClassGraph, StaticAnalysis, TargetCatalog};
+use defcon_trading::messages::event_type;
 use defcon_trading::{TradingPlatform, TradingPlatformConfig};
 use defcon_workload::TickGeneratorConfig;
 
@@ -24,11 +25,42 @@ fn platform_config(mode: SecurityMode, traders: usize) -> TradingPlatformConfig 
     }
 }
 
+/// Registers a unit that subscribes to every MATCH event without holding any
+/// trader's tag.
+fn register_match_snooper(engine: &Engine) -> UnitId {
+    let snooper = engine
+        .register_unit(
+            UnitSpec::new("snooper"),
+            Box::new(defcon::core::unit::NullUnit),
+        )
+        .unwrap();
+    engine
+        .with_unit(snooper, |_, ctx| {
+            ctx.subscribe(Filter::for_type(event_type::MATCH))
+        })
+        .unwrap();
+    snooper
+}
+
+/// Every match is confined to its trader's tag, so the snooper receives none
+/// and each match it was refused is counted as a label rejection (every
+/// order answers a distinct match).
+fn assert_matches_confined(engine: &Engine, snooper: UnitId, orders: u64) {
+    assert!(orders > 0);
+    assert_eq!(engine.unit_state(snooper).unwrap().delivered, 0);
+    assert!(
+        engine.stats().label_rejections() >= orders,
+        "{} rejections for {orders} orders",
+        engine.stats().label_rejections()
+    );
+}
+
 #[test]
 fn figure4_workflow_end_to_end_through_umbrella_crate() {
     let mut platform =
         TradingPlatform::build(platform_config(SecurityMode::LabelsFreezeIsolation, 10))
             .expect("platform builds");
+    let snooper = register_match_snooper(platform.engine());
     let report = platform.run_ticks(1_500).expect("run completes");
 
     assert!(report.orders > 0);
@@ -36,7 +68,7 @@ fn figure4_workflow_end_to_end_through_umbrella_crate() {
     assert!(report.latency_p70_ms > 0.0);
     assert!(report.memory_mib > 0.0);
     // The engine enforced label checks along the way.
-    assert!(platform.engine().stats().label_rejections() > 0);
+    assert_matches_confined(platform.engine(), snooper, report.orders);
 }
 
 #[test]
@@ -146,14 +178,16 @@ fn prelude_covers_the_common_api_surface() {
 #[test]
 fn multi_worker_platform_processes_the_figure4_workflow() {
     // The acceptance scenario of the v2 runtime API: the assembled platform on a
-    // four-worker engine still produces orders, trades and label rejections.
+    // four-worker engine still produces orders and trades, and keeps every
+    // match confined to its trader.
     let config = TradingPlatformConfig {
         workers: 4,
         ..platform_config(SecurityMode::LabelsFreeze, 8)
     };
     let mut platform = TradingPlatform::build(config).expect("platform builds");
+    let snooper = register_match_snooper(platform.engine());
     let report = platform.run_ticks(800).expect("run completes");
     assert!(report.orders > 0);
     assert!(report.trades > 0);
-    assert!(platform.engine().stats().label_rejections() > 0);
+    assert_matches_confined(platform.engine(), snooper, report.orders);
 }
