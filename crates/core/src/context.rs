@@ -447,30 +447,22 @@ impl<'a> UnitContext<'a> {
 
     /// Cancels a subscription owned by this unit.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> EngineResult<()> {
-        let mut subs = self.core.subscriptions.write();
-        let before = subs.len();
-        let filtered: Vec<Subscription> = subs
-            .iter()
-            .filter(|s| !(s.id == id && s.owner == self.state.id))
-            .cloned()
-            .collect();
-        if filtered.len() == before {
+        let removed = self
+            .core
+            .subscriptions
+            .write()
+            .unsubscribe(id, self.state.id);
+        if !removed {
             return Err(EngineError::UnknownSubscription(id.as_u64()));
         }
-        *subs = Arc::new(filtered);
-        drop(subs);
         self.core.bump_security_epoch();
         Ok(())
     }
 
-    /// Appends a subscription using copy-on-write so that concurrent dispatch passes
-    /// keep iterating over their own immutable snapshot.
+    /// Appends a subscription. The table is copy-on-write, so concurrent
+    /// dispatch passes keep iterating over their own immutable snapshot.
     fn push_subscription(&mut self, subscription: Subscription) {
-        let mut subs = self.core.subscriptions.write();
-        let mut next: Vec<Subscription> = (**subs).clone();
-        next.push(subscription);
-        *subs = Arc::new(next);
-        drop(subs);
+        self.core.subscriptions.write().push(subscription);
         self.core.bump_security_epoch();
     }
 

@@ -31,25 +31,28 @@
 //! its events in batch order, while deliveries to *different* units interleave
 //! in group order. The snapshot itself is cached across batches and keyed on
 //! the engine's security epoch, so consecutive batches over an unchanged
-//! subscription/label population skip the rebuild entirely. The epoch moves
+//! subscription/label population skip the refresh entirely. The epoch moves
 //! only when something the snapshot holds changes — the subscription list, an
 //! input label, or a managed owner's output label or privileges — so tag
-//! creation and privilege traffic of ordinary units never force a rebuild.
+//! creation and privilege traffic of ordinary units never force a refresh.
+//! A refresh costs what it copies: the subscription table's list and index
+//! are shared `Arc`s, and owner state is snapshotted once per owner *unit*,
+//! not once per subscription.
 //!
 //! # The subscription index
 //!
 //! With [`EngineConfig::subscription_index`](crate::EngineConfig) on (the
-//! default), the batch snapshot also carries an inverted
+//! default), the subscription table keeps an inverted
 //! [`SubscriptionIndex`](crate::sub_index) from part names — and, for
 //! string/integer equality and `OneOf` clauses, part values — to the
-//! subscriptions whose filters could possibly match. Planning looks up each
-//! event's parts and runs the exact filter (and flow check) only over the
-//! returned candidate set, which is a provable superset of the matches (and,
-//! with each subscription keyed by its most selective literal, usually the
-//! match set itself): fan-out cost scales with candidates per event instead
-//! of total registered subscriptions. The index rides the same epoch-keyed
-//! snapshot cache, so subscribe/unsubscribe/swap invalidate it for free and
-//! an unchanged population never rebuilds it.
+//! subscriptions whose filters could possibly match, and the batch snapshot
+//! shares it. Planning looks up each event's parts and runs the exact filter
+//! (and flow check) only over the returned candidate set, which is a provable
+//! superset of the matches (and, with each subscription keyed by its most
+//! selective literal, usually the match set itself): fan-out cost scales with
+//! candidates per event instead of total registered subscriptions. The table
+//! updates the index under its own write lock on every subscribe, unsubscribe
+//! and removal, so a refresh never rebuilds it.
 //! Parts released by main-path augmentation are looked up incrementally —
 //! per delivery on the per-event path, per overflow wave on the grouped path
 //! — so filters naming augmentation-released parts match under either
@@ -70,7 +73,7 @@ use crate::context::UnitContext;
 use crate::engine::{EngineCore, UnitCell, UnitSlot};
 use crate::error::EngineResult;
 use crate::steal::{LocalRuns, StealGrid};
-use crate::sub_index::SubscriptionIndex;
+use crate::sub_index::{Entries, SubscriptionIndex, TableSnapshot};
 use crate::subscription::{Subscription, SubscriptionKind};
 use crate::unit::{UnitId, UnitSpec, UnitState};
 
@@ -100,15 +103,14 @@ pub struct Dispatcher {
 /// Labels are interned (`Arc`-backed), so the snapshot clones are
 /// reference-count bumps. The output label, privileges and name are only
 /// needed to resolve managed handler instances, so only owners of a managed
-/// subscription snapshot them — shared by all of the owner's subscriptions.
-#[derive(Clone)]
+/// subscription snapshot them.
 struct OwnerSnapshot {
     input: Label,
-    managed: Option<Arc<ManagedOwnerState>>,
+    managed: Option<ManagedOwnerState>,
 }
 
-/// A subscription's owner slot and snapshot; `None` when the owner was
-/// removed.
+/// An owner unit's slot and snapshot; `None` when the owner was removed (or
+/// is not registered yet).
 type ResolvedOwner = Option<(Arc<UnitSlot>, OwnerSnapshot)>;
 
 /// The extra owner state a managed subscription needs to instantiate handlers.
@@ -153,19 +155,20 @@ impl std::hash::Hash for FlowKey {
 /// batch.
 const FLOW_MEMO_CAP: usize = 4096;
 
-/// Dispatch state prepared once per security epoch and shared by batches: the
-/// subscription list and each subscription's resolved owner slot plus
-/// security-state snapshot (`None` when the owner was removed).
+/// Dispatch state prepared once per security epoch and shared by batches.
 struct BatchContext {
-    subscriptions: Arc<Vec<Subscription>>,
+    /// The subscription table's list, shared: registration order by
+    /// position, `None` for a removed subscription's tombstone.
+    subscriptions: Entries,
+    /// Each owner unit's resolved slot and security-state snapshot, by the
+    /// owner ordinal of its entries — one per unit, however many
+    /// subscriptions it holds.
     owners: Vec<ResolvedOwner>,
-    /// The inverted subscription index over `subscriptions` (`None` with the
-    /// `subscription_index` knob off): part name/value → candidate
-    /// subscription indices, a provable superset of the true matches. Living
-    /// inside the epoch-cached context gives it incremental maintenance for
-    /// free — every subscribe/unsubscribe/swap bumps the security epoch,
-    /// retiring index and snapshot together, atomically.
-    index: Option<SubscriptionIndex>,
+    /// The table's inverted index over `subscriptions`, shared (`None` with
+    /// the `subscription_index` knob off): part name/value → candidate
+    /// positions, a provable superset of the true matches. Taken under the
+    /// same read lock as the list, so the two always agree.
+    index: Option<Arc<SubscriptionIndex>>,
     /// Memo of flow decisions that needed the exact sorted-vector scan (the
     /// pointer/fingerprint fast paths answer without consulting it): repeated
     /// deliveries over the same handful of interned labels pay each lattice
@@ -249,6 +252,23 @@ impl std::fmt::Debug for SharedContextSlot {
 }
 
 impl BatchContext {
+    /// The live subscription at `position` with its owner's slot and
+    /// snapshot; `None` for a tombstone or a removed owner.
+    fn entry(&self, position: usize) -> Option<(&Subscription, &Arc<UnitSlot>, &OwnerSnapshot)> {
+        let entry = self.subscriptions[position].as_ref()?;
+        let (slot, owner) = self.owners[entry.owner as usize].as_ref()?;
+        Some((&entry.subscription, slot, owner))
+    }
+
+    /// The subscription at a planned position (planning only ever yields
+    /// live ones).
+    fn subscription(&self, position: u32) -> &Subscription {
+        &self.subscriptions[position as usize]
+            .as_ref()
+            .expect("planned positions are live")
+            .subscription
+    }
+
     /// Answers `part_label ≺ owner_input` (or the managed integrity-only
     /// variant), memoising decisions the constant-time fast path cannot make.
     fn flow_allowed(&self, part_label: &Label, owner_input: &Label, managed: bool) -> bool {
@@ -660,7 +680,7 @@ impl Dispatcher {
     }
 
     /// Returns the dispatch context for the current batch: the subscription
-    /// list and, for every subscription, a snapshot of its owner's security
+    /// list and index and, for every owner unit, a snapshot of its security
     /// state (labels, privileges, name) and slot.
     ///
     /// The context is *cached across batches* and keyed on the subscription
@@ -669,7 +689,7 @@ impl Dispatcher {
     /// worker pays the snapshot cost once, not once per batch. An input-label
     /// change, a managed owner's output-label or privilege change, unit
     /// registration/removal/swap or (un)subscribe bumps the epoch and the
-    /// next batch rebuilds. Within one batch dispatch therefore
+    /// next batch refreshes. Within one batch dispatch therefore
     /// still observes a consistent owner-state snapshot, and a unit changing
     /// its own labels during a delivery affects visibility filtering from the
     /// *next batch* on, exactly as before — the epoch makes the window end at
@@ -685,8 +705,8 @@ impl Dispatcher {
             }
         }
         // Private miss: under scheduler v3 consult the process-shared slot —
-        // a sibling worker may already have rebuilt for this epoch — before
-        // paying for a rebuild; under v2 every worker rebuilds privately.
+        // a sibling worker may already have refreshed for this epoch — before
+        // paying for a refresh; under v2 every worker refreshes privately.
         let context = match self.core.shared_context.as_ref() {
             Some(shared) => shared.get_or_build(epoch, || self.build_context()),
             None => self.build_context(),
@@ -698,48 +718,42 @@ impl Dispatcher {
         context
     }
 
-    /// Builds a fresh batch context from the live subscription list and unit
-    /// registry (the slow path behind both context caches).
+    /// Builds a fresh batch context (the slow path behind both context
+    /// caches): shares the subscription table's list and index, and locks
+    /// each owner unit's cell once to snapshot its security state.
     fn build_context(&self) -> Arc<BatchContext> {
-        let subscriptions: Arc<Vec<Subscription>> = Arc::clone(&self.core.subscriptions.read());
-        let mut owners = Vec::with_capacity(subscriptions.len());
-        // A unit's subscriptions usually sit next to each other (it issues
-        // them in one `init`), so the owner's cell is locked once per run.
-        let mut run: Option<(UnitId, ResolvedOwner)> = None;
-        for subscription in subscriptions.iter() {
-            if run.as_ref().map(|(owner, _)| *owner) != Some(subscription.owner) {
-                // Owner removed since the subscription snapshot: skip silently
-                // (per-delivery re-checks handle mid-batch removal).
-                let resolved = self.core.slot(subscription.owner).ok().map(|slot| {
-                    let cell = slot.cell.lock();
-                    let snapshot = OwnerSnapshot {
-                        input: cell.state.input_label.clone(),
-                        managed: cell.state.owns_managed.then(|| {
-                            Arc::new(ManagedOwnerState {
-                                output: cell.state.output_label.clone(),
-                                privileges: cell.state.privileges.clone(),
-                                name: cell.state.name.clone(),
-                            })
-                        }),
-                    };
-                    drop(cell);
-                    (slot, snapshot)
-                });
-                run = Some((subscription.owner, resolved));
-            }
-            owners.push(run.as_ref().and_then(|(_, resolved)| resolved.clone()));
-        }
-        let index = self.core.config.subscription_index.then(|| {
+        let TableSnapshot {
+            entries: subscriptions,
+            index,
+            owners,
+        } = self.core.subscriptions.read().snapshot();
+        let owners = owners
+            .into_iter()
+            .map(|unit| {
+                // An owner removed since the table snapshot (or whose
+                // registration has not finished) resolves to `None` and its
+                // subscriptions are skipped; per-delivery re-checks handle
+                // mid-batch removal.
+                let slot = self.core.slot(unit?).ok()?;
+                let cell = slot.cell.lock();
+                let snapshot = OwnerSnapshot {
+                    input: cell.state.input_label.clone(),
+                    managed: cell.state.owns_managed.then(|| ManagedOwnerState {
+                        output: cell.state.output_label.clone(),
+                        privileges: cell.state.privileges.clone(),
+                        name: cell.state.name.clone(),
+                    }),
+                };
+                drop(cell);
+                Some((slot, snapshot))
+            })
+            .collect();
+        if index.is_some() {
             self.core
                 .index_stats
                 .rebuilds
                 .fetch_add(1, Ordering::Relaxed);
-            SubscriptionIndex::build(
-                subscriptions
-                    .iter()
-                    .map(|subscription| &subscription.filter),
-            )
-        });
+        }
         Arc::new(BatchContext {
             subscriptions,
             owners,
@@ -810,30 +824,16 @@ impl Dispatcher {
         } else {
             owner.input.clone()
         };
-        // A resolved instance can be evicted (retired) by another worker
-        // before we deliver; re-resolving then creates a fresh handler.
-        // Bounded so that pathological cap pressure cannot livelock us —
-        // delivery skips retired slots, so the last attempt is safe.
-        let mut resolved = None;
-        for _ in 0..4 {
-            match self.managed_instance(
-                subscription,
-                &managed_owner.output,
-                &managed_owner.privileges,
-                &managed_owner.name,
-                required.clone(),
-            ) {
-                Ok(slot) => {
-                    let retired = slot.cell.lock().retired;
-                    resolved = Some(slot);
-                    if !retired {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        resolved
+        // The returned `Arc` pins the instance: eviction never retires a
+        // handler a pending delivery still holds.
+        self.managed_instance(
+            subscription,
+            &managed_owner.output,
+            &managed_owner.privileges,
+            &managed_owner.name,
+            required,
+        )
+        .ok()
     }
 
     /// Dispatches a single event using a prepared batch context — the classic
@@ -854,8 +854,8 @@ impl Dispatcher {
         let mut current = event;
 
         let Some(index) = batch.index.as_ref() else {
-            for (subscription, owner) in batch.subscriptions.iter().zip(&batch.owners) {
-                let Some((owner_slot, owner)) = owner else {
+            for position in 0..batch.subscriptions.len() {
+                let Some((subscription, owner_slot, owner)) = batch.entry(position) else {
                     continue;
                 };
                 let managed = subscription.is_managed();
@@ -893,8 +893,7 @@ impl Dispatcher {
         while position < worklist.len() {
             let sub_index = worklist[position] as usize;
             position += 1;
-            let subscription = &batch.subscriptions[sub_index];
-            let Some((owner_slot, owner)) = &batch.owners[sub_index] else {
+            let Some((subscription, owner_slot, owner)) = batch.entry(sub_index) else {
                 continue;
             };
             let managed = subscription.is_managed();
@@ -977,10 +976,9 @@ impl Dispatcher {
                         if already(event_index as u32, sub_index) {
                             continue;
                         }
-                        let Some((_, owner)) = &batch.owners[sub_index as usize] else {
+                        let Some((subscription, _, owner)) = batch.entry(sub_index as usize) else {
                             continue;
                         };
-                        let subscription = &batch.subscriptions[sub_index as usize];
                         let managed = subscription.is_managed();
                         if self.subscription_matches(
                             batch,
@@ -996,13 +994,11 @@ impl Dispatcher {
                     }
                 }
                 None => {
-                    for (sub_index, (subscription, owner)) in
-                        batch.subscriptions.iter().zip(&batch.owners).enumerate()
-                    {
+                    for sub_index in 0..batch.subscriptions.len() {
                         if already(event_index as u32, sub_index as u32) {
                             continue;
                         }
-                        let Some((_, owner)) = owner else {
+                        let Some((subscription, _, owner)) = batch.entry(sub_index) else {
                             continue;
                         };
                         let managed = subscription.is_managed();
@@ -1107,8 +1103,8 @@ impl Dispatcher {
             // since each event's contamination can demand a different handler
             // instance.
             for &(event_index, sub_index) in pairs.iter() {
-                let subscription = &batch.subscriptions[sub_index as usize];
-                let Some((owner_slot, owner)) = &batch.owners[sub_index as usize] else {
+                let Some((subscription, owner_slot, owner)) = batch.entry(sub_index as usize)
+                else {
                     continue;
                 };
                 let managed = subscription.is_managed();
@@ -1205,7 +1201,7 @@ impl Dispatcher {
                     let mut faulted = false;
                     for &(event_index, sub_index) in &ordered[start..end] {
                         let event_index = event_index as usize;
-                        let subscription = &batch.subscriptions[sub_index as usize];
+                        let subscription = batch.subscription(sub_index);
                         delivered_count += 1;
                         let additions = self.deliver_into_cell(
                             &live,
@@ -1521,19 +1517,29 @@ impl Dispatcher {
         // per-order tags create one instance per contamination, so without a cap
         // a long run would accumulate unboundedly many handler objects.
         if instances.len() >= self.core.config.managed_instance_cap {
-            let evicted_keys: Vec<_> = instances
-                .keys()
-                .take(instances.len() / 2 + 1)
-                .cloned()
-                .collect();
             // Unregister all victims under one short units.write(), collecting
             // their slots; their cell mutexes are only taken after the write
             // guard is gone. Locking a cell while holding units.write() would
             // invert the cell -> units order of in-progress deliveries (whose
             // unit code may call instantiate_unit) and deadlock the workers.
-            let mut evicted_slots = Vec::with_capacity(evicted_keys.len());
+            let mut evicted_slots = Vec::new();
             {
                 let mut units = self.core.units.write();
+                // Only instances the registry alone references are victims: a
+                // dispatcher that resolved one holds a clone until its
+                // delivery ends, and with units.write() held nobody can take a
+                // new clone, so a count of one cannot rise under us. Pinned
+                // instances may hold the registry briefly above the cap.
+                let evicted_keys: Vec<_> = instances
+                    .iter()
+                    .filter(|(_, id)| {
+                        units
+                            .get(id)
+                            .is_none_or(|slot| Arc::strong_count(slot) == 1)
+                    })
+                    .map(|(key, _)| key.clone())
+                    .take(instances.len() / 2 + 1)
+                    .collect();
                 for evicted_key in evicted_keys {
                     if let Some(evicted_id) = instances.remove(&evicted_key) {
                         if let Some(evicted_slot) = units.remove(&evicted_id) {
@@ -1544,10 +1550,9 @@ impl Dispatcher {
             }
             for evicted_slot in evicted_slots {
                 let mut cell = evicted_slot.cell.lock();
-                // A dispatch may have resolved this slot just before eviction;
-                // retiring it under the cell lock makes such racers skip the
-                // delivery (and re-resolve) instead of running unit code against
-                // a destroyed isolate.
+                // Retired under the cell lock: anything that still reaches this
+                // slot skips it instead of running unit code against a
+                // destroyed isolate.
                 cell.retired = true;
                 self.core.isolation.destroy_isolate(cell.state.isolate);
                 self.core

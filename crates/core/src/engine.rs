@@ -28,7 +28,8 @@ use crate::fault::{FaultAction, FaultCounters, FaultPolicy};
 use crate::handle::{EngineHandle, Publisher};
 use crate::pool::WorkerPool;
 use crate::run_queue::RunQueue;
-use crate::subscription::{Subscription, SubscriptionId};
+use crate::sub_index::SubscriptionTable;
+use crate::subscription::SubscriptionId;
 use crate::unit::{Unit, UnitFactory, UnitId, UnitSpec, UnitState};
 
 /// The four security configurations evaluated in Figures 5–7 of the paper.
@@ -160,16 +161,21 @@ pub struct EngineConfig {
     /// only — which is the baseline the scheduler A/B bench replays against.
     pub scheduler_v3: bool,
     /// Selects the inverted subscription index (the default): dispatch planning
-    /// consults an index from part name (and string part value) to candidate
-    /// subscriptions — a provable superset of the true matches — and runs the
-    /// exact filter and flow check only on candidates, so planning cost scales
-    /// with *matching* subscriptions instead of registered ones. The index
-    /// lives in the epoch-cached batch context, so every subscribe,
-    /// unsubscribe, unit removal and swap invalidates it through the existing
-    /// `security_epoch` bump and the next batch rebuilds it (under scheduler v3
-    /// once process-wide, via the shared context slot). `false` keeps the
-    /// linear scan over every subscription — the baseline the fan-out A/B
-    /// bench replays against. Delivery sets are identical either way.
+    /// consults an index from part name (and string or integer part value) to
+    /// candidate subscriptions — a provable superset of the true matches — and
+    /// runs the exact filter and flow check only on candidates, so planning
+    /// cost scales with *matching* subscriptions instead of registered ones.
+    /// The index lives in the subscription table and is maintained under the
+    /// table's write lock: a subscribe appends and keys one entry, an
+    /// unsubscribe or unit removal tombstones its entries and unlists them
+    /// from the one bucket each was keyed under, and a full build — which
+    /// also compacts the tombstones — runs only once the changes since the
+    /// last one exceed half the live count. A dispatcher refresh after the
+    /// `security_epoch` bump shares the table's index and snapshots each owner
+    /// unit once, so a change costs what changed. `false` keeps no index and
+    /// runs the linear scan over every live subscription — the baseline the
+    /// fan-out A/B bench replays against. Delivery sets are identical either
+    /// way.
     pub subscription_index: bool,
     /// Number of recently dispatched events retained in the cache. The paper's
     /// deployment caches tick events (~300 MiB); the cache exists so that the
@@ -287,9 +293,10 @@ pub struct QueueStats {
     /// only (the candidate-superset invariant makes false *negatives*
     /// impossible).
     pub index_exact_rejects: u64,
-    /// Times the subscription index was (re)built — once per security epoch
-    /// that dispatched, not once per batch, thanks to the epoch-cached batch
-    /// context it lives in.
+    /// Times a dispatcher refreshed its snapshot of the subscription index —
+    /// once per security epoch that dispatched, not once per batch. A refresh
+    /// shares the index the subscription table maintains (it copies no
+    /// bucket); the table's own occasional full builds are not counted.
     pub index_rebuilds: u64,
 }
 
@@ -404,7 +411,9 @@ pub(crate) struct EngineCore {
     pub(crate) config: EngineConfig,
     pub(crate) isolation: IsolationRuntime,
     pub(crate) units: RwLock<HashMap<UnitId, Arc<UnitSlot>>>,
-    pub(crate) subscriptions: RwLock<Arc<Vec<Subscription>>>,
+    /// Every live subscription, its owner ordinals and (with the index on)
+    /// the inverted index over them, edited under this one lock.
+    pub(crate) subscriptions: RwLock<SubscriptionTable>,
     pub(crate) run_queue: RunQueue,
     pub(crate) event_cache: Mutex<VecDeque<Event>>,
     pub(crate) managed_instances: Mutex<HashMap<(SubscriptionId, Label), UnitId>>,
@@ -432,7 +441,7 @@ pub(crate) struct EngineCore {
     /// or output-label changes of any other unit touch nothing snapshotted
     /// and leave it alone. Dispatchers key their cached batch context on it,
     /// so an unchanged epoch lets consecutive batches reuse one
-    /// subscription/owner snapshot and index instead of rebuilding them.
+    /// subscription/owner snapshot instead of refreshing it.
     pub(crate) security_epoch: AtomicU64,
     /// The write-ahead log appender, present when [`EngineConfig::wal`] is
     /// set. The mutex serialises appends from concurrent publishers, which
@@ -443,7 +452,7 @@ pub(crate) struct EngineCore {
     /// configured.
     pub(crate) faults: FaultCounters,
     /// Subscription-index telemetry (candidate counts, exact rejects,
-    /// rebuilds); always present — all zero when the index is disabled — so
+    /// snapshot refreshes); always present — all zero when the index is disabled — so
     /// `queue_stats()` reads one shape either way.
     pub(crate) index_stats: crate::sub_index::IndexCounters,
     /// Standby factories for fault-triggered auto-swap, keyed by the unit id
@@ -975,12 +984,13 @@ impl Engine {
         let shared_context = config
             .scheduler_v3
             .then(crate::dispatcher::SharedContextSlot::new);
+        let subscriptions = SubscriptionTable::new(config.subscription_index);
         Engine {
             core: Arc::new(EngineCore {
                 config,
                 isolation,
                 units: RwLock::new(HashMap::new()),
-                subscriptions: RwLock::new(Arc::new(Vec::new())),
+                subscriptions: RwLock::new(subscriptions),
                 run_queue,
                 event_cache: Mutex::new(VecDeque::new()),
                 managed_instances: Mutex::new(HashMap::new()),
@@ -1271,15 +1281,7 @@ impl Engine {
             .memory
             .release(MemoryCategory::UnitState, cell.state.estimated_size());
         drop(cell);
-        {
-            let mut subs = self.core.subscriptions.write();
-            let filtered: Vec<Subscription> = subs
-                .iter()
-                .filter(|sub| sub.owner != unit)
-                .cloned()
-                .collect();
-            *subs = Arc::new(filtered);
-        }
+        self.core.subscriptions.write().remove_owner(unit);
         self.core.bump_security_epoch();
         Ok(())
     }
@@ -1357,7 +1359,7 @@ impl Engine {
         self.core.units.read().len()
     }
 
-    /// Number of active subscriptions.
+    /// Number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
         self.core.subscriptions.read().len()
     }

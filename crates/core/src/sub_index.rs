@@ -1,4 +1,5 @@
-//! The inverted subscription index: sublinear candidate selection for dispatch.
+//! The subscription table and its inverted index: sublinear candidate
+//! selection for dispatch, maintained where the list is edited.
 //!
 //! The naive matcher evaluates every subscription's filter against every event,
 //! so planning cost is O(subscriptions × events) — unusable at the paper's
@@ -32,10 +33,10 @@
 //!   of its options. A Pair Monitor (`type == tick ∧ symbol == S`) thus lands
 //!   under its symbol rather than under every tick, and a Trader (`type ==
 //!   match ∧ trader == id`) under its own id, so a tick's or a match's
-//!   candidates are its matches. The counts come from a first pass over just
-//!   the filters that have a choice (two or more keyable clauses), borrowing
-//!   their literals; a filter with one keyable clause is keyed by it, and one
-//!   with none falls back to the name-only bucket of its first clause.
+//!   candidates are its matches. The counts come from the last full build,
+//!   which counts the filters that have a choice (two or more keyable
+//!   clauses); a filter with one keyable clause is keyed by it, and one with
+//!   none falls back to the name-only bucket of its first clause.
 //!
 //! Keys hash by **content**, not by interned-pointer identity: the
 //! `part_name()` intern table stops deduplicating past its capacity, so pointer
@@ -43,22 +44,40 @@
 //!
 //! # Maintenance
 //!
-//! The index is built inside the dispatcher's epoch-cached `BatchContext`
-//! (see `Dispatcher::build_context`), so it is rebuilt exactly when the
-//! subscription list can have changed: every subscribe/unsubscribe, unit
-//! registration/removal and swap bumps the engine's `security_epoch`, which
-//! retires the cached context — index included — and the next batch rebuilds
-//! both atomically. Tag creation and privilege traffic of units without a
-//! managed subscription leave the epoch, and so the index, alone. Under
-//! scheduler v3 the rebuilt index is published through the process-shared
-//! context slot, so one epoch bump costs one rebuild process-wide.
-//! [`IndexCounters`] exposes the rebuild count plus per-plan candidate/reject
-//! telemetry through `queue_stats()`.
+//! The index lives in the engine's [`SubscriptionTable`] and is updated under
+//! the same write lock as the list it indexes, so a change to the population
+//! costs what changed, not a rebuild:
+//!
+//! * Positions are stable. An added subscription is appended and keyed by
+//!   [`SubscriptionIndex::insert`] against the key counts of the last full
+//!   build. A removed one leaves a tombstone in the list, and its position is
+//!   deleted from the one bucket its key names: the key is recomputed from the
+//!   same counts, so it is the one `insert` chose.
+//! * [`SubscriptionIndex::build`] is the only build routine. The table runs it
+//!   once the changes since the last build exceed half the live count, which
+//!   keeps maintenance amortised O(1) per change, restores keying quality after
+//!   bulk set-up, and compacts the tombstones away.
+//! * Entries are shared `Arc`s, and the list, the index and each of the
+//!   index's name and literal buckets are copy-on-write (`Arc::make_mut`).
+//!   While no dispatcher snapshot holds them — all of set-up — an edit happens
+//!   in place; otherwise it copies the list's pointers and the buckets it
+//!   touches, never the whole index.
+//!
+//! A dispatcher refreshes its snapshot once per security epoch that reaches a
+//! dispatch: it clones the table's `Arc`s and snapshots each *owner unit*
+//! once, through the dense owner ordinal the table keeps per entry. With the
+//! `subscription_index` knob off the table keeps no index, and the linear scan
+//! skips tombstones. [`IndexCounters`] exposes the refresh count plus per-plan
+//! candidate/reject telemetry through `queue_stats()`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use defcon_events::{Event, Filter, Predicate, Value};
+
+use crate::subscription::{Subscription, SubscriptionId};
+use crate::unit::UnitId;
 
 /// Telemetry of the subscription index, sampled by `Engine::queue_stats`.
 ///
@@ -74,8 +93,8 @@ pub(crate) struct IndexCounters {
     /// Candidates whose exact filter (or flow check) rejected the delivery —
     /// the index's false positives, paid at exact-match cost only.
     pub(crate) exact_rejects: AtomicU64,
-    /// Times the index was (re)built: once per security epoch that dispatched,
-    /// never once per batch.
+    /// Times a dispatcher refreshed its snapshot of the index: once per
+    /// security epoch that dispatched, never once per batch.
     pub(crate) rebuilds: AtomicU64,
 }
 
@@ -134,40 +153,92 @@ fn literals(predicate: &Predicate) -> impl Iterator<Item = Literal<'_>> {
         .chain(options.iter().map(|option| Literal::Str(option)))
 }
 
-/// How many filters with a choice of key name each `(part name, literal)`.
-type KeyCounts<'a> = HashMap<(&'a str, Literal<'a>), u32>;
+/// `map[key]`, inserting a default under an owned copy of `key` only on first
+/// sight, so lookups of known keys stay borrowed.
+fn entry_for<'m, V: Default>(map: &'m mut HashMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("entry just ensured")
+}
+
+/// Per-name map from literal to a `T`: by string, and by integer.
+#[derive(Debug, Clone, Default)]
+struct ByLiteral<T> {
+    by_str: HashMap<String, T>,
+    by_int: HashMap<i64, T>,
+}
+
+impl<T: Default> ByLiteral<T> {
+    fn get(&self, literal: Literal<'_>) -> Option<&T> {
+        match literal {
+            Literal::Str(text) => self.by_str.get(text),
+            Literal::Int(number) => self.by_int.get(&number),
+        }
+    }
+
+    fn get_mut(&mut self, literal: Literal<'_>) -> Option<&mut T> {
+        match literal {
+            Literal::Str(text) => self.by_str.get_mut(text),
+            Literal::Int(number) => self.by_int.get_mut(&number),
+        }
+    }
+
+    fn get_or_default(&mut self, literal: Literal<'_>) -> &mut T {
+        match literal {
+            Literal::Str(text) => entry_for(&mut self.by_str, text),
+            Literal::Int(number) => self.by_int.entry(number).or_default(),
+        }
+    }
+
+    fn remove(&mut self, literal: Literal<'_>) {
+        match literal {
+            Literal::Str(text) => self.by_str.remove(text),
+            Literal::Int(number) => self.by_int.remove(&number),
+        };
+    }
+}
+
+/// How many filters with a choice of key name each `(part name, literal)`, as
+/// counted by the last full build.
+type KeyCounts = HashMap<String, ByLiteral<u32>>;
+
+/// A list of subscription positions in ascending order, copied on write.
+type Bucket = Arc<Vec<u32>>;
 
 /// The per-name bucket: subscriptions keyed by an exact value of an equality
 /// clause on this name, plus those keyed by name only.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct NameEntry {
-    /// Subscriptions whose chosen clause is `name == "text"` / `name in
-    /// [...]`, listed under each string they can match.
-    by_str: HashMap<String, Vec<u32>>,
-    /// Subscriptions whose chosen clause is `name == integer`.
-    by_int: HashMap<i64, Vec<u32>>,
+    /// Subscriptions whose chosen clause is `name == literal` / `name in
+    /// [...]`, listed under each literal they can match.
+    keyed: ByLiteral<Bucket>,
     /// Subscriptions whose filter has no keyable clause and whose first
     /// clause names this part: candidates for every event carrying the name.
-    any_value: Vec<u32>,
+    any_value: Bucket,
 }
 
 /// An inverted index from part name (and string or integer part value) to
-/// the subscription indices whose filters could match an event carrying that
-/// part.
+/// the positions of the subscriptions whose filters could match an event
+/// carrying that part.
 ///
-/// Built per security epoch from the subscription snapshot; lists hold indices
-/// into that snapshot in ascending order, so unioned candidate sets preserve
-/// subscription order after a sort + dedup.
-#[derive(Debug, Default)]
+/// Lists hold positions in the subscription list in ascending order, so
+/// unioned candidate sets preserve subscription order after a sort + dedup.
+/// Cloning copies the name map; its entries, their buckets and the counts
+/// stay shared until written.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SubscriptionIndex {
-    names: HashMap<String, NameEntry>,
+    names: HashMap<String, Arc<NameEntry>>,
+    /// The key counts of the build this index came from; `insert` and
+    /// `remove` key by them until the next build.
+    counts: Arc<KeyCounts>,
 }
 
 impl SubscriptionIndex {
-    /// Builds the index over a subscription snapshot's filters, in snapshot
-    /// order: one pass counting the keys of filters with a choice to make,
-    /// one pass inserting. Empty filters (which never match — the engine
-    /// rejects them at subscribe anyway) are left out entirely.
+    /// Builds the index over a subscription list's filters, in list order:
+    /// one pass counting the keys of filters with a choice to make, one pass
+    /// inserting. Empty filters (which never match — the engine rejects them
+    /// at subscribe anyway) are left out entirely.
     pub(crate) fn build<'a>(filters: impl Iterator<Item = &'a Filter> + Clone) -> Self {
         let mut counts = KeyCounts::new();
         for filter in filters.clone() {
@@ -178,54 +249,89 @@ impl SubscriptionIndex {
             }
             for (name, predicate) in clauses {
                 for literal in literals(predicate) {
-                    *counts.entry((name.as_str(), literal)).or_default() += 1;
+                    *entry_for(&mut counts, name).get_or_default(literal) += 1;
                 }
             }
         }
-        let mut index = SubscriptionIndex::default();
+        let mut index = SubscriptionIndex {
+            names: HashMap::new(),
+            counts: Arc::new(counts),
+        };
         for (position, filter) in filters.enumerate() {
-            index.insert(position as u32, filter, &counts);
+            index.insert(position as u32, filter);
         }
         index
     }
 
-    fn insert(&mut self, position: u32, filter: &Filter, counts: &KeyCounts<'_>) {
-        let clauses = filter.clauses();
-        // The keyable clause whose literals the fewest filters name, the
-        // first on ties; a lone keyable clause wins whatever its count.
+    /// The clause `filter` is indexed under: the keyable clause whose
+    /// literals the fewest filters name (the first on ties; a lone keyable
+    /// clause wins whatever its count), else its first clause by name only.
+    /// `None` for an empty filter.
+    fn chosen<'f>(&self, filter: &'f Filter) -> Option<(&'f str, Option<&'f Predicate>)> {
         let cost = |(name, predicate): &&(String, Predicate)| -> u32 {
+            let counts = self.counts.get(name.as_str());
             literals(predicate)
-                .map(|literal| counts.get(&(name.as_str(), literal)).copied().unwrap_or(0))
+                .map(|literal| {
+                    counts
+                        .and_then(|counts| counts.get(literal))
+                        .copied()
+                        .unwrap_or(0)
+                })
                 .sum()
         };
-        let keyed = clauses
+        let clauses = filter.clauses();
+        match clauses
             .iter()
             .filter(|(_, predicate)| keyable(predicate))
-            .min_by_key(cost);
-        match keyed {
-            Some((name, predicate)) => {
-                // `in []` lists no literal and so is indexed nowhere, which
-                // keeps it out of every candidate set — exactly its match set.
-                let entry = self.entry(name);
-                for literal in literals(predicate) {
-                    entry.push(literal, position);
-                }
-            }
-            None => {
-                if let Some((name, _)) = clauses.first() {
-                    self.entry(name).any_value.push(position);
-                }
-            }
+            .min_by_key(cost)
+        {
+            Some((name, predicate)) => Some((name, Some(predicate))),
+            None => clauses.first().map(|(name, _)| (name.as_str(), None)),
         }
     }
 
-    fn entry(&mut self, name: &str) -> &mut NameEntry {
-        // Owned-key insertion only on first sight of a name; lookups stay
-        // borrowed.
-        if !self.names.contains_key(name) {
-            self.names.insert(name.to_string(), NameEntry::default());
+    /// Lists the subscription at `position` — which must exceed every
+    /// position already listed — under the key its filter chooses.
+    pub(crate) fn insert(&mut self, position: u32, filter: &Filter) {
+        let Some((name, keyed)) = self.chosen(filter) else {
+            return;
+        };
+        let entry = Arc::make_mut(entry_for(&mut self.names, name));
+        let Some(predicate) = keyed else {
+            push(&mut entry.any_value, position);
+            return;
+        };
+        // `in []` lists no literal and so is indexed nowhere, which keeps it
+        // out of every candidate set — exactly its match set.
+        for literal in literals(predicate) {
+            push(entry.keyed.get_or_default(literal), position);
         }
-        self.names.get_mut(name).expect("entry just ensured")
+    }
+
+    /// Unlists the subscription at `position` from the buckets `insert` put
+    /// it in, dropping literal buckets it leaves empty.
+    pub(crate) fn remove(&mut self, position: u32, filter: &Filter) {
+        let Some((name, keyed)) = self.chosen(filter) else {
+            return;
+        };
+        let Some(entry) = self.names.get_mut(name) else {
+            return;
+        };
+        let entry = Arc::make_mut(entry);
+        let Some(predicate) = keyed else {
+            unlist(&mut entry.any_value, position);
+            return;
+        };
+        for literal in literals(predicate) {
+            // A `OneOf` listing an option twice finds it gone the second time.
+            let Some(bucket) = entry.keyed.get_mut(literal) else {
+                continue;
+            };
+            unlist(bucket, position);
+            if bucket.is_empty() {
+                entry.keyed.remove(literal);
+            }
+        }
     }
 
     /// Appends the candidate subscriptions for one part (by name, and by value
@@ -236,12 +342,7 @@ impl SubscriptionIndex {
             return;
         };
         out.extend_from_slice(&entry.any_value);
-        let keyed = match Literal::of(data) {
-            Some(Literal::Str(text)) => entry.by_str.get(text),
-            Some(Literal::Int(number)) => entry.by_int.get(&number),
-            None => None,
-        };
-        if let Some(list) = keyed {
+        if let Some(list) = Literal::of(data).and_then(|literal| entry.keyed.get(literal)) {
             out.extend_from_slice(list);
         }
     }
@@ -259,22 +360,218 @@ impl SubscriptionIndex {
     }
 }
 
-impl NameEntry {
-    fn push(&mut self, literal: Literal<'_>, position: u32) {
-        let list = match literal {
-            Literal::Str(text) => {
-                // Owned-key insertion only on first sight of a literal.
-                if !self.by_str.contains_key(text) {
-                    self.by_str.insert(text.to_string(), Vec::new());
-                }
-                self.by_str.get_mut(text).expect("entry just ensured")
-            }
-            Literal::Int(number) => self.by_int.entry(number).or_default(),
+/// Appends `position` to a bucket (copying it if a snapshot shares it). A
+/// `OneOf` listing an option twice must not list the subscription twice.
+fn push(bucket: &mut Bucket, position: u32) {
+    if bucket.last() != Some(&position) {
+        Arc::make_mut(bucket).push(position);
+    }
+}
+
+/// Deletes `position` from a bucket (copying it if a snapshot shares it).
+fn unlist(bucket: &mut Bucket, position: u32) {
+    if let Ok(at) = bucket.binary_search(&position) {
+        Arc::make_mut(bucket).remove(at);
+    }
+}
+
+/// A registered subscription and the dense ordinal of its owner unit.
+#[derive(Debug, Clone)]
+pub(crate) struct Entry {
+    pub(crate) subscription: Arc<Subscription>,
+    pub(crate) owner: u32,
+}
+
+/// The subscription list by position; `None` is a removed subscription's
+/// tombstone.
+pub(crate) type Entries = Arc<Vec<Option<Entry>>>;
+
+/// One owner unit and the positions of its live subscriptions.
+#[derive(Debug)]
+struct Owner {
+    unit: UnitId,
+    positions: Vec<u32>,
+}
+
+/// The engine's subscription table: the list in registration order, its
+/// index, and a dense ordinal per owner unit (see the module docs,
+/// "Maintenance").
+#[derive(Debug)]
+pub(crate) struct SubscriptionTable {
+    entries: Entries,
+    /// `None` with the `subscription_index` knob off.
+    index: Option<Arc<SubscriptionIndex>>,
+    /// Owner units by ordinal; `None` marks a free ordinal.
+    owners: Vec<Option<Owner>>,
+    ordinals: HashMap<UnitId, u32>,
+    free: Vec<u32>,
+    live: usize,
+    /// Additions plus removals since the last build.
+    changes: usize,
+}
+
+/// What a dispatcher refresh takes from the table under its read lock.
+pub(crate) struct TableSnapshot {
+    pub(crate) entries: Entries,
+    pub(crate) index: Option<Arc<SubscriptionIndex>>,
+    /// Owner units by ordinal; `None` for a free ordinal.
+    pub(crate) owners: Vec<Option<UnitId>>,
+}
+
+impl SubscriptionTable {
+    pub(crate) fn new(indexed: bool) -> Self {
+        SubscriptionTable {
+            entries: Arc::new(Vec::new()),
+            index: indexed.then(Default::default),
+            owners: Vec::new(),
+            ordinals: HashMap::new(),
+            free: Vec::new(),
+            live: 0,
+            changes: 0,
+        }
+    }
+
+    /// Live subscriptions (tombstones are not counted).
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    pub(crate) fn snapshot(&self) -> TableSnapshot {
+        TableSnapshot {
+            entries: Arc::clone(&self.entries),
+            index: self.index.clone(),
+            owners: self
+                .owners
+                .iter()
+                .map(|owner| owner.as_ref().map(|owner| owner.unit))
+                .collect(),
+        }
+    }
+
+    /// Appends a subscription after every live one.
+    pub(crate) fn push(&mut self, subscription: Subscription) {
+        let ordinal = self.ordinal(subscription.owner);
+        let position = self.entries.len() as u32;
+        if let Some(index) = &mut self.index {
+            Arc::make_mut(index).insert(position, &subscription.filter);
+        }
+        self.owners[ordinal as usize]
+            .as_mut()
+            .expect("mapped ordinals are occupied")
+            .positions
+            .push(position);
+        Arc::make_mut(&mut self.entries).push(Some(Entry {
+            subscription: Arc::new(subscription),
+            owner: ordinal,
+        }));
+        self.live += 1;
+        self.changed(1);
+    }
+
+    /// Removes `unit`'s subscription `id`; `false` when it has none such.
+    pub(crate) fn unsubscribe(&mut self, id: SubscriptionId, unit: UnitId) -> bool {
+        let Some(&ordinal) = self.ordinals.get(&unit) else {
+            return false;
         };
-        // One-of clauses listing an option twice must not list the
-        // subscription twice.
-        if list.last() != Some(&position) {
-            list.push(position);
+        let entries = &self.entries;
+        let owner = self.owners[ordinal as usize]
+            .as_mut()
+            .expect("mapped ordinals are occupied");
+        let Some(at) = owner.positions.iter().position(|&position| {
+            entries[position as usize]
+                .as_ref()
+                .is_some_and(|entry| entry.subscription.id == id)
+        }) else {
+            return false;
+        };
+        let position = owner.positions.remove(at);
+        if owner.positions.is_empty() {
+            self.release(unit);
+        }
+        self.tombstone(position);
+        self.changed(1);
+        true
+    }
+
+    /// Removes every subscription `unit` owns.
+    pub(crate) fn remove_owner(&mut self, unit: UnitId) {
+        let Some(owner) = self.release(unit) else {
+            return;
+        };
+        for &position in &owner.positions {
+            self.tombstone(position);
+        }
+        self.changed(owner.positions.len());
+    }
+
+    /// `unit`'s owner ordinal, allocated (a freed one first) on its first
+    /// subscription.
+    fn ordinal(&mut self, unit: UnitId) -> u32 {
+        if let Some(&ordinal) = self.ordinals.get(&unit) {
+            return ordinal;
+        }
+        let owner = Some(Owner {
+            unit,
+            positions: Vec::new(),
+        });
+        let ordinal = match self.free.pop() {
+            Some(ordinal) => {
+                self.owners[ordinal as usize] = owner;
+                ordinal
+            }
+            None => {
+                self.owners.push(owner);
+                (self.owners.len() - 1) as u32
+            }
+        };
+        self.ordinals.insert(unit, ordinal);
+        ordinal
+    }
+
+    /// Frees `unit`'s ordinal for reuse, returning its record.
+    fn release(&mut self, unit: UnitId) -> Option<Owner> {
+        let ordinal = self.ordinals.remove(&unit)?;
+        self.free.push(ordinal);
+        self.owners[ordinal as usize].take()
+    }
+
+    fn tombstone(&mut self, position: u32) {
+        let entry = Arc::make_mut(&mut self.entries)[position as usize]
+            .take()
+            .expect("owned positions are live");
+        if let Some(index) = &mut self.index {
+            Arc::make_mut(index).remove(position, &entry.subscription.filter);
+        }
+        self.live -= 1;
+    }
+
+    /// Counts `changes` edits and runs the full build once they exceed half
+    /// the live count: it compacts the tombstones away, renumbers positions
+    /// and rebuilds the index under fresh key counts.
+    fn changed(&mut self, changes: usize) {
+        self.changes += changes;
+        if self.changes <= self.live / 2 {
+            return;
+        }
+        self.changes = 0;
+        let entries = Arc::make_mut(&mut self.entries);
+        entries.retain(Option::is_some);
+        for owner in self.owners.iter_mut().flatten() {
+            owner.positions.clear();
+        }
+        for (position, entry) in entries.iter().flatten().enumerate() {
+            self.owners[entry.owner as usize]
+                .as_mut()
+                .expect("live entries have owners")
+                .positions
+                .push(position as u32);
+        }
+        if self.index.is_some() {
+            let filters = entries
+                .iter()
+                .flatten()
+                .map(|entry| &entry.subscription.filter);
+            self.index = Some(Arc::new(SubscriptionIndex::build(filters)));
         }
     }
 }
@@ -450,11 +747,9 @@ mod tests {
         assert_eq!(candidates(&index, &symbol_only), vec![0]);
     }
 
-    #[test]
-    fn candidates_cover_every_match_over_a_mixed_vocabulary() {
-        // Every one- and two-clause filter over string, integer, `OneOf` and
-        // open-ended clauses, against every event over the same vocabulary:
-        // whatever key each filter got, no match may be missing.
+    /// Every one- and two-clause filter over string, integer, `OneOf` and
+    /// open-ended clauses.
+    fn mixed_filters() -> Vec<Filter> {
         let clauses = [
             ("type", Predicate::Equals(Value::str("tick"))),
             ("type", Predicate::Equals(Value::str("match"))),
@@ -477,7 +772,12 @@ mod tests {
                 );
             }
         }
-        let index = SubscriptionIndex::build(filters.iter());
+        filters
+    }
+
+    /// Every non-empty event over the same vocabulary (plus a string `"1"`
+    /// trader, which no integer clause may match).
+    fn mixed_events() -> Vec<Event> {
         let types = [Some(Value::str("tick")), Some(Value::str("match")), None];
         let symbols = [Some(Value::str("A")), Some(Value::str("B")), None];
         let traders = [
@@ -487,7 +787,7 @@ mod tests {
             None,
         ];
         let prices = [Some(Value::Float(1.0)), None];
-        let mut checked = 0;
+        let mut events = Vec::new();
         for kind in &types {
             for symbol in &symbols {
                 for trader in &traders {
@@ -501,25 +801,130 @@ mod tests {
                         .into_iter()
                         .filter_map(|(name, data)| data.clone().map(|data| (name, data)))
                         .collect();
-                        if parts.is_empty() {
-                            continue;
-                        }
-                        let event = event(&parts);
-                        let candidate_set = candidates(&index, &event);
-                        for (position, filter) in filters.iter().enumerate() {
-                            if filter.matches_any_visibility(&event) {
-                                checked += 1;
-                                assert!(
-                                    candidate_set.contains(&(position as u32)),
-                                    "{filter} matches {parts:?} but is not a candidate"
-                                );
-                            }
+                        if !parts.is_empty() {
+                            events.push(event(&parts));
                         }
                     }
                 }
             }
         }
+        events
+    }
+
+    #[test]
+    fn candidates_cover_every_match_over_a_mixed_vocabulary() {
+        // Whatever key each filter got, no match may be missing.
+        let filters = mixed_filters();
+        let index = SubscriptionIndex::build(filters.iter());
+        let mut checked = 0;
+        for event in mixed_events() {
+            let candidate_set = candidates(&index, &event);
+            for (position, filter) in filters.iter().enumerate() {
+                if filter.matches_any_visibility(&event) {
+                    checked += 1;
+                    assert!(
+                        candidate_set.contains(&(position as u32)),
+                        "{filter} matches {event:?} but is not a candidate"
+                    );
+                }
+            }
+        }
         assert!(checked > 100, "the vocabulary must produce matches");
+    }
+
+    #[test]
+    fn table_churn_keeps_candidates_sound_and_compaction_matches_a_fresh_build() {
+        // Random subscribes, unsubscribes and owner removals over the mixed
+        // vocabulary. After every step each candidate set covers the live
+        // matches and names only live positions; after every compaction the
+        // candidate sets are exactly those of a fresh build over the live
+        // filters in order.
+        let filters = mixed_filters();
+        let events = mixed_events();
+        let mut table = SubscriptionTable::new(true);
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut compactions, mut tombstoned_steps) = (0, 0);
+        for _ in 0..400 {
+            let unit = UnitId::from_raw(1 + below(6));
+            match below(8) {
+                0 => table.remove_owner(unit),
+                1 | 2 => {
+                    let snapshot = table.snapshot();
+                    let owned: Vec<SubscriptionId> = snapshot
+                        .entries
+                        .iter()
+                        .flatten()
+                        .filter(|entry| entry.subscription.owner == unit)
+                        .map(|entry| entry.subscription.id)
+                        .collect();
+                    if let Some(&id) = owned.get(below(owned.len() as u64 + 1) as usize) {
+                        assert!(table.unsubscribe(id, unit));
+                        assert!(!table.unsubscribe(id, unit), "already gone");
+                    }
+                }
+                _ => {
+                    let filter = filters[below(filters.len() as u64) as usize].clone();
+                    table.push(Subscription::direct(unit, filter));
+                }
+            }
+            let snapshot = table.snapshot();
+            let index = snapshot.index.as_ref().expect("indexed table");
+            let live: Vec<(u32, &Filter)> = snapshot
+                .entries
+                .iter()
+                .enumerate()
+                .filter_map(|(position, entry)| {
+                    entry
+                        .as_ref()
+                        .map(|entry| (position as u32, &entry.subscription.filter))
+                })
+                .collect();
+            assert_eq!(live.len(), table.len());
+            for entry in snapshot.entries.iter().flatten() {
+                assert_eq!(
+                    snapshot.owners[entry.owner as usize],
+                    Some(entry.subscription.owner)
+                );
+            }
+            let compacted = live.len() == snapshot.entries.len();
+            if compacted && table.changes == 0 {
+                compactions += 1;
+                let fresh = SubscriptionIndex::build(live.iter().map(|(_, filter)| *filter));
+                for event in &events {
+                    assert_eq!(candidates(index, event), candidates(&fresh, event));
+                }
+            } else if !compacted {
+                tombstoned_steps += 1;
+            }
+            for event in &events {
+                let candidate_set = candidates(index, event);
+                for &candidate in &candidate_set {
+                    assert!(
+                        live.iter().any(|(position, _)| *position == candidate),
+                        "candidate {candidate} is a tombstone"
+                    );
+                }
+                for (position, filter) in &live {
+                    if filter.matches_any_visibility(event) {
+                        assert!(candidate_set.contains(position));
+                    }
+                }
+            }
+        }
+        assert!(
+            compactions > 3,
+            "the half-live rule must compact: {compactions}"
+        );
+        assert!(
+            tombstoned_steps > 50,
+            "steps must run on tombstones: {tombstoned_steps}"
+        );
     }
 
     #[test]

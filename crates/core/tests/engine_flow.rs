@@ -702,6 +702,100 @@ fn remove_unit_cleans_up_subscriptions() {
     handle.pump_until_idle().unwrap();
     assert_eq!(received.load(Ordering::Relaxed), 0);
     assert!(engine.remove_unit(unit).is_err());
+
+    // Churn: remove an earlier-registered unit from a large population, then
+    // register a new one. Order, augmentation reach and counts must hold.
+    struct Stamper;
+    impl Unit for Stamper {
+        fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+            ctx.subscribe(Filter::for_type("tick"))?;
+            Ok(())
+        }
+        fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+            ctx.add_part_to_current(Label::public(), "audit", Value::str("stamped"))
+        }
+    }
+    let subscribe_many = |unit, filter: Filter, count: usize| {
+        engine
+            .with_unit(unit, |_, ctx| {
+                (0..count)
+                    .map(|_| ctx.subscribe(filter.clone()))
+                    .collect::<EngineResult<Vec<_>>>()
+            })
+            .unwrap()
+    };
+    let audited = || Filter::new().where_eq("audit", Value::str("stamped"));
+    let register =
+        |name: &str, unit: Box<dyn Unit>| engine.register_unit(UnitSpec::new(name), unit).unwrap();
+    let early = register("early", Box::new(NullUnit));
+    subscribe_many(early, Filter::for_type("tick"), 200);
+    let (before, before_received, _) = Recorder::new(audited());
+    register("auditor-before", Box::new(before));
+    let survivor = register("survivor", Box::new(NullUnit));
+    engine.set_pull_mode(survivor, true).unwrap();
+    let mut survivor_subs = subscribe_many(survivor, Filter::for_type("tick"), 1);
+    survivor_subs.extend(subscribe_many(
+        survivor,
+        Filter::new().where_exists("seq"),
+        1,
+    ));
+    register("stamper", Box::new(Stamper));
+    let (after, after_received, _) = Recorder::new(audited());
+    register("auditor-after", Box::new(after));
+    let filler = register("filler", Box::new(NullUnit));
+    subscribe_many(filler, Filter::for_type("other"), 2_000);
+    assert_eq!(engine.subscription_count(), 2_205);
+
+    let source = register("source", Box::new(NullUnit));
+    let publisher = engine.publisher(source).unwrap();
+    let tick = |seq: i64| {
+        publisher
+            .publish(
+                EventDraft::new()
+                    .public_part("type", Value::str("tick"))
+                    .public_part("seq", Value::Int(seq)),
+            )
+            .unwrap();
+        handle.pump_until_idle().unwrap();
+    };
+    // A dispatch first, so the removal edits a table a snapshot still holds.
+    tick(0);
+    let memory_before = engine.memory_mib();
+    engine.remove_unit(early).unwrap();
+    assert_eq!(
+        engine.subscription_count(),
+        2_005,
+        "tombstones are not counted"
+    );
+    let freed = memory_before - engine.memory_mib();
+    let expected = (200 * 128) as f64 / (1024.0 * 1024.0);
+    assert!(
+        freed >= 0.9 * expected,
+        "memory must drop by the removed subscriptions: {freed} MiB"
+    );
+    let (late, late_received, _) = Recorder::new(audited());
+    register("late", Box::new(late));
+    assert_eq!(engine.subscription_count(), 2_006);
+    tick(1);
+    tick(2);
+
+    // The survivor's two subscriptions deliver each event in registration
+    // order.
+    let mut deliveries = Vec::new();
+    while let Some((event, subscription)) = engine.poll_event(survivor).unwrap() {
+        let seq = event.first_part("seq").unwrap().data().as_int().unwrap();
+        deliveries.push((seq, subscription));
+    }
+    let expected: Vec<_> = (0..3)
+        .flat_map(|seq| survivor_subs.iter().map(move |&sub| (seq, sub)))
+        .collect();
+    assert_eq!(deliveries, expected);
+    // The stamper's released part reaches only subscriptions positioned after
+    // it: never the earlier auditor, every event for the later one, and the
+    // events published after it registered for the new unit.
+    assert_eq!(before_received.load(Ordering::Relaxed), 0);
+    assert_eq!(after_received.load(Ordering::Relaxed), 3);
+    assert_eq!(late_received.load(Ordering::Relaxed), 2);
 }
 
 #[test]

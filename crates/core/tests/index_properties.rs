@@ -6,8 +6,11 @@
 //! equality, two-equality conjunctions, `OneOf`, existence, numeric range and
 //! inequality clauses — the index's value-keyed fast path, its choice between
 //! keys, and every name-bucket fallback), a random event
-//! stream over a small part-name vocabulary, and a random runtime
-//! configuration (workers, batch size, grouped on/off, all four
+//! stream over a small part-name vocabulary, a random churn of the population
+//! between bursts of that stream (units registered with one to three
+//! subscriptions, single unsubscribes, unit removals — the index's in-place
+//! maintenance, its tombstones and its compacting rebuilds), and a random
+//! runtime configuration (workers, batch size, grouped on/off, all four
 //! [`SecurityMode`]s). The same workload then runs twice — index on, index
 //! off — and every subscriber's multiset of received sequence numbers must be
 //! identical. Since the linear scan is ground truth, equality pins both
@@ -21,8 +24,13 @@
 
 use std::sync::{Arc, Mutex};
 
+use std::time::Duration;
+
 use defcon_core::unit::NullUnit;
-use defcon_core::{Engine, EngineResult, EventDraft, SecurityMode, Unit, UnitContext, UnitSpec};
+use defcon_core::{
+    Engine, EngineHandle, EngineResult, EventDraft, SecurityMode, SubscriptionId, Unit,
+    UnitContext, UnitId, UnitSpec,
+};
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Predicate, Value};
 use proptest::prelude::*;
@@ -105,22 +113,101 @@ fn random_draft(rng: &mut Rng, seq: i64) -> EventDraft {
     draft
 }
 
-/// Records the sequence numbers of every event delivered through its filter.
+/// What one recorder received, and the subscriptions it still holds.
+#[derive(Default)]
+struct Log {
+    seen: Vec<i64>,
+    subscriptions: Vec<SubscriptionId>,
+}
+
+/// Records the sequence numbers of every event delivered through any of its
+/// filters (an event matching two of them is recorded twice).
 struct Recorder {
-    filter: Filter,
-    seen: Arc<Mutex<Vec<i64>>>,
+    filters: Vec<Filter>,
+    log: Arc<Mutex<Log>>,
 }
 
 impl Unit for Recorder {
     fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
-        ctx.subscribe(self.filter.clone())?;
+        for filter in &self.filters {
+            let id = ctx.subscribe(filter.clone())?;
+            self.log.lock().unwrap().subscriptions.push(id);
+        }
         Ok(())
     }
 
     fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
         let seq = ctx.read_first(event, "seq")?.as_int().unwrap();
-        self.seen.lock().unwrap().push(seq);
+        self.log.lock().unwrap().seen.push(seq);
         Ok(())
+    }
+}
+
+/// Registers a [`Recorder`] over `filters`, returning its id and log.
+fn register_recorder(engine: &Engine, filters: Vec<Filter>) -> (UnitId, Arc<Mutex<Log>>) {
+    let log = Arc::new(Mutex::new(Log::default()));
+    let unit = engine
+        .register_unit(
+            UnitSpec::new("recorder"),
+            Box::new(Recorder {
+                filters,
+                log: Arc::clone(&log),
+            }),
+        )
+        .unwrap();
+    (unit, log)
+}
+
+/// Lets every published event finish dispatching, so a churn step lands
+/// between bursts on both legs alike.
+fn settle(handle: &EngineHandle, workers: usize) {
+    if workers == 0 {
+        handle.pump_until_idle().unwrap();
+    } else {
+        assert!(
+            handle.wait_idle(Duration::from_secs(30)),
+            "engine never idled"
+        );
+    }
+}
+
+/// One churn step between bursts, drawn from `churn`: register a recorder
+/// with one to three random filters, unsubscribe one subscription of a live
+/// recorder, or remove a live recorder. Both legs draw the same steps, since
+/// the draws depend only on the seed and on state both legs share.
+fn churn_step(
+    engine: &Engine,
+    churn: &mut Rng,
+    alive: &mut Vec<(UnitId, Arc<Mutex<Log>>)>,
+    logs: &mut Vec<Arc<Mutex<Log>>>,
+) {
+    match churn.below(4) {
+        0 | 1 => {
+            let filters = (0..1 + churn.below(3))
+                .map(|_| random_filter(churn))
+                .collect();
+            let (unit, log) = register_recorder(engine, filters);
+            logs.push(Arc::clone(&log));
+            alive.push((unit, log));
+        }
+        2 if !alive.is_empty() => {
+            let (unit, log) = &alive[churn.below(alive.len() as u64) as usize];
+            let mut log = log.lock().unwrap();
+            if log.subscriptions.is_empty() {
+                return;
+            }
+            let at = churn.below(log.subscriptions.len() as u64) as usize;
+            let id = log.subscriptions.remove(at);
+            drop(log);
+            engine
+                .with_unit(*unit, |_, ctx| ctx.unsubscribe(id))
+                .unwrap();
+        }
+        3 if !alive.is_empty() => {
+            let (unit, _) = alive.remove(churn.below(alive.len() as u64) as usize);
+            engine.remove_unit(unit).unwrap();
+        }
+        _ => {}
     }
 }
 
@@ -135,6 +222,7 @@ fn run_leg(
     mode: SecurityMode,
     filters: &[Filter],
     stream_seed: u64,
+    churn_seed: u64,
     events: u64,
 ) -> Vec<Vec<i64>> {
     let engine = Engine::builder()
@@ -144,23 +232,11 @@ fn run_leg(
         .grouped_delivery(grouped)
         .subscription_index(indexed)
         .build();
-    let logs: Vec<Arc<Mutex<Vec<i64>>>> = filters
+    let mut alive: Vec<(UnitId, Arc<Mutex<Log>>)> = filters
         .iter()
-        .enumerate()
-        .map(|(i, filter)| {
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            engine
-                .register_unit(
-                    UnitSpec::new(format!("recorder-{i}")),
-                    Box::new(Recorder {
-                        filter: filter.clone(),
-                        seen: Arc::clone(&seen),
-                    }),
-                )
-                .unwrap();
-            seen
-        })
+        .map(|filter| register_recorder(&engine, vec![filter.clone()]))
         .collect();
+    let mut logs: Vec<Arc<Mutex<Log>>> = alive.iter().map(|(_, log)| Arc::clone(log)).collect();
     let source = engine
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
@@ -168,10 +244,20 @@ fn run_leg(
     let handle = engine.start();
     let publisher = handle.publisher(source).unwrap();
     let mut stream = Rng::new(stream_seed);
-    for seq in 0..events {
-        publisher
-            .publish(random_draft(&mut stream, seq as i64))
-            .unwrap();
+    let mut churn = Rng::new(churn_seed);
+    let mut seq = 0;
+    while seq < events {
+        let burst = (1 + churn.below(12)).min(events - seq);
+        for _ in 0..burst {
+            publisher
+                .publish(random_draft(&mut stream, seq as i64))
+                .unwrap();
+            seq += 1;
+        }
+        settle(&handle, workers);
+        for _ in 0..churn.below(3) {
+            churn_step(&engine, &mut churn, &mut alive, &mut logs);
+        }
     }
     handle.shutdown().unwrap();
 
@@ -192,7 +278,7 @@ fn run_leg(
 
     logs.iter()
         .map(|log| {
-            let mut seen = log.lock().unwrap().clone();
+            let mut seen = log.lock().unwrap().seen.clone();
             seen.sort_unstable();
             seen
         })
@@ -208,6 +294,7 @@ fn check_index_equivalence(
     mode: SecurityMode,
     population_seed: u64,
     stream_seed: u64,
+    churn_seed: u64,
     subscriptions: u64,
     events: u64,
 ) {
@@ -227,6 +314,7 @@ fn check_index_equivalence(
         mode,
         &filters,
         stream_seed,
+        churn_seed,
         events,
     );
     let linear = run_leg(
@@ -237,6 +325,7 @@ fn check_index_equivalence(
         mode,
         &filters,
         stream_seed,
+        churn_seed,
         events,
     );
     assert_eq!(
@@ -256,6 +345,7 @@ proptest! {
         mode_index in 0usize..4,
         population_seed in 1u64..u64::MAX,
         stream_seed in 1u64..u64::MAX,
+        churn_seed in 1u64..u64::MAX,
         subscriptions in 1u64..24,
         events in 1u64..80,
     ) {
@@ -266,6 +356,7 @@ proptest! {
             SecurityMode::all()[mode_index],
             population_seed,
             stream_seed,
+            churn_seed,
             subscriptions,
             events,
         );
@@ -306,16 +397,10 @@ fn augmentation_named_filters_match_with_grouped_delivery_on() {
             engine
                 .register_unit(UnitSpec::new("stamper"), Box::new(Stamper))
                 .unwrap();
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            engine
-                .register_unit(
-                    UnitSpec::new("auditor"),
-                    Box::new(Recorder {
-                        filter: Filter::new().where_eq("audit", Value::str("stamped")),
-                        seen: Arc::clone(&seen),
-                    }),
-                )
-                .unwrap();
+            let (_, log) = register_recorder(
+                &engine,
+                vec![Filter::new().where_eq("audit", Value::str("stamped"))],
+            );
             let source = engine
                 .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
                 .unwrap();
@@ -332,7 +417,7 @@ fn augmentation_named_filters_match_with_grouped_delivery_on() {
             assert_eq!(publisher.publish_batch(drafts).unwrap().accepted(), 8);
             handle.shutdown().unwrap();
 
-            let mut received = seen.lock().unwrap().clone();
+            let mut received = log.lock().unwrap().seen.clone();
             received.sort_unstable();
             assert_eq!(
                 received,
