@@ -1,6 +1,5 @@
-//! Regenerates every figure of the paper's evaluation in one run and writes
-//! the machine-readable rows to `BENCH_figures.json` (override with `--out`).
-//! Pass `--quick` for a reduced sweep suitable for CI.
+//! Prints the rows of every figure of the paper's evaluation in one run. Pass `--quick`
+//! for a reduced sweep.
 
 fn main() {
     defcon_bench::run_figures_cli(&defcon_bench::Figure::all());

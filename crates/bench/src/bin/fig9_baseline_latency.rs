@@ -1,6 +1,5 @@
-//! Regenerates figure 9 of the DEFCon paper and writes its rows to
-//! `BENCH_figures.json` (override with `--out`). Pass `--quick` for a
-//! reduced sweep.
+//! Prints the rows of figure 9 of the DEFCon paper. Pass `--quick`
+//! for a reduced sweep.
 
 fn main() {
     defcon_bench::run_figures_cli(&[defcon_bench::Figure::Fig9]);

@@ -1,22 +1,13 @@
-//! Benchmark harness regenerating the evaluation of the DEFCon paper (§6.2).
+//! The paper's evaluation figures (§6.2) as row printers.
 //!
 //! Each figure of the paper has a sweep function here and a binary under
-//! `src/bin/`; the `figures` bench target (run by `cargo bench`) executes reduced
-//! versions of all sweeps so that a single command reproduces the shape of every
-//! figure. Absolute numbers depend on the host; the reproduced quantities are the
-//! orderings and ratios between configurations (see EXPERIMENTS.md).
-//!
-//! Beyond the human-readable rows printed to stdout, every bench binary also
-//! writes a machine-readable [`BenchReport`] (`BENCH_figures.json`,
-//! `BENCH_dispatch.json`) so CI can archive the perf trajectory and fail on
-//! regressions — see the [`report`] module.
+//! `src/bin/` that prints its rows. Absolute numbers depend on the host; the
+//! reproduced quantities are the orderings and ratios between
+//! configurations. The repository's measured benchmark is
+//! `defcon_benchmark/`; these sweeps only print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
-
-pub use report::{BenchRecord, BenchReport};
 
 use std::time::Duration;
 
@@ -50,7 +41,7 @@ impl SweepScale {
         }
     }
 
-    /// A reduced scale suitable for CI and `cargo bench`.
+    /// A reduced scale for a quick look at each figure's shape.
     pub fn quick() -> Self {
         SweepScale {
             defcon_traders: vec![50, 100, 200],
@@ -65,9 +56,8 @@ impl SweepScale {
 ///
 /// The worker band is elastic (`1..auto_worker_count()`): the figure rows
 /// report the *observed* worker high-water mark next to the band, so the
-/// fig5–fig7 sweeps exercise the elastic scale-up/park-down path — including
-/// scheduler v3's depth-aware wake placement — instead of pinning a fixed
-/// pool.
+/// fig5–fig7 sweeps exercise the elastic scale-up/park-down path instead of
+/// pinning a fixed pool.
 pub fn run_defcon(mode: SecurityMode, traders: usize, ticks: usize) -> PlatformReport {
     let config = TradingPlatformConfig {
         mode,
@@ -97,22 +87,17 @@ pub fn run_baseline(traders: usize, ticks: usize, feed_rate: Option<f64>) -> Bas
 
 /// Figure 5: maximum supported event rate in DEFCon as a function of the number of
 /// traders, for the four security configurations.
-pub fn figure5(scale: &SweepScale) -> Vec<PlatformReport> {
-    let mut rows = Vec::new();
+pub fn figure5(scale: &SweepScale) {
     println!("== Figure 5: DEFCon maximum event rate vs number of traders ==");
     for mode in SecurityMode::all() {
         for &traders in &scale.defcon_traders {
-            let report = run_defcon(mode, traders, scale.defcon_ticks);
-            println!("{}", report.as_row());
-            rows.push(report);
+            println!("{}", run_defcon(mode, traders, scale.defcon_ticks).as_row());
         }
     }
-    rows
 }
 
 /// Figure 6: event processing latency (70th percentile tick-to-trade) in DEFCon.
-pub fn figure6(scale: &SweepScale) -> Vec<PlatformReport> {
-    let mut rows = Vec::new();
+pub fn figure6(scale: &SweepScale) {
     println!("== Figure 6: DEFCon trade latency (p70) vs number of traders ==");
     for mode in SecurityMode::all() {
         for &traders in &scale.defcon_traders {
@@ -124,15 +109,12 @@ pub fn figure6(scale: &SweepScale) -> Vec<PlatformReport> {
                 report.latency_p70_ms,
                 report.latency_p50_ms
             );
-            rows.push(report);
         }
     }
-    rows
 }
 
 /// Figure 7: occupied memory in DEFCon as a function of the number of traders.
-pub fn figure7(scale: &SweepScale) -> Vec<PlatformReport> {
-    let mut rows = Vec::new();
+pub fn figure7(scale: &SweepScale) {
     println!("== Figure 7: DEFCon occupied memory vs number of traders ==");
     for mode in SecurityMode::all() {
         for &traders in &scale.defcon_traders {
@@ -143,28 +125,24 @@ pub fn figure7(scale: &SweepScale) -> Vec<PlatformReport> {
                 report.traders,
                 report.memory_mib
             );
-            rows.push(report);
         }
     }
-    rows
 }
 
 /// Figure 8: maximum supported event rate in the Marketcetera-style baseline.
-pub fn figure8(scale: &SweepScale) -> Vec<BaselineReport> {
-    let mut rows = Vec::new();
+pub fn figure8(scale: &SweepScale) {
     println!("== Figure 8: baseline maximum event rate vs number of traders ==");
     for &traders in &scale.baseline_traders {
-        let report = run_baseline(traders, scale.baseline_ticks, None);
-        println!("{}", report.as_row());
-        rows.push(report);
+        println!(
+            "{}",
+            run_baseline(traders, scale.baseline_ticks, None).as_row()
+        );
     }
-    rows
 }
 
 /// Figure 9: baseline latency broken down into processing, ticks+processing and
 /// ticks+orders+processing, at a paced feed of 1,000 ticks/s.
-pub fn figure9(scale: &SweepScale) -> Vec<BaselineReport> {
-    let mut rows = Vec::new();
+pub fn figure9(scale: &SweepScale) {
     println!("== Figure 9: baseline latency breakdown (p70, paced feed) ==");
     for &traders in &scale.baseline_traders {
         let ticks = scale.baseline_ticks.min(5_000);
@@ -176,9 +154,7 @@ pub fn figure9(scale: &SweepScale) -> Vec<BaselineReport> {
             report.ticks_processing_p70_ms,
             report.total_p70_ms
         );
-        rows.push(report);
     }
-    rows
 }
 
 /// One of the paper's evaluation figures, as selected by the `fig*` binaries.
@@ -208,75 +184,29 @@ impl Figure {
         ]
     }
 
-    /// The record name rows of this figure carry in a bench report.
-    pub fn name(&self) -> &'static str {
+    /// Runs this figure's sweep, printing its rows.
+    pub fn run(&self, scale: &SweepScale) {
         match self {
-            Figure::Fig5 => "fig5",
-            Figure::Fig6 => "fig6",
-            Figure::Fig7 => "fig7",
-            Figure::Fig8 => "fig8",
-            Figure::Fig9 => "fig9",
-        }
-    }
-
-    /// Runs this figure's sweep (printing the human-readable rows) and returns
-    /// its machine-readable records.
-    pub fn run(&self, scale: &SweepScale) -> Vec<BenchRecord> {
-        match self {
-            // The platform figures run on the engine's default scheduler;
-            // stamping the records keeps the regression gate from comparing
-            // them against rows a different scheduler produced.
-            Figure::Fig5 => figure5(scale)
-                .iter()
-                .map(|row| BenchRecord::from_platform(self.name(), row).with_scheduler("v3"))
-                .collect(),
-            Figure::Fig6 => figure6(scale)
-                .iter()
-                .map(|row| BenchRecord::from_platform(self.name(), row).with_scheduler("v3"))
-                .collect(),
-            Figure::Fig7 => figure7(scale)
-                .iter()
-                .map(|row| BenchRecord::from_platform(self.name(), row).with_scheduler("v3"))
-                .collect(),
-            Figure::Fig8 => figure8(scale)
-                .iter()
-                .map(|row| BenchRecord::from_baseline(self.name(), row))
-                .collect(),
-            Figure::Fig9 => figure9(scale)
-                .iter()
-                .map(|row| BenchRecord::from_baseline(self.name(), row))
-                .collect(),
+            Figure::Fig5 => figure5(scale),
+            Figure::Fig6 => figure6(scale),
+            Figure::Fig7 => figure7(scale),
+            Figure::Fig8 => figure8(scale),
+            Figure::Fig9 => figure9(scale),
         }
     }
 }
 
 /// The CLI driver shared by the `fig*` binaries: `--quick` selects the reduced
-/// sweep, `--out <path>` overrides the report path (default
-/// `BENCH_figures.json`). Runs the given figures and writes one machine-
-/// readable [`BenchReport`] covering all of them.
+/// sweep; the rows go to stdout.
 pub fn run_figures_cli(figures: &[Figure]) {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = report::arg_value(&args, "--out").unwrap_or_else(|| "BENCH_figures.json".to_string());
-    let scale = if quick {
+    let scale = if std::env::args().any(|a| a == "--quick") {
         SweepScale::quick()
     } else {
         SweepScale::paper()
     };
-    let mut bench_report = BenchReport::new("figures", quick);
     for figure in figures {
-        for record in figure.run(&scale) {
-            bench_report.push(record);
-        }
+        figure.run(&scale);
     }
-    assert!(
-        !bench_report.records.is_empty(),
-        "a figures run must produce records"
-    );
-    bench_report
-        .write(std::path::Path::new(&out))
-        .expect("write bench report");
-    println!("wrote {out}");
 }
 
 #[cfg(test)]

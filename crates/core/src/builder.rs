@@ -18,9 +18,9 @@ use crate::handle::EngineHandle;
 
 /// The worker count [`EngineBuilder::workers_auto`] resolves to on this host:
 /// [`std::thread::available_parallelism`], or 1 when the platform cannot report
-/// it. A 1-core container therefore gets a single dispatcher (the dispatch
-/// micro-bench shows extra workers *losing* there to cross-thread handoff),
-/// while a 16-way host gets 16 without any per-deployment tuning.
+/// it. A 1-core container therefore gets a single dispatcher (extra workers
+/// there would only add cross-thread handoff), while a 16-way host gets 16
+/// without any per-deployment tuning.
 pub fn auto_worker_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -155,24 +155,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the dispatcher scheduler (v3, the default, when `true`): local
-    /// run deques with shard-affine prefetch, whole-run stealing from the
-    /// deepest sibling, depth-aware wake placement for elastic scale-up, and
-    /// a process-shared epoch-validated security snapshot. `false` runs the
-    /// v2 scheduler — the shared sharded queue only — which is the baseline
-    /// the scheduler A/B bench replays against (see
-    /// [`EngineConfig::scheduler_v3`](crate::EngineConfig)).
-    pub fn scheduler_v3(mut self, scheduler_v3: bool) -> Self {
-        self.config.scheduler_v3 = scheduler_v3;
-        self
-    }
-
     /// Selects the subscription matcher (the inverted index, the default, when
     /// `true`): planning consults a part-name/value index for a candidate
     /// superset per event and runs the exact filter only on candidates, so
     /// matching cost scales with matching subscriptions instead of registered
     /// ones. `false` keeps the linear scan over every subscription — the
-    /// baseline the fan-out A/B bench replays against (see
+    /// reference the index property tests compare against (see
     /// [`EngineConfig::subscription_index`](crate::EngineConfig)). Delivery
     /// sets are identical under either matcher.
     pub fn subscription_index(mut self, subscription_index: bool) -> Self {
@@ -248,7 +236,6 @@ mod tests {
             .workers(3)
             .batch_size(16)
             .grouped_delivery(false)
-            .scheduler_v3(false)
             .subscription_index(false)
             .event_cache(7)
             .managed_instance_cap(9)
@@ -277,7 +264,6 @@ mod tests {
         );
         assert_eq!(engine.configured_batch_size(), 16);
         assert!(!engine.grouped_delivery());
-        assert!(!engine.scheduler_v3());
         assert!(!engine.subscription_index());
         let ingress = engine.ingress_config().expect("ingress config set");
         assert_eq!(ingress.queue_bound, 256);
@@ -337,7 +323,6 @@ mod tests {
         assert_eq!(engine.mode(), SecurityMode::LabelsFreeze);
         assert_eq!(engine.configured_workers(), 0);
         assert_eq!(engine.configured_batch_size(), 1);
-        assert!(engine.scheduler_v3(), "v3 is the default scheduler");
         assert!(
             engine.subscription_index(),
             "the inverted index is the default matcher"

@@ -23,7 +23,8 @@
 //! # The batched hot path
 //!
 //! Workers pop whole batches (one run-queue lock round-trip, one in-flight
-//! accounting update), share one owner-state snapshot per batch, and — with
+//! accounting update) — from their own shard, or a whole run from a sibling
+//! when their own is dry — share one owner-state snapshot per batch, and — with
 //! [`EngineConfig::grouped_delivery`](crate::EngineConfig) on, the default —
 //! regroup a batch's deliveries by target unit so each unit's cell lock is
 //! acquired once per batch instead of once per delivery. Only per-unit delivery
@@ -72,7 +73,6 @@ use parking_lot::Mutex;
 use crate::context::UnitContext;
 use crate::engine::{EngineCore, UnitCell, UnitSlot};
 use crate::error::EngineResult;
-use crate::steal::{LocalRuns, StealGrid};
 use crate::sub_index::{Entries, SubscriptionIndex, TableSnapshot};
 use crate::subscription::{Subscription, SubscriptionKind};
 use crate::unit::{UnitId, UnitSpec, UnitState};
@@ -189,14 +189,14 @@ struct CachedContext {
     context: Arc<BatchContext>,
 }
 
-/// The process-shared batch-context slot of scheduler v3: an RCU-flavoured
-/// publication point for the per-epoch security snapshot. The first worker to
-/// miss its private cache for an epoch rebuilds the snapshot *while holding
-/// the slot lock* — serialising concurrent rebuilders so one epoch bump costs
-/// one rebuild process-wide — and publishes it; every other worker validates
+/// The engine-shared batch-context slot: an RCU-flavoured publication point
+/// for the per-epoch security snapshot. The first dispatcher to miss its
+/// private cache for an epoch rebuilds the snapshot *while holding the slot
+/// lock* — serialising concurrent rebuilders so one epoch bump costs one
+/// rebuild engine-wide — and publishes it; every other dispatcher validates
 /// the epoch under the (briefly held) lock, bumps the hit counter and walks
 /// away with a cloned `Arc`. Readers then run lock-free off their private
-/// per-worker copy until the next epoch bump retires it.
+/// copy until the next epoch bump retires it.
 pub(crate) struct SharedContextSlot {
     slot: Mutex<Option<CachedContext>>,
     hits: AtomicU64,
@@ -468,31 +468,20 @@ impl Dispatcher {
     /// run queue is stopped *and* fully drained. Returns the number of events
     /// this worker dispatched.
     ///
-    /// This is the hot path of the multi-core deployment. Under scheduler v3
-    /// (the default) the worker owns a local deque of prefetched runs, refills
-    /// it shard-affinely from the global queue, and steals whole runs from the
-    /// deepest sibling when both run dry; under v2 every iteration pops
-    /// straight off the shared sharded queue. Either way each dispatched batch
-    /// costs a single lock round-trip on the pop side, settles its in-flight
-    /// accounting with one update and one wakeup check, and — with grouped
-    /// delivery — pays one cell-lock acquisition per target unit instead of
-    /// per delivery.
+    /// This is the hot path of the multi-core deployment. Every iteration pops
+    /// one run straight off the shared sharded queue — from the worker's own
+    /// shard, or whole from a sibling when its own is dry — so each dispatched
+    /// batch costs a single lock round-trip on the pop side, settles its
+    /// in-flight accounting with one update and one wakeup check, and — with
+    /// grouped delivery — pays one cell-lock acquisition per target unit
+    /// instead of per delivery.
     ///
     /// In an elastic pool this worker also carries its share of the pool
     /// protocol: it parks while it is outside the activation set, and (when
     /// above `workers_min`) trades the untimed idle wait for a bounded grace
-    /// after which it volunteers to park back down.
+    /// after which it volunteers to park back down (LIFO: highest active
+    /// index first).
     pub(crate) fn run_worker(self) -> u64 {
-        match self.core.steal_grid.as_ref() {
-            Some(grid) => self.run_worker_v3(grid),
-            None => self.run_worker_v2(),
-        }
-    }
-
-    /// The v2 worker loop: the shared sharded queue is the only work source;
-    /// elastic workers park down in LIFO order (highest active index first)
-    /// after an idle grace.
-    fn run_worker_v2(&self) -> u64 {
         let batch_size = self.batch_size();
         let index = self.preferred_shard;
         let pool = self.core.pool.as_ref().filter(|pool| pool.is_elastic());
@@ -535,89 +524,6 @@ impl Dispatcher {
                 }
             }
             dispatched += self.dispatch_popped(&mut batch);
-        }
-    }
-
-    /// The v3 worker loop: local run deque first, shard-affine prefetch from
-    /// the global queue second, whole-run stealing from the deepest sibling
-    /// third. Stolen runs are dispatched intact by one worker, so the order
-    /// within a run — the order its publish transaction landed on its shard
-    /// in — is preserved no matter who ends up delivering it.
-    fn run_worker_v3(&self, grid: &StealGrid) -> u64 {
-        /// Runs fetched per global-queue lock round-trip: one dispatched now,
-        /// the rest parked locally where siblings can steal them.
-        const PREFETCH_RUNS: usize = 4;
-        /// Bounded park for workers with no elastic grace of their own:
-        /// stealable runs appear in sibling deques *without* a global enqueue
-        /// (so no wakeup), which is why a v3 worker never waits untimed.
-        const STEAL_POLL: Duration = Duration::from_millis(1);
-        let batch_size = self.batch_size();
-        let index = self.preferred_shard;
-        let pool = self.core.pool.as_ref().filter(|pool| pool.is_elastic());
-        let queue = &self.core.run_queue;
-        // The guard flushes still-parked runs back to the global queue if this
-        // worker exits (or unwinds) with work left over: events in a local
-        // deque have left the global `len` but still count as `pending`, and
-        // stranding them would deadlock shutdown.
-        let local = LocalRuns::new(queue, grid.claim_worker(index));
-        let mut dispatched = 0;
-        let mut fetched: Vec<Event> = Vec::new();
-        loop {
-            if let Some(pool) = pool {
-                pool.wait_active(index, queue);
-            }
-            // 1. Own deque first: runs prefetched earlier, oldest first.
-            if let Some(mut run) = local.pop() {
-                dispatched += self.dispatch_popped(&mut run);
-                continue;
-            }
-            // 2. Refill from the global queue: drain up to PREFETCH_RUNS runs
-            // from the preferred shard in one lock round-trip, dispatch the
-            // first now and park the rest locally.
-            fetched.clear();
-            let popped = queue.pop_batch_into(index, batch_size * PREFETCH_RUNS, &mut fetched);
-            if popped > 0 {
-                if popped > batch_size {
-                    let mut rest = fetched.split_off(batch_size);
-                    while !rest.is_empty() {
-                        let tail = if rest.len() > batch_size {
-                            rest.split_off(batch_size)
-                        } else {
-                            Vec::new()
-                        };
-                        // Oldest chunk pushed first: the owner pops the front,
-                        // thieves steal the newest run off the back.
-                        local.push(std::mem::replace(&mut rest, tail));
-                    }
-                }
-                dispatched += self.dispatch_popped(&mut fetched);
-                continue;
-            }
-            // 3. Globally dry: steal one whole run from the deepest sibling.
-            if let Some(mut run) = grid.steal_for(index) {
-                dispatched += self.dispatch_popped(&mut run);
-                continue;
-            }
-            // 4. Nothing anywhere. Stop once the runtime is stopping and fully
-            // drained (pending covers sibling deques, so no run is abandoned);
-            // otherwise park bounded and re-probe.
-            if queue.is_stopping() && queue.is_idle() {
-                return dispatched;
-            }
-            match pool {
-                Some(pool) if index >= pool.min() => {
-                    queue.park_for_work(pool.idle_grace());
-                    // Park down only with the local deque confirmed empty: a
-                    // parked worker cannot dispatch the runs it still owns,
-                    // and thieves only visit when *they* run dry.
-                    if queue.len() == 0 && !queue.is_stopping() && local.is_empty() {
-                        pool.try_park_down(index);
-                    }
-                }
-                _ => {
-                    queue.park_for_work(STEAL_POLL);
-                }
-            }
         }
     }
 
@@ -704,13 +610,13 @@ impl Dispatcher {
                 return Arc::clone(&cached.context);
             }
         }
-        // Private miss: under scheduler v3 consult the process-shared slot —
-        // a sibling worker may already have refreshed for this epoch — before
-        // paying for a refresh; under v2 every worker refreshes privately.
-        let context = match self.core.shared_context.as_ref() {
-            Some(shared) => shared.get_or_build(epoch, || self.build_context()),
-            None => self.build_context(),
-        };
+        // Private miss: consult the engine-shared slot — a sibling
+        // dispatcher may already have refreshed for this epoch — before
+        // paying for a refresh.
+        let context = self
+            .core
+            .shared_context
+            .get_or_build(epoch, || self.build_context());
         *self.context_cache.borrow_mut() = Some(CachedContext {
             epoch,
             context: Arc::clone(&context),

@@ -149,17 +149,6 @@ pub struct EngineConfig {
     /// therefore any engine at the default `batch_size` of 1 — degenerates to
     /// the classic per-event path, exactly like the owner-state snapshot does.
     pub grouped_delivery: bool,
-    /// Selects the v3 scheduler (the default): dispatcher workers own local
-    /// run deques fed by shard-affine prefetch from the global queue, idle
-    /// workers steal *whole runs* from the deepest sibling deque (runs never
-    /// split, so within-run FIFO is preserved no matter who dispatches),
-    /// elastic scale-up recruits the parked worker whose preferred shard is
-    /// deepest instead of waking in LIFO order, and the per-batch security
-    /// snapshot is published through a process-shared, epoch-validated slot so
-    /// concurrent workers rebuild it once per security epoch instead of once
-    /// per worker. `false` runs the v2 scheduler — the shared sharded queue
-    /// only — which is the baseline the scheduler A/B bench replays against.
-    pub scheduler_v3: bool,
     /// Selects the inverted subscription index (the default): dispatch planning
     /// consults an index from part name (and string or integer part value) to
     /// candidate subscriptions — a provable superset of the true matches — and
@@ -173,9 +162,9 @@ pub struct EngineConfig {
     /// last one exceed half the live count. A dispatcher refresh after the
     /// `security_epoch` bump shares the table's index and snapshots each owner
     /// unit once, so a change costs what changed. `false` keeps no index and
-    /// runs the linear scan over every live subscription — the baseline the
-    /// fan-out A/B bench replays against. Delivery sets are identical either
-    /// way.
+    /// runs the linear scan over every live subscription — the reference the
+    /// index property tests compare against. Delivery sets are identical
+    /// either way.
     pub subscription_index: bool,
     /// Number of recently dispatched events retained in the cache. The paper's
     /// deployment caches tick events (~300 MiB); the cache exists so that the
@@ -219,7 +208,6 @@ impl Default for EngineConfig {
             elastic: ElasticConfig::default(),
             batch_size: 1,
             grouped_delivery: true,
-            scheduler_v3: true,
             subscription_index: true,
             event_cache_capacity: 10_000,
             managed_instance_cap: 1024,
@@ -272,16 +260,16 @@ pub struct QueueStats {
     pub units_quarantined: u64,
     /// Deliveries shed because their target unit was quarantined.
     pub quarantine_shed: u64,
-    /// Whole runs stolen by dry workers from sibling local deques (scheduler
-    /// v3; always zero under the v2 scheduler and for manual engines).
+    /// Whole runs a dispatcher popped from a run-queue shard other than its
+    /// preferred one because its own shard was dry (always zero with a single
+    /// shard, i.e. one worker or a manual engine).
     pub sched_steals: u64,
-    /// Depth-aware scale-up wakes: parked workers recruited because their
-    /// preferred shard was the deepest (scheduler v3; zero under v2's LIFO
-    /// wake order).
+    /// Elastic scale-up recruits: parked workers woken because sampled queue
+    /// depth stayed deep (always zero for a fixed pool).
     pub sched_wakes: u64,
-    /// Batch-context rebuilds a worker skipped because the process-shared
-    /// security snapshot was still valid for the current epoch (scheduler v3;
-    /// zero under v2, where each worker rebuilds privately).
+    /// Batch-context rebuilds a dispatcher skipped because the engine-shared
+    /// security snapshot was still valid for the current epoch — a sibling
+    /// dispatcher had already built it.
     pub sched_snapshot_hits: u64,
     /// Candidate subscriptions produced by the inverted subscription index
     /// across all indexed plans (accumulated candidate-set sizes). Compare
@@ -426,14 +414,10 @@ pub(crate) struct EngineCore {
     /// Activation state of the dispatcher worker band (`None` for manual,
     /// `workers_max == 0` engines).
     pub(crate) pool: Option<WorkerPool>,
-    /// Per-worker local run deques plus their stealer grid (scheduler v3 with
-    /// a live worker pool; `None` under v2 and for manual engines, whose
-    /// dispatchers run the classic shared-queue loop).
-    pub(crate) steal_grid: Option<crate::steal::StealGrid>,
-    /// Process-shared, epoch-validated batch-context slot (scheduler v3): the
-    /// first worker to need a snapshot for an epoch builds and publishes it;
-    /// every other worker validates the epoch and clones the `Arc`.
-    pub(crate) shared_context: Option<crate::dispatcher::SharedContextSlot>,
+    /// Engine-shared, epoch-validated batch-context slot: the first
+    /// dispatcher to need a snapshot for an epoch builds and publishes it;
+    /// every other dispatcher validates the epoch and clones the `Arc`.
+    pub(crate) shared_context: crate::dispatcher::SharedContextSlot,
     /// Bumped by every mutation of state the batch context snapshots: the
     /// subscription list (subscribe, unsubscribe, register, remove, swap),
     /// input labels (`change_in_out_label`), and the output label and
@@ -482,7 +466,7 @@ impl EngineCore {
     /// (no-op for fixed pools and manual engines).
     pub(crate) fn observe_queue_depth(&self) {
         if let Some(pool) = &self.pool {
-            pool.observe_depth(self.run_queue.len(), &self.run_queue);
+            pool.observe_depth(self.run_queue.len());
         }
     }
 
@@ -976,14 +960,8 @@ impl Engine {
                 config.workers_max,
                 scale_up_depth,
                 config.elastic.idle_grace,
-                config.scheduler_v3,
             )
         });
-        let steal_grid = (config.scheduler_v3 && config.workers_max > 0)
-            .then(|| crate::steal::StealGrid::new(config.workers_max));
-        let shared_context = config
-            .scheduler_v3
-            .then(crate::dispatcher::SharedContextSlot::new);
         let subscriptions = SubscriptionTable::new(config.subscription_index);
         Engine {
             core: Arc::new(EngineCore {
@@ -998,8 +976,7 @@ impl Engine {
                 stats: EngineStats::default(),
                 admission: AdmissionCounters::default(),
                 pool,
-                steal_grid,
-                shared_context,
+                shared_context: crate::dispatcher::SharedContextSlot::new(),
                 wal,
                 faults: FaultCounters::default(),
                 index_stats: crate::sub_index::IndexCounters::default(),
@@ -1110,13 +1087,6 @@ impl Engine {
         self.core.config.grouped_delivery
     }
 
-    /// Returns `true` when the engine runs the v3 scheduler — local run
-    /// deques, whole-run stealing, depth-aware wake placement and the shared
-    /// security snapshot (see [`EngineConfig::scheduler_v3`]).
-    pub fn scheduler_v3(&self) -> bool {
-        self.core.config.scheduler_v3
-    }
-
     /// Returns `true` when dispatch planning consults the inverted
     /// subscription index instead of scanning every subscription (see
     /// [`EngineConfig::subscription_index`]).
@@ -1156,17 +1126,9 @@ impl Engine {
             unit_panics: self.core.faults.unit_panics(),
             units_quarantined: self.core.faults.units_quarantined(),
             quarantine_shed: self.core.faults.quarantine_shed(),
-            sched_steals: self
-                .core
-                .steal_grid
-                .as_ref()
-                .map_or(0, crate::steal::StealGrid::steals),
-            sched_wakes: self.core.pool.as_ref().map_or(0, WorkerPool::depth_wakes),
-            sched_snapshot_hits: self
-                .core
-                .shared_context
-                .as_ref()
-                .map_or(0, crate::dispatcher::SharedContextSlot::hits),
+            sched_steals: self.core.run_queue.steals(),
+            sched_wakes: self.core.pool.as_ref().map_or(0, WorkerPool::wakes),
+            sched_snapshot_hits: self.core.shared_context.hits(),
             index_candidates: self.core.index_stats.candidates(),
             index_exact_rejects: self.core.index_stats.exact_rejects(),
             index_rebuilds: self.core.index_stats.rebuilds(),

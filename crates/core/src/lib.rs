@@ -81,7 +81,6 @@ pub mod fault;
 pub mod handle;
 mod pool;
 mod run_queue;
-mod steal;
 mod sub_index;
 pub mod subscription;
 pub mod unit;

@@ -1,21 +1,22 @@
 //! The elastic dispatcher worker pool.
 //!
-//! PR 3 sized the pool once at build time (`workers_auto()`); this module makes
-//! the size a *band*: [`Engine::start`](crate::Engine::start) spawns
+//! The pool size is a *band*: [`Engine::start`](crate::Engine::start) spawns
 //! `workers_max` threads, but only `workers_min` of them begin active — the
 //! rest park on a pool condvar until observed queue depth says they are needed.
-//! The design follows the SEDA stage-controller argument (and the sharded run
-//! queue's work stealing makes it safe): the right worker count is a function
-//! of *observed* load, not of build-time configuration.
+//! The design follows the SEDA stage-controller argument (and the run queue's
+//! whole-run sibling steals make it safe: an active worker drains any shard):
+//! the right worker count is a function of *observed* load, not of build-time
+//! configuration.
 //!
 //! Mechanics:
 //!
 //! * **Scale-up** is driven by producers. Every enqueue samples the queue depth
 //!   (an existing atomic, no extra locking); once `scale_up_observations`
 //!   consecutive samples sit at or above `scale_up_depth`, the activation
-//!   target rises by one and a parked worker is woken. The consecutive-sample
-//!   requirement is the up-side hysteresis: a single deep burst does not
-//!   immediately recruit the whole band.
+//!   target rises by one and a parked worker is woken (counted as
+//!   `queue_stats().sched_wakes`). The consecutive-sample requirement is the
+//!   up-side hysteresis: a single deep burst does not immediately recruit the
+//!   whole band.
 //! * **Park-down** is driven by the workers themselves. An active worker above
 //!   `workers_min` waits for work with a bounded `idle_grace` instead of the
 //!   untimed base-worker wait; when the grace expires with the queue still
@@ -34,7 +35,7 @@
 //! pool reports [`WorkerPool::is_elastic`] `false` and the dispatcher uses the
 //! classic untimed worker loop.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -44,33 +45,20 @@ use crate::run_queue::RunQueue;
 /// Consecutive deep-queue observations required before the pool scales up.
 const SCALE_UP_OBSERVATIONS: usize = 2;
 
-/// Depth-aware wake placement state (scheduler v3). Instead of activating
-/// workers in index order (`0..target`), the pool tracks an explicit
-/// per-worker activation set and recruits the *parked worker whose preferred
-/// shard is deepest* — the woken worker starts next to its backlog instead of
-/// at the back of the LIFO wake order. Activation flags are lock-free to read
-/// (the worker hot loop checks its own flag every iteration); mutations
-/// happen under the pool lock, which also orders them with the condvar.
-struct Placement {
-    /// `active[index]` — whether worker `index` is currently activated.
-    active: Vec<AtomicBool>,
-    /// Depth-aware recruits performed (`queue_stats().sched_wakes`).
-    wakes: AtomicU64,
-}
-
 /// Activation state of an engine's dispatcher worker band.
 pub(crate) struct WorkerPool {
     /// Lower edge of the band: workers `0..min` never park down.
     min: usize,
     /// Upper edge of the band: the number of threads `Engine::start` spawns.
     max: usize,
-    /// Number of active workers. With LIFO placement (scheduler v2) workers
-    /// `0..target` are active and the rest park on `unpark`; with depth-aware
-    /// placement the active *set* lives in `placement` and this is its size.
+    /// Number of active workers: workers `0..target` are active and the rest
+    /// park on `unpark`.
     target: AtomicUsize,
     /// Highest activation target ever reached — the run's observed worker
     /// count, recorded by benches alongside the configured band.
     high_water: AtomicUsize,
+    /// Scale-up recruits performed (`queue_stats().sched_wakes`).
+    wakes: AtomicU64,
     /// Consecutive deep-queue observations (reset by any shallow one).
     pressure: AtomicUsize,
     /// Queue depth at or above which an enqueue counts as a deep observation.
@@ -81,33 +69,22 @@ pub(crate) struct WorkerPool {
     lock: Mutex<()>,
     /// Signalled on scale-up and on shutdown.
     unpark: Condvar,
-    /// Depth-aware wake placement, present when scheduler v3 is on.
-    placement: Option<Placement>,
 }
 
 impl WorkerPool {
-    pub(crate) fn new(
-        min: usize,
-        max: usize,
-        scale_up_depth: usize,
-        idle_grace: Duration,
-        depth_aware: bool,
-    ) -> Self {
+    pub(crate) fn new(min: usize, max: usize, scale_up_depth: usize, idle_grace: Duration) -> Self {
         let min = min.clamp(1, max.max(1));
         WorkerPool {
             min,
             max,
             target: AtomicUsize::new(min),
             high_water: AtomicUsize::new(min),
+            wakes: AtomicU64::new(0),
             pressure: AtomicUsize::new(0),
             scale_up_depth: scale_up_depth.max(1),
             idle_grace,
             lock: Mutex::new(()),
             unpark: Condvar::new(),
-            placement: depth_aware.then(|| Placement {
-                active: (0..max).map(|index| AtomicBool::new(index < min)).collect(),
-                wakes: AtomicU64::new(0),
-            }),
         }
     }
 
@@ -139,42 +116,20 @@ impl WorkerPool {
         self.idle_grace
     }
 
-    /// Depth-aware recruits performed so far (`queue_stats().sched_wakes`);
-    /// always 0 for a LIFO-placement pool.
-    pub(crate) fn depth_wakes(&self) -> u64 {
-        self.placement
-            .as_ref()
-            .map_or(0, |placement| placement.wakes.load(Ordering::Relaxed))
+    /// Scale-up recruits performed so far (`queue_stats().sched_wakes`).
+    pub(crate) fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
     }
 
     /// Whether worker `index` is currently activated.
     fn is_active(&self, index: usize) -> bool {
-        match &self.placement {
-            Some(placement) => placement.active[index].load(Ordering::Acquire),
-            None => index < self.target.load(Ordering::Acquire),
-        }
+        index < self.target.load(Ordering::Acquire)
     }
 
-    /// Test probe for the activation set (wake-placement unit tests).
-    #[cfg(test)]
-    pub(crate) fn is_active_slot(&self, index: usize) -> bool {
-        self.is_active(index)
-    }
-
-    /// Test probe: `true` when the pool recruits by shard depth (scheduler
-    /// v3) instead of LIFO index order.
-    #[cfg(test)]
-    pub(crate) fn depth_aware(&self) -> bool {
-        self.placement.is_some()
-    }
-
-    /// Producer-side sampling hook: called with the post-enqueue queue depth
-    /// and the queue itself (depth-aware placement consults per-shard depths).
-    /// Counts consecutive deep observations and recruits a parked worker once
-    /// the hysteresis threshold is met — the next one in index order for a
-    /// LIFO pool, the one whose preferred shard is deepest for a depth-aware
-    /// pool.
-    pub(crate) fn observe_depth(&self, depth: usize, queue: &RunQueue) {
+    /// Producer-side sampling hook: called with the post-enqueue queue depth.
+    /// Counts consecutive deep observations and recruits the next parked
+    /// worker in index order once the hysteresis threshold is met.
+    pub(crate) fn observe_depth(&self, depth: usize) {
         if !self.is_elastic() || self.target.load(Ordering::Relaxed) >= self.max {
             return;
         }
@@ -186,50 +141,16 @@ impl WorkerPool {
             return;
         }
         self.pressure.store(0, Ordering::Relaxed);
-        match &self.placement {
-            None => {
-                let raised =
-                    self.target
-                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |target| {
-                            (target < self.max).then_some(target + 1)
-                        });
-                if let Ok(previous) = raised {
-                    self.high_water.fetch_max(previous + 1, Ordering::Relaxed);
-                    let _guard = self.lock.lock();
-                    self.unpark.notify_all();
-                }
-            }
-            Some(placement) => {
-                // Sample shard depths *before* taking the pool lock: the probe
-                // locks each shard briefly and recruiting is rare, so keeping
-                // it outside shortens the pool critical section.
-                let depths = queue.shard_depths();
-                let guard = self.lock.lock();
-                if self.target.load(Ordering::Relaxed) >= self.max {
-                    return;
-                }
-                // Deepest-preferred-shard parked worker; ties go to the lowest
-                // index (worker i prefers shard i % shard_count, and the grid
-                // is sized so they coincide).
-                let mut chosen: Option<(usize, usize)> = None;
-                for index in 0..self.max {
-                    if placement.active[index].load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let shard_depth = depths[index % depths.len()];
-                    if chosen.is_none_or(|(_, best)| shard_depth > best) {
-                        chosen = Some((index, shard_depth));
-                    }
-                }
-                if let Some((index, _)) = chosen {
-                    placement.active[index].store(true, Ordering::Release);
-                    let now = self.target.fetch_add(1, Ordering::AcqRel) + 1;
-                    self.high_water.fetch_max(now, Ordering::Relaxed);
-                    placement.wakes.fetch_add(1, Ordering::Relaxed);
-                    self.unpark.notify_all();
-                }
-                drop(guard);
-            }
+        let raised = self
+            .target
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |target| {
+                (target < self.max).then_some(target + 1)
+            });
+        if let Ok(previous) = raised {
+            self.high_water.fetch_max(previous + 1, Ordering::Relaxed);
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            let _guard = self.lock.lock();
+            self.unpark.notify_all();
         }
     }
 
@@ -250,32 +171,15 @@ impl WorkerPool {
         }
     }
 
-    /// The calling worker volunteering to park after an idle grace. With LIFO
-    /// placement only the highest-indexed active worker can succeed (a
-    /// concurrent scale-up makes the CAS fail harmlessly); with depth-aware
-    /// placement any active worker above the band floor can park, as long as
-    /// the active count stays at or above `min`.
+    /// The calling worker volunteering to park after an idle grace. Only the
+    /// highest-indexed active worker can succeed (LIFO); a concurrent
+    /// scale-up makes the CAS fail harmlessly.
     pub(crate) fn try_park_down(&self, index: usize) -> bool {
-        if index < self.min {
-            return false;
-        }
-        match &self.placement {
-            None => self
+        index >= self.min
+            && self
                 .target
                 .compare_exchange(index + 1, index, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok(),
-            Some(placement) => {
-                let _guard = self.lock.lock();
-                if !placement.active[index].load(Ordering::Relaxed)
-                    || self.target.load(Ordering::Relaxed) <= self.min
-                {
-                    return false;
-                }
-                placement.active[index].store(false, Ordering::Release);
-                self.target.fetch_sub(1, Ordering::AcqRel);
-                true
-            }
-        }
+                .is_ok()
     }
 
     /// Wakes every parked worker (shutdown: they observe the stopping queue,
@@ -292,7 +196,7 @@ mod tests {
 
     #[test]
     fn fixed_pools_are_not_elastic() {
-        let pool = WorkerPool::new(4, 4, 32, Duration::from_millis(2), false);
+        let pool = WorkerPool::new(4, 4, 32, Duration::from_millis(2));
         assert!(!pool.is_elastic());
         assert_eq!(pool.active_target(), 4);
         assert_eq!(pool.high_water(), 4);
@@ -300,39 +204,39 @@ mod tests {
 
     #[test]
     fn min_is_clamped_into_the_band() {
-        let pool = WorkerPool::new(0, 3, 32, Duration::from_millis(2), false);
+        let pool = WorkerPool::new(0, 3, 32, Duration::from_millis(2));
         assert_eq!(pool.min(), 1, "a live band always keeps one worker active");
-        let pool = WorkerPool::new(9, 3, 32, Duration::from_millis(2), false);
+        let pool = WorkerPool::new(9, 3, 32, Duration::from_millis(2));
         assert_eq!(pool.min(), 3, "min never exceeds max");
     }
 
     #[test]
     fn scale_up_needs_consecutive_deep_observations() {
-        let queue = RunQueue::new(4);
-        let pool = WorkerPool::new(1, 4, 10, Duration::from_millis(2), false);
-        pool.observe_depth(50, &queue);
+        let pool = WorkerPool::new(1, 4, 10, Duration::from_millis(2));
+        pool.observe_depth(50);
         assert_eq!(pool.active_target(), 1, "one deep sample is not enough");
-        pool.observe_depth(3, &queue);
-        pool.observe_depth(50, &queue);
+        pool.observe_depth(3);
+        pool.observe_depth(50);
         assert_eq!(
             pool.active_target(),
             1,
             "a shallow sample resets the pressure"
         );
-        pool.observe_depth(50, &queue);
+        pool.observe_depth(50);
         assert_eq!(pool.active_target(), 2, "sustained depth scales up");
         assert_eq!(pool.high_water(), 2);
+        assert_eq!(pool.wakes(), 1, "the recruit is counted");
     }
 
     #[test]
     fn target_never_exceeds_max_and_park_down_is_lifo() {
-        let queue = RunQueue::new(3);
-        let pool = WorkerPool::new(1, 3, 1, Duration::from_millis(2), false);
+        let pool = WorkerPool::new(1, 3, 1, Duration::from_millis(2));
         for _ in 0..32 {
-            pool.observe_depth(100, &queue);
+            pool.observe_depth(100);
         }
         assert_eq!(pool.active_target(), 3);
         assert_eq!(pool.high_water(), 3);
+        assert_eq!(pool.wakes(), 2, "two recruits fill a 1..3 band");
         assert!(
             !pool.try_park_down(1),
             "only the highest active worker parks"
@@ -342,82 +246,5 @@ mod tests {
         assert!(!pool.try_park_down(0), "workers below min never park down");
         assert_eq!(pool.active_target(), 1);
         assert_eq!(pool.high_water(), 3, "the high-water mark is sticky");
-    }
-
-    fn test_event(n: i64) -> defcon_events::Event {
-        defcon_events::EventBuilder::new()
-            .part(
-                "n",
-                defcon_defc::Label::public(),
-                defcon_events::Value::Int(n),
-            )
-            .build()
-            .unwrap()
-    }
-
-    /// The depth-aware wake-placement pin: with skewed shard depths, the
-    /// recruit goes to the parked worker whose preferred shard is deepest —
-    /// not to the lowest parked index, which is what LIFO placement would do.
-    #[test]
-    fn depth_aware_recruit_wakes_the_worker_of_the_deepest_shard() {
-        let queue = RunQueue::new(3);
-        // Round-robin push lands events 0,3,6 on shard 0; 1,4,7 on shard 1;
-        // 2,5,8 on shard 2 — then drain shard 0 fully and shard 1 partially,
-        // leaving depths [0, 1, 3].
-        for n in 0..9 {
-            queue.push(test_event(n));
-        }
-        let mut scratch = Vec::new();
-        assert_eq!(queue.pop_batch_into(0, 3, &mut scratch), 3);
-        scratch.clear();
-        assert_eq!(queue.pop_batch_into(1, 2, &mut scratch), 2);
-        assert_eq!(queue.shard_depths(), vec![0, 1, 3]);
-
-        let pool = WorkerPool::new(1, 3, 1, Duration::from_millis(2), true);
-        assert!(pool.depth_aware());
-        assert!(pool.is_active_slot(0), "the band floor starts active");
-        pool.observe_depth(4, &queue);
-        pool.observe_depth(4, &queue);
-        assert!(
-            pool.is_active_slot(2),
-            "worker 2 (preferred shard depth 3) is recruited first"
-        );
-        assert!(!pool.is_active_slot(1), "worker 1 (depth 1) stays parked");
-        assert_eq!(pool.active_target(), 2);
-        assert_eq!(pool.depth_wakes(), 1, "the recruit is counted");
-
-        // The next recruit takes the remaining parked worker.
-        pool.observe_depth(4, &queue);
-        pool.observe_depth(4, &queue);
-        assert!(pool.is_active_slot(1));
-        assert_eq!(pool.active_target(), 3);
-        assert_eq!(pool.high_water(), 3);
-        assert_eq!(pool.depth_wakes(), 2);
-    }
-
-    /// Depth-aware park-down has no LIFO constraint: any active worker above
-    /// the floor may park, and the active count never drops below `min`.
-    #[test]
-    fn depth_aware_park_down_is_not_lifo_but_respects_the_floor() {
-        let queue = RunQueue::new(3);
-        let pool = WorkerPool::new(1, 3, 1, Duration::from_millis(2), true);
-        queue.push(test_event(0));
-        for _ in 0..8 {
-            pool.observe_depth(100, &queue);
-        }
-        assert_eq!(pool.active_target(), 3);
-        assert!(
-            pool.try_park_down(1),
-            "a mid-index worker can park before higher ones"
-        );
-        assert!(!pool.try_park_down(1), "an already-parked worker cannot");
-        assert!(pool.try_park_down(2));
-        assert!(
-            !pool.try_park_down(0),
-            "the floor worker never parks, so the count stays at min"
-        );
-        assert_eq!(pool.active_target(), 1);
-        assert_eq!(pool.high_water(), 3, "the high-water mark is sticky");
-        assert_eq!(pool.depth_wakes(), 2);
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! Consumers pop in *batches*: [`RunQueue::pop_batch`] drains a whole run of up
 //! to `max` events from one shard under a single lock acquisition (stealing a
-//! run, not one item, when the preferred shard is dry), and the paired
-//! [`BatchGuard`] settles the in-flight accounting for the entire batch with
-//! one atomic update and one wakeup check. A batch size of 1 degenerates to
+//! run, not one item, when the preferred shard is dry — the engine's only
+//! work-stealing mechanism, counted as `queue_stats().sched_steals`), and the
+//! paired [`BatchGuard`] settles the in-flight accounting for the entire batch
+//! with one atomic update and one wakeup check. A batch size of 1 degenerates to
 //! the classic one-event-per-lock behaviour.
 //!
 //! The queue also tracks how many events are *in flight* (popped but whose
@@ -27,7 +28,7 @@
 //! safety net, so an idle engine's workers sleep silently instead of polling.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use defcon_events::Event;
@@ -47,6 +48,9 @@ pub(crate) struct RunQueue {
     stopping: AtomicBool,
     /// Round-robin cursor for enqueue shard selection.
     next_shard: AtomicUsize,
+    /// Runs [`RunQueue::pop_batch_into`] took from a shard other than the
+    /// caller's preferred one.
+    steals: AtomicU64,
     /// Consumers currently parked (or about to park) on `work_signal`; lets the
     /// hot internal push skip the signal lock when nobody is listening.
     waiters: AtomicUsize,
@@ -76,6 +80,7 @@ impl RunQueue {
             pending: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
+            steals: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),
             signal_lock: Mutex::new(()),
             work_signal: Condvar::new(),
@@ -100,6 +105,12 @@ impl RunQueue {
     /// counter idleness is defined over.
     pub(crate) fn pending(&self) -> usize {
         self.pending.load(Ordering::Acquire)
+    }
+
+    /// Whole runs popped from a sibling of the caller's preferred shard
+    /// (`queue_stats().sched_steals`).
+    pub(crate) fn steals(&self) -> u64 {
+        self.steals.load(Ordering::Relaxed)
     }
 
     /// Samples every shard's current depth. Each read takes that shard's lock
@@ -223,27 +234,6 @@ impl RunQueue {
         })
     }
 
-    /// Returns a run of already-popped events to the queue *without* touching
-    /// the pending count — the flush path for a dispatcher's local run deque
-    /// (scheduler v3). Events parked in a local deque were popped from a shard
-    /// (`len` dropped) but never completed (`pending` still counts them);
-    /// putting them back must restore `len` and wake consumers, but bumping
-    /// `pending` again would double-count them and idleness would never be
-    /// reached. The run stays contiguous and in order on its new shard.
-    pub(crate) fn requeue_batch(&self, events: Vec<Event>) {
-        let n = events.len();
-        if n == 0 {
-            return;
-        }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        {
-            let mut queue = self.shards[shard].lock();
-            queue.extend(events);
-            self.len.fetch_add(n, Ordering::SeqCst);
-        }
-        self.wake_consumers(n);
-    }
-
     fn insert(&self, event: Event) -> usize {
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut queue = self.shards[shard].lock();
@@ -351,6 +341,9 @@ impl RunQueue {
             // a concurrent pop and wrap below zero.
             self.len.fetch_sub(take, Ordering::AcqRel);
             drop(queue);
+            if offset > 0 {
+                self.steals.fetch_add(1, Ordering::Relaxed);
+            }
             self.note_depth_drop();
             return take;
         }
@@ -614,27 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_batch_restores_len_without_double_counting_pending() {
-        let queue = RunQueue::new(2);
-        queue.push_batch((0..4).map(event).collect());
-        let run = queue.pop_batch(0, 4);
-        assert_eq!(run.len(), 4);
-        assert_eq!(queue.len(), 0);
-        assert_eq!(queue.pending(), 4, "popped events stay pending");
-
-        // A worker flushing its local deque puts the run back whole: `len`
-        // recovers, `pending` stays flat, and order within the run holds.
-        queue.requeue_batch(run);
-        assert_eq!(queue.len(), 4);
-        assert_eq!(queue.pending(), 4, "requeue must not double-count");
-        let again = queue.pop_batch(0, 4);
-        let values: Vec<i64> = again.iter().map(event_value).collect();
-        assert_eq!(values, vec![0, 1, 2, 3], "the run stays in order");
-        queue.complete_many(4);
-        assert!(queue.is_idle(), "accounting balances after one completion");
-    }
-
-    #[test]
     fn pop_batch_drains_a_run_in_fifo_order() {
         let queue = RunQueue::new(1);
         queue.push_batch((0..10).map(event).collect());
@@ -671,6 +643,38 @@ mod tests {
         );
         assert_eq!(queue.len(), 0);
         queue.complete_many(stolen.len());
+        assert!(queue.is_idle());
+    }
+
+    #[test]
+    fn only_runs_from_a_sibling_shard_count_as_steals() {
+        let queue = RunQueue::new(2);
+        // Round-robin: the first run lands on shard 0, the second on shard 1.
+        queue.push_batch((0..4).map(event).collect());
+        queue.push_batch((4..8).map(event).collect());
+
+        let own = queue.pop_batch(0, 8);
+        assert_eq!(own.len(), 4);
+        assert_eq!(
+            queue.steals(),
+            0,
+            "a pop from the preferred shard is no steal"
+        );
+
+        // Shard 0 is dry now: the next pop takes shard 1's run in two halves,
+        // and each run taken from the sibling counts once, however long.
+        let first = queue.pop_batch(0, 2);
+        assert_eq!(
+            first.iter().map(event_value).collect::<Vec<_>>(),
+            vec![4, 5]
+        );
+        assert_eq!(queue.steals(), 1);
+        let second = queue.pop_batch(0, 8);
+        assert_eq!(second.len(), 2);
+        assert_eq!(queue.steals(), 2);
+        assert!(queue.pop_batch(0, 8).is_empty());
+        assert_eq!(queue.steals(), 2, "an empty pop steals nothing");
+        queue.complete_many(8);
         assert!(queue.is_idle());
     }
 

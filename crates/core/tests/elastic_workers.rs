@@ -8,6 +8,11 @@
 //! after drain) by polling [`EngineHandle::queue_stats`] against generous
 //! deadlines: the outcome is deterministic even though the exact instant of
 //! each transition is scheduler-dependent.
+//!
+//! The scheduler's three counters are pinned here too: a small elastic band
+//! under slow deliveries must recruit (`sched_wakes`), take whole runs from a
+//! sibling shard (`sched_steals`) and reuse a sibling-built security snapshot
+//! (`sched_snapshot_hits`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -203,6 +208,82 @@ fn fixed_pools_never_change_their_activation() {
     assert_eq!(stats.workers_high_water, 2);
     assert_eq!(stats.workers_min, 2);
     assert_eq!(stats.workers_max, 2);
+    assert_eq!(stats.sched_wakes, 0, "a fixed pool never recruits");
     handle.shutdown().unwrap();
     assert_eq!(received.load(Ordering::Relaxed), 64 * 32);
+}
+
+/// The end-to-end pin of the three scheduler counters. A `1..2` band of slow
+/// (200 µs) deliveries is fed bursts published as 8-event runs, which the run
+/// queue's round-robin spreads over both shards. The backlog recruits the
+/// parked worker (a wake); the recruit's first batch reuses the snapshot the
+/// floor worker published for the unchanged epoch (a snapshot hit); and a
+/// worker whose own shard runs dry takes a whole run from the other (a steal).
+/// Every published event is still delivered exactly once.
+#[test]
+fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
+    const RUN: usize = 8;
+    const RUNS_PER_BURST: usize = 12;
+    const MAX_BURSTS: usize = 50;
+    let received = Arc::new(AtomicU64::new(0));
+    let engine = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers_min(1)
+        .workers_max(2)
+        .batch_size(RUN)
+        .elastic(
+            defcon_core::ElasticConfig::new()
+                .scale_up_depth(RUN)
+                .idle_grace(Duration::from_millis(1)),
+        )
+        .event_cache(0)
+        .build();
+    engine
+        .register_unit(
+            UnitSpec::new("slow-sink"),
+            Box::new(SlowSink {
+                received: Arc::clone(&received),
+                delay: Duration::from_micros(200),
+            }),
+        )
+        .unwrap();
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+    let handle = engine.start();
+    assert_eq!(
+        handle.queue_stats().shard_depths.len(),
+        2,
+        "one shard per worker"
+    );
+    let publisher = handle.publisher(source).unwrap();
+
+    let mut published = 0u64;
+    let mut bursts = 0;
+    let fired = |stats: &defcon_core::QueueStats| {
+        stats.sched_wakes > 0 && stats.sched_steals > 0 && stats.sched_snapshot_hits > 0
+    };
+    while bursts < MAX_BURSTS && !fired(&handle.queue_stats()) {
+        for _ in 0..RUNS_PER_BURST {
+            published += publisher.publish_batch(tick_batch(RUN)).unwrap().accepted() as u64;
+        }
+        assert!(
+            handle.wait_idle(Duration::from_secs(30)),
+            "burst must drain"
+        );
+        bursts += 1;
+    }
+    let stats = handle.queue_stats();
+    assert!(
+        fired(&stats),
+        "after {bursts} bursts: wakes={} steals={} snapshot_hits={}",
+        stats.sched_wakes,
+        stats.sched_steals,
+        stats.sched_snapshot_hits
+    );
+    assert_eq!(stats.workers_high_water, 2);
+
+    let dispatched = handle.shutdown().unwrap();
+    assert_eq!(dispatched, published, "shutdown accounts for every event");
+    assert_eq!(received.load(Ordering::Relaxed), published, "exactly-once");
 }

@@ -203,8 +203,8 @@ impl Label {
     }
 
     /// The exact sorted-vector scan behind [`Label::can_flow_to`] — the
-    /// fallback for fingerprint passes, and the baseline the `bench_labels`
-    /// micro-benchmark compares the fast path against.
+    /// fallback for fingerprint passes, and the reference the label property
+    /// tests compare the fast path against.
     #[inline]
     pub fn can_flow_to_exact(&self, other: &Label) -> bool {
         self.inner

@@ -20,8 +20,8 @@
 //! * [`trading`] — the Figure 4 trading platform;
 //! * [`baseline`] — the Marketcetera-style process-isolated baseline (§6.1).
 //!
-//! See `README.md` for a quick start, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the per-figure reproduction notes.
+//! See `README.md` for a quick start and `defcon_benchmark/README.md` for the
+//! benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
