@@ -63,7 +63,6 @@ pub fn run_defcon(mode: SecurityMode, traders: usize, ticks: usize) -> PlatformR
         mode,
         traders,
         symbols: 64,
-        event_cache: 5_000,
         workers_min: 1,
         ..TradingPlatformConfig::default()
     };

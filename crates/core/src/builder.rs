@@ -6,7 +6,6 @@
 //! let engine = Engine::builder()
 //!     .mode(SecurityMode::LabelsFreezeIsolation)
 //!     .workers(4)
-//!     .event_cache(5_000)
 //!     .build();
 //! assert_eq!(engine.configured_workers(), 4);
 //! ```
@@ -30,7 +29,7 @@ pub fn auto_worker_count() -> usize {
 /// Builder for [`Engine`] instances.
 ///
 /// Defaults match [`EngineConfig::default`]: `labels+freeze`, no worker threads
-/// (manual pumping), a 10,000-event cache and a 1,024-instance managed cap.
+/// (manual pumping) and a 1,024-instance managed cap.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     config: EngineConfig,
@@ -180,12 +179,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the capacity of the recently-dispatched event cache.
-    pub fn event_cache(mut self, capacity: usize) -> Self {
-        self.config.event_cache_capacity = capacity;
-        self
-    }
-
     /// Sets the cap on live managed handler instances.
     pub fn managed_instance_cap(mut self, cap: usize) -> Self {
         self.config.managed_instance_cap = cap;
@@ -237,7 +230,6 @@ mod tests {
             .batch_size(16)
             .grouped_delivery(false)
             .subscription_index(false)
-            .event_cache(7)
             .managed_instance_cap(9)
             .elastic(
                 ElasticConfig::new()

@@ -754,7 +754,6 @@ impl Dispatcher {
     /// delivery set is exactly the linear scan's.
     fn dispatch_in(&self, batch: &BatchContext, event: Event) -> EngineResult<()> {
         self.core.stats.dispatched.fetch_add(1, Ordering::Relaxed);
-        self.core.cache_event(&event);
 
         // The event as augmented so far along the main dataflow path.
         let mut current = event;
@@ -957,11 +956,6 @@ impl Dispatcher {
             .stats
             .dispatched
             .fetch_add(current.len() as u64, Ordering::Relaxed);
-        if self.core.config.event_cache_capacity > 0 {
-            for event in current.iter() {
-                self.core.cache_event(event);
-            }
-        }
         let mut scratch = self.scratch.borrow_mut();
         let GroupScratch {
             targets,

@@ -1,9 +1,9 @@
 //! The DEFCon engine: configuration, unit registry, event queue and statistics.
 //!
 //! The [`Engine`] owns all trusted state: per-unit security state,
-//! subscriptions, the queue of published-but-not-yet-dispatched events, the recent
-//! event cache (the paper's tick cache) and the isolation runtime. Units only ever
-//! see a [`UnitContext`](crate::UnitContext) borrowing this state.
+//! subscriptions, the queue of published-but-not-yet-dispatched events and the
+//! isolation runtime. Units only ever see a [`UnitContext`](crate::UnitContext)
+//! borrowing this state.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -166,10 +166,6 @@ pub struct EngineConfig {
     /// index property tests compare against. Delivery sets are identical
     /// either way.
     pub subscription_index: bool,
-    /// Number of recently dispatched events retained in the cache. The paper's
-    /// deployment caches tick events (~300 MiB); the cache exists so that the
-    /// memory experiment (Figure 7) sees the same population of live objects.
-    pub event_cache_capacity: usize,
     /// Maximum number of managed handler instances kept alive. Managed
     /// subscriptions over per-order tags create one instance per distinct
     /// contamination; the cap bounds their memory like a JVM would bound event
@@ -209,7 +205,6 @@ impl Default for EngineConfig {
             batch_size: 1,
             grouped_delivery: true,
             subscription_index: true,
-            event_cache_capacity: 10_000,
             managed_instance_cap: 1024,
             wal: None,
             ingress: None,
@@ -403,7 +398,6 @@ pub(crate) struct EngineCore {
     /// the inverted index over them, edited under this one lock.
     pub(crate) subscriptions: RwLock<SubscriptionTable>,
     pub(crate) run_queue: RunQueue,
-    pub(crate) event_cache: Mutex<VecDeque<Event>>,
     pub(crate) managed_instances: Mutex<HashMap<(SubscriptionId, Label), UnitId>>,
     pub(crate) memory: MemoryAccountant,
     pub(crate) stats: EngineStats,
@@ -672,25 +666,6 @@ impl EngineCore {
             self.enqueue_external(unit, &output_label, event)?;
         }
         result
-    }
-
-    /// Inserts an event into the bounded cache, charging/releasing memory.
-    /// Takes the event by reference so a disabled cache (`capacity == 0`, the
-    /// micro-bench configuration) costs nothing on the dispatch hot path.
-    pub(crate) fn cache_event(&self, event: &Event) {
-        if self.config.event_cache_capacity == 0 {
-            return;
-        }
-        let size = event.estimated_size();
-        self.memory.charge(MemoryCategory::Events, size);
-        let mut cache = self.event_cache.lock();
-        cache.push_back(event.clone());
-        while cache.len() > self.config.event_cache_capacity {
-            if let Some(evicted) = cache.pop_front() {
-                self.memory
-                    .release(MemoryCategory::Events, evicted.estimated_size());
-            }
-        }
     }
 
     /// Looks up a unit slot.
@@ -970,7 +945,6 @@ impl Engine {
                 units: RwLock::new(HashMap::new()),
                 subscriptions: RwLock::new(subscriptions),
                 run_queue,
-                event_cache: Mutex::new(VecDeque::new()),
                 managed_instances: Mutex::new(HashMap::new()),
                 memory: MemoryAccountant::new(),
                 stats: EngineStats::default(),
@@ -1326,8 +1300,8 @@ impl Engine {
         self.core.subscriptions.read().len()
     }
 
-    /// Total accounted memory in MiB: live events, unit state, engine bookkeeping
-    /// and isolation overhead (Figure 7's metric).
+    /// Total accounted memory in MiB: unit state, engine bookkeeping and
+    /// isolation overhead (Figure 7's metric).
     pub fn memory_mib(&self) -> f64 {
         let isolation = self.core.isolation.memory_overhead_bytes();
         let engine = self.core.subscriptions.read().len() * 128

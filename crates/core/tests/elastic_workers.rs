@@ -59,7 +59,6 @@ fn elastic_engine(received: &Arc<AtomicU64>) -> (Engine, defcon_core::unit::Unit
                 .scale_up_depth(8)
                 .idle_grace(Duration::from_millis(2)),
         )
-        .event_cache(0)
         .build();
     engine
         .register_unit(
@@ -180,11 +179,7 @@ fn mid_scale_shutdown_drains_and_joins_every_spawned_worker() {
 #[test]
 fn fixed_pools_never_change_their_activation() {
     let received = Arc::new(AtomicU64::new(0));
-    let engine = Engine::builder()
-        .workers(2)
-        .batch_size(8)
-        .event_cache(0)
-        .build();
+    let engine = Engine::builder().workers(2).batch_size(8).build();
     engine
         .register_unit(
             UnitSpec::new("sink"),
@@ -236,7 +231,6 @@ fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
                 .scale_up_depth(RUN)
                 .idle_grace(Duration::from_millis(1)),
         )
-        .event_cache(0)
         .build();
     engine
         .register_unit(

@@ -16,6 +16,7 @@ use defcon_core::{
 };
 use defcon_defc::{Component, Label, Privilege, PrivilegeKind, Tag, TagSet};
 use defcon_events::{Event, Filter, Value};
+use defcon_metrics::memory::MemoryCategory;
 
 /// Builds an unstarted single-threaded engine in the given mode.
 fn engine(mode: SecurityMode) -> Engine {
@@ -799,28 +800,30 @@ fn remove_unit_cleans_up_subscriptions() {
 }
 
 #[test]
-fn memory_accounting_reflects_cached_events_and_units() {
-    let handle = Engine::builder()
-        .mode(SecurityMode::LabelsFreeze)
-        .event_cache(100)
-        .start();
-    let engine = handle.engine();
+fn memory_accounting_reflects_units() {
+    let engine = engine(SecurityMode::LabelsFreeze);
+    let unit_bytes = || engine.memory().bytes(MemoryCategory::UnitState);
     let before = engine.memory_mib();
-    for _ in 0..50 {
-        publish_public(
-            engine,
-            &[
-                ("type", Value::str("tick")),
-                ("blob", Value::str("x".repeat(10_000))),
-            ],
-        );
-    }
-    handle.pump_until_idle().unwrap();
-    let after = engine.memory_mib();
+    let units: Vec<_> = (0..50)
+        .map(|i| {
+            engine
+                .register_unit(
+                    UnitSpec::new(format!("unit-{i}-{}", "x".repeat(10_000))),
+                    Box::new(NullUnit),
+                )
+                .unwrap()
+        })
+        .collect();
+    let grown = engine.memory_mib();
     assert!(
-        after > before,
-        "memory accounting must grow: {before} -> {after}"
+        grown > before,
+        "memory accounting must grow: {before} -> {grown}"
     );
+    assert!(unit_bytes() >= 50 * 10_000);
+    for unit in units {
+        engine.remove_unit(unit).unwrap();
+    }
+    assert_eq!(unit_bytes(), 0, "removal releases every unit's state");
 }
 
 #[test]

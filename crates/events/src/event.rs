@@ -247,11 +247,6 @@ impl Event {
             .iter()
             .fold(Label::public(), |acc, p| acc.join(p.label()))
     }
-
-    /// Estimated heap footprint in bytes (Figure 7 accounting).
-    pub fn estimated_size(&self) -> usize {
-        std::mem::size_of::<Event>() + self.parts.iter().map(Part::estimated_size).sum::<usize>()
-    }
 }
 
 impl fmt::Debug for Event {
@@ -501,16 +496,5 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn estimated_size_accounts_for_parts() {
-        let small = simple_event();
-        let big = small.with_part(Part::new(
-            "blob",
-            Label::public(),
-            Value::str("x".repeat(4096)),
-        ));
-        assert!(big.estimated_size() > small.estimated_size() + 4000);
     }
 }

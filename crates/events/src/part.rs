@@ -226,14 +226,6 @@ impl Part {
             privileges: self.privileges.clone(),
         }
     }
-
-    /// Estimated heap footprint in bytes (for Figure 7 style accounting).
-    pub fn estimated_size(&self) -> usize {
-        self.name.len()
-            + self.label.tag_count() * 16
-            + self.data.estimated_size()
-            + self.privileges.len() * 24
-    }
 }
 
 impl fmt::Display for Part {
@@ -306,13 +298,6 @@ mod tests {
             Value::Map(m) => assert!(m.is_frozen()),
             _ => panic!("expected map"),
         }
-    }
-
-    #[test]
-    fn estimated_size_grows_with_content() {
-        let small = Part::new("t", Label::public(), Value::Int(1));
-        let big = Part::new("t", Label::public(), Value::str("x".repeat(1000)));
-        assert!(big.estimated_size() > small.estimated_size());
     }
 
     #[test]

@@ -155,21 +155,6 @@ impl Value {
         }
     }
 
-    /// Returns an estimate of the heap footprint of this value in bytes.
-    ///
-    /// Used by the memory-accounting experiments (Figure 7); the estimate counts the
-    /// enum discriminant plus any owned heap allocations.
-    pub fn estimated_size(&self) -> usize {
-        const BASE: usize = std::mem::size_of::<Value>();
-        match self {
-            Value::Str(s) => BASE + s.len(),
-            Value::Bytes(b) => BASE + b.len(),
-            Value::List(l) => BASE + l.estimated_size(),
-            Value::Map(m) => BASE + m.estimated_size(),
-            _ => BASE,
-        }
-    }
-
     /// Structural equality that looks through collections.
     pub fn structurally_equals(&self, other: &Value) -> bool {
         match (self, other) {
@@ -319,16 +304,6 @@ impl ValueList {
         copy
     }
 
-    /// Estimated heap footprint in bytes.
-    pub fn estimated_size(&self) -> usize {
-        self.inner
-            .storage
-            .read()
-            .iter()
-            .map(Value::estimated_size)
-            .sum()
-    }
-
     /// Structural equality.
     pub fn structurally_equals(&self, other: &ValueList) -> bool {
         let a = self.inner.storage.read();
@@ -428,16 +403,6 @@ impl ValueMap {
                 .expect("fresh map is not frozen");
         }
         copy
-    }
-
-    /// Estimated heap footprint in bytes.
-    pub fn estimated_size(&self) -> usize {
-        self.inner
-            .storage
-            .read()
-            .iter()
-            .map(|(k, v)| k.len() + v.estimated_size())
-            .sum()
     }
 
     /// Structural equality.
@@ -611,14 +576,6 @@ mod tests {
         b.insert("j", Value::Int(2)).unwrap();
         assert_ne!(Value::Map(a), Value::Map(b));
         assert_ne!(Value::Int(1), Value::Float(1.0));
-    }
-
-    #[test]
-    fn estimated_size_counts_heap_data() {
-        let s = Value::str("hello world");
-        assert!(s.estimated_size() > std::mem::size_of::<Value>());
-        let list: ValueList = (0..10).map(Value::Int).collect();
-        assert!(Value::List(list).estimated_size() >= 10 * std::mem::size_of::<Value>());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::fmt;
 
 /// Raised when a processing unit attempts an operation that would violate isolation:
-/// reaching a non-white-listed target, synchronising on a shared object, or touching
-/// another isolate's duplicated state.
+/// reaching a non-white-listed target or touching an unregistered duplicated field.
 ///
 /// This is the Rust rendering of the `SecurityException` the paper's interceptors
 /// throw (§4.2, "Automatic runtime injection").

@@ -1,21 +1,17 @@
 //! Runtime interceptors and the isolation runtime facade.
 //!
-//! After the static analysis (§4.2) has classified every dangerous target, the
-//! remaining unsafe ones are guarded at runtime: access from unit code either gets a
-//! per-isolate duplicate of the state or raises a [`SecurityException`]. The
-//! interceptors also impose the per-access cost that Figures 5 and 6 show as the
-//! ~20% "labels+freeze+isolation" overhead; the engine charges that cost on its hot
-//! paths through [`IsolationRuntime::intercept`].
+//! In the paper, the dangerous JDK targets that unit code can reach are guarded at
+//! runtime: access from unit code either gets a per-isolate duplicate of the state
+//! or raises a [`SecurityException`]. The interceptors also impose the per-access
+//! cost that Figures 5 and 6 show as the "labels+freeze+isolation" overhead; the
+//! engine charges that cost on its hot paths through [`IsolationRuntime::intercept`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::analysis::{ClassGraph, StaticAnalysis};
 use crate::error::SecurityException;
 use crate::isolate::{IsolateId, IsolateRegistry};
-use crate::never_shared::SyncGuard;
-use crate::target::{TargetCatalog, TargetDisposition};
 
 /// The decision taken for one intercepted access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,31 +24,36 @@ pub enum AccessDecision {
     Denied,
 }
 
-/// Lookup table from target name to runtime policy, built from an analysed catalog.
+/// Lookup table from target name to the decision for an access from unit code.
 #[derive(Debug, Clone, Default)]
 pub struct InterceptorTable {
-    policies: HashMap<String, TargetDisposition>,
+    decisions: HashMap<String, AccessDecision>,
 }
 
 impl InterceptorTable {
-    /// Builds the table from an analysed catalog (targets still `Unclassified` are
-    /// treated as denied — fail safe).
-    pub fn from_catalog(catalog: &TargetCatalog) -> Self {
-        let mut policies = HashMap::with_capacity(catalog.len());
-        for target in catalog.iter() {
-            policies.insert(target.name.clone(), target.disposition);
-        }
-        InterceptorTable { policies }
+    /// The paper's three examples (§4.2): `Object.hashCode()` is white-listed,
+    /// `Thread.threadSeqNum` is duplicated per isolate and `Runtime.exec()` is
+    /// denied.
+    pub fn standard() -> Self {
+        let decisions = [
+            ("java.lang.Object.hashCode()", AccessDecision::Allowed),
+            ("java.lang.Thread.threadSeqNum", AccessDecision::Duplicated),
+            ("java.lang.Runtime.exec()", AccessDecision::Denied),
+        ]
+        .into_iter()
+        .map(|(target, decision)| (target.to_string(), decision))
+        .collect();
+        InterceptorTable { decisions }
     }
 
     /// Returns the number of known targets.
     pub fn len(&self) -> usize {
-        self.policies.len()
+        self.decisions.len()
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
+        self.decisions.is_empty()
     }
 
     /// Decides what to do with an access to `target` coming from unit code
@@ -62,16 +63,11 @@ impl InterceptorTable {
             // Call path 'D' in Figure 3: the DEFCON implementation is trusted.
             return AccessDecision::Allowed;
         }
-        match self.policies.get(target) {
-            Some(TargetDisposition::Eliminated)
-            | Some(TargetDisposition::WhitelistedHeuristic)
-            | Some(TargetDisposition::WhitelistedManual) => AccessDecision::Allowed,
-            Some(TargetDisposition::DuplicatePerIsolate) => AccessDecision::Duplicated,
-            // Unknown or unclassified targets and denied targets are blocked.
-            Some(TargetDisposition::Deny) | Some(TargetDisposition::Unclassified) | None => {
-                AccessDecision::Denied
-            }
-        }
+        // Unknown targets are blocked: fail safe.
+        self.decisions
+            .get(target)
+            .copied()
+            .unwrap_or(AccessDecision::Denied)
     }
 }
 
@@ -118,56 +114,33 @@ pub struct IsolationRuntime {
     enabled: bool,
     table: Arc<InterceptorTable>,
     registry: Arc<IsolateRegistry>,
-    sync_guard: Arc<SyncGuard>,
     stats: Arc<IsolationStats>,
 }
 
 impl IsolationRuntime {
     /// An isolation runtime that never intercepts anything.
     pub fn disabled() -> Self {
-        IsolationRuntime {
-            enabled: false,
-            table: Arc::new(InterceptorTable::default()),
-            registry: Arc::new(IsolateRegistry::new()),
-            sync_guard: Arc::new(SyncGuard::new()),
-            stats: Arc::new(IsolationStats::default()),
-        }
+        IsolationRuntime::new(false, InterceptorTable::default())
     }
 
-    /// An isolation runtime built from an explicit interceptor table.
-    pub fn with_table(table: InterceptorTable) -> Self {
+    /// The isolating runtime the engine uses: interception enabled over
+    /// [`InterceptorTable::standard`].
+    pub fn standard() -> Self {
+        IsolationRuntime::new(true, InterceptorTable::standard())
+    }
+
+    fn new(enabled: bool, table: InterceptorTable) -> Self {
         IsolationRuntime {
-            enabled: true,
+            enabled,
             table: Arc::new(table),
             registry: Arc::new(IsolateRegistry::new()),
-            sync_guard: Arc::new(SyncGuard::new()),
             stats: Arc::new(IsolationStats::default()),
         }
-    }
-
-    /// An isolation runtime built by running the default static analysis over a
-    /// synthetic JDK-sized catalog — the configuration used by the evaluation.
-    pub fn standard() -> Self {
-        let mut catalog = TargetCatalog::synthetic_jdk(1000);
-        let graph = ClassGraph::synthetic_for(&catalog);
-        let analysis = StaticAnalysis::with_default_whitelist(&catalog);
-        analysis.run(&mut catalog, &graph);
-        IsolationRuntime::with_table(InterceptorTable::from_catalog(&catalog))
     }
 
     /// Returns `true` if interception is active.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Returns the isolate registry (for unit lifecycle management).
-    pub fn registry(&self) -> &IsolateRegistry {
-        &self.registry
-    }
-
-    /// Returns the synchronisation guard.
-    pub fn sync_guard(&self) -> &SyncGuard {
-        &self.sync_guard
     }
 
     /// Returns the runtime counters.
@@ -287,25 +260,10 @@ impl IsolationRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::{Target, TargetKind};
-
-    fn small_table() -> InterceptorTable {
-        let mut catalog = TargetCatalog::new();
-        let mut safe = Target::new("java.lang.Object", "hashCode()", TargetKind::NativeMethod);
-        safe.disposition = TargetDisposition::WhitelistedManual;
-        catalog.add(safe);
-        let mut dup = Target::new("java.lang.Thread", "threadSeqNum", TargetKind::StaticField);
-        dup.disposition = TargetDisposition::DuplicatePerIsolate;
-        catalog.add(dup);
-        let mut deny = Target::new("java.lang.Runtime", "exec()", TargetKind::NativeMethod);
-        deny.disposition = TargetDisposition::Deny;
-        catalog.add(deny);
-        InterceptorTable::from_catalog(&catalog)
-    }
 
     #[test]
     fn engine_access_is_always_allowed() {
-        let table = small_table();
+        let table = InterceptorTable::standard();
         assert_eq!(
             table.decide("java.lang.Runtime.exec()", false),
             AccessDecision::Allowed
@@ -318,7 +276,7 @@ mod tests {
 
     #[test]
     fn unit_access_follows_dispositions_and_fails_safe() {
-        let table = small_table();
+        let table = InterceptorTable::standard();
         assert_eq!(
             table.decide("java.lang.Object.hashCode()", true),
             AccessDecision::Allowed
@@ -352,24 +310,22 @@ mod tests {
 
     #[test]
     fn enabled_runtime_enforces_and_counts() {
-        let runtime = IsolationRuntime::with_table(small_table());
+        let runtime = IsolationRuntime::standard();
         let isolate = runtime.create_isolate();
         assert!(!isolate.is_engine());
 
         assert!(runtime
             .access_target(isolate, "java.lang.Object.hashCode()")
             .is_ok());
-        assert_eq!(
-            runtime
-                .access_target(isolate, "java.lang.Thread.threadSeqNum")
-                .unwrap(),
-            AccessDecision::Duplicated
-        );
+        assert!(runtime
+            .access_target(isolate, "java.lang.Thread.threadSeqNum")
+            .is_ok());
         assert!(runtime
             .access_target(isolate, "java.lang.Runtime.exec()")
             .is_err());
+        runtime.intercept();
 
-        assert_eq!(runtime.stats().intercepted(), 3);
+        assert_eq!(runtime.stats().intercepted(), 4);
         assert_eq!(runtime.stats().allowed(), 1);
         assert_eq!(runtime.stats().duplicated(), 1);
         assert_eq!(runtime.stats().denied(), 1);
@@ -377,7 +333,7 @@ mod tests {
 
     #[test]
     fn duplicated_fields_are_per_isolate_through_the_runtime() {
-        let runtime = IsolationRuntime::with_table(small_table());
+        let runtime = IsolationRuntime::standard();
         let a = runtime.create_isolate();
         let b = runtime.create_isolate();
         runtime
@@ -399,23 +355,32 @@ mod tests {
     }
 
     #[test]
-    fn standard_runtime_builds_from_synthetic_analysis() {
+    fn standard_runtime_holds_the_papers_three_decisions() {
         let runtime = IsolationRuntime::standard();
         assert!(runtime.is_enabled());
-        let isolate = runtime.create_isolate();
-        // A denied target from the synthetic catalog: pick any native method in a
-        // unit-visible package that is not a constant and not guarded.
-        let result = runtime.access_target(isolate, "java.lang.C10.native0()");
-        // Depending on the synthetic layout this is either denied or allowed, but
-        // the call must never panic and must count exactly one interception.
-        let _ = result;
-        assert_eq!(runtime.stats().intercepted(), 1);
-        assert!(runtime.memory_overhead_bytes() > 0);
+        let unit = runtime.create_isolate();
+        assert_eq!(
+            runtime.access_target(unit, "java.lang.Object.hashCode()"),
+            Ok(AccessDecision::Allowed)
+        );
+        assert_eq!(
+            runtime.access_target(unit, "java.lang.Thread.threadSeqNum"),
+            Ok(AccessDecision::Duplicated)
+        );
+        let denied = runtime
+            .access_target(unit, "java.lang.Runtime.exec()")
+            .unwrap_err();
+        assert_eq!(denied.target, "java.lang.Runtime.exec()");
+        // The trusted engine passes even the denied target.
+        assert_eq!(
+            runtime.access_target(IsolateId::engine(), "java.lang.Runtime.exec()"),
+            Ok(AccessDecision::Allowed)
+        );
     }
 
     #[test]
     fn destroy_isolate_is_safe_for_engine_and_unknown_ids() {
-        let runtime = IsolationRuntime::with_table(small_table());
+        let runtime = IsolationRuntime::standard();
         runtime.destroy_isolate(IsolateId::engine());
         let isolate = runtime.create_isolate();
         runtime.destroy_isolate(isolate);

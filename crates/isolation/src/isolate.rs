@@ -64,8 +64,6 @@ pub struct IsolateRegistry {
     initial: RwLock<HashMap<String, Vec<u8>>>,
     /// Per-isolate copies, created on demand.
     copies: RwLock<HashMap<(IsolateId, String), Vec<u8>>>,
-    /// Known isolates.
-    isolates: RwLock<Vec<IsolateId>>,
 }
 
 impl IsolateRegistry {
@@ -74,24 +72,16 @@ impl IsolateRegistry {
         IsolateRegistry::default()
     }
 
-    /// Registers a new isolate and returns its identifier.
+    /// Returns a fresh isolate identifier; its copies are created on first access.
     pub fn create_isolate(&self) -> IsolateId {
-        let id = IsolateId::next();
-        self.isolates.write().push(id);
-        id
+        IsolateId::next()
     }
 
-    /// Removes an isolate and frees all of its duplicated state.
+    /// Frees all of an isolate's duplicated state.
     pub fn destroy_isolate(&self, isolate: IsolateId) {
-        self.isolates.write().retain(|i| *i != isolate);
         self.copies
             .write()
             .retain(|(owner, _), _| *owner != isolate);
-    }
-
-    /// Returns the number of live isolates.
-    pub fn isolate_count(&self) -> usize {
-        self.isolates.read().len()
     }
 
     /// Registers a duplicated field with its initial value.
@@ -213,11 +203,9 @@ mod tests {
         registry.read_field(a, "f").unwrap();
         registry.read_field(b, "f").unwrap();
         assert_eq!(registry.copy_count(), 2);
-        assert_eq!(registry.isolate_count(), 2);
 
         registry.destroy_isolate(a);
         assert_eq!(registry.copy_count(), 1);
-        assert_eq!(registry.isolate_count(), 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper measures "occupied memory" of the JVM heap for each configuration.
 //! A Rust reproduction has no garbage-collected heap to sample, so we account for
-//! the same object populations explicitly: live events (the tick cache), per-unit
-//! state, per-isolate duplicated static state and weaving/bookkeeping overhead.
+//! the same object populations explicitly: per-unit state, per-isolate
+//! duplicated static state and weaving/bookkeeping overhead.
 //! Accounting the identical populations reproduces the *comparison* the figure
 //! makes between configurations, deterministically and without allocator noise.
 
@@ -14,11 +14,9 @@ use parking_lot::RwLock;
 /// Categories of accounted memory, mirroring the contributors discussed in §6.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryCategory {
-    /// Cached/live event objects (the paper attributes ~300 MiB to the tick cache).
-    Events,
     /// Per-unit application state (order books, pair statistics, ...).
     UnitState,
-    /// Engine bookkeeping: subscriptions, labels, tag store.
+    /// Engine bookkeeping: subscriptions and labels.
     Engine,
     /// Per-isolate duplicated static state and interceptor bookkeeping
     /// (the "weaving framework" overhead of Figure 7).
@@ -27,8 +25,7 @@ pub enum MemoryCategory {
     Baseline,
 }
 
-const CATEGORIES: [MemoryCategory; 5] = [
-    MemoryCategory::Events,
+const CATEGORIES: [MemoryCategory; 4] = [
     MemoryCategory::UnitState,
     MemoryCategory::Engine,
     MemoryCategory::Isolation,
@@ -42,7 +39,6 @@ const CATEGORIES: [MemoryCategory; 5] = [
 /// races in tests cannot underflow.
 #[derive(Debug, Default)]
 pub struct MemoryAccountant {
-    events: AtomicI64,
     unit_state: AtomicI64,
     engine: AtomicI64,
     isolation: AtomicI64,
@@ -58,7 +54,6 @@ impl MemoryAccountant {
 
     fn cell(&self, category: MemoryCategory) -> &AtomicI64 {
         match category {
-            MemoryCategory::Events => &self.events,
             MemoryCategory::UnitState => &self.unit_state,
             MemoryCategory::Engine => &self.engine,
             MemoryCategory::Isolation => &self.isolation,
@@ -124,19 +119,19 @@ mod tests {
     #[test]
     fn charges_and_releases_balance() {
         let m = MemoryAccountant::new();
-        m.charge(MemoryCategory::Events, 1024);
-        m.charge(MemoryCategory::Events, 1024);
-        m.release(MemoryCategory::Events, 1024);
-        assert_eq!(m.bytes(MemoryCategory::Events), 1024);
+        m.charge(MemoryCategory::UnitState, 1024);
+        m.charge(MemoryCategory::UnitState, 1024);
+        m.release(MemoryCategory::UnitState, 1024);
+        assert_eq!(m.bytes(MemoryCategory::UnitState), 1024);
         assert_eq!(m.total_bytes(), 1024);
     }
 
     #[test]
     fn categories_are_independent() {
         let m = MemoryAccountant::new();
-        m.charge(MemoryCategory::Events, 10);
+        m.charge(MemoryCategory::UnitState, 10);
         m.charge(MemoryCategory::Isolation, 20);
-        assert_eq!(m.bytes(MemoryCategory::Events), 10);
+        assert_eq!(m.bytes(MemoryCategory::UnitState), 10);
         assert_eq!(m.bytes(MemoryCategory::Isolation), 20);
         assert_eq!(m.bytes(MemoryCategory::Engine), 0);
         assert_eq!(m.total_bytes(), 30);
@@ -153,8 +148,8 @@ mod tests {
     #[test]
     fn peak_tracks_high_water_mark() {
         let m = MemoryAccountant::new();
-        m.charge(MemoryCategory::Events, 4 * 1024 * 1024);
-        m.release(MemoryCategory::Events, 4 * 1024 * 1024);
+        m.charge(MemoryCategory::UnitState, 4 * 1024 * 1024);
+        m.release(MemoryCategory::UnitState, 4 * 1024 * 1024);
         assert_eq!(m.total_bytes(), 0);
         assert!((m.peak_mib() - 4.0).abs() < 1e-9);
     }
@@ -164,7 +159,7 @@ mod tests {
         let m = MemoryAccountant::new();
         m.charge(MemoryCategory::Baseline, 2 * 1024 * 1024);
         let breakdown = m.breakdown();
-        assert_eq!(breakdown.len(), 5);
+        assert_eq!(breakdown.len(), 4);
         assert!(breakdown.contains(&(MemoryCategory::Baseline, 2 * 1024 * 1024)));
         assert!((m.total_mib() - 2.0).abs() < 1e-9);
     }
@@ -187,8 +182,8 @@ mod tests {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        m.charge(MemoryCategory::Events, 8);
-                        m.release(MemoryCategory::Events, 8);
+                        m.charge(MemoryCategory::UnitState, 8);
+                        m.release(MemoryCategory::UnitState, 8);
                     }
                 })
             })
@@ -196,6 +191,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(m.bytes(MemoryCategory::Events), 0);
+        assert_eq!(m.bytes(MemoryCategory::UnitState), 0);
     }
 }

@@ -63,8 +63,6 @@ pub struct TradingPlatformConfig {
     pub regulator_sample: u64,
     /// Volume quota above which the Regulator warns a trader.
     pub volume_quota: u64,
-    /// Engine event-cache capacity (the tick cache of §6.2).
-    pub event_cache: usize,
     /// Seed for the Zipf pair assignment.
     pub seed: u64,
     /// Bounded admission for the exchange feed. `None` (the default) keeps
@@ -90,7 +88,6 @@ impl Default for TradingPlatformConfig {
             tick_config: TickGeneratorConfig::default(),
             regulator_sample: 10,
             volume_quota: 100_000,
-            event_cache: 10_000,
             seed: 2010,
             ingress: None,
         }
@@ -283,8 +280,7 @@ impl TradingPlatform {
             .mode(config.mode)
             .workers_min(workers_min)
             .workers_max(config.workers)
-            .batch_size(config.batch_size)
-            .event_cache(config.event_cache);
+            .batch_size(config.batch_size);
         if let Some(ingress) = config.ingress.clone() {
             builder = builder.ingress(ingress);
         }

@@ -1,5 +1,7 @@
 //! End-to-end tests of the Figure 4 workflow on the assembled trading platform.
 
+use std::collections::HashSet;
+
 use defcon_core::unit::NullUnit;
 use defcon_core::{Engine, SecurityMode, UnitId, UnitSpec};
 use defcon_events::Filter;
@@ -14,7 +16,6 @@ fn small_config(mode: SecurityMode, traders: usize) -> TradingPlatformConfig {
         symbols: 8,
         regulator_sample: 2,
         volume_quota: 500,
-        event_cache: 1_000,
         tick_config: TickGeneratorConfig {
             seed: 7,
             ..TickGeneratorConfig::default()
@@ -320,15 +321,84 @@ fn traders_retire_their_order_tag_privileges() {
     assert_eq!(seen, traders);
 }
 
+/// The ids of every unit the platform registered: engines number units from
+/// 1 in registration order, and nothing else has registered yet.
+fn platform_units(platform: &TradingPlatform) -> Vec<UnitId> {
+    (1..=platform.engine().unit_count() as u64)
+        .map(UnitId::from_raw)
+        .collect()
+}
+
 #[test]
-fn isolation_mode_charges_interceptor_checks() {
-    let mut platform =
+fn isolation_mode_gives_every_unit_its_own_isolate() {
+    let platform =
         TradingPlatform::build(small_config(SecurityMode::LabelsFreezeIsolation, 10)).unwrap();
-    platform.run_ticks(1_200).unwrap();
-    // The isolation runtime is engaged: the run completes and produced trades while
-    // every part access went through the interception hook (validated indirectly by
-    // the run's success; the interceptor counters are internal to the engine).
-    assert!(platform.report().trades > 0);
+    let engine = platform.engine();
+    let mut isolates = HashSet::new();
+    let mut broker = None;
+    for unit in platform_units(&platform) {
+        let state = engine.unit_state(unit).unwrap();
+        assert!(!state.isolate.is_engine(), "{}", state.name);
+        assert!(
+            isolates.insert(state.isolate),
+            "{} shares an isolate",
+            state.name
+        );
+        if state.name == "local-broker" {
+            broker = Some(unit);
+        }
+    }
+
+    // A swapped-in Broker runs in a fresh isolate.
+    let broker = broker.expect("the platform registers a broker");
+    platform.swap_broker().unwrap();
+    let after = engine.unit_state(broker).unwrap().isolate;
+    assert!(!after.is_engine());
+    assert!(!isolates.contains(&after), "{after} is reused");
+
+    // Without isolation every unit runs in the engine's isolate.
+    let plain = TradingPlatform::build(small_config(SecurityMode::LabelsFreeze, 10)).unwrap();
+    for unit in platform_units(&plain) {
+        let state = plain.engine().unit_state(unit).unwrap();
+        assert!(state.isolate.is_engine(), "{}", state.name);
+    }
+}
+
+#[test]
+fn driver_pumped_platforms_repeat_their_ledgers() {
+    // With `workers: 0` the driver thread replays each cascade, so two builds
+    // of the same deployment must agree exactly — including which managed
+    // Broker instances survive the instance cap's eviction.
+    let ledger = |batch_size: usize| {
+        let mut platform = TradingPlatform::build(TradingPlatformConfig {
+            mode: SecurityMode::LabelsFreezeIsolation,
+            workers: 0,
+            batch_size,
+            traders: 200,
+            tick_config: TickGeneratorConfig {
+                seed: 7,
+                ..TickGeneratorConfig::default()
+            },
+            ..TradingPlatformConfig::default()
+        })
+        .unwrap();
+        let report = platform.run_ticks(4_000).unwrap();
+        let stats = platform.engine().stats();
+        (
+            report.orders,
+            report.trades,
+            stats.deliveries(),
+            stats.managed_instances(),
+        )
+    };
+    for batch_size in [1, 8] {
+        let first = ledger(batch_size);
+        assert!(
+            first.3 > 1024,
+            "batch {batch_size}: the instance cap must have evicted: {first:?}"
+        );
+        assert_eq!(first, ledger(batch_size), "batch {batch_size}");
+    }
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //!   §5);
 //! * [`durability`] — segmented CRC32-framed write-ahead log and recorded
 //!   arrival traces for crash recovery and deterministic replay;
-//! * [`isolation`] — the isolation substrate modelling §4's methodology;
+//! * [`isolation`] — per-unit isolates, duplicated static state and the
+//!   interceptor table of §4, with the interception cost modelled;
 //! * [`core`] — the DEFCon engine: dispatcher, subscriptions, the Table 1 API;
 //! * [`ingress`] — the credit-gated async ingress tier funnelling many logical
 //!   publisher sessions onto the bounded batched publish path;

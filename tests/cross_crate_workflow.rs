@@ -1,10 +1,9 @@
 //! Workspace-level integration tests spanning all crates: the Figure 4 workflow on
-//! the assembled platform, the analysis funnel of §4.2 and the DEFCon-vs-baseline
-//! comparison of §6.2, exercised through the umbrella crate's public API.
+//! the assembled platform and the DEFCon-vs-baseline comparison of §6.2,
+//! exercised through the umbrella crate's public API.
 
 use defcon::prelude::*;
 use defcon_baseline::{BaselineConfig, BaselinePlatform};
-use defcon_isolation::{ClassGraph, StaticAnalysis, TargetCatalog};
 use defcon_trading::messages::event_type;
 use defcon_trading::{TradingPlatform, TradingPlatformConfig};
 use defcon_workload::TickGeneratorConfig;
@@ -16,7 +15,6 @@ fn platform_config(mode: SecurityMode, traders: usize) -> TradingPlatformConfig 
         symbols: 8,
         regulator_sample: 2,
         volume_quota: 500,
-        event_cache: 500,
         tick_config: TickGeneratorConfig {
             seed: 11,
             ..TickGeneratorConfig::default()
@@ -69,21 +67,6 @@ fn figure4_workflow_end_to_end_through_umbrella_crate() {
     assert!(report.memory_mib > 0.0);
     // The engine enforced label checks along the way.
     assert_matches_confined(platform.engine(), snooper, report.orders);
-}
-
-#[test]
-fn isolation_analysis_funnel_reproduces_papers_shape() {
-    // §4.2: thousands of targets in the JDK, hundreds reachable from unit code after
-    // heuristics, tens requiring manual attention.
-    let mut catalog = TargetCatalog::synthetic_jdk(1000);
-    let graph = ClassGraph::synthetic_for(&catalog);
-    let analysis = StaticAnalysis::with_default_whitelist(&catalog);
-    let report = analysis.run(&mut catalog, &graph);
-
-    assert!(report.total_targets > 5_000);
-    assert!(report.used < report.total_targets);
-    assert!(report.intercepted() < report.used);
-    assert!(report.whitelisted_heuristic > 0);
 }
 
 #[test]
