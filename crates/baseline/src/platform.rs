@@ -1,7 +1,7 @@
 //! The baseline platform harness: feed, agents, ORS, and the experiment driver.
 //!
 //! [`BaselinePlatform::run`] wires one market-data feed (the driver thread), `n`
-//! [`StrategyAgent`](crate::StrategyAgent) threads — each receiving its own
+//! [`StrategyAgent`] threads — each receiving its own
 //! serialised copy of the full tick stream — and one [`OrderRoutingService`] thread
 //! providing the local brokering facility. It then replays a synthetic trace and
 //! reports the Figure 8 / Figure 9 metrics.

@@ -145,15 +145,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables per-unit grouped delivery of popped batches (on by
-    /// default; see [`EngineConfig::grouped_delivery`](crate::EngineConfig)
-    /// for the exact semantics). Disable to recover strict event-by-event
-    /// subscription-order interleaving across units within a batch.
-    pub fn grouped_delivery(mut self, grouped: bool) -> Self {
-        self.config.grouped_delivery = grouped;
-        self
-    }
-
     /// Selects the subscription matcher (the inverted index, the default, when
     /// `true`): planning consults a part-name/value index for a candidate
     /// superset per event and runs the exact filter only on candidates, so
@@ -171,9 +162,9 @@ impl EngineBuilder {
     /// accounts for) per run-queue lock round-trip, and the chunk size batched
     /// publishers enqueue with. The default of 1 preserves classic
     /// one-event-at-a-time queueing; values are clamped to at least 1 at use.
-    /// Per-unit serialisation and subscription order are unchanged either
-    /// way; dispatch observes subscriber security state as snapshotted at
-    /// batch start (see [`EngineConfig::batch_size`](crate::EngineConfig)).
+    /// Delivery order is the same at every batch size; dispatch observes
+    /// subscriber security state as snapshotted at batch start (see
+    /// [`EngineConfig::batch_size`]).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.config.batch_size = batch_size.max(1);
         self
@@ -228,7 +219,6 @@ mod tests {
             .mode(SecurityMode::LabelsClone)
             .workers(3)
             .batch_size(16)
-            .grouped_delivery(false)
             .subscription_index(false)
             .managed_instance_cap(9)
             .elastic(
@@ -255,7 +245,6 @@ mod tests {
             "workers(n) is a fixed pool"
         );
         assert_eq!(engine.configured_batch_size(), 16);
-        assert!(!engine.grouped_delivery());
         assert!(!engine.subscription_index());
         let ingress = engine.ingress_config().expect("ingress config set");
         assert_eq!(ingress.queue_bound, 256);

@@ -24,14 +24,13 @@
 //!
 //! Workers pop whole batches (one run-queue lock round-trip, one in-flight
 //! accounting update) — from their own shard, or a whole run from a sibling
-//! when their own is dry — share one owner-state snapshot per batch, and — with
-//! [`EngineConfig::grouped_delivery`](crate::EngineConfig) on, the default —
-//! regroup a batch's deliveries by target unit so each unit's cell lock is
-//! acquired once per batch instead of once per delivery. Only per-unit delivery
-//! order is promised, which is exactly what grouping preserves: each unit sees
-//! its events in batch order, while deliveries to *different* units interleave
-//! in group order. The snapshot itself is cached across batches and keyed on
-//! the engine's security epoch, so consecutive batches over an unchanged
+//! when their own is dry — and share one owner-state snapshot per batch. Each
+//! event of the batch is then dispatched on its own, in batch order, by the
+//! one delivery loop: deliveries follow strict subscription order at every
+//! batch size, and consecutive deliveries to the same unit's direct
+//! subscriptions run under a single acquisition of its cell lock. The
+//! snapshot itself is cached across batches and keyed on the engine's
+//! security epoch, so consecutive batches over an unchanged
 //! subscription/label population skip the refresh entirely. The epoch moves
 //! only when something the snapshot holds changes — the subscription list, an
 //! input label, or a managed owner's output label or privileges — so tag
@@ -43,24 +42,21 @@
 //! # The subscription index
 //!
 //! With [`EngineConfig::subscription_index`](crate::EngineConfig) on (the
-//! default), the subscription table keeps an inverted
-//! [`SubscriptionIndex`](crate::sub_index) from part names — and, for
-//! string/integer equality and `OneOf` clauses, part values — to the
-//! subscriptions whose filters could possibly match, and the batch snapshot
-//! shares it. Planning looks up each event's parts and runs the exact filter
-//! (and flow check) only over the returned candidate set, which is a provable
-//! superset of the matches (and, with each subscription keyed by its most
-//! selective literal, usually the match set itself): fan-out cost scales with
-//! candidates per event instead of total registered subscriptions. The table
-//! updates the index under its own write lock on every subscribe, unsubscribe
-//! and removal, so a refresh never rebuilds it.
-//! Parts released by main-path augmentation are looked up incrementally —
-//! per delivery on the per-event path, per overflow wave on the grouped path
-//! — so filters naming augmentation-released parts match under either
-//! matcher, grouped or not.
+//! default), the subscription table keeps an inverted index from part names
+//! — and, for string/integer equality and `OneOf` clauses, part values — to
+//! the subscriptions whose filters could possibly match, and the batch
+//! snapshot shares it. Dispatch looks up each event's parts and runs the exact
+//! filter (and flow check) only over the returned candidate set, which is a
+//! provable superset of the matches (and, with each subscription keyed by its
+//! most selective literal, usually the match set itself): fan-out cost scales
+//! with candidates per event instead of total registered subscriptions. The
+//! table updates the index under its own write lock on every subscribe,
+//! unsubscribe and removal, so a refresh never rebuilds it. Parts released by
+//! main-path augmentation are looked up per delivery, so filters naming
+//! augmentation-released parts match under either matcher.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,9 +89,9 @@ pub struct Dispatcher {
     /// snapshot and security epoch are unchanged (see
     /// [`Dispatcher::batch_context`]).
     context_cache: RefCell<Option<CachedContext>>,
-    /// Plan buffers reused across batches by the grouped hot path, so a
-    /// steady-state batch plans with zero allocations.
-    scratch: RefCell<GroupScratch>,
+    /// Worklist buffers reused across events, so a steady-state dispatch
+    /// allocates none.
+    scratch: RefCell<Worklist>,
 }
 
 /// A subscription owner's security state as snapshotted for one batch.
@@ -260,15 +256,6 @@ impl BatchContext {
         Some((&entry.subscription, slot, owner))
     }
 
-    /// The subscription at a planned position (planning only ever yields
-    /// live ones).
-    fn subscription(&self, position: u32) -> &Subscription {
-        &self.subscriptions[position as usize]
-            .as_ref()
-            .expect("planned positions are live")
-            .subscription
-    }
-
     /// Answers `part_label ≺ owner_input` (or the managed integrity-only
     /// variant), memoising decisions the constant-time fast path cannot make.
     fn flow_allowed(&self, part_label: &Label, owner_input: &Label, managed: bool) -> bool {
@@ -303,45 +290,12 @@ impl BatchContext {
     }
 }
 
-/// Identity of a planned delivery's target, compared by linear scan (batches
-/// touch a handful of units; a hash lookup per delivery would cost more than
-/// the scan).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TargetKey {
-    /// A direct subscription delivers into its owner: keyed by unit id, so
-    /// the plan never resolves or clones a slot per delivery.
-    Direct(UnitId),
-    /// A managed delivery's handler instance: keyed by slot identity (each
-    /// event's contamination can resolve to a different instance).
-    Managed(usize),
-}
-
-/// Reusable buffers of the grouped planner. The plan is two flat passes: bucket
-/// every matched delivery by target (first-touch order), then counting-sort the
-/// deliveries group-major — stable, so each group keeps batch order, which is
-/// the per-unit order the engine promises.
+/// Reusable buffers of [`Dispatcher::dispatch_in`].
 #[derive(Default)]
-struct GroupScratch {
-    /// Resolved target slots in first-touch order, with their scan key.
-    targets: Vec<(TargetKey, Arc<UnitSlot>)>,
-    /// Planned deliveries in batch order: `(group, event index, sub index)`.
-    planned: Vec<(u32, u32, u32)>,
-    /// Counting-sort cursors; after the scatter, `offsets[g]` is group `g`'s
-    /// end and `offsets[g - 1]` its start.
-    offsets: Vec<usize>,
-    /// Deliveries regrouped per target (group-major, batch order within).
-    ordered: Vec<(u32, u32)>,
-    /// Matched `(event index, sub index)` pairs of the wave being executed.
-    pairs: Vec<(u32, u32)>,
-    /// Pairs matched by the augmentation overflow re-match (the next wave).
-    overflow: Vec<(u32, u32)>,
-    /// Per-event candidate set produced by the subscription index.
-    candidates: Vec<u32>,
-    /// Per-event flags: did a delivery this wave augment the event?
-    augmented: Vec<bool>,
-    /// Per-event-path candidate worklist (ascending sub indices; grows as
-    /// augmentation releases parts that index to further candidates).
-    worklist: Vec<u32>,
+struct Worklist {
+    /// The event's candidate positions, ascending (grows as augmentation
+    /// releases parts that index to further candidates).
+    positions: Vec<u32>,
     /// Candidates indexed by one augmentation-released part, before merging.
     extra: Vec<u32>,
 }
@@ -352,7 +306,7 @@ impl Dispatcher {
             core,
             preferred_shard: 0,
             context_cache: RefCell::new(None),
-            scratch: RefCell::new(GroupScratch::default()),
+            scratch: RefCell::new(Worklist::default()),
         }
     }
 
@@ -361,7 +315,7 @@ impl Dispatcher {
             core,
             preferred_shard: worker_index,
             context_cache: RefCell::new(None),
-            scratch: RefCell::new(GroupScratch::default()),
+            scratch: RefCell::new(Worklist::default()),
         }
     }
 
@@ -371,52 +325,24 @@ impl Dispatcher {
         self.core.config.batch_size.max(1)
     }
 
-    /// Dispatches at most one queued event; returns `true` if one was processed.
-    pub fn pump_one(&self) -> EngineResult<bool> {
-        match self.core.run_queue.pop(self.preferred_shard) {
-            Some(event) => {
-                // The guard re-balances the in-flight count even if a unit
-                // callback panics through `dispatch`.
-                let _guard = self.core.run_queue.complete_guard();
-                self.dispatch(event).map(|()| true)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// Pops one batch off the queue and dispatches every event in it, settling
     /// the in-flight accounting with a single update for the whole batch.
     /// Returns the number of events dispatched (zero when the queue was empty).
-    ///
-    /// A dispatch error does not abandon the rest of the batch — the remaining
-    /// events (already popped, already counted in flight) are dispatched too,
-    /// and the first error is returned afterwards, so no event is ever lost to
-    /// an earlier event's failure.
-    fn pump_batch(&self) -> EngineResult<usize> {
-        let mut batch = self
+    fn pump_batch(&self) -> usize {
+        let batch = self
             .core
             .run_queue
             .pop_batch(self.preferred_shard, self.batch_size());
         if batch.is_empty() {
-            return Ok(0);
+            return 0;
         }
         let dispatched = batch.len();
         let _guard = self.core.run_queue.batch_guard(dispatched);
         let context = self.batch_context();
-        if self.core.config.grouped_delivery && dispatched > 1 {
-            self.dispatch_batch_grouped(&context, &mut batch)?;
-            return Ok(dispatched);
-        }
-        let mut first_error = None;
         for event in batch {
-            if let Err(error) = self.dispatch_in(&context, event) {
-                first_error.get_or_insert(error);
-            }
+            self.dispatch_in(&context, event);
         }
-        match first_error {
-            None => Ok(dispatched),
-            Some(error) => Err(error),
-        }
+        dispatched
     }
 
     /// Dispatches events until the queue drains (including events published during
@@ -428,7 +354,7 @@ impl Dispatcher {
     pub fn pump_until_idle(&self) -> EngineResult<usize> {
         let mut dispatched = 0;
         loop {
-            match self.pump_batch()? {
+            match self.pump_batch() {
                 0 => return Ok(dispatched),
                 n => dispatched += n,
             }
@@ -443,7 +369,7 @@ impl Dispatcher {
         let deadline = Instant::now() + duration;
         let mut dispatched = 0;
         loop {
-            match self.pump_batch()? {
+            match self.pump_batch() {
                 0 => {}
                 n => {
                     dispatched += n;
@@ -472,9 +398,8 @@ impl Dispatcher {
     /// one run straight off the shared sharded queue — from the worker's own
     /// shard, or whole from a sibling when its own is dry — so each dispatched
     /// batch costs a single lock round-trip on the pop side, settles its
-    /// in-flight accounting with one update and one wakeup check, and — with
-    /// grouped delivery — pays one cell-lock acquisition per target unit
-    /// instead of per delivery.
+    /// in-flight accounting with one update and one wakeup check, and shares
+    /// one epoch-cached dispatch context across the batch.
     ///
     /// In an elastic pool this worker also carries its share of the pool
     /// protocol: it parks while it is outside the activation set, and (when
@@ -543,42 +468,20 @@ impl Dispatcher {
         // whole runtime.
         let guard = self.core.run_queue.batch_guard(popped);
         let context = self.batch_context();
-        if self.core.config.grouped_delivery && popped > 1 {
-            // Unit misbehaviour is caught and counted per delivery inside
-            // the group execution; anything that unwinds past it is an
-            // engine fault and must not take the worker down.
+        for event in batch.drain(..) {
+            // Unit misbehaviour is already caught and counted per delivery
+            // inside `deliver_into_cell`; a panic that unwinds past it is an
+            // engine fault. It gets its own counter so it cannot hide among
+            // expected unit errors, and it may neither take the worker down
+            // nor abandon the rest of the already-popped batch.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.dispatch_batch_grouped(&context, batch)
+                self.dispatch_in(&context, event)
             }));
-            if !matches!(outcome, Ok(Ok(()))) {
+            if outcome.is_err() {
                 self.core
                     .stats
                     .engine_errors
                     .fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            for event in batch.drain(..) {
-                // Neither an `Err` (engine-level inconsistency) nor a panic
-                // in a unit callback may take the worker down — or abandon
-                // the rest of the already-popped batch.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.dispatch_in(&context, event)
-                }));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    // Unit misbehaviour is already caught and counted per
-                    // delivery inside `deliver`; anything that reaches here
-                    // is an engine fault and gets its own counter so it
-                    // cannot hide among expected unit errors. (In
-                    // `workers(0)` mode the same error propagates to the
-                    // pump caller instead.)
-                    Ok(Err(_)) | Err(_) => {
-                        self.core
-                            .stats
-                            .engine_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
             }
         }
         drop(guard);
@@ -668,12 +571,6 @@ impl Dispatcher {
         })
     }
 
-    /// Dispatches a single event to every matching subscription (sharing the
-    /// epoch-cached context; the batched paths use the same one per batch).
-    fn dispatch(&self, event: Event) -> EngineResult<()> {
-        self.dispatch_in(&self.batch_context(), event)
-    }
-
     /// Evaluates one subscription's filter against `event` as visible to its
     /// owner (label checks per part, isolation interception charged per part
     /// examined).
@@ -712,7 +609,7 @@ impl Dispatcher {
     /// itself, or a managed handler instance at the contamination `event`
     /// requires (with label checks disabled the single instance at the owner's
     /// own label is reused). `None` when resolution fails (owner raced
-    /// removal, factory error) — the delivery is skipped, as before.
+    /// removal, factory error) — the delivery is skipped.
     fn resolve_target(
         &self,
         subscription: &Subscription,
@@ -742,63 +639,58 @@ impl Dispatcher {
         .ok()
     }
 
-    /// Dispatches a single event using a prepared batch context — the classic
-    /// per-event path: deliveries happen in strict subscription order and each
-    /// pays its own cell-lock round-trip.
+    /// Dispatches one event to every matching subscription: the engine's one
+    /// delivery path, at every batch size.
     ///
-    /// With the subscription index on, the walk covers only the index's
-    /// candidate set instead of every subscription; turn order among
-    /// candidates is still ascending subscription order, and a delivery's
-    /// main-path part additions extend the remaining worklist with whatever
-    /// later-positioned subscriptions the new parts index to — so the
-    /// delivery set is exactly the linear scan's.
-    fn dispatch_in(&self, batch: &BatchContext, event: Event) -> EngineResult<()> {
+    /// The walk is a worklist of subscription positions in ascending order —
+    /// the index's candidate set for the event, or every live position with
+    /// the index off — so deliveries happen in strict subscription order. A
+    /// delivery's main-path part additions reach only the subscriptions
+    /// positioned after it (§3.1.6): with the index on, the positions the
+    /// released parts index to join the rest of the worklist; with it off,
+    /// every later position is there already. Either way the delivery set is
+    /// the linear scan's.
+    ///
+    /// A matched direct subscription opens a *run*: its owner's cell stays
+    /// locked while the next candidates are the same owner's direct
+    /// subscriptions, each matched against the event as augmented so far. A
+    /// run ends at a different owner, a managed subscription, the end of the
+    /// worklist or a delivery that trips the fault policy, and then settles its
+    /// delivery counts, cascade outputs and fault handling once. A managed
+    /// delivery is a run of one: resolving its handler instance takes the
+    /// `managed_instances → units` locks, and eviction locks victim cells, so
+    /// it must never happen under a cell lock.
+    fn dispatch_in(&self, batch: &BatchContext, event: Event) {
         self.core.stats.dispatched.fetch_add(1, Ordering::Relaxed);
 
         // The event as augmented so far along the main dataflow path.
         let mut current = event;
 
-        let Some(index) = batch.index.as_ref() else {
-            for position in 0..batch.subscriptions.len() {
-                let Some((subscription, owner_slot, owner)) = batch.entry(position) else {
-                    continue;
-                };
-                let managed = subscription.is_managed();
-                if !self.subscription_matches(batch, subscription, &owner.input, managed, &current)
-                {
-                    continue;
-                }
-                let Some(target_slot) =
-                    self.resolve_target(subscription, owner_slot, owner, &current, managed)
-                else {
-                    continue;
-                };
-                let additions = self.deliver(&target_slot, &current, subscription);
-                for part in additions {
-                    current = current.with_part(part);
-                }
-            }
-            return Ok(());
-        };
-
         // The worklist buffers are taken out of the scratch (not borrowed
         // across delivery calls) so unit callbacks can never observe a held
         // RefCell borrow.
-        let (mut worklist, mut extra) = {
-            let mut scratch = self.scratch.borrow_mut();
-            (
-                std::mem::take(&mut scratch.worklist),
-                std::mem::take(&mut scratch.extra),
-            )
-        };
-        index.candidates_into(&current, &mut worklist);
+        let Worklist {
+            positions: mut worklist,
+            mut extra,
+        } = std::mem::take(&mut *self.scratch.borrow_mut());
+        let index = batch.index.as_deref();
+        match index {
+            Some(index) => index.candidates_into(&current, &mut worklist),
+            None => {
+                worklist.clear();
+                worklist.extend(
+                    (0..batch.subscriptions.len() as u32)
+                        .filter(|&position| batch.subscriptions[position as usize].is_some()),
+                );
+            }
+        }
         let mut candidate_total = worklist.len() as u64;
         let mut exact_rejects = 0u64;
-        let mut position = 0;
-        while position < worklist.len() {
-            let sub_index = worklist[position] as usize;
-            position += 1;
-            let Some((subscription, owner_slot, owner)) = batch.entry(sub_index) else {
+        let mut next = 0;
+        while next < worklist.len() {
+            let position = worklist[next] as usize;
+            next += 1;
+            let Some((subscription, owner_slot, owner)) = batch.entry(position) else {
                 continue;
             };
             let managed = subscription.is_managed();
@@ -806,403 +698,144 @@ impl Dispatcher {
                 exact_rejects += 1;
                 continue;
             }
-            let Some(target_slot) =
+            let Some(mut slot) =
                 self.resolve_target(subscription, owner_slot, owner, &current, managed)
             else {
                 continue;
             };
-            let additions = self.deliver(&target_slot, &current, subscription);
-            for part in additions {
-                // An augmentation-released part can satisfy clauses of
-                // subscriptions the original event never indexed to. Their
-                // turn, like the linear scan's, is still ahead only for
-                // subscriptions positioned after the releasing delivery —
-                // earlier ones already had theirs.
-                extra.clear();
-                index.candidates_for_part(part.name(), part.data(), &mut extra);
-                current = current.with_part(part);
-                for &candidate in extra.iter() {
-                    if candidate as usize <= sub_index {
-                        continue;
-                    }
-                    if let Err(insert_at) = worklist[position..].binary_search(&candidate) {
-                        worklist.insert(position + insert_at, candidate);
-                        candidate_total += 1;
-                    }
+            // The head of the run: chase a swap's replacement, which a swap
+            // installs before it retires the old cell, so the run forwards
+            // exactly once.
+            let cell = loop {
+                let cell = slot.cell.lock();
+                if !cell.retired {
+                    break Some(cell);
                 }
-            }
-        }
-        if candidate_total > 0 {
-            self.core
-                .index_stats
-                .candidates
-                .fetch_add(candidate_total, Ordering::Relaxed);
-        }
-        if exact_rejects > 0 {
-            self.core
-                .index_stats
-                .exact_rejects
-                .fetch_add(exact_rejects, Ordering::Relaxed);
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.worklist = worklist;
-        scratch.extra = extra;
-        Ok(())
-    }
-
-    /// Matches one wave of `(event, subscription)` pairs for the grouped
-    /// planner: every event index in `events`, in batch order, against the
-    /// index's candidate set (or every subscription with the index off),
-    /// skipping pairs already planned by an earlier wave. Appends matched
-    /// pairs — event-major, ascending subscription order — to `pairs` and
-    /// accumulates index telemetry into `(candidate_total, exact_rejects)`.
-    #[allow(clippy::too_many_arguments)]
-    fn match_wave(
-        &self,
-        batch: &BatchContext,
-        current: &[Event],
-        events: impl Iterator<Item = usize>,
-        considered: Option<&HashSet<(u32, u32)>>,
-        pairs: &mut Vec<(u32, u32)>,
-        candidates: &mut Vec<u32>,
-        candidate_total: &mut u64,
-        exact_rejects: &mut u64,
-    ) {
-        let already = |event_index: u32, sub_index: u32| {
-            considered.is_some_and(|seen| seen.contains(&(event_index, sub_index)))
-        };
-        for event_index in events {
-            let event = &current[event_index];
-            match batch.index.as_ref() {
-                Some(index) => {
-                    index.candidates_into(event, candidates);
-                    *candidate_total += candidates.len() as u64;
-                    for &sub_index in candidates.iter() {
-                        if already(event_index as u32, sub_index) {
-                            continue;
-                        }
-                        let Some((subscription, _, owner)) = batch.entry(sub_index as usize) else {
-                            continue;
-                        };
-                        let managed = subscription.is_managed();
-                        if self.subscription_matches(
-                            batch,
-                            subscription,
-                            &owner.input,
-                            managed,
-                            event,
-                        ) {
-                            pairs.push((event_index as u32, sub_index));
-                        } else {
-                            *exact_rejects += 1;
-                        }
-                    }
+                drop(cell);
+                match self.forwarded_slot(&slot, subscription.owner, managed) {
+                    Some(fresh) => slot = fresh,
+                    None => break None,
                 }
-                None => {
-                    for sub_index in 0..batch.subscriptions.len() {
-                        if already(event_index as u32, sub_index as u32) {
-                            continue;
-                        }
-                        let Some((subscription, _, owner)) = batch.entry(sub_index) else {
-                            continue;
-                        };
-                        let managed = subscription.is_managed();
-                        if self.subscription_matches(
-                            batch,
-                            subscription,
-                            &owner.input,
-                            managed,
-                            event,
-                        ) {
-                            pairs.push((event_index as u32, sub_index as u32));
-                        }
-                    }
-                }
+            };
+            let Some(mut cell) = cell else {
+                continue;
+            };
+            if cell.quarantined {
+                // Shed loudly: the unit exists but the fault policy took it
+                // out of service.
+                self.core
+                    .faults
+                    .quarantine_shed
+                    .fetch_add(1, Ordering::Relaxed);
+                continue;
             }
-        }
-    }
-
-    /// Dispatches a popped batch with its deliveries regrouped by target unit:
-    /// the grouped-delivery hot path.
-    ///
-    /// Three phases, the last two looping per wave. The *match* produces the
-    /// batch's `(event, subscription)` pairs in batch order — via the
-    /// subscription index's candidate sets, or the linear scan with the index
-    /// off; either matcher yields the same pairs. The *plan* buckets the
-    /// wave's pairs by resolved target slot, preserving order inside each
-    /// bucket — which is exactly batch order from any single unit's point of
-    /// view. The *execution* takes each unit's cell lock once and runs that
-    /// unit's whole slice under it, folding main-path part additions back into
-    /// the batch's events so later groups still receive augmented payloads.
-    /// Cascade publications from one group enter the queue as a single
-    /// transaction.
-    ///
-    /// Events a wave augmented are *re-matched*: subscriptions whose filters
-    /// name augmentation-released parts are planned into an overflow wave (the
-    /// pairs already planned are never replayed), repeating until no delivery
-    /// augments anything. The delivery set therefore equals the ungrouped
-    /// path's even for augmentation-named filters — such workloads no longer
-    /// need `grouped_delivery(false)`. One bounded caveat remains: an
-    /// overflow wave runs after the planned groups, so a unit that catches an
-    /// *earlier* batch event only via augmentation may see it after a later
-    /// planned one — reordering confined to one batch, like every other
-    /// grouped-delivery interleaving note.
-    fn dispatch_batch_grouped(
-        &self,
-        batch: &BatchContext,
-        current: &mut [Event],
-    ) -> EngineResult<()> {
-        self.core
-            .stats
-            .dispatched
-            .fetch_add(current.len() as u64, Ordering::Relaxed);
-        let mut scratch = self.scratch.borrow_mut();
-        let GroupScratch {
-            targets,
-            planned,
-            offsets,
-            ordered,
-            pairs,
-            overflow,
-            candidates,
-            augmented,
-            ..
-        } = &mut *scratch;
-
-        // Match the first wave: every event against the whole subscription
-        // population (indexed or linear).
-        let mut candidate_total = 0u64;
-        let mut exact_rejects = 0u64;
-        pairs.clear();
-        self.match_wave(
-            batch,
-            current,
-            0..current.len(),
-            None,
-            pairs,
-            candidates,
-            &mut candidate_total,
-            &mut exact_rejects,
-        );
-
-        // Pairs matched by any wave so far; only materialised when a delivery
-        // actually augments an event (the overwhelmingly common batch never
-        // allocates it).
-        let mut considered: Option<HashSet<(u32, u32)>> = None;
-        let mut delivered_count = 0u64;
-        let mut unit_errors = 0u64;
-        while !pairs.is_empty() {
-            augmented.clear();
-            augmented.resize(current.len(), false);
-            targets.clear();
-            planned.clear();
-
-            // Plan: bucket the wave's pairs by target, first-touch order.
-            // Direct subscriptions key by owner unit (no per-delivery slot
-            // resolution or Arc traffic); managed ones resolve per delivery,
-            // since each event's contamination can demand a different handler
-            // instance.
-            for &(event_index, sub_index) in pairs.iter() {
-                let Some((subscription, owner_slot, owner)) = batch.entry(sub_index as usize)
-                else {
-                    continue;
-                };
-                let managed = subscription.is_managed();
-                let group = if managed {
-                    let Some(slot) = self.resolve_target(
-                        subscription,
-                        owner_slot,
-                        owner,
-                        &current[event_index as usize],
-                        managed,
-                    ) else {
-                        continue;
-                    };
-                    let key = TargetKey::Managed(Arc::as_ptr(&slot) as usize);
-                    match targets.iter().position(|(existing, _)| *existing == key) {
-                        Some(group) => group,
-                        None => {
-                            targets.push((key, slot));
-                            targets.len() - 1
-                        }
-                    }
-                } else {
-                    let key = TargetKey::Direct(subscription.owner);
-                    match targets.iter().position(|(existing, _)| *existing == key) {
-                        Some(group) => group,
-                        None => {
-                            targets.push((key, Arc::clone(owner_slot)));
-                            targets.len() - 1
-                        }
-                    }
-                };
-                planned.push((group as u32, event_index, sub_index));
-            }
-
-            // Stable counting sort of the plan into group-major order: each
-            // group's slice keeps batch order, the per-unit order the engine
-            // promises.
-            offsets.clear();
-            offsets.resize(targets.len() + 1, 0);
-            for &(group, _, _) in planned.iter() {
-                offsets[group as usize + 1] += 1;
-            }
-            for group in 1..offsets.len() {
-                offsets[group] += offsets[group - 1];
-            }
-            ordered.clear();
-            ordered.resize(planned.len(), (0, 0));
-            for &(group, event_index, sub_index) in planned.iter() {
-                let cursor = &mut offsets[group as usize];
-                ordered[*cursor] = (event_index, sub_index);
-                *cursor += 1;
-            }
-
-            // Execute: one cell-lock acquisition and one delivery-stats update
-            // per group; one cascade enqueue transaction per group.
-            for (group, (key, slot)) in targets.iter().enumerate() {
-                let start = if group == 0 { 0 } else { offsets[group - 1] };
-                let end = offsets[group];
-                let mut outputs = Vec::new();
-                let mut faulted_unit = None;
-                // Chase the live slot for this group: a swap racing the plan
-                // retires the planned slot only after installing its
-                // replacement, so the whole slice forwards — in order, exactly
-                // once.
-                let mut live = Arc::clone(slot);
-                loop {
-                    let mut cell = live.cell.lock();
-                    if cell.retired {
-                        drop(cell);
-                        let owner = match key {
-                            // Direct groups are keyed by the stable owner id.
-                            TargetKey::Direct(unit) => *unit,
-                            // Evicted managed handler: its isolate is gone —
-                            // skip the slice, exactly like the per-delivery
-                            // path does.
-                            TargetKey::Managed(_) => break,
-                        };
-                        match self.forwarded_slot(&live, owner, false) {
-                            Some(fresh) => {
-                                live = fresh;
+            let unit = cell.state.id;
+            let mut outputs = Vec::new();
+            let mut delivered = 0u64;
+            let mut unit_errors = 0u64;
+            let mut faulted = false;
+            let mut run = Some((position, subscription));
+            while let Some((position, subscription)) = run.take() {
+                delivered += 1;
+                let additions = self.deliver_into_cell(
+                    &slot,
+                    &mut cell,
+                    &current,
+                    subscription,
+                    &mut outputs,
+                    &mut unit_errors,
+                    &mut faulted,
+                );
+                for part in additions {
+                    // An augmentation-released part can satisfy clauses of
+                    // subscriptions the original event never indexed to.
+                    // Their turn, like the linear scan's, is still ahead only
+                    // for subscriptions positioned after this delivery.
+                    if let Some(index) = index {
+                        extra.clear();
+                        index.candidates_for_part(part.name(), part.data(), &mut extra);
+                        for &candidate in extra.iter() {
+                            if candidate as usize <= position {
                                 continue;
                             }
-                            None => break,
-                        }
-                    }
-                    if cell.quarantined {
-                        // Shed the whole slice loudly, one count per delivery.
-                        self.core
-                            .faults
-                            .quarantine_shed
-                            .fetch_add((end - start) as u64, Ordering::Relaxed);
-                        break;
-                    }
-                    let mut faulted = false;
-                    for &(event_index, sub_index) in &ordered[start..end] {
-                        let event_index = event_index as usize;
-                        let subscription = batch.subscription(sub_index);
-                        delivered_count += 1;
-                        let additions = self.deliver_into_cell(
-                            &live,
-                            &mut cell,
-                            &current[event_index],
-                            subscription,
-                            &mut outputs,
-                            &mut unit_errors,
-                            &mut faulted,
-                        );
-                        // Main-path augmentation: parts released by this
-                        // delivery reach every delivery executed after it —
-                        // later events in this group immediately, other units'
-                        // groups when theirs run, and subscriptions whose
-                        // filters only now match via the overflow re-match.
-                        if !additions.is_empty() {
-                            augmented[event_index] = true;
-                            for part in additions {
-                                current[event_index] = current[event_index].with_part(part);
+                            if let Err(at) = worklist[next..].binary_search(&candidate) {
+                                worklist.insert(next + at, candidate);
+                                candidate_total += 1;
                             }
                         }
                     }
-                    if faulted {
-                        faulted_unit = Some(cell.state.id);
-                    }
+                    current = current.with_part(part);
+                }
+                if managed || faulted {
                     break;
                 }
-                // One group's cascade publications enter the queue as a single
-                // batch: one shard lock, one accounting update, one wakeup
-                // check.
-                self.core.enqueue_batch(outputs);
-                if let Some(unit) = faulted_unit {
-                    // Group lock released: the fault action may swap or
-                    // re-lock.
-                    self.core.handle_unit_fault(unit);
+                // Extend the run over the owner's next direct candidates.
+                while let Some(&candidate) = worklist.get(next) {
+                    let Some((following, _, following_owner)) = batch.entry(candidate as usize)
+                    else {
+                        break;
+                    };
+                    if following.owner != subscription.owner || following.is_managed() {
+                        break;
+                    }
+                    next += 1;
+                    let input = &following_owner.input;
+                    if self.subscription_matches(batch, following, input, false, &current) {
+                        run = Some((candidate as usize, following));
+                        break;
+                    }
+                    exact_rejects += 1;
                 }
             }
-
-            if !augmented.iter().any(|&flag| flag) {
-                break;
-            }
-            // Overflow: re-match the augmented events only, excluding every
-            // pair a wave already planned (delivered, shed or skipped — none
-            // replays, mirroring the per-event path's single turn per
-            // subscription).
-            let seen = considered.get_or_insert_with(HashSet::new);
-            seen.extend(pairs.iter().copied());
-            overflow.clear();
-            let wave_events: Vec<usize> = augmented
-                .iter()
-                .enumerate()
-                .filter_map(|(event_index, &flag)| flag.then_some(event_index))
-                .collect();
-            self.match_wave(
-                batch,
-                current,
-                wave_events.into_iter(),
-                Some(seen),
-                overflow,
-                candidates,
-                &mut candidate_total,
-                &mut exact_rejects,
-            );
-            std::mem::swap(pairs, overflow);
-        }
-        if delivered_count > 0 {
+            drop(cell);
             self.core
                 .stats
                 .deliveries
-                .fetch_add(delivered_count, Ordering::Relaxed);
+                .fetch_add(delivered, Ordering::Relaxed);
+            if unit_errors > 0 {
+                self.core
+                    .stats
+                    .unit_errors
+                    .fetch_add(unit_errors, Ordering::Relaxed);
+            }
+            // One run's cascade publications enter the queue as a single
+            // batch: one shard lock, one accounting update, one wakeup check.
+            self.core.enqueue_batch(outputs);
+            if faulted {
+                // Cell lock released above: the fault action may swap (cell →
+                // units.write) or quarantine (re-lock the cell). The owner's
+                // next candidate opens a new run and sees either.
+                self.core.handle_unit_fault(unit);
+            }
         }
-        if unit_errors > 0 {
-            self.core
-                .stats
-                .unit_errors
-                .fetch_add(unit_errors, Ordering::Relaxed);
-        }
-        if candidate_total > 0 {
+        // Index telemetry: a linear walk consults no index, so reports none.
+        if index.is_some() && candidate_total > 0 {
             self.core
                 .index_stats
                 .candidates
                 .fetch_add(candidate_total, Ordering::Relaxed);
         }
-        if exact_rejects > 0 {
+        if index.is_some() && exact_rejects > 0 {
             self.core
                 .index_stats
                 .exact_rejects
                 .fetch_add(exact_rejects, Ordering::Relaxed);
         }
-        Ok(())
+        *self.scratch.borrow_mut() = Worklist {
+            positions: worklist,
+            extra,
+        };
     }
 
     /// Runs one delivery into an **already locked** unit cell — the single
-    /// implementation of the engine's delivery semantics, shared by the
-    /// per-event path ([`Dispatcher::deliver`], which locks per delivery) and
-    /// the grouped path (which holds one lock across a unit's whole slice):
-    /// bumps the unit's delivered count, queues into the mailbox in pull mode
-    /// (cloning per the security mode), or invokes `on_event` with per-delivery
-    /// error/panic isolation. Returns the parts the unit added to the event;
-    /// callback failures are tallied into `unit_errors` (callers fold them
-    /// into the engine stats at their own granularity).
+    /// implementation of the engine's delivery semantics, called by
+    /// [`Dispatcher::dispatch_in`] once per delivery of a run, under the one
+    /// lock the run holds: bumps the unit's delivered count, queues into the
+    /// mailbox in pull mode (cloning per the security mode), or invokes
+    /// `on_event` with per-delivery error/panic isolation. Returns the parts
+    /// the unit added to the event; callback failures are tallied into
+    /// `unit_errors` and a fault-policy trip sets `faulted` (the run folds
+    /// both into the engine once it releases the lock).
     #[allow(clippy::too_many_arguments)]
     fn deliver_into_cell(
         &self,
@@ -1281,7 +914,7 @@ impl Dispatcher {
         ctx.finish()
     }
 
-    /// Resolves where a delivery that found its planned slot retired should
+    /// Resolves where a delivery that found its target slot retired should
     /// go instead. A *swap* installs the replacement slot in the registry
     /// before retiring the old cell, so a direct subscription forwards to the
     /// live slot under the owner's stable unit id — that forwarding is what
@@ -1303,69 +936,6 @@ impl Dispatcher {
         // Defensive: a registry still mapping to the retired slot means the
         // unit is being removed, not swapped — skip rather than spin.
         (!Arc::ptr_eq(&fresh, stale)).then_some(fresh)
-    }
-
-    /// Delivers an event to one unit slot, returning the parts the unit added to the
-    /// event (released for subsequent deliveries).
-    fn deliver(
-        &self,
-        slot: &Arc<UnitSlot>,
-        event: &Event,
-        subscription: &Subscription,
-    ) -> Vec<Part> {
-        let mut slot = Arc::clone(slot);
-        loop {
-            let mut cell = slot.cell.lock();
-            if cell.retired {
-                drop(cell);
-                match self.forwarded_slot(&slot, subscription.owner, subscription.is_managed()) {
-                    Some(fresh) => {
-                        slot = fresh;
-                        continue;
-                    }
-                    None => return Vec::new(),
-                }
-            }
-            if cell.quarantined {
-                // Shed loudly: the unit exists but the fault policy took it
-                // out of service.
-                self.core
-                    .faults
-                    .quarantine_shed
-                    .fetch_add(1, Ordering::Relaxed);
-                return Vec::new();
-            }
-            self.core.stats.deliveries.fetch_add(1, Ordering::Relaxed);
-            let mut outputs = Vec::new();
-            let mut unit_errors = 0u64;
-            let mut faulted = false;
-            let unit = cell.state.id;
-            let additions = self.deliver_into_cell(
-                &slot,
-                &mut cell,
-                event,
-                subscription,
-                &mut outputs,
-                &mut unit_errors,
-                &mut faulted,
-            );
-            drop(cell);
-            if unit_errors > 0 {
-                self.core
-                    .stats
-                    .unit_errors
-                    .fetch_add(unit_errors, Ordering::Relaxed);
-            }
-            // One delivery's cascade publications enter the queue as a single
-            // batch: one shard lock, one accounting update, one wakeup check.
-            self.core.enqueue_batch(outputs);
-            if faulted {
-                // Cell lock released above: the fault action may swap (cell →
-                // units.write) or quarantine (re-lock the cell).
-                self.core.handle_unit_fault(unit);
-            }
-            return additions;
-        }
     }
 
     /// Returns (creating on demand) the managed handler instance for a subscription

@@ -2,7 +2,7 @@
 //!
 //! The [`Engine`] owns all trusted state: per-unit security state,
 //! subscriptions, the queue of published-but-not-yet-dispatched events and the
-//! isolation runtime. Units only ever see a [`UnitContext`](crate::UnitContext)
+//! isolation runtime. Units only ever see a [`UnitContext`]
 //! borrowing this state.
 
 use std::collections::{HashMap, VecDeque};
@@ -126,29 +126,14 @@ pub struct EngineConfig {
     /// default of 1 preserves classic one-event-at-a-time queueing; larger
     /// sizes amortise the shard lock, the in-flight accounting update, the
     /// wakeup check and the subscription/owner-state snapshot over the whole
-    /// batch. Per-unit serialisation and subscription order are unaffected.
-    /// One semantic note at any batch size: dispatch observes each
-    /// subscriber's security state as snapshotted when the batch began, so a
-    /// unit changing its own labels during a delivery affects visibility
-    /// checks from the next batch on (see `Dispatcher::batch_context`).
+    /// batch. Delivery order is unaffected: each event of a batch is
+    /// dispatched in turn, to its subscribers in strict subscription order.
+    /// The one thing batch size changes is the snapshot window: dispatch
+    /// observes each subscriber's security state as snapshotted when the
+    /// batch began, so a unit changing its own labels during a delivery
+    /// affects visibility checks from the next batch on (see
+    /// `Dispatcher::batch_context`).
     pub batch_size: usize,
-    /// Whether a popped batch's deliveries are regrouped by target unit and
-    /// executed under one cell-lock acquisition per unit (amortising the
-    /// per-delivery lock round-trip the way the queue locks already are).
-    /// Only per-unit delivery order is promised, so the regrouping is legal;
-    /// two observable notes, both bounded by one batch: deliveries to
-    /// *different* units interleave in group order rather than strict
-    /// event-by-event subscription order, and subscription matching — filter
-    /// evaluation *and* managed-handler contamination resolution — happens
-    /// wave by wave. Main-path part additions flow into later groups'
-    /// delivered payloads, and events they augment are re-matched in an
-    /// overflow wave so filters naming augmentation-released parts still
-    /// fire (each `(event, subscription)` pair gets exactly one turn, as on
-    /// the per-event path); a subscription planned only by an overflow wave
-    /// runs after the first wave's groups. A batch of one — and
-    /// therefore any engine at the default `batch_size` of 1 — degenerates to
-    /// the classic per-event path, exactly like the owner-state snapshot does.
-    pub grouped_delivery: bool,
     /// Selects the inverted subscription index (the default): dispatch planning
     /// consults an index from part name (and string or integer part value) to
     /// candidate subscriptions — a provable superset of the true matches — and
@@ -203,7 +188,6 @@ impl Default for EngineConfig {
             workers_max: 0,
             elastic: ElasticConfig::default(),
             batch_size: 1,
-            grouped_delivery: true,
             subscription_index: true,
             managed_instance_cap: 1024,
             wal: None,
@@ -247,7 +231,7 @@ pub struct QueueStats {
     /// fault-triggered.
     pub unit_swaps: u64,
     /// The subset of `unit_swaps` tripped by the configured
-    /// [`FaultPolicy`](crate::FaultPolicy).
+    /// [`FaultPolicy`].
     pub fault_swaps: u64,
     /// Panicking deliveries (a subset of `EngineStats::unit_errors`).
     pub unit_panics: u64,
@@ -1055,12 +1039,6 @@ impl Engine {
         self.core.pool.as_ref().map_or(0, WorkerPool::min)
     }
 
-    /// Returns `true` when popped batches regroup their deliveries by target
-    /// unit (see [`EngineConfig::grouped_delivery`]).
-    pub fn grouped_delivery(&self) -> bool {
-        self.core.config.grouped_delivery
-    }
-
     /// Returns `true` when dispatch planning consults the inverted
     /// subscription index instead of scanning every subscription (see
     /// [`EngineConfig::subscription_index`]).
@@ -1173,7 +1151,7 @@ impl Engine {
     }
 
     /// Registers a standby factory for `unit`: when the configured
-    /// [`FaultPolicy`](crate::FaultPolicy) trips the unit with
+    /// [`FaultPolicy`] trips the unit with
     /// [`FaultAction::AutoSwap`](crate::FaultAction), the engine builds a
     /// replacement from this factory and swaps it in ([`Engine::swap_unit`]
     /// semantics). Keyed by unit id, so one standby covers its unit across

@@ -237,7 +237,7 @@ impl RunQueue {
     fn insert(&self, event: Event) -> usize {
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut queue = self.shards[shard].lock();
-        // `pending` rises with the insert and only falls at `complete`, so a
+        // `pending` rises with the insert and only falls at `complete_many`, so a
         // cascade event published during a dispatch is counted before that
         // dispatch completes — idleness can never be observed in between.
         self.pending.fetch_add(1, Ordering::SeqCst);
@@ -286,26 +286,6 @@ impl RunQueue {
                 self.work_signal.notify_one();
             }
         }
-    }
-
-    /// Pops one event, preferring shard `preferred` and stealing from the others.
-    /// The popped event counts as in flight until [`RunQueue::complete`] is
-    /// called for it.
-    pub(crate) fn pop(&self, preferred: usize) -> Option<Event> {
-        let shard_count = self.shards.len();
-        for offset in 0..shard_count {
-            let shard = &self.shards[(preferred + offset) % shard_count];
-            let mut queue = shard.lock();
-            if let Some(event) = queue.pop_front() {
-                // Only `len` drops here; `pending` keeps counting the event
-                // until its dispatch calls `complete`.
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                drop(queue);
-                self.note_depth_drop();
-                return Some(event);
-            }
-        }
-        None
     }
 
     /// Pops up to `max` events in FIFO order from one shard under a single lock
@@ -390,6 +370,7 @@ impl RunQueue {
     }
 
     /// Marks one popped event's dispatch as finished.
+    #[cfg(test)]
     pub(crate) fn complete(&self) {
         self.complete_many(1);
     }
@@ -409,12 +390,6 @@ impl RunQueue {
             // observe the idle queue and exit.
             self.work_signal.notify_all();
         }
-    }
-
-    /// Returns a guard that calls [`RunQueue::complete`] when dropped, so the
-    /// in-flight count stays balanced even if a dispatch panics.
-    pub(crate) fn complete_guard(&self) -> CompleteGuard<'_> {
-        CompleteGuard { queue: self }
     }
 
     /// Returns a guard that settles the in-flight accounting for a batch of `n`
@@ -457,7 +432,7 @@ impl RunQueue {
             }
             let mut signal = self.signal_lock.lock();
             // Register as a waiter *before* the recheck (SeqCst, pairing with
-            // `wake_consumers`), then re-check: a push or the final `complete`
+            // `wake_consumers`), then re-check: a push or the final `complete_many`
             // may have raced with the checks above. The wait itself is
             // untimed — the pairing guarantees no insert is ever missed, so an
             // idle engine's workers park silently instead of waking on a
@@ -479,7 +454,7 @@ impl RunQueue {
     /// [`Dispatcher::pump_for`](crate::Dispatcher::pump_for), so polling drivers
     /// do not spin a core while the queue is empty. Parks regardless of the
     /// stopping flag (callers exit on `stopping && idle` themselves): in-flight
-    /// dispatches of a stopping queue may still publish, and `complete` wakes
+    /// dispatches of a stopping queue may still publish, and `complete_many` wakes
     /// all waiters when the queue goes idle.
     pub(crate) fn park_for_work(&self, max_wait: Duration) {
         let mut signal = self.signal_lock.lock();
@@ -526,17 +501,6 @@ impl RunQueue {
             }
             self.idle_signal.wait_for(&mut signal, deadline - now);
         }
-    }
-}
-
-/// RAII guard balancing an in-flight dispatch (see [`RunQueue::complete_guard`]).
-pub(crate) struct CompleteGuard<'a> {
-    queue: &'a RunQueue,
-}
-
-impl Drop for CompleteGuard<'_> {
-    fn drop(&mut self) {
-        self.queue.complete();
     }
 }
 
@@ -588,22 +552,13 @@ mod tests {
         queue.push(event(2));
         assert_eq!(queue.len(), 2);
 
-        let first = queue.pop(0).expect("event queued");
+        assert_eq!(queue.pop_batch(0, 1).len(), 1, "event queued");
         assert!(!queue.is_idle(), "popped event is in flight");
         queue.complete();
-        let _ = first;
-        assert!(queue.pop(0).is_some());
+        assert_eq!(queue.pop_batch(0, 1).len(), 1);
         queue.complete();
         assert!(queue.is_idle());
-        assert!(queue.pop(0).is_none());
-    }
-
-    #[test]
-    fn pop_steals_from_other_shards() {
-        let queue = RunQueue::new(4);
-        queue.push(event(1)); // lands on shard 0 (round-robin from 0)
-        assert!(queue.pop(3).is_some(), "worker 3 must steal from shard 0");
-        queue.complete();
+        assert!(queue.pop_batch(0, 1).is_empty());
     }
 
     #[test]
@@ -793,27 +748,10 @@ mod tests {
     }
 
     #[test]
-    fn complete_guard_balances_in_flight_on_panic() {
-        let queue = Arc::new(RunQueue::new(1));
-        queue.push(event(1));
-        let inner = Arc::clone(&queue);
-        let result = std::panic::catch_unwind(move || {
-            let _event = inner.pop(0).unwrap();
-            let _guard = inner.complete_guard();
-            panic!("dispatch blew up");
-        });
-        assert!(result.is_err());
-        assert!(
-            queue.is_idle(),
-            "guard must complete the dispatch on unwind"
-        );
-    }
-
-    #[test]
     fn wait_idle_times_out_while_in_flight() {
         let queue = RunQueue::new(1);
         queue.push(event(1));
-        let _event = queue.pop(0).unwrap();
+        assert_eq!(queue.pop_batch(0, 1).len(), 1);
         assert!(!queue.wait_idle(Duration::from_millis(20)));
         queue.complete();
         assert!(queue.wait_idle(Duration::from_millis(100)));

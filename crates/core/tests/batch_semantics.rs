@@ -110,24 +110,70 @@ fn publish_batch_order_is_preserved_with_a_single_worker() {
     }
 }
 
+/// One entry of the global delivery log: which unit received which tick, and
+/// whether the stamper's part was on it.
+type Delivery = (&'static str, i64, bool);
+
+/// Appends every tick it receives to a log shared by all units; with `stamp`
+/// set it also adds a `stamp` part for the deliveries after it (§3.1.6).
+struct Tracer {
+    name: &'static str,
+    stamp: bool,
+    log: Arc<parking_lot::Mutex<Vec<Delivery>>>,
+}
+
+impl Unit for Tracer {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("tick"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let n = ctx.read_first(event, "n")?.as_int().unwrap();
+        let stamped = ctx.read_part(event, "stamp").is_ok();
+        self.log.lock().push((self.name, n, stamped));
+        if self.stamp {
+            ctx.add_part_to_current(defcon_defc::Label::public(), "stamp", Value::Int(n))?;
+        }
+        Ok(())
+    }
+}
+
 /// `batch_size(1)` (the default) and `batch_size(8)` must be observationally
 /// identical on a deterministic single-threaded engine — batching is a carrier
-/// change, not a semantics change.
+/// change, not a semantics change. The comparison is the *global* delivery
+/// sequence across units: each event reaches its subscribers in strict
+/// subscription order, including a unit whose two subscriptions sit on either
+/// side of other units', and a stamper's part reaches exactly the
+/// subscriptions positioned after it.
 #[test]
 fn batch_size_does_not_change_single_threaded_results() {
-    let run = |batch_size: usize| -> (u64, u64, Vec<i64>) {
+    let run = |batch_size: usize| -> (u64, u64, Vec<Delivery>) {
         let engine = Engine::builder()
             .mode(SecurityMode::LabelsFreeze)
+            .workers(0)
             .batch_size(batch_size)
             .build();
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let tracer = |name, stamp| {
+            Box::new(Tracer {
+                name,
+                stamp,
+                log: Arc::clone(&log),
+            })
+        };
+        // Subscription positions: split, stamper, plain, split again.
+        let split = engine
+            .register_unit(UnitSpec::new("split"), tracer("split", false))
+            .unwrap();
         engine
-            .register_unit(
-                UnitSpec::new("order-probe"),
-                Box::new(OrderProbe {
-                    seen: Arc::clone(&seen),
-                }),
-            )
+            .register_unit(UnitSpec::new("stamper"), tracer("stamper", true))
+            .unwrap();
+        engine
+            .register_unit(UnitSpec::new("plain"), tracer("plain", false))
+            .unwrap();
+        engine
+            .with_unit(split, |_, ctx| ctx.subscribe(Filter::for_type("tick")))
             .unwrap();
         let source = engine
             .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
@@ -142,13 +188,25 @@ fn batch_size_does_not_change_single_threaded_results() {
         let stats = (
             engine.stats().dispatched(),
             engine.stats().deliveries(),
-            seen.lock().clone(),
+            log.lock().clone(),
         );
         handle.shutdown().unwrap();
         stats
     };
 
-    assert_eq!(run(1), run(8));
+    let one = run(1);
+    let expected: Vec<Delivery> = (0..70)
+        .flat_map(|n| {
+            [
+                ("split", n, false),
+                ("stamper", n, false),
+                ("plain", n, true),
+                ("split", n, true),
+            ]
+        })
+        .collect();
+    assert_eq!(one, (70, 280, expected));
+    assert_eq!(run(8), one);
 }
 
 /// The batch snapshot semantics and their escape hatch: dispatch observes each

@@ -2,8 +2,8 @@
 //!
 //! Instead of hand-picked `(workers, batch_size)` points, these generate
 //! random runtime configurations — worker count (including the manually pumped
-//! `workers(0)` mode), batch size, grouped-vs-ungrouped delivery, security
-//! mode, publisher count and event count — and assert the two invariants
+//! `workers(0)` mode), batch size, security mode, publisher count and event
+//! count — and assert the two invariants
 //! every configuration must uphold:
 //!
 //! 1. **Exactly-once delivery**: every event the engine accepted reaches every
@@ -55,7 +55,6 @@ const SUBSCRIBERS: u64 = 2;
 fn check_delivery_invariants(
     workers: usize,
     batch_size: usize,
-    grouped: bool,
     mode: SecurityMode,
     publishers: u64,
     events_each: u64,
@@ -64,7 +63,6 @@ fn check_delivery_invariants(
         .mode(mode)
         .workers(workers)
         .batch_size(batch_size)
-        .grouped_delivery(grouped)
         .build();
 
     let reentered = Arc::new(AtomicBool::new(false));
@@ -137,20 +135,20 @@ fn check_delivery_invariants(
     let dispatched = handle.shutdown().unwrap();
     assert_eq!(
         dispatched, published,
-        "workers={workers} batch={batch_size} grouped={grouped} mode={mode}: \
+        "workers={workers} batch={batch_size} mode={mode}: \
          shutdown must drain"
     );
     for (i, counter) in counters.iter().enumerate() {
         assert_eq!(
             counter.load(Ordering::SeqCst),
             published,
-            "workers={workers} batch={batch_size} grouped={grouped} mode={mode}: \
+            "workers={workers} batch={batch_size} mode={mode}: \
              probe {i} must see every event exactly once"
         );
     }
     assert!(
         !reentered.load(Ordering::SeqCst),
-        "workers={workers} batch={batch_size} grouped={grouped} mode={mode}: \
+        "workers={workers} batch={batch_size} mode={mode}: \
          per-unit delivery must stay serialised"
     );
     assert_eq!(engine.stats().published(), published);
@@ -166,17 +164,14 @@ proptest! {
     fn exactly_once_delivery_and_per_unit_serialisation_hold_for_random_configs(
         workers in 0usize..5,
         batch_size in 1usize..65,
-        grouped_index in 0usize..2,
         mode_index in 0usize..4,
         publishers in 1u64..5,
         events_each in 0u64..200,
     ) {
         let mode = SecurityMode::all()[mode_index];
-        let grouped = grouped_index == 1;
         check_delivery_invariants(
             workers,
             batch_size,
-            grouped,
             mode,
             publishers,
             events_each,
@@ -186,8 +181,7 @@ proptest! {
 
 /// The historical hot point, guaranteed every run regardless of what the
 /// seeded random cases sample: four workers popping batches of eight while
-/// four publisher threads contend, in every security mode, with grouped
-/// delivery both on and off — the configuration the deleted
+/// four publisher threads contend, in every security mode — the configuration the deleted
 /// `workers(4) × batch(8)` sweeps exercised, at their original contention
 /// level. Four shards under four publishers is also where a worker whose own
 /// shard runs dry takes whole runs from its siblings, so whole-run stealing is
@@ -195,8 +189,6 @@ proptest! {
 #[test]
 fn the_hot_point_stays_covered_at_full_contention() {
     for mode in SecurityMode::all() {
-        for grouped in [false, true] {
-            check_delivery_invariants(4, 8, grouped, mode, 4, 320);
-        }
+        check_delivery_invariants(4, 8, mode, 4, 320);
     }
 }

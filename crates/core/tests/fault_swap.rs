@@ -7,12 +7,12 @@
 //! (auto-swap to a registered standby, quarantine-and-shed with exact
 //! accounting).
 //!
-//! Everything runs at `workers(0)` with `batch_size(1)`: deliveries happen on
-//! the pumping thread in publish order, so panic counts, swap points and shed
-//! counts are exact, not statistical.
+//! Everything runs at `workers(0)`: deliveries happen on the pumping thread in
+//! publish order, so panic counts, swap points and shed counts are exact, not
+//! statistical.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use defcon_core::unit::NullUnit;
 use defcon_core::{
@@ -61,6 +61,34 @@ impl Unit for Panicky {
 
 fn tick() -> EventDraft {
     EventDraft::new().public_part("type", Value::str("tick"))
+}
+
+/// Subscribes to every tick three times over and panics on every delivery.
+struct TriplePanicky;
+
+impl Unit for TriplePanicky {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        for _ in 0..3 {
+            ctx.subscribe(Filter::for_type("tick"))?;
+        }
+        Ok(())
+    }
+    fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        panic!("injected fault");
+    }
+}
+
+/// Records the `seq` part of every delivery, in delivery order.
+struct SeqLog {
+    seen: Arc<Mutex<Vec<i64>>>,
+}
+
+impl Unit for SeqLog {
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let seq = ctx.read_first(event, "seq")?.as_int().unwrap();
+        self.seen.lock().unwrap().push(seq);
+        Ok(())
+    }
 }
 
 /// The stale-slot regression: a publisher created before a swap of its own
@@ -393,4 +421,73 @@ fn panics_outside_the_window_do_not_trip_the_policy() {
     assert_eq!(ok.load(Ordering::SeqCst), TOTAL - 5);
     assert_eq!(engine.unit_state(target).unwrap().version, 1);
     handle.shutdown().unwrap();
+}
+
+/// A trip in the middle of a run of same-unit deliveries ends the run: the
+/// unit's remaining deliveries of the batch see the fault action, not the
+/// faulted instance. Eight events in one batch against three subscriptions
+/// make 24 deliveries; the first panics and trips `FaultPolicy::new(1)`, and
+/// each of the other 23 is shed (`Quarantine`) or reaches the standby
+/// (`AutoSwap`), exactly once and in subscription order.
+#[test]
+fn a_fault_trip_mid_batch_applies_to_the_rest_of_the_batch() {
+    for action in [FaultAction::Quarantine, FaultAction::AutoSwap] {
+        let engine = Engine::builder()
+            .workers(0)
+            .batch_size(8)
+            .fault(FaultPolicy::new(1).action(action))
+            .build();
+        let target = engine
+            .register_unit(UnitSpec::new("flaky"), Box::new(TriplePanicky))
+            .unwrap();
+        let source = engine
+            .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+            .unwrap();
+        let standby = Arc::new(Mutex::new(Vec::new()));
+        {
+            let standby = Arc::clone(&standby);
+            engine
+                .set_standby(
+                    target,
+                    Box::new(move || {
+                        Box::new(SeqLog {
+                            seen: Arc::clone(&standby),
+                        })
+                    }),
+                )
+                .unwrap();
+        }
+
+        let handle = engine.start();
+        let publisher = handle.publisher(source).unwrap();
+        let drafts = (0..8)
+            .map(|seq| tick().public_part("seq", Value::Int(seq)))
+            .collect();
+        assert_eq!(publisher.publish_batch(drafts).unwrap().accepted(), 8);
+        assert_eq!(handle.pump_until_idle().unwrap(), 8);
+
+        let stats = engine.queue_stats();
+        let name = action.as_str();
+        assert_eq!(
+            stats.unit_panics, 1,
+            "{name}: only the first delivery panics"
+        );
+        let standby = standby.lock().unwrap().clone();
+        match action {
+            FaultAction::Quarantine => {
+                assert_eq!(stats.units_quarantined, 1, "{name}");
+                assert_eq!(stats.quarantine_shed, 23, "{name}: the rest shed");
+                assert!(standby.is_empty(), "{name}: no swap happened");
+            }
+            FaultAction::AutoSwap => {
+                assert_eq!(stats.fault_swaps, 1, "{name}");
+                assert_eq!(stats.quarantine_shed, 0, "{name}");
+                let expected: Vec<i64> = std::iter::repeat_n(0, 2)
+                    .chain((1..8).flat_map(|seq| std::iter::repeat_n(seq, 3)))
+                    .collect();
+                assert_eq!(standby, expected, "{name}: the rest reach the standby");
+            }
+        }
+        handle.shutdown().unwrap();
+    }
 }

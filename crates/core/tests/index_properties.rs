@@ -10,8 +10,7 @@
 //! between bursts of that stream (units registered with one to three
 //! subscriptions, single unsubscribes, unit removals — the index's in-place
 //! maintenance, its tombstones and its compacting rebuilds), and a random
-//! runtime configuration (workers, batch size, grouped on/off, all four
-//! [`SecurityMode`]s). The same workload then runs twice — index on, index
+//! runtime configuration (workers, batch size, all four [`SecurityMode`]s). The same workload then runs twice — index on, index
 //! off — and every subscriber's multiset of received sequence numbers must be
 //! identical. Since the linear scan is ground truth, equality pins both
 //! directions at once: no false negatives (the candidate set is a superset of
@@ -19,8 +18,9 @@
 //!
 //! The pinned test below covers the augmentation edge the random sweep keeps
 //! out of the way: a filter naming a part that only exists once an earlier
-//! delivery releases it must match under grouped delivery (the overflow
-//! re-match wave) and ungrouped delivery alike, with either matcher.
+//! delivery releases it must match when positioned after that delivery, and
+//! never when positioned before it, at any batch size and with either
+//! matcher.
 
 use std::sync::{Arc, Mutex};
 
@@ -218,7 +218,6 @@ fn run_leg(
     indexed: bool,
     workers: usize,
     batch_size: usize,
-    grouped: bool,
     mode: SecurityMode,
     filters: &[Filter],
     stream_seed: u64,
@@ -229,7 +228,6 @@ fn run_leg(
         .mode(mode)
         .workers(workers)
         .batch_size(batch_size)
-        .grouped_delivery(grouped)
         .subscription_index(indexed)
         .build();
     let mut alive: Vec<(UnitId, Arc<Mutex<Log>>)> = filters
@@ -290,7 +288,6 @@ fn run_leg(
 fn check_index_equivalence(
     workers: usize,
     batch_size: usize,
-    grouped: bool,
     mode: SecurityMode,
     population_seed: u64,
     stream_seed: u64,
@@ -303,14 +300,13 @@ fn check_index_equivalence(
         .map(|_| random_filter(&mut rng))
         .collect();
     let config = format!(
-        "workers={workers} batch={batch_size} grouped={grouped} mode={mode} \
+        "workers={workers} batch={batch_size} mode={mode} \
          subs={subscriptions} events={events}"
     );
     let indexed = run_leg(
         true,
         workers,
         batch_size,
-        grouped,
         mode,
         &filters,
         stream_seed,
@@ -321,7 +317,6 @@ fn check_index_equivalence(
         false,
         workers,
         batch_size,
-        grouped,
         mode,
         &filters,
         stream_seed,
@@ -341,7 +336,6 @@ proptest! {
     fn indexed_and_linear_planning_deliver_identically(
         workers in 0usize..3,
         batch_size in 1usize..17,
-        grouped_index in 0usize..2,
         mode_index in 0usize..4,
         population_seed in 1u64..u64::MAX,
         stream_seed in 1u64..u64::MAX,
@@ -352,7 +346,6 @@ proptest! {
         check_index_equivalence(
             workers,
             batch_size,
-            grouped_index == 1,
             SecurityMode::all()[mode_index],
             population_seed,
             stream_seed,
@@ -379,28 +372,27 @@ impl Unit for Stamper {
     }
 }
 
-/// The augmentation-named-filter fix, pinned: a subscription filtering on a
-/// part that only exists once the stamper's delivery releases it receives
-/// every event — under grouped delivery (via the overflow re-match wave) and
-/// ungrouped delivery alike, with the index on and off. Before the overflow
-/// wave, such workloads had to run `grouped_delivery(false)`.
+/// Main-path augmentation (§3.1.6), pinned: a part released by the stamper's
+/// delivery reaches the subscriptions positioned after it and no others. A
+/// recorder registered after the stamper, filtering on the released part,
+/// receives every event; one registered before it receives none, since its
+/// turn came before the part existed. Both hold at every batch size and under
+/// either matcher.
 #[test]
-fn augmentation_named_filters_match_with_grouped_delivery_on() {
+fn augmentation_released_parts_reach_only_later_subscriptions() {
     for indexed in [false, true] {
-        for grouped in [false, true] {
+        for batch_size in [1, 8] {
             let engine = Engine::builder()
                 .workers(0)
-                .batch_size(8)
-                .grouped_delivery(grouped)
+                .batch_size(batch_size)
                 .subscription_index(indexed)
                 .build();
+            let stamped = || vec![Filter::new().where_eq("audit", Value::str("stamped"))];
+            let (_, before) = register_recorder(&engine, stamped());
             engine
                 .register_unit(UnitSpec::new("stamper"), Box::new(Stamper))
                 .unwrap();
-            let (_, log) = register_recorder(
-                &engine,
-                vec![Filter::new().where_eq("audit", Value::str("stamped"))],
-            );
+            let (_, after) = register_recorder(&engine, stamped());
             let source = engine
                 .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
                 .unwrap();
@@ -417,13 +409,20 @@ fn augmentation_named_filters_match_with_grouped_delivery_on() {
             assert_eq!(publisher.publish_batch(drafts).unwrap().accepted(), 8);
             handle.shutdown().unwrap();
 
-            let mut received = log.lock().unwrap().seen.clone();
+            let config = format!("indexed={indexed} batch={batch_size}");
+            let mut received = after.lock().unwrap().seen.clone();
             received.sort_unstable();
             assert_eq!(
                 received,
                 (0..8).collect::<Vec<i64>>(),
-                "indexed={indexed} grouped={grouped}: a filter naming an \
-                 augmentation-released part must match every stamped event"
+                "{config}: a filter naming an augmentation-released part must \
+                 match every stamped event"
+            );
+            assert_eq!(
+                before.lock().unwrap().seen,
+                Vec::<i64>::new(),
+                "{config}: a subscription positioned before the stamper had its \
+                 turn before the part was released"
             );
         }
     }

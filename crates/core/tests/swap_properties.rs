@@ -1,7 +1,7 @@
 //! Property-based tests of live unit swap (`swap_unit`) under dispatch load.
 //!
-//! Random runtime configurations — worker count, batch size, grouped delivery,
-//! swap count and swap timing — run a publish workload while a racing thread
+//! Random runtime configurations — worker count, batch size, swap count and
+//! swap timing — run a publish workload while a racing thread
 //! hot-swaps the subscriber mid-dispatch. Every configuration must uphold:
 //!
 //! 1. **Exactly-once across the boundary**: every accepted event is delivered
@@ -15,7 +15,7 @@
 //!
 //! The vendored proptest shim generates cases deterministically from a fixed
 //! seed; the `workers(4)` hot point from ISSUE acceptance is pinned by a
-//! dedicated test below, grouped delivery both on and off, and a single-worker
+//! dedicated test below, and a single-worker
 //! test pins exact FIFO order across the swap boundary.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -103,7 +103,6 @@ fn tick_draft(seq: i64) -> EventDraft {
 fn check_swap_invariants(
     workers: usize,
     batch_size: usize,
-    grouped: bool,
     mode: SecurityMode,
     swaps: u64,
     spacing_us: u64,
@@ -116,7 +115,6 @@ fn check_swap_invariants(
         .mode(mode)
         .workers(workers)
         .batch_size(batch_size)
-        .grouped_delivery(grouped)
         .build();
 
     let ledger = Arc::new(SwapLedger::new(total));
@@ -183,7 +181,7 @@ fn check_swap_invariants(
     let published = PUBLISHERS * EVENTS_EACH;
     let dispatched = handle.shutdown().unwrap();
     let config = format!(
-        "workers={workers} batch={batch_size} grouped={grouped} mode={mode} \
+        "workers={workers} batch={batch_size} mode={mode} \
          swaps={swaps} spacing={spacing_us}us"
     );
     assert_eq!(dispatched, published, "{config}: shutdown must drain");
@@ -228,27 +226,22 @@ proptest! {
     fn exactly_once_and_version_monotonicity_hold_across_racing_swaps(
         workers in 1usize..5,
         batch_size in 1usize..65,
-        grouped_index in 0usize..2,
         mode_index in 0usize..4,
         swaps in 1u64..4,
         spacing_us in 0u64..300,
     ) {
         let mode = SecurityMode::all()[mode_index];
-        let grouped = grouped_index == 1;
-        check_swap_invariants(workers, batch_size, grouped, mode, swaps, spacing_us);
+        check_swap_invariants(workers, batch_size, mode, swaps, spacing_us);
     }
 }
 
 /// The acceptance hot point, guaranteed every run regardless of what the
 /// seeded random cases sample: four workers at batch 8 under two contending
-/// publishers with three mid-dispatch swaps — grouped delivery both on and
-/// off, in every security mode.
+/// publishers with three mid-dispatch swaps, in every security mode.
 #[test]
 fn the_swap_hot_point_stays_covered_at_workers_4() {
     for mode in SecurityMode::all() {
-        for grouped in [false, true] {
-            check_swap_invariants(4, 8, grouped, mode, 3, 150);
-        }
+        check_swap_invariants(4, 8, mode, 3, 150);
     }
 }
 

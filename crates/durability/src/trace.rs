@@ -9,7 +9,7 @@
 //! delivered counts, which is what makes A/B benching of hot-path changes
 //! noise-free.
 //!
-//! The file is a single [`frame`](crate::frame)-disciplined stream: a meta
+//! The file is a single [`frame`]-disciplined stream: a meta
 //! frame (lane count) followed by one frame per burst.
 
 use std::fs::File;

@@ -2,7 +2,7 @@
 //!
 //! One frame per externally published batch, mirroring the engine's
 //! one-transaction-per-chunk `publish_batch` discipline: the payload is a
-//! [`WalRecord`](defcon_events::codec::WalRecord) — publisher unit, output
+//! [`WalRecord`] — publisher unit, output
 //! label, batch arrival timestamp and the batch's events with their identities.
 //! Cascade publications (events a unit emits while processing) are *not*
 //! logged: dispatch regenerates them deterministically when the log is

@@ -35,7 +35,7 @@ fn encode_event_into(buf: &mut BytesMut, event: &Event) {
 
 /// Deserialises an event previously produced by [`encode_event`].
 ///
-/// The decoded event receives a fresh [`EventId`](crate::EventId) internally via
+/// The decoded event receives a fresh [`EventId`] internally via
 /// [`Event::with_origin`]; the encoded identifier is only used for diagnostics and
 /// is returned alongside the event. Recovery and replay paths, which need the
 /// original identity, use [`decode_event_preserving_id`] instead.
@@ -48,7 +48,7 @@ pub fn decode_event(mut data: &[u8]) -> Result<(u64, Event), EventError> {
     Ok((original_id, event))
 }
 
-/// Deserialises an event, keeping the encoded [`EventId`](crate::EventId) as the
+/// Deserialises an event, keeping the encoded [`EventId`] as the
 /// decoded event's identity.
 ///
 /// [`decode_event`] always mints a fresh id, which is correct for the
