@@ -52,18 +52,13 @@ impl SweepScale {
     }
 }
 
-/// Runs one DEFCon platform configuration and returns its report.
-///
-/// The worker band is elastic (`1..auto_worker_count()`): the figure rows
-/// report the *observed* worker high-water mark next to the band, so the
-/// fig5–fig7 sweeps exercise the elastic scale-up/park-down path instead of
-/// pinning a fixed pool.
+/// Runs one DEFCon platform configuration (the platform's default worker
+/// count) and returns its report.
 pub fn run_defcon(mode: SecurityMode, traders: usize, ticks: usize) -> PlatformReport {
     let config = TradingPlatformConfig {
         mode,
         traders,
         symbols: 64,
-        workers_min: 1,
         ..TradingPlatformConfig::default()
     };
     let mut platform = TradingPlatform::build(config).expect("platform builds");

@@ -1,4 +1,4 @@
-//! Typed admission results and the grouped ingress/elastic configuration.
+//! Typed admission results and the grouped ingress configuration.
 //!
 //! The v2 publish API returned a bare `usize` from
 //! [`Publisher::publish_batch`](crate::Publisher::publish_batch), so callers
@@ -11,12 +11,12 @@
 //! [`EngineBuilder::ingress`](crate::EngineBuilder::ingress) — mirroring how
 //! [`WalConfig`](defcon_durability::WalConfig) groups the durability knobs.
 //!
-//! The admission layer and the elastic worker band read the *same* depth
-//! signal (the run queue's lock-free `len`), so scale-up decisions and
-//! admission decisions can never disagree about how backlogged the engine is.
+//! Admission reads the run queue's lock-free `len` as its depth signal — the
+//! same number `queue_stats().depth` reports — so what an operator sees and
+//! what admission decides on never disagree about how backlogged the engine
+//! is.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
 use crate::handle::EventDraft;
 
@@ -199,50 +199,6 @@ impl Default for IngressConfig {
     }
 }
 
-/// Elastic worker-band tuning, grouped out of the loose
-/// `elastic_scale_up_depth` / `elastic_idle_grace` knobs the v2 builder
-/// carried (see [`EngineBuilder::elastic`](crate::EngineBuilder::elastic)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElasticConfig {
-    /// Queue depth at or above which an enqueue counts toward recruiting
-    /// another worker; `0` resolves to `4 * batch_size`. Two consecutive deep
-    /// observations are required (up-side hysteresis).
-    pub scale_up_depth: usize,
-    /// How long an active worker above `workers_min` waits for work before
-    /// parking back down. Arrival gaps shorter than this never thrash the
-    /// pool.
-    pub idle_grace: Duration,
-}
-
-impl ElasticConfig {
-    /// The default tuning: depth threshold resolved from the batch size, 2 ms
-    /// idle grace.
-    pub fn new() -> Self {
-        ElasticConfig::default()
-    }
-
-    /// Sets the scale-up depth threshold (`0` resolves to `4 * batch_size`).
-    pub fn scale_up_depth(mut self, depth: usize) -> Self {
-        self.scale_up_depth = depth;
-        self
-    }
-
-    /// Sets the park-down idle grace.
-    pub fn idle_grace(mut self, grace: Duration) -> Self {
-        self.idle_grace = grace;
-        self
-    }
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            scale_up_depth: 0,
-            idle_grace: Duration::from_millis(2),
-        }
-    }
-}
-
 /// The engine-side admission ledger: reservation state for the depth bound
 /// plus the shed/admit/credit-stall counters `queue_stats()` exports — the
 /// ingress tier records into these so operators read one set of numbers.
@@ -329,18 +285,6 @@ mod tests {
         assert_eq!(config.credit_window, 1);
         assert_eq!(config.policy, FullQueuePolicy::ShedOldest);
         assert_eq!(config.executor_threads, 1);
-    }
-
-    #[test]
-    fn elastic_config_defaults_match_the_v2_loose_knobs() {
-        let config = ElasticConfig::default();
-        assert_eq!(config.scale_up_depth, 0);
-        assert_eq!(config.idle_grace, Duration::from_millis(2));
-        let tuned = ElasticConfig::new()
-            .scale_up_depth(8)
-            .idle_grace(Duration::from_millis(5));
-        assert_eq!(tuned.scale_up_depth, 8);
-        assert_eq!(tuned.idle_grace, Duration::from_millis(5));
     }
 
     #[test]

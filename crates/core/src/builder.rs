@@ -10,12 +10,13 @@
 //! assert_eq!(engine.configured_workers(), 4);
 //! ```
 
-use crate::admission::{ElasticConfig, IngressConfig};
+use crate::admission::IngressConfig;
 use crate::engine::{Engine, EngineConfig, SecurityMode};
 use crate::fault::FaultPolicy;
 use crate::handle::EngineHandle;
 
-/// The worker count [`EngineBuilder::workers_auto`] resolves to on this host:
+/// A worker count sized to this host, for
+/// `Engine::builder().workers(auto_worker_count())`:
 /// [`std::thread::available_parallelism`], or 1 when the platform cannot report
 /// it. A 1-core container therefore gets a single dispatcher (extra workers
 /// there would only add cross-thread handoff), while a 16-way host gets 16
@@ -47,78 +48,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets a *fixed* dispatcher worker pool: [`Engine::start`] spawns exactly
-    /// `workers` threads and all of them stay active (`workers_min ==
-    /// workers_max == workers`).
+    /// Sets the dispatcher worker pool: [`Engine::start`] spawns exactly
+    /// `workers` threads and all of them stay active until shutdown. The run
+    /// queue gets one shard per worker. [`auto_worker_count`] sizes the pool
+    /// to the host.
     ///
     /// Zero (the default) means no background dispatch: the started handle is
     /// pumped manually, which keeps single-threaded tests deterministic.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers_min = workers;
-        self.config.workers_max = workers;
-        self
-    }
-
-    /// Sets the lower edge of the worker band: how many workers stay active
-    /// when the engine idles. Clamped into `1..=workers_max` at build for live
-    /// pools. Combine with [`EngineBuilder::workers_max`] for an elastic pool;
-    /// on its own (without a larger max) it behaves like
-    /// [`EngineBuilder::workers`].
-    pub fn workers_min(mut self, workers_min: usize) -> Self {
-        self.config.workers_min = workers_min;
-        if self.config.workers_max < workers_min {
-            self.config.workers_max = workers_min;
-        }
-        self
-    }
-
-    /// Sets the upper edge of the worker band: the number of worker threads
-    /// [`Engine::start`] spawns. When it exceeds `workers_min` the pool is
-    /// **elastic**: workers above the minimum park until sampled queue depth
-    /// recruits them, and park back down after an idle grace — see
-    /// [`EngineConfig::workers_max`](crate::EngineConfig) and the grouped
-    /// tuning in [`EngineBuilder::elastic`].
-    pub fn workers_max(mut self, workers_max: usize) -> Self {
-        self.config.workers_max = workers_max;
-        self
-    }
-
-    /// Sizes a fixed dispatcher worker pool from the host's available
-    /// parallelism ([`auto_worker_count`]): as many workers as the hardware
-    /// can actually run, no more. The run queue's shard count is clamped to
-    /// the same number (one shard per worker), so the resolved count also
-    /// bounds producer-side lock spreading. The resolved number is readable
-    /// afterwards via [`Engine::configured_workers`] — benchmark reports
-    /// record it so results stay comparable across hosts. For a pool that
-    /// adapts to *load* rather than only to hardware, pair
-    /// [`EngineBuilder::workers_min`] with a larger
-    /// [`EngineBuilder::workers_max`].
-    pub fn workers_auto(self) -> Self {
-        let workers = auto_worker_count();
-        self.workers(workers)
-    }
-
-    /// Sets the elastic worker-band tuning in one grouped config (scale-up
-    /// depth threshold, park-down idle grace) — replaces the loose v2
-    /// `elastic_scale_up_depth` / `elastic_idle_grace` knobs:
-    ///
-    /// ```
-    /// use defcon_core::{ElasticConfig, Engine};
-    /// use std::time::Duration;
-    ///
-    /// let engine = Engine::builder()
-    ///     .workers_min(1)
-    ///     .workers_max(4)
-    ///     .elastic(
-    ///         ElasticConfig::new()
-    ///             .scale_up_depth(8)
-    ///             .idle_grace(Duration::from_millis(2)),
-    ///     )
-    ///     .build();
-    /// assert_eq!(engine.configured_workers(), 4);
-    /// ```
-    pub fn elastic(mut self, config: ElasticConfig) -> Self {
-        self.config.elastic = config;
+        self.config.workers = workers;
         self
     }
 
@@ -221,11 +159,6 @@ mod tests {
             .batch_size(16)
             .subscription_index(false)
             .managed_instance_cap(9)
-            .elastic(
-                ElasticConfig::new()
-                    .scale_up_depth(12)
-                    .idle_grace(std::time::Duration::from_millis(3)),
-            )
             .ingress(
                 IngressConfig::new(256)
                     .credit_window(32)
@@ -239,11 +172,6 @@ mod tests {
             .build();
         assert_eq!(engine.mode(), SecurityMode::LabelsClone);
         assert_eq!(engine.configured_workers(), 3);
-        assert_eq!(
-            engine.configured_workers_min(),
-            3,
-            "workers(n) is a fixed pool"
-        );
         assert_eq!(engine.configured_batch_size(), 16);
         assert!(!engine.subscription_index());
         let ingress = engine.ingress_config().expect("ingress config set");
@@ -257,39 +185,16 @@ mod tests {
     }
 
     #[test]
-    fn worker_band_clamps_and_reports_through_queue_stats() {
-        let engine = Engine::builder().workers_min(1).workers_max(4).build();
-        assert_eq!(engine.configured_workers_min(), 1);
-        assert_eq!(engine.configured_workers(), 4);
-        let stats = engine.queue_stats();
-        assert_eq!(stats.workers_min, 1);
-        assert_eq!(stats.workers_max, 4);
-        assert_eq!(
-            stats.workers_active, 1,
-            "elastic pools start at the minimum"
-        );
-        assert_eq!(stats.workers_high_water, 1);
-        assert_eq!(stats.depth, 0);
-        assert_eq!(stats.in_flight, 0);
-        assert_eq!(stats.shard_depths.len(), engine.run_queue_shards());
-
-        // workers_min alone raises the max with it (fixed pool semantics)...
-        let fixed = Engine::builder().workers_min(3).build();
-        assert_eq!(fixed.configured_workers(), 3);
-        assert_eq!(fixed.configured_workers_min(), 3);
-        // ...and a zero min on a live band is clamped to one active worker.
-        let clamped = Engine::builder().workers_min(0).workers_max(2).build();
-        assert_eq!(clamped.configured_workers_min(), 1);
-    }
-
-    #[test]
     fn manual_engines_report_an_empty_worker_band() {
         let engine = Engine::builder().build();
         let stats = engine.queue_stats();
-        assert_eq!(stats.workers_min, 0);
-        assert_eq!(stats.workers_max, 0);
-        assert_eq!(stats.workers_active, 0);
         assert_eq!(stats.workers_high_water, 0);
+        assert_eq!(stats.sched_wakes, 0);
+        assert_eq!(
+            engine.run_queue_shards(),
+            1,
+            "a manual engine keeps one shard"
+        );
     }
 
     #[test]
@@ -311,22 +216,26 @@ mod tests {
     }
 
     #[test]
-    fn workers_auto_matches_available_parallelism_and_shard_count() {
-        let engine = Engine::builder().workers_auto().build();
-        let resolved = auto_worker_count();
-        assert!(resolved >= 1);
-        assert_eq!(engine.configured_workers(), resolved);
-        // One run-queue shard per worker: the clamp keeps producers spreading
-        // over exactly as many locks as there are consumers to drain them.
-        assert_eq!(engine.run_queue_shards(), resolved);
+    fn workers_n_gives_one_run_queue_shard_per_worker() {
+        assert!(auto_worker_count() >= 1);
+        for workers in [1, 3] {
+            let engine = Engine::builder().workers(workers).build();
+            assert_eq!(engine.configured_workers(), workers);
+            // One run-queue shard per worker: producers spread over exactly
+            // as many locks as there are consumers to drain them.
+            assert_eq!(engine.run_queue_shards(), workers);
+            let stats = engine.queue_stats();
+            assert_eq!(stats.shard_depths.len(), workers);
+            assert_eq!(stats.workers_high_water, workers);
+            assert_eq!(stats.sched_wakes, 0);
+        }
     }
 
     #[test]
     fn config_override_replaces_prior_settings() {
         let config = EngineConfig {
             mode: SecurityMode::NoSecurity,
-            workers_min: 2,
-            workers_max: 2,
+            workers: 2,
             ..EngineConfig::default()
         };
         let engine = Engine::builder()

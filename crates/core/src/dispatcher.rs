@@ -82,8 +82,8 @@ use crate::unit::{UnitId, UnitSpec, UnitState};
 pub struct Dispatcher {
     core: Arc<EngineCore>,
     /// Run-queue shard this dispatcher prefers when popping (reduces contention
-    /// between workers; any dispatcher may steal from any shard). Doubles as
-    /// the worker's index in the elastic pool's activation order.
+    /// between workers; any dispatcher may steal from any shard): the worker's
+    /// index, 0 for a manual pump.
     preferred_shard: usize,
     /// Batch context reused across consecutive batches while the subscription
     /// snapshot and security epoch are unchanged (see
@@ -171,8 +171,11 @@ struct BatchContext {
     /// scan once. Sound for as long as the context lives because labels are
     /// immutable values and the owner snapshot is fixed per context; an owner
     /// label change bumps the security epoch, which retires the whole context
-    /// (memo included). Behind a mutex (uncontended: contexts are per-worker)
-    /// so the context can be cached and shared with spawned helpers.
+    /// (memo included). Behind a mutex because the context is *shared*:
+    /// [`SharedContextSlot::get_or_build`] hands one `Arc<BatchContext>` to
+    /// every worker of an epoch, so all workers take this one lock on each
+    /// memo lookup. It is a suspect for cross-worker contention that no
+    /// benchmark cell measures yet.
     flow_memo: Mutex<HashMap<FlowKey, bool>>,
 }
 
@@ -400,56 +403,17 @@ impl Dispatcher {
     /// batch costs a single lock round-trip on the pop side, settles its
     /// in-flight accounting with one update and one wakeup check, and shares
     /// one epoch-cached dispatch context across the batch.
-    ///
-    /// In an elastic pool this worker also carries its share of the pool
-    /// protocol: it parks while it is outside the activation set, and (when
-    /// above `workers_min`) trades the untimed idle wait for a bounded grace
-    /// after which it volunteers to park back down (LIFO: highest active
-    /// index first).
     pub(crate) fn run_worker(self) -> u64 {
         let batch_size = self.batch_size();
-        let index = self.preferred_shard;
-        let pool = self.core.pool.as_ref().filter(|pool| pool.is_elastic());
         let queue = &self.core.run_queue;
         let mut dispatched = 0;
         // The popped-batch buffer is reused across iterations: a steady-state
         // batch costs no allocation on the pop side.
         let mut batch: Vec<Event> = Vec::new();
-        loop {
-            batch.clear();
-            if let Some(pool) = pool {
-                pool.wait_active(index, queue);
-            }
-            match pool {
-                // Elastic workers above the minimum never park untimed while
-                // active: they wait with a bounded grace so an idle engine
-                // deterministically drains the band back to `workers_min`.
-                Some(pool) if index >= pool.min() => {
-                    if queue.pop_batch_into(index, batch_size, &mut batch) == 0 {
-                        if queue.is_stopping() && queue.is_idle() {
-                            return dispatched;
-                        }
-                        queue.park_for_work(pool.idle_grace());
-                        if queue.len() == 0
-                            && !queue.is_stopping()
-                            && index + 1 == pool.active_target()
-                        {
-                            // Highest active worker and still nothing to do
-                            // after a full grace: park down (LIFO). A racing
-                            // scale-up fails the CAS and we simply stay.
-                            pool.try_park_down(index);
-                        }
-                        continue;
-                    }
-                }
-                _ => {
-                    if queue.next_batch_into(index, batch_size, &mut batch) == 0 {
-                        return dispatched;
-                    }
-                }
-            }
+        while queue.next_batch_into(self.preferred_shard, batch_size, &mut batch) > 0 {
             dispatched += self.dispatch_popped(&mut batch);
         }
+        dispatched
     }
 
     /// Dispatches one already-popped batch inside a worker loop: settles the
@@ -459,9 +423,6 @@ impl Dispatcher {
     /// events the batch held.
     fn dispatch_popped(&self, batch: &mut Vec<Event>) -> u64 {
         let popped = batch.len();
-        if popped == 0 {
-            return 0;
-        }
         // The guard keeps the in-flight count balanced for the whole batch
         // even if the per-event catch itself were to unwind: a dead worker
         // would leak its in-flight count and deadlock shutdown for the

@@ -19,14 +19,13 @@ use defcon_isolation::IsolationRuntime;
 use defcon_metrics::{memory::MemoryCategory, MemoryAccountant};
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::admission::{AdmissionCounters, ElasticConfig, IngressConfig};
+use crate::admission::{AdmissionCounters, IngressConfig};
 use crate::builder::EngineBuilder;
 use crate::context::UnitContext;
 use crate::dispatcher::Dispatcher;
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{FaultAction, FaultCounters, FaultPolicy};
 use crate::handle::{EngineHandle, Publisher};
-use crate::pool::WorkerPool;
 use crate::run_queue::RunQueue;
 use crate::sub_index::SubscriptionTable;
 use crate::subscription::SubscriptionId;
@@ -99,27 +98,14 @@ impl fmt::Display for SecurityMode {
 pub struct EngineConfig {
     /// The security configuration.
     pub mode: SecurityMode,
-    /// Lower edge of the dispatcher worker band: the number of workers that
-    /// stay active even when the engine is idle. Clamped into
-    /// `1..=workers_max` whenever `workers_max > 0`. A fixed pool (the classic
-    /// configuration) has `workers_min == workers_max`.
-    pub workers_min: usize,
-    /// Upper edge of the dispatcher worker band: the number of worker threads
-    /// [`Engine::start`] spawns. Zero means no background dispatch: the
-    /// returned handle is driven manually via
-    /// [`EngineHandle::pump_until_idle`] / [`EngineHandle::run_for`], which is
-    /// what single-threaded tests and benchmarks want. When
-    /// `workers_min < workers_max` the pool is *elastic*: workers above the
-    /// minimum park until sampled queue depth recruits them (see
-    /// [`EngineBuilder::workers_max`](crate::EngineBuilder::workers_max)).
-    /// Deployments that should adapt to their hardware use
-    /// [`EngineBuilder::workers_auto`](crate::EngineBuilder::workers_auto),
-    /// which resolves the band from the host's available parallelism.
-    pub workers_max: usize,
-    /// Elastic worker-band tuning (scale-up depth threshold, park-down idle
-    /// grace), grouped into one struct — see
-    /// [`EngineBuilder::elastic`](crate::EngineBuilder::elastic).
-    pub elastic: ElasticConfig,
+    /// The number of dispatcher worker threads [`Engine::start`] spawns; all
+    /// of them stay active until shutdown, and the run queue has one shard
+    /// per worker. Zero means no background dispatch: the returned handle is
+    /// driven manually via [`EngineHandle::pump_until_idle`] /
+    /// [`EngineHandle::run_for`], which is what single-threaded tests and
+    /// benchmarks want. Deployments that should adapt to their hardware pass
+    /// [`auto_worker_count`](crate::auto_worker_count).
+    pub workers: usize,
     /// Maximum number of events a dispatcher pops (and accounts for) per run
     /// queue lock round-trip, and the natural chunk size for
     /// [`Publisher::publish_batch`](crate::Publisher::publish_batch). The
@@ -184,9 +170,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             mode: SecurityMode::LabelsFreeze,
-            workers_min: 0,
-            workers_max: 0,
-            elastic: ElasticConfig::default(),
+            workers: 0,
             batch_size: 1,
             subscription_index: true,
             managed_instance_cap: 1024,
@@ -197,9 +181,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// A snapshot of the run queue's and worker pool's telemetry counters
-/// ([`Engine::queue_stats`] / [`EngineHandle::queue_stats`]): what an elastic
-/// deployment's operator — or its pool manager — sees.
+/// A snapshot of the run queue's and the engine's telemetry counters
+/// ([`Engine::queue_stats`] / [`EngineHandle::queue_stats`]): what a
+/// deployment's operator sees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events currently queued across all shards.
@@ -208,14 +192,9 @@ pub struct QueueStats {
     pub shard_depths: Vec<usize>,
     /// Events popped but whose dispatch has not finished.
     pub in_flight: usize,
-    /// Lower edge of the configured worker band (0 for manual engines).
-    pub workers_min: usize,
-    /// Upper edge of the configured worker band — the spawned thread count.
-    pub workers_max: usize,
-    /// Workers currently active (unparked); between min and max.
-    pub workers_active: usize,
-    /// Highest `workers_active` the run has reached — the observed worker
-    /// count benches record next to the configured band.
+    /// The configured worker count, which is the number of workers
+    /// [`Engine::start`] spawns and keeps active (0 for manual engines). Kept
+    /// under this name for the benchmark's `core.workers_high_water` cell.
     pub workers_high_water: usize,
     /// Events admitted through the admission layer (`try_publish_batch` and
     /// ingress sessions); zero for engines publishing only via the direct
@@ -243,8 +222,9 @@ pub struct QueueStats {
     /// preferred one because its own shard was dry (always zero with a single
     /// shard, i.e. one worker or a manual engine).
     pub sched_steals: u64,
-    /// Elastic scale-up recruits: parked workers woken because sampled queue
-    /// depth stayed deep (always zero for a fixed pool).
+    /// Always zero: every worker is active from start to shutdown, so none is
+    /// ever woken to join the pool. Kept for the benchmark's
+    /// `core.sched_wakes` cell.
     pub sched_wakes: u64,
     /// Batch-context rebuilds a dispatcher skipped because the engine-shared
     /// security snapshot was still valid for the current epoch — a sibling
@@ -389,9 +369,6 @@ pub(crate) struct EngineCore {
     /// [`AdmissionCounters`]); always present so `queue_stats()` reads one
     /// shape whether or not bounded admission is configured.
     pub(crate) admission: AdmissionCounters,
-    /// Activation state of the dispatcher worker band (`None` for manual,
-    /// `workers_max == 0` engines).
-    pub(crate) pool: Option<WorkerPool>,
     /// Engine-shared, epoch-validated batch-context slot: the first
     /// dispatcher to need a snapshot for an epoch builds and publishes it;
     /// every other dispatcher validates the epoch and clones the `Arc`.
@@ -440,14 +417,6 @@ impl EngineCore {
         self.security_epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Feeds the post-enqueue queue depth to the elastic pool's sampling
-    /// (no-op for fixed pools and manual engines).
-    pub(crate) fn observe_queue_depth(&self) {
-        if let Some(pool) = &self.pool {
-            pool.observe_depth(self.run_queue.len());
-        }
-    }
-
     /// Attempts to reserve depth for `events` new external events against the
     /// configured ingress bound. Admission holds `depth + reserved + events <=
     /// queue_bound` under a CAS loop, so concurrent admitters can never
@@ -490,7 +459,6 @@ impl EngineCore {
     pub(crate) fn enqueue(&self, event: Event) {
         self.stats.published.fetch_add(1, Ordering::Relaxed);
         self.run_queue.push(event);
-        self.observe_queue_depth();
     }
 
     /// Enqueues a batch of events published from inside dispatch (one unit
@@ -503,7 +471,6 @@ impl EngineCore {
             .published
             .fetch_add(events.len() as u64, Ordering::Relaxed);
         self.run_queue.push_batch(events);
-        self.observe_queue_depth();
     }
 
     /// Appends one publish batch to the write-ahead log (no-op when the log is
@@ -552,7 +519,6 @@ impl EngineCore {
         )?;
         if self.run_queue.push_external(event) {
             self.stats.published.fetch_add(1, Ordering::Relaxed);
-            self.observe_queue_depth();
             Ok(())
         } else {
             Err(EngineError::InvalidOperation(
@@ -590,7 +556,6 @@ impl EngineCore {
         self.stats
             .published
             .fetch_add(accepted as u64, Ordering::Relaxed);
-        self.observe_queue_depth();
         Ok(accepted)
     }
 
@@ -612,7 +577,6 @@ impl EngineCore {
         self.stats
             .published
             .fetch_add(accepted as u64, Ordering::Relaxed);
-        self.observe_queue_depth();
         Ok(accepted)
     }
 
@@ -907,20 +871,7 @@ impl Engine {
                 panic!("opening write-ahead log in {}: {err}", dir.display())
             }))
         });
-        let run_queue = RunQueue::new(config.workers_max.max(1));
-        let pool = (config.workers_max > 0).then(|| {
-            let scale_up_depth = if config.elastic.scale_up_depth > 0 {
-                config.elastic.scale_up_depth
-            } else {
-                4 * config.batch_size.max(1)
-            };
-            WorkerPool::new(
-                config.workers_min,
-                config.workers_max,
-                scale_up_depth,
-                config.elastic.idle_grace,
-            )
-        });
+        let run_queue = RunQueue::new(config.workers.max(1));
         let subscriptions = SubscriptionTable::new(config.subscription_index);
         Engine {
             core: Arc::new(EngineCore {
@@ -933,7 +884,6 @@ impl Engine {
                 memory: MemoryAccountant::new(),
                 stats: EngineStats::default(),
                 admission: AdmissionCounters::default(),
-                pool,
                 shared_context: crate::dispatcher::SharedContextSlot::new(),
                 wal,
                 faults: FaultCounters::default(),
@@ -1027,16 +977,9 @@ impl Engine {
     }
 
     /// Returns the number of dispatcher worker threads [`Engine::start`] will
-    /// spawn — the upper edge of the worker band (`workers_max`).
+    /// spawn.
     pub fn configured_workers(&self) -> usize {
-        self.core.config.workers_max
-    }
-
-    /// Returns the lower edge of the worker band: the workers that stay active
-    /// even when the engine is idle (clamped into `1..=workers_max` for live
-    /// pools; 0 for manual engines).
-    pub fn configured_workers_min(&self) -> usize {
-        self.core.pool.as_ref().map_or(0, WorkerPool::min)
+        self.core.config.workers
     }
 
     /// Returns `true` when dispatch planning consults the inverted
@@ -1046,30 +989,17 @@ impl Engine {
         self.core.config.subscription_index
     }
 
-    /// Samples the run queue's and worker pool's telemetry counters: total and
-    /// per-shard queue depth, in-flight dispatches, and the worker band's
-    /// configured edges, current activation and high-water mark.
+    /// Samples the run queue's and the engine's telemetry counters: total and
+    /// per-shard queue depth, in-flight dispatches, the worker count, and the
+    /// admission, fault, scheduler and subscription-index counters.
     pub fn queue_stats(&self) -> QueueStats {
         let depth = self.core.run_queue.len();
         let pending = self.core.run_queue.pending();
-        let (workers_min, workers_max, workers_active, workers_high_water) =
-            match self.core.pool.as_ref() {
-                Some(pool) => (
-                    pool.min(),
-                    pool.max(),
-                    pool.active_target(),
-                    pool.high_water(),
-                ),
-                None => (0, 0, 0, 0),
-            };
         QueueStats {
             depth,
             shard_depths: self.core.run_queue.shard_depths(),
             in_flight: pending.saturating_sub(depth),
-            workers_min,
-            workers_max,
-            workers_active,
-            workers_high_water,
+            workers_high_water: self.core.config.workers,
             ingress_admitted: self.core.admission.admitted(),
             ingress_shed: self.core.admission.shed(),
             ingress_credit_stalls: self.core.admission.credit_stalls(),
@@ -1079,7 +1009,7 @@ impl Engine {
             units_quarantined: self.core.faults.units_quarantined(),
             quarantine_shed: self.core.faults.quarantine_shed(),
             sched_steals: self.core.run_queue.steals(),
-            sched_wakes: self.core.pool.as_ref().map_or(0, WorkerPool::wakes),
+            sched_wakes: 0,
             sched_snapshot_hits: self.core.shared_context.hits(),
             index_candidates: self.core.index_stats.candidates(),
             index_exact_rejects: self.core.index_stats.exact_rejects(),
@@ -1115,10 +1045,9 @@ impl Engine {
         self.core.config.batch_size.max(1)
     }
 
-    /// Returns the run queue's shard count: clamped to the worker count at
-    /// construction (one shard per dispatcher, at least one), so a pool sized
-    /// by [`EngineBuilder::workers_auto`](crate::EngineBuilder::workers_auto)
-    /// never spreads producers over more locks than it has consumers.
+    /// Returns the run queue's shard count: the worker count at construction
+    /// (one shard per dispatcher, at least one), so producers never spread
+    /// over more locks than there are consumers to drain them.
     pub fn run_queue_shards(&self) -> usize {
         self.core.run_queue.shard_count()
     }

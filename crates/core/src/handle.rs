@@ -44,11 +44,7 @@ pub struct EngineHandle {
 impl EngineHandle {
     pub(crate) fn launch(engine: Engine) -> Self {
         let core = engine.core();
-        // The whole band is spawned up front; workers above the elastic pool's
-        // activation target park on the pool condvar until queue depth
-        // recruits them (see `WorkerPool`), so an idle band costs threads, not
-        // cycles.
-        let workers = (0..core.config.workers_max)
+        let workers = (0..core.config.workers)
             .map(|index| {
                 let dispatcher = Dispatcher::for_worker(Arc::clone(&core), index);
                 std::thread::Builder::new()
@@ -65,19 +61,18 @@ impl EngineHandle {
         &self.engine
     }
 
-    /// Number of spawned dispatcher worker threads — the band's `workers_max`.
-    /// For an elastic pool the *active* count at any moment is
-    /// [`EngineHandle::queue_stats`]`.workers_active`.
+    /// Number of spawned dispatcher worker threads: the configured
+    /// [`workers`](crate::EngineBuilder::workers) count, all of them active
+    /// until shutdown (0 for a manually pumped engine).
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
-    /// Samples the run queue's and worker pool's telemetry counters: total and
-    /// per-shard queue depth, in-flight dispatches, the worker band's
-    /// configured edges, current activation and high-water mark, plus the
-    /// subscription index's planning counters (`index_candidates`,
-    /// `index_exact_rejects`, `index_rebuilds`). This is what an elastic
-    /// deployment's dashboards (and the deterministic elastic tests) read.
+    /// Samples the run queue's and the engine's telemetry counters: total and
+    /// per-shard queue depth, in-flight dispatches, the scheduler counters
+    /// (`sched_steals`, `sched_snapshot_hits`), plus the subscription index's
+    /// planning counters (`index_candidates`, `index_exact_rejects`,
+    /// `index_rebuilds`). This is what a deployment's dashboards read.
     pub fn queue_stats(&self) -> crate::engine::QueueStats {
         self.engine.queue_stats()
     }
@@ -160,12 +155,6 @@ impl EngineHandle {
     fn shutdown_in_place(&mut self) -> EngineResult<u64> {
         let core = self.engine.core();
         core.run_queue.stop();
-        // Elastic workers parked below the activation target wake here, see
-        // the stopping queue, help drain and exit — a mid-scale shutdown joins
-        // every thread the band ever spawned.
-        if let Some(pool) = &core.pool {
-            pool.release_all();
-        }
         let mut dispatched = 0;
         // Join *every* worker before reporting an error: bailing on the first
         // panicked thread would leak the remaining ones.

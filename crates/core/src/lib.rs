@@ -79,15 +79,12 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod handle;
-mod pool;
 mod run_queue;
 mod sub_index;
 pub mod subscription;
 pub mod unit;
 
-pub use admission::{
-    Admission, AdmissionCounters, ElasticConfig, FullQueuePolicy, IngressConfig, TryPublish,
-};
+pub use admission::{Admission, AdmissionCounters, FullQueuePolicy, IngressConfig, TryPublish};
 pub use builder::{auto_worker_count, EngineBuilder};
 pub use context::{DraftEvent, UnitContext};
 pub use dispatcher::Dispatcher;

@@ -30,22 +30,14 @@ use crate::units::trader::Trader;
 pub struct TradingPlatformConfig {
     /// The engine security configuration (one of the four series of Figures 5–7).
     pub mode: SecurityMode,
-    /// Dispatcher worker threads (§6's multi-core deployment) — the upper
-    /// edge of the worker band, i.e. the thread count the engine spawns. The
-    /// default is the host's available parallelism
-    /// ([`defcon_core::auto_worker_count`], what
-    /// `Engine::builder().workers_auto()` resolves to), so a deployment scales
-    /// with its hardware out of the box. Zero replays each tick's cascade on
-    /// the driver thread, which keeps runs deterministic — tests that compare
+    /// Dispatcher worker threads (§6's multi-core deployment), handed to
+    /// `Engine::builder().workers(..)`: the engine spawns this many and keeps
+    /// all of them active. The default is the host's available parallelism
+    /// ([`defcon_core::auto_worker_count`]), so a deployment scales with its
+    /// hardware out of the box. Zero replays each tick's cascade on the
+    /// driver thread, which keeps runs deterministic — tests that compare
     /// exact event orders should pin `workers: 0`.
     pub workers: usize,
-    /// Lower edge of the worker band. Zero — the default — means a *fixed*
-    /// pool (`workers_min == workers`, the classic deployment); any smaller
-    /// value makes the pool elastic: workers above the minimum park until
-    /// observed queue depth recruits them and park back down after an idle
-    /// grace, so a platform sharing its host only occupies the cores its load
-    /// justifies.
-    pub workers_min: usize,
     /// Dispatch/feed batch size: how many events a dispatcher carries per run
     /// queue visit, and how many ticks the feed driver publishes per
     /// `publish_batch` call in [`TradingPlatform::run_ticks`]. 1 (the default)
@@ -80,7 +72,6 @@ impl Default for TradingPlatformConfig {
         TradingPlatformConfig {
             mode: SecurityMode::LabelsFreezeIsolation,
             workers: defcon_core::auto_worker_count(),
-            workers_min: 0,
             batch_size: 1,
             traders: 200,
             symbols: 64,
@@ -113,14 +104,8 @@ pub struct PlatformReport {
     pub mode: SecurityMode,
     /// Number of traders hosted.
     pub traders: usize,
-    /// Dispatcher worker threads the run spawned (0 = driver-pumped) — the
-    /// worker band's upper edge.
+    /// Dispatcher worker threads the run spawned (0 = driver-pumped).
     pub workers: usize,
-    /// Lower edge of the worker band (`== workers` for fixed pools).
-    pub workers_min: usize,
-    /// Highest concurrently active worker count observed during the run — the
-    /// *observed* worker cost of the row, as opposed to the configured band.
-    pub workers_high_water: usize,
     /// Dispatch/feed batch size the run used.
     pub batch_size: usize,
     /// Ticks replayed.
@@ -150,13 +135,10 @@ impl PlatformReport {
     /// merged across its lane sinks. This is what makes scenario runs
     /// plottable next to the paper's figures — same row shape, same headline
     /// p70 percentile, with lanes standing in for traders.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_scenario(
         outcome: &defcon_workload::scenario::ScenarioOutcome,
         mode: SecurityMode,
-        workers_min: usize,
         workers: usize,
-        workers_high_water: usize,
         batch_size: usize,
         lanes: usize,
         latency: &defcon_metrics::LatencySummary,
@@ -165,8 +147,6 @@ impl PlatformReport {
             mode,
             traders: lanes,
             workers,
-            workers_min,
-            workers_high_water,
             batch_size,
             ticks: outcome.published,
             orders: 0,
@@ -180,19 +160,14 @@ impl PlatformReport {
         }
     }
 
-    /// Formats the report as a figure row: mode, traders, observed workers,
+    /// Formats the report as a figure row: mode, traders, workers,
     /// throughput, latency, memory.
     pub fn as_row(&self) -> String {
         format!(
-            "{:<26} traders={:<5} workers={:<7} throughput={:>10.0} ev/s  p70={:>7.3} ms  mem={:>8.1} MiB  trades={}",
+            "{:<26} traders={:<5} workers={:<3} throughput={:>10.0} ev/s  p70={:>7.3} ms  mem={:>8.1} MiB  trades={}",
             self.mode.figure_label(),
             self.traders,
-            // The observed count, qualified by the band when it is elastic.
-            if self.workers_min < self.workers {
-                format!("{} ({}..{})", self.workers_high_water, self.workers_min, self.workers)
-            } else {
-                format!("{}", self.workers)
-            },
+            self.workers,
             self.throughput_eps,
             self.latency_p70_ms,
             self.memory_mib,
@@ -262,13 +237,6 @@ impl TradingPlatform {
     /// which instantiates its Pair Monitor), then starts the engine runtime with the
     /// configured number of dispatcher workers.
     pub fn build(config: TradingPlatformConfig) -> EngineResult<Self> {
-        // workers_min == 0 keeps the classic fixed pool; anything smaller
-        // than `workers` opens an elastic band.
-        let workers_min = if config.workers_min == 0 {
-            config.workers
-        } else {
-            config.workers_min.min(config.workers)
-        };
         if config.ingress.is_some() && config.workers == 0 {
             return Err(defcon_core::EngineError::InvalidOperation(
                 "an ingress-fed platform needs dispatcher workers: with workers=0 nothing \
@@ -278,8 +246,7 @@ impl TradingPlatform {
         }
         let mut builder = Engine::builder()
             .mode(config.mode)
-            .workers_min(workers_min)
-            .workers_max(config.workers)
+            .workers(config.workers)
             .batch_size(config.batch_size);
         if let Some(ingress) = config.ingress.clone() {
             builder = builder.ingress(ingress);
@@ -585,13 +552,10 @@ impl TradingPlatform {
             peak_queue_depth: 0,
             elapsed: start.elapsed(),
         };
-        let pool = self.handle.queue_stats();
         let mut row = PlatformReport::from_scenario(
             &outcome,
             self.config.mode,
-            pool.workers_min,
             self.config.workers,
-            pool.workers_high_water,
             self.config.batch_size.max(1),
             self.config.traders,
             &self.broker_shared.latency.summary(),
@@ -638,16 +602,12 @@ impl TradingPlatform {
         Ok(self.report())
     }
 
-    /// Produces the current metrics row, including the worker pool's observed
-    /// high-water mark (for fixed pools this equals the configured count).
+    /// Produces the current metrics row.
     pub fn report(&self) -> PlatformReport {
-        let pool = self.handle.queue_stats();
         PlatformReport {
             mode: self.config.mode,
             traders: self.config.traders,
             workers: self.config.workers,
-            workers_min: pool.workers_min,
-            workers_high_water: pool.workers_high_water,
             batch_size: self.config.batch_size.max(1),
             ticks: self.ticks_published,
             orders: self.orders_placed.load(Ordering::Relaxed),

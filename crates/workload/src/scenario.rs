@@ -17,11 +17,11 @@
 //! events in the same bursts.
 //!
 //! ```no_run
-//! use defcon_core::{Engine, UnitSpec};
+//! use defcon_core::{auto_worker_count, Engine, UnitSpec};
 //! use defcon_core::unit::NullUnit;
 //! use defcon_workload::scenario::{CountingSink, ScenarioDriver, ZipfLanes};
 //!
-//! let engine = Engine::builder().workers_auto().build();
+//! let engine = Engine::builder().workers(auto_worker_count()).build();
 //! let (sink, received) = CountingSink::new(ZipfLanes::lane_name(0));
 //! engine.register_unit(UnitSpec::new("sink-0"), Box::new(sink)).unwrap();
 //! let source = engine.register_unit(UnitSpec::new("feed"), Box::new(NullUnit)).unwrap();

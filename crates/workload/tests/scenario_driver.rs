@@ -125,62 +125,6 @@ fn slow_consumer_backpressure_builds_and_still_drains_exactly() {
     handle.shutdown().unwrap();
 }
 
-/// The elastic-pool acceptance shape: a `SlowConsumerFlood` replay through an
-/// elastic band must recruit the whole band (`workers_max`), and the idle
-/// drain afterwards must park it back down to `workers_min` — with the
-/// high-water mark recording the scale the flood reached.
-#[test]
-fn slow_consumer_flood_scales_an_elastic_band_to_max_and_back() {
-    const BAND_MIN: usize = 1;
-    const BAND_MAX: usize = 3;
-    let engine = Engine::builder()
-        .mode(SecurityMode::LabelsFreeze)
-        .workers_min(BAND_MIN)
-        .workers_max(BAND_MAX)
-        .batch_size(8)
-        .elastic(
-            defcon_core::ElasticConfig::new()
-                .scale_up_depth(8)
-                .idle_grace(Duration::from_millis(2)),
-        )
-        .build();
-    let (sink, received) = CountingSink::new(ZipfLanes::lane_name(0));
-    let sink = sink.with_delay(Duration::from_micros(100));
-    engine
-        .register_unit(UnitSpec::new("slow-sink"), Box::new(sink))
-        .unwrap();
-    let source = engine
-        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
-        .unwrap();
-    let handle = engine.start();
-    assert_eq!(handle.queue_stats().workers_active, BAND_MIN);
-
-    let mut scenario = SlowConsumerFlood::new(64, 4_000);
-    let driver = ScenarioDriver::new(&handle, source).unwrap();
-    let outcome = driver.run(&mut scenario);
-
-    assert!(outcome.completed && outcome.drained);
-    assert_eq!(received.load(Ordering::Relaxed), 4_000, "exactly-once");
-    assert_eq!(
-        handle.queue_stats().workers_high_water,
-        BAND_MAX,
-        "a 100µs/event consumer under 64-event bursts must recruit the whole band"
-    );
-    // The drained engine parks the band back to its floor (LIFO, after the
-    // idle grace).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while handle.queue_stats().workers_active != BAND_MIN {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "band did not park back down: {:?}",
-            handle.queue_stats()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    handle.shutdown().unwrap();
-    assert_eq!(engine.queue_depth(), 0);
-}
-
 /// A unit that republishes every lane-0 event as a `boom` from inside
 /// dispatch: mid-burst shutdown must drain these cascades too.
 struct Relay;
