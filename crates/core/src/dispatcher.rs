@@ -54,6 +54,18 @@
 //! unsubscribe and removal, so a refresh never rebuilds it. Parts released by
 //! main-path augmentation are looked up per delivery, so filters naming
 //! augmentation-released parts match under either matcher.
+//!
+//! # Shared filters
+//!
+//! The subscription table hands equal filters one shared allocation, so the
+//! walk evaluates each distinct filter once per event, owner input label and
+//! rule (direct or managed): later candidates with the same filter pointer,
+//! input label identity and rule reuse the verdict from a small per-worker
+//! memo. A hit charges the isolation interceptions and label rejections the
+//! evaluation charged, so the accounting is that of evaluating every
+//! candidate. The memo is cleared per event and whenever augmentation adds a
+//! part. It pays only when candidates of one event share both a filter and
+//! an owner input label; otherwise it costs one probe per candidate.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -62,7 +74,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use defcon_defc::Label;
-use defcon_events::{Event, Part};
+use defcon_events::{Event, Filter, Part};
 use defcon_metrics::memory::MemoryCategory;
 use parking_lot::Mutex;
 
@@ -293,6 +305,30 @@ impl BatchContext {
     }
 }
 
+/// One filter evaluation: whether the filter matched, and the parts it
+/// examined and found invisible — what the evaluation charges to the
+/// isolation interceptions and the label rejections.
+#[derive(Clone, Copy)]
+struct Verdict {
+    matched: bool,
+    examined: u32,
+    rejected: u32,
+}
+
+/// A verdict remembered for the event as augmented so far, keyed by the
+/// shared filter's pointer, the owner input label's identity and the managed
+/// rule: together they fix every part check the evaluation makes.
+struct Memo {
+    filter: usize,
+    owner: usize,
+    managed: bool,
+    verdict: Verdict,
+}
+
+/// Verdicts remembered at once. Equal filters are usually adjacent in the
+/// worklist, so a few entries searched linearly catch the repeats.
+const MEMO_CAP: usize = 8;
+
 /// Reusable buffers of [`Dispatcher::dispatch_in`].
 #[derive(Default)]
 struct Worklist {
@@ -301,6 +337,9 @@ struct Worklist {
     positions: Vec<u32>,
     /// Candidates indexed by one augmentation-released part, before merging.
     extra: Vec<u32>,
+    /// The event's filter verdicts; cleared per event and whenever
+    /// augmentation adds a part.
+    memo: Vec<Memo>,
 }
 
 impl Dispatcher {
@@ -328,24 +367,18 @@ impl Dispatcher {
         self.core.config.batch_size.max(1)
     }
 
-    /// Pops one batch off the queue and dispatches every event in it, settling
-    /// the in-flight accounting with a single update for the whole batch.
-    /// Returns the number of events dispatched (zero when the queue was empty).
+    /// Pops one batch off the queue and dispatches it through the workers'
+    /// batch routine, [`Dispatcher::dispatch_popped`]. Returns the number of
+    /// events dispatched (zero when the queue was empty).
     fn pump_batch(&self) -> usize {
-        let batch = self
+        let mut batch = self
             .core
             .run_queue
             .pop_batch(self.preferred_shard, self.batch_size());
         if batch.is_empty() {
             return 0;
         }
-        let dispatched = batch.len();
-        let _guard = self.core.run_queue.batch_guard(dispatched);
-        let context = self.batch_context();
-        for event in batch {
-            self.dispatch_in(&context, event);
-        }
-        dispatched
+        self.dispatch_popped(&mut batch) as usize
     }
 
     /// Dispatches events until the queue drains (including events published during
@@ -416,11 +449,11 @@ impl Dispatcher {
         dispatched
     }
 
-    /// Dispatches one already-popped batch inside a worker loop: settles the
-    /// batch's in-flight accounting with a RAII guard, shares one epoch-cached
-    /// context across the batch, and isolates engine faults so a misbehaving
-    /// delivery can never take the worker thread down. Returns the number of
-    /// events the batch held.
+    /// Dispatches one already-popped batch, for a worker or a manual pump:
+    /// settles the batch's in-flight accounting with a RAII guard, shares one
+    /// epoch-cached context across the batch, and isolates engine faults so a
+    /// misbehaving delivery can take down neither the thread nor the rest of
+    /// the batch. Returns the number of events the batch held.
     fn dispatch_popped(&self, batch: &mut Vec<Event>) -> u64 {
         let popped = batch.len();
         // The guard keeps the in-flight count balanced for the whole batch
@@ -532,37 +565,80 @@ impl Dispatcher {
         })
     }
 
-    /// Evaluates one subscription's filter against `event` as visible to its
-    /// owner (label checks per part, isolation interception charged per part
-    /// examined).
+    /// Whether one subscription's filter matches `event` as visible to its
+    /// owner. Equal filters share one allocation, so `memo` answers a filter
+    /// evaluated already for this event, owner input label and rule; a hit
+    /// charges the interceptions and rejections the evaluation charged.
     fn subscription_matches(
         &self,
         batch: &BatchContext,
+        memo: &mut Vec<Memo>,
         subscription: &Subscription,
         owner_input: &Label,
         managed: bool,
         event: &Event,
     ) -> bool {
-        let mode = self.core.config.mode;
-        if mode.checks_labels() {
-            let isolation = &self.core.isolation;
-            let isolates = mode.isolates();
-            let stats = &self.core.stats;
-            subscription.filter.matches(event, |part: &Part| {
-                // The isolation interception is charged per part *examined*
-                // (it models crossing the isolate boundary to read part
-                // metadata), so it is never skipped on memo hits.
-                if isolates {
-                    isolation.intercept();
+        let filter = Arc::as_ptr(&subscription.filter) as usize;
+        let owner = owner_input.identity();
+        let remembered = memo.iter().rev().find(|entry| {
+            entry.filter == filter && entry.owner == owner && entry.managed == managed
+        });
+        let verdict = match remembered {
+            Some(entry) => entry.verdict,
+            None => {
+                let verdict =
+                    self.evaluate(batch, &subscription.filter, owner_input, managed, event);
+                if memo.len() == MEMO_CAP {
+                    memo.remove(0);
                 }
-                let visible = batch.flow_allowed(part.label(), owner_input, managed);
-                if !visible {
-                    stats.label_rejections.fetch_add(1, Ordering::Relaxed);
-                }
-                visible
-            })
-        } else {
-            subscription.filter.matches_any_visibility(event)
+                memo.push(Memo {
+                    filter,
+                    owner,
+                    managed,
+                    verdict,
+                });
+                verdict
+            }
+        };
+        self.core.isolation.intercept_n(verdict.examined.into());
+        if verdict.rejected > 0 {
+            self.core
+                .stats
+                .label_rejections
+                .fetch_add(verdict.rejected.into(), Ordering::Relaxed);
+        }
+        verdict.matched
+    }
+
+    /// Evaluates `filter` against `event` as visible to an owner: label checks
+    /// per part, and the isolation interception counted per part examined
+    /// (it models crossing the isolate boundary to read part metadata).
+    fn evaluate(
+        &self,
+        batch: &BatchContext,
+        filter: &Filter,
+        owner_input: &Label,
+        managed: bool,
+        event: &Event,
+    ) -> Verdict {
+        if !self.core.config.mode.checks_labels() {
+            return Verdict {
+                matched: filter.matches_any_visibility(event),
+                examined: 0,
+                rejected: 0,
+            };
+        }
+        let (mut examined, mut rejected) = (0, 0);
+        let matched = filter.matches(event, |part: &Part| {
+            examined += 1;
+            let visible = batch.flow_allowed(part.label(), owner_input, managed);
+            rejected += u32::from(!visible);
+            visible
+        });
+        Verdict {
+            matched,
+            examined,
+            rejected,
         }
     }
 
@@ -633,7 +709,9 @@ impl Dispatcher {
         let Worklist {
             positions: mut worklist,
             mut extra,
+            mut memo,
         } = std::mem::take(&mut *self.scratch.borrow_mut());
+        memo.clear();
         let index = batch.index.as_deref();
         match index {
             Some(index) => index.candidates_into(&current, &mut worklist),
@@ -655,7 +733,9 @@ impl Dispatcher {
                 continue;
             };
             let managed = subscription.is_managed();
-            if !self.subscription_matches(batch, subscription, &owner.input, managed, &current) {
+            let input = &owner.input;
+            if !self.subscription_matches(batch, &mut memo, subscription, input, managed, &current)
+            {
                 exact_rejects += 1;
                 continue;
             }
@@ -726,6 +806,7 @@ impl Dispatcher {
                         }
                     }
                     current = current.with_part(part);
+                    memo.clear();
                 }
                 if managed || faulted {
                     break;
@@ -741,7 +822,9 @@ impl Dispatcher {
                     }
                     next += 1;
                     let input = &following_owner.input;
-                    if self.subscription_matches(batch, following, input, false, &current) {
+                    if self
+                        .subscription_matches(batch, &mut memo, following, input, false, &current)
+                    {
                         run = Some((candidate as usize, following));
                         break;
                     }
@@ -785,6 +868,7 @@ impl Dispatcher {
         *self.scratch.borrow_mut() = Worklist {
             positions: worklist,
             extra,
+            memo,
         };
     }
 

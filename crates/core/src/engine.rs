@@ -15,7 +15,7 @@ use std::time::Duration;
 use defcon_defc::Label;
 use defcon_durability::{WalConfig, WalRecord, WalWriter};
 use defcon_events::Event;
-use defcon_isolation::IsolationRuntime;
+use defcon_isolation::{IsolationRuntime, IsolationStats};
 use defcon_metrics::{memory::MemoryCategory, MemoryAccountant};
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -1195,6 +1195,12 @@ impl Engine {
     /// Returns the engine statistics counters.
     pub fn stats(&self) -> &EngineStats {
         &self.core.stats
+    }
+
+    /// Returns the isolation runtime's counters (all zero unless the mode
+    /// isolates).
+    pub fn isolation_stats(&self) -> &IsolationStats {
+        self.core.isolation.stats()
     }
 
     /// Number of registered units (including managed instances).

@@ -62,6 +62,11 @@
 //!   While no dispatcher snapshot holds them — all of set-up — an edit happens
 //!   in place; otherwise it copies the list's pointers and the buckets it
 //!   touches, never the whole index.
+//! * Equal filters share one allocation: `push` finds an added
+//!   subscription's filter by structural hash and hands it the registered
+//!   equal one, so dispatch can memoise a filter's result per event by
+//!   pointer. The full build drops the shared filters no subscription holds
+//!   any more, so churn cannot grow that map.
 //!
 //! A dispatcher refreshes its snapshot once per security epoch that reaches a
 //! dispatch: it clones the table's `Arc`s and snapshots each *owner unit*
@@ -70,7 +75,9 @@
 //! skips tombstones. [`IndexCounters`] exposes the refresh count plus per-plan
 //! candidate/reject telemetry through `queue_stats()`.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -408,6 +415,10 @@ pub(crate) struct SubscriptionTable {
     live: usize,
     /// Additions plus removals since the last build.
     changes: usize,
+    /// The shared filters, by structural hash: `push` hands an added
+    /// subscription the allocation of an equal filter already registered.
+    /// The full build drops those only this map still holds.
+    filters: HashMap<u64, Arc<Filter>>,
 }
 
 /// What a dispatcher refresh takes from the table under its read lock.
@@ -428,6 +439,7 @@ impl SubscriptionTable {
             free: Vec::new(),
             live: 0,
             changes: 0,
+            filters: HashMap::new(),
         }
     }
 
@@ -448,8 +460,10 @@ impl SubscriptionTable {
         }
     }
 
-    /// Appends a subscription after every live one.
-    pub(crate) fn push(&mut self, subscription: Subscription) {
+    /// Appends a subscription after every live one, sharing the filter of an
+    /// equal one already registered.
+    pub(crate) fn push(&mut self, mut subscription: Subscription) {
+        subscription.filter = self.share(subscription.filter);
         let ordinal = self.ordinal(subscription.owner);
         let position = self.entries.len() as u32;
         if let Some(index) = &mut self.index {
@@ -502,6 +516,31 @@ impl SubscriptionTable {
             self.tombstone(position);
         }
         self.changed(owner.positions.len());
+    }
+
+    /// The registered filter equal to `filter`, or `filter` itself, recorded
+    /// for the next equal one. A filter comparing against a list or map keeps
+    /// its own allocation: its creator may still mutate that storage. So does
+    /// one whose hash another filter holds, a 64-bit collision.
+    fn share(&mut self, filter: Arc<Filter>) -> Arc<Filter> {
+        let collection = |value: &Value| matches!(value, Value::List(_) | Value::Map(_));
+        let mutable = filter.clauses().iter().any(|(_, predicate)| {
+            matches!(predicate, Predicate::Equals(v) | Predicate::NotEquals(v) if collection(v))
+        });
+        if mutable {
+            return filter;
+        }
+        let mut hasher = DefaultHasher::new();
+        filter.hash(&mut hasher);
+        let shared = self
+            .filters
+            .entry(hasher.finish())
+            .or_insert_with(|| Arc::clone(&filter));
+        if **shared == *filter {
+            Arc::clone(shared)
+        } else {
+            filter
+        }
     }
 
     /// `unit`'s owner ordinal, allocated (a freed one first) on its first
@@ -570,9 +609,11 @@ impl SubscriptionTable {
             let filters = entries
                 .iter()
                 .flatten()
-                .map(|entry| &entry.subscription.filter);
+                .map(|entry| &*entry.subscription.filter);
             self.index = Some(Arc::new(SubscriptionIndex::build(filters)));
         }
+        self.filters
+            .retain(|_, filter| Arc::strong_count(filter) > 1);
     }
 }
 
@@ -882,7 +923,7 @@ mod tests {
                 .filter_map(|(position, entry)| {
                     entry
                         .as_ref()
-                        .map(|entry| (position as u32, &entry.subscription.filter))
+                        .map(|entry| (position as u32, &*entry.subscription.filter))
                 })
                 .collect();
             assert_eq!(live.len(), table.len());
@@ -895,6 +936,21 @@ mod tests {
             let compacted = live.len() == snapshot.entries.len();
             if compacted && table.changes == 0 {
                 compactions += 1;
+                // Every live filter is shared. Any other shared filter is
+                // held by the map alone: a snapshot (the unsubscribe step's)
+                // kept it alive through the compaction, and the next one
+                // drops it.
+                let in_use: Vec<*const Filter> = live
+                    .iter()
+                    .map(|(_, filter)| *filter as *const Filter)
+                    .collect();
+                for filter in table.filters.values() {
+                    let held = in_use.contains(&Arc::as_ptr(filter));
+                    assert!(held || Arc::strong_count(filter) == 1);
+                }
+                for filter in &in_use {
+                    assert!(table.filters.values().any(|f| Arc::as_ptr(f) == *filter));
+                }
                 let fresh = SubscriptionIndex::build(live.iter().map(|(_, filter)| *filter));
                 for event in &events {
                     assert_eq!(candidates(index, event), candidates(&fresh, event));
@@ -925,6 +981,62 @@ mod tests {
             tombstoned_steps > 50,
             "steps must run on tombstones: {tombstoned_steps}"
         );
+    }
+
+    #[test]
+    fn equal_filters_share_one_allocation() {
+        use crate::unit::{NullUnit, Unit};
+        let mut table = SubscriptionTable::new(true);
+        let (a, b) = (UnitId::from_raw(1), UnitId::from_raw(2));
+        let list = defcon_events::ValueList::new();
+        let filters = [
+            Filter::for_type("tick").where_eq("x", "1"),
+            Filter::for_type("tick").where_eq("x", "1"),
+            Filter::for_type("tick").where_eq("x", 1i64),
+            Filter::new().where_eq("x", Value::List(list.clone())),
+            Filter::new().where_eq("x", Value::List(list)),
+        ];
+        for (position, filter) in filters.into_iter().enumerate() {
+            let owner = if position % 2 == 0 { a } else { b };
+            table.push(Subscription::direct(owner, filter));
+        }
+        table.push(Subscription::managed(
+            b,
+            Filter::for_type("tick").where_eq("x", "1"),
+            Box::new(|| Box::new(NullUnit) as Box<dyn Unit>),
+        ));
+        let snapshot = table.snapshot();
+        let filter = |position: usize| {
+            let entry = snapshot.entries[position].as_ref().expect("live");
+            Arc::clone(&entry.subscription.filter)
+        };
+        // Across owners and across direct and managed kinds.
+        assert!(Arc::ptr_eq(&filter(0), &filter(1)));
+        assert!(Arc::ptr_eq(&filter(0), &filter(5)));
+        // `"1"` and `1` never match the same part, so they are not equal.
+        assert!(!Arc::ptr_eq(&filter(0), &filter(2)));
+        // A list literal's storage stays mutable by whoever made it.
+        assert!(!Arc::ptr_eq(&filter(3), &filter(4)));
+        assert_eq!(table.filters.len(), 2);
+    }
+
+    #[test]
+    fn compaction_drops_shared_filters_no_subscription_holds() {
+        let mut table = SubscriptionTable::new(true);
+        let kept = UnitId::from_raw(1);
+        table.push(Subscription::direct(kept, Filter::for_type("kept")));
+        for n in 0..40 {
+            let unit = UnitId::from_raw(2 + n);
+            let filter = Filter::for_type("churned").where_eq("n", n as i64);
+            table.push(Subscription::direct(unit, filter));
+            // With one live subscription left, each removal compacts.
+            table.remove_owner(unit);
+        }
+        let snapshot = table.snapshot();
+        let live = &snapshot.entries[0].as_ref().expect("live").subscription;
+        let shared: Vec<_> = table.filters.values().collect();
+        assert_eq!(shared.len(), 1);
+        assert!(Arc::ptr_eq(shared[0], &live.filter));
     }
 
     #[test]

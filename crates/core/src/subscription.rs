@@ -75,8 +75,11 @@ pub struct Subscription {
     pub id: SubscriptionId,
     /// The unit that issued the subscription.
     pub owner: UnitId,
-    /// The filter expression over part names and data.
-    pub filter: Filter,
+    /// The filter expression over part names and data. Once registered, every
+    /// subscription whose filter is equal (`==`) to this one holds the same
+    /// allocation, so dispatch evaluates it once per event and owner input
+    /// label rather than once per subscription.
+    pub filter: Arc<Filter>,
     /// Direct or managed delivery.
     pub kind: SubscriptionKind,
 }
@@ -87,7 +90,7 @@ impl Subscription {
         Subscription {
             id: SubscriptionId::next(),
             owner,
-            filter,
+            filter: Arc::new(filter),
             kind: SubscriptionKind::Direct,
         }
     }
@@ -97,7 +100,7 @@ impl Subscription {
         Subscription {
             id: SubscriptionId::next(),
             owner,
-            filter,
+            filter: Arc::new(filter),
             kind: SubscriptionKind::Managed(Arc::new(factory)),
         }
     }

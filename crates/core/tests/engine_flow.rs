@@ -862,6 +862,226 @@ fn unit_errors_are_isolated_and_counted() {
     );
 }
 
+/// Every delivery of a test as `(unit name, seq)`, in delivery order.
+type DeliveryLog = Arc<parking_lot::Mutex<Vec<(&'static str, i64)>>>;
+
+/// Logs each delivery into a shared [`DeliveryLog`]. It reads `seq` straight
+/// off the event rather than through its context, so it charges no
+/// interception of its own; with `add_body` it also adds a public `body`
+/// part to the event on the main dataflow path.
+struct Tally {
+    name: &'static str,
+    filter: Option<Filter>,
+    add_body: bool,
+    log: DeliveryLog,
+}
+
+impl Tally {
+    fn new(name: &'static str, filter: Option<Filter>, log: &DeliveryLog) -> Self {
+        Tally {
+            name,
+            filter,
+            add_body: false,
+            log: Arc::clone(log),
+        }
+    }
+}
+
+impl Unit for Tally {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        if let Some(filter) = &self.filter {
+            ctx.subscribe(filter.clone())?;
+        }
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let seq = event.first_part("seq").unwrap().data().as_int().unwrap();
+        self.log.lock().push((self.name, seq));
+        if self.add_body {
+            ctx.add_part_to_current(Label::public(), "body", Value::str("stamped"))?;
+        }
+        Ok(())
+    }
+}
+
+/// Serves `filter` through a managed subscription whose handler instances
+/// are [`Tally`]s named `name`. The factory panics on its first `panics`
+/// calls.
+struct ManagedTally {
+    name: &'static str,
+    filter: Filter,
+    panics: u64,
+    log: DeliveryLog,
+}
+
+impl Unit for ManagedTally {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        let (name, log) = (self.name, Arc::clone(&self.log));
+        let panics = AtomicU64::new(self.panics);
+        ctx.subscribe_managed(
+            Box::new(move || {
+                let remaining = panics.load(Ordering::Relaxed);
+                if remaining > 0 {
+                    panics.store(remaining - 1, Ordering::Relaxed);
+                    panic!("handler factory fault");
+                }
+                Box::new(Tally::new(name, None, &log)) as Box<dyn Unit>
+            }),
+            self.filter.clone(),
+        )?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        panic!("the owner of a managed subscription is never delivered to");
+    }
+}
+
+#[test]
+fn equal_filters_are_evaluated_once_and_charged_as_often_as_they_occur() {
+    // Eight subscriptions, seven of them on one filter over a public type and
+    // a body only `s` may see: public and `s` owners alike, one managed
+    // (which ignores confidentiality), and a stamper in the middle that adds
+    // a public body. Per event, evaluating each subscription on its own:
+    //
+    //   pub1  public       type ok, secret body hidden      2 parts, 1 reject
+    //   sec1  {s}          type ok, body seen          ->   2 parts
+    //   pub2  public       as pub1                          2 parts, 1 reject
+    //   mgd   public, managed  body seen               ->   2 parts
+    //   stamp public  (type == tick)                   ->   1 part, +1 add
+    //   pub3  public       body hidden, stamped body   ->   3 parts, 1 reject
+    //   sec2  {s}          type ok, secret body seen   ->   2 parts
+    //   pub4  public       as pub3                     ->   3 parts, 1 reject
+    //
+    // that is 18 interceptions, 4 label rejections and 6 deliveries per
+    // event, in that order. The shared filter's memo must reproduce exactly
+    // this: pub2 repeats pub1's rejection, and the stamper's part flips
+    // pub3 and pub4, which pub1's remembered verdict must not answer.
+    for indexed in [true, false] {
+        let handle = Engine::builder()
+            .mode(SecurityMode::LabelsFreezeIsolation)
+            .workers(0)
+            .batch_size(8)
+            .subscription_index(indexed)
+            .start();
+        let engine = handle.engine();
+        let log = DeliveryLog::default();
+        let source = engine
+            .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
+            .unwrap();
+        let feed = engine.publisher(source).unwrap();
+        let s = feed
+            .with_context(|ctx| Ok(ctx.create_owned_tag("s")))
+            .unwrap();
+        let secret = Label::confidential(TagSet::singleton(s));
+        let body_filter = || Filter::for_type("tick").where_exists("body");
+        let register = |spec: UnitSpec, unit: Box<dyn Unit>| {
+            engine.register_unit(spec, unit).unwrap();
+        };
+        let tally = |name: &'static str, input: &Label| {
+            register(
+                UnitSpec::new(name).with_input_label(input.clone()),
+                Box::new(Tally::new(name, Some(body_filter()), &log)),
+            );
+        };
+        let public = Label::public();
+        tally("pub1", &public);
+        tally("sec1", &secret);
+        tally("pub2", &public);
+        register(
+            UnitSpec::new("mgd"),
+            Box::new(ManagedTally {
+                name: "mgd",
+                filter: body_filter(),
+                panics: 0,
+                log: Arc::clone(&log),
+            }),
+        );
+        let mut stamper = Tally::new("stamp", Some(Filter::for_type("tick")), &log);
+        stamper.add_body = true;
+        register(UnitSpec::new("stamp"), Box::new(stamper));
+        tally("pub3", &public);
+        tally("sec2", &secret);
+        tally("pub4", &public);
+
+        for seq in 0..2 {
+            feed.publish(
+                EventDraft::new()
+                    .public_part("type", Value::str("tick"))
+                    .part("body", secret.clone(), Value::Int(seq))
+                    .public_part("seq", Value::Int(seq)),
+            )
+            .unwrap();
+        }
+        let intercepted = engine.isolation_stats().intercepted();
+        assert_eq!(handle.pump_until_idle().unwrap(), 2);
+
+        let order = ["sec1", "mgd", "stamp", "pub3", "sec2", "pub4"];
+        let expected: Vec<_> = (0..2)
+            .flat_map(|seq| order.iter().map(move |&name| (name, seq)))
+            .collect();
+        assert_eq!(*log.lock(), expected, "indexed={indexed}");
+        assert_eq!(
+            engine.isolation_stats().intercepted() - intercepted,
+            2 * 18,
+            "indexed={indexed}"
+        );
+        assert_eq!(
+            engine.stats().label_rejections(),
+            2 * 4,
+            "indexed={indexed}"
+        );
+        assert_eq!(engine.stats().deliveries(), 2 * 6, "indexed={indexed}");
+        if indexed {
+            let stats = engine.queue_stats();
+            assert_eq!(stats.index_candidates, 2 * 8);
+            assert_eq!(stats.index_exact_rejects, 2 * 2);
+        }
+    }
+}
+
+#[test]
+fn manual_pumping_survives_an_engine_fault_mid_batch() {
+    // A handler factory panic unwinds past the per-delivery isolation: an
+    // engine fault. The manual pump must count it and go on with the rest of
+    // the popped batch, exactly as a worker does.
+    let handle = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(0)
+        .batch_size(8)
+        .start();
+    let engine = handle.engine();
+    let log = DeliveryLog::default();
+    engine
+        .register_unit(
+            UnitSpec::new("broker"),
+            Box::new(ManagedTally {
+                name: "handler",
+                filter: Filter::for_type("tick"),
+                panics: 1,
+                log: Arc::clone(&log),
+            }),
+        )
+        .unwrap();
+    let source = engine
+        .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
+        .unwrap();
+    let feed = engine.publisher(source).unwrap();
+    for seq in 0..8 {
+        feed.publish(
+            EventDraft::new()
+                .public_part("type", Value::str("tick"))
+                .public_part("seq", Value::Int(seq)),
+        )
+        .unwrap();
+    }
+    assert_eq!(handle.pump_until_idle().unwrap(), 8);
+    assert_eq!(engine.stats().engine_errors(), 1);
+    let delivered: Vec<_> = (1..8).map(|seq| ("handler", seq)).collect();
+    assert_eq!(*log.lock(), delivered);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent dispatch: workers(4) over the sharded run queue. (Exactly-once
 // delivery and per-unit serialisation over the full random grid of

@@ -2,19 +2,26 @@
 //! event stream and runtime configuration, planning through the inverted
 //! index must produce *exactly* the delivery sets the linear scan produces.
 //!
-//! Each case generates a random population of filters (string and integer
-//! equality, two-equality conjunctions, `OneOf`, existence, numeric range and
-//! inequality clauses — the index's value-keyed fast path, its choice between
-//! keys, and every name-bucket fallback), a random event
-//! stream over a small part-name vocabulary, a random churn of the population
-//! between bursts of that stream (units registered with one to three
-//! subscriptions, single unsubscribes, unit removals — the index's in-place
-//! maintenance, its tombstones and its compacting rebuilds), and a random
-//! runtime configuration (workers, batch size, all four [`SecurityMode`]s). The same workload then runs twice — index on, index
-//! off — and every subscriber's multiset of received sequence numbers must be
-//! identical. Since the linear scan is ground truth, equality pins both
-//! directions at once: no false negatives (the candidate set is a superset of
-//! the matches) and no false positives surviving the exact filter.
+//! Each case generates a population of subscribers over random filters
+//! (string and integer equality, two-equality conjunctions, `OneOf`,
+//! existence, numeric range and inequality clauses — the index's value-keyed
+//! fast path, its choice between keys, and every name-bucket fallback). In
+//! half the cases every filter, churn included, comes from a small pool, so
+//! equal filters recur across owners, across public and secret input labels
+//! and across direct and managed subscriptions — the cases the dispatcher's
+//! filter memo must tell apart; in the other half each filter is drawn
+//! fresh. It adds a random event
+//! stream over a small part-name vocabulary, whose lane is sometimes secret,
+//! a random churn of the population between bursts of that stream (units
+//! registered with one to three subscriptions, single unsubscribes, unit
+//! removals — the index's in-place maintenance, its tombstones and its
+//! compacting rebuilds), and a random runtime configuration (workers, batch
+//! size, all four [`SecurityMode`]s). The same workload then runs twice —
+//! index on, index off — and every subscriber's multiset of received
+//! sequence numbers must be identical. Since the linear scan is ground
+//! truth, equality pins both directions at once: no false negatives (the
+//! candidate set is a superset of the matches) and no false positives
+//! surviving the exact filter.
 //!
 //! The pinned test below covers the augmentation edge the random sweep keeps
 //! out of the way: a filter naming a part that only exists once an earlier
@@ -31,7 +38,7 @@ use defcon_core::{
     Engine, EngineHandle, EngineResult, EventDraft, SecurityMode, SubscriptionId, Unit,
     UnitContext, UnitId, UnitSpec,
 };
-use defcon_defc::Label;
+use defcon_defc::{Label, TagSet};
 use defcon_events::{Event, Filter, Predicate, Value};
 use proptest::prelude::*;
 
@@ -92,18 +99,47 @@ fn random_filter(rng: &mut Rng) -> Filter {
     filter
 }
 
+/// What a recorder subscribes with: filters drawn from the case's pool, a
+/// public or secret input label, and direct or managed delivery.
+#[derive(Clone)]
+struct Profile {
+    filters: Vec<Filter>,
+    secret_input: bool,
+    managed: bool,
+}
+
+/// A profile of `count` filters drawn from `pool`, or fresh random filters
+/// when `pool` is empty.
+fn random_profile(rng: &mut Rng, pool: &[Filter], count: u64) -> Profile {
+    Profile {
+        filters: (0..count)
+            .map(|_| match pool.len() as u64 {
+                0 => random_filter(rng),
+                len => pool[rng.below(len) as usize].clone(),
+            })
+            .collect(),
+        secret_input: rng.below(2) == 0,
+        managed: rng.below(3) == 0,
+    }
+}
+
 /// One random event draft: always a type, a lane, a price, a bucket and a
 /// unique sequence number; sometimes a flag (so existence clauses
 /// discriminate). The bucket is usually an integer and sometimes the string
-/// spelling of one, which an integer-equality clause must never match.
-fn random_draft(rng: &mut Rng, seq: i64) -> EventDraft {
+/// spelling of one, which an integer-equality clause must never match. The
+/// lane is sometimes `secret`, which only secret and managed owners see.
+fn random_draft(rng: &mut Rng, seq: i64, secret: &Label) -> EventDraft {
     let bucket = match rng.below(5) {
         0 => Value::str(rng.below(4).to_string()),
         _ => Value::Int(rng.below(4) as i64),
     };
+    let lane_label = match rng.below(3) {
+        0 => secret.clone(),
+        _ => Label::public(),
+    };
     let mut draft = EventDraft::new()
         .public_part("type", Value::str(TYPES[rng.below(2) as usize]))
-        .public_part("lane", Value::str(LANES[rng.below(4) as usize]))
+        .part("lane", lane_label, Value::str(LANES[rng.below(4) as usize]))
         .public_part("price", Value::Float(rng.below(100) as f64))
         .public_part("bucket", bucket)
         .public_part("seq", Value::Int(seq));
@@ -121,16 +157,30 @@ struct Log {
 }
 
 /// Records the sequence numbers of every event delivered through any of its
-/// filters (an event matching two of them is recorded twice).
+/// filters (an event matching two of them is recorded twice). Managed
+/// subscriptions deliver to handler instances that record into the same log.
 struct Recorder {
     filters: Vec<Filter>,
+    managed: bool,
     log: Arc<Mutex<Log>>,
 }
 
 impl Unit for Recorder {
     fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
         for filter in &self.filters {
-            let id = ctx.subscribe(filter.clone())?;
+            let id = if self.managed {
+                let log = Arc::clone(&self.log);
+                let handler = move || {
+                    Box::new(Recorder {
+                        filters: Vec::new(),
+                        managed: false,
+                        log: Arc::clone(&log),
+                    }) as Box<dyn Unit>
+                };
+                ctx.subscribe_managed(Box::new(handler), filter.clone())?
+            } else {
+                ctx.subscribe(filter.clone())?
+            };
             self.log.lock().unwrap().subscriptions.push(id);
         }
         Ok(())
@@ -143,14 +193,23 @@ impl Unit for Recorder {
     }
 }
 
-/// Registers a [`Recorder`] over `filters`, returning its id and log.
-fn register_recorder(engine: &Engine, filters: Vec<Filter>) -> (UnitId, Arc<Mutex<Log>>) {
+/// Registers a [`Recorder`] with `profile`, returning its id and log.
+fn register_recorder(
+    engine: &Engine,
+    profile: Profile,
+    secret: &Label,
+) -> (UnitId, Arc<Mutex<Log>>) {
     let log = Arc::new(Mutex::new(Log::default()));
+    let input = match profile.secret_input {
+        true => secret.clone(),
+        false => Label::public(),
+    };
     let unit = engine
         .register_unit(
-            UnitSpec::new("recorder"),
+            UnitSpec::new("recorder").with_input_label(input),
             Box::new(Recorder {
-                filters,
+                filters: profile.filters,
+                managed: profile.managed,
                 log: Arc::clone(&log),
             }),
         )
@@ -171,22 +230,33 @@ fn settle(handle: &EngineHandle, workers: usize) {
     }
 }
 
+/// The population a leg churns: the pool its filters come from (empty for
+/// fresh ones), the secret label, and the live recorders plus every log
+/// ever registered.
+struct Population<'a> {
+    pool: &'a [Filter],
+    secret: Label,
+    alive: Vec<(UnitId, Arc<Mutex<Log>>)>,
+    logs: Vec<Arc<Mutex<Log>>>,
+}
+
 /// One churn step between bursts, drawn from `churn`: register a recorder
-/// with one to three random filters, unsubscribe one subscription of a live
-/// recorder, or remove a live recorder. Both legs draw the same steps, since
-/// the draws depend only on the seed and on state both legs share.
-fn churn_step(
-    engine: &Engine,
-    churn: &mut Rng,
-    alive: &mut Vec<(UnitId, Arc<Mutex<Log>>)>,
-    logs: &mut Vec<Arc<Mutex<Log>>>,
-) {
+/// with one to three filters from the pool, unsubscribe one subscription of
+/// a live recorder, or remove a live recorder. Both legs draw the same
+/// steps, since the draws depend only on the seed and on state both legs
+/// share.
+fn churn_step(engine: &Engine, churn: &mut Rng, population: &mut Population<'_>) {
+    let Population {
+        pool,
+        secret,
+        alive,
+        logs,
+    } = population;
     match churn.below(4) {
         0 | 1 => {
-            let filters = (0..1 + churn.below(3))
-                .map(|_| random_filter(churn))
-                .collect();
-            let (unit, log) = register_recorder(engine, filters);
+            let count = 1 + churn.below(3);
+            let profile = random_profile(churn, pool, count);
+            let (unit, log) = register_recorder(engine, profile, secret);
             logs.push(Arc::clone(&log));
             alive.push((unit, log));
         }
@@ -219,7 +289,7 @@ fn run_leg(
     workers: usize,
     batch_size: usize,
     mode: SecurityMode,
-    filters: &[Filter],
+    (pool, profiles): (&[Filter], &[Profile]),
     stream_seed: u64,
     churn_seed: u64,
     events: u64,
@@ -230,14 +300,23 @@ fn run_leg(
         .batch_size(batch_size)
         .subscription_index(indexed)
         .build();
-    let mut alive: Vec<(UnitId, Arc<Mutex<Log>>)> = filters
-        .iter()
-        .map(|filter| register_recorder(&engine, vec![filter.clone()]))
-        .collect();
-    let mut logs: Vec<Arc<Mutex<Log>>> = alive.iter().map(|(_, log)| Arc::clone(log)).collect();
     let source = engine
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
+    let tag = engine
+        .with_unit(source, |_, ctx| Ok(ctx.create_owned_tag("secret")))
+        .unwrap();
+    let secret = Label::confidential(TagSet::singleton(tag));
+    let alive: Vec<(UnitId, Arc<Mutex<Log>>)> = profiles
+        .iter()
+        .map(|profile| register_recorder(&engine, profile.clone(), &secret))
+        .collect();
+    let mut population = Population {
+        pool,
+        logs: alive.iter().map(|(_, log)| Arc::clone(log)).collect(),
+        secret,
+        alive,
+    };
 
     let handle = engine.start();
     let publisher = handle.publisher(source).unwrap();
@@ -248,13 +327,13 @@ fn run_leg(
         let burst = (1 + churn.below(12)).min(events - seq);
         for _ in 0..burst {
             publisher
-                .publish(random_draft(&mut stream, seq as i64))
+                .publish(random_draft(&mut stream, seq as i64, &population.secret))
                 .unwrap();
             seq += 1;
         }
         settle(&handle, workers);
         for _ in 0..churn.below(3) {
-            churn_step(&engine, &mut churn, &mut alive, &mut logs);
+            churn_step(&engine, &mut churn, &mut population);
         }
     }
     handle.shutdown().unwrap();
@@ -274,7 +353,9 @@ fn run_leg(
         assert_eq!(stats.index_exact_rejects, 0);
     }
 
-    logs.iter()
+    population
+        .logs
+        .iter()
         .map(|log| {
             let mut seen = log.lock().unwrap().seen.clone();
             seen.sort_unstable();
@@ -296,8 +377,16 @@ fn check_index_equivalence(
     events: u64,
 ) {
     let mut rng = Rng::new(population_seed);
-    let filters: Vec<Filter> = (0..subscriptions)
-        .map(|_| random_filter(&mut rng))
+    // Half the cases draw every filter from a pool of one to six, so equal
+    // filters recur; the other half draw each one fresh, so they rarely do.
+    let pool: Vec<Filter> = match rng.below(2) {
+        0 => (0..1 + rng.below(6))
+            .map(|_| random_filter(&mut rng))
+            .collect(),
+        _ => Vec::new(),
+    };
+    let profiles: Vec<Profile> = (0..subscriptions)
+        .map(|_| random_profile(&mut rng, &pool, 1))
         .collect();
     let config = format!(
         "workers={workers} batch={batch_size} mode={mode} \
@@ -308,7 +397,7 @@ fn check_index_equivalence(
         workers,
         batch_size,
         mode,
-        &filters,
+        (&pool, &profiles),
         stream_seed,
         churn_seed,
         events,
@@ -318,7 +407,7 @@ fn check_index_equivalence(
         workers,
         batch_size,
         mode,
-        &filters,
+        (&pool, &profiles),
         stream_seed,
         churn_seed,
         events,
@@ -387,12 +476,17 @@ fn augmentation_released_parts_reach_only_later_subscriptions() {
                 .batch_size(batch_size)
                 .subscription_index(indexed)
                 .build();
-            let stamped = || vec![Filter::new().where_eq("audit", Value::str("stamped"))];
-            let (_, before) = register_recorder(&engine, stamped());
+            let stamped = || Profile {
+                filters: vec![Filter::new().where_eq("audit", Value::str("stamped"))],
+                secret_input: false,
+                managed: false,
+            };
+            let public = Label::public();
+            let (_, before) = register_recorder(&engine, stamped(), &public);
             engine
                 .register_unit(UnitSpec::new("stamper"), Box::new(Stamper))
                 .unwrap();
-            let (_, after) = register_recorder(&engine, stamped());
+            let (_, after) = register_recorder(&engine, stamped(), &public);
             let source = engine
                 .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
                 .unwrap();

@@ -6,6 +6,7 @@
 //! the visibility predicate in, keeping all label logic in the engine.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::event::Event;
 use crate::part::Part;
@@ -44,6 +45,21 @@ impl Predicate {
     }
 }
 
+/// Hashes what `==` compares, so equal predicates hash alike. The numeric
+/// bounds compare as floats, so `0.0` and `-0.0` are equal and hash as one.
+impl Hash for Predicate {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let bound = |bound: f64| if bound == 0.0 { 0 } else { bound.to_bits() };
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Predicate::Exists => {}
+            Predicate::Equals(value) | Predicate::NotEquals(value) => value.hash(state),
+            Predicate::GreaterThan(b) | Predicate::LessThan(b) => bound(*b).hash(state),
+            Predicate::OneOf(options) => options.hash(state),
+        }
+    }
+}
+
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -63,7 +79,10 @@ impl fmt::Display for Predicate {
 /// clause's name. Filters must contain at least one clause — the engine rejects
 /// empty filters because a subscription matching everything would let a unit infer
 /// the existence of events it cannot read.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Equal filters (`==`, clause by clause) match the same events and hash
+/// alike, which is what lets the engine share one allocation between them.
+#[derive(Clone, Debug, Default, PartialEq, Hash)]
 pub struct Filter {
     clauses: Vec<(String, Predicate)>,
 }
@@ -224,6 +243,24 @@ mod tests {
             .build()
             .unwrap();
         assert!(!f.matches_any_visibility(&no_price));
+    }
+
+    #[test]
+    fn equal_filters_hash_alike() {
+        let hash = |filter: &Filter| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            filter.hash(&mut hasher);
+            hasher.finish()
+        };
+        let a = Filter::for_type("tick").where_part("price", Predicate::LessThan(0.0));
+        let b = Filter::for_type("tick").where_part("price", Predicate::LessThan(-0.0));
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        // Equality never crosses value variants, so neither does sharing.
+        assert_ne!(
+            Filter::new().where_eq("x", "1"),
+            Filter::new().where_eq("x", 1i64)
+        );
     }
 
     #[test]

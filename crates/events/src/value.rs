@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use defcon_defc::TagId;
@@ -176,6 +177,26 @@ impl Value {
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.structurally_equals(other)
+    }
+}
+
+/// Hashes what [`Value::structurally_equals`] compares, so equal values hash
+/// alike: the variant, then a scalar's content (a float by bit pattern).
+/// Collections hash by variant only: their contents can still change, and a
+/// hash must not.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::Null | Value::List(_) | Value::Map(_) => {}
+            Value::Bool(v) => v.hash(state),
+            Value::Int(v) => v.hash(state),
+            Value::Float(v) => v.to_bits().hash(state),
+            Value::Str(s) => s.hash(state),
+            Value::Bytes(b) => b.hash(state),
+            Value::Timestamp(t) => t.hash(state),
+            Value::Tag(t) => t.hash(state),
+        }
     }
 }
 

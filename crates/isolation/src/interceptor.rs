@@ -173,8 +173,15 @@ impl IsolationRuntime {
     /// advice executed around every intercepted JDK access in the paper's prototype.
     #[inline]
     pub fn intercept(&self) {
-        if self.enabled {
-            self.stats.intercepted.fetch_add(1, Ordering::Relaxed);
+        self.intercept_n(1);
+    }
+
+    /// Charges `n` interceptions with one add: what `n` calls of
+    /// [`IsolationRuntime::intercept`] charge.
+    #[inline]
+    pub fn intercept_n(&self, n: u64) {
+        if self.enabled && n > 0 {
+            self.stats.intercepted.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -304,6 +311,7 @@ mod tests {
             AccessDecision::Allowed
         );
         runtime.intercept();
+        runtime.intercept_n(5);
         assert_eq!(runtime.stats().intercepted(), 0);
         assert_eq!(runtime.memory_overhead_bytes(), 0);
     }
@@ -324,8 +332,10 @@ mod tests {
             .access_target(isolate, "java.lang.Runtime.exec()")
             .is_err());
         runtime.intercept();
+        runtime.intercept_n(3);
+        runtime.intercept_n(0);
 
-        assert_eq!(runtime.stats().intercepted(), 4);
+        assert_eq!(runtime.stats().intercepted(), 7);
         assert_eq!(runtime.stats().allowed(), 1);
         assert_eq!(runtime.stats().duplicated(), 1);
         assert_eq!(runtime.stats().denied(), 1);

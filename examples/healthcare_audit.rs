@@ -133,5 +133,16 @@ fn main() -> EngineResult<()> {
         readings.load(Ordering::Relaxed),
         audited.load(Ordering::Relaxed)
     );
+    // The run checks itself, so it doubles as a test of label visibility:
+    // analytics panics (and counts nothing) on a reading whose identity it
+    // can see.
+    assert_eq!(
+        (
+            readings.load(Ordering::Relaxed),
+            audited.load(Ordering::Relaxed)
+        ),
+        (3, 1),
+        "expected 3 readings and 1 audit"
+    );
     Ok(())
 }

@@ -6,9 +6,15 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use defcon::prelude::*;
 use defcon_core::context::LabelOp;
 use defcon_core::unit::NullUnit;
+
+/// Readings delivered with the patient identity visible, and without it.
+static AUTHORISED: AtomicU64 = AtomicU64::new(0);
+static DENIED: AtomicU64 = AtomicU64::new(0);
 
 struct Consumer {
     name: &'static str,
@@ -24,14 +30,20 @@ impl Unit for Consumer {
         let room = ctx.read_first(event, "room")?;
         let secret = ctx.read_part(event, "patient");
         match secret {
-            Ok(parts) => println!(
-                "[{}] reading from room {room}: patient {} (authorised)",
-                self.name, parts[0].1
-            ),
-            Err(_) => println!(
-                "[{}] reading from room {room}: patient identity not visible",
-                self.name
-            ),
+            Ok(parts) => {
+                AUTHORISED.fetch_add(1, Ordering::Relaxed);
+                println!(
+                    "[{}] reading from room {room}: patient {} (authorised)",
+                    self.name, parts[0].1
+                )
+            }
+            Err(_) => {
+                DENIED.fetch_add(1, Ordering::Relaxed);
+                println!(
+                    "[{}] reading from room {room}: patient identity not visible",
+                    self.name
+                )
+            }
         }
         Ok(())
     }
@@ -85,5 +97,14 @@ fn main() -> EngineResult<()> {
         engine.stats().label_rejections()
     );
     handle.shutdown()?;
+    // The run checks itself, so it doubles as a test of label visibility.
+    assert_eq!(
+        (
+            AUTHORISED.load(Ordering::Relaxed),
+            DENIED.load(Ordering::Relaxed)
+        ),
+        (1, 1),
+        "expected one authorised and one denied reading"
+    );
     Ok(())
 }
