@@ -252,7 +252,8 @@ pub struct QueueStats {
 pub struct EngineStats {
     /// Events accepted by `publish`.
     pub published: AtomicU64,
-    /// Events taken off the queue and dispatched.
+    /// Events dispatched: taken off the queue, or off a dispatcher's
+    /// cascade stack.
     pub dispatched: AtomicU64,
     /// Individual deliveries to units (one event may be delivered to many units).
     pub deliveries: AtomicU64,
@@ -275,7 +276,7 @@ impl EngineStats {
         self.published.load(Ordering::Relaxed)
     }
 
-    /// Events dispatched from the queue.
+    /// Events dispatched, cascades included.
     pub fn dispatched(&self) -> u64 {
         self.dispatched.load(Ordering::Relaxed)
     }
@@ -1187,9 +1188,21 @@ impl Engine {
         Dispatcher::new(Arc::clone(&self.core))
     }
 
-    /// Number of events waiting in the dispatch queue.
+    /// Number of events waiting in the dispatch queue: external events and
+    /// cascades spilled to it. Cascades on a dispatcher's own stack are not
+    /// queued.
     pub fn queue_depth(&self) -> usize {
         self.core.run_queue.len()
+    }
+
+    /// Events taken off the dispatch queue so far. Stacked cascades never
+    /// enter the queue, so unlike [`EngineStats::dispatched`] this count
+    /// reaches `queue_depth() + dequeued()` sampled at some instant only once
+    /// as many events left the queue as it held then — on a one-shard queue
+    /// (at most one worker), once every one of them has. Sample the depth
+    /// first: that order never undercounts a racing pop.
+    pub fn dequeued(&self) -> u64 {
+        self.core.run_queue.popped()
     }
 
     /// Returns the engine statistics counters.

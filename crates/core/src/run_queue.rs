@@ -22,6 +22,14 @@
 //! graceful shutdown deterministic: a drained queue with an in-flight dispatch
 //! may still grow again, so "idle" means empty *and* nothing in flight.
 //!
+//! Queue depth counts external events and *spilled* cascades only. An event a
+//! unit publishes during dispatch normally stays on its dispatcher's own
+//! cascade stack (see [`Dispatcher`](crate::Dispatcher)) and never enters the
+//! queue: it counts as in flight from publication until its batch settles
+//! ([`BatchGuard::hold`]). Only while another dispatcher is parked
+//! ([`RunQueue::has_waiters`]) does a cascade block go to the queue, so the
+//! idle worker can take it.
+//!
 //! Blocked consumers park on a condvar and rely purely on paired signalling —
 //! every insert either observes a registered waiter (and notifies) or the
 //! waiter's pre-sleep recheck observes the insert; there is no periodic-wakeup
@@ -39,6 +47,8 @@ pub(crate) struct RunQueue {
     shards: Vec<Mutex<VecDeque<Event>>>,
     /// Events queued across all shards.
     len: AtomicUsize,
+    /// Events ever popped off the queue (withdrawn events are not popped).
+    popped: AtomicU64,
     /// Events accepted but not yet *completed* (queued + in flight). Idleness
     /// is this single counter reaching zero — reading `len` and an in-flight
     /// count as a pair would admit a race where a cascade publication between
@@ -77,6 +87,7 @@ impl RunQueue {
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
             len: AtomicUsize::new(0),
+            popped: AtomicU64::new(0),
             pending: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
@@ -93,6 +104,18 @@ impl RunQueue {
     /// Number of events currently queued (not counting in-flight dispatches).
     pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
+    }
+
+    /// Events popped off the queue so far. Read *after* [`RunQueue::len`],
+    /// `popped + len` never undercounts: a pop raises `popped` before it
+    /// releases the lower `len`.
+    pub(crate) fn popped(&self) -> u64 {
+        self.popped.load(Ordering::Acquire)
+    }
+
+    /// Whether a consumer is parked (or about to park) waiting for work.
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.waiters.load(Ordering::Relaxed) > 0
     }
 
     /// Number of internal shards (clamped to the worker count at construction:
@@ -317,6 +340,8 @@ impl RunQueue {
             }
             let take = queue.len().min(max);
             out.extend(queue.drain(..take));
+            // Raised before `len` falls (see `popped`).
+            self.popped.fetch_add(take as u64, Ordering::Relaxed);
             // Decremented while the shard lock is held so `len` can never lag
             // a concurrent pop and wrap below zero.
             self.len.fetch_sub(take, Ordering::AcqRel);
@@ -509,6 +534,15 @@ impl RunQueue {
 pub(crate) struct BatchGuard<'a> {
     queue: &'a RunQueue,
     remaining: usize,
+}
+
+impl BatchGuard<'_> {
+    /// Counts `n` more events as in flight until this guard settles: the
+    /// cascades a dispatcher keeps on its own stack instead of queueing them.
+    pub(crate) fn hold(&mut self, n: usize) {
+        self.queue.pending.fetch_add(n, Ordering::SeqCst);
+        self.remaining += n;
+    }
 }
 
 impl Drop for BatchGuard<'_> {

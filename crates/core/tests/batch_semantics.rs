@@ -5,11 +5,16 @@
 //! all four security modes, plus the publish-batch-vs-shutdown race at the
 //! engine level.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
+use std::time::Duration;
 
+use defcon_core::context::LabelOp;
 use defcon_core::unit::NullUnit;
 use defcon_core::{Engine, EngineResult, EventDraft, SecurityMode, Unit, UnitContext, UnitSpec};
+use defcon_defc::{Component, Label, Tag, TagSet};
 use defcon_events::{Event, Filter, Value};
 
 /// Counts deliveries and asserts it is never re-entered: batched dispatch must
@@ -217,8 +222,7 @@ fn batch_size_does_not_change_single_threaded_results() {
 /// owner state and mid-batch label changes become observable immediately.
 #[test]
 fn batch_size_one_makes_mid_batch_label_changes_observable() {
-    use defcon_core::context::LabelOp;
-    use defcon_defc::{Component, Label, Privilege, Tag, TagSet};
+    use defcon_defc::Privilege;
 
     /// Raises its own input label (it holds `tag+`) when it sees a trigger
     /// event; counts every delivery it receives.
@@ -361,4 +365,340 @@ fn publish_batch_racing_shutdown_is_exact() {
         );
         assert_eq!(engine.queue_depth(), 0, "round {round}");
     }
+}
+
+/// A delivery log shared by several units.
+type Log<T> = Arc<parking_lot::Mutex<Vec<T>>>;
+
+/// Publishes one event from inside a delivery, with public parts only.
+fn publish_public(ctx: &mut UnitContext<'_>, parts: &[(&str, Value)]) -> EngineResult<()> {
+    let draft = ctx.create_event();
+    for (name, value) in parts {
+        ctx.add_part(&draft, Label::public(), *name, value.clone())?;
+    }
+    ctx.publish(draft)?;
+    Ok(())
+}
+
+/// Runs `roots` as one publish batch through an engine at `workers(workers)`
+/// and `batch_size(8)`, with the units `setup` registers, and returns what
+/// `shutdown` reports dispatched. At `workers(0)` the shutdown drain pumps
+/// the whole cascade on the calling thread; at `workers(1)` the one worker
+/// does.
+fn run_roots(workers: usize, setup: impl FnOnce(&Engine), roots: Vec<EventDraft>) -> u64 {
+    let engine = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(workers)
+        .batch_size(8)
+        .build();
+    setup(&engine);
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+    let handle = engine.start();
+    let count = roots.len();
+    let publisher = handle.publisher(source).unwrap();
+    assert_eq!(publisher.publish_batch(roots).unwrap().accepted(), count);
+    handle.shutdown().unwrap()
+}
+
+fn root(n: i64) -> EventDraft {
+    EventDraft::new()
+        .public_part("type", Value::str("r"))
+        .public_part("n", Value::Int(n))
+}
+
+/// Logs each `listen` event as `<listen><n>` and republishes it as one
+/// `emit` event with the same `n`.
+struct Hop {
+    listen: &'static str,
+    emit: Option<&'static str>,
+    log: Log<String>,
+}
+
+impl Unit for Hop {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type(self.listen))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let n = ctx.read_first(event, "n")?.as_int().unwrap();
+        self.log.lock().push(format!("{}{n}", self.listen));
+        if let Some(emit) = self.emit {
+            publish_public(ctx, &[("type", Value::str(emit)), ("n", Value::Int(n))])?;
+        }
+        Ok(())
+    }
+}
+
+/// Cascades run depth-first, in preorder: each root's whole chain r → a → b
+/// is dispatched before the next root of the same popped batch.
+#[test]
+fn cascades_are_dispatched_in_preorder_before_the_next_root() {
+    for workers in [0, 1] {
+        let log: Log<String> = Arc::default();
+        let setup = |engine: &Engine| {
+            for (listen, emit) in [("r", Some("a")), ("a", Some("b")), ("b", None)] {
+                let hop = Hop {
+                    listen,
+                    emit,
+                    log: Arc::clone(&log),
+                };
+                engine
+                    .register_unit(UnitSpec::new(listen), Box::new(hop))
+                    .unwrap();
+            }
+        };
+        let dispatched = run_roots(workers, setup, vec![root(1), root(2)]);
+        assert_eq!(
+            *log.lock(),
+            ["r1", "a1", "b1", "r2", "a2", "b2"],
+            "workers({workers})"
+        );
+        assert_eq!(dispatched, 6, "workers({workers}): cascades are counted");
+    }
+}
+
+/// Publishes two `p` events per delivery of a root or an echo, numbered by
+/// one running sequence; `depth` is 0 for a root's pair, 1 for an echo's.
+struct Pairs {
+    next: i64,
+}
+
+impl Unit for Pairs {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("r"))?;
+        ctx.subscribe(Filter::for_type("echo"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let depth = i64::from(ctx.read_first(event, "type")?.as_str() == Some("echo"));
+        for _ in 0..2 {
+            let parts = [
+                ("type", Value::str("p")),
+                ("seq", Value::Int(self.next)),
+                ("depth", Value::Int(depth)),
+            ];
+            publish_public(ctx, &parts)?;
+            self.next += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Answers the first `p` of each root's pair with an `echo`: `Pairs` is
+/// re-entered in that event's subtree while the pair's second event is still
+/// stacked, which pure preorder would let overtake it.
+struct Echo;
+
+impl Unit for Echo {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("p"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let seq = ctx.read_first(event, "seq")?.as_int().unwrap();
+        let depth = ctx.read_first(event, "depth")?.as_int().unwrap();
+        if depth == 0 && seq % 2 == 0 {
+            publish_public(ctx, &[("type", Value::str("echo"))])?;
+        }
+        Ok(())
+    }
+}
+
+/// Logs the `seq` of every `p` it receives.
+struct SeqLog {
+    log: Log<i64>,
+}
+
+impl Unit for SeqLog {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("p"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let seq = ctx.read_first(event, "seq")?.as_int().unwrap();
+        self.log.lock().push(seq);
+        Ok(())
+    }
+}
+
+/// A unit's cascades reach every subscriber in publication order: across
+/// its deliveries, two publications per delivery, and when it is re-entered
+/// in an earlier sibling's subtree.
+#[test]
+fn each_publishers_cascades_arrive_in_publication_order() {
+    for workers in [0, 1] {
+        let (first, second): (Log<i64>, Log<i64>) = Default::default();
+        let setup = |engine: &Engine| {
+            let seq_log = |log: &Log<i64>| {
+                Box::new(SeqLog {
+                    log: Arc::clone(log),
+                })
+            };
+            engine
+                .register_unit(UnitSpec::new("pairs"), Box::new(Pairs { next: 0 }))
+                .unwrap();
+            engine
+                .register_unit(UnitSpec::new("first"), seq_log(&first))
+                .unwrap();
+            engine
+                .register_unit(UnitSpec::new("echo"), Box::new(Echo))
+                .unwrap();
+            engine
+                .register_unit(UnitSpec::new("second"), seq_log(&second))
+                .unwrap();
+        };
+        let dispatched = run_roots(workers, setup, (1..=3).map(root).collect());
+        // Per root: the root, its pair, one echo and the echo's pair.
+        assert_eq!(dispatched, 3 * 6, "workers({workers})");
+        let published: Vec<i64> = (0..12).collect();
+        assert_eq!(*first.lock(), published, "workers({workers})");
+        assert_eq!(*second.lock(), published, "workers({workers})");
+    }
+}
+
+/// Raises its own input label by a tag it owns when a root arrives, then
+/// publishes a `tick` whose type part is confidential under that tag; counts
+/// every `tick` it receives.
+struct Raiser {
+    tag: Option<Tag>,
+    ticks: Arc<AtomicU64>,
+}
+
+impl Unit for Raiser {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        self.tag = Some(ctx.create_owned_tag("s-raised"));
+        ctx.subscribe(Filter::for_type("r"))?;
+        ctx.subscribe(Filter::for_type("tick"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let tag = self.tag.clone().unwrap();
+        if ctx.read_first(event, "type")?.as_str() == Some("tick") {
+            self.ticks.fetch_add(1, Ordering::SeqCst);
+            return Ok(());
+        }
+        ctx.change_in_out_label(Component::Confidentiality, LabelOp::Add, &tag)?;
+        let draft = ctx.create_event();
+        let secret = Label::confidential(TagSet::singleton(tag));
+        ctx.add_part(&draft, secret, "type", Value::str("tick"))?;
+        ctx.publish(draft)?;
+        Ok(())
+    }
+}
+
+/// Stacked events are dispatched against a context re-validated against the
+/// security epoch: a label an ancestor raised decides its descendants'
+/// visibility, though the popped batch's snapshot predates the raise.
+#[test]
+fn stacked_cascades_see_an_ancestors_label_change() {
+    for workers in [0, 1] {
+        let ticks = Arc::new(AtomicU64::new(0));
+        let setup = |engine: &Engine| {
+            let raiser = Raiser {
+                tag: None,
+                ticks: Arc::clone(&ticks),
+            };
+            engine
+                .register_unit(UnitSpec::new("raiser"), Box::new(raiser))
+                .unwrap();
+        };
+        assert_eq!(run_roots(workers, setup, vec![root(1)]), 2);
+        assert_eq!(
+            ticks.load(Ordering::SeqCst),
+            1,
+            "workers({workers}): the raised label must make the cascade visible"
+        );
+    }
+}
+
+/// Publishes `WORK` work events per root, each naming its root.
+struct Fan;
+
+const WORK: i64 = 16;
+
+impl Unit for Fan {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("r"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let n = ctx.read_first(event, "n")?;
+        for _ in 0..WORK {
+            publish_public(ctx, &[("type", Value::str("work")), ("n", n.clone())])?;
+        }
+        Ok(())
+    }
+}
+
+/// Each root's work events by the threads they were delivered on.
+type Threads = Arc<parking_lot::Mutex<HashMap<i64, HashSet<ThreadId>>>>;
+
+/// Takes a while per work event and records the thread it ran on.
+struct SlowSink {
+    threads: Threads,
+}
+
+impl Unit for SlowSink {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("work"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let root = ctx.read_first(event, "n")?.as_int().unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        let thread = std::thread::current().id();
+        self.threads.lock().entry(root).or_default().insert(thread);
+        Ok(())
+    }
+}
+
+/// While a sibling worker is parked, a dispatch's cascade block goes to the
+/// shared queue instead of the dispatcher's stack, so the idle worker takes
+/// part of it: one root fanning out into slow deliveries keeps both workers
+/// of a `workers(2)` engine busy.
+#[test]
+fn a_parked_worker_takes_spilled_cascades() {
+    let engine = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(2)
+        .batch_size(1)
+        .build();
+    let threads = Threads::default();
+    engine
+        .register_unit(UnitSpec::new("fan"), Box::new(Fan))
+        .unwrap();
+    engine
+        .register_unit(
+            UnitSpec::new("sink"),
+            Box::new(SlowSink {
+                threads: Arc::clone(&threads),
+            }),
+        )
+        .unwrap();
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+    let handle = engine.start();
+    let publisher = handle.publisher(source).unwrap();
+    // The other worker must be parked when the root's dispatch ends; one
+    // still starting up is given further roots.
+    let spread = || threads.lock().values().any(|seen| seen.len() == 2);
+    let mut roots = 0;
+    while roots < 10 && !spread() {
+        std::thread::sleep(Duration::from_millis(50));
+        publisher.publish(root(roots)).unwrap();
+        roots += 1;
+        assert!(handle.wait_idle(Duration::from_secs(10)));
+    }
+    assert!(spread(), "one root's deliveries ran on both workers");
+    assert_eq!(handle.shutdown().unwrap(), roots as u64 * (1 + WORK as u64));
 }

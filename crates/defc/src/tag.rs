@@ -10,11 +10,13 @@
 //! used purely for diagnostics; equality, hashing and ordering are defined on the
 //! random identifier only.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::RngCore;
+use rand::ThreadRng;
 use serde::{Deserialize, Serialize};
 
 /// A unique identifier for a [`Tag`].
@@ -27,11 +29,17 @@ pub struct TagId(u128);
 
 static TAG_SEQUENCE: AtomicU64 = AtomicU64::new(1);
 
+thread_local! {
+    /// Each thread's generator for the random half, seeded once on first use:
+    /// seeding reads the clock and the process id, which would otherwise cost
+    /// a system call per tag.
+    static TAG_RNG: RefCell<ThreadRng> = RefCell::new(rand::thread_rng());
+}
+
 impl TagId {
     /// Generates a fresh, unique tag identifier.
     pub fn generate() -> Self {
-        let mut rng = rand::thread_rng();
-        let random = rng.next_u64() as u128;
+        let random = TAG_RNG.with(|rng| rng.borrow_mut().next_u64()) as u128;
         let seq = TAG_SEQUENCE.fetch_add(1, Ordering::Relaxed) as u128;
         TagId((random << 64) | seq)
     }
@@ -168,6 +176,27 @@ mod tests {
     fn generated_ids_are_unique() {
         let ids: HashSet<TagId> = (0..10_000).map(|_| TagId::generate()).collect();
         assert_eq!(ids.len(), 10_000);
+    }
+
+    #[test]
+    fn ids_drawn_on_several_threads_are_distinct() {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(|| (0..2_000).map(|_| TagId::generate()).collect::<Vec<_>>())
+            })
+            .collect();
+        let ids: Vec<TagId> = threads
+            .into_iter()
+            .flat_map(|thread| thread.join().unwrap())
+            .collect();
+        let distinct: HashSet<TagId> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len());
+        let randoms: HashSet<u64> = ids.iter().map(|id| (id.as_raw() >> 64) as u64).collect();
+        assert_eq!(
+            randoms.len(),
+            ids.len(),
+            "each thread's generator is seeded apart from the others"
+        );
     }
 
     #[test]

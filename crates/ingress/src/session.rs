@@ -14,11 +14,14 @@
 //! **Credit semantics.** A session may have at most `credit_window` events
 //! *unfinished* (buffered or published-but-not-yet-drained) at a time. Drain
 //! is observed conservatively: each published chunk is stamped with a
-//! watermark of `dispatched() + queue_depth()` at publish time — once the
-//! engine's dispatched counter passes the stamp, everything that was queued
-//! ahead of (and including) the chunk has left the queue, so the chunk's
-//! credits return. A slow consumer therefore paces every session publishing
-//! into it, which is the point.
+//! watermark of `queue_depth() + dequeued()` at publish time — once the
+//! engine's count of events taken off its queue passes the stamp, everything
+//! that was queued ahead of (and including) the chunk has left the queue, so
+//! the chunk's credits return. The stamp counts queue pops, not dispatches:
+//! cascades that dispatchers run off their own stacks never pass through the
+//! queue, so they cannot return a still-queued chunk's credits early. A slow
+//! consumer therefore paces every session publishing into it, which is the
+//! point.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -263,14 +266,14 @@ impl SessionFuture {
         if self.pending_chunks.is_empty() {
             return;
         }
-        let dispatched = self.engine.stats().dispatched();
+        let dequeued = self.engine.dequeued();
         // An empty queue also proves every queued chunk left it (dispatched
         // or withdrawn at stop), which keeps credits flowing across an
         // engine shutdown that withdrew events before they dispatched.
         let queue_empty = self.engine.queue_depth() == 0;
         let mut retired = 0usize;
         while let Some(&(watermark, count)) = self.pending_chunks.front() {
-            if dispatched >= watermark || queue_empty {
+            if dequeued >= watermark || queue_empty {
                 retired += count;
                 self.pending_chunks.pop_front();
             } else {
@@ -352,10 +355,11 @@ impl Future for SessionFuture {
 
             match this.publisher.try_publish_batch(chunk) {
                 Ok(TryPublish::Admitted(admission)) => {
-                    // Watermark: once `dispatched` reaches what is queued
-                    // right now, this chunk has certainly drained.
-                    let watermark =
-                        this.engine.stats().dispatched() + this.engine.queue_depth() as u64;
+                    // Watermark: once the queue's pops reach what is queued
+                    // right now, this chunk has left the queue. Depth first
+                    // (see `Engine::dequeued`).
+                    let depth = this.engine.queue_depth() as u64;
+                    let watermark = depth + this.engine.dequeued();
                     if admission.accepted() > 0 {
                         this.pending_chunks
                             .push_back((watermark, admission.accepted()));

@@ -1,11 +1,16 @@
 //! Integration tests for the credit-gated ingress tier: policy semantics,
 //! bound enforcement, and accounting consistency.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use defcon_core::unit::NullUnit;
-use defcon_core::{Engine, EventDraft, FullQueuePolicy, IngressConfig, SecurityMode, UnitSpec};
-use defcon_events::Value;
+use defcon_core::{
+    Engine, EngineResult, EventDraft, FullQueuePolicy, IngressConfig, SecurityMode, Unit,
+    UnitContext, UnitSpec,
+};
+use defcon_defc::Label;
+use defcon_events::{Event, Filter, Value};
 use defcon_ingress::IngressTier;
 
 fn draft(seq: i64) -> EventDraft {
@@ -165,6 +170,87 @@ fn queue_bound_holds_under_many_flooding_sessions() {
     assert_eq!(report.admitted, 6 * 10 * 20);
     assert_eq!(report.shed, 0);
     handle.shutdown().unwrap();
+}
+
+/// Republishes every tick it receives several times, slowly: each input
+/// fans out into a cascade the dispatcher runs off its own stack.
+struct Relay {
+    copies: usize,
+}
+
+impl Unit for Relay {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("tick"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        std::thread::sleep(Duration::from_micros(200));
+        for copy in 0..self.copies {
+            let draft = ctx.create_event();
+            ctx.add_part(&draft, Label::public(), "type", Value::str("echo"))?;
+            ctx.add_part(&draft, Label::public(), "copy", Value::Int(copy as i64))?;
+            ctx.publish(draft)?;
+        }
+        Ok(())
+    }
+}
+
+/// Credits return when a chunk leaves the queue, not when the engine's
+/// dispatched count passes the chunk's stamp: cascades dispatched off a
+/// dispatcher's stack raise that count without popping anything, so a stamp
+/// over it would return a still-queued chunk's credits early and let the
+/// session queue more than its window.
+#[test]
+fn cascades_do_not_return_credits_of_still_queued_chunks() {
+    const WINDOW: usize = 8;
+    let engine = Engine::builder()
+        .mode(SecurityMode::NoSecurity)
+        .workers(1)
+        .batch_size(4)
+        .ingress(
+            IngressConfig::new(1_000)
+                .credit_window(WINDOW)
+                .policy(FullQueuePolicy::Block),
+        )
+        .build();
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+    engine
+        .register_unit(UnitSpec::new("relay"), Box::new(Relay { copies: 4 }))
+        .unwrap();
+    let handle = engine.start();
+    let tier = IngressTier::new(&engine);
+    let session = tier.session(source).unwrap();
+
+    let mut peak = 0usize;
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for burst in 0..20 {
+                let _ = session.submit((0..10).map(|i| draft(burst * 10 + i)).collect());
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        while !done.load(Ordering::SeqCst) {
+            peak = peak.max(engine.queue_depth());
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    });
+    assert!(tier.drain(Duration::from_secs(30)), "session must drain");
+    assert!(
+        peak <= WINDOW,
+        "the queue held {peak} of the session's events, over its window of {WINDOW}"
+    );
+    let report = tier.shutdown();
+    assert_eq!(report.admitted, 200);
+    assert_eq!(report.shed, 0);
+    assert_eq!(
+        handle.shutdown().unwrap(),
+        200 * 5,
+        "every tick and each of its four copies is dispatched"
+    );
 }
 
 /// A live session holds a `Publisher` whose cached slot goes stale when its

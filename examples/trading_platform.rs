@@ -2,6 +2,9 @@
 //! broker and regulator, with information flow control end to end.
 //!
 //! Run with: `cargo run --release --example trading_platform [traders] [ticks]`
+//!
+//! Exits non-zero unless orders, trades and regulator-republished ticks all
+//! occurred without an engine fault.
 
 use defcon_core::SecurityMode;
 use defcon_trading::{TradingPlatform, TradingPlatformConfig};
@@ -39,5 +42,21 @@ fn main() {
         platform.engine().subscription_count(),
         platform.engine().stats().deliveries(),
         platform.engine().stats().label_rejections()
+    );
+
+    // The Figure 4 cascade (tick → match → order → trade, plus the
+    // regulator's republished ticks) must run end to end: a dispatch-order
+    // change that breaks it fails here.
+    let republished = platform
+        .regulator()
+        .republished
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(report.orders > 0, "no orders were placed");
+    assert!(report.trades > 0, "no trades were executed");
+    assert!(republished > 0, "the regulator republished no ticks");
+    assert_eq!(
+        platform.engine().stats().engine_errors(),
+        0,
+        "engine faults"
     );
 }
