@@ -510,14 +510,14 @@ impl Dispatcher {
         // would leak its in-flight count and deadlock shutdown for the
         // whole runtime.
         let mut guard = self.core.run_queue.batch_guard(batch.len());
-        let popped = self.batch_context();
+        let snapshot = self.batch_context();
         // Stacked events re-validate the context per event instead, so a
         // change an ancestor made reaches its descendants.
-        let mut latest = popped.clone();
+        let mut latest = snapshot.clone();
         let mut stack = std::mem::take(&mut *self.cascades.borrow_mut());
         let mut dispatched = 0;
         for event in batch.drain(..) {
-            self.dispatch_caught(&popped.context, event, &mut stack, &mut guard);
+            self.dispatch_caught(&snapshot.context, event, &mut stack, &mut guard);
             dispatched += 1;
             while let Some(Cascade { event, .. }) = stack.pop() {
                 if self.core.security_epoch.load(Ordering::Acquire) != latest.epoch {
