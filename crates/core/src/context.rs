@@ -32,6 +32,7 @@ use std::sync::Arc;
 use defcon_defc::{Component, Label, Privilege, PrivilegeKind, PrivilegeSet, Tag};
 use defcon_events::{Event, Filter, Part, Value};
 
+use crate::dispatcher::Cascade;
 use crate::engine::EngineCore;
 use crate::error::{EngineError, EngineResult};
 use crate::subscription::{Subscription, SubscriptionId};
@@ -67,7 +68,9 @@ pub struct UnitContext<'a> {
     core: &'a Arc<EngineCore>,
     state: &'a mut UnitState,
     current: Option<&'a Event>,
-    outputs: &'a mut Vec<Event>,
+    /// What the unit publishes, tagged with its publisher: this unit, or a
+    /// unit it instantiates inside a dispatch.
+    outputs: &'a mut Vec<Cascade>,
     additions: Vec<Part>,
     released_additions: Vec<Part>,
     drafts: HashMap<u64, DraftState>,
@@ -85,7 +88,7 @@ impl<'a> UnitContext<'a> {
         core: &'a Arc<EngineCore>,
         state: &'a mut UnitState,
         current: Option<&'a Event>,
-        outputs: &'a mut Vec<Event>,
+        outputs: &'a mut Vec<Cascade>,
         in_dispatch: bool,
     ) -> Self {
         UnitContext {
@@ -407,7 +410,10 @@ impl<'a> UnitContext<'a> {
             Some(origin_ns) => Event::with_origin(draft_state.parts, origin_ns)?,
             None => Event::new(draft_state.parts)?,
         };
-        self.outputs.push(event);
+        self.outputs.push(Cascade {
+            publisher: self.state.id,
+            event,
+        });
         Ok(true)
     }
 
@@ -562,7 +568,14 @@ impl<'a> UnitContext<'a> {
                     .intersection(self.state.output_label.integrity()),
             );
         }
-        self.core.register_unit(spec, instance, self.in_dispatch)
+        // Inside a dispatch the child's bootstrap events join this unit's
+        // outputs, so they take the cascade path in publication order.
+        let cascades = if self.in_dispatch {
+            Some(&mut *self.outputs)
+        } else {
+            None
+        };
+        self.core.register_unit(spec, instance, cascades)
     }
 
     // ------------------------------------------------------------------

@@ -41,8 +41,9 @@
 //!
 //! # Cascades and dispatch order
 //!
-//! The events units publish during a dispatch (*cascades*) do not join the
-//! back of the shared queue. When one event's dispatch ends, the events it
+//! The events units publish during a dispatch (*cascades*, including what a
+//! unit instantiated by the dispatch publishes from its `init`) do not join
+//! the back of the shared queue. When one event's dispatch ends, the events it
 //! published go on top of the dispatcher's own cascade stack, and the stack
 //! drains before the next event of the popped batch: a tick's match → order
 //! → trade chain no longer waits behind the rest of its batch. Stacked events
@@ -137,16 +138,42 @@ pub struct Dispatcher {
     /// Worklist buffers reused across events, so a steady-state dispatch
     /// allocates none.
     scratch: RefCell<Worklist>,
-    /// The cascade stack's buffer, reused across batches: empty between
-    /// batches, taken out of the cell while one dispatches.
-    cascades: RefCell<Vec<Cascade>>,
+    /// The cascade stack, reused across batches: empty between batches,
+    /// taken out of the cell while one dispatches.
+    cascades: RefCell<CascadeStack>,
 }
 
-/// A cascade event awaiting dispatch on its dispatcher's stack, with the
-/// unit that published it (what per-publisher FIFO is kept over).
-struct Cascade {
-    publisher: UnitId,
-    event: Event,
+/// An event published during dispatch, with the unit that published it
+/// (what per-publisher FIFO is kept over).
+pub(crate) struct Cascade {
+    pub(crate) publisher: UnitId,
+    pub(crate) event: Event,
+}
+
+/// A dispatcher's cascade stack: the events awaiting dispatch, top last,
+/// and how many of them each publisher has, so that placing a block checks
+/// per-publisher FIFO in time linear in the block, not in the stack.
+#[derive(Default)]
+struct CascadeStack {
+    events: Vec<Cascade>,
+    /// Stacked events per publisher; publishers with none have no entry.
+    stacked: HashMap<UnitId, usize>,
+}
+
+impl CascadeStack {
+    /// Takes the top event off the stack.
+    fn pop(&mut self) -> Option<Event> {
+        let Cascade { publisher, event } = self.events.pop()?;
+        let count = self
+            .stacked
+            .get_mut(&publisher)
+            .expect("a stacked event's publisher is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.stacked.remove(&publisher);
+        }
+        Some(event)
+    }
 }
 
 /// A subscription owner's security state as snapshotted for one batch.
@@ -384,9 +411,6 @@ struct Worklist {
     /// The event's filter verdicts; cleared per event and whenever
     /// augmentation adds a part.
     memo: Vec<Memo>,
-    /// One run's cascade publications, before they join the dispatch's
-    /// published block.
-    outputs: Vec<Event>,
 }
 
 impl Dispatcher {
@@ -396,7 +420,7 @@ impl Dispatcher {
             preferred_shard: 0,
             context_cache: RefCell::new(None),
             scratch: RefCell::new(Worklist::default()),
-            cascades: RefCell::new(Vec::new()),
+            cascades: RefCell::default(),
         }
     }
 
@@ -406,7 +430,7 @@ impl Dispatcher {
             preferred_shard: worker_index,
             context_cache: RefCell::new(None),
             scratch: RefCell::new(Worklist::default()),
-            cascades: RefCell::new(Vec::new()),
+            cascades: RefCell::default(),
         }
     }
 
@@ -519,7 +543,7 @@ impl Dispatcher {
         for event in batch.drain(..) {
             self.dispatch_caught(&snapshot.context, event, &mut stack, &mut guard);
             dispatched += 1;
-            while let Some(Cascade { event, .. }) = stack.pop() {
+            while let Some(event) = stack.pop() {
                 if self.core.security_epoch.load(Ordering::Acquire) != latest.epoch {
                     latest = self.batch_context();
                 }
@@ -542,12 +566,12 @@ impl Dispatcher {
         &self,
         context: &BatchContext,
         event: Event,
-        stack: &mut Vec<Cascade>,
+        stack: &mut CascadeStack,
         guard: &mut BatchGuard<'_>,
     ) {
-        let held = stack.len();
+        let held = stack.events.len();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch_in(context, event, stack)
+            self.dispatch_in(context, event, &mut stack.events)
         }));
         if outcome.is_err() {
             self.core
@@ -558,20 +582,20 @@ impl Dispatcher {
         self.place_cascades(stack, held, guard);
     }
 
-    /// Places the block one dispatch appended to `stack[held..]`, in
+    /// Places the block one dispatch appended to the stack above `held`, in
     /// publication order. While another dispatcher is parked the block goes
     /// to the shared queue, where that worker can take it. Otherwise it stays
     /// on the stack, counted in flight, first-published on top (preorder) —
     /// except the events of a publisher that still has an older event
     /// stacked, which go just below that one (per-publisher FIFO).
-    fn place_cascades(&self, stack: &mut Vec<Cascade>, held: usize, guard: &mut BatchGuard<'_>) {
-        let published = stack.len() - held;
+    fn place_cascades(&self, stack: &mut CascadeStack, held: usize, guard: &mut BatchGuard<'_>) {
+        let published = stack.events.len() - held;
         if published == 0 {
             return;
         }
         if self.core.run_queue.has_waiters() {
-            let block = stack.drain(held..).map(|cascade| cascade.event).collect();
-            self.core.enqueue_batch(block);
+            let block = stack.events.drain(held..).map(|cascade| cascade.event);
+            self.core.enqueue_batch(block.collect());
             return;
         }
         self.core
@@ -579,27 +603,32 @@ impl Dispatcher {
             .published
             .fetch_add(published as u64, Ordering::Relaxed);
         guard.hold(published);
-        let (older, fresh) = stack.split_at(held);
-        let waits = |older: &[Cascade], cascade: &Cascade| {
-            older.iter().any(|o| o.publisher == cascade.publisher)
-        };
-        if !fresh.iter().any(|cascade| waits(older, cascade)) {
-            stack[held..].reverse();
+        let CascadeStack { events, stacked } = stack;
+        // Read before this block is counted: does the publisher have an
+        // older event stacked?
+        let waits = |cascade: &Cascade| stacked.contains_key(&cascade.publisher);
+        if !events[held..].iter().any(waits) {
+            for cascade in &events[held..] {
+                *stacked.entry(cascade.publisher).or_default() += 1;
+            }
+            events[held..].reverse();
             return;
         }
-        let fresh = stack.split_off(held);
-        let (behind, ahead): (Vec<_>, Vec<_>) =
-            fresh.into_iter().partition(|cascade| waits(stack, cascade));
+        let fresh = events.split_off(held);
+        let (behind, ahead): (Vec<_>, Vec<_>) = fresh.into_iter().partition(waits);
+        for cascade in behind.iter().chain(&ahead) {
+            *stacked.entry(cascade.publisher).or_default() += 1;
+        }
         for cascade in behind {
             // In publication order, each below every stacked event of its
             // publisher, older ones and those placed just before it.
-            let at = stack
+            let at = events
                 .iter()
                 .position(|o| o.publisher == cascade.publisher)
                 .expect("partitioned as having a stacked event of its publisher");
-            stack.insert(at, cascade);
+            events.insert(at, cascade);
         }
-        stack.extend(ahead.into_iter().rev());
+        events.extend(ahead.into_iter().rev());
     }
 
     /// Returns the dispatch context for the current batch: the subscription
@@ -815,8 +844,10 @@ impl Dispatcher {
     /// subscriptions, each matched against the event as augmented so far. A
     /// run ends at a different owner, a managed subscription, the end of the
     /// worklist or a delivery that trips the fault policy, and then settles its
-    /// delivery counts and fault handling once and appends its cascade
-    /// outputs to `published`, tagged with the publishing unit. A managed
+    /// delivery counts and fault handling once. Its deliveries append what
+    /// they publish to `published`, each tagged with the publishing unit
+    /// (a unit they instantiate tags its `init`'s events with its own id).
+    /// A managed
     /// delivery is a run of one: resolving its handler instance takes the
     /// `managed_instances → units` locks, and eviction locks victim cells, so
     /// it must never happen under a cell lock.
@@ -833,7 +864,6 @@ impl Dispatcher {
             positions: mut worklist,
             mut extra,
             mut memo,
-            mut outputs,
         } = std::mem::take(&mut *self.scratch.borrow_mut());
         memo.clear();
         let index = batch.index.as_deref();
@@ -906,7 +936,7 @@ impl Dispatcher {
                     &mut cell,
                     &current,
                     subscription,
-                    &mut outputs,
+                    published,
                     &mut unit_errors,
                     &mut faulted,
                 );
@@ -965,10 +995,6 @@ impl Dispatcher {
                     .unit_errors
                     .fetch_add(unit_errors, Ordering::Relaxed);
             }
-            published.extend(outputs.drain(..).map(|event| Cascade {
-                publisher: unit,
-                event,
-            }));
             if faulted {
                 // Cell lock released above: the fault action may swap (cell →
                 // units.write) or quarantine (re-lock the cell). The owner's
@@ -993,7 +1019,6 @@ impl Dispatcher {
             positions: worklist,
             extra,
             memo,
-            outputs,
         };
     }
 
@@ -1013,7 +1038,7 @@ impl Dispatcher {
         cell: &mut UnitCell,
         event: &Event,
         subscription: &Subscription,
-        outputs: &mut Vec<Event>,
+        outputs: &mut Vec<Cascade>,
         unit_errors: &mut u64,
         faulted: &mut bool,
     ) -> Vec<Part> {

@@ -22,7 +22,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::admission::{AdmissionCounters, IngressConfig};
 use crate::builder::EngineBuilder;
 use crate::context::UnitContext;
-use crate::dispatcher::Dispatcher;
+use crate::dispatcher::{Cascade, Dispatcher};
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{FaultAction, FaultCounters, FaultPolicy};
 use crate::handle::{EngineHandle, Publisher};
@@ -455,13 +455,6 @@ impl EngineCore {
         }
     }
 
-    /// Enqueues an event published from inside dispatch (always accepted; the
-    /// publishing dispatch keeps the queue non-idle until it drains).
-    pub(crate) fn enqueue(&self, event: Event) {
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        self.run_queue.push(event);
-    }
-
     /// Enqueues a batch of events published from inside dispatch (one unit
     /// delivery's cascade outputs) as a single run-queue transaction.
     pub(crate) fn enqueue_batch(&self, events: Vec<Event>) {
@@ -611,7 +604,7 @@ impl EngineCore {
         // label is the one its publishes were raised to.
         let output_label = cell.state.output_label.clone();
         drop(cell);
-        for event in outputs {
+        for Cascade { event, .. } in outputs {
             self.enqueue_external(unit, &output_label, event)?;
         }
         result
@@ -626,15 +619,17 @@ impl EngineCore {
             .ok_or_else(|| EngineError::UnknownUnit(format!("{unit}")))
     }
 
-    /// Registers a unit and runs its `init` callback. `in_dispatch` records
-    /// whether the registration was triggered from inside an in-flight dispatch
-    /// (`ctx.instantiate_unit` in an `on_event`); it decides how init-published
-    /// bootstrap events are enqueued.
+    /// Registers a unit and runs its `init` callback. `cascades` is the
+    /// instantiating unit's outputs when the registration was triggered from
+    /// inside an in-flight dispatch (`ctx.instantiate_unit` in an
+    /// `on_event`): the bootstrap events `init` publishes join them, tagged
+    /// with the new unit, and are placed like any other cascade. Without it
+    /// they are external publications of the new unit.
     pub(crate) fn register_unit(
         self: &Arc<Self>,
         spec: UnitSpec,
         mut instance: Box<dyn Unit>,
-        in_dispatch: bool,
+        cascades: Option<&mut Vec<Cascade>>,
     ) -> EngineResult<UnitId> {
         let id = self.next_unit_id();
         let isolate = self.isolation.create_isolate();
@@ -644,11 +639,17 @@ impl EngineCore {
 
         // Run init with a context before the unit becomes reachable by dispatch, so
         // that its subscriptions are in place atomically with registration.
-        let mut outputs = Vec::new();
-        {
-            let mut ctx = UnitContext::new(self, &mut state, None, &mut outputs, in_dispatch);
-            instance.init(&mut ctx)?;
-            ctx.finish();
+        let in_dispatch = cascades.is_some();
+        let mut external = Vec::new();
+        let outputs = cascades.unwrap_or(&mut external);
+        let held = outputs.len();
+        let mut ctx = UnitContext::new(self, &mut state, None, outputs, in_dispatch);
+        let init = instance.init(&mut ctx);
+        ctx.finish();
+        if let Err(error) = init {
+            // A unit that failed to register publishes nothing.
+            outputs.truncate(held);
+            return Err(error);
         }
 
         let output_label = state.output_label.clone();
@@ -658,17 +659,11 @@ impl EngineCore {
         });
         self.units.write().insert(id, slot);
         self.bump_security_epoch();
-        for event in outputs {
-            if in_dispatch {
-                // Part of a main-path cascade: guaranteed to drain, like any
-                // other event published from inside a dispatch.
-                self.enqueue(event);
-            } else {
-                // Registration from a driver thread: after shutdown the
-                // bootstrap events are rejected loudly (the unit itself stays
-                // registered) instead of rotting on the stopped queue.
-                self.enqueue_external(id, &output_label, event)?;
-            }
+        // Registration from a driver thread: after shutdown the bootstrap
+        // events are rejected loudly (the unit itself stays registered)
+        // instead of rotting on the stopped queue.
+        for Cascade { event, .. } in external {
+            self.enqueue_external(id, &output_label, event)?;
         }
         Ok(id)
     }
@@ -1056,7 +1051,7 @@ impl Engine {
     /// Registers a processing unit, running its `init` callback, and returns its
     /// identifier.
     pub fn register_unit(&self, spec: UnitSpec, instance: Box<dyn Unit>) -> EngineResult<UnitId> {
-        self.core.register_unit(spec, instance, false)
+        self.core.register_unit(spec, instance, None)
     }
 
     /// Hot-replaces the unit instance serving `unit` with `replacement`,

@@ -149,18 +149,12 @@ impl RunQueue {
         self.pending.load(Ordering::SeqCst) == 0
     }
 
-    /// Enqueues an event from *inside* dispatch (main-path cascades). Always
-    /// accepted: the publishing dispatch is in flight, so stopping workers
-    /// cannot have exited yet and the event is guaranteed to drain. This is the
-    /// hot path — it touches only its shard, never the global signal lock,
-    /// unless a consumer is actually parked.
-    pub(crate) fn push(&self, event: Event) {
-        self.insert(event);
-        self.wake_consumers(1);
-    }
-
-    /// Batched variant of [`RunQueue::push`]: all events land on one shard in
-    /// order under a single lock acquisition, with a single wakeup check.
+    /// Enqueues a block of events from *inside* dispatch (cascades spilled to
+    /// a parked worker). Always accepted: the publishing dispatch is in
+    /// flight, so stopping workers cannot have exited yet and the events are
+    /// guaranteed to drain. All events land on one shard in order under a
+    /// single lock acquisition, with a single wakeup check; the global signal
+    /// lock is only touched when a consumer is actually parked.
     pub(crate) fn push_batch(&self, events: Vec<Event>) {
         let n = events.len();
         if n == 0 {
@@ -168,6 +162,13 @@ impl RunQueue {
         }
         self.insert_batch(events);
         self.wake_consumers(n);
+    }
+
+    /// Single-event [`RunQueue::push_batch`], for the queue's own tests.
+    #[cfg(test)]
+    fn push(&self, event: Event) {
+        self.insert(event);
+        self.wake_consumers(1);
     }
 
     /// Enqueues an event from an external driver (publisher handles, `with_unit`

@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use defcon_core::context::LabelOp;
 use defcon_core::unit::NullUnit;
-use defcon_core::{Engine, EngineResult, EventDraft, SecurityMode, Unit, UnitContext, UnitSpec};
+use defcon_core::{
+    Engine, EngineError, EngineResult, EventDraft, SecurityMode, Unit, UnitContext, UnitSpec,
+};
 use defcon_defc::{Component, Label, Tag, TagSet};
 use defcon_events::{Event, Filter, Value};
 
@@ -559,6 +561,143 @@ fn each_publishers_cascades_arrive_in_publication_order() {
         let published: Vec<i64> = (0..12).collect();
         assert_eq!(*first.lock(), published, "workers({workers})");
         assert_eq!(*second.lock(), published, "workers({workers})");
+    }
+}
+
+/// Instantiates a `Child` per root and publishes a `poke` for it: odd roots
+/// poke first, even roots instantiate first.
+struct Spawner {
+    log: Log<(i64, i64)>,
+}
+
+impl Unit for Spawner {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("r"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let n = ctx.read_first(event, "n")?.as_int().unwrap();
+        let poke = [("type", Value::str("poke")), ("n", Value::Int(n))];
+        if n % 2 == 1 {
+            publish_public(ctx, &poke)?;
+        }
+        let child = Child {
+            n,
+            log: Arc::clone(&self.log),
+        };
+        ctx.instantiate_unit(UnitSpec::new(format!("child-{n}")), Box::new(child))?;
+        if n % 2 == 0 {
+            publish_public(ctx, &poke)?;
+        }
+        Ok(())
+    }
+}
+
+/// Publishes its root's `c` event 0 from `init` and `c` event 1 on its
+/// `poke`; logs every `c` event of its root as `(root, seq)`.
+struct Child {
+    n: i64,
+    log: Log<(i64, i64)>,
+}
+
+impl Child {
+    fn publish_c(&self, ctx: &mut UnitContext<'_>, seq: i64) -> EngineResult<()> {
+        let parts = [
+            ("type", Value::str("c")),
+            ("n", Value::Int(self.n)),
+            ("seq", Value::Int(seq)),
+        ];
+        publish_public(ctx, &parts)
+    }
+}
+
+impl Unit for Child {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("poke").where_eq("n", self.n))?;
+        ctx.subscribe(Filter::for_type("c").where_eq("n", self.n))?;
+        self.publish_c(ctx, 0)
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        if ctx.read_first(event, "type")?.as_str() == Some("poke") {
+            return self.publish_c(ctx, 1);
+        }
+        let seq = ctx.read_first(event, "seq")?.as_int().unwrap();
+        self.log.lock().push((self.n, seq));
+        Ok(())
+    }
+}
+
+/// A unit instantiated mid-dispatch publishes from `init` as a cascade of
+/// its own: that bootstrap event reaches subscribers before what the unit
+/// republishes later in the same cascade, whichever of the instantiation
+/// and the event that makes the unit republish comes first.
+#[test]
+fn init_events_of_a_unit_created_mid_dispatch_keep_publication_order() {
+    for workers in [0, 1] {
+        let log: Log<(i64, i64)> = Arc::default();
+        let setup = |engine: &Engine| {
+            let spawner = Spawner {
+                log: Arc::clone(&log),
+            };
+            engine
+                .register_unit(UnitSpec::new("spawner"), Box::new(spawner))
+                .unwrap();
+        };
+        // Per root: the root, its poke and the child's two `c` events.
+        assert_eq!(run_roots(workers, setup, vec![root(1), root(2)]), 8);
+        assert_eq!(
+            *log.lock(),
+            [(1, 0), (1, 1), (2, 0), (2, 1)],
+            "workers({workers})"
+        );
+    }
+}
+
+/// Instantiates a unit whose `init` publishes a `c` event and then fails.
+struct FailedSpawner;
+
+impl Unit for FailedSpawner {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("r"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        ctx.instantiate_unit(UnitSpec::new("stillborn"), Box::new(Stillborn))?;
+        Ok(())
+    }
+}
+
+struct Stillborn;
+
+impl Unit for Stillborn {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        publish_public(ctx, &[("type", Value::str("c"))])?;
+        Err(EngineError::InvalidOperation("init fails".into()))
+    }
+
+    fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        Ok(())
+    }
+}
+
+/// A unit whose `init` fails mid-dispatch is not registered, and what that
+/// `init` published before failing is dropped, not dispatched.
+#[test]
+fn a_unit_whose_init_fails_mid_dispatch_publishes_nothing() {
+    for workers in [0, 1] {
+        let setup = |engine: &Engine| {
+            engine
+                .register_unit(UnitSpec::new("spawner"), Box::new(FailedSpawner))
+                .unwrap();
+        };
+        assert_eq!(
+            run_roots(workers, setup, vec![root(1)]),
+            1,
+            "workers({workers})"
+        );
     }
 }
 
