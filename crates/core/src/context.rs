@@ -26,7 +26,7 @@
 //! transparently raised to include the unit's output label, so a unit sandboxed at a
 //! higher contamination cannot write below it.
 
-use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use defcon_defc::{Component, Label, Privilege, PrivilegeKind, PrivilegeSet, Tag};
@@ -51,7 +51,9 @@ pub enum LabelOp {
 /// A handle to an event under construction (`createEvent`).
 ///
 /// Drafts live inside the [`UnitContext`] that created them and are consumed by
-/// [`UnitContext::publish`].
+/// [`UnitContext::publish`]. Ids are drawn from one engine-wide sequence, so a
+/// handle kept past its callback names no draft of a later one: using it is
+/// [`EngineError::UnknownDraft`].
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct DraftEvent {
     id: u64,
@@ -71,10 +73,11 @@ pub struct UnitContext<'a> {
     /// What the unit publishes, tagged with its publisher: this unit, or a
     /// unit it instantiates inside a dispatch.
     outputs: &'a mut Vec<Cascade>,
+    /// Parts added to the delivered event, in the order they were added.
     additions: Vec<Part>,
-    released_additions: Vec<Part>,
-    drafts: HashMap<u64, DraftState>,
-    next_draft: u64,
+    /// Open drafts by id. A callback holds one or two at a time, so a linear
+    /// scan beats hashing (and building a hasher per context).
+    drafts: Vec<(u64, DraftState)>,
     /// Whether this context runs inside an in-flight dispatch (an `on_event`
     /// delivery, or an `init` triggered transitively by one). Publications from
     /// such contexts are main-path cascades and survive the shutdown drain;
@@ -97,20 +100,16 @@ impl<'a> UnitContext<'a> {
             current,
             outputs,
             additions: Vec::new(),
-            released_additions: Vec::new(),
-            drafts: HashMap::new(),
-            next_draft: 1,
+            drafts: Vec::new(),
             in_dispatch,
         }
     }
 
     /// Consumes the context, returning the parts the unit added to the delivered
-    /// event (both released and pending — returning from the callback is an
-    /// implicit release, §3.1.6).
-    pub(crate) fn finish(mut self) -> Vec<Part> {
-        let mut parts = std::mem::take(&mut self.released_additions);
-        parts.append(&mut self.additions);
-        parts
+    /// event in the order it added them — returning from the callback is an
+    /// implicit release (§3.1.6). Empty, and so unallocated, when it added none.
+    pub(crate) fn finish(self) -> Vec<Part> {
+        self.additions
     }
 
     fn checks_labels(&self) -> bool {
@@ -212,10 +211,7 @@ impl<'a> UnitContext<'a> {
 
     /// Creates a new, empty draft event (`createEvent`).
     pub fn create_event(&mut self) -> DraftEvent {
-        let id = self.next_draft;
-        self.next_draft += 1;
-        self.drafts.insert(id, DraftState::default());
-        DraftEvent { id }
+        self.open_draft(DraftState::default())
     }
 
     /// Adds a part to a draft event (`addPart`).
@@ -232,10 +228,7 @@ impl<'a> UnitContext<'a> {
     ) -> EngineResult<()> {
         self.intercept();
         let label = self.effective_label(label);
-        let draft_state = self
-            .drafts
-            .get_mut(&draft.id)
-            .ok_or(EngineError::UnknownDraft(draft.id))?;
+        let draft_state = self.draft_mut(draft)?;
         draft_state.parts.push(Part::new(name, label, data));
         Ok(())
     }
@@ -250,10 +243,7 @@ impl<'a> UnitContext<'a> {
         self.intercept();
         let label = self.effective_label(label);
         let name = name.as_ref();
-        let draft_state = self
-            .drafts
-            .get_mut(&draft.id)
-            .ok_or(EngineError::UnknownDraft(draft.id))?;
+        let draft_state = self.draft_mut(draft)?;
         draft_state
             .parts
             .retain(|p| !(p.name() == name && p.label() == &label));
@@ -275,10 +265,7 @@ impl<'a> UnitContext<'a> {
         self.state.privileges.check_may_delegate(&privilege)?;
         let label = self.effective_label(label);
         let name = name.as_ref();
-        let draft_state = self
-            .drafts
-            .get_mut(&draft.id)
-            .ok_or(EngineError::UnknownDraft(draft.id))?;
+        let draft_state = self.draft_mut(draft)?;
         let part = draft_state
             .parts
             .iter_mut()
@@ -301,16 +288,10 @@ impl<'a> UnitContext<'a> {
         } else {
             event.clone_at_output_label(&Label::public())
         };
-        let id = self.next_draft;
-        self.next_draft += 1;
-        self.drafts.insert(
-            id,
-            DraftState {
-                parts: cloned.parts().to_vec(),
-                origin_ns: Some(cloned.origin_ns()),
-            },
-        );
-        DraftEvent { id }
+        self.open_draft(DraftState {
+            parts: cloned.parts().to_vec(),
+            origin_ns: Some(cloned.origin_ns()),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -363,8 +344,9 @@ impl<'a> UnitContext<'a> {
     // ------------------------------------------------------------------
 
     /// Adds a part to the event currently being delivered (`addPart` on the main
-    /// dataflow path). The part becomes visible to subsequent deliveries once the
-    /// unit releases the event (explicitly or by returning from `on_event`).
+    /// dataflow path). Deliveries of an event run one at a time, so the part
+    /// reaches later subscribers when the callback returns, after the parts
+    /// added before it.
     pub fn add_part_to_current(
         &mut self,
         label: Label,
@@ -382,11 +364,13 @@ impl<'a> UnitContext<'a> {
         Ok(())
     }
 
-    /// Explicitly releases the event currently being delivered (`release`),
-    /// making any parts added so far available to subsequent deliveries.
-    pub fn release(&mut self) {
-        self.released_additions.append(&mut self.additions);
-    }
+    /// Releases the event currently being delivered (`release`, Table 1).
+    ///
+    /// Deliveries of an event run one at a time, so the event moves on to
+    /// later subscribers when the callback returns, whether or not it called
+    /// this; they see every part the callback added, in the order it added
+    /// them. The call is kept for the paper's API and has no further effect.
+    pub fn release(&mut self) {}
 
     // ------------------------------------------------------------------
     // Publishing
@@ -396,10 +380,8 @@ impl<'a> UnitContext<'a> {
     /// required by Table 1; publishing such a draft is not an error but returns
     /// `Ok(false)`.
     pub fn publish(&mut self, draft: DraftEvent) -> EngineResult<bool> {
-        let draft_state = self
-            .drafts
-            .remove(&draft.id)
-            .ok_or(EngineError::UnknownDraft(draft.id))?;
+        let at = self.draft_position(&draft)?;
+        let (_, draft_state) = self.drafts.swap_remove(at);
         if draft_state.parts.is_empty() {
             return Ok(false);
         }
@@ -581,6 +563,25 @@ impl<'a> UnitContext<'a> {
     // ------------------------------------------------------------------
     // Internal helpers
     // ------------------------------------------------------------------
+
+    /// Opens a draft under a fresh engine-wide id.
+    fn open_draft(&mut self, state: DraftState) -> DraftEvent {
+        let id = self.core.draft_sequence.fetch_add(1, Ordering::Relaxed);
+        self.drafts.push((id, state));
+        DraftEvent { id }
+    }
+
+    fn draft_position(&self, draft: &DraftEvent) -> EngineResult<usize> {
+        self.drafts
+            .iter()
+            .position(|(id, _)| *id == draft.id)
+            .ok_or(EngineError::UnknownDraft(draft.id))
+    }
+
+    fn draft_mut(&mut self, draft: &DraftEvent) -> EngineResult<&mut DraftState> {
+        let at = self.draft_position(draft)?;
+        Ok(&mut self.drafts[at].1)
+    }
 
     /// Retires cached dispatch snapshots after a change to the unit's output
     /// label or privileges. Only the owner of a managed subscription has

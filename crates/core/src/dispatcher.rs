@@ -940,26 +940,31 @@ impl Dispatcher {
                     &mut unit_errors,
                     &mut faulted,
                 );
-                for part in additions {
-                    // An augmentation-released part can satisfy clauses of
-                    // subscriptions the original event never indexed to.
-                    // Their turn, like the linear scan's, is still ahead only
-                    // for subscriptions positioned after this delivery.
-                    if let Some(index) = index {
-                        extra.clear();
-                        index.candidates_for_part(part.name(), part.data(), &mut extra);
-                        for &candidate in extra.iter() {
-                            if candidate as usize <= position {
-                                continue;
-                            }
-                            if let Err(at) = worklist[next..].binary_search(&candidate) {
-                                worklist.insert(next + at, candidate);
-                                candidate_total += 1;
+                // Most deliveries add nothing: skip the fold, and the empty
+                // list was never allocated.
+                if !additions.is_empty() {
+                    for part in additions {
+                        // An augmentation-released part can satisfy clauses
+                        // of subscriptions the original event never indexed
+                        // to. Their turn, like the linear scan's, is still
+                        // ahead only for subscriptions positioned after this
+                        // delivery.
+                        if let Some(index) = index {
+                            extra.clear();
+                            index.candidates_for_part(part.name(), part.data(), &mut extra);
+                            for &candidate in extra.iter() {
+                                if candidate as usize <= position {
+                                    continue;
+                                }
+                                if let Err(at) = worklist[next..].binary_search(&candidate) {
+                                    worklist.insert(next + at, candidate);
+                                    candidate_total += 1;
+                                }
                             }
                         }
+                        current = current.with_part(part);
+                        memo.clear();
                     }
-                    current = current.with_part(part);
-                    memo.clear();
                 }
                 if managed || faulted {
                     break;
@@ -1028,9 +1033,14 @@ impl Dispatcher {
     /// lock the run holds: bumps the unit's delivered count, queues into the
     /// mailbox in pull mode (cloning per the security mode), or invokes
     /// `on_event` with per-delivery error/panic isolation. Returns the parts
-    /// the unit added to the event; callback failures are tallied into
-    /// `unit_errors` and a fault-policy trip sets `faulted` (the run folds
-    /// both into the engine once it releases the lock).
+    /// the unit added to the event, in the order added; callback failures are
+    /// tallied into `unit_errors` and a fault-policy trip sets `faulted` (the
+    /// run folds both into the engine once it releases the lock).
+    ///
+    /// A delivery builds nothing it does not use: the [`UnitContext`] is
+    /// borrowed pointers and empty lists, which allocate only when the
+    /// callback creates a draft or adds a part, so a callback that does
+    /// neither costs its own code and the label bookkeeping above.
     #[allow(clippy::too_many_arguments)]
     fn deliver_into_cell(
         &self,

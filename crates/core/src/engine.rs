@@ -402,6 +402,10 @@ pub(crate) struct EngineCore {
     /// Per-engine unit identifier sequence: two engines in one process (or in
     /// parallel tests) each number their units 1, 2, 3, ... independently.
     unit_sequence: AtomicU64,
+    /// Engine-wide draft id sequence ([`UnitContext::create_event`] and
+    /// `clone_event`): ids never repeat across callbacks, so a draft handle
+    /// kept past its callback cannot alias a later callback's draft.
+    pub(crate) draft_sequence: AtomicU64,
     /// Set by the first [`Engine::start`]; the runtime lifecycle is one-shot.
     pub(crate) started: std::sync::atomic::AtomicBool,
 }
@@ -887,6 +891,7 @@ impl Engine {
                 standbys: Mutex::new(HashMap::new()),
                 security_epoch: AtomicU64::new(0),
                 unit_sequence: AtomicU64::new(1),
+                draft_sequence: AtomicU64::new(1),
                 started: std::sync::atomic::AtomicBool::new(false),
             }),
         }

@@ -506,40 +506,90 @@ fn managed_subscription_keeps_owner_clean() {
 
 #[test]
 fn main_path_augmentation_is_visible_to_later_subscribers() {
-    // Unit A (registered first) annotates orders with a "reason" part; unit B
-    // (registered later) sees the annotation on the same event (§3.1.6).
-    let handle = started(SecurityMode::LabelsFreeze);
-    let engine = handle.engine();
-
-    struct Annotator;
+    // Two annotators (registered first) add "reason" parts to each order; an
+    // auditor (registered last) sees them on the same event (§3.1.6). Each
+    // unit holds two subscriptions, so each delivers as a same-unit run of
+    // two. The first annotator releases between its two parts, the second
+    // never releases: either way every part reaches the auditor once, in the
+    // order it was added.
+    struct Annotator {
+        name: &'static str,
+        release: bool,
+        deliveries: u64,
+    }
     impl Unit for Annotator {
         fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+            ctx.subscribe(Filter::for_type("order"))?;
             ctx.subscribe(Filter::for_type("order"))?;
             Ok(())
         }
         fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
-            ctx.add_part_to_current(Label::public(), "reason", Value::str("checked"))?;
-            ctx.release();
+            self.deliveries += 1;
+            let n = self.deliveries;
+            let tag = self.name;
+            ctx.add_part_to_current(Label::public(), "reason", Value::str(format!("{tag}{n}a")))?;
+            if self.release {
+                ctx.release();
+            }
+            ctx.add_part_to_current(Label::public(), "reason", Value::str(format!("{tag}{n}b")))?;
             Ok(())
         }
     }
 
-    engine
-        .register_unit(UnitSpec::new("annotator"), Box::new(Annotator))
-        .unwrap();
-    let (recorder, received, seen) = Recorder::new(Filter::for_type("order"));
-    engine
-        .register_unit(
-            UnitSpec::new("auditor"),
-            Box::new(recorder.reading("reason")),
-        )
-        .unwrap();
+    struct Auditor {
+        seen: Arc<parking_lot::Mutex<Vec<Vec<Value>>>>,
+    }
+    impl Unit for Auditor {
+        fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+            ctx.subscribe(Filter::for_type("order"))?;
+            ctx.subscribe(Filter::for_type("order"))?;
+            Ok(())
+        }
+        fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+            let reasons = ctx.read_part(event, "reason")?;
+            self.seen
+                .lock()
+                .push(reasons.into_iter().map(|(_, value)| value).collect());
+            Ok(())
+        }
+    }
 
-    publish_public(engine, &[("type", Value::str("order"))]);
-    handle.pump_until_idle().unwrap();
+    let expected: Vec<Value> = ["A1a", "A1b", "A2a", "A2b", "B1a", "B1b", "B2a", "B2b"]
+        .into_iter()
+        .map(Value::str)
+        .collect();
+    for workers in [0, 1] {
+        let engine = Engine::builder()
+            .mode(SecurityMode::LabelsFreeze)
+            .workers(workers)
+            .build();
+        for (name, release) in [("A", true), ("B", false)] {
+            let annotator = Annotator {
+                name,
+                release,
+                deliveries: 0,
+            };
+            engine
+                .register_unit(UnitSpec::new(name), Box::new(annotator))
+                .unwrap();
+        }
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let auditor = Auditor {
+            seen: Arc::clone(&seen),
+        };
+        engine
+            .register_unit(UnitSpec::new("auditor"), Box::new(auditor))
+            .unwrap();
+        let handle = engine.start();
+        publish_public(handle.engine(), &[("type", Value::str("order"))]);
+        assert_eq!(handle.shutdown().unwrap(), 1, "workers({workers})");
 
-    assert_eq!(received.load(Ordering::Relaxed), 1);
-    assert_eq!(seen.lock().as_slice(), &[Value::str("checked")]);
+        assert_eq!(
+            seen.lock().as_slice(),
+            &[expected.clone(), expected.clone()],
+            "workers({workers})"
+        );
+    }
 }
 
 #[test]
@@ -575,6 +625,43 @@ fn clone_event_applies_output_label_and_new_identity() {
     // The clone's parts now carry tag d, so the (untagged) subscription of the same
     // unit cannot see them — the event is filtered out.
     assert!(engine.poll_event(unit).unwrap().is_none());
+}
+
+#[test]
+fn draft_kept_past_its_callback_is_unknown_in_the_next() {
+    // A draft handle outlives the callback that created it. Publishing it in a
+    // later callback must not publish that callback's own draft.
+    let handle = started(SecurityMode::LabelsFreeze);
+    let engine = handle.engine();
+    let unit = engine
+        .register_unit(UnitSpec::new("keeper"), Box::new(NullUnit))
+        .unwrap();
+    engine.set_pull_mode(unit, true).unwrap();
+    engine
+        .with_unit(unit, |_, ctx| {
+            ctx.subscribe(Filter::for_type("note"))?;
+            Ok(())
+        })
+        .unwrap();
+
+    let stale = engine
+        .with_unit(unit, |_, ctx| Ok(ctx.create_event()))
+        .unwrap();
+    let outcome = engine
+        .with_unit(unit, |_, ctx| {
+            let fresh = ctx.create_event();
+            ctx.add_part(&fresh, Label::public(), "type", Value::str("note"))?;
+            Ok(ctx.publish(stale))
+        })
+        .unwrap();
+    handle.pump_until_idle().unwrap();
+
+    assert!(
+        matches!(outcome, Err(EngineError::UnknownDraft(_))),
+        "{outcome:?}"
+    );
+    assert!(engine.poll_event(unit).unwrap().is_none());
+    assert_eq!(engine.stats().deliveries(), 0);
 }
 
 #[test]
