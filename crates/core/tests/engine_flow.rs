@@ -1408,10 +1408,13 @@ fn run_for_drives_dispatch_against_live_publishers() {
     handle.shutdown().unwrap();
 }
 
+/// The termination law, swept over dispatch batch sizes {1, 8, 64}: a relay
+/// republishes every tick as a "boom" from inside dispatch while a publisher
+/// thread floods ticks and `shutdown()` races it. Shutdown drains every
+/// accepted tick *and* the boom each one publishes during the drain, cuts the
+/// racing publisher off loudly, and rejects late single and batched publishes.
 #[test]
 fn shutdown_waits_for_cascading_publications() {
-    // A relay republishes every tick as a "boom" event from inside dispatch;
-    // shutdown must also drain the events published *during* the drain.
     struct Relay;
     impl Unit for Relay {
         fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
@@ -1426,29 +1429,89 @@ fn shutdown_waits_for_cascading_publications() {
         }
     }
 
-    let engine = Engine::builder()
-        .mode(SecurityMode::LabelsFreeze)
-        .workers(4)
-        .build();
-    engine
-        .register_unit(UnitSpec::new("relay"), Box::new(Relay))
-        .unwrap();
-    let (recorder, received, _) = Recorder::new(Filter::for_type("boom"));
-    engine
-        .register_unit(UnitSpec::new("sink"), Box::new(recorder))
-        .unwrap();
-    let source = engine
-        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
-        .unwrap();
-
-    let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
-    for _ in 0..200 {
-        publisher
-            .publish(EventDraft::new().public_part("type", Value::str("tick")))
+    let tick = || EventDraft::new().public_part("type", Value::str("tick"));
+    for batch_size in [1usize, 8, 64] {
+        let engine = Engine::builder()
+            .mode(SecurityMode::LabelsFreeze)
+            .workers(4)
+            .batch_size(batch_size)
+            .build();
+        engine
+            .register_unit(UnitSpec::new("relay"), Box::new(Relay))
             .unwrap();
+        let (recorder, received, _) = Recorder::new(Filter::for_type("boom"));
+        engine
+            .register_unit(UnitSpec::new("sink"), Box::new(recorder))
+            .unwrap();
+        let source = engine
+            .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+            .unwrap();
+
+        let handle = engine.start();
+        let publisher = handle.publisher(source).unwrap();
+        for _ in 0..200 {
+            publisher.publish(tick()).unwrap();
+        }
+
+        // Far more ticks than can drain before the shutdown below, so the
+        // racer is always cut off mid-burst. It returns how many of its ticks
+        // were accepted and whether the runtime refused the rest.
+        let (started, first_accepted) = std::sync::mpsc::channel();
+        let racer = std::thread::spawn(move || {
+            let burst = batch_size.max(8);
+            let mut accepted = 0u64;
+            for _ in 0..2_000_000 / burst {
+                match publisher.publish_batch((0..burst).map(|_| tick()).collect()) {
+                    Ok(admission) => {
+                        accepted += admission.accepted() as u64;
+                        let _ = started.send(());
+                        // A batch straddling shutdown is partially accepted;
+                        // the shed remainder is the loud rejection.
+                        if admission.shed() > 0 {
+                            return (accepted, true);
+                        }
+                    }
+                    Err(_) => return (accepted, true),
+                }
+            }
+            (accepted, false)
+        });
+        first_accepted.recv().unwrap();
+        let dispatched = handle.shutdown().unwrap();
+        let (raced, refused) = racer.join().unwrap();
+
+        assert!(
+            refused,
+            "batch {batch_size}: shutdown must cut the racing publisher off loudly"
+        );
+        let accepted = 200 + raced;
+        assert_eq!(
+            dispatched,
+            2 * accepted,
+            "batch {batch_size}: accepted ticks plus relayed booms must both drain"
+        );
+        assert_eq!(
+            received.load(Ordering::Relaxed),
+            accepted,
+            "batch {batch_size}: one boom per accepted tick, none lost to shutdown"
+        );
+        assert_eq!(engine.queue_depth(), 0, "batch {batch_size}");
+
+        let late = engine.publisher(source).unwrap();
+        let result = late.publish(tick());
+        assert!(
+            matches!(result, Err(EngineError::InvalidOperation(_))),
+            "batch {batch_size}: late publish must be rejected loudly, got {result:?}"
+        );
+        let result = late.publish_batch(vec![tick()]);
+        assert!(
+            matches!(result, Err(EngineError::InvalidOperation(_))),
+            "batch {batch_size}: late batch publish must be rejected loudly, got {result:?}"
+        );
+        assert_eq!(
+            engine.queue_depth(),
+            0,
+            "batch {batch_size}: nothing lingers"
+        );
     }
-    let dispatched = handle.shutdown().unwrap();
-    assert_eq!(dispatched, 400, "ticks plus relayed booms must both drain");
-    assert_eq!(received.load(Ordering::Relaxed), 200);
 }

@@ -1,4 +1,4 @@
-//! The shared on-disk frame discipline for logs and traces.
+//! The on-disk frame discipline of the write-ahead log.
 //!
 //! A framed file is an 8-byte magic header followed by frames of
 //! `len: u32 LE | crc32: u32 LE | payload`, where the checksum covers the

@@ -1,37 +1,28 @@
-//! Durability spine for the DEFCon engine: a write-ahead event log and a
-//! recorded arrival-trace format.
+//! Durability spine for the DEFCon engine: a write-ahead event log.
 //!
 //! The DEFCon paper's engine processes events entirely in memory; a production
 //! deployment of its trading platform cannot lose accepted orders on a crash.
-//! This crate adds the two mechanisms that make the in-memory design
-//! recoverable and auditable without touching the dispatch hot path's sharing
-//! semantics:
+//! This crate makes the in-memory design recoverable without touching the
+//! dispatch hot path's sharing semantics.
 //!
-//! * [`wal`] — a segmented, CRC32-framed append-only log of externally
-//!   published batches. Appends piggyback on the engine's
-//!   one-transaction-per-chunk `publish_batch` path: one frame per batch, one
-//!   optional fsync per batch (policy [`FsyncPolicy`]). Recovery scans the
-//!   segments, truncates a torn tail at the last valid frame and re-feeds the
-//!   surviving records through normal dispatch.
-//! * [`trace`] — a recorded arrival trace: the exact burst/batch structure a
-//!   workload scenario published, captured *before* label raising and id
-//!   assignment. Replaying a trace re-feeds it byte-for-byte — same batch
-//!   boundaries, same inter-burst schedule — so two runs of the same binary
-//!   produce identical delivery sequences.
+//! [`wal`] is a segmented, CRC32-framed append-only log of externally
+//! published batches. Appends piggyback on the engine's
+//! one-transaction-per-chunk `publish_batch` path: one frame per batch, one
+//! optional fsync per batch (policy [`FsyncPolicy`]). Recovery scans the
+//! segments, truncates a torn tail at the last valid frame and re-feeds the
+//! surviving records through normal dispatch.
 //!
-//! Both formats share one frame discipline ([`frame`]): a little-endian
-//! `len: u32` + `crc32: u32` header per payload, with a magic-prefixed file
-//! header, so a partially flushed tail is always detectable.
+//! The on-disk format lives in [`frame`]: a little-endian `len: u32` +
+//! `crc32: u32` header per payload, with a magic-prefixed file header, so a
+//! partially flushed tail is always detectable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;
-pub mod trace;
 pub mod wal;
 
 pub use frame::crc32;
-pub use trace::{Trace, TraceBurst, TraceWriter};
 pub use wal::{recover, FsyncPolicy, WalConfig, WalScan, WalWriter};
 
 // The record type lives in the events crate (the codec owns its wire format);

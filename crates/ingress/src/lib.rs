@@ -2,9 +2,8 @@
 //!
 //! The batched publish path ([`Publisher::publish_batch`]) is synchronous and
 //! unbounded: a flood of publishers facing a slow consumer grows the run
-//! queue to arbitrary depth (the committed SlowConsumerFlood baseline peaks
-//! near 8,000 queued events). This crate adds the SEDA-style admission stage
-//! in front of it:
+//! queue to arbitrary depth (the `ingress_admission` example shows it). This
+//! crate adds the SEDA-style admission stage in front of it:
 //!
 //! * an [`IngressTier`] owns a small band of executor threads — a minimal
 //!   poll-based reactor shim (no async-runtime dependency, no `unsafe`) — and

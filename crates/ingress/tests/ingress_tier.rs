@@ -1,7 +1,8 @@
 //! Integration tests for the credit-gated ingress tier: policy semantics,
 //! bound enforcement, and accounting consistency.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use defcon_core::unit::NullUnit;
@@ -12,6 +13,7 @@ use defcon_core::{
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Value};
 use defcon_ingress::IngressTier;
+use proptest::prelude::*;
 
 fn draft(seq: i64) -> EventDraft {
     EventDraft::new()
@@ -170,6 +172,98 @@ fn queue_bound_holds_under_many_flooding_sessions() {
     assert_eq!(report.admitted, 6 * 10 * 20);
     assert_eq!(report.shed, 0);
     handle.shutdown().unwrap();
+}
+
+/// Counts every tick delivered to it.
+struct TickCounter(Arc<AtomicU64>);
+
+impl Unit for TickCounter {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("tick"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Over random admission configurations, with bursts submitted
+    /// round-robin over the sessions, the admission laws hold:
+    ///
+    /// 1. **loud accounting** — engine-admitted + shed == submitted;
+    /// 2. **the bound** — sampled run-queue depth never exceeds the queue
+    ///    bound;
+    /// 3. **`Block` sheds nothing**;
+    /// 4. **exactly-once for admitted** — deliveries == admitted.
+    #[test]
+    fn admission_laws_hold_over_random_tuples(
+        sessions in 1usize..5,
+        credit_window in 4usize..40,
+        policy_index in 0usize..3,
+        batch in 1usize..50,
+        queue_bound in 8usize..64,
+    ) {
+        const TOTAL: usize = 600;
+        let policy = FullQueuePolicy::all()[policy_index];
+        let (engine, source) = engine_with(
+            IngressConfig::new(queue_bound)
+                .credit_window(credit_window)
+                .policy(policy),
+            1,
+        );
+        let delivered = Arc::new(AtomicU64::new(0));
+        engine
+            .register_unit(
+                UnitSpec::new("counter"),
+                Box::new(TickCounter(Arc::clone(&delivered))),
+            )
+            .unwrap();
+        let handle = engine.start();
+        let tier = IngressTier::new(&engine);
+        let sessions: Vec<_> = (0..sessions)
+            .map(|_| tier.session(source).unwrap())
+            .collect();
+
+        let mut peak = 0usize;
+        let mut shed = 0usize;
+        for (burst, start) in (0..TOTAL).step_by(batch).enumerate() {
+            let chunk = (start..(start + batch).min(TOTAL))
+                .map(|seq| draft(seq as i64))
+                .collect();
+            shed += sessions[burst % sessions.len()].submit(chunk).shed();
+            peak = peak.max(engine.queue_depth());
+        }
+        prop_assert!(tier.drain(Duration::from_secs(120)), "sessions must drain");
+        prop_assert!(
+            peak <= queue_bound,
+            "sampled depth {peak} exceeded bound {queue_bound}"
+        );
+        if policy == FullQueuePolicy::Block {
+            prop_assert_eq!(shed, 0, "Block never sheds");
+        }
+
+        tier.shutdown();
+        handle.shutdown().unwrap();
+        let stats = engine.queue_stats();
+        prop_assert_eq!(
+            stats.ingress_admitted + stats.ingress_shed,
+            TOTAL as u64,
+            "admitted {} + shed {} must cover all {} submitted",
+            stats.ingress_admitted,
+            stats.ingress_shed,
+            TOTAL
+        );
+        prop_assert_eq!(
+            delivered.load(Ordering::Relaxed),
+            stats.ingress_admitted,
+            "admitted events deliver exactly once"
+        );
+    }
 }
 
 /// Republishes every tick it receives several times, slowly: each input

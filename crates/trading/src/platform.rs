@@ -129,37 +129,6 @@ pub struct PlatformReport {
 }
 
 impl PlatformReport {
-    /// Builds a figure row from a scenario replay: the driver-side
-    /// [`ScenarioOutcome`](defcon_workload::scenario::ScenarioOutcome)
-    /// counters paired with the sink-side latency percentiles the harness
-    /// merged across its lane sinks. This is what makes scenario runs
-    /// plottable next to the paper's figures — same row shape, same headline
-    /// p70 percentile, with lanes standing in for traders.
-    pub fn from_scenario(
-        outcome: &defcon_workload::scenario::ScenarioOutcome,
-        mode: SecurityMode,
-        workers: usize,
-        batch_size: usize,
-        lanes: usize,
-        latency: &defcon_metrics::LatencySummary,
-    ) -> PlatformReport {
-        PlatformReport {
-            mode,
-            traders: lanes,
-            workers,
-            batch_size,
-            ticks: outcome.published,
-            orders: 0,
-            trades: 0,
-            warnings: 0,
-            throughput_eps: outcome.throughput_eps(),
-            latency_p70_ms: latency.p70_ms,
-            latency_p50_ms: latency.p50_ms,
-            latency_p99_ms: latency.p99_ms,
-            memory_mib: 0.0,
-        }
-    }
-
     /// Formats the report as a figure row: mode, traders, workers,
     /// throughput, latency, memory.
     pub fn as_row(&self) -> String {
@@ -500,86 +469,6 @@ impl TradingPlatform {
         self.ticks_published += admitted;
         self.throughput.record(dispatched.max(admitted));
         Ok(())
-    }
-
-    /// Replays a [`Scenario`](defcon_workload::scenario::Scenario)'s *arrival
-    /// shape* through the trading platform: each burst is honoured (pause
-    /// included) and published as one [`TradingPlatform::publish_tick_batch`]
-    /// of the burst's size, so Zipf-skewed or bursty open/close arrival drives
-    /// the full tick→monitor→trader→broker cascade instead of synthetic lane
-    /// sinks. The tick *content* comes from the platform's own generator —
-    /// what the scenario contributes is when and how much arrives at once.
-    ///
-    /// Returns the Figure-5-style row for the replay (built via
-    /// [`PlatformReport::from_scenario`], so scenario rows and platform rows
-    /// share one shape), with the platform's order/trade/memory columns and
-    /// the broker's tick-to-trade latency percentiles filled in.
-    pub fn replay_scenario(
-        &mut self,
-        scenario: &mut dyn defcon_workload::scenario::Scenario,
-    ) -> EngineResult<PlatformReport> {
-        use defcon_workload::scenario::ScenarioOutcome;
-
-        let trades_before = self.broker_shared.trades.load(Ordering::Relaxed);
-        let ledger_before = self.engine.queue_stats();
-        let ticks_before = self.ticks_published;
-        let start = std::time::Instant::now();
-        let mut bursts = 0u64;
-        while let Some(burst) = scenario.next_burst() {
-            if !burst.pause.is_zero() {
-                std::thread::sleep(burst.pause);
-            }
-            bursts += 1;
-            self.publish_tick_batch(burst.drafts.len())?;
-        }
-        let ledger = self.engine.queue_stats();
-        let outcome = ScenarioOutcome {
-            scenario: scenario.name().to_string(),
-            bursts,
-            // Only ticks the admission layer actually accepted count as
-            // published; under a shedding feed the difference lands on `shed`.
-            published: self.ticks_published - ticks_before,
-            rejected: 0,
-            shed: ledger.ingress_shed - ledger_before.ingress_shed,
-            credit_waits: ledger.ingress_credit_stalls - ledger_before.ingress_credit_stalls,
-            completed: true,
-            // publish_tick_batch waits out each burst's cascade, so the
-            // replay ends drained by construction — and for the same reason
-            // inter-burst queue-depth samples would always read an empty
-            // queue, so no peak is reported (use the engine-level scenario
-            // driver for backpressure measurements).
-            drained: true,
-            peak_queue_depth: 0,
-            elapsed: start.elapsed(),
-        };
-        let mut row = PlatformReport::from_scenario(
-            &outcome,
-            self.config.mode,
-            self.config.workers,
-            self.config.batch_size.max(1),
-            self.config.traders,
-            &self.broker_shared.latency.summary(),
-        );
-        row.orders = self.orders_placed.load(Ordering::Relaxed);
-        row.trades = self.broker_shared.trades.load(Ordering::Relaxed) - trades_before;
-        row.warnings = self.regulator_shared.warnings.load(Ordering::Relaxed);
-        row.memory_mib = self.engine.memory_mib();
-        Ok(row)
-    }
-
-    /// Replays a recorded arrival trace through the platform — the
-    /// [`TradingPlatform::replay_scenario`] convenience for trace files
-    /// captured by `ScenarioDriver::record`. The trace contributes the burst
-    /// sizes and inter-burst pauses; tick content comes from the platform's
-    /// own generator, exactly as for any other scenario replay.
-    pub fn replay_trace(&mut self, path: &std::path::Path) -> EngineResult<PlatformReport> {
-        let mut replay = defcon_workload::ReplayTrace::load(path).map_err(|err| {
-            defcon_core::EngineError::InvalidOperation(format!(
-                "loading arrival trace {}: {err}",
-                path.display()
-            ))
-        })?;
-        self.replay_scenario(&mut replay)
     }
 
     /// Replays `n` ticks as fast as the engine can absorb them, feeding them in

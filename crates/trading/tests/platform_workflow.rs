@@ -176,93 +176,6 @@ fn batched_feed_and_dispatch_preserve_the_workflow() {
 }
 
 #[test]
-fn scenario_arrival_shapes_replay_through_the_platform() {
-    // The scenario→platform adapter: Zipf-skewed and bursty open/close
-    // arrival drive the full Figure 4 cascade through publish_tick_batch, and
-    // the resulting rows read like the paper's figures (p70 included).
-    use defcon_workload::scenario::{BurstyOpenClose, Scenario, ZipfLanes};
-
-    let shapes: Vec<(&str, Box<dyn Scenario>)> = vec![
-        ("zipf", Box::new(ZipfLanes::new(4, 1.0, 16, 600, 11))),
-        (
-            "bursty",
-            Box::new(BurstyOpenClose::new(
-                4,
-                64,
-                4,
-                std::time::Duration::from_millis(1),
-                600,
-            )),
-        ),
-    ];
-    for (name, mut shape) in shapes {
-        let config = TradingPlatformConfig {
-            batch_size: 8,
-            ..small_config(SecurityMode::LabelsFreeze, 8)
-        };
-        let mut platform = TradingPlatform::build(config).unwrap();
-        let row = platform.replay_scenario(shape.as_mut()).unwrap();
-        assert_eq!(row.ticks, 600, "{name}: every burst event becomes a tick");
-        assert!(row.orders > 0, "{name}: the cascade must place orders");
-        assert!(row.trades > 0, "{name}: the cascade must match trades");
-        assert!(row.throughput_eps > 0.0, "{name}");
-        assert!(
-            row.latency_p70_ms > 0.0,
-            "{name}: broker latency percentiles must be populated"
-        );
-        assert!(row.memory_mib > 0.0, "{name}");
-        assert_eq!(
-            platform.engine().queue_depth(),
-            0,
-            "{name}: each burst's cascade is drained"
-        );
-        // The platform's own report agrees on the tick count (the adapter
-        // replays through the same publish path run_ticks uses).
-        assert_eq!(platform.report().ticks, 600, "{name}");
-    }
-}
-
-#[test]
-fn recorded_traces_replay_through_the_platform() {
-    // Capture an arrival trace with the engine-level driver, then feed its
-    // shape — burst sizes and pauses — through the full trading cascade via
-    // replay_trace. The tick count must equal the trace's event count.
-    use defcon_core::unit::NullUnit;
-    use defcon_core::{Engine, UnitSpec};
-    use defcon_workload::scenario::{MixedBatches, ScenarioDriver};
-
-    let dir = std::env::temp_dir().join(format!("defcon-platform-trace-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("arrival.trace");
-
-    let engine = Engine::builder().build();
-    let source = engine
-        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
-        .unwrap();
-    let handle = engine.start();
-    let driver = ScenarioDriver::new(&handle, source).unwrap();
-    let mut scenario = MixedBatches::new(2, vec![4, 12], 320);
-    let outcome = driver.record(&mut scenario, &path).unwrap();
-    handle.shutdown().unwrap();
-    assert_eq!(outcome.published, 320);
-
-    let config = TradingPlatformConfig {
-        batch_size: 8,
-        ..small_config(SecurityMode::LabelsFreeze, 8)
-    };
-    let mut platform = TradingPlatform::build(config).unwrap();
-    let row = platform.replay_trace(&path).unwrap();
-    assert_eq!(row.ticks, 320, "every traced draft becomes one tick");
-    assert!(row.orders > 0, "the cascade must place orders");
-
-    // A torn trace is rejected loudly, not replayed partially.
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    assert!(platform.replay_trace(&path).is_err());
-}
-
-#[test]
 fn traders_never_receive_other_traders_opportunities() {
     // With label checks on, every match event is confined to one trader's tag, so
     // the number of deliveries of match events equals the number of match events

@@ -14,30 +14,16 @@
 //! with periodic excursions that trigger the pairs trade, a [`ZipfSampler`] for
 //! pair popularity, and plain [`Order`]/[`Trade`] records shared with the baseline
 //! platform.
-//!
-//! Beyond static traces, the [`scenario`] module replays configurable load
-//! *shapes* (Zipf-skewed lanes, bursty open/close arrival, slow-consumer
-//! backpressure, mixed batch sizes) through a live engine via a
-//! [`ScenarioDriver`] — the adversarial-workload half of the evaluation. The
-//! [`ingress_driver`] module replays the same shapes through the credit-gated
-//! ingress tier, measuring bounded admission instead of unbounded backlog.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ingress_driver;
 pub mod orders;
-pub mod scenario;
 pub mod symbols;
 pub mod ticks;
 pub mod zipf;
 
-pub use ingress_driver::IngressScenarioDriver;
 pub use orders::{Order, OrderSide, Trade};
-pub use scenario::{
-    Burst, BurstyOpenClose, CountingSink, CreditStorm, FanOutBurst, FaultSwap, MixedBatches,
-    ReplayTrace, Scenario, ScenarioDriver, ScenarioOutcome, SlowConsumerFlood, ZipfLanes,
-};
 pub use symbols::{Symbol, SymbolPair, SymbolUniverse};
 pub use ticks::{Tick, TickGenerator, TickGeneratorConfig};
 pub use zipf::ZipfSampler;

@@ -9,8 +9,8 @@
 //! * [`defc`] — tags, labels, the can-flow-to lattice and privileges (§3.1);
 //! * [`events`] — multi-part events, freezable values, filters and a codec (§3.1.2,
 //!   §5);
-//! * [`durability`] — segmented CRC32-framed write-ahead log and recorded
-//!   arrival traces for crash recovery and deterministic replay;
+//! * [`durability`] — segmented CRC32-framed write-ahead log for crash
+//!   recovery;
 //! * [`isolation`] — per-unit isolates, duplicated static state and the
 //!   interceptor table of §4, with the interception cost modelled;
 //! * [`core`] — the DEFCon engine: dispatcher, subscriptions, the Table 1 API;
