@@ -1408,27 +1408,59 @@ fn run_for_drives_dispatch_against_live_publishers() {
     handle.shutdown().unwrap();
 }
 
+/// Republishes every tick as a "boom" event from inside dispatch.
+struct BoomRelay;
+
+impl Unit for BoomRelay {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("tick"))?;
+        Ok(())
+    }
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        let draft = ctx.create_event();
+        ctx.add_part(&draft, Label::public(), "type", Value::str("boom"))?;
+        ctx.publish(draft)?;
+        Ok(())
+    }
+}
+
+#[test]
+fn shutdown_waits_for_cascading_publications() {
+    // Shutdown must also drain the events published *during* the drain.
+    let engine = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(4)
+        .build();
+    engine
+        .register_unit(UnitSpec::new("relay"), Box::new(BoomRelay))
+        .unwrap();
+    let (recorder, received, _) = Recorder::new(Filter::for_type("boom"));
+    engine
+        .register_unit(UnitSpec::new("sink"), Box::new(recorder))
+        .unwrap();
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+
+    let handle = engine.start();
+    let publisher = handle.publisher(source).unwrap();
+    for _ in 0..200 {
+        publisher
+            .publish(EventDraft::new().public_part("type", Value::str("tick")))
+            .unwrap();
+    }
+    let dispatched = handle.shutdown().unwrap();
+    assert_eq!(dispatched, 400, "ticks plus relayed booms must both drain");
+    assert_eq!(received.load(Ordering::Relaxed), 200);
+}
+
 /// The termination law, swept over dispatch batch sizes {1, 8, 64}: a relay
 /// republishes every tick as a "boom" from inside dispatch while a publisher
 /// thread floods ticks and `shutdown()` races it. Shutdown drains every
 /// accepted tick *and* the boom each one publishes during the drain, cuts the
 /// racing publisher off loudly, and rejects late single and batched publishes.
 #[test]
-fn shutdown_waits_for_cascading_publications() {
-    struct Relay;
-    impl Unit for Relay {
-        fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
-            ctx.subscribe(Filter::for_type("tick"))?;
-            Ok(())
-        }
-        fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
-            let draft = ctx.create_event();
-            ctx.add_part(&draft, Label::public(), "type", Value::str("boom"))?;
-            ctx.publish(draft)?;
-            Ok(())
-        }
-    }
-
+fn mid_burst_shutdown_drains_cascades_and_rejects_late_publishes_loudly() {
     let tick = || EventDraft::new().public_part("type", Value::str("tick"));
     for batch_size in [1usize, 8, 64] {
         let engine = Engine::builder()
@@ -1437,7 +1469,7 @@ fn shutdown_waits_for_cascading_publications() {
             .batch_size(batch_size)
             .build();
         engine
-            .register_unit(UnitSpec::new("relay"), Box::new(Relay))
+            .register_unit(UnitSpec::new("relay"), Box::new(BoomRelay))
             .unwrap();
         let (recorder, received, _) = Recorder::new(Filter::for_type("boom"));
         engine
