@@ -17,7 +17,7 @@
 //! Parts added by a unit during a delivery are folded into the event for subsequent
 //! deliveries in the same pass — the main-dataflow-path augmentation of §3.1.6.
 //! The [`SecurityMode`](crate::SecurityMode) determines whether label checks run,
-//! whether events are shared frozen or deep-copied, and whether the isolation
+//! whether events are shared by reference or deep-copied, and whether the isolation
 //! runtime's interceptor cost is charged per part examined.
 //!
 //! # The batched hot path
@@ -1085,7 +1085,7 @@ impl Dispatcher {
         } = *cell;
         let deep_copy;
         // `labels+clone` pays a deep copy per delivery; the other modes share
-        // the frozen event by reference.
+        // the immutable event by reference.
         let delivered: &Event = if mode.clones_events() {
             deep_copy = event.deep_clone();
             &deep_copy

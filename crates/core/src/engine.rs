@@ -32,17 +32,23 @@ use crate::subscription::SubscriptionId;
 use crate::unit::{Unit, UnitFactory, UnitId, UnitSpec, UnitState};
 
 /// The four security configurations evaluated in Figures 5–7 of the paper.
+///
+/// "Freeze" names the paper's configurations. Event values are immutable by
+/// type here, so a freeze mode shares them by reference: the paper's frozen
+/// flag, checked on every mutation, is a JVM cost this engine does not model.
+/// Only `LabelsClone` copies data, and `events.clone_over_freeze_ratio` in
+/// the benchmark is the price of that copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SecurityMode {
     /// No label checks, events shared by reference ("no security").
     NoSecurity,
-    /// Label checks with freeze-and-share event dispatch ("labels+freeze").
+    /// Label checks, with events shared by reference ("labels+freeze").
     #[default]
     LabelsFreeze,
     /// Label checks with a deep copy of every event per delivery ("labels+clone").
     LabelsClone,
-    /// Label checks, freeze-and-share dispatch and runtime isolation interception
-    /// ("labels+freeze+isolation") — the full DEFCon configuration.
+    /// Label checks, events shared by reference and runtime isolation
+    /// interception ("labels+freeze+isolation") — the full DEFCon configuration.
     LabelsFreezeIsolation,
 }
 

@@ -14,7 +14,7 @@ pub type EngineResult<T> = Result<T, EngineError>;
 pub enum EngineError {
     /// A DEFC model violation (missing privilege, forbidden flow).
     Defc(DefcError),
-    /// An event-model error (frozen value, empty event, missing part).
+    /// An event-model error (empty event, missing part, malformed encoding).
     Event(EventError),
     /// An isolation violation (access to a non-white-listed target).
     Isolation(SecurityException),

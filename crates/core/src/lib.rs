@@ -20,7 +20,8 @@
 //!
 //! The [`SecurityMode`] enum selects one of the four configurations evaluated in
 //! Figures 5–7 of the paper: `NoSecurity`, `LabelsFreeze`, `LabelsClone` and
-//! `LabelsFreezeIsolation`.
+//! `LabelsFreezeIsolation`. Event values are immutable by type, so "freeze"
+//! here means sharing them by reference; only `LabelsClone` copies them.
 //!
 //! # Quick start
 //!

@@ -519,17 +519,9 @@ impl SubscriptionTable {
     }
 
     /// The registered filter equal to `filter`, or `filter` itself, recorded
-    /// for the next equal one. A filter comparing against a list or map keeps
-    /// its own allocation: its creator may still mutate that storage. So does
-    /// one whose hash another filter holds, a 64-bit collision.
+    /// for the next equal one. A filter whose hash another filter holds, a
+    /// 64-bit collision, keeps its own allocation.
     fn share(&mut self, filter: Arc<Filter>) -> Arc<Filter> {
-        let collection = |value: &Value| matches!(value, Value::List(_) | Value::Map(_));
-        let mutable = filter.clauses().iter().any(|(_, predicate)| {
-            matches!(predicate, Predicate::Equals(v) | Predicate::NotEquals(v) if collection(v))
-        });
-        if mutable {
-            return filter;
-        }
         let mut hasher = DefaultHasher::new();
         filter.hash(&mut hasher);
         let shared = self
@@ -988,13 +980,13 @@ mod tests {
         use crate::unit::{NullUnit, Unit};
         let mut table = SubscriptionTable::new(true);
         let (a, b) = (UnitId::from_raw(1), UnitId::from_raw(2));
-        let list = defcon_events::ValueList::new();
+        let list = || Value::List([Value::Int(1), Value::str("a")].into_iter().collect());
         let filters = [
             Filter::for_type("tick").where_eq("x", "1"),
             Filter::for_type("tick").where_eq("x", "1"),
             Filter::for_type("tick").where_eq("x", 1i64),
-            Filter::new().where_eq("x", Value::List(list.clone())),
-            Filter::new().where_eq("x", Value::List(list)),
+            Filter::new().where_eq("x", list()),
+            Filter::new().where_eq("x", list()),
         ];
         for (position, filter) in filters.into_iter().enumerate() {
             let owner = if position % 2 == 0 { a } else { b };
@@ -1015,9 +1007,9 @@ mod tests {
         assert!(Arc::ptr_eq(&filter(0), &filter(5)));
         // `"1"` and `1` never match the same part, so they are not equal.
         assert!(!Arc::ptr_eq(&filter(0), &filter(2)));
-        // A list literal's storage stays mutable by whoever made it.
-        assert!(!Arc::ptr_eq(&filter(3), &filter(4)));
-        assert_eq!(table.filters.len(), 2);
+        // Equal list literals share too: a value cannot change once built.
+        assert!(Arc::ptr_eq(&filter(3), &filter(4)));
+        assert_eq!(table.filters.len(), 3);
     }
 
     #[test]

@@ -737,6 +737,39 @@ fn all_security_modes_deliver_functional_events() {
     }
 }
 
+/// Values are immutable, so every mode but `labels+clone` hands a unit the
+/// publisher's storage; `labels+clone` hands it an equal deep copy.
+#[test]
+fn clone_mode_copies_published_data_and_other_modes_share_it() {
+    let symbol_at = |value: &Value| {
+        let symbol = value.as_map().and_then(|map| map.get("symbol"));
+        symbol.and_then(Value::as_str).unwrap().as_ptr()
+    };
+    for mode in SecurityMode::all() {
+        let handle = started(mode);
+        let engine = handle.engine();
+        let (recorder, _, seen) = Recorder::new(Filter::for_type("tick"));
+        engine
+            .register_unit(UnitSpec::new("r"), Box::new(recorder.reading("body")))
+            .unwrap();
+        let body = Value::Map([("symbol", Value::str("MSFT"))].into_iter().collect());
+        publish_public(
+            engine,
+            &[("type", Value::str("tick")), ("body", body.clone())],
+        );
+        handle.pump_until_idle().unwrap();
+
+        let seen = seen.lock();
+        assert_eq!(seen.as_slice(), std::slice::from_ref(&body), "mode {mode}");
+        let shares = mode != SecurityMode::LabelsClone;
+        assert_eq!(
+            symbol_at(&seen[0]) == symbol_at(&body),
+            shares,
+            "mode {mode}"
+        );
+    }
+}
+
 #[test]
 fn pull_mode_get_event_blocks_until_delivery() {
     let handle = started(SecurityMode::LabelsFreeze);

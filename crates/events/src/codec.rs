@@ -1,7 +1,7 @@
 //! A compact binary codec for events.
 //!
 //! DEFCon itself never serialises events: the entire point of sharing a single
-//! address space (§4) is that frozen event data can be passed between isolates by
+//! address space (§4) is that immutable event data can be passed between isolates by
 //! reference. The codec exists to model the systems DEFCon is compared against:
 //!
 //! * the `labels+clone` configuration of Figure 5 (deep copies per dispatch), and
@@ -17,7 +17,7 @@ use defcon_defc::{Label, Privilege, PrivilegeKind, Tag, TagId, TagSet};
 
 use crate::event::{Event, EventId};
 use crate::part::Part;
-use crate::value::{Value, ValueList, ValueMap};
+use crate::value::Value;
 use crate::EventError;
 
 /// Serialises an event into a freshly allocated byte buffer.
@@ -267,17 +267,15 @@ fn encode_value(buf: &mut BytesMut, value: &Value) {
         }
         Value::List(list) => {
             buf.put_u8(TAG_LIST);
-            let items = list.to_vec();
-            buf.put_u32_le(items.len() as u32);
-            for item in &items {
+            buf.put_u32_le(list.len() as u32);
+            for item in list.iter() {
                 encode_value(buf, item);
             }
         }
         Value::Map(map) => {
             buf.put_u8(TAG_MAP);
-            let entries = map.entries();
-            buf.put_u32_le(entries.len() as u32);
-            for (key, item) in &entries {
+            buf.put_u32_le(map.len() as u32);
+            for (key, item) in map.iter() {
                 put_str(buf, key);
                 encode_value(buf, item);
             }
@@ -299,25 +297,22 @@ fn decode_value(buf: &mut &[u8]) -> Result<Value, EventError> {
         }
         TAG_TIMESTAMP => Value::Timestamp(take_u64(buf)?),
         TAG_TAGREF => Value::Tag(TagId::from_raw(take_u128(buf)?)),
+        // The element count is untrusted input, so it bounds the loop but
+        // never sizes an allocation.
         TAG_LIST => {
-            let len = take_u32(buf)? as usize;
-            let list = ValueList::new();
-            for _ in 0..len {
-                list.push(decode_value(buf)?)
-                    .map_err(|_| EventError::Codec("frozen list during decode".into()))?;
-            }
-            Value::List(list)
+            let len = take_u32(buf)?;
+            Value::List(
+                (0..len)
+                    .map(|_| decode_value(buf))
+                    .collect::<Result<_, _>>()?,
+            )
         }
         TAG_MAP => {
-            let len = take_u32(buf)? as usize;
-            let map = ValueMap::new();
-            for _ in 0..len {
-                let key = take_str(buf)?;
-                let value = decode_value(buf)?;
-                map.insert(key, value)
-                    .map_err(|_| EventError::Codec("frozen map during decode".into()))?;
-            }
-            Value::Map(map)
+            let len = take_u32(buf)?;
+            let entry = |buf: &mut &[u8]| -> Result<_, EventError> {
+                Ok((take_str(buf)?, decode_value(buf)?))
+            };
+            Value::Map((0..len).map(|_| entry(buf)).collect::<Result<_, _>>()?)
         }
         other => return Err(EventError::Codec(format!("unknown value tag {other}"))),
     })
@@ -384,13 +379,14 @@ take_primitive!(take_u128, u128, get_u128_le, 16);
 mod tests {
     use super::*;
     use crate::event::EventBuilder;
+    use crate::value::{ValueList, ValueMap};
     use defcon_defc::TagSet;
 
     fn rich_event() -> Event {
         let t = Tag::with_name("dark-pool");
-        let map = ValueMap::new();
-        map.insert("price", Value::Float(1234.5)).unwrap();
-        map.insert("qty", Value::Int(100)).unwrap();
+        let map: ValueMap = [("price", Value::Float(1234.5)), ("qty", Value::Int(100))]
+            .into_iter()
+            .collect();
         let list: ValueList = [Value::str("a"), Value::Int(2), Value::Null]
             .into_iter()
             .collect();

@@ -62,7 +62,7 @@ impl fmt::Display for EventId {
 /// An immutable event: an identifier plus a list of parts.
 ///
 /// Events are cheap to clone (`Arc` internally) and safe to share across threads;
-/// all part data has been frozen on construction. "Adding a part" produces a new
+/// all part data is immutable. "Adding a part" produces a new
 /// `Event` value that shares the unchanged parts with its predecessor, which is how
 /// partial event processing (§3.1.6) avoids relabelling untouched parts.
 #[derive(Clone)]
@@ -226,7 +226,7 @@ impl Event {
     /// Produces a deep copy of the event, duplicating all part data.
     ///
     /// This is the per-dispatch cost paid by the `labels+clone` configuration
-    /// (Figure 5) and by serialising baselines; DEFCon's freeze-and-share dispatch
+    /// (Figure 5) and by serialising baselines; DEFCon's share-by-reference dispatch
     /// never calls it on the hot path.
     pub fn deep_clone(&self) -> Event {
         let parts: Vec<Part> = self.parts.iter().map(Part::deep_clone).collect();

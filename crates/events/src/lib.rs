@@ -1,20 +1,25 @@
-//! DEFCon event model: multi-part events, freezable values, filters and a codec.
+//! DEFCon event model: multi-part events, immutable values, filters and a codec.
 //!
 //! This crate implements §3.1.2 ("Anatomy of events"), §3.1.5 (privilege-carrying
-//! parts), §3.1.6 (partial event processing) and the "Freezing shared objects"
-//! mechanism of §5 of the DEFCon paper.
+//! parts), §3.1.6 (partial event processing) and the guarantee behind §5's
+//! "Freezing shared objects": published data is shared between isolates by
+//! reference, and nobody can change it.
 //!
 //! An [`Event`] is a collection of named [`Part`]s. Each part carries:
 //!
 //! * a name (`"type"`, `"body"`, `"trader_id"`, ...),
 //! * a security [`Label`](defcon_defc::Label),
-//! * a data [`Value`] which is *frozen* (made immutable) when the part enters the
-//!   engine, and
+//! * a data [`Value`], which is immutable, and
 //! * optionally a set of [`Privilege`](defcon_defc::Privilege)s, making the part a
 //!   *privilege-carrying* part.
 //!
-//! Values use the [`freeze`] module's shared-flag scheme so that freezing an entire
-//! collection is a constant-time operation, as required by §5.
+//! The paper freezes Java objects at publish and checks a frozen flag on every
+//! mutation, because the JVM cannot stop a unit from mutating a shared
+//! reference. Here values are immutable by type: collections are built once and
+//! have no mutating method, so "freeze" means sharing immutable values by
+//! reference, and the per-mutation check is a JVM cost this crate does not
+//! model. Only the `labels+clone` configuration copies data, through
+//! [`Value::deep_clone`].
 //!
 //! The [`codec`] module provides a compact binary encoding of events. The DEFCon
 //! engine itself never serialises events (that is the point of the shared-address
@@ -28,21 +33,17 @@
 pub mod codec;
 pub mod event;
 pub mod filter;
-pub mod freeze;
 pub mod part;
 pub mod value;
 
 pub use event::{now_ns, Event, EventBuilder, EventId};
 pub use filter::{Filter, Predicate};
-pub use freeze::{Freezable, FreezeError, FreezeFlag};
 pub use part::{part_name, Part, PartName};
 pub use value::{Value, ValueList, ValueMap};
 
 /// Errors arising from event construction and manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventError {
-    /// A mutation was attempted on a frozen value.
-    Frozen(FreezeError),
     /// The requested part does not exist (or is not visible).
     NoSuchPart(String),
     /// An event without parts was published (§5: such events are dropped).
@@ -54,7 +55,6 @@ pub enum EventError {
 impl std::fmt::Display for EventError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EventError::Frozen(e) => write!(f, "frozen value: {e}"),
             EventError::NoSuchPart(name) => write!(f, "no such part: {name}"),
             EventError::EmptyEvent => write!(f, "event has no parts"),
             EventError::Codec(msg) => write!(f, "codec error: {msg}"),
@@ -63,9 +63,3 @@ impl std::fmt::Display for EventError {
 }
 
 impl std::error::Error for EventError {}
-
-impl From<FreezeError> for EventError {
-    fn from(e: FreezeError) -> Self {
-        EventError::Frozen(e)
-    }
-}

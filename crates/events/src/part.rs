@@ -3,13 +3,16 @@
 //! §3.1.2: "An event consists of a number of event parts. Each part has a name,
 //! associated data and a security label." Parts may additionally carry privileges
 //! (§3.1.5), turning a read of the part into an in-band privilege delegation.
+//!
+//! A part's [`Value`] is immutable by type, so constructing a part needs no
+//! freezing step: its data is shared by reference from then on, and only the
+//! `labels+clone` configuration copies it (through [`Part::deep_clone`]).
 
 use std::fmt;
 use std::sync::Arc;
 
 use defcon_defc::{Label, Privilege};
 
-use crate::freeze::Freezable;
 use crate::value::Value;
 
 /// The name of an event part (`"type"`, `"body"`, `"trader_id"`, ...).
@@ -86,10 +89,9 @@ fn no_privileges() -> Arc<[Privilege]> {
 
 /// A single named, labelled piece of event data.
 ///
-/// A part is immutable once constructed: the DEFCon engine freezes the contained
-/// [`Value`] when the part enters the system, and "modification" of a part by a unit
-/// produces a new version (see `Event::parts_named` and §3.1.6 on conflicting
-/// modifications).
+/// A part is immutable once constructed: its [`Value`] cannot change, and
+/// "modification" of a part by a unit produces a new version (see
+/// `Event::parts_named` and §3.1.6 on conflicting modifications).
 #[derive(Clone, Debug)]
 pub struct Part {
     name: PartName,
@@ -100,9 +102,6 @@ pub struct Part {
 
 impl Part {
     /// Creates a new part with the given name, label and data.
-    ///
-    /// The data is frozen as a side effect: from this point on it may safely be
-    /// shared by reference between isolates.
     pub fn new(name: impl AsRef<str>, label: Label, data: Value) -> Self {
         Part::from_name_handle(part_name(name), label, data)
     }
@@ -111,7 +110,6 @@ impl Part {
     /// skipping the name lookup — the allocation-free constructor for callers
     /// (drafts, codecs) that resolve names ahead of time.
     pub fn from_name_handle(name: PartName, label: Label, data: Value) -> Self {
-        data.freeze();
         Part {
             name,
             label,
@@ -143,7 +141,6 @@ impl Part {
         data: Value,
         privileges: Vec<Privilege>,
     ) -> Self {
-        data.freeze();
         let privileges = if privileges.is_empty() {
             no_privileges()
         } else {
@@ -172,7 +169,7 @@ impl Part {
         &self.label
     }
 
-    /// Returns the part's (frozen) data.
+    /// Returns the part's data.
     pub fn data(&self) -> &Value {
         &self.data
     }
@@ -217,7 +214,7 @@ impl Part {
     /// Produces a deep copy of this part, duplicating the data.
     ///
     /// Only used by the `labels+clone` dispatch configuration and the baseline;
-    /// normal DEFCon dispatch shares the frozen data by reference.
+    /// normal DEFCon dispatch shares the data by reference.
     pub fn deep_clone(&self) -> Part {
         Part {
             name: self.name.clone(),
@@ -245,12 +242,20 @@ mod tests {
 
     use crate::value::ValueMap;
 
+    /// The address of the string stored under `"symbol"` in a part's map.
+    fn symbol_at(part: &Part) -> *const u8 {
+        let symbol = part.data().as_map().and_then(|m| m.get("symbol"));
+        symbol.and_then(Value::as_str).unwrap().as_ptr()
+    }
+
     #[test]
     fn new_part_freezes_data() {
-        let map = ValueMap::new();
-        map.insert("price", Value::Float(10.0)).unwrap();
-        let part = Part::new("body", Label::public(), Value::Map(map.clone()));
-        assert!(map.is_frozen(), "constructing a part freezes the data");
+        // "Freezing" a part's data is sharing it: the part holds the caller's
+        // storage, not a copy.
+        let symbol = Value::str("MSFT");
+        let map: ValueMap = [("symbol", symbol.clone())].into_iter().collect();
+        let part = Part::new("body", Label::public(), Value::Map(map));
+        assert_eq!(symbol_at(&part), symbol.as_str().unwrap().as_ptr());
         assert_eq!(part.name(), "body");
         assert!(!part.is_privilege_carrying());
     }
@@ -285,19 +290,16 @@ mod tests {
 
     #[test]
     fn deep_clone_duplicates_data() {
-        let map = ValueMap::new();
-        map.insert("a", Value::Int(1)).unwrap();
+        let map: ValueMap = [("symbol", Value::str("MSFT"))].into_iter().collect();
         let part = Part::new("body", Label::public(), Value::Map(map));
         let copy = part.deep_clone();
-        // The copied data is unfrozen (independent) while the original stays frozen.
-        match copy.data() {
-            Value::Map(m) => assert!(!m.is_frozen()),
-            _ => panic!("expected map"),
-        }
-        match part.data() {
-            Value::Map(m) => assert!(m.is_frozen()),
-            _ => panic!("expected map"),
-        }
+        assert_eq!(copy.data(), part.data());
+        assert_ne!(
+            symbol_at(&copy),
+            symbol_at(&part),
+            "the copy has its own storage"
+        );
+        assert_eq!(symbol_at(&part.clone()), symbol_at(&part));
     }
 
     #[test]

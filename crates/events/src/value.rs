@@ -1,25 +1,26 @@
 //! The data model for event part contents.
 //!
-//! §5 restricts the contents of event parts to "a subset of types ... either
-//! immutable or extending a package-private `Freezable` base class". [`Value`]
-//! mirrors that: scalar variants are immutable; the collection variants
-//! ([`ValueList`], [`ValueMap`]) are interior-mutable containers that implement the
-//! [`Freezable`] protocol, so that once a value is attached to a published event it
-//! can be shared by reference between isolates without copying.
+//! §5 restricts the contents of event parts to types that are immutable or can
+//! be frozen, so that published data can be shared by reference between
+//! isolates. Here every [`Value`] is immutable by type: scalars are plain data,
+//! strings and byte strings sit behind an `Arc`, and the collections
+//! ([`ValueList`], [`ValueMap`]) are built once with `collect` and have no
+//! mutating method. Sharing a part's data is a reference-count bump, and no
+//! unit can hold a mutable alias of it: the compiler enforces what the paper's
+//! runtime freeze flag checks on every mutation in the JVM.
 //!
 //! The [`Value::Tag`] variant carries a tag *reference* inside data, which is how
 //! privilege-carrying parts hand the receiving unit the tag it needs in order to
 //! exercise a delegated privilege (§3.1.5).
 
+use std::collections::btree_map;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::slice;
 use std::sync::Arc;
 
 use defcon_defc::TagId;
-use parking_lot::RwLock;
-
-use crate::freeze::{Freezable, FreezeError, FreezeFlag, FreezeState};
 
 /// A single datum stored in an event part.
 #[derive(Clone, Debug, Default)]
@@ -42,9 +43,9 @@ pub enum Value {
     Timestamp(u64),
     /// A reference to a security tag, carried as data (§3.1.5).
     Tag(TagId),
-    /// A freezable, ordered list of values.
+    /// An immutable, ordered list of values.
     List(ValueList),
-    /// A freezable string-keyed map of values.
+    /// An immutable string-keyed map of values.
     Map(ValueMap),
 }
 
@@ -137,22 +138,20 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Produces a deep, unfrozen copy of this value.
+    /// Produces a deep copy of this value: new storage for every string, byte
+    /// string and collection in it.
     ///
     /// This is the operation whose cost the `labels+clone` configuration of Figure 5
-    /// pays on every event dispatch, and which the freeze-and-share design avoids.
+    /// pays on every event dispatch, and which sharing by reference avoids.
     pub fn deep_clone(&self) -> Value {
         match self {
-            Value::Null => Value::Null,
-            Value::Bool(v) => Value::Bool(*v),
-            Value::Int(v) => Value::Int(*v),
-            Value::Float(v) => Value::Float(*v),
             Value::Str(s) => Value::Str(Arc::from(&**s)),
             Value::Bytes(b) => Value::Bytes(Arc::from(&**b)),
-            Value::Timestamp(t) => Value::Timestamp(*t),
-            Value::Tag(t) => Value::Tag(*t),
-            Value::List(l) => Value::List(l.deep_clone()),
-            Value::Map(m) => Value::Map(m.deep_clone()),
+            Value::List(l) => Value::List(l.iter().map(Value::deep_clone).collect()),
+            Value::Map(m) => {
+                Value::Map(m.iter().map(|(k, v)| (k.clone(), v.deep_clone())).collect())
+            }
+            scalar => scalar.clone(),
         }
     }
 
@@ -167,8 +166,9 @@ impl Value {
             (Value::Bytes(a), Value::Bytes(b)) => a == b,
             (Value::Timestamp(a), Value::Timestamp(b)) => a == b,
             (Value::Tag(a), Value::Tag(b)) => a == b,
-            (Value::List(a), Value::List(b)) => a.structurally_equals(b),
-            (Value::Map(a), Value::Map(b)) => a.structurally_equals(b),
+            // Element-wise through `PartialEq`, which is this function.
+            (Value::List(a), Value::List(b)) => a.0 == b.0,
+            (Value::Map(a), Value::Map(b)) => a.0 == b.0,
             _ => false,
         }
     }
@@ -181,14 +181,15 @@ impl PartialEq for Value {
 }
 
 /// Hashes what [`Value::structurally_equals`] compares, so equal values hash
-/// alike: the variant, then a scalar's content (a float by bit pattern).
-/// Collections hash by variant only: their contents can still change, and a
-/// hash must not.
+/// alike: the variant, then its content (a float by bit pattern, a collection
+/// element by element, which is sound because no value changes once built).
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         std::mem::discriminant(self).hash(state);
         match self {
-            Value::Null | Value::List(_) | Value::Map(_) => {}
+            Value::Null => {}
+            Value::List(l) => l.0.hash(state),
+            Value::Map(m) => m.0.hash(state),
             Value::Bool(v) => v.hash(state),
             Value::Int(v) => v.hash(state),
             Value::Float(v) => v.to_bits().hash(state),
@@ -253,237 +254,123 @@ impl fmt::Display for Value {
     }
 }
 
-/// Shared state of a freezable collection.
+/// An immutable, ordered list of [`Value`]s, built once with `collect`.
 ///
-/// Cloning the wrapper shares the same underlying storage, mirroring Java reference
-/// semantics; [`deep_clone`](ValueList::deep_clone) produces an independent copy.
+/// Cloning shares the storage; [`Value::deep_clone`] copies it.
+///
+/// ```
+/// use defcon_defc::Label;
+/// use defcon_events::{Part, Value, ValueList};
+///
+/// let list: ValueList = [Value::Int(1), Value::str("two")].into_iter().collect();
+/// let part = Part::new("history", Label::public(), Value::List(list));
+/// let read = part.data().as_list().unwrap();
+/// assert_eq!(read.get(0), Some(&Value::Int(1)));
+/// assert_eq!(read.iter().count(), 2);
+/// ```
+///
+/// A list read out of a part has no mutating method:
+///
+/// ```compile_fail
+/// # use defcon_events::{Part, Value};
+/// fn change(part: &Part) {
+///     part.data().as_list().unwrap().push(Value::Int(3));
+/// }
+/// ```
 #[derive(Clone, Debug)]
-struct Collection<T> {
-    storage: Arc<RwLock<T>>,
-    freeze: FreezeState,
-}
-
-impl<T: Default> Default for Collection<T> {
-    fn default() -> Self {
-        Collection {
-            storage: Arc::new(RwLock::new(T::default())),
-            freeze: FreezeState::new(),
-        }
-    }
-}
-
-/// A freezable, ordered list of [`Value`]s.
-#[derive(Clone, Debug, Default)]
-pub struct ValueList {
-    inner: Collection<Vec<Value>>,
-}
+pub struct ValueList(Arc<[Value]>);
 
 impl ValueList {
-    /// Creates an empty, unfrozen list.
-    pub fn new() -> Self {
-        ValueList::default()
+    /// Returns the element at `index`.
+    pub fn get(&self, index: usize) -> Option<&Value> {
+        self.0.get(index)
     }
 
-    /// Appends a value; fails if the list is frozen.
-    ///
-    /// The inserted value is attached to this list's frozen flag so that freezing
-    /// the list later freezes the member in constant time (§5).
-    pub fn push(&self, mut value: Value) -> Result<(), FreezeError> {
-        self.check_mutable()?;
-        attach_value(&mut value, self.inner.freeze.own_flag());
-        self.inner.storage.write().push(value);
-        Ok(())
-    }
-
-    /// Returns a clone of the element at `index`.
-    pub fn get(&self, index: usize) -> Option<Value> {
-        self.inner.storage.read().get(index).cloned()
+    /// Iterates over the elements in order.
+    pub fn iter(&self) -> slice::Iter<'_, Value> {
+        self.0.iter()
     }
 
     /// Returns the number of elements.
     pub fn len(&self) -> usize {
-        self.inner.storage.read().len()
+        self.0.len()
     }
 
     /// Returns `true` if the list has no elements.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns a snapshot of the elements.
-    pub fn to_vec(&self) -> Vec<Value> {
-        self.inner.storage.read().clone()
-    }
-
-    /// Produces a deep, unfrozen copy.
-    pub fn deep_clone(&self) -> ValueList {
-        let copy = ValueList::new();
-        for v in self.inner.storage.read().iter() {
-            // A deep clone of each member detaches it from this list's flag.
-            copy.push(v.deep_clone()).expect("fresh list is not frozen");
-        }
-        copy
-    }
-
-    /// Structural equality.
-    pub fn structurally_equals(&self, other: &ValueList) -> bool {
-        let a = self.inner.storage.read();
-        let b = other.inner.storage.read();
-        a.len() == b.len()
-            && a.iter()
-                .zip(b.iter())
-                .all(|(x, y)| x.structurally_equals(y))
-    }
-}
-
-impl Freezable for ValueList {
-    fn freeze(&self) {
-        self.inner.freeze.freeze();
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.inner.freeze.is_frozen()
-    }
-
-    fn attach_to(&mut self, flag: &FreezeFlag) {
-        self.inner.freeze.attach_to(flag);
+        self.0.is_empty()
     }
 }
 
 impl FromIterator<Value> for ValueList {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        let list = ValueList::new();
-        for v in iter {
-            list.push(v).expect("fresh list is not frozen");
-        }
-        list
+        ValueList(iter.into_iter().collect())
     }
 }
 
-/// A freezable, string-keyed map of [`Value`]s.
-#[derive(Clone, Debug, Default)]
-pub struct ValueMap {
-    inner: Collection<BTreeMap<String, Value>>,
-}
+/// An immutable, string-keyed map of [`Value`]s, built once with `collect`.
+///
+/// Cloning shares the storage; [`Value::deep_clone`] copies it.
+///
+/// ```
+/// use defcon_defc::Label;
+/// use defcon_events::{Part, Value, ValueMap};
+///
+/// let body: ValueMap = [("symbol", Value::str("MSFT")), ("price", Value::Float(12.5))]
+///     .into_iter()
+///     .collect();
+/// let part = Part::new("body", Label::public(), Value::Map(body));
+/// let read = part.data().as_map().unwrap();
+/// assert_eq!(read.get("price"), Some(&Value::Float(12.5)));
+/// assert_eq!(read.len(), 2);
+/// ```
+///
+/// A map read out of a part can be neither extended nor shrunk:
+///
+/// ```compile_fail
+/// # use defcon_events::{Part, Value};
+/// fn change(part: &Part) {
+///     part.data().as_map().unwrap().insert("quantity", Value::Int(100));
+/// }
+/// ```
+///
+/// ```compile_fail
+/// # use defcon_events::Part;
+/// fn change(part: &Part) {
+///     part.data().as_map().unwrap().remove("price");
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct ValueMap(Arc<BTreeMap<String, Value>>);
 
 impl ValueMap {
-    /// Creates an empty, unfrozen map.
-    pub fn new() -> Self {
-        ValueMap::default()
+    /// Returns the value stored under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.get(key)
     }
 
-    /// Inserts a key/value pair; fails if the map is frozen.
-    pub fn insert(&self, key: impl Into<String>, mut value: Value) -> Result<(), FreezeError> {
-        self.check_mutable()?;
-        attach_value(&mut value, self.inner.freeze.own_flag());
-        self.inner.storage.write().insert(key.into(), value);
-        Ok(())
-    }
-
-    /// Removes a key; fails if the map is frozen.
-    pub fn remove(&self, key: &str) -> Result<Option<Value>, FreezeError> {
-        self.check_mutable()?;
-        Ok(self.inner.storage.write().remove(key))
-    }
-
-    /// Returns a clone of the value stored under `key`.
-    pub fn get(&self, key: &str) -> Option<Value> {
-        self.inner.storage.read().get(key).cloned()
+    /// Iterates over the entries in key order.
+    pub fn iter(&self) -> btree_map::Iter<'_, String, Value> {
+        self.0.iter()
     }
 
     /// Returns the number of entries.
     pub fn len(&self) -> usize {
-        self.inner.storage.read().len()
+        self.0.len()
     }
 
     /// Returns `true` if the map has no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns a snapshot of the keys.
-    pub fn keys(&self) -> Vec<String> {
-        self.inner.storage.read().keys().cloned().collect()
-    }
-
-    /// Returns a snapshot of the entries.
-    pub fn entries(&self) -> Vec<(String, Value)> {
-        self.inner
-            .storage
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Produces a deep, unfrozen copy.
-    pub fn deep_clone(&self) -> ValueMap {
-        let copy = ValueMap::new();
-        for (k, v) in self.inner.storage.read().iter() {
-            copy.insert(k.clone(), v.deep_clone())
-                .expect("fresh map is not frozen");
-        }
-        copy
-    }
-
-    /// Structural equality.
-    pub fn structurally_equals(&self, other: &ValueMap) -> bool {
-        let a = self.inner.storage.read();
-        let b = other.inner.storage.read();
-        a.len() == b.len()
-            && a.iter()
-                .zip(b.iter())
-                .all(|((ka, va), (kb, vb))| ka == kb && va.structurally_equals(vb))
+        self.0.is_empty()
     }
 }
 
-impl Freezable for ValueMap {
-    fn freeze(&self) {
-        self.inner.freeze.freeze();
+impl<K: Into<String>> FromIterator<(K, Value)> for ValueMap {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        ValueMap(Arc::new(
+            iter.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ))
     }
-
-    fn is_frozen(&self) -> bool {
-        self.inner.freeze.is_frozen()
-    }
-
-    fn attach_to(&mut self, flag: &FreezeFlag) {
-        self.inner.freeze.attach_to(flag);
-    }
-}
-
-/// Implements the freeze protocol for the whole `Value` enum: scalars are immutable
-/// (always "frozen" in the trivial sense of never being mutable), collections
-/// delegate to their own state.
-impl Freezable for Value {
-    fn freeze(&self) {
-        match self {
-            Value::List(l) => l.freeze(),
-            Value::Map(m) => m.freeze(),
-            _ => {}
-        }
-    }
-
-    fn is_frozen(&self) -> bool {
-        match self {
-            Value::List(l) => l.is_frozen(),
-            Value::Map(m) => m.is_frozen(),
-            // Scalars carry no mutable state.
-            _ => true,
-        }
-    }
-
-    fn attach_to(&mut self, flag: &FreezeFlag) {
-        match self {
-            Value::List(l) => l.attach_to(flag),
-            Value::Map(m) => m.attach_to(flag),
-            _ => {}
-        }
-    }
-}
-
-/// Attaches a value being inserted into a collection to the collection's flag.
-fn attach_value(value: &mut Value, flag: &FreezeFlag) {
-    value.attach_to(flag);
 }
 
 #[cfg(test)]
@@ -513,89 +400,35 @@ mod tests {
         assert_eq!(Value::from(2.0f64), Value::Float(2.0));
     }
 
-    #[test]
-    fn list_push_and_freeze() {
-        let list = ValueList::new();
-        list.push(Value::Int(1)).unwrap();
-        list.push(Value::Int(2)).unwrap();
-        assert_eq!(list.len(), 2);
-        assert_eq!(list.get(0), Some(Value::Int(1)));
-
-        list.freeze();
-        assert!(list.is_frozen());
-        assert_eq!(list.push(Value::Int(3)), Err(FreezeError));
-        assert_eq!(list.len(), 2);
-    }
-
-    #[test]
-    fn freezing_collection_freezes_members_constant_time() {
-        // A nested list attached to a parent must become frozen when the parent is
-        // frozen, without the parent iterating over members.
-        let child = ValueList::new();
-        child.push(Value::Int(1)).unwrap();
-
-        let parent = ValueList::new();
-        parent.push(Value::List(child.clone())).unwrap();
-
-        assert!(!child.is_frozen());
-        parent.freeze();
-
-        // The member we pushed is frozen through the shared flag.
-        let member = parent.get(0).unwrap();
-        assert!(member.is_frozen());
-        // And mutating it through any handle that was attached fails.
-        if let Value::List(inner) = member {
-            assert_eq!(inner.push(Value::Int(2)), Err(FreezeError));
-        } else {
-            panic!("expected list");
-        }
-    }
-
-    #[test]
-    fn map_operations_and_freeze() {
-        let map = ValueMap::new();
-        map.insert("price", Value::Float(12.5)).unwrap();
-        map.insert("symbol", Value::str("MSFT")).unwrap();
-        assert_eq!(map.len(), 2);
-        assert_eq!(map.get("price"), Some(Value::Float(12.5)));
-        assert_eq!(map.keys(), vec!["price".to_string(), "symbol".to_string()]);
-
-        map.freeze();
-        assert!(map.insert("x", Value::Null).is_err());
-        assert!(map.remove("price").is_err());
-        assert_eq!(map.len(), 2);
+    /// The address of the string at the front of a list value.
+    fn front_at(list: &Value) -> *const u8 {
+        let front = list.as_list().and_then(|l| l.get(0));
+        front.and_then(Value::as_str).unwrap().as_ptr()
     }
 
     #[test]
     fn deep_clone_detaches_from_frozen_original() {
-        let map = ValueMap::new();
-        map.insert("a", Value::Int(1)).unwrap();
-        map.freeze();
-
-        let copy = map.deep_clone();
-        assert!(!copy.is_frozen());
-        copy.insert("b", Value::Int(2)).unwrap();
-        assert_eq!(copy.len(), 2);
-        assert_eq!(map.len(), 1);
+        let original = Value::List([Value::str("shared")].into_iter().collect());
+        let copy = original.deep_clone();
+        assert_eq!(copy, original);
+        assert_ne!(front_at(&copy), front_at(&original), "own storage");
     }
 
     #[test]
     fn shallow_clone_shares_storage() {
-        let list = ValueList::new();
-        let alias = list.clone();
-        list.push(Value::Int(1)).unwrap();
-        assert_eq!(alias.len(), 1, "clone shares the same storage");
+        let list = Value::List([Value::str("shared")].into_iter().collect());
+        assert_eq!(front_at(&list.clone()), front_at(&list));
     }
 
     #[test]
     fn structural_equality() {
-        let a = ValueMap::new();
-        a.insert("k", Value::Int(1)).unwrap();
-        let b = ValueMap::new();
-        b.insert("k", Value::Int(1)).unwrap();
-        assert_eq!(Value::Map(a.clone()), Value::Map(b.clone()));
-        b.insert("j", Value::Int(2)).unwrap();
-        assert_ne!(Value::Map(a), Value::Map(b));
+        let a: ValueMap = [("k", Value::Int(1))].into_iter().collect();
+        let b: ValueMap = [("k", Value::Int(1))].into_iter().collect();
+        assert_eq!(Value::Map(a.clone()), Value::Map(b));
+        let c: ValueMap = [("k", Value::Int(1)), ("j", Value::Int(2))]
+            .into_iter()
+            .collect();
+        assert_ne!(Value::Map(a), Value::Map(c));
         assert_ne!(Value::Int(1), Value::Float(1.0));
     }
 
@@ -606,13 +439,5 @@ mod tests {
         assert!(Value::str("x").to_string().contains('x'));
         let l: ValueList = [Value::Int(1)].into_iter().collect();
         assert_eq!(Value::List(l).to_string(), "list[1]");
-    }
-
-    #[test]
-    fn scalars_are_trivially_frozen() {
-        assert!(Value::Int(1).is_frozen());
-        assert!(Value::str("x").is_frozen());
-        let list = ValueList::new();
-        assert!(!Value::List(list).is_frozen());
     }
 }

@@ -11,7 +11,7 @@ use defcon_events::codec::{
     decode_event, decode_event_preserving_id, decode_wal_record, encode_event, encode_wal_record,
     WalRecord,
 };
-use defcon_events::{Event, Part, Value, ValueList, ValueMap};
+use defcon_events::{Event, Part, Value};
 use proptest::prelude::*;
 
 /// SplitMix64: tiny, deterministic, uniform enough for structure generation.
@@ -64,21 +64,16 @@ fn gen_value(rng: &mut Gen, depth: u32) -> Value {
         ),
         6 => Value::Timestamp(rng.next()),
         7 => Value::Tag(gen_tag(rng).id()),
-        8 => {
-            let list = ValueList::new();
-            for _ in 0..rng.below(4) {
-                list.push(gen_value(rng, depth - 1)).unwrap();
-            }
-            Value::List(list)
-        }
-        _ => {
-            let map = ValueMap::new();
-            for i in 0..rng.below(4) {
-                map.insert(format!("k{i}"), gen_value(rng, depth - 1))
-                    .unwrap();
-            }
-            Value::Map(map)
-        }
+        8 => Value::List(
+            (0..rng.below(4))
+                .map(|_| gen_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Map(
+            (0..rng.below(4))
+                .map(|i| (format!("k{i}"), gen_value(rng, depth - 1)))
+                .collect(),
+        ),
     }
 }
 

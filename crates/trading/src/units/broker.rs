@@ -107,8 +107,7 @@ impl BrokerHandler {
         // Reading the identity part bestows t_r+auth and reveals trader and tag.
         let identity = ctx.read_first(event, order::NAME)?;
 
-        let (Some(body), Some(identity)) = (body.as_map().cloned(), identity.as_map().cloned())
-        else {
+        let (Some(body), Some(identity)) = (body.as_map(), identity.as_map()) else {
             return Ok(None);
         };
         let (Some(symbol), Some(side), Some(price), Some(quantity)) = (
@@ -172,27 +171,25 @@ impl BrokerHandler {
             (resting.identity_tag, order_tag.id())
         };
 
-        let body = ValueMap::new();
-        body.insert(
-            trade::body_keys::SYMBOL,
-            Value::str(completed.symbol.as_str()),
-        )
-        .expect("fresh map");
-        body.insert(trade::body_keys::PRICE, Value::Float(completed.price))
-            .expect("fresh map");
-        body.insert(
-            trade::body_keys::QUANTITY,
-            Value::Int(completed.quantity as i64),
-        )
-        .expect("fresh map");
-
-        let audit = ValueMap::new();
-        audit
-            .insert("tag", Value::Tag(order_tag.id()))
-            .expect("fresh map");
-        audit
-            .insert("trader", Value::Int(incoming.trader as i64))
-            .expect("fresh map");
+        let body: ValueMap = [
+            (
+                trade::body_keys::SYMBOL,
+                Value::str(completed.symbol.as_str()),
+            ),
+            (trade::body_keys::PRICE, Value::Float(completed.price)),
+            (
+                trade::body_keys::QUANTITY,
+                Value::Int(completed.quantity as i64),
+            ),
+        ]
+        .into_iter()
+        .collect();
+        let audit: ValueMap = [
+            ("tag", Value::Tag(order_tag.id())),
+            ("trader", Value::Int(incoming.trader as i64)),
+        ]
+        .into_iter()
+        .collect();
 
         let draft = ctx.create_event();
         ctx.add_part(

@@ -120,7 +120,8 @@ impl Unit for RegulatorHandler {
         self.shared.audited.fetch_add(1, Ordering::Relaxed);
 
         // The public trade body is always readable.
-        let Some(body) = ctx.read_first(event, trade::BODY)?.as_map().cloned() else {
+        let body = ctx.read_first(event, trade::BODY)?;
+        let Some(body) = body.as_map() else {
             return Ok(());
         };
         let (Some(symbol), Some(price), Some(quantity)) = (
@@ -135,7 +136,8 @@ impl Unit for RegulatorHandler {
 
         // Step 7: the audit part is confined to r and carries t_r+ over the
         // aggressor's per-order tag; reading it bestows the privilege.
-        let Some(audit) = ctx.read_first(event, trade::AUDIT)?.as_map().cloned() else {
+        let audit = ctx.read_first(event, trade::AUDIT)?;
+        let Some(audit) = audit.as_map() else {
             return Ok(());
         };
         let (Some(order_tag_id), Some(trader)) = (

@@ -146,23 +146,20 @@ impl Unit for Trader {
             TagSet::empty(),
         );
 
-        let body = ValueMap::new();
-        body.insert(order::body_keys::SYMBOL, Value::str(&symbol))
-            .expect("fresh map");
-        body.insert(order::body_keys::SIDE, Value::str(side.as_str()))
-            .expect("fresh map");
-        body.insert(order::body_keys::PRICE, Value::Float(price))
-            .expect("fresh map");
-        body.insert(order::body_keys::QUANTITY, Value::Int(self.quantity as i64))
-            .expect("fresh map");
-
-        let identity = ValueMap::new();
-        identity
-            .insert("trader", Value::Int(self.id as i64))
-            .expect("fresh map");
-        identity
-            .insert("tag", Value::Tag(order_tag.id()))
-            .expect("fresh map");
+        let body: ValueMap = [
+            (order::body_keys::SYMBOL, Value::str(&symbol)),
+            (order::body_keys::SIDE, Value::str(side.as_str())),
+            (order::body_keys::PRICE, Value::Float(price)),
+            (order::body_keys::QUANTITY, Value::Int(self.quantity as i64)),
+        ]
+        .into_iter()
+        .collect();
+        let identity: ValueMap = [
+            ("trader", Value::Int(self.id as i64)),
+            ("tag", Value::Tag(order_tag.id())),
+        ]
+        .into_iter()
+        .collect();
 
         let draft = ctx.create_event();
         ctx.add_part(

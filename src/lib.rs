@@ -7,7 +7,7 @@
 //! applications can depend on a single crate:
 //!
 //! * [`defc`] — tags, labels, the can-flow-to lattice and privileges (§3.1);
-//! * [`events`] — multi-part events, freezable values, filters and a codec (§3.1.2,
+//! * [`events`] — multi-part events, immutable values, filters and a codec (§3.1.2,
 //!   §5);
 //! * [`durability`] — segmented CRC32-framed write-ahead log for crash
 //!   recovery;
