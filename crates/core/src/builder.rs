@@ -30,7 +30,7 @@ pub fn auto_worker_count() -> usize {
 /// Builder for [`Engine`] instances.
 ///
 /// Defaults match [`EngineConfig::default`]: `labels+freeze`, no worker threads
-/// (manual pumping) and a 1,024-instance managed cap.
+/// (manual pumping), batch size 1 and the subscription index on.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     config: EngineConfig,
@@ -108,12 +108,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the cap on live managed handler instances.
-    pub fn managed_instance_cap(mut self, cap: usize) -> Self {
-        self.config.managed_instance_cap = cap;
-        self
-    }
-
     /// Enables the write-ahead event log: every externally published batch is
     /// appended (one CRC-framed record per batch, fsynced per the config's
     /// [`FsyncPolicy`](defcon_durability::FsyncPolicy)) *before* it is
@@ -158,7 +152,6 @@ mod tests {
             .workers(3)
             .batch_size(16)
             .subscription_index(false)
-            .managed_instance_cap(9)
             .ingress(
                 IngressConfig::new(256)
                     .credit_window(32)

@@ -15,16 +15,24 @@
 //! | `cloneEvent(e, S, I)`           | [`UnitContext::clone_event`]           |
 //! | `publish(e)`                    | [`UnitContext::publish`]               |
 //! | `release(e)`                    | [`UnitContext::release`] (also implicit on return) |
-//! | `subscribe(filter)`             | [`UnitContext::subscribe`]             |
-//! | `subscribeManaged(handler, f)`  | [`UnitContext::subscribe_managed`]     |
+//! | `subscribe(filter)`             | [`UnitContext::subscribe`] (refused in a managed handler) |
+//! | `subscribeManaged(handler, f)`  | [`UnitContext::subscribe_managed`] (refused in a managed handler) |
+//! | —                               | [`UnitContext::unsubscribe`] (refused in a managed handler) |
 //! | `getEvent()`                    | [`Engine::get_event`](crate::Engine::get_event) (pull mode) |
-//! | `instantiateUnit(...)`          | [`UnitContext::instantiate_unit`]      |
+//! | `instantiateUnit(...)`          | [`UnitContext::instantiate_unit`] (legal in a managed handler) |
 //! | `changeOutLabel(...)`           | [`UnitContext::change_out_label`]      |
 //! | `changeInOutLabel(...)`         | [`UnitContext::change_in_out_label`]   |
 //!
 //! Contamination independence (§5): the `S` and `I` a unit passes to `add_part` are
 //! transparently raised to include the unit's output label, so a unit sandboxed at a
 //! higher contamination cannot write below it.
+//!
+//! A managed handler (§5, `subscribeManaged`) runs under its owner's unit id but
+//! at the event's contamination. The table's notes on managed handlers keep that
+//! from becoming a flow to the owner. The three subscription calls return
+//! [`EngineError::InvalidOperation`], because a contaminated handler must not edit
+//! its uncontaminated owner's subscription set. `instantiate_unit` stays legal,
+//! because the child inherits the handler's contamination, not the owner's labels.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -84,6 +92,10 @@ pub struct UnitContext<'a> {
     /// driver-context publications are external and get rejected once the
     /// runtime stops.
     in_dispatch: bool,
+    /// Whether this context serves a managed delivery: the state is a
+    /// handler's, built for one event under its owner's unit id, so the
+    /// owner's subscription set is out of its reach.
+    managed: bool,
 }
 
 impl<'a> UnitContext<'a> {
@@ -102,7 +114,14 @@ impl<'a> UnitContext<'a> {
             additions: Vec::new(),
             drafts: Vec::new(),
             in_dispatch,
+            managed: false,
         }
+    }
+
+    /// Marks the context as serving a managed delivery (see the module docs).
+    pub(crate) fn serving_managed(mut self) -> Self {
+        self.managed = true;
+        self
     }
 
     /// Consumes the context, returning the parts the unit added to the delivered
@@ -299,20 +318,46 @@ impl<'a> UnitContext<'a> {
     // ------------------------------------------------------------------
 
     /// Returns the label and data of every part named `name` that the unit's input
-    /// label allows it to see (`readPart`).
+    /// label allows it to see (`readPart`), borrowed from the event.
     ///
     /// Reading a privilege-carrying part bestows the attached privileges on the unit
     /// (§3.1.5).
-    pub fn read_part(
+    pub fn read_part<'e>(
         &mut self,
-        event: &Event,
+        event: &'e Event,
         name: impl AsRef<str>,
-    ) -> EngineResult<Vec<(Label, Value)>> {
-        let name = name.as_ref();
+    ) -> EngineResult<Vec<(&'e Label, &'e Value)>> {
+        let mut parts = Vec::new();
+        self.scan_visible(event, name.as_ref(), |part| {
+            parts.push((part.label(), part.data()))
+        })?;
+        Ok(parts)
+    }
+
+    /// Returns the data of the first visible part with the given name, borrowed
+    /// from the event. It charges, checks and grants exactly as
+    /// [`UnitContext::read_part`] does, over every part of that name.
+    pub fn read_first<'e>(
+        &mut self,
+        event: &'e Event,
+        name: impl AsRef<str>,
+    ) -> EngineResult<&'e Value> {
+        Ok(self.scan_visible(event, name.as_ref(), |_| {})?.data())
+    }
+
+    /// The scan behind both reads. For every part named `name` it charges the
+    /// interceptor and checks visibility; each visible part bestows its
+    /// privileges and is handed to `visit`. Returns the first visible part.
+    fn scan_visible<'e>(
+        &mut self,
+        event: &'e Event,
+        name: &str,
+        mut visit: impl FnMut(&'e Part),
+    ) -> EngineResult<&'e Part> {
         let checks = self.checks_labels();
-        let mut results = Vec::new();
+        let mut first = None;
         let mut granted = false;
-        for part in event.parts_named(name) {
+        for part in event.parts().iter().filter(|part| part.name() == name) {
             self.intercept();
             if checks && !self.state.can_see(part.label()) {
                 continue;
@@ -321,22 +366,13 @@ impl<'a> UnitContext<'a> {
                 self.state.privileges.grant(privilege.clone());
                 granted = true;
             }
-            results.push((part.label().clone(), part.data().clone()));
+            first.get_or_insert(part);
+            visit(part);
         }
         if granted {
             self.snapshotted_state_changed();
         }
-        if results.is_empty() {
-            return Err(EngineError::Event(defcon_events::EventError::NoSuchPart(
-                name.into(),
-            )));
-        }
-        Ok(results)
-    }
-
-    /// Convenience: returns the data of the first visible part with the given name.
-    pub fn read_first(&mut self, event: &Event, name: impl AsRef<str>) -> EngineResult<Value> {
-        Ok(self.read_part(event, name)?.remove(0).1)
+        first.ok_or_else(|| EngineError::Event(defcon_events::EventError::NoSuchPart(name.into())))
     }
 
     // ------------------------------------------------------------------
@@ -404,8 +440,9 @@ impl<'a> UnitContext<'a> {
     // ------------------------------------------------------------------
 
     /// Subscribes the unit to events matching `filter` (`subscribe`). Empty filters
-    /// are rejected.
+    /// are rejected, and so is a call from a managed handler.
     pub fn subscribe(&mut self, filter: Filter) -> EngineResult<SubscriptionId> {
+        self.check_not_managed("subscribe")?;
         if filter.is_empty() {
             return Err(EngineError::EmptyFilter);
         }
@@ -415,14 +452,18 @@ impl<'a> UnitContext<'a> {
         Ok(id)
     }
 
-    /// Declares a managed subscription (`subscribeManaged`): matching events are
-    /// processed by engine-managed handler instances created by `factory` at the
-    /// contamination each event requires, leaving this unit's own label unchanged.
+    /// Declares a managed subscription (`subscribeManaged`): each matching event
+    /// is served by a fresh handler from `factory`, run at this unit's input
+    /// label joined with the event's contamination and with this unit's output
+    /// label, privileges, id and isolate. The handler's state lives for that one
+    /// delivery, so this unit's own labels stay unchanged and nothing carries
+    /// over to the next event. Rejected from a managed handler.
     pub fn subscribe_managed(
         &mut self,
         factory: UnitFactory,
         filter: Filter,
     ) -> EngineResult<SubscriptionId> {
+        self.check_not_managed("subscribe_managed")?;
         if filter.is_empty() {
             return Err(EngineError::EmptyFilter);
         }
@@ -433,8 +474,10 @@ impl<'a> UnitContext<'a> {
         Ok(id)
     }
 
-    /// Cancels a subscription owned by this unit.
+    /// Cancels a subscription owned by this unit. Rejected from a managed
+    /// handler.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> EngineResult<()> {
+        self.check_not_managed("unsubscribe")?;
         let removed = self
             .core
             .subscriptions
@@ -444,6 +487,18 @@ impl<'a> UnitContext<'a> {
             return Err(EngineError::UnknownSubscription(id.as_u64()));
         }
         self.core.bump_security_epoch();
+        Ok(())
+    }
+
+    /// Refuses `call` inside a managed delivery: the handler runs under its
+    /// owner's id at a higher contamination, and editing the owner's
+    /// subscriptions would be a flow to the owner.
+    fn check_not_managed(&self, call: &str) -> EngineResult<()> {
+        if self.managed {
+            return Err(EngineError::InvalidOperation(format!(
+                "{call} is not available to a managed handler"
+            )));
+        }
         Ok(())
     }
 
@@ -585,8 +640,8 @@ impl<'a> UnitContext<'a> {
 
     /// Retires cached dispatch snapshots after a change to the unit's output
     /// label or privileges. Only the owner of a managed subscription has
-    /// those in the snapshot (its handlers are instantiated from them), so
-    /// for every other unit the change is invisible to dispatch.
+    /// those in the snapshot (its handlers run with them), so for every
+    /// other unit the change is invisible to dispatch.
     fn snapshotted_state_changed(&self) {
         if self.state.owns_managed {
             self.core.bump_security_epoch();

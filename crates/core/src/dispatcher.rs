@@ -10,9 +10,11 @@
 //!
 //! * **direct** subscriptions invoke the owning unit's `on_event` (or queue into its
 //!   mailbox in pull mode);
-//! * **managed** subscriptions (§5, `subscribeManaged`) are served by engine-created
-//!   handler instances whose contamination is raised to what the event requires,
-//!   leaving the owner unit untainted.
+//! * **managed** subscriptions (§5, `subscribeManaged`) call their factory for
+//!   a handler that serves one delivery at the contamination the event
+//!   requires: its security state is built on the dispatcher's stack from the
+//!   owner's snapshot and dropped when the callback returns, so the owner unit
+//!   stays untainted and nothing is registered.
 //!
 //! Parts added by a unit during a delivery are folded into the event for subsequent
 //! deliveries in the same pass — the main-dataflow-path augmentation of §3.1.6.
@@ -108,7 +110,7 @@ use std::time::{Duration, Instant};
 
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Part};
-use defcon_metrics::memory::MemoryCategory;
+use defcon_isolation::IsolateId;
 use parking_lot::Mutex;
 
 use crate::context::UnitContext;
@@ -117,7 +119,7 @@ use crate::error::EngineResult;
 use crate::run_queue::BatchGuard;
 use crate::sub_index::{Entries, SubscriptionIndex, TableSnapshot};
 use crate::subscription::{Subscription, SubscriptionKind};
-use crate::unit::{UnitId, UnitSpec, UnitState};
+use crate::unit::{UnitId, UnitState};
 
 /// A pump over an engine's sharded run queue.
 ///
@@ -179,8 +181,8 @@ impl CascadeStack {
 /// A subscription owner's security state as snapshotted for one batch.
 ///
 /// Labels are interned (`Arc`-backed), so the snapshot clones are
-/// reference-count bumps. The output label, privileges and name are only
-/// needed to resolve managed handler instances, so only owners of a managed
+/// reference-count bumps. The output label, privileges, isolate and name
+/// are only needed to run managed handlers, so only owners of a managed
 /// subscription snapshot them.
 struct OwnerSnapshot {
     input: Label,
@@ -191,10 +193,13 @@ struct OwnerSnapshot {
 /// is not registered yet).
 type ResolvedOwner = Option<(Arc<UnitSlot>, OwnerSnapshot)>;
 
-/// The extra owner state a managed subscription needs to instantiate handlers.
+/// The owner state a managed delivery runs its handler with: everything but
+/// the input label, which the event's contamination raises per delivery.
 struct ManagedOwnerState {
     output: Label,
     privileges: defcon_defc::PrivilegeSet,
+    isolate: IsolateId,
+    /// `"<owner>::managed"`, formatted once per snapshot.
     name: String,
 }
 
@@ -411,6 +416,44 @@ struct Worklist {
     /// The event's filter verdicts; cleared per event and whenever
     /// augmentation adds a part.
     memo: Vec<Memo>,
+}
+
+impl Worklist {
+    /// Folds the parts the delivery at `position` added into `current`, in
+    /// the order they were added, and returns how many candidates they
+    /// added. An augmentation-released part can satisfy clauses of
+    /// subscriptions the original event never indexed to; their turn, like
+    /// the linear scan's, is still ahead only for subscriptions positioned
+    /// after this delivery, so only those join the worklist (from `next`
+    /// on). Called only when a delivery added something: most add nothing.
+    fn fold(
+        &mut self,
+        index: Option<&SubscriptionIndex>,
+        additions: Vec<Part>,
+        position: usize,
+        next: usize,
+        current: &mut Event,
+    ) -> u64 {
+        let mut added = 0;
+        for part in additions {
+            if let Some(index) = index {
+                self.extra.clear();
+                index.candidates_for_part(part.name(), part.data(), &mut self.extra);
+                for &candidate in &self.extra {
+                    if candidate as usize <= position {
+                        continue;
+                    }
+                    if let Err(at) = self.positions[next..].binary_search(&candidate) {
+                        self.positions.insert(next + at, candidate);
+                        added += 1;
+                    }
+                }
+            }
+            *current = current.with_part(part);
+            self.memo.clear();
+        }
+        added
+    }
 }
 
 impl Dispatcher {
@@ -633,7 +676,8 @@ impl Dispatcher {
 
     /// Returns the dispatch context for the current batch: the subscription
     /// list and index and, for every owner unit, a snapshot of its security
-    /// state (labels, privileges, name) and slot.
+    /// state (input label; for managed owners also output label, privileges,
+    /// isolate and handler name) and slot.
     ///
     /// The context is *cached across batches* and keyed on the subscription
     /// snapshot's identity plus the engine's security epoch: while nothing
@@ -691,7 +735,8 @@ impl Dispatcher {
                     managed: cell.state.owns_managed.then(|| ManagedOwnerState {
                         output: cell.state.output_label.clone(),
                         privileges: cell.state.privileges.clone(),
-                        name: cell.state.name.clone(),
+                        isolate: cell.state.isolate,
+                        name: format!("{}::managed", cell.state.name),
                     }),
                 };
                 drop(cell);
@@ -793,40 +838,6 @@ impl Dispatcher {
         }
     }
 
-    /// Resolves the slot a matched subscription delivers into: the owner
-    /// itself, or a managed handler instance at the contamination `event`
-    /// requires (with label checks disabled the single instance at the owner's
-    /// own label is reused). `None` when resolution fails (owner raced
-    /// removal, factory error) — the delivery is skipped.
-    fn resolve_target(
-        &self,
-        subscription: &Subscription,
-        owner_slot: &Arc<UnitSlot>,
-        owner: &OwnerSnapshot,
-        event: &Event,
-        managed: bool,
-    ) -> Option<Arc<UnitSlot>> {
-        if !managed {
-            return Some(Arc::clone(owner_slot));
-        }
-        let managed_owner = owner.managed.as_ref()?;
-        let required = if self.core.config.mode.checks_labels() {
-            owner.input.join(&event.overall_label())
-        } else {
-            owner.input.clone()
-        };
-        // The returned `Arc` pins the instance: eviction never retires a
-        // handler a pending delivery still holds.
-        self.managed_instance(
-            subscription,
-            &managed_owner.output,
-            &managed_owner.privileges,
-            &managed_owner.name,
-            required,
-        )
-        .ok()
-    }
-
     /// Dispatches one event to every matching subscription: the engine's one
     /// delivery path, at every batch size.
     ///
@@ -847,10 +858,9 @@ impl Dispatcher {
     /// delivery counts and fault handling once. Its deliveries append what
     /// they publish to `published`, each tagged with the publishing unit
     /// (a unit they instantiate tags its `init`'s events with its own id).
-    /// A managed
-    /// delivery is a run of one: resolving its handler instance takes the
-    /// `managed_instances → units` locks, and eviction locks victim cells, so
-    /// it must never happen under a cell lock.
+    /// A managed delivery is no run: it locks no cell, and goes through
+    /// [`Dispatcher::deliver_managed`], kept out of line so that the direct
+    /// path stays as small as it was.
     fn dispatch_in(&self, batch: &BatchContext, event: Event, published: &mut Vec<Cascade>) {
         self.core.stats.dispatched.fetch_add(1, Ordering::Relaxed);
 
@@ -860,54 +870,59 @@ impl Dispatcher {
         // The worklist buffers are taken out of the scratch (not borrowed
         // across delivery calls) so unit callbacks can never observe a held
         // RefCell borrow.
-        let Worklist {
-            positions: mut worklist,
-            mut extra,
-            mut memo,
-        } = std::mem::take(&mut *self.scratch.borrow_mut());
-        memo.clear();
+        let mut work = std::mem::take(&mut *self.scratch.borrow_mut());
+        work.memo.clear();
         let index = batch.index.as_deref();
         match index {
-            Some(index) => index.candidates_into(&current, &mut worklist),
+            Some(index) => index.candidates_into(&current, &mut work.positions),
             None => {
-                worklist.clear();
-                worklist.extend(
+                work.positions.clear();
+                work.positions.extend(
                     (0..batch.subscriptions.len() as u32)
                         .filter(|&position| batch.subscriptions[position as usize].is_some()),
                 );
             }
         }
-        let mut candidate_total = worklist.len() as u64;
+        let mut candidate_total = work.positions.len() as u64;
         let mut exact_rejects = 0u64;
         let mut next = 0;
-        while next < worklist.len() {
-            let position = worklist[next] as usize;
+        while next < work.positions.len() {
+            let position = work.positions[next] as usize;
             next += 1;
             let Some((subscription, owner_slot, owner)) = batch.entry(position) else {
                 continue;
             };
             let managed = subscription.is_managed();
             let input = &owner.input;
-            if !self.subscription_matches(batch, &mut memo, subscription, input, managed, &current)
-            {
+            if !self.subscription_matches(
+                batch,
+                &mut work.memo,
+                subscription,
+                input,
+                managed,
+                &current,
+            ) {
                 exact_rejects += 1;
                 continue;
             }
-            let Some(mut slot) =
-                self.resolve_target(subscription, owner_slot, owner, &current, managed)
-            else {
+            if managed {
+                let additions = self.deliver_managed(subscription, owner, &current, published);
+                if !additions.is_empty() {
+                    candidate_total += work.fold(index, additions, position, next, &mut current);
+                }
                 continue;
-            };
+            }
             // The head of the run: chase a swap's replacement, which a swap
             // installs before it retires the old cell, so the run forwards
             // exactly once.
+            let mut slot = Arc::clone(owner_slot);
             let cell = loop {
                 let cell = slot.cell.lock();
                 if !cell.retired {
                     break Some(cell);
                 }
                 drop(cell);
-                match self.forwarded_slot(&slot, subscription.owner, managed) {
+                match self.forwarded_slot(&slot, subscription.owner) {
                     Some(fresh) => slot = fresh,
                     None => break None,
                 }
@@ -943,34 +958,13 @@ impl Dispatcher {
                 // Most deliveries add nothing: skip the fold, and the empty
                 // list was never allocated.
                 if !additions.is_empty() {
-                    for part in additions {
-                        // An augmentation-released part can satisfy clauses
-                        // of subscriptions the original event never indexed
-                        // to. Their turn, like the linear scan's, is still
-                        // ahead only for subscriptions positioned after this
-                        // delivery.
-                        if let Some(index) = index {
-                            extra.clear();
-                            index.candidates_for_part(part.name(), part.data(), &mut extra);
-                            for &candidate in extra.iter() {
-                                if candidate as usize <= position {
-                                    continue;
-                                }
-                                if let Err(at) = worklist[next..].binary_search(&candidate) {
-                                    worklist.insert(next + at, candidate);
-                                    candidate_total += 1;
-                                }
-                            }
-                        }
-                        current = current.with_part(part);
-                        memo.clear();
-                    }
+                    candidate_total += work.fold(index, additions, position, next, &mut current);
                 }
-                if managed || faulted {
+                if faulted {
                     break;
                 }
                 // Extend the run over the owner's next direct candidates.
-                while let Some(&candidate) = worklist.get(next) {
+                while let Some(&candidate) = work.positions.get(next) {
                     let Some((following, _, following_owner)) = batch.entry(candidate as usize)
                     else {
                         break;
@@ -980,9 +974,14 @@ impl Dispatcher {
                     }
                     next += 1;
                     let input = &following_owner.input;
-                    if self
-                        .subscription_matches(batch, &mut memo, following, input, false, &current)
-                    {
+                    if self.subscription_matches(
+                        batch,
+                        &mut work.memo,
+                        following,
+                        input,
+                        false,
+                        &current,
+                    ) {
                         run = Some((candidate as usize, following));
                         break;
                     }
@@ -1020,11 +1019,77 @@ impl Dispatcher {
                 .exact_rejects
                 .fetch_add(exact_rejects, Ordering::Relaxed);
         }
-        *self.scratch.borrow_mut() = Worklist {
-            positions: worklist,
-            extra,
-            memo,
+        *self.scratch.borrow_mut() = work;
+    }
+
+    /// Runs one managed delivery (§5, `subscribeManaged`): the subscription's
+    /// factory builds a handler, which serves this one event and is dropped.
+    ///
+    /// The handler's security state lives on the stack: the owner's input
+    /// label joined with the event's contamination (the owner's input label
+    /// when label checks are off), and the owner's output label, privileges,
+    /// unit id and isolate from the batch snapshot. So what it publishes
+    /// counts as the owner's for per-publisher FIFO, and nothing it does to
+    /// its labels or privileges outlives the delivery or reaches the owner.
+    /// The delivery registers no unit, creates no isolate and charges no
+    /// memory, and it holds no lock while the handler runs: a handler's
+    /// `instantiate_unit` takes `units.write()` with no cell locked. Errors
+    /// and panics in the handler are counted like any unit's; there is no
+    /// instance for the fault policy to swap or quarantine. A panicking
+    /// factory is an engine fault. Returns the parts the handler added to
+    /// the event.
+    #[inline(never)]
+    fn deliver_managed(
+        &self,
+        subscription: &Subscription,
+        owner: &OwnerSnapshot,
+        event: &Event,
+        outputs: &mut Vec<Cascade>,
+    ) -> Vec<Part> {
+        let (Some(template), SubscriptionKind::Managed(factory)) =
+            (&owner.managed, &subscription.kind)
+        else {
+            return Vec::new();
         };
+        let mode = self.core.config.mode;
+        let mut handler = factory();
+        let mut state = UnitState {
+            id: subscription.owner,
+            name: template.name.clone(),
+            input_label: if mode.checks_labels() {
+                owner.input.join(&event.overall_label())
+            } else {
+                owner.input.clone()
+            },
+            output_label: template.output.clone(),
+            privileges: template.privileges.clone(),
+            isolate: template.isolate,
+            delivered: 1,
+            version: 1,
+            owns_managed: false,
+        };
+        let deep_copy;
+        let delivered: &Event = if mode.clones_events() {
+            deep_copy = event.deep_clone();
+            &deep_copy
+        } else {
+            event
+        };
+        let mut ctx = UnitContext::new(&self.core, &mut state, Some(delivered), outputs, true)
+            .serving_managed();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handler.on_event(&mut ctx, delivered)
+        }));
+        let stats = &self.core.stats;
+        stats.deliveries.fetch_add(1, Ordering::Relaxed);
+        stats.managed_deliveries.fetch_add(1, Ordering::Relaxed);
+        if !matches!(outcome, Ok(Ok(()))) {
+            stats.unit_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        if outcome.is_err() {
+            self.core.faults.unit_panics.fetch_add(1, Ordering::Relaxed);
+        }
+        ctx.finish()
     }
 
     /// Runs one delivery into an **already locked** unit cell — the single
@@ -1125,121 +1190,12 @@ impl Dispatcher {
     /// live slot under the owner's stable unit id — that forwarding is what
     /// keeps exactly-once across a swap racing a dispatch that cached the old
     /// slot Arc (epoch-keyed batch contexts hold slots across batches).
-    /// Returns `None` when the delivery should be skipped: managed handlers
-    /// (eviction legitimately destroys them; the next event re-resolves a
-    /// fresh instance) and truly removed units.
-    fn forwarded_slot(
-        &self,
-        stale: &Arc<UnitSlot>,
-        owner: UnitId,
-        managed: bool,
-    ) -> Option<Arc<UnitSlot>> {
-        if managed {
-            return None;
-        }
+    /// Returns `None` when the unit was truly removed: the delivery is
+    /// skipped.
+    fn forwarded_slot(&self, stale: &Arc<UnitSlot>, owner: UnitId) -> Option<Arc<UnitSlot>> {
         let fresh = self.core.slot(owner).ok()?;
         // Defensive: a registry still mapping to the retired slot means the
         // unit is being removed, not swapped — skip rather than spin.
         (!Arc::ptr_eq(&fresh, stale)).then_some(fresh)
-    }
-
-    /// Returns (creating on demand) the managed handler instance for a subscription
-    /// at the given contamination level.
-    fn managed_instance(
-        &self,
-        subscription: &Subscription,
-        owner_output: &Label,
-        owner_privileges: &defcon_defc::PrivilegeSet,
-        owner_name: &str,
-        required: Label,
-    ) -> EngineResult<Arc<UnitSlot>> {
-        let key = (subscription.id, required.clone());
-        // Hold the registry lock across lookup *and* creation so that two workers
-        // racing on the same contamination cannot each instantiate (and leak) a
-        // handler for the same key.
-        //
-        // Lock order: managed_instances -> units -> (units released) -> cell.
-        // Unit callbacks run with their cell locked and may take units.write()
-        // (instantiate_unit), so a cell mutex must never be acquired while a
-        // units guard is held — see the eviction path below.
-        let mut instances = self.core.managed_instances.lock();
-        if let Some(existing) = instances.get(&key) {
-            if let Ok(slot) = self.core.slot(*existing) {
-                return Ok(slot);
-            }
-        }
-
-        let SubscriptionKind::Managed(factory) = &subscription.kind else {
-            unreachable!("managed_instance called for a direct subscription");
-        };
-        let instance = factory();
-        let id = self.core.next_unit_id();
-        let isolate = self.core.isolation.create_isolate();
-        let spec = UnitSpec::new(format!("{owner_name}::managed"))
-            .with_input_label(required)
-            .with_output_label(owner_output.clone())
-            .with_privileges(owner_privileges);
-        let state = UnitState::new(id, spec, isolate);
-        self.core
-            .memory
-            .charge(MemoryCategory::UnitState, state.estimated_size());
-        let slot = Arc::new(UnitSlot {
-            cell: Mutex::new(UnitCell::new(state, instance)),
-            mailbox_signal: parking_lot::Condvar::new(),
-        });
-        self.core.units.write().insert(id, Arc::clone(&slot));
-        // Bound the number of live managed instances: orders protected by
-        // per-order tags create one instance per contamination, so without a cap
-        // a long run would accumulate unboundedly many handler objects.
-        if instances.len() >= self.core.config.managed_instance_cap {
-            // Unregister all victims under one short units.write(), collecting
-            // their slots; their cell mutexes are only taken after the write
-            // guard is gone. Locking a cell while holding units.write() would
-            // invert the cell -> units order of in-progress deliveries (whose
-            // unit code may call instantiate_unit) and deadlock the workers.
-            let mut evicted_slots = Vec::new();
-            {
-                let mut units = self.core.units.write();
-                // Only instances the registry alone references are victims: a
-                // dispatcher that resolved one holds a clone until its
-                // delivery ends, and with units.write() held nobody can take a
-                // new clone, so a count of one cannot rise under us. Pinned
-                // instances may hold the registry briefly above the cap.
-                let evicted_keys: Vec<_> = instances
-                    .iter()
-                    .filter(|(_, id)| {
-                        units
-                            .get(id)
-                            .is_none_or(|slot| Arc::strong_count(slot) == 1)
-                    })
-                    .map(|(key, _)| key.clone())
-                    .take(instances.len() / 2 + 1)
-                    .collect();
-                for evicted_key in evicted_keys {
-                    if let Some(evicted_id) = instances.remove(&evicted_key) {
-                        if let Some(evicted_slot) = units.remove(&evicted_id) {
-                            evicted_slots.push(evicted_slot);
-                        }
-                    }
-                }
-            }
-            for evicted_slot in evicted_slots {
-                let mut cell = evicted_slot.cell.lock();
-                // Retired under the cell lock: anything that still reaches this
-                // slot skips it instead of running unit code against a
-                // destroyed isolate.
-                cell.retired = true;
-                self.core.isolation.destroy_isolate(cell.state.isolate);
-                self.core
-                    .memory
-                    .release(MemoryCategory::UnitState, cell.state.estimated_size());
-            }
-        }
-        instances.insert(key, id);
-        self.core
-            .stats
-            .managed_instances
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(slot)
     }
 }

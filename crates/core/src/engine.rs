@@ -49,6 +49,8 @@ pub enum SecurityMode {
     LabelsClone,
     /// Label checks, events shared by reference and runtime isolation
     /// interception ("labels+freeze+isolation") — the full DEFCon configuration.
+    /// Each unit gets an isolate of its own; a managed handler runs in its
+    /// owner's.
     LabelsFreezeIsolation,
 }
 
@@ -143,11 +145,6 @@ pub struct EngineConfig {
     /// index property tests compare against. Delivery sets are identical
     /// either way.
     pub subscription_index: bool,
-    /// Maximum number of managed handler instances kept alive. Managed
-    /// subscriptions over per-order tags create one instance per distinct
-    /// contamination; the cap bounds their memory like a JVM would bound event
-    /// processes via garbage collection.
-    pub managed_instance_cap: usize,
     /// Write-ahead log configuration. When set, every externally published
     /// event (publisher batches, `with_unit` closure outputs, driver-side
     /// bootstrap publishes) is appended to the log *before* it is enqueued —
@@ -179,7 +176,6 @@ impl Default for EngineConfig {
             workers: 0,
             batch_size: 1,
             subscription_index: true,
-            managed_instance_cap: 1024,
             wal: None,
             ingress: None,
             fault: None,
@@ -272,8 +268,8 @@ pub struct EngineStats {
     /// Engine-level dispatch failures on worker threads (distinct from unit
     /// misbehaviour; any nonzero value indicates an engine bug worth reporting).
     pub engine_errors: AtomicU64,
-    /// Managed handler instances created on demand.
-    pub managed_instances: AtomicU64,
+    /// Managed deliveries: one handler built, run and dropped per delivery.
+    pub managed_deliveries: AtomicU64,
 }
 
 impl EngineStats {
@@ -307,9 +303,9 @@ impl EngineStats {
         self.engine_errors.load(Ordering::Relaxed)
     }
 
-    /// Managed instances created.
-    pub fn managed_instances(&self) -> u64 {
-        self.managed_instances.load(Ordering::Relaxed)
+    /// Managed deliveries (a subset of `deliveries`).
+    pub fn managed_deliveries(&self) -> u64 {
+        self.managed_deliveries.load(Ordering::Relaxed)
     }
 }
 
@@ -322,7 +318,7 @@ pub(crate) struct UnitCell {
     /// When `true`, deliveries are queued in the mailbox instead of invoking
     /// `on_event`.
     pub(crate) pull_mode: bool,
-    /// Set under the cell lock when the unit is evicted/removed/swapped and
+    /// Set under the cell lock when the unit is removed or swapped and
     /// its isolate destroyed; a dispatch that resolved this slot concurrently
     /// must not deliver into the dead isolate. For a *swap* the registry holds
     /// the replacement slot (installed before this flag is set), so delivery
@@ -369,7 +365,6 @@ pub(crate) struct EngineCore {
     /// the inverted index over them, edited under this one lock.
     pub(crate) subscriptions: RwLock<SubscriptionTable>,
     pub(crate) run_queue: RunQueue,
-    pub(crate) managed_instances: Mutex<HashMap<(SubscriptionId, Label), UnitId>>,
     pub(crate) memory: MemoryAccountant,
     pub(crate) stats: EngineStats,
     /// Admission reservation state and shed/admit/credit-stall counters (see
@@ -886,7 +881,6 @@ impl Engine {
                 units: RwLock::new(HashMap::new()),
                 subscriptions: RwLock::new(subscriptions),
                 run_queue,
-                managed_instances: Mutex::new(HashMap::new()),
                 memory: MemoryAccountant::new(),
                 stats: EngineStats::default(),
                 admission: AdmissionCounters::default(),
@@ -1222,7 +1216,7 @@ impl Engine {
         self.core.isolation.stats()
     }
 
-    /// Number of registered units (including managed instances).
+    /// Number of registered units. Managed deliveries register none.
     pub fn unit_count(&self) -> usize {
         self.core.units.read().len()
     }

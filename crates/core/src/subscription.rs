@@ -4,10 +4,10 @@
 //!
 //! * `subscribe(filter)` — a plain subscription; matching events are delivered to
 //!   the subscribing unit itself, contaminating it if it reads protected parts.
-//! * `subscribeManaged(handler, filter)` — a *managed* subscription; the engine
-//!   creates (and reuses) separate handler instances whose contamination matches
-//!   each incoming event, so that the subscribing unit's own state never becomes
-//!   permanently contaminated. These mirror Asbestos' event processes.
+//! * `subscribeManaged(handler, filter)` — a *managed* subscription; each
+//!   matching event is served by a fresh handler whose contamination matches that
+//!   event and which is dropped after it, so that the subscribing unit's own state
+//!   never becomes contaminated. These mirror Asbestos' event processes.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,12 +41,12 @@ impl fmt::Display for SubscriptionId {
     }
 }
 
-/// Whether a subscription delivers to the subscribing unit or to managed instances.
+/// Whether a subscription delivers to the subscribing unit or to managed handlers.
 pub enum SubscriptionKind {
     /// Deliver to the subscribing unit itself.
     Direct,
-    /// Deliver to engine-managed handler instances created by the factory, keyed by
-    /// the contamination required to read the triggering event.
+    /// Deliver to a handler the factory builds per event, run at the
+    /// contamination required to read that event.
     Managed(Arc<UnitFactory>),
 }
 

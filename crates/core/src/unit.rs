@@ -78,8 +78,10 @@ impl Unit for NullUnit {
     }
 }
 
-/// Factory used by managed subscriptions (§5, `subscribeManaged`) to create fresh
-/// handler instances at the contamination required by each incoming event.
+/// Factory used by managed subscriptions (§5, `subscribeManaged`): it is called
+/// once per managed delivery, and the handler it returns serves that one event at
+/// the contamination the event requires, under its owner's unit id, and is then
+/// dropped. A panicking factory is an engine fault.
 pub type UnitFactory = Box<dyn Fn() -> Box<dyn Unit> + Send + Sync>;
 
 /// Static configuration with which a unit is registered.

@@ -68,7 +68,7 @@ impl Unit for OrderProbe {
     fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
         if let Ok(versions) = ctx.read_part(event, "n") {
             if let Some((_, Value::Int(n))) = versions.into_iter().next() {
-                self.seen.lock().push(n);
+                self.seen.lock().push(*n);
             }
         }
         Ok(())

@@ -11,8 +11,8 @@ use std::time::Duration;
 use defcon_core::context::LabelOp;
 use defcon_core::unit::NullUnit;
 use defcon_core::{
-    Engine, EngineError, EngineHandle, EngineResult, EventDraft, SecurityMode, Unit, UnitContext,
-    UnitSpec,
+    Engine, EngineError, EngineHandle, EngineResult, EventDraft, SecurityMode, SubscriptionId,
+    Unit, UnitContext, UnitId, UnitSpec,
 };
 use defcon_defc::{Component, Label, Privilege, PrivilegeKind, Tag, TagSet};
 use defcon_events::{Event, Filter, Value};
@@ -69,7 +69,7 @@ impl Unit for Recorder {
         self.received.fetch_add(1, Ordering::Relaxed);
         if let Some(part) = &self.part {
             if let Ok(value) = ctx.read_first(event, part) {
-                self.seen.lock().push(value);
+                self.seen.lock().push(value.clone());
             }
         }
         Ok(())
@@ -434,7 +434,7 @@ fn managed_subscription_keeps_owner_clean() {
     }
     impl Unit for ManagedHandler {
         fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
-            // The managed instance is contaminated enough to read the body.
+            // The managed handler is contaminated enough to read the body.
             let body = ctx.read_first(event, "body")?;
             assert!(body.as_float().is_some());
             self.processed.fetch_add(1, Ordering::Relaxed);
@@ -497,11 +497,260 @@ fn managed_subscription_keeps_owner_clean() {
     handle.pump_until_idle().unwrap();
 
     assert_eq!(processed.load(Ordering::Relaxed), 2);
-    // Two distinct contaminations -> two managed instances.
-    assert_eq!(engine.stats().managed_instances(), 2);
+    // One managed delivery per order.
+    assert_eq!(engine.stats().managed_deliveries(), 2);
     // The broker's own label is still public.
     let broker_state = engine.unit_state(broker).unwrap();
     assert!(broker_state.input_label.is_public());
+}
+
+/// What a [`LawProbe`] saw in one managed delivery.
+struct ManagedView {
+    /// Whether a field set by an earlier delivery's handler was still set.
+    carried: bool,
+    input: Label,
+    event_label: Label,
+    output: Label,
+    unit: UnitId,
+    holds_owner_tag: bool,
+    /// Whether the handler still held a privilege an earlier handler created.
+    holds_earlier_tag: bool,
+}
+
+#[derive(Default)]
+struct LawLog {
+    views: Vec<ManagedView>,
+    handler_tags: Vec<Tag>,
+}
+
+/// A managed handler that records its security state, then changes it: it
+/// sets a field, creates a tag and raises its output label with it.
+struct LawProbe {
+    owner_tag: Tag,
+    touched: bool,
+    log: Arc<parking_lot::Mutex<LawLog>>,
+}
+
+impl Unit for LawProbe {
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let mut log = self.log.lock();
+        let holds_earlier_tag = log
+            .handler_tags
+            .iter()
+            .any(|tag| ctx.has_privilege(tag, PrivilegeKind::AddAuthority));
+        log.views.push(ManagedView {
+            carried: self.touched,
+            input: ctx.input_label(),
+            event_label: event.overall_label(),
+            output: ctx.output_label(),
+            unit: ctx.unit_id(),
+            holds_owner_tag: ctx.has_privilege(&self.owner_tag, PrivilegeKind::Add),
+            holds_earlier_tag,
+        });
+        self.touched = true;
+        let mine = ctx.create_owned_tag("handler");
+        ctx.change_out_label(Component::Confidentiality, LabelOp::Add, &mine)?;
+        log.handler_tags.push(mine);
+        Ok(())
+    }
+}
+
+/// The managed-delivery law, in every mode: each delivery's handler starts
+/// from the owner's snapshot raised to the event's contamination, runs under
+/// the owner's id, and leaves nothing behind — not in the next handler, not
+/// in the owner, not in the unit registry.
+#[test]
+fn managed_deliveries_run_at_the_owners_state_and_keep_nothing() {
+    struct Owner {
+        owner_tag: Tag,
+        log: Arc<parking_lot::Mutex<LawLog>>,
+    }
+    impl Unit for Owner {
+        fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+            let owner_tag = self.owner_tag.clone();
+            let log = Arc::clone(&self.log);
+            ctx.subscribe_managed(
+                Box::new(move || {
+                    Box::new(LawProbe {
+                        owner_tag: owner_tag.clone(),
+                        touched: false,
+                        log: Arc::clone(&log),
+                    }) as Box<dyn Unit>
+                }),
+                Filter::for_type("order"),
+            )?;
+            Ok(())
+        }
+        fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+            Ok(())
+        }
+    }
+
+    for mode in SecurityMode::all() {
+        let handle = started(mode);
+        let engine = handle.engine();
+        let owner_tag = Tag::with_name("owner");
+        let owner_input = Label::confidential(TagSet::singleton(owner_tag.clone()));
+        let owner_output = Label::endorsed(TagSet::singleton(owner_tag.clone()));
+        let log = Arc::new(parking_lot::Mutex::new(LawLog::default()));
+        let owner = engine
+            .register_unit(
+                UnitSpec::new("owner")
+                    .with_input_label(owner_input.clone())
+                    .with_output_label(owner_output.clone())
+                    .with_privilege(Privilege::add(owner_tag.clone())),
+                Box::new(Owner {
+                    owner_tag: owner_tag.clone(),
+                    log: Arc::clone(&log),
+                }),
+            )
+            .unwrap();
+        let feed = engine
+            .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+            .unwrap();
+        let feed = engine.publisher(feed).unwrap();
+        let units = engine.unit_count();
+
+        // Every order under a tag of its own: a contamination of its own.
+        for n in 0..3 {
+            let tag = feed
+                .with_context(|ctx| Ok(ctx.create_owned_tag(format!("order-{n}"))))
+                .unwrap();
+            feed.publish(
+                EventDraft::new()
+                    .public_part("type", Value::str("order"))
+                    .part(
+                        "body",
+                        Label::confidential(TagSet::singleton(tag)),
+                        Value::Int(n),
+                    ),
+            )
+            .unwrap();
+        }
+        handle.pump_until_idle().unwrap();
+
+        let log = log.lock();
+        assert_eq!(log.views.len(), 3, "mode {mode}");
+        assert_eq!(engine.stats().managed_deliveries(), 3, "mode {mode}");
+        for view in &log.views {
+            assert!(!view.carried, "mode {mode}: a handler field outlived it");
+            let expected_input = if mode.checks_labels() {
+                owner_input.join(&view.event_label)
+            } else {
+                owner_input.clone()
+            };
+            assert_eq!(view.input, expected_input, "mode {mode}");
+            assert_eq!(view.output, owner_output, "mode {mode}");
+            assert_eq!(view.unit, owner, "mode {mode}");
+            assert!(view.holds_owner_tag, "mode {mode}");
+            assert!(
+                !view.holds_earlier_tag,
+                "mode {mode}: a handler privilege outlived it"
+            );
+        }
+        if mode.checks_labels() {
+            assert!(log.views.windows(2).all(|w| w[0].input != w[1].input));
+        }
+        let state = engine.unit_state(owner).unwrap();
+        assert_eq!(state.input_label, owner_input, "mode {mode}");
+        assert_eq!(state.output_label, owner_output, "mode {mode}");
+        assert!(state.privileges.holds(&owner_tag, PrivilegeKind::Add));
+        for tag in &log.handler_tags {
+            assert!(
+                !state.privileges.holds(tag, PrivilegeKind::AddAuthority),
+                "mode {mode}: a handler privilege reached the owner"
+            );
+        }
+        assert_eq!(engine.unit_count(), units, "mode {mode}");
+    }
+}
+
+/// A managed handler runs under its owner's id at a higher contamination, so
+/// it may not edit its owner's subscription set: `subscribe`,
+/// `subscribe_managed` and `unsubscribe` are refused. Its errors and panics
+/// are counted like any unit's.
+#[test]
+fn managed_handlers_cannot_edit_their_owners_subscriptions() {
+    type Refusals = Arc<parking_lot::Mutex<Vec<[bool; 3]>>>;
+    struct Meddler {
+        target: Arc<parking_lot::Mutex<Option<SubscriptionId>>>,
+        refusals: Refusals,
+    }
+    impl Unit for Meddler {
+        fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+            let refused =
+                |result: EngineResult<()>| matches!(result, Err(EngineError::InvalidOperation(_)));
+            let target = self.target.lock().expect("the owner subscribed");
+            self.refusals.lock().push([
+                refused(ctx.subscribe(Filter::for_type("note")).map(drop)),
+                refused(
+                    ctx.subscribe_managed(
+                        Box::new(|| Box::new(NullUnit) as Box<dyn Unit>),
+                        Filter::for_type("note"),
+                    )
+                    .map(drop),
+                ),
+                refused(ctx.unsubscribe(target)),
+            ]);
+            if ctx.read_part(event, "panic").is_ok() {
+                panic!("a handler panic is a unit panic");
+            }
+            ctx.unsubscribe(target)
+        }
+    }
+    struct Owner {
+        target: Arc<parking_lot::Mutex<Option<SubscriptionId>>>,
+        refusals: Refusals,
+    }
+    impl Unit for Owner {
+        fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+            let target = Arc::clone(&self.target);
+            let refusals = Arc::clone(&self.refusals);
+            let id = ctx.subscribe_managed(
+                Box::new(move || {
+                    Box::new(Meddler {
+                        target: Arc::clone(&target),
+                        refusals: Arc::clone(&refusals),
+                    }) as Box<dyn Unit>
+                }),
+                Filter::for_type("order"),
+            )?;
+            *self.target.lock() = Some(id);
+            Ok(())
+        }
+        fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+            Ok(())
+        }
+    }
+
+    for mode in SecurityMode::all() {
+        let handle = started(mode);
+        let engine = handle.engine();
+        let refusals = Refusals::default();
+        engine
+            .register_unit(
+                UnitSpec::new("owner"),
+                Box::new(Owner {
+                    target: Arc::default(),
+                    refusals: Arc::clone(&refusals),
+                }),
+            )
+            .unwrap();
+        let subscriptions = engine.subscription_count();
+        publish_public(engine, &[("type", Value::str("order"))]);
+        publish_public(
+            engine,
+            &[("type", Value::str("order")), ("panic", Value::Bool(true))],
+        );
+        handle.pump_until_idle().unwrap();
+
+        assert_eq!(*refusals.lock(), [[true; 3]; 2], "mode {mode}");
+        assert_eq!(engine.subscription_count(), subscriptions, "mode {mode}");
+        assert_eq!(engine.stats().managed_deliveries(), 2, "mode {mode}");
+        assert_eq!(engine.stats().unit_errors(), 2, "mode {mode}");
+        assert_eq!(engine.queue_stats().unit_panics, 1, "mode {mode}");
+        assert_eq!(engine.stats().engine_errors(), 0, "mode {mode}");
+    }
 }
 
 #[test]
@@ -547,9 +796,12 @@ fn main_path_augmentation_is_visible_to_later_subscribers() {
         }
         fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
             let reasons = ctx.read_part(event, "reason")?;
-            self.seen
-                .lock()
-                .push(reasons.into_iter().map(|(_, value)| value).collect());
+            self.seen.lock().push(
+                reasons
+                    .into_iter()
+                    .map(|(_, value)| value.clone())
+                    .collect(),
+            );
             Ok(())
         }
     }
@@ -1025,8 +1277,8 @@ impl Unit for Tally {
     }
 }
 
-/// Serves `filter` through a managed subscription whose handler instances
-/// are [`Tally`]s named `name`. The factory panics on its first `panics`
+/// Serves `filter` through a managed subscription whose handlers are
+/// [`Tally`]s named `name`. The factory panics on its first `panics`
 /// calls.
 struct ManagedTally {
     name: &'static str,
@@ -1309,12 +1561,12 @@ fn label_checks_hold_under_concurrent_dispatch() {
 }
 
 #[test]
-fn managed_eviction_under_workers_does_not_deadlock_or_leak() {
-    // A tight managed-instance cap plus per-event tags forces constant handler
-    // creation and eviction while four workers dispatch, and each managed
-    // delivery calls instantiate_unit (cell -> units.write lock order) — the
-    // combination that would deadlock if eviction locked cells while holding
-    // the units registry.
+fn managed_handlers_instantiating_units_under_workers_register_only_the_children() {
+    // Per-event tags give every order its own contamination while four
+    // workers dispatch, and each managed delivery calls instantiate_unit,
+    // which takes units.write() from inside a delivery. The handlers
+    // themselves register nothing: the registry ends with the broker, the
+    // four traders and the 400 children.
     struct SpawningHandler {
         processed: Arc<AtomicU64>,
     }
@@ -1350,7 +1602,6 @@ fn managed_eviction_under_workers_does_not_deadlock_or_leak() {
     let engine = Engine::builder()
         .mode(SecurityMode::LabelsFreeze)
         .workers(4)
-        .managed_instance_cap(4)
         .build();
     let processed = Arc::new(AtomicU64::new(0));
     engine
@@ -1378,7 +1629,7 @@ fn managed_eviction_under_workers_does_not_deadlock_or_leak() {
             std::thread::spawn(move || {
                 for n in 0..100u64 {
                     // A fresh tag per order: every event demands a new managed
-                    // contamination, churning the capped instance registry.
+                    // contamination.
                     let tag = publisher
                         .with_context(|ctx| Ok(ctx.create_owned_tag(format!("s-{i}-{n}"))))
                         .unwrap();
@@ -1403,12 +1654,8 @@ fn managed_eviction_under_workers_does_not_deadlock_or_leak() {
     let dispatched = handle.shutdown().unwrap();
     assert_eq!(dispatched, 400);
     assert_eq!(processed.load(Ordering::SeqCst), 400);
-    // Eviction kept the registry bounded: 1 broker + 4 traders + at most the
-    // capped handlers, plus the 400 ephemeral instantiations.
-    assert!(
-        engine.stats().managed_instances() >= 396,
-        "one handler per contamination"
-    );
+    assert_eq!(engine.stats().managed_deliveries(), 400);
+    assert_eq!(engine.unit_count(), 1 + 4 + 400);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! a dispatch costs one rebuild. The epoch must move exactly when state that
 //! context holds changes: the subscription list, an input label, or the output
 //! label and privileges of a managed subscription's owner (the state its
-//! handler instances are created from). Tag creation and privilege traffic of
+//! handlers run with). Tag creation and privilege traffic of
 //! any other unit must not rebuild anything. Also pinned here:
 //! `UnitContext::drop_privileges`.
 
@@ -212,7 +212,7 @@ fn a_managed_owners_new_privilege_reaches_the_next_handler_instance() {
     let handle = engine.start();
     let feed = handle.publisher(feed).unwrap();
 
-    // A first order caches the batch context (and a public handler).
+    // A first order caches the batch context.
     feed.publish(EventDraft::new().public_part("type", Value::str("order")))
         .unwrap();
     handle.pump_until_idle().unwrap();
@@ -222,8 +222,8 @@ fn a_managed_owners_new_privilege_reaches_the_next_handler_instance() {
         .unwrap();
     log.lock().watched = Some(granted);
 
-    // An order at a new contamination gets a fresh handler, created from the
-    // owner's snapshotted privileges: they must already include the grant.
+    // The next order's handler runs with the owner's snapshotted
+    // privileges: they must already include the grant.
     let secret = Label::confidential(TagSet::singleton(Tag::with_name("secret")));
     feed.publish(
         EventDraft::new()
@@ -232,7 +232,7 @@ fn a_managed_owners_new_privilege_reaches_the_next_handler_instance() {
     )
     .unwrap();
     handle.pump_until_idle().unwrap();
-    assert_eq!(engine.stats().managed_instances(), 2);
+    assert_eq!(engine.stats().managed_deliveries(), 2);
     assert_eq!(log.lock().held, [true]);
     handle.shutdown().unwrap();
 }

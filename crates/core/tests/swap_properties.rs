@@ -75,7 +75,7 @@ impl Unit for VersionedProbe {
         }
         if let Ok(parts) = ctx.read_part(event, "seq") {
             if let Some((_, Value::Int(seq))) = parts.into_iter().next() {
-                self.ledger.delivered[seq as usize].fetch_add(1, Ordering::SeqCst);
+                self.ledger.delivered[*seq as usize].fetch_add(1, Ordering::SeqCst);
             }
         }
         let prev = self
@@ -350,7 +350,7 @@ fn single_worker_fifo_order_is_preserved_across_the_swap_boundary() {
         fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
             if let Ok(parts) = ctx.read_part(event, "seq") {
                 if let Some((_, Value::Int(seq))) = parts.into_iter().next() {
-                    self.seen.lock().push((seq, self.incarnation));
+                    self.seen.lock().push((*seq, self.incarnation));
                 }
             }
             Ok(())

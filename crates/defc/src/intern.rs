@@ -7,8 +7,8 @@
 //! * **pointer-equality fast path** — the overwhelmingly common case of
 //!   comparing a label against itself (or against the shared public label)
 //!   becomes a single pointer comparison;
-//! * **precomputed hash** — labels are `HashMap` keys in the engine (managed
-//!   instance resolution, dispatch memos); the hash is computed once at intern
+//! * **precomputed hash** — labels are `HashMap` keys in the engine (dispatch
+//!   memos); the hash is computed once at intern
 //!   time instead of per lookup;
 //! * **tag fingerprints** — one 64-bit Bloom word per component supports a
 //!   constant-time *fast reject* of subset/superset queries (see

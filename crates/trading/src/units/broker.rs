@@ -6,7 +6,7 @@
 //! DEFC aspects (Figure 4, steps 5–6): the broker owns the tag `b` (granting it
 //! `b+`/`b-`) and processes orders through a *managed subscription*, so that reading
 //! an order — whose parts are protected by `b` and by a per-order tag `t_r` — only
-//! contaminates an ephemeral handler instance and never the broker unit itself.
+//! contaminates the handler built for that one order, never the broker unit itself.
 //! When two orders cross, the handler publishes a trade event whose public body is
 //! declassified while the two identities remain protected by the per-order tags of
 //! their sides; an audit part visible only to the Regulator carries the aggressor's
@@ -26,11 +26,11 @@ use parking_lot::Mutex;
 use crate::messages::{event_type, order, trade, PART_TYPE};
 use crate::order_book::OrderBook;
 
-/// State shared between the broker's managed handler instances.
+/// State shared between the broker's managed handlers.
 ///
 /// The order book, the latency histogram (Figure 6's metric is recorded at the
 /// moment the broker produces a trade) and the trade counter all belong to the
-/// broker principal; handler instances are ephemeral views onto it.
+/// broker principal; each handler is a one-order view onto it.
 #[derive(Debug)]
 pub struct BrokerShared {
     /// The dark-pool order book.
@@ -75,7 +75,7 @@ impl Broker {
 impl Unit for Broker {
     fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
         // The audit label `({r}, ∅)` is interned once here; every handler
-        // instance (and every trade it publishes) clones the shared value.
+        // (and every trade it publishes) clones the shared value.
         let regulator_label = Label::confidential(TagSet::singleton(self.regulator_tag.clone()));
         let shared = Arc::clone(&self.shared);
         let factory: UnitFactory = Box::new(move || {
@@ -89,12 +89,13 @@ impl Unit for Broker {
     }
 
     fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
-        // All order processing happens in managed handler instances.
+        // All order processing happens in managed handlers.
         Ok(())
     }
 }
 
-/// The ephemeral handler created per order contamination.
+/// The handler built for each order: it serves that one delivery, at the
+/// order's contamination, and is then dropped.
 struct BrokerHandler {
     regulator_label: Label,
     shared: Arc<BrokerShared>,
@@ -244,11 +245,6 @@ impl Unit for BrokerHandler {
         let Some((incoming, order_tag)) = Self::parse_order(ctx, event)? else {
             return Ok(());
         };
-        let traded = self.trade(ctx, event, incoming, &order_tag);
-        // Everything t_r grants has been used or delegated to the Regulator by
-        // now; retired, so that the one handler which serves every order when
-        // label checks are off does not accumulate two privileges per order.
-        ctx.drop_privileges(&order_tag);
-        traded
+        self.trade(ctx, event, incoming, &order_tag)
     }
 }

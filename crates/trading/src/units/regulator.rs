@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use crate::messages::{event_type, trade, warning, PART_TYPE};
 use crate::units::stock_exchange::StockExchange;
 
-/// State shared between the Regulator's managed handler instances.
+/// State shared between the Regulator's managed handlers.
 #[derive(Debug, Default)]
 pub struct RegulatorShared {
     /// Total trades observed.
@@ -98,12 +98,13 @@ impl Unit for Regulator {
     }
 
     fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
-        // All trade processing happens in managed handler instances.
+        // All trade processing happens in managed handlers.
         Ok(())
     }
 }
 
-/// The ephemeral handler created per trade contamination.
+/// The handler built for each trade: it serves that one delivery, at the
+/// trade's contamination, and is then dropped.
 struct RegulatorHandler {
     exchange_tag: Tag,
     sample_every: u64,
@@ -151,10 +152,6 @@ impl Unit for RegulatorHandler {
             ctx.has_privilege(&order_tag, PrivilegeKind::Add),
             "reading the audit part must bestow t_r+"
         );
-        // t_r+ has served its purpose; retired, so that the one handler which
-        // serves every trade when label checks are off does not accumulate a
-        // privilege per audit.
-        ctx.drop_privileges(&order_tag);
 
         // Verify the trader's volume quota.
         let breached = {

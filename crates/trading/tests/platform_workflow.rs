@@ -280,8 +280,7 @@ fn isolation_mode_gives_every_unit_its_own_isolate() {
 #[test]
 fn driver_pumped_platforms_repeat_their_ledgers() {
     // With `workers: 0` the driver thread replays each cascade, so two builds
-    // of the same deployment must agree exactly — including which managed
-    // Broker instances survive the instance cap's eviction.
+    // of the same deployment must agree exactly.
     let ledger = |batch_size: usize| {
         let mut platform = TradingPlatform::build(TradingPlatformConfig {
             mode: SecurityMode::LabelsFreezeIsolation,
@@ -301,34 +300,33 @@ fn driver_pumped_platforms_repeat_their_ledgers() {
             report.orders,
             report.trades,
             stats.deliveries(),
-            stats.managed_instances(),
+            stats.managed_deliveries(),
         )
     };
     for batch_size in [1, 8] {
         let first = ledger(batch_size);
-        assert!(
-            first.3 > 1024,
-            "batch {batch_size}: the instance cap must have evicted: {first:?}"
+        assert_eq!(
+            first.3,
+            first.0 + first.1,
+            "batch {batch_size}: one managed delivery per order and per trade: {first:?}"
         );
         assert_eq!(first, ledger(batch_size), "batch {batch_size}");
     }
 }
 
 #[test]
-fn managed_instances_stay_bounded_over_long_runs() {
-    // Orders and trades are protected by per-order tags, so the broker and regulator
-    // handler instances are created per contamination; the engine must keep their
-    // population bounded rather than growing with every order.
+fn unit_count_is_constant_over_long_runs() {
+    // Orders and trades are protected by per-order tags, so every broker and
+    // regulator handler runs at a contamination of its own. Handlers are not
+    // units: the registry holds the traders, their Pair Monitors, the
+    // exchange, the broker and the regulator, before and after the run.
+    let traders = 10;
     let mut platform =
-        TradingPlatform::build(small_config(SecurityMode::LabelsFreeze, 10)).unwrap();
+        TradingPlatform::build(small_config(SecurityMode::LabelsFreeze, traders)).unwrap();
+    assert_eq!(platform.engine().unit_count(), 2 * traders + 3);
     platform.run_ticks(2_000).unwrap();
     assert!(platform.report().trades > 0);
-    let cap = 1024; // EngineConfig default managed_instance_cap
-    assert!(
-        platform.engine().unit_count() <= 10 /* traders */ + 10 /* monitors */ + 3 + 2 * cap,
-        "unit population must stay bounded, got {}",
-        platform.engine().unit_count()
-    );
+    assert_eq!(platform.engine().unit_count(), 2 * traders + 3);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example trading_platform [traders] [ticks]`
 //!
 //! Exits non-zero unless orders, trades and regulator-republished ticks all
-//! occurred without an engine fault.
+//! occurred without an engine fault, and the run registered no unit.
 
 use defcon_core::SecurityMode;
 use defcon_trading::{TradingPlatform, TradingPlatformConfig};
@@ -17,6 +17,7 @@ fn main() {
     println!("Building DEFCon trading platform: {traders} traders, full security (labels+freeze+isolation)");
     let config = TradingPlatformConfig::new(SecurityMode::LabelsFreezeIsolation, traders);
     let mut platform = TradingPlatform::build(config).expect("platform builds");
+    let units = platform.engine().unit_count();
 
     println!("Replaying {ticks} synthetic ticks through the platform...");
     let report = platform.run_ticks(ticks).expect("run completes");
@@ -58,5 +59,12 @@ fn main() {
         platform.engine().stats().engine_errors(),
         0,
         "engine faults"
+    );
+    // Managed handlers are not units: every order and trade runs its broker
+    // or regulator handler without registering one.
+    assert_eq!(
+        platform.engine().unit_count(),
+        units,
+        "the run changed the unit count"
     );
 }
