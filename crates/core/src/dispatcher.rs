@@ -52,9 +52,12 @@
 //! count as in flight, so idleness, shutdown and the dispatched counts
 //! include them; and each is dispatched against a context re-validated
 //! against the security epoch (one atomic load), so a label or subscription
-//! change an ancestor made is seen by its descendants. Only while another
-//! dispatcher is parked does a dispatch's block go to the shared queue
-//! instead, for the idle worker to take.
+//! change an ancestor made is seen by its descendants. Only while a worker is
+//! parked *and* a dispatch slot is free (the run queue's module docs say who
+//! holds one) does a dispatch's block go to the shared queue instead, for the
+//! idle worker to take. A dispatching thread always holds a slot, so below
+//! two workers nothing spills: a thread dispatching in `wait_idle` in a
+//! parked worker's place keeps its cascades on its own stack, in preorder.
 //!
 //! What one dispatcher promises:
 //!
@@ -483,51 +486,52 @@ impl Dispatcher {
         self.core.config.batch_size.max(1)
     }
 
-    /// Pops one batch off the queue and dispatches it through the workers'
-    /// batch routine, [`Dispatcher::dispatch_popped`]. Returns the number of
-    /// events dispatched, cascades included (zero when the queue was empty).
-    fn pump_batch(&self) -> usize {
-        let mut batch = self
-            .core
-            .run_queue
-            .pop_batch(self.preferred_shard, self.batch_size());
-        if batch.is_empty() {
+    /// Takes a free dispatch slot and, holding it, pops and dispatches batches
+    /// through the workers' batch routine, [`Dispatcher::dispatch_popped`],
+    /// until the queue is empty or `deadline` passes. Returns the number of
+    /// events dispatched, cascades included: zero when nothing was queued or
+    /// every slot was held.
+    pub(crate) fn drain(&self, deadline: Option<Instant>) -> u64 {
+        let queue = &self.core.run_queue;
+        if queue.len() == 0 {
             return 0;
         }
-        self.dispatch_popped(&mut batch) as usize
+        let Some(_slot) = queue.take_slot() else {
+            return 0;
+        };
+        let batch_size = self.batch_size();
+        let mut batch = Vec::new();
+        let mut dispatched = 0;
+        while queue.pop_batch_into(self.preferred_shard, batch_size, &mut batch) > 0 {
+            dispatched += self.dispatch_popped(&mut batch);
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                break;
+            }
+        }
+        dispatched
     }
 
     /// Dispatches events until the queue drains (including events published during
     /// dispatch). Returns the number of events dispatched.
     ///
-    /// With worker threads running concurrently this drains the *queue*, not the
+    /// Like every path that pops the queue it needs a free dispatch slot, so
+    /// while all of an engine's workers are busy it dispatches nothing. With
+    /// worker threads running concurrently this drains the *queue*, not the
     /// engine: use [`EngineHandle::wait_idle`](crate::EngineHandle::wait_idle) to
     /// wait for in-flight dispatches as well.
     pub fn pump_until_idle(&self) -> EngineResult<usize> {
-        let mut dispatched = 0;
-        loop {
-            match self.pump_batch() {
-                0 => return Ok(dispatched),
-                n => dispatched += n,
-            }
-        }
+        Ok(self.drain(None) as usize)
     }
 
     /// Keeps pumping for at least `duration` (useful when other threads publish
     /// concurrently); returns the number of events dispatched. While the queue
-    /// is empty the thread parks on the run queue's wakeup signal instead of
-    /// spinning.
+    /// is empty, or every dispatch slot is held, the thread parks on the run
+    /// queue's wakeup signal instead of spinning.
     pub fn pump_for(&self, duration: Duration) -> EngineResult<usize> {
         let deadline = Instant::now() + duration;
         let mut dispatched = 0;
         loop {
-            match self.pump_batch() {
-                0 => {}
-                n => {
-                    dispatched += n;
-                    continue;
-                }
-            }
+            dispatched += self.drain(None) as usize;
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -551,15 +555,17 @@ impl Dispatcher {
     /// shard, or whole from a sibling when its own is dry — so each dispatched
     /// batch costs a single lock round-trip on the pop side, settles its
     /// in-flight accounting with one update and one wakeup check, and shares
-    /// one epoch-cached dispatch context across the batch.
+    /// one epoch-cached dispatch context across the batch. The worker keeps
+    /// its dispatch slot while it finds work and gives it up when it parks.
     pub(crate) fn run_worker(self) -> u64 {
         let batch_size = self.batch_size();
         let queue = &self.core.run_queue;
         let mut dispatched = 0;
+        let mut slot = false;
         // The popped-batch buffer is reused across iterations: a steady-state
         // batch costs no allocation on the pop side.
         let mut batch: Vec<Event> = Vec::new();
-        while queue.next_batch_into(self.preferred_shard, batch_size, &mut batch) > 0 {
+        while queue.next_batch_into(self.preferred_shard, batch_size, &mut batch, &mut slot) > 0 {
             dispatched += self.dispatch_popped(&mut batch);
         }
         dispatched
@@ -626,17 +632,22 @@ impl Dispatcher {
     }
 
     /// Places the block one dispatch appended to the stack above `held`, in
-    /// publication order. While another dispatcher is parked the block goes
-    /// to the shared queue, where that worker can take it. Otherwise it stays
-    /// on the stack, counted in flight, first-published on top (preorder) —
-    /// except the events of a publisher that still has an older event
-    /// stacked, which go just below that one (per-publisher FIFO).
+    /// publication order. While a worker is parked and a dispatch slot is
+    /// free, the block goes to the shared queue, where that worker can take
+    /// it. Otherwise it stays on the stack, counted in flight,
+    /// first-published on top (preorder) — except the events of a publisher
+    /// that still has an older event stacked, which go just below that one
+    /// (per-publisher FIFO).
     fn place_cascades(&self, stack: &mut CascadeStack, held: usize, guard: &mut BatchGuard<'_>) {
         let published = stack.events.len() - held;
         if published == 0 {
             return;
         }
-        if self.core.run_queue.has_waiters() {
+        let queue = &self.core.run_queue;
+        // The dispatching thread holds a slot, so at `workers(0)` or `(1)`
+        // none is free and nothing spills: a caller helping in `wait_idle`
+        // keeps its cascades on its own stack.
+        if queue.has_waiters() && queue.has_free_slot() {
             let block = stack.events.drain(held..).map(|cascade| cascade.event);
             self.core.enqueue_batch(block.collect());
             return;

@@ -110,8 +110,9 @@ pub struct EngineConfig {
     /// of them stay active until shutdown, and the run queue has one shard
     /// per worker. Zero means no background dispatch: the returned handle is
     /// driven manually via [`EngineHandle::pump_until_idle`] /
-    /// [`EngineHandle::run_for`], which is what single-threaded tests and
-    /// benchmarks want. Deployments that should adapt to their hardware pass
+    /// [`EngineHandle::run_for`] / [`EngineHandle::wait_idle`] (which
+    /// dispatches on the waiting thread), which is what single-threaded
+    /// tests and benchmarks want. Deployments that should adapt to their hardware pass
     /// [`auto_worker_count`](crate::auto_worker_count).
     pub workers: usize,
     /// Maximum number of events a dispatcher pops (and accounts for) per run
@@ -903,8 +904,10 @@ impl Engine {
     /// eventually shut down.
     ///
     /// With `workers == 0` no threads are spawned; the handle's
-    /// [`pump_until_idle`](EngineHandle::pump_until_idle) and
-    /// [`run_for`](EngineHandle::run_for) drive dispatch on the calling thread.
+    /// [`pump_until_idle`](EngineHandle::pump_until_idle),
+    /// [`run_for`](EngineHandle::run_for) and
+    /// [`wait_idle`](EngineHandle::wait_idle) drive dispatch on the calling
+    /// thread.
     ///
     /// The runtime lifecycle is **one-shot**: shutting the handle down (or
     /// dropping it) stops this engine for good.

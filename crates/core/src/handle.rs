@@ -11,18 +11,26 @@
 //! * [`EngineHandle::pump_until_idle`] / [`EngineHandle::run_for`] drive
 //!   dispatch inline when the engine was built with `workers(0)` — the
 //!   single-threaded mode tests and benchmarks use;
-//! * [`EngineHandle::wait_idle`] blocks until the queue has drained *and* no
-//!   dispatch is in flight;
+//! * [`EngineHandle::wait_idle`] returns once the queue has drained *and* no
+//!   dispatch is in flight. The waiting thread does the work: while a
+//!   dispatch slot is free (a worker is parked, or at `workers(0)` always) it
+//!   pops and dispatches queued batches itself, through one dispatcher the
+//!   handle keeps warm, and parks only while nothing is queued and a dispatch
+//!   is in flight, or every slot is held. At most `max(workers, 1)` threads
+//!   dispatch at once, so at `workers(1)` a publisher's events still reach
+//!   units in FIFO order;
 //! * [`EngineHandle::shutdown`] drains the queue, joins every worker and
-//!   returns the engine — termination is part of the API, not "stop calling
-//!   pump".
+//!   returns how many events were dispatched — by the workers, by threads
+//!   waiting in `wait_idle` and by the final drain. Termination is part of
+//!   the API, not "stop calling pump".
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defcon_defc::Label;
 use defcon_events::{Event, Value};
+use parking_lot::Mutex;
 
 use crate::admission::{Admission, TryPublish};
 use crate::context::UnitContext;
@@ -39,6 +47,17 @@ use crate::unit::UnitId;
 pub struct EngineHandle {
     engine: Engine,
     workers: Vec<JoinHandle<u64>>,
+    /// What threads waiting in [`EngineHandle::wait_idle`] dispatch through,
+    /// one at a time.
+    waiter: Mutex<Waiter>,
+}
+
+/// The handle's own dispatcher, kept across `wait_idle` calls so that its
+/// context cache, worklist and cascade stack stay warm, and the events it
+/// dispatched, which [`EngineHandle::shutdown`] counts.
+struct Waiter {
+    dispatcher: Dispatcher,
+    dispatched: u64,
 }
 
 impl EngineHandle {
@@ -53,7 +72,15 @@ impl EngineHandle {
                     .expect("spawning dispatcher worker")
             })
             .collect();
-        EngineHandle { engine, workers }
+        let waiter = Mutex::new(Waiter {
+            dispatcher: Dispatcher::new(core),
+            dispatched: 0,
+        });
+        EngineHandle {
+            engine,
+            workers,
+            waiter,
+        }
     }
 
     /// The engine this handle drives.
@@ -121,9 +148,10 @@ impl EngineHandle {
     /// Dispatches queued events on the calling thread until the queue drains;
     /// returns the number of events dispatched here.
     ///
-    /// This is the drive mode for `workers(0)` handles. It is safe (if rarely
-    /// useful) with workers running: the calling thread simply competes for
-    /// events.
+    /// This is the drive mode for `workers(0)` handles. With workers running
+    /// it dispatches only while a dispatch slot is free, that is while a
+    /// worker is parked; [`EngineHandle::wait_idle`] is the call that also
+    /// waits for in-flight dispatches.
     pub fn pump_until_idle(&self) -> EngineResult<usize> {
         self.engine.dispatcher().pump_until_idle()
     }
@@ -134,18 +162,43 @@ impl EngineHandle {
         self.engine.dispatcher().pump_for(duration)
     }
 
-    /// Blocks until the engine is idle — queue empty and no dispatch in flight —
-    /// or `timeout` elapses; returns whether idleness was reached.
+    /// Returns once the engine is idle — queue empty and no dispatch in
+    /// flight — or `timeout` elapses; returns whether idleness was reached.
     ///
-    /// With `workers(0)` nothing drains the queue in the background, so callers
-    /// should pump instead of waiting.
+    /// The calling thread does the work it waits for: while events are
+    /// queued and a dispatch slot is free — a worker is parked, or the engine
+    /// has none — it pops and dispatches them itself, in that worker's place,
+    /// instead of waking the worker and sleeping. It parks only while nothing
+    /// is queued and a dispatch is still in flight, or while every slot is
+    /// held. So at `workers(0)` this drains the queue like
+    /// [`EngineHandle::pump_until_idle`]. One waiting thread dispatches at a
+    /// time; the others park meanwhile. What they dispatch counts toward
+    /// [`EngineHandle::shutdown`]'s total. A dispatching caller checks
+    /// `timeout` between batches.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        self.engine.core().run_queue.wait_idle(timeout)
+        let deadline = Instant::now() + timeout;
+        let queue = &self.engine.core().run_queue;
+        loop {
+            // Whoever holds the waiter is draining; the others park.
+            if let Some(mut waiter) = self.waiter.try_lock() {
+                waiter.dispatched += waiter.dispatcher.drain(Some(deadline));
+            }
+            if queue.wait_idle(deadline) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+        }
     }
 
     /// Gracefully shuts the runtime down: lets the workers drain the queue
     /// (including events published during the drain), joins them, and returns
-    /// the total number of events the workers dispatched over their lifetime.
+    /// the total number of events dispatched over the runtime's lifetime by
+    /// the workers and by threads waiting in [`EngineHandle::wait_idle`],
+    /// plus the final drain. Events pumped with
+    /// [`EngineHandle::pump_until_idle`] or [`EngineHandle::run_for`] were
+    /// reported to their caller and are not counted again.
     ///
     /// With `workers(0)` the remaining queue is drained on the calling thread.
     pub fn shutdown(mut self) -> EngineResult<u64> {
@@ -168,8 +221,9 @@ impl EngineHandle {
         // Final drain on the calling thread: the whole queue in `workers(0)`
         // mode, and any external publish that raced `stop` and slipped in after
         // the workers' last idle check otherwise — accepted events are never
-        // lost.
-        dispatched += self.pump_until_idle()? as u64;
+        // lost. The exited workers gave their slots back.
+        let waiter = self.waiter.get_mut();
+        dispatched += std::mem::take(&mut waiter.dispatched) + waiter.dispatcher.drain(None);
         if panicked > 0 {
             return Err(EngineError::InvalidOperation(format!(
                 "{panicked} dispatcher worker(s) panicked during the run"

@@ -22,12 +22,26 @@
 //! graceful shutdown deterministic: a drained queue with an in-flight dispatch
 //! may still grow again, so "idle" means empty *and* nothing in flight.
 //!
+//! # Who may pop
+//!
+//! Only a thread holding a *dispatch slot* pops, and it keeps the slot until
+//! the popped batch is dispatched. There are `max(workers, 1)` slots (one per
+//! shard), so at most that many threads dispatch at once, and at one slot a
+//! publisher's external events reach units in FIFO order whoever pops them.
+//! A worker holds its slot while it runs and gives it up when it parks in
+//! [`RunQueue::next_batch_into`]. Every other consumer — a thread waiting in
+//! [`EngineHandle::wait_idle`](crate::EngineHandle::wait_idle), a manual
+//! pump — takes a free slot ([`RunQueue::take_slot`]) for one drain and
+//! returns it when the queue is empty. So a caller waiting for idleness
+//! dispatches in a parked worker's place instead of waking it and sleeping.
+//!
 //! Queue depth counts external events and *spilled* cascades only. An event a
 //! unit publishes during dispatch normally stays on its dispatcher's own
 //! cascade stack (see [`Dispatcher`](crate::Dispatcher)) and never enters the
 //! queue: it counts as in flight from publication until its batch settles
-//! ([`BatchGuard::hold`]). Only while another dispatcher is parked
-//! ([`RunQueue::has_waiters`]) does a cascade block go to the queue, so the
+//! ([`BatchGuard::hold`]). Only while a worker is parked
+//! ([`RunQueue::has_waiters`]) *and* a slot is free
+//! ([`RunQueue::has_free_slot`]) does a cascade block go to the queue, so the
 //! idle worker can take it.
 //!
 //! Blocked consumers park on a condvar and rely purely on paired signalling —
@@ -61,14 +75,23 @@ pub(crate) struct RunQueue {
     /// Runs [`RunQueue::pop_batch_into`] took from a shard other than the
     /// caller's preferred one.
     steals: AtomicU64,
+    /// Dispatch slots not held by any thread (see the module docs): starts at
+    /// the shard count, `max(workers, 1)`.
+    free_slots: AtomicUsize,
     /// Consumers currently parked (or about to park) on `work_signal`; lets the
     /// hot internal push skip the signal lock when nobody is listening.
     waiters: AtomicUsize,
+    /// Callers of [`RunQueue::wait_idle`] currently parked (or about to park)
+    /// on `idle_signal`; lets a settling batch skip the signal lock when
+    /// nobody waits for idleness.
+    idle_waiters: AtomicUsize,
     /// Guards the wakeup condvars (the counters themselves are atomics).
     signal_lock: Mutex<()>,
-    /// Signalled when work arrives or the queue starts stopping.
+    /// Signalled when work arrives, a slot is given back over queued work, or
+    /// the queue starts stopping.
     work_signal: Condvar,
-    /// Signalled when the queue becomes fully idle.
+    /// Signalled when the queue becomes fully idle, or a slot is given back
+    /// over queued work.
     idle_signal: Condvar,
     /// Blocked admitters (ingress publishers waiting for queued depth to
     /// drop) currently parked on `depth_signal`; lets the hot pop path skip
@@ -82,17 +105,18 @@ pub(crate) struct RunQueue {
 impl RunQueue {
     /// Creates a queue with `shards` internal shards (at least one).
     pub(crate) fn new(shards: usize) -> Self {
+        let shards = shards.max(1);
         RunQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
             len: AtomicUsize::new(0),
             popped: AtomicU64::new(0),
             pending: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
+            free_slots: AtomicUsize::new(shards),
             waiters: AtomicUsize::new(0),
+            idle_waiters: AtomicUsize::new(0),
             signal_lock: Mutex::new(()),
             work_signal: Condvar::new(),
             idle_signal: Condvar::new(),
@@ -116,6 +140,35 @@ impl RunQueue {
     /// Whether a consumer is parked (or about to park) waiting for work.
     pub(crate) fn has_waiters(&self) -> bool {
         self.waiters.load(Ordering::Relaxed) > 0
+    }
+
+    /// Whether a dispatch slot is free, so a parked consumer could take
+    /// queued work.
+    pub(crate) fn has_free_slot(&self) -> bool {
+        self.free_slots.load(Ordering::Relaxed) > 0
+    }
+
+    /// Takes a free dispatch slot, or returns `None` when every slot is held.
+    /// The slot is given back when the guard drops, waking a parked consumer
+    /// if work is queued.
+    pub(crate) fn take_slot(&self) -> Option<SlotGuard<'_>> {
+        self.try_take_slot().then(|| SlotGuard { queue: self })
+    }
+
+    fn try_take_slot(&self) -> bool {
+        self.free_slots
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
+                free.checked_sub(1)
+            })
+            .is_ok()
+    }
+
+    /// Whether a consumer without a slot could dispatch now: work is queued
+    /// and a slot is free. SeqCst, pairing with [`SlotGuard`]'s drop: either a
+    /// parking consumer's check sees the given-back slot, or the giver sees
+    /// the consumer registered and wakes it.
+    fn has_takeable_work(&self) -> bool {
+        self.len.load(Ordering::SeqCst) > 0 && self.free_slots.load(Ordering::SeqCst) > 0
     }
 
     /// Number of internal shards (clamped to the worker count at construction:
@@ -316,7 +369,8 @@ impl RunQueue {
     /// acquisition, preferring shard `preferred` and stealing a whole run from a
     /// sibling shard when the preferred one is dry. Every popped event counts as
     /// in flight until completed (see [`RunQueue::batch_guard`]).
-    pub(crate) fn pop_batch(&self, preferred: usize, max: usize) -> Vec<Event> {
+    #[cfg(test)]
+    fn pop_batch(&self, preferred: usize, max: usize) -> Vec<Event> {
         let mut batch = Vec::new();
         self.pop_batch_into(preferred, max, &mut batch);
         batch
@@ -324,7 +378,7 @@ impl RunQueue {
 
     /// Allocation-free twin of [`RunQueue::pop_batch`]: appends the popped run
     /// to `out` (which the hot worker loop reuses across batches) and returns
-    /// how many events were popped.
+    /// how many events were popped. The caller holds a dispatch slot.
     pub(crate) fn pop_batch_into(
         &self,
         preferred: usize,
@@ -409,7 +463,9 @@ impl RunQueue {
             return;
         }
         self.pending.fetch_sub(n, Ordering::SeqCst);
-        if self.is_idle() {
+        // SeqCst loads after the decrement pair with the registration of a
+        // waiter before its idle check: either side sees the other.
+        if self.is_idle() && (self.idle_waiters.load(Ordering::SeqCst) > 0 || self.is_stopping()) {
             let _signal = self.signal_lock.lock();
             self.idle_signal.notify_all();
             // Stopping workers park on the work signal; wake them so they can
@@ -430,62 +486,82 @@ impl RunQueue {
 
     /// Blocks until at least one event is available, returning a batch of up to
     /// `max` events from one shard, or an empty batch once the queue is
-    /// stopping *and* fully idle (telling a worker to exit).
+    /// stopping *and* fully idle (telling a worker to exit). The slot the pop
+    /// takes is given back at once, so test consumers need not track it.
     #[cfg(test)]
     pub(crate) fn next_batch(&self, preferred: usize, max: usize) -> Vec<Event> {
         let mut batch = Vec::new();
-        self.next_batch_into(preferred, max, &mut batch);
+        let mut slot = false;
+        self.next_batch_into(preferred, max, &mut batch, &mut slot);
+        if slot {
+            drop(SlotGuard { queue: self });
+        }
         batch
     }
 
-    /// Allocation-free twin of [`RunQueue::next_batch`]: blocks until at least
-    /// one event is available and appends the popped run to `out` (reused
-    /// across batches by the worker loop), or returns 0 once the queue is
+    /// The worker's pop: blocks until it holds a dispatch slot and at least
+    /// one event is available, and appends the popped run to `out` (reused
+    /// across batches by the worker loop); or returns 0 once the queue is
     /// stopping *and* fully idle (telling the worker to exit).
+    ///
+    /// `slot` says whether the worker holds a dispatch slot. It keeps the slot
+    /// from batch to batch and gives it up only to park, so that a caller
+    /// waiting for idleness can take it and dispatch in its place; it holds
+    /// one whenever this returns a batch, and none once this returns 0.
     pub(crate) fn next_batch_into(
         &self,
         preferred: usize,
         max: usize,
         out: &mut Vec<Event>,
+        slot: &mut bool,
     ) -> usize {
         loop {
-            let popped = self.pop_batch_into(preferred, max, out);
-            if popped > 0 {
-                return popped;
+            if !*slot && self.len() > 0 {
+                *slot = self.try_take_slot();
             }
-            if self.stopping.load(Ordering::Acquire) && self.is_idle() {
-                return 0;
+            if *slot {
+                let popped = self.pop_batch_into(preferred, max, out);
+                if popped > 0 {
+                    return popped;
+                }
             }
             let mut signal = self.signal_lock.lock();
-            // Register as a waiter *before* the recheck (SeqCst, pairing with
-            // `wake_consumers`), then re-check: a push or the final `complete_many`
-            // may have raced with the checks above. The wait itself is
+            // Register as a waiter *before* the checks (SeqCst, pairing with
+            // `wake_consumers`, `SlotGuard`'s drop and `complete_many`): a
+            // push, a given-back slot or the final completion racing the pop
+            // above is seen here or wakes the wait. The wait itself is
             // untimed — the pairing guarantees no insert is ever missed, so an
             // idle engine's workers park silently instead of waking on a
             // polling interval.
             self.waiters.fetch_add(1, Ordering::SeqCst);
-            if self.len.load(Ordering::SeqCst) > 0
-                || (self.stopping.load(Ordering::Acquire) && self.is_idle())
-            {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                continue;
+            // The slot is given back without a wakeup: the check below takes
+            // it again if work raced in.
+            if std::mem::take(slot) {
+                self.free_slots.fetch_add(1, Ordering::SeqCst);
             }
-            self.work_signal.wait(&mut signal);
+            let exit = self.stopping.load(Ordering::Acquire) && self.is_idle();
+            if !exit && !self.has_takeable_work() {
+                self.work_signal.wait(&mut signal);
+            }
             self.waiters.fetch_sub(1, Ordering::SeqCst);
+            if exit {
+                return 0;
+            }
         }
     }
 
-    /// Parks the caller until work may be available or `max_wait` elapses — the
-    /// blocking primitive behind
-    /// [`Dispatcher::pump_for`](crate::Dispatcher::pump_for), so polling drivers
-    /// do not spin a core while the queue is empty. Parks regardless of the
-    /// stopping flag (callers exit on `stopping && idle` themselves): in-flight
-    /// dispatches of a stopping queue may still publish, and `complete_many` wakes
-    /// all waiters when the queue goes idle.
+    /// Parks the caller until work it could take may be available (queued
+    /// events and a free slot) or `max_wait` elapses — the blocking primitive
+    /// behind [`Dispatcher::pump_for`](crate::Dispatcher::pump_for), so polling
+    /// drivers do not spin a core while the queue is empty or every slot is
+    /// held. Parks regardless of the stopping flag (callers exit on
+    /// `stopping && idle` themselves): in-flight dispatches of a stopping queue
+    /// may still publish, and `complete_many` wakes all waiters when a stopping
+    /// queue goes idle.
     pub(crate) fn park_for_work(&self, max_wait: Duration) {
         let mut signal = self.signal_lock.lock();
         self.waiters.fetch_add(1, Ordering::SeqCst);
-        if self.len.load(Ordering::SeqCst) == 0 {
+        if !self.has_takeable_work() {
             self.work_signal.wait_for(&mut signal, max_wait);
         }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
@@ -509,23 +585,46 @@ impl RunQueue {
         self.stopping.load(Ordering::Acquire)
     }
 
-    /// Blocks until the queue is fully idle or `timeout` elapses; returns whether
-    /// idleness was reached.
-    pub(crate) fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.is_idle() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let mut signal = self.signal_lock.lock();
-            if self.is_idle() {
-                return true;
-            }
+    /// The parking half of
+    /// [`EngineHandle::wait_idle`](crate::EngineHandle::wait_idle): parks the
+    /// caller until the queue is fully idle, holds work the caller could
+    /// dispatch (queued events and a free slot), or `deadline` passes; returns
+    /// whether the queue is idle. So it parks only while nothing is queued and
+    /// a dispatch is in flight, or while every slot is held.
+    pub(crate) fn wait_idle(&self, deadline: Instant) -> bool {
+        if self.is_idle() {
+            return true;
+        }
+        let mut signal = self.signal_lock.lock();
+        // Registered before the checks (SeqCst), pairing with `complete_many`
+        // and `SlotGuard`'s drop.
+        self.idle_waiters.fetch_add(1, Ordering::SeqCst);
+        let now = Instant::now();
+        if now < deadline && !self.is_idle() && !self.has_takeable_work() {
             self.idle_signal.wait_for(&mut signal, deadline - now);
+        }
+        self.idle_waiters.fetch_sub(1, Ordering::SeqCst);
+        self.is_idle()
+    }
+}
+
+/// A dispatch slot taken by [`RunQueue::take_slot`], given back on drop.
+pub(crate) struct SlotGuard<'a> {
+    queue: &'a RunQueue,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let queue = self.queue;
+        queue.free_slots.fetch_add(1, Ordering::SeqCst);
+        // A consumer that found work but no slot parked; the slot is free now.
+        if queue.len.load(Ordering::SeqCst) > 0
+            && (queue.waiters.load(Ordering::SeqCst) > 0
+                || queue.idle_waiters.load(Ordering::SeqCst) > 0)
+        {
+            let _signal = queue.signal_lock.lock();
+            queue.work_signal.notify_all();
+            queue.idle_signal.notify_all();
         }
     }
 }
@@ -787,9 +886,10 @@ mod tests {
         let queue = RunQueue::new(1);
         queue.push(event(1));
         assert_eq!(queue.pop_batch(0, 1).len(), 1);
-        assert!(!queue.wait_idle(Duration::from_millis(20)));
+        let deadline = |ms| Instant::now() + Duration::from_millis(ms);
+        assert!(!queue.wait_idle(deadline(20)));
         queue.complete();
-        assert!(queue.wait_idle(Duration::from_millis(100)));
+        assert!(queue.wait_idle(deadline(100)));
     }
 
     /// The condvar pairing assertion that replaced the old 50 ms `WAIT_SLICE`
@@ -838,6 +938,26 @@ mod tests {
             consumer.join().unwrap().is_none(),
             "stop on an idle queue releases parked consumers"
         );
+    }
+
+    /// A consumer finding work queued but the only slot held parks (its wait
+    /// is untimed), and giving the slot back is what wakes it.
+    #[test]
+    fn a_held_slot_parks_consumers_until_it_is_given_back() {
+        let queue = Arc::new(RunQueue::new(1));
+        let slot = queue.take_slot().expect("a fresh queue has a free slot");
+        assert!(queue.take_slot().is_none(), "one slot per shard");
+        queue.push(event(1));
+        let consumer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || next_event(&queue, 0).map(|event| event_value(&event)))
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!consumer.is_finished(), "no consumer pops without a slot");
+        assert_eq!(queue.len(), 1);
+        drop(slot);
+        assert_eq!(consumer.join().unwrap(), Some(1));
+        assert!(queue.has_free_slot(), "the consumer gave its slot back");
     }
 
     #[test]
@@ -897,7 +1017,7 @@ mod tests {
         for producer in producers {
             producer.join().unwrap();
         }
-        assert!(queue.wait_idle(Duration::from_secs(10)));
+        // Consumers exit only once the stopped queue is idle.
         queue.stop();
         for consumer in consumers {
             consumer.join().unwrap();
@@ -941,7 +1061,7 @@ mod tests {
         for producer in producers {
             producer.join().unwrap();
         }
-        assert!(queue.wait_idle(Duration::from_secs(10)));
+        // Consumers exit only once the stopped queue is idle.
         queue.stop();
         for consumer in consumers {
             consumer.join().unwrap();

@@ -383,10 +383,12 @@ fn publish_public(ctx: &mut UnitContext<'_>, parts: &[(&str, Value)]) -> EngineR
 }
 
 /// Runs `roots` as one publish batch through an engine at `workers(workers)`
-/// and `batch_size(8)`, with the units `setup` registers, and returns what
-/// `shutdown` reports dispatched. At `workers(0)` the shutdown drain pumps
-/// the whole cascade on the calling thread; at `workers(1)` the one worker
-/// does.
+/// and `batch_size(8)`, with the units `setup` registers, waits in
+/// `wait_idle`, and returns what `shutdown` reports dispatched. The waiting
+/// thread dispatches the whole cascade at `workers(0)`, and at `workers(1)`
+/// whenever it takes the slot before the woken worker does; it holds the one
+/// slot meanwhile, so nothing spills to the parked worker and the orders
+/// pinned below hold whichever thread dispatches.
 fn run_roots(workers: usize, setup: impl FnOnce(&Engine), roots: Vec<EventDraft>) -> u64 {
     let engine = Engine::builder()
         .mode(SecurityMode::LabelsFreeze)
@@ -401,6 +403,7 @@ fn run_roots(workers: usize, setup: impl FnOnce(&Engine), roots: Vec<EventDraft>
     let count = roots.len();
     let publisher = handle.publisher(source).unwrap();
     assert_eq!(publisher.publish_batch(roots).unwrap().accepted(), count);
+    assert!(handle.wait_idle(Duration::from_secs(30)));
     handle.shutdown().unwrap()
 }
 
@@ -460,6 +463,49 @@ fn cascades_are_dispatched_in_preorder_before_the_next_root() {
         );
         assert_eq!(dispatched, 6, "workers({workers}): cascades are counted");
     }
+}
+
+/// At `workers(1)` a thread dispatching in `wait_idle` holds the one slot,
+/// so the parked worker takes none of its cascades: they stay on its stack,
+/// in preorder. Each round's worker wake-up races the waiting thread for the
+/// slot, so there are many rounds: the waiting thread wins most of them, and
+/// the order must hold whichever thread wins.
+#[test]
+fn a_waiting_thread_keeps_its_cascades_in_preorder_at_one_worker() {
+    const ROUNDS: i64 = 100;
+    let engine = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(1)
+        .batch_size(8)
+        .build();
+    let log: Log<String> = Arc::default();
+    for (listen, emit) in [("r", Some("a")), ("a", Some("b")), ("b", None)] {
+        let hop = Hop {
+            listen,
+            emit,
+            log: Arc::clone(&log),
+        };
+        engine
+            .register_unit(UnitSpec::new(listen), Box::new(hop))
+            .unwrap();
+    }
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+    let handle = engine.start();
+    let publisher = handle.publisher(source).unwrap();
+    let mut expected = Vec::new();
+    for round in 0..ROUNDS {
+        let (first, second) = (2 * round, 2 * round + 1);
+        let admission = publisher.publish_batch(vec![root(first), root(second)]);
+        assert_eq!(admission.unwrap().accepted(), 2);
+        assert!(handle.wait_idle(Duration::from_secs(30)));
+        for n in [first, second] {
+            expected.extend(["r", "a", "b"].map(|hop| format!("{hop}{n}")));
+        }
+    }
+    assert_eq!(*log.lock(), expected);
+    assert_eq!(handle.shutdown().unwrap(), 6 * ROUNDS as u64);
 }
 
 /// Publishes two `p` events per delivery of a root or an echo, numbered by

@@ -1734,6 +1734,45 @@ fn shutdown_waits_for_cascading_publications() {
     assert_eq!(received.load(Ordering::Relaxed), 200);
 }
 
+/// With no workers, the thread waiting in `wait_idle` is the one that
+/// dispatches: it drains a queued tick and the cascade the tick publishes,
+/// returns `true` well within its timeout, and `shutdown` counts both events.
+#[test]
+fn wait_idle_drains_a_cascade_without_workers() {
+    let handle = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(0)
+        .start();
+    let engine = handle.engine();
+    engine
+        .register_unit(UnitSpec::new("relay"), Box::new(BoomRelay))
+        .unwrap();
+    let (recorder, received, _) = Recorder::new(Filter::for_type("boom"));
+    engine
+        .register_unit(UnitSpec::new("sink"), Box::new(recorder))
+        .unwrap();
+    let source = engine
+        .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+        .unwrap();
+    handle
+        .publisher(source)
+        .unwrap()
+        .publish(EventDraft::new().public_part("type", Value::str("tick")))
+        .unwrap();
+    assert_eq!(engine.queue_depth(), 1);
+
+    let timeout = Duration::from_secs(30);
+    let start = std::time::Instant::now();
+    assert!(
+        handle.wait_idle(timeout),
+        "the waiting thread drains the queue"
+    );
+    assert!(start.elapsed() < timeout / 2, "no waiting out the timeout");
+    assert_eq!(received.load(Ordering::Relaxed), 1, "the cascade ran");
+    assert_eq!(engine.queue_depth(), 0);
+    assert_eq!(handle.shutdown().unwrap(), 2, "tick and boom are counted");
+}
+
 /// The termination law, swept over dispatch batch sizes {1, 8, 64}: a relay
 /// republishes every tick as a "boom" from inside dispatch while a publisher
 /// thread floods ticks and `shutdown()` races it. Shutdown drains every

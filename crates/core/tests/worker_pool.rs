@@ -7,11 +7,13 @@
 //! (`sched_snapshot_hits`), while no worker is ever woken to join the band
 //! (`sched_wakes` stays 0) and every event is delivered exactly once.
 //! Fixed-pool drain on shutdown and late-publish rejection are pinned by the
-//! `handle` unit tests.
+//! `handle` unit tests. A thread waiting in `wait_idle` dispatches in a parked
+//! worker's place, and the dispatch-slot law — at most `max(workers, 1)`
+//! threads dispatch at once — is pinned here too.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defcon_core::unit::NullUnit;
 use defcon_core::{
@@ -144,4 +146,122 @@ fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
     let dispatched = handle.shutdown().unwrap();
     assert_eq!(dispatched, published, "shutdown accounts for every event");
     assert_eq!(received.load(Ordering::Relaxed), published, "exactly-once");
+}
+
+/// Counts the callbacks running at once and remembers the most it saw.
+#[derive(Default)]
+struct Gauge {
+    now: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+/// A subscriber whose callback holds the gauge for about 20 µs, so that
+/// dispatching threads overlap if the slot law lets them; the first one also
+/// records the sequence number of every event it receives.
+struct Gauged {
+    gauge: Arc<Gauge>,
+    sequence: Option<Arc<parking_lot::Mutex<Vec<i64>>>>,
+}
+
+impl Unit for Gauged {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        ctx.subscribe(Filter::for_type("seq"))?;
+        Ok(())
+    }
+
+    fn on_event(&mut self, ctx: &mut UnitContext<'_>, event: &Event) -> EngineResult<()> {
+        let running = self.gauge.now.fetch_add(1, Ordering::SeqCst) + 1;
+        self.gauge.peak.fetch_max(running, Ordering::SeqCst);
+        let until = Instant::now() + Duration::from_micros(20);
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+        if let Some(sequence) = &self.sequence {
+            let n = ctx
+                .read_first(event, "n")?
+                .as_int()
+                .expect("an integer part");
+            sequence.lock().push(n);
+        }
+        self.gauge.now.fetch_sub(1, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// One thread publishes 2,000 sequence-numbered events in batches of 8
+/// while another loops on `wait_idle`, which dispatches whenever a worker is
+/// parked. `workers + 1` units share a gauge, so a thread dispatching beyond
+/// the `workers` slots would show as one more callback running at once. At
+/// `workers(1)` the one slot also keeps the publisher's events in order.
+#[test]
+fn waiting_threads_dispatch_only_in_a_free_slot() {
+    const EVENTS: i64 = 2_000;
+    const BATCH: i64 = 8;
+    for workers in [1, 2] {
+        let engine = Engine::builder()
+            .mode(SecurityMode::LabelsFreeze)
+            .workers(workers)
+            .batch_size(BATCH as usize)
+            .build();
+        let gauge = Arc::new(Gauge::default());
+        let sequence = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        for unit in 0..=workers {
+            let gauged = Gauged {
+                gauge: Arc::clone(&gauge),
+                sequence: (unit == 0).then(|| Arc::clone(&sequence)),
+            };
+            engine
+                .register_unit(UnitSpec::new(format!("gauged-{unit}")), Box::new(gauged))
+                .unwrap();
+        }
+        let source = engine
+            .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+            .unwrap();
+        let handle = engine.start();
+        let publisher = handle.publisher(source).unwrap();
+        let published = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for first in (0..EVENTS).step_by(BATCH as usize) {
+                    let drafts = (first..first + BATCH)
+                        .map(|n| {
+                            EventDraft::new()
+                                .public_part("type", Value::str("seq"))
+                                .public_part("n", Value::Int(n))
+                        })
+                        .collect();
+                    assert_eq!(
+                        publisher.publish_batch(drafts).unwrap().accepted(),
+                        BATCH as usize
+                    );
+                }
+                published.store(true, Ordering::SeqCst);
+            });
+            scope.spawn(|| loop {
+                let done = published.load(Ordering::SeqCst);
+                let idle = handle.wait_idle(Duration::from_secs(30));
+                if done && idle {
+                    break;
+                }
+            });
+        });
+        let peak = gauge.peak.load(Ordering::SeqCst);
+        assert!(
+            peak <= workers,
+            "workers({workers}): {peak} callbacks ran at once"
+        );
+        let sequence = sequence.lock().clone();
+        assert_eq!(sequence.len(), EVENTS as usize, "workers({workers})");
+        if workers == 1 {
+            assert!(
+                sequence.windows(2).all(|pair| pair[0] < pair[1]),
+                "workers(1): the publisher's events arrive in order"
+            );
+        }
+        assert_eq!(
+            handle.shutdown().unwrap(),
+            EVENTS as u64,
+            "workers({workers}): shutdown counts what the waiting thread dispatched"
+        );
+    }
 }

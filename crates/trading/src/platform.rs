@@ -407,10 +407,22 @@ impl TradingPlatform {
         }
     }
 
+    /// Waits until the engine is idle — dispatching on this thread while a
+    /// worker is parked, and at `workers(0)` throughout — and returns how many
+    /// events were dispatched since the `dispatched` count read `before`.
+    fn drain_cascades(&self, before: u64) -> EngineResult<u64> {
+        if !self.handle.wait_idle(Duration::from_secs(30)) {
+            return Err(defcon_core::EngineError::InvalidOperation(
+                "the engine did not drain the tick cascade within 30s".into(),
+            ));
+        }
+        Ok(self.engine.stats().dispatched() - before)
+    }
+
     /// Publishes the next synthetic tick as the Stock Exchange and fully processes
-    /// the cascade it triggers (monitors, traders, broker, regulator): inline when
-    /// the platform runs without workers, or by waiting for the dispatcher workers
-    /// to drain the cascade.
+    /// the cascade it triggers (monitors, traders, broker, regulator), by
+    /// waiting for the engine to drain it: inline when the platform runs
+    /// without workers or its workers are parked.
     pub fn publish_tick(&mut self) -> EngineResult<()> {
         let tick = self.generator.next_tick();
         let before = self.engine.stats().dispatched();
@@ -421,16 +433,7 @@ impl TradingPlatform {
             self.exchange_feed.publish(draft)?;
             1
         };
-        let dispatched = if self.handle.worker_count() == 0 {
-            self.handle.pump_until_idle()? as u64
-        } else {
-            if !self.handle.wait_idle(Duration::from_secs(30)) {
-                return Err(defcon_core::EngineError::InvalidOperation(
-                    "dispatcher workers did not drain the tick cascade within 30s".into(),
-                ));
-            }
-            self.engine.stats().dispatched() - before
-        };
+        let dispatched = self.drain_cascades(before)?;
         self.ticks_published += admitted;
         // Figure 5 counts processed events; every dispatched event (ticks plus the
         // derived matches, orders, trades, ...) contributes to the supported rate.
@@ -454,16 +457,7 @@ impl TradingPlatform {
             .map(|tick| StockExchange::tick_draft_at(&self.exchange_label, tick))
             .collect();
         let admitted = self.feed_drafts(drafts)?;
-        let dispatched = if self.handle.worker_count() == 0 {
-            self.handle.pump_until_idle()? as u64
-        } else {
-            if !self.handle.wait_idle(Duration::from_secs(30)) {
-                return Err(defcon_core::EngineError::InvalidOperation(
-                    "dispatcher workers did not drain the tick cascade within 30s".into(),
-                ));
-            }
-            self.engine.stats().dispatched() - before
-        };
+        let dispatched = self.drain_cascades(before)?;
         // Under a shedding ingress policy the admitted count can run below
         // `count`; only ticks that actually entered the engine are reported.
         self.ticks_published += admitted;
