@@ -561,7 +561,8 @@ impl Dispatcher {
         let batch_size = self.batch_size();
         let queue = &self.core.run_queue;
         let mut dispatched = 0;
-        let mut slot = false;
+        // Given back when the worker parks, exits or unwinds.
+        let mut slot = None;
         // The popped-batch buffer is reused across iterations: a steady-state
         // batch costs no allocation on the pop side.
         let mut batch: Vec<Event> = Vec::new();

@@ -903,6 +903,58 @@ mod tests {
         assert!(engine.queue_depth() == 0);
     }
 
+    /// A worker that unwinds while it holds its dispatch slot gives the slot
+    /// back as it dies, so shutdown's final drain can still take it and
+    /// dispatch what was accepted after the death.
+    #[test]
+    fn shutdown_drains_the_queue_after_a_worker_dies_holding_its_slot() {
+        // One slot: the dead worker's.
+        let engine = Engine::builder().batch_size(4).build();
+        let seen = Arc::new(AtomicU64::new(0));
+        engine
+            .register_unit(
+                UnitSpec::new("counter"),
+                Box::new(Counter {
+                    seen: Arc::clone(&seen),
+                }),
+            )
+            .unwrap();
+        let source = engine
+            .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
+            .unwrap();
+        let mut handle = engine.start();
+        let publisher = handle.publisher(source).unwrap();
+        let tick = || EventDraft::new().public_part("type", Value::str("tick"));
+        assert!(publisher.publish(tick()).unwrap());
+        // Stands in for the worker: pops the first event through the worker's
+        // pop, which takes the slot, settles it and dies holding the slot.
+        let core = engine.core();
+        let dying = std::thread::spawn(move || -> u64 {
+            let queue = &core.run_queue;
+            let (mut batch, mut slot) = (Vec::new(), None);
+            assert_eq!(queue.next_batch_into(0, 4, &mut batch, &mut slot), 1);
+            let _settled = queue.batch_guard(batch.len());
+            panic!("a worker dies holding its dispatch slot");
+        });
+        while !dying.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.workers.push(dying);
+        for _ in 0..5 {
+            assert!(publisher.publish(tick()).unwrap());
+        }
+        let outcome = handle.shutdown();
+        assert!(
+            matches!(&outcome, Err(EngineError::InvalidOperation(msg)) if msg.starts_with("1 dispatcher worker")),
+            "{outcome:?}"
+        );
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            5,
+            "every event accepted after the death is dispatched"
+        );
+    }
+
     #[test]
     fn with_context_exposes_the_full_table1_api() {
         let engine = Engine::builder().build();

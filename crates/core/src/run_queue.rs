@@ -152,15 +152,12 @@ impl RunQueue {
     /// The slot is given back when the guard drops, waking a parked consumer
     /// if work is queued.
     pub(crate) fn take_slot(&self) -> Option<SlotGuard<'_>> {
-        self.try_take_slot().then(|| SlotGuard { queue: self })
-    }
-
-    fn try_take_slot(&self) -> bool {
         self.free_slots
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
                 free.checked_sub(1)
             })
             .is_ok()
+            .then(|| SlotGuard { queue: self })
     }
 
     /// Whether a consumer without a slot could dispatch now: work is queued
@@ -487,15 +484,11 @@ impl RunQueue {
     /// Blocks until at least one event is available, returning a batch of up to
     /// `max` events from one shard, or an empty batch once the queue is
     /// stopping *and* fully idle (telling a worker to exit). The slot the pop
-    /// takes is given back at once, so test consumers need not track it.
+    /// takes is given back on return, so test consumers need not track it.
     #[cfg(test)]
     pub(crate) fn next_batch(&self, preferred: usize, max: usize) -> Vec<Event> {
         let mut batch = Vec::new();
-        let mut slot = false;
-        self.next_batch_into(preferred, max, &mut batch, &mut slot);
-        if slot {
-            drop(SlotGuard { queue: self });
-        }
+        self.next_batch_into(preferred, max, &mut batch, &mut None);
         batch
     }
 
@@ -504,22 +497,24 @@ impl RunQueue {
     /// across batches by the worker loop); or returns 0 once the queue is
     /// stopping *and* fully idle (telling the worker to exit).
     ///
-    /// `slot` says whether the worker holds a dispatch slot. It keeps the slot
-    /// from batch to batch and gives it up only to park, so that a caller
-    /// waiting for idleness can take it and dispatch in its place; it holds
-    /// one whenever this returns a batch, and none once this returns 0.
-    pub(crate) fn next_batch_into(
-        &self,
+    /// `slot` is the worker's dispatch slot, if it holds one. It keeps the
+    /// slot from batch to batch and gives it up only to park, so that a
+    /// caller waiting for idleness can take it and dispatch in its place; it
+    /// holds one whenever this returns a batch, and none once this returns 0.
+    /// A worker that unwinds drops the guard, so a dead worker's slot is
+    /// given back too.
+    pub(crate) fn next_batch_into<'q>(
+        &'q self,
         preferred: usize,
         max: usize,
         out: &mut Vec<Event>,
-        slot: &mut bool,
+        slot: &mut Option<SlotGuard<'q>>,
     ) -> usize {
         loop {
-            if !*slot && self.len() > 0 {
-                *slot = self.try_take_slot();
+            if slot.is_none() && self.len() > 0 {
+                *slot = self.take_slot();
             }
-            if *slot {
+            if slot.is_some() {
                 let popped = self.pop_batch_into(preferred, max, out);
                 if popped > 0 {
                     return popped;
@@ -534,10 +529,10 @@ impl RunQueue {
             // idle engine's workers park silently instead of waking on a
             // polling interval.
             self.waiters.fetch_add(1, Ordering::SeqCst);
-            // The slot is given back without a wakeup: the check below takes
-            // it again if work raced in.
-            if std::mem::take(slot) {
-                self.free_slots.fetch_add(1, Ordering::SeqCst);
+            // The slot is given back without a wakeup: the check below sees
+            // it free if work raced in, and the loop takes it again.
+            if let Some(slot) = slot.take() {
+                slot.give_back_to_park();
             }
             let exit = self.stopping.load(Ordering::Acquire) && self.is_idle();
             if !exit && !self.has_takeable_work() {
@@ -608,9 +603,20 @@ impl RunQueue {
     }
 }
 
-/// A dispatch slot taken by [`RunQueue::take_slot`], given back on drop.
+/// A dispatch slot taken by [`RunQueue::take_slot`], given back on drop
+/// (also when its holder unwinds).
 pub(crate) struct SlotGuard<'a> {
     queue: &'a RunQueue,
+}
+
+impl SlotGuard<'_> {
+    /// Gives the slot back without waking anyone, for a worker about to
+    /// park: it holds the signal lock and is registered as a waiter, and it
+    /// re-checks for takeable work itself before it waits.
+    fn give_back_to_park(self) {
+        self.queue.free_slots.fetch_add(1, Ordering::SeqCst);
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for SlotGuard<'_> {
@@ -669,6 +675,22 @@ mod tests {
     /// [`RunQueue::next_batch`].
     fn next_event(queue: &RunQueue, preferred: usize) -> Option<Event> {
         queue.next_batch(preferred, 1).pop()
+    }
+
+    /// Waits until the consumers have drained the queue to idle on their
+    /// own, before any `stop` wakes them. `wait_idle` returns early while a
+    /// slot is free over queued work (these consumers give theirs back after
+    /// every pop), so it is polled; a lost wakeup leaves the consumers parked
+    /// over queued work and runs the deadline out.
+    fn wait_drained(queue: &RunQueue) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !queue.wait_idle(deadline) {
+            assert!(
+                Instant::now() < deadline,
+                "consumers did not drain the queue before stop"
+            );
+            std::thread::yield_now();
+        }
     }
 
     fn event_value(event: &Event) -> i64 {
@@ -1017,7 +1039,7 @@ mod tests {
         for producer in producers {
             producer.join().unwrap();
         }
-        // Consumers exit only once the stopped queue is idle.
+        wait_drained(&queue);
         queue.stop();
         for consumer in consumers {
             consumer.join().unwrap();
@@ -1061,7 +1083,7 @@ mod tests {
         for producer in producers {
             producer.join().unwrap();
         }
-        // Consumers exit only once the stopped queue is idle.
+        wait_drained(&queue);
         queue.stop();
         for consumer in consumers {
             consumer.join().unwrap();

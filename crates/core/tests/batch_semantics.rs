@@ -382,14 +382,24 @@ fn publish_public(ctx: &mut UnitContext<'_>, parts: &[(&str, Value)]) -> EngineR
     Ok(())
 }
 
+/// The ways [`run_roots`] drives a cascade, as `(workers, wait)`. Without
+/// `wait` the one worker dispatches it at `workers(1)`, and shutdown's final
+/// drain on the calling thread at `workers(0)`. With `wait` the thread
+/// waiting in `wait_idle` dispatches it at `workers(0)`, and at `workers(1)`
+/// whenever it takes the slot before the woken worker does; it holds the one
+/// slot meanwhile, so nothing spills to the parked worker. The orders pinned
+/// below hold whichever thread dispatches.
+const DRIVES: [(usize, bool); 4] = [(0, false), (1, false), (0, true), (1, true)];
+
 /// Runs `roots` as one publish batch through an engine at `workers(workers)`
 /// and `batch_size(8)`, with the units `setup` registers, waits in
-/// `wait_idle`, and returns what `shutdown` reports dispatched. The waiting
-/// thread dispatches the whole cascade at `workers(0)`, and at `workers(1)`
-/// whenever it takes the slot before the woken worker does; it holds the one
-/// slot meanwhile, so nothing spills to the parked worker and the orders
-/// pinned below hold whichever thread dispatches.
-fn run_roots(workers: usize, setup: impl FnOnce(&Engine), roots: Vec<EventDraft>) -> u64 {
+/// `wait_idle` if `wait` is set, and returns what `shutdown` reports
+/// dispatched (see [`DRIVES`]).
+fn run_roots(
+    (workers, wait): (usize, bool),
+    setup: impl FnOnce(&Engine),
+    roots: Vec<EventDraft>,
+) -> u64 {
     let engine = Engine::builder()
         .mode(SecurityMode::LabelsFreeze)
         .workers(workers)
@@ -403,7 +413,9 @@ fn run_roots(workers: usize, setup: impl FnOnce(&Engine), roots: Vec<EventDraft>
     let count = roots.len();
     let publisher = handle.publisher(source).unwrap();
     assert_eq!(publisher.publish_batch(roots).unwrap().accepted(), count);
-    assert!(handle.wait_idle(Duration::from_secs(30)));
+    if wait {
+        assert!(handle.wait_idle(Duration::from_secs(30)));
+    }
     handle.shutdown().unwrap()
 }
 
@@ -441,7 +453,7 @@ impl Unit for Hop {
 /// is dispatched before the next root of the same popped batch.
 #[test]
 fn cascades_are_dispatched_in_preorder_before_the_next_root() {
-    for workers in [0, 1] {
+    for (workers, wait) in DRIVES {
         let log: Log<String> = Arc::default();
         let setup = |engine: &Engine| {
             for (listen, emit) in [("r", Some("a")), ("a", Some("b")), ("b", None)] {
@@ -455,13 +467,16 @@ fn cascades_are_dispatched_in_preorder_before_the_next_root() {
                     .unwrap();
             }
         };
-        let dispatched = run_roots(workers, setup, vec![root(1), root(2)]);
+        let dispatched = run_roots((workers, wait), setup, vec![root(1), root(2)]);
         assert_eq!(
             *log.lock(),
             ["r1", "a1", "b1", "r2", "a2", "b2"],
-            "workers({workers})"
+            "workers({workers}), wait {wait}"
         );
-        assert_eq!(dispatched, 6, "workers({workers}): cascades are counted");
+        assert_eq!(
+            dispatched, 6,
+            "workers({workers}), wait {wait}: cascades are counted"
+        );
     }
 }
 
@@ -580,7 +595,7 @@ impl Unit for SeqLog {
 /// in an earlier sibling's subtree.
 #[test]
 fn each_publishers_cascades_arrive_in_publication_order() {
-    for workers in [0, 1] {
+    for (workers, wait) in DRIVES {
         let (first, second): (Log<i64>, Log<i64>) = Default::default();
         let setup = |engine: &Engine| {
             let seq_log = |log: &Log<i64>| {
@@ -601,12 +616,12 @@ fn each_publishers_cascades_arrive_in_publication_order() {
                 .register_unit(UnitSpec::new("second"), seq_log(&second))
                 .unwrap();
         };
-        let dispatched = run_roots(workers, setup, (1..=3).map(root).collect());
+        let dispatched = run_roots((workers, wait), setup, (1..=3).map(root).collect());
         // Per root: the root, its pair, one echo and the echo's pair.
-        assert_eq!(dispatched, 3 * 6, "workers({workers})");
+        assert_eq!(dispatched, 3 * 6, "workers({workers}), wait {wait}");
         let published: Vec<i64> = (0..12).collect();
-        assert_eq!(*first.lock(), published, "workers({workers})");
-        assert_eq!(*second.lock(), published, "workers({workers})");
+        assert_eq!(*first.lock(), published, "workers({workers}), wait {wait}");
+        assert_eq!(*second.lock(), published, "workers({workers}), wait {wait}");
     }
 }
 
@@ -681,7 +696,7 @@ impl Unit for Child {
 /// and the event that makes the unit republish comes first.
 #[test]
 fn init_events_of_a_unit_created_mid_dispatch_keep_publication_order() {
-    for workers in [0, 1] {
+    for (workers, wait) in DRIVES {
         let log: Log<(i64, i64)> = Arc::default();
         let setup = |engine: &Engine| {
             let spawner = Spawner {
@@ -692,11 +707,11 @@ fn init_events_of_a_unit_created_mid_dispatch_keep_publication_order() {
                 .unwrap();
         };
         // Per root: the root, its poke and the child's two `c` events.
-        assert_eq!(run_roots(workers, setup, vec![root(1), root(2)]), 8);
+        assert_eq!(run_roots((workers, wait), setup, vec![root(1), root(2)]), 8);
         assert_eq!(
             *log.lock(),
             [(1, 0), (1, 1), (2, 0), (2, 1)],
-            "workers({workers})"
+            "workers({workers}), wait {wait}"
         );
     }
 }
@@ -733,16 +748,16 @@ impl Unit for Stillborn {
 /// `init` published before failing is dropped, not dispatched.
 #[test]
 fn a_unit_whose_init_fails_mid_dispatch_publishes_nothing() {
-    for workers in [0, 1] {
+    for (workers, wait) in DRIVES {
         let setup = |engine: &Engine| {
             engine
                 .register_unit(UnitSpec::new("spawner"), Box::new(FailedSpawner))
                 .unwrap();
         };
         assert_eq!(
-            run_roots(workers, setup, vec![root(1)]),
+            run_roots((workers, wait), setup, vec![root(1)]),
             1,
-            "workers({workers})"
+            "workers({workers}), wait {wait}"
         );
     }
 }
@@ -783,7 +798,7 @@ impl Unit for Raiser {
 /// visibility, though the popped batch's snapshot predates the raise.
 #[test]
 fn stacked_cascades_see_an_ancestors_label_change() {
-    for workers in [0, 1] {
+    for (workers, wait) in DRIVES {
         let ticks = Arc::new(AtomicU64::new(0));
         let setup = |engine: &Engine| {
             let raiser = Raiser {
@@ -794,11 +809,11 @@ fn stacked_cascades_see_an_ancestors_label_change() {
                 .register_unit(UnitSpec::new("raiser"), Box::new(raiser))
                 .unwrap();
         };
-        assert_eq!(run_roots(workers, setup, vec![root(1)]), 2);
+        assert_eq!(run_roots((workers, wait), setup, vec![root(1)]), 2);
         assert_eq!(
             ticks.load(Ordering::SeqCst),
             1,
-            "workers({workers}): the raised label must make the cascade visible"
+            "workers({workers}), wait {wait}: the raised label must make the cascade visible"
         );
     }
 }
