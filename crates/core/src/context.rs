@@ -135,12 +135,6 @@ impl<'a> UnitContext<'a> {
         self.core.config.mode.checks_labels()
     }
 
-    fn intercept(&self) {
-        if self.core.config.mode.isolates() {
-            self.core.isolation.intercept();
-        }
-    }
-
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
@@ -245,7 +239,6 @@ impl<'a> UnitContext<'a> {
         name: impl AsRef<str>,
         data: Value,
     ) -> EngineResult<()> {
-        self.intercept();
         let label = self.effective_label(label);
         let draft_state = self.draft_mut(draft)?;
         draft_state.parts.push(Part::new(name, label, data));
@@ -259,7 +252,6 @@ impl<'a> UnitContext<'a> {
         label: Label,
         name: impl AsRef<str>,
     ) -> EngineResult<()> {
-        self.intercept();
         let label = self.effective_label(label);
         let name = name.as_ref();
         let draft_state = self.draft_mut(draft)?;
@@ -280,7 +272,6 @@ impl<'a> UnitContext<'a> {
         label: Label,
         privilege: Privilege,
     ) -> EngineResult<()> {
-        self.intercept();
         self.state.privileges.check_may_delegate(&privilege)?;
         let label = self.effective_label(label);
         let name = name.as_ref();
@@ -301,7 +292,6 @@ impl<'a> UnitContext<'a> {
     /// output integrity tags are retained, and the clone has a fresh identity so
     /// that receivers cannot count the original deliveries.
     pub fn clone_event(&mut self, event: &Event) -> DraftEvent {
-        self.intercept();
         let cloned = if self.checks_labels() {
             event.clone_at_output_label(&self.state.output_label)
         } else {
@@ -335,7 +325,7 @@ impl<'a> UnitContext<'a> {
     }
 
     /// Returns the data of the first visible part with the given name, borrowed
-    /// from the event. It charges, checks and grants exactly as
+    /// from the event. It checks and grants exactly as
     /// [`UnitContext::read_part`] does, over every part of that name.
     pub fn read_first<'e>(
         &mut self,
@@ -345,9 +335,9 @@ impl<'a> UnitContext<'a> {
         Ok(self.scan_visible(event, name.as_ref(), |_| {})?.data())
     }
 
-    /// The scan behind both reads. For every part named `name` it charges the
-    /// interceptor and checks visibility; each visible part bestows its
-    /// privileges and is handed to `visit`. Returns the first visible part.
+    /// The scan behind both reads. For every part named `name` it checks
+    /// visibility; each visible part bestows its privileges and is handed to
+    /// `visit`. Returns the first visible part.
     fn scan_visible<'e>(
         &mut self,
         event: &'e Event,
@@ -358,7 +348,6 @@ impl<'a> UnitContext<'a> {
         let mut first = None;
         let mut granted = false;
         for part in event.parts().iter().filter(|part| part.name() == name) {
-            self.intercept();
             if checks && !self.state.can_see(part.label()) {
                 continue;
             }
@@ -389,7 +378,6 @@ impl<'a> UnitContext<'a> {
         name: impl AsRef<str>,
         data: Value,
     ) -> EngineResult<()> {
-        self.intercept();
         if self.current.is_none() {
             return Err(EngineError::InvalidOperation(
                 "no event is currently being delivered".into(),
@@ -455,7 +443,7 @@ impl<'a> UnitContext<'a> {
     /// Declares a managed subscription (`subscribeManaged`): each matching event
     /// is served by a fresh handler from `factory`, run at this unit's input
     /// label joined with the event's contamination and with this unit's output
-    /// label, privileges, id and isolate. The handler's state lives for that one
+    /// label, privileges and id. The handler's state lives for that one
     /// delivery, so this unit's own labels stay unchanged and nothing carries
     /// over to the next event. Rejected from a managed handler.
     pub fn subscribe_managed(

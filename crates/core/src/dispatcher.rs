@@ -18,9 +18,8 @@
 //!
 //! Parts added by a unit during a delivery are folded into the event for subsequent
 //! deliveries in the same pass — the main-dataflow-path augmentation of §3.1.6.
-//! The [`SecurityMode`](crate::SecurityMode) determines whether label checks run,
-//! whether events are shared by reference or deep-copied, and whether the isolation
-//! runtime's interceptor cost is charged per part examined.
+//! The [`SecurityMode`](crate::SecurityMode) determines whether label checks run
+//! and whether events are shared by reference or deep-copied.
 //!
 //! # The batched hot path
 //!
@@ -99,9 +98,8 @@
 //! walk evaluates each distinct filter once per event, owner input label and
 //! rule (direct or managed): later candidates with the same filter pointer,
 //! input label identity and rule reuse the verdict from a small per-worker
-//! memo. A hit charges the isolation interceptions and label rejections the
-//! evaluation charged, so the accounting is that of evaluating every
-//! candidate. The memo is cleared per event and whenever augmentation adds a
+//! memo. A hit charges the label rejections the evaluation charged, so the
+//! accounting is that of evaluating every candidate. The memo is cleared per event and whenever augmentation adds a
 //! part. It pays only when candidates of one event share both a filter and
 //! an owner input label; otherwise it costs one probe per candidate.
 
@@ -113,7 +111,6 @@ use std::time::{Duration, Instant};
 
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Part};
-use defcon_isolation::IsolateId;
 use parking_lot::Mutex;
 
 use crate::context::UnitContext;
@@ -184,7 +181,7 @@ impl CascadeStack {
 /// A subscription owner's security state as snapshotted for one batch.
 ///
 /// Labels are interned (`Arc`-backed), so the snapshot clones are
-/// reference-count bumps. The output label, privileges, isolate and name
+/// reference-count bumps. The output label, privileges and name
 /// are only needed to run managed handlers, so only owners of a managed
 /// subscription snapshot them.
 struct OwnerSnapshot {
@@ -201,7 +198,6 @@ type ResolvedOwner = Option<(Arc<UnitSlot>, OwnerSnapshot)>;
 struct ManagedOwnerState {
     output: Label,
     privileges: defcon_defc::PrivilegeSet,
-    isolate: IsolateId,
     /// `"<owner>::managed"`, formatted once per snapshot.
     name: String,
 }
@@ -385,12 +381,10 @@ impl BatchContext {
 }
 
 /// One filter evaluation: whether the filter matched, and the parts it
-/// examined and found invisible — what the evaluation charges to the
-/// isolation interceptions and the label rejections.
+/// found invisible, which the evaluation charges to the label rejections.
 #[derive(Clone, Copy)]
 struct Verdict {
     matched: bool,
-    examined: u32,
     rejected: u32,
 }
 
@@ -688,8 +682,8 @@ impl Dispatcher {
 
     /// Returns the dispatch context for the current batch: the subscription
     /// list and index and, for every owner unit, a snapshot of its security
-    /// state (input label; for managed owners also output label, privileges,
-    /// isolate and handler name) and slot.
+    /// state (input label; for managed owners also output label, privileges
+    /// and handler name) and slot.
     ///
     /// The context is *cached across batches* and keyed on the subscription
     /// snapshot's identity plus the engine's security epoch: while nothing
@@ -747,7 +741,6 @@ impl Dispatcher {
                     managed: cell.state.owns_managed.then(|| ManagedOwnerState {
                         output: cell.state.output_label.clone(),
                         privileges: cell.state.privileges.clone(),
-                        isolate: cell.state.isolate,
                         name: format!("{}::managed", cell.state.name),
                     }),
                 };
@@ -772,7 +765,7 @@ impl Dispatcher {
     /// Whether one subscription's filter matches `event` as visible to its
     /// owner. Equal filters share one allocation, so `memo` answers a filter
     /// evaluated already for this event, owner input label and rule; a hit
-    /// charges the interceptions and rejections the evaluation charged.
+    /// charges the rejections the evaluation charged.
     /// Called once per candidate, so it is kept inside the walk's loop:
     /// left to the compiler it became a call of its own, which cost
     /// `fanout_churn` (500 candidates per event) about 8% of its throughput.
@@ -808,7 +801,6 @@ impl Dispatcher {
                 verdict
             }
         };
-        self.core.isolation.intercept_n(verdict.examined.into());
         if verdict.rejected > 0 {
             self.core
                 .stats
@@ -818,9 +810,8 @@ impl Dispatcher {
         verdict.matched
     }
 
-    /// Evaluates `filter` against `event` as visible to an owner: label checks
-    /// per part, and the isolation interception counted per part examined
-    /// (it models crossing the isolate boundary to read part metadata).
+    /// Evaluates `filter` against `event` as visible to an owner, with label
+    /// checks per part.
     fn evaluate(
         &self,
         batch: &BatchContext,
@@ -832,22 +823,16 @@ impl Dispatcher {
         if !self.core.config.mode.checks_labels() {
             return Verdict {
                 matched: filter.matches_any_visibility(event),
-                examined: 0,
                 rejected: 0,
             };
         }
-        let (mut examined, mut rejected) = (0, 0);
+        let mut rejected = 0;
         let matched = filter.matches(event, |part: &Part| {
-            examined += 1;
             let visible = batch.flow_allowed(part.label(), owner_input, managed);
             rejected += u32::from(!visible);
             visible
         });
-        Verdict {
-            matched,
-            examined,
-            rejected,
-        }
+        Verdict { matched, rejected }
     }
 
     /// Dispatches one event to every matching subscription: the engine's one
@@ -1037,19 +1022,18 @@ impl Dispatcher {
     /// Runs one managed delivery (§5, `subscribeManaged`): the subscription's
     /// factory builds a handler, which serves this one event and is dropped.
     ///
-    /// The handler's security state lives on the stack: the owner's input
-    /// label joined with the event's contamination (the owner's input label
-    /// when label checks are off), and the owner's output label, privileges,
-    /// unit id and isolate from the batch snapshot. So what it publishes
-    /// counts as the owner's for per-publisher FIFO, and nothing it does to
-    /// its labels or privileges outlives the delivery or reaches the owner.
-    /// The delivery registers no unit, creates no isolate and charges no
-    /// memory, and it holds no lock while the handler runs: a handler's
-    /// `instantiate_unit` takes `units.write()` with no cell locked. Errors
-    /// and panics in the handler are counted like any unit's; there is no
-    /// instance for the fault policy to swap or quarantine. A panicking
-    /// factory is an engine fault. Returns the parts the handler added to
-    /// the event.
+    /// The handler's security state lives on the stack: the owner's input label
+    /// joined with the event's contamination (the owner's input label when
+    /// label checks are off), and the owner's output label, privileges and unit
+    /// id from the batch snapshot. So what it publishes counts as the owner's
+    /// for per-publisher FIFO, and nothing it does to its labels or privileges
+    /// outlives the delivery or reaches the owner. The delivery registers no
+    /// unit and charges no memory, and it holds no lock while the handler runs:
+    /// a handler's `instantiate_unit` takes `units.write()` with no cell
+    /// locked. Errors and panics in the handler are counted like any unit's;
+    /// there is no instance for the fault policy to swap or quarantine. A
+    /// panicking factory is an engine fault. Returns the parts the handler
+    /// added to the event.
     #[inline(never)]
     fn deliver_managed(
         &self,
@@ -1075,7 +1059,6 @@ impl Dispatcher {
             },
             output_label: template.output.clone(),
             privileges: template.privileges.clone(),
-            isolate: template.isolate,
             delivered: 1,
             version: 1,
             owns_managed: false,

@@ -1,9 +1,8 @@
 //! The DEFCon engine: configuration, unit registry, event queue and statistics.
 //!
 //! The [`Engine`] owns all trusted state: per-unit security state,
-//! subscriptions, the queue of published-but-not-yet-dispatched events and the
-//! isolation runtime. Units only ever see a [`UnitContext`]
-//! borrowing this state.
+//! subscriptions and the queue of published-but-not-yet-dispatched events.
+//! Units only ever see a [`UnitContext`] borrowing this state.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -15,7 +14,6 @@ use std::time::Duration;
 use defcon_defc::Label;
 use defcon_durability::{WalConfig, WalRecord, WalWriter};
 use defcon_events::Event;
-use defcon_isolation::{IsolationRuntime, IsolationStats};
 use defcon_metrics::{memory::MemoryCategory, MemoryAccountant};
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -47,10 +45,19 @@ pub enum SecurityMode {
     LabelsFreeze,
     /// Label checks with a deep copy of every event per delivery ("labels+clone").
     LabelsClone,
-    /// Label checks, events shared by reference and runtime isolation
-    /// interception ("labels+freeze+isolation") — the full DEFCon configuration.
-    /// Each unit gets an isolate of its own; a managed handler runs in its
-    /// owner's.
+    /// The full DEFCon configuration ("labels+freeze+isolation"). At runtime
+    /// it is [`LabelsFreeze`](SecurityMode::LabelsFreeze): the paper isolates
+    /// units in one JVM by weaving checks into the JDK code units can reach,
+    /// and here the compiler enforces that isolation by construction. A unit
+    /// reaches other units only through its [`UnitContext`]; ownership,
+    /// module privacy and `#![forbid(unsafe_code)]` close the rest.
+    ///
+    /// Two channels stay open, because Rust permits them and nothing here
+    /// watches them: a `static` that two units both name, and interior
+    /// mutability (an atomic, a mutex) reached through an `Arc` the deployer
+    /// hands to more than one unit. Keeping units free of both is the
+    /// deployer's job; `crates/trading`'s `clippy.toml` also forbids its
+    /// units ambient authority (threads, processes, files, the environment).
     LabelsFreezeIsolation,
 }
 
@@ -63,11 +70,6 @@ impl SecurityMode {
     /// Returns `true` if events are deep-copied per delivery.
     pub fn clones_events(&self) -> bool {
         matches!(self, SecurityMode::LabelsClone)
-    }
-
-    /// Returns `true` if the isolation runtime intercepts unit data accesses.
-    pub fn isolates(&self) -> bool {
-        matches!(self, SecurityMode::LabelsFreezeIsolation)
     }
 
     /// The label the paper uses for this configuration in its figures.
@@ -319,11 +321,11 @@ pub(crate) struct UnitCell {
     /// When `true`, deliveries are queued in the mailbox instead of invoking
     /// `on_event`.
     pub(crate) pull_mode: bool,
-    /// Set under the cell lock when the unit is removed or swapped and
-    /// its isolate destroyed; a dispatch that resolved this slot concurrently
-    /// must not deliver into the dead isolate. For a *swap* the registry holds
-    /// the replacement slot (installed before this flag is set), so delivery
-    /// paths forward to it instead of skipping.
+    /// Set under the cell lock when the unit is removed or swapped; a
+    /// dispatch that resolved this slot concurrently must not deliver into
+    /// the dead instance. For a *swap* the registry holds the replacement
+    /// slot (installed before this flag is set), so delivery paths forward
+    /// to it instead of skipping.
     pub(crate) retired: bool,
     /// Set by the fault policy: deliveries are shed loudly instead of invoking
     /// a unit that repeatedly panicked, until a swap replaces it.
@@ -360,7 +362,6 @@ pub(crate) struct UnitSlot {
 /// Shared internals of the engine.
 pub(crate) struct EngineCore {
     pub(crate) config: EngineConfig,
-    pub(crate) isolation: IsolationRuntime,
     pub(crate) units: RwLock<HashMap<UnitId, Arc<UnitSlot>>>,
     /// Every live subscription, its owner ordinals and (with the index on)
     /// the inverted index over them, edited under this one lock.
@@ -638,8 +639,7 @@ impl EngineCore {
         cascades: Option<&mut Vec<Cascade>>,
     ) -> EngineResult<UnitId> {
         let id = self.next_unit_id();
-        let isolate = self.isolation.create_isolate();
-        let mut state = UnitState::new(id, spec, isolate);
+        let mut state = UnitState::new(id, spec);
         self.memory
             .charge(MemoryCategory::UnitState, state.estimated_size());
 
@@ -676,19 +676,18 @@ impl EngineCore {
 
     /// Drain-and-swap: replaces the unit instance serving `unit` with
     /// `replacement`, preserving the id, name, labels, privilege set,
-    /// delivered count, mailbox and pull mode, under a bumped version and a
-    /// fresh isolate. Returns the new version.
+    /// delivered count, mailbox and pull mode, under a bumped version.
+    /// Returns the new version.
     ///
     /// The quiesce point is the unit's cell lock: deliveries hold it for the
-    /// whole `on_event` call, so acquiring it here means any in-flight
-    /// delivery has *drained* to a clean boundary — never aborted. The
-    /// replacement slot is installed in the registry *before* the old cell is
-    /// retired and its isolate destroyed (legal lock direction: cell →
-    /// `units.write()`, the same order unit callbacks use), so a concurrent
-    /// dispatch holding the old slot observes either a live old cell (and
-    /// delivers under the lock we are waiting for) or a retired one with the
-    /// replacement already resolvable — its delivery forwards, exactly once,
-    /// in order.
+    /// whole `on_event` call, so acquiring it here means any in-flight delivery
+    /// has *drained* to a clean boundary — never aborted. The replacement slot
+    /// is installed in the registry *before* the old cell is retired (legal
+    /// lock direction: cell → `units.write()`, the same order unit callbacks
+    /// use), so a concurrent dispatch holding the old slot observes either a
+    /// live old cell (and delivers under the lock we are waiting for) or a
+    /// retired one with the replacement already resolvable — its delivery
+    /// forwards, exactly once, in order.
     ///
     /// The replacement's `init` is **not** run: it inherits the predecessor's
     /// subscriptions (owned by the stable unit id), which is what preserves
@@ -725,7 +724,6 @@ impl EngineCore {
                 input_label: old.state.input_label.clone(),
                 output_label: old.state.output_label.clone(),
                 privileges: old.state.privileges.clone(),
-                isolate: self.isolation.create_isolate(),
                 delivered: old.state.delivered,
                 version,
                 owns_managed: old.state.owns_managed,
@@ -747,7 +745,6 @@ impl EngineCore {
             // path relies on.
             self.units.write().insert(unit, new_slot);
             old.retired = true;
-            self.isolation.destroy_isolate(old.state.isolate);
             self.memory
                 .release(MemoryCategory::UnitState, old.state.estimated_size());
             drop(old);
@@ -862,11 +859,6 @@ impl Engine {
     /// appending — a deployment that asked for durability and cannot have it
     /// should not come up at all.
     pub fn new(config: EngineConfig) -> Self {
-        let isolation = if config.mode.isolates() {
-            IsolationRuntime::standard()
-        } else {
-            IsolationRuntime::disabled()
-        };
         let wal = config.wal.clone().map(|wal_config| {
             let dir = wal_config.dir.clone();
             Mutex::new(WalWriter::open(wal_config).unwrap_or_else(|err| {
@@ -878,7 +870,6 @@ impl Engine {
         Engine {
             core: Arc::new(EngineCore {
                 config,
-                isolation,
                 units: RwLock::new(HashMap::new()),
                 subscriptions: RwLock::new(subscriptions),
                 run_queue,
@@ -1068,7 +1059,7 @@ impl Engine {
     /// unit's cell lock; the swap acquires it), then migrates the unit's
     /// identity — id, name, input/output labels, privilege set, delivered
     /// count, pull-mode mailbox — onto the replacement under a bumped version
-    /// and a fresh isolate, retires the old instance and destroys its isolate.
+    /// and retires the old instance.
     /// Returns the new version (`unit_state(unit).version`).
     ///
     /// Exactly-once and per-unit delivery order are preserved across the
@@ -1110,7 +1101,7 @@ impl Engine {
         self.core.config.fault.as_ref()
     }
 
-    /// Removes a unit, destroying its isolate and its subscriptions.
+    /// Removes a unit and its subscriptions.
     pub fn remove_unit(&self, unit: UnitId) -> EngineResult<()> {
         self.core.standbys.lock().remove(&unit);
         let slot = self
@@ -1121,9 +1112,8 @@ impl Engine {
             .ok_or_else(|| EngineError::UnknownUnit(format!("{unit}")))?;
         let mut cell = slot.cell.lock();
         // A concurrent dispatch may already hold this slot's Arc; retiring the
-        // cell makes it skip the delivery instead of using the dead isolate.
+        // cell makes it skip the delivery instead of using the dead instance.
         cell.retired = true;
-        self.core.isolation.destroy_isolate(cell.state.isolate);
         self.core
             .memory
             .release(MemoryCategory::UnitState, cell.state.estimated_size());
@@ -1213,12 +1203,6 @@ impl Engine {
         &self.core.stats
     }
 
-    /// Returns the isolation runtime's counters (all zero unless the mode
-    /// isolates).
-    pub fn isolation_stats(&self) -> &IsolationStats {
-        self.core.isolation.stats()
-    }
-
     /// Number of registered units. Managed deliveries register none.
     pub fn unit_count(&self) -> usize {
         self.core.units.read().len()
@@ -1229,10 +1213,9 @@ impl Engine {
         self.core.subscriptions.read().len()
     }
 
-    /// Total accounted memory in MiB: unit state, engine bookkeeping and
-    /// isolation overhead (Figure 7's metric).
+    /// Total accounted memory in MiB: unit state and engine bookkeeping
+    /// (Figure 7's metric).
     pub fn memory_mib(&self) -> f64 {
-        let isolation = self.core.isolation.memory_overhead_bytes();
         let engine = self.core.subscriptions.read().len() * 128
             + self.core.units.read().len() * 64
             // The process-wide interned-label table is shared between engines;
@@ -1240,7 +1223,7 @@ impl Engine {
             // paper's deployment (one engine per process) would account it.
             + defcon_defc::intern_stats().estimated_bytes();
         let accounted = self.core.memory.total_bytes();
-        (accounted + isolation + engine) as f64 / (1024.0 * 1024.0)
+        (accounted + engine) as f64 / (1024.0 * 1024.0)
     }
 
     /// Returns the engine's memory accountant (shared with benches).

@@ -4,7 +4,6 @@ use std::fmt;
 
 use defcon_defc::DefcError;
 use defcon_events::EventError;
-use defcon_isolation::SecurityException;
 
 /// Result alias used across the engine.
 pub type EngineResult<T> = Result<T, EngineError>;
@@ -16,8 +15,6 @@ pub enum EngineError {
     Defc(DefcError),
     /// An event-model error (empty event, missing part, malformed encoding).
     Event(EventError),
-    /// An isolation violation (access to a non-white-listed target).
-    Isolation(SecurityException),
     /// The referenced unit does not exist.
     UnknownUnit(String),
     /// The referenced unit was quarantined by the engine's
@@ -44,7 +41,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Defc(e) => write!(f, "event flow control violation: {e}"),
             EngineError::Event(e) => write!(f, "event error: {e}"),
-            EngineError::Isolation(e) => write!(f, "isolation violation: {e}"),
             EngineError::UnknownUnit(name) => write!(f, "unknown unit: {name}"),
             EngineError::UnitQuarantined(name) => write!(f, "unit quarantined: {name}"),
             EngineError::UnknownSubscription(id) => write!(f, "unknown subscription: {id}"),
@@ -72,12 +68,6 @@ impl From<EventError> for EngineError {
     }
 }
 
-impl From<SecurityException> for EngineError {
-    fn from(e: SecurityException) -> Self {
-        EngineError::Isolation(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,9 +80,6 @@ mod tests {
 
         let event: EngineError = EventError::EmptyEvent.into();
         assert!(event.to_string().contains("event"));
-
-        let isolation: EngineError = SecurityException::new("t", "r").into();
-        assert!(isolation.to_string().contains("isolation"));
 
         assert!(EngineError::EmptyFilter.to_string().contains("filter"));
         assert!(EngineError::UnknownUnit("x".into())

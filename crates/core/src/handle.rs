@@ -496,26 +496,16 @@ impl Publisher {
 
     /// Builds one event from a draft, raising part labels to the unit's output
     /// label **in place** (the draft's parts buffer becomes the event's, no
-    /// rebuild) and charging isolation interceptions, exactly as a single
-    /// `publish` would.
+    /// rebuild), exactly as a single `publish` would.
     fn build_event(
         &self,
         draft: EventDraft,
         output_label: &Label,
         origin_ns: u64,
     ) -> EngineResult<Event> {
-        let checks = self.core.config.mode.checks_labels();
-        let isolates = self.core.config.mode.isolates();
         let mut parts = draft.parts;
-        for part in &mut parts {
-            // Mirror `UnitContext::add_part`: the isolation runtime charges
-            // one interception per part entering the engine, so externally
-            // published parts keep counting toward Figure 5's
-            // isolation-overhead series.
-            if isolates {
-                self.core.isolation.intercept();
-            }
-            if checks {
+        if self.core.config.mode.checks_labels() {
+            for part in &mut parts {
                 part.raise_label_to_output(output_label);
             }
         }

@@ -13,15 +13,18 @@
 //!   events against subscriptions, checking the can-flow-to relation per part at
 //!   matching time, and delivers events to units without revealing who else was
 //!   notified.
-//! * **Unit life-cycle management** — units are instantiated inside isolates (via
-//!   `defcon-isolation`), may instantiate further units at a chosen contamination
-//!   level, and interact with the engine exclusively through the Table 1 API
-//!   exposed by [`UnitContext`].
+//! * **Unit life-cycle management** — units may instantiate further units at a
+//!   chosen contamination level, and interact with the engine exclusively
+//!   through the Table 1 API exposed by [`UnitContext`]. The paper isolates
+//!   units in one JVM with checks woven into the JDK; here ownership, module privacy
+//!   and `#![forbid(unsafe_code)]` isolate them by construction (see
+//!   [`SecurityMode::LabelsFreezeIsolation`] for the channels that stay open).
 //!
 //! The [`SecurityMode`] enum selects one of the four configurations evaluated in
 //! Figures 5–7 of the paper: `NoSecurity`, `LabelsFreeze`, `LabelsClone` and
 //! `LabelsFreezeIsolation`. Event values are immutable by type, so "freeze"
-//! here means sharing them by reference; only `LabelsClone` copies them.
+//! here means sharing them by reference; only `LabelsClone` copies them, and
+//! `LabelsFreezeIsolation` runs exactly as `LabelsFreeze` does.
 //!
 //! # Quick start
 //!

@@ -15,7 +15,6 @@ use std::fmt;
 
 use defcon_defc::{Label, Privilege, PrivilegeSet};
 use defcon_events::Event;
-use defcon_isolation::IsolateId;
 
 use crate::context::UnitContext;
 use crate::error::EngineResult;
@@ -151,8 +150,6 @@ pub struct UnitState {
     pub output_label: Label,
     /// Privileges held by the unit.
     pub privileges: PrivilegeSet,
-    /// Isolation domain hosting the unit.
-    pub isolate: IsolateId,
     /// Number of events delivered to this unit (diagnostics / Figure 7 accounting).
     pub delivered: u64,
     /// Incarnation of this unit id: 1 at registration, incremented by every
@@ -168,14 +165,13 @@ pub struct UnitState {
 
 impl UnitState {
     /// Creates the state for a newly registered unit.
-    pub fn new(id: UnitId, spec: UnitSpec, isolate: IsolateId) -> Self {
+    pub fn new(id: UnitId, spec: UnitSpec) -> Self {
         UnitState {
             id,
             name: spec.name,
             input_label: spec.input_label,
             output_label: spec.output_label,
             privileges: spec.privileges,
-            isolate,
             delivered: 0,
             version: 1,
             owns_managed: false,
@@ -251,7 +247,7 @@ mod tests {
         let t = Tag::with_name("t");
         let spec =
             UnitSpec::new("u").with_input_label(Label::confidential(TagSet::singleton(t.clone())));
-        let state = UnitState::new(UnitId::from_raw(1), spec, IsolateId::engine());
+        let state = UnitState::new(UnitId::from_raw(1), spec);
 
         assert!(state.can_see(&Label::public()));
         assert!(state.can_see(&Label::confidential(TagSet::singleton(t.clone()))));
@@ -266,7 +262,7 @@ mod tests {
         let s = Tag::with_name("i-exchange");
         let spec = UnitSpec::new("monitor")
             .with_input_label(Label::endorsed(TagSet::singleton(s.clone())));
-        let state = UnitState::new(UnitId::from_raw(1), spec, IsolateId::engine());
+        let state = UnitState::new(UnitId::from_raw(1), spec);
 
         assert!(state.can_see(&Label::endorsed(TagSet::singleton(s))));
         assert!(!state.can_see(&Label::public()));
@@ -274,7 +270,7 @@ mod tests {
 
     #[test]
     fn estimated_size_is_positive() {
-        let state = UnitState::new(UnitId::from_raw(1), UnitSpec::new("x"), IsolateId::engine());
+        let state = UnitState::new(UnitId::from_raw(1), UnitSpec::new("x"));
         assert!(state.estimated_size() > 0);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper measures "occupied memory" of the JVM heap for each configuration.
 //! A Rust reproduction has no garbage-collected heap to sample, so we account for
-//! the same object populations explicitly: per-unit state, per-isolate
-//! duplicated static state and weaving/bookkeeping overhead.
+//! the same object populations explicitly: per-unit state, engine bookkeeping
+//! and the baseline's per-process duplication.
 //! Accounting the identical populations reproduces the *comparison* the figure
 //! makes between configurations, deterministically and without allocator noise.
 
@@ -18,17 +18,13 @@ pub enum MemoryCategory {
     UnitState,
     /// Engine bookkeeping: subscriptions and labels.
     Engine,
-    /// Per-isolate duplicated static state and interceptor bookkeeping
-    /// (the "weaving framework" overhead of Figure 7).
-    Isolation,
     /// Serialisation buffers and per-process duplication in the baseline platform.
     Baseline,
 }
 
-const CATEGORIES: [MemoryCategory; 4] = [
+const CATEGORIES: [MemoryCategory; 3] = [
     MemoryCategory::UnitState,
     MemoryCategory::Engine,
-    MemoryCategory::Isolation,
     MemoryCategory::Baseline,
 ];
 
@@ -41,7 +37,6 @@ const CATEGORIES: [MemoryCategory; 4] = [
 pub struct MemoryAccountant {
     unit_state: AtomicI64,
     engine: AtomicI64,
-    isolation: AtomicI64,
     baseline: AtomicI64,
     peak: RwLock<i64>,
 }
@@ -56,7 +51,6 @@ impl MemoryAccountant {
         match category {
             MemoryCategory::UnitState => &self.unit_state,
             MemoryCategory::Engine => &self.engine,
-            MemoryCategory::Isolation => &self.isolation,
             MemoryCategory::Baseline => &self.baseline,
         }
     }
@@ -130,9 +124,9 @@ mod tests {
     fn categories_are_independent() {
         let m = MemoryAccountant::new();
         m.charge(MemoryCategory::UnitState, 10);
-        m.charge(MemoryCategory::Isolation, 20);
+        m.charge(MemoryCategory::Baseline, 20);
         assert_eq!(m.bytes(MemoryCategory::UnitState), 10);
-        assert_eq!(m.bytes(MemoryCategory::Isolation), 20);
+        assert_eq!(m.bytes(MemoryCategory::Baseline), 20);
         assert_eq!(m.bytes(MemoryCategory::Engine), 0);
         assert_eq!(m.total_bytes(), 30);
     }
@@ -159,7 +153,7 @@ mod tests {
         let m = MemoryAccountant::new();
         m.charge(MemoryCategory::Baseline, 2 * 1024 * 1024);
         let breakdown = m.breakdown();
-        assert_eq!(breakdown.len(), 4);
+        assert_eq!(breakdown.len(), 3);
         assert!(breakdown.contains(&(MemoryCategory::Baseline, 2 * 1024 * 1024)));
         assert!((m.total_mib() - 2.0).abs() < 1e-9);
     }

@@ -1,7 +1,5 @@
 //! End-to-end tests of the Figure 4 workflow on the assembled trading platform.
 
-use std::collections::HashSet;
-
 use defcon_core::unit::NullUnit;
 use defcon_core::{Engine, SecurityMode, UnitId, UnitSpec};
 use defcon_events::Filter;
@@ -234,56 +232,15 @@ fn traders_retire_their_order_tag_privileges() {
     assert_eq!(seen, traders);
 }
 
-/// The ids of every unit the platform registered: engines number units from
-/// 1 in registration order, and nothing else has registered yet.
-fn platform_units(platform: &TradingPlatform) -> Vec<UnitId> {
-    (1..=platform.engine().unit_count() as u64)
-        .map(UnitId::from_raw)
-        .collect()
-}
-
-#[test]
-fn isolation_mode_gives_every_unit_its_own_isolate() {
-    let platform =
-        TradingPlatform::build(small_config(SecurityMode::LabelsFreezeIsolation, 10)).unwrap();
-    let engine = platform.engine();
-    let mut isolates = HashSet::new();
-    let mut broker = None;
-    for unit in platform_units(&platform) {
-        let state = engine.unit_state(unit).unwrap();
-        assert!(!state.isolate.is_engine(), "{}", state.name);
-        assert!(
-            isolates.insert(state.isolate),
-            "{} shares an isolate",
-            state.name
-        );
-        if state.name == "local-broker" {
-            broker = Some(unit);
-        }
-    }
-
-    // A swapped-in Broker runs in a fresh isolate.
-    let broker = broker.expect("the platform registers a broker");
-    platform.swap_broker().unwrap();
-    let after = engine.unit_state(broker).unwrap().isolate;
-    assert!(!after.is_engine());
-    assert!(!isolates.contains(&after), "{after} is reused");
-
-    // Without isolation every unit runs in the engine's isolate.
-    let plain = TradingPlatform::build(small_config(SecurityMode::LabelsFreeze, 10)).unwrap();
-    for unit in platform_units(&plain) {
-        let state = plain.engine().unit_state(unit).unwrap();
-        assert!(state.isolate.is_engine(), "{}", state.name);
-    }
-}
-
 #[test]
 fn driver_pumped_platforms_repeat_their_ledgers() {
     // With `workers: 0` the driver thread replays each cascade, so two builds
-    // of the same deployment must agree exactly.
-    let ledger = |batch_size: usize| {
+    // of the same deployment must agree exactly. `LabelsFreezeIsolation` is
+    // `LabelsFreeze` at runtime (the compiler enforces the isolation), so the
+    // two modes must agree exactly too.
+    let ledger = |mode: SecurityMode, batch_size: usize| {
         let mut platform = TradingPlatform::build(TradingPlatformConfig {
-            mode: SecurityMode::LabelsFreezeIsolation,
+            mode,
             workers: 0,
             batch_size,
             traders: 200,
@@ -295,22 +252,34 @@ fn driver_pumped_platforms_repeat_their_ledgers() {
         })
         .unwrap();
         let report = platform.run_ticks(4_000).unwrap();
-        let stats = platform.engine().stats();
+        let engine = platform.engine();
+        let stats = engine.stats();
         (
             report.orders,
             report.trades,
             stats.deliveries(),
             stats.managed_deliveries(),
+            stats.label_rejections(),
+            engine.unit_count(),
         )
     };
     for batch_size in [1, 8] {
-        let first = ledger(batch_size);
+        let first = ledger(SecurityMode::LabelsFreezeIsolation, batch_size);
         assert_eq!(
             first.3,
             first.0 + first.1,
             "batch {batch_size}: one managed delivery per order and per trade: {first:?}"
         );
-        assert_eq!(first, ledger(batch_size), "batch {batch_size}");
+        assert_eq!(
+            first,
+            ledger(SecurityMode::LabelsFreezeIsolation, batch_size),
+            "batch {batch_size}"
+        );
+        assert_eq!(
+            first,
+            ledger(SecurityMode::LabelsFreeze, batch_size),
+            "batch {batch_size}: labels+freeze"
+        );
     }
 }
 

@@ -2,22 +2,39 @@
 //!
 //! A `Producer` publishes readings; one part is public, one is confidential. A
 //! `Consumer` without the secrecy tag can only see the public part; a second
-//! consumer holding the tag in its input label sees everything.
+//! consumer holding the tag in its input label sees everything. Each consumer
+//! counts what it saw in counters the deployer hands it, never in a `static`:
+//! a process-global is a channel between units that no label check sees.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use defcon::prelude::*;
 use defcon_core::context::LabelOp;
 use defcon_core::unit::NullUnit;
 
-/// Readings delivered with the patient identity visible, and without it.
-static AUTHORISED: AtomicU64 = AtomicU64::new(0);
-static DENIED: AtomicU64 = AtomicU64::new(0);
-
 struct Consumer {
     name: &'static str,
+    /// Readings delivered with the patient identity visible.
+    authorised: Arc<AtomicU64>,
+    /// Readings delivered without it.
+    denied: Arc<AtomicU64>,
+}
+
+impl Consumer {
+    /// A consumer, and the deployer's handles on its two counters.
+    fn new(name: &'static str) -> (Self, [Arc<AtomicU64>; 2]) {
+        let (authorised, denied) = (Arc::default(), Arc::default());
+        let counts = [Arc::clone(&authorised), Arc::clone(&denied)];
+        let consumer = Consumer {
+            name,
+            authorised,
+            denied,
+        };
+        (consumer, counts)
+    }
 }
 
 impl Unit for Consumer {
@@ -31,14 +48,14 @@ impl Unit for Consumer {
         let secret = ctx.read_part(event, "patient");
         match secret {
             Ok(parts) => {
-                AUTHORISED.fetch_add(1, Ordering::Relaxed);
+                self.authorised.fetch_add(1, Ordering::Relaxed);
                 println!(
                     "[{}] reading from room {room}: patient {} (authorised)",
                     self.name, parts[0].1
                 )
             }
             Err(_) => {
-                DENIED.fetch_add(1, Ordering::Relaxed);
+                self.denied.fetch_add(1, Ordering::Relaxed);
                 println!(
                     "[{}] reading from room {room}: patient identity not visible",
                     self.name
@@ -58,18 +75,15 @@ fn main() -> EngineResult<()> {
     let patient_tag = feed.with_context(|ctx| Ok(ctx.create_owned_tag("s-patient")))?;
 
     // An unprivileged consumer: sees only public parts.
-    engine.register_unit(
-        UnitSpec::new("public-dashboard"),
-        Box::new(Consumer {
-            name: "public-dashboard",
-        }),
-    )?;
+    let (dashboard, dashboard_counts) = Consumer::new("public-dashboard");
+    engine.register_unit(UnitSpec::new("public-dashboard"), Box::new(dashboard))?;
 
     // A privileged consumer: granted t+ so it can raise its input label and read the
     // protected part.
+    let (clinician, clinician_counts) = Consumer::new("clinician");
     let clinician = engine.register_unit(
         UnitSpec::new("clinician").with_privilege(Privilege::add(patient_tag.clone())),
-        Box::new(Consumer { name: "clinician" }),
+        Box::new(clinician),
     )?;
     engine.with_unit(clinician, |_, ctx| {
         ctx.change_in_out_label(Component::Confidentiality, LabelOp::Add, &patient_tag)
@@ -97,13 +111,17 @@ fn main() -> EngineResult<()> {
         engine.stats().label_rejections()
     );
     handle.shutdown()?;
-    // The run checks itself, so it doubles as a test of label visibility.
-    assert_eq!(
+    // The run checks itself, so it doubles as a test of label visibility:
+    // the dashboard is denied its one reading and the clinician authorised.
+    let read = |[authorised, denied]: &[Arc<AtomicU64>; 2]| {
         (
-            AUTHORISED.load(Ordering::Relaxed),
-            DENIED.load(Ordering::Relaxed)
-        ),
-        (1, 1),
+            authorised.load(Ordering::Relaxed),
+            denied.load(Ordering::Relaxed),
+        )
+    };
+    assert_eq!(
+        (read(&dashboard_counts), read(&clinician_counts)),
+        ((0, 1), (1, 0)),
         "expected one authorised and one denied reading"
     );
     Ok(())

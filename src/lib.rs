@@ -11,9 +11,10 @@
 //!   §5);
 //! * [`durability`] — segmented CRC32-framed write-ahead log for crash
 //!   recovery;
-//! * [`isolation`] — per-unit isolates, duplicated static state and the
-//!   interceptor table of §4, with the interception cost modelled;
-//! * [`core`] — the DEFCon engine: dispatcher, subscriptions, the Table 1 API;
+//! * [`core`] — the DEFCon engine: dispatcher, subscriptions, the Table 1 API.
+//!   The paper's §4 isolation of units inside one JVM needs no crate here:
+//!   Rust's ownership, module privacy and `#![forbid(unsafe_code)]` enforce
+//!   it when the code compiles;
 //! * [`ingress`] — the credit-gated async ingress tier funnelling many logical
 //!   publisher sessions onto the bounded batched publish path;
 //! * [`metrics`] — throughput, latency and memory instrumentation (§6.2);
@@ -33,7 +34,6 @@ pub use defcon_defc as defc;
 pub use defcon_durability as durability;
 pub use defcon_events as events;
 pub use defcon_ingress as ingress;
-pub use defcon_isolation as isolation;
 pub use defcon_metrics as metrics;
 pub use defcon_trading as trading;
 pub use defcon_workload as workload;
