@@ -1,13 +1,15 @@
-//! Fluent construction of engines — the entry point of the runtime API v2.
+//! Fluent construction of engines: the builder is the one place an engine is
+//! configured.
 //!
 //! ```
 //! use defcon_core::{Engine, SecurityMode};
 //!
-//! let engine = Engine::builder()
+//! let handle = Engine::builder()
 //!     .mode(SecurityMode::LabelsFreezeIsolation)
 //!     .workers(4)
-//!     .build();
-//! assert_eq!(engine.configured_workers(), 4);
+//!     .start();
+//! assert_eq!(handle.worker_count(), 4);
+//! handle.shutdown().unwrap();
 //! ```
 
 use crate::admission::IngressConfig;
@@ -27,10 +29,10 @@ pub fn auto_worker_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Builder for [`Engine`] instances.
+/// Builder for [`Engine`] instances, and the only way to configure one.
 ///
-/// Defaults match [`EngineConfig::default`]: `labels+freeze`, no worker threads
-/// (manual pumping), batch size 1 and the subscription index on.
+/// Defaults: `labels+freeze`, no worker threads (manual pumping), batch size
+/// 1, and no write-ahead log, admission bound or fault policy.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     config: EngineConfig,
@@ -54,7 +56,9 @@ impl EngineBuilder {
     /// to the host.
     ///
     /// Zero (the default) means no background dispatch: the started handle is
-    /// pumped manually, which keeps single-threaded tests deterministic.
+    /// driven on the calling thread with
+    /// [`EngineHandle::pump_until_idle`] or [`EngineHandle::wait_idle`],
+    /// which keeps single-threaded tests deterministic.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -77,57 +81,51 @@ impl EngineBuilder {
     /// and, when a unit exceeds the policy's panic budget within its delivery
     /// window, auto-swaps it to its registered standby
     /// ([`Engine::set_standby`](crate::Engine::set_standby)) or quarantines
-    /// it — see [`FaultPolicy`].
+    /// it — see [`FaultPolicy`]. Without a policy (the default) panics are
+    /// counted in `unit_errors` and otherwise tolerated.
     pub fn fault(mut self, policy: FaultPolicy) -> Self {
         self.config.fault = Some(policy);
-        self
-    }
-
-    /// Selects the subscription matcher (the inverted index, the default, when
-    /// `true`): planning consults a part-name/value index for a candidate
-    /// superset per event and runs the exact filter only on candidates, so
-    /// matching cost scales with matching subscriptions instead of registered
-    /// ones. `false` keeps the linear scan over every subscription — the
-    /// reference the index property tests compare against (see
-    /// [`EngineConfig::subscription_index`](crate::EngineConfig)). Delivery
-    /// sets are identical under either matcher.
-    pub fn subscription_index(mut self, subscription_index: bool) -> Self {
-        self.config.subscription_index = subscription_index;
         self
     }
 
     /// Sets the dispatch batch size: how many events a dispatcher pops (and
     /// accounts for) per run-queue lock round-trip, and the chunk size batched
     /// publishers enqueue with. The default of 1 preserves classic
-    /// one-event-at-a-time queueing; values are clamped to at least 1 at use.
-    /// Delivery order is the same at every batch size; dispatch observes
-    /// subscriber security state as snapshotted at batch start (see
-    /// [`EngineConfig::batch_size`]).
+    /// one-event-at-a-time queueing; 0 is clamped to 1. Larger sizes amortise
+    /// the shard lock, the in-flight accounting and the owner-state snapshot
+    /// over the batch.
+    ///
+    /// Delivery order is the same at every batch size: each event of a batch
+    /// is dispatched in turn, to its subscribers in subscription order. What
+    /// batch size changes is the snapshot window: the popped events of a
+    /// batch observe each subscriber's security state as snapshotted when the
+    /// batch began, so a unit changing its own labels during a delivery
+    /// affects their visibility checks from the next batch on.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.config.batch_size = batch_size.max(1);
         self
     }
 
-    /// Enables the write-ahead event log: every externally published batch is
-    /// appended (one CRC-framed record per batch, fsynced per the config's
+    /// Enables the write-ahead event log: every externally published batch
+    /// (publisher batches, [`Engine::with_unit`] closure outputs, bootstrap
+    /// publishes of units registered by a driver) is appended (one CRC-framed
+    /// record per batch, fsynced per the config's
     /// [`FsyncPolicy`](defcon_durability::FsyncPolicy)) *before* it is
     /// enqueued, and [`Engine::recover_from`] replays the directory after a
     /// crash. Cascade publications are not logged — dispatch regenerates them
-    /// on replay. [`Engine::new`] panics if the log directory cannot be
-    /// opened.
+    /// on replay.
     pub fn wal(mut self, config: defcon_durability::WalConfig) -> Self {
         self.config.wal = Some(config);
         self
     }
 
-    /// Replaces the whole configuration (for deployments described
-    /// declaratively as an [`EngineConfig`] value).
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Builds the engine without starting its runtime.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a configured write-ahead log directory cannot be opened for
+    /// appending: a deployment that asked for durability and cannot have it
+    /// should not come up at all.
     pub fn build(self) -> Engine {
         Engine::new(self.config)
     }
@@ -151,7 +149,6 @@ mod tests {
             .mode(SecurityMode::LabelsClone)
             .workers(3)
             .batch_size(16)
-            .subscription_index(false)
             .ingress(
                 IngressConfig::new(256)
                     .credit_window(32)
@@ -164,9 +161,8 @@ mod tests {
             )
             .build();
         assert_eq!(engine.mode(), SecurityMode::LabelsClone);
-        assert_eq!(engine.configured_workers(), 3);
+        assert_eq!(engine.queue_stats().shard_depths.len(), 3);
         assert_eq!(engine.configured_batch_size(), 16);
-        assert!(!engine.subscription_index());
         let ingress = engine.ingress_config().expect("ingress config set");
         assert_eq!(ingress.queue_bound, 256);
         assert_eq!(ingress.credit_window, 32);
@@ -184,7 +180,7 @@ mod tests {
         assert_eq!(stats.workers_high_water, 0);
         assert_eq!(stats.sched_wakes, 0);
         assert_eq!(
-            engine.run_queue_shards(),
+            stats.shard_depths.len(),
             1,
             "a manual engine keeps one shard"
         );
@@ -200,12 +196,10 @@ mod tests {
     fn builder_defaults_match_engine_config_defaults() {
         let engine = EngineBuilder::new().build();
         assert_eq!(engine.mode(), SecurityMode::LabelsFreeze);
-        assert_eq!(engine.configured_workers(), 0);
+        assert_eq!(engine.queue_stats().workers_high_water, 0);
         assert_eq!(engine.configured_batch_size(), 1);
-        assert!(
-            engine.subscription_index(),
-            "the inverted index is the default matcher"
-        );
+        assert!(engine.ingress_config().is_none());
+        assert!(engine.fault_policy().is_none());
     }
 
     #[test]
@@ -213,29 +207,15 @@ mod tests {
         assert!(auto_worker_count() >= 1);
         for workers in [1, 3] {
             let engine = Engine::builder().workers(workers).build();
-            assert_eq!(engine.configured_workers(), workers);
             // One run-queue shard per worker: producers spread over exactly
             // as many locks as there are consumers to drain them.
-            assert_eq!(engine.run_queue_shards(), workers);
             let stats = engine.queue_stats();
             assert_eq!(stats.shard_depths.len(), workers);
             assert_eq!(stats.workers_high_water, workers);
             assert_eq!(stats.sched_wakes, 0);
+            let handle = engine.start();
+            assert_eq!(handle.worker_count(), workers);
+            handle.shutdown().unwrap();
         }
-    }
-
-    #[test]
-    fn config_override_replaces_prior_settings() {
-        let config = EngineConfig {
-            mode: SecurityMode::NoSecurity,
-            workers: 2,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::builder()
-            .mode(SecurityMode::LabelsClone)
-            .config(config)
-            .build();
-        assert_eq!(engine.mode(), SecurityMode::NoSecurity);
-        assert_eq!(engine.configured_workers(), 2);
     }
 }

@@ -78,11 +78,10 @@
 //!
 //! # The subscription index
 //!
-//! With [`EngineConfig::subscription_index`](crate::EngineConfig) on (the
-//! default), the subscription table keeps an inverted index from part names
-//! — and, for string/integer equality and `OneOf` clauses, part values — to
-//! the subscriptions whose filters could possibly match, and the batch
-//! snapshot shares it. Dispatch looks up each event's parts and runs the exact
+//! The subscription table keeps an inverted index from part names — and, for
+//! string/integer equality and `OneOf` clauses, part values — to the
+//! subscriptions whose filters could possibly match, and the batch snapshot
+//! shares it. Dispatch looks up each event's parts and runs the exact
 //! filter (and flow check) only over the returned candidate set, which is a
 //! provable superset of the matches (and, with each subscription keyed by its
 //! most selective literal, usually the match set itself): fan-out cost scales
@@ -90,7 +89,8 @@
 //! table updates the index under its own write lock on every subscribe,
 //! unsubscribe and removal, so a refresh never rebuilds it. Parts released by
 //! main-path augmentation are looked up per delivery, so filters naming
-//! augmentation-released parts match under either matcher.
+//! augmentation-released parts match when positioned after the delivery that
+//! released them.
 //!
 //! # Shared filters
 //!
@@ -107,7 +107,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Part};
@@ -115,7 +115,6 @@ use parking_lot::Mutex;
 
 use crate::context::UnitContext;
 use crate::engine::{EngineCore, UnitCell, UnitSlot};
-use crate::error::EngineResult;
 use crate::run_queue::BatchGuard;
 use crate::sub_index::{Entries, SubscriptionIndex, TableSnapshot};
 use crate::subscription::{Subscription, SubscriptionKind};
@@ -127,7 +126,7 @@ use crate::unit::{UnitId, UnitState};
 /// is exactly what [`Engine::start`](crate::Engine::start) does with
 /// `workers(n)`: per-unit mutexes serialise deliveries to the same unit while
 /// distinct units dispatch distinct events in parallel.
-pub struct Dispatcher {
+pub(crate) struct Dispatcher {
     core: Arc<EngineCore>,
     /// Run-queue shard this dispatcher prefers when popping (reduces contention
     /// between workers; any dispatcher may steal from any shard): the worker's
@@ -246,11 +245,11 @@ struct BatchContext {
     /// owner ordinal of its entries — one per unit, however many
     /// subscriptions it holds.
     owners: Vec<ResolvedOwner>,
-    /// The table's inverted index over `subscriptions`, shared (`None` with
-    /// the `subscription_index` knob off): part name/value → candidate
-    /// positions, a provable superset of the true matches. Taken under the
-    /// same read lock as the list, so the two always agree.
-    index: Option<Arc<SubscriptionIndex>>,
+    /// The table's inverted index over `subscriptions`, shared: part
+    /// name/value → candidate positions, a provable superset of the true
+    /// matches. Taken under the same read lock as the list, so the two always
+    /// agree.
+    index: Arc<SubscriptionIndex>,
     /// Memo of flow decisions that needed the exact sorted-vector scan (the
     /// pointer/fingerprint fast paths answer without consulting it): repeated
     /// deliveries over the same handful of interned labels pay each lattice
@@ -419,13 +418,13 @@ impl Worklist {
     /// Folds the parts the delivery at `position` added into `current`, in
     /// the order they were added, and returns how many candidates they
     /// added. An augmentation-released part can satisfy clauses of
-    /// subscriptions the original event never indexed to; their turn, like
-    /// the linear scan's, is still ahead only for subscriptions positioned
-    /// after this delivery, so only those join the worklist (from `next`
-    /// on). Called only when a delivery added something: most add nothing.
+    /// subscriptions the original event never indexed to; their turn is still
+    /// ahead only for subscriptions positioned after this delivery, so only
+    /// those join the worklist (from `next` on). Called only when a delivery
+    /// added something: most add nothing.
     fn fold(
         &mut self,
-        index: Option<&SubscriptionIndex>,
+        index: &SubscriptionIndex,
         additions: Vec<Part>,
         position: usize,
         next: usize,
@@ -433,17 +432,15 @@ impl Worklist {
     ) -> u64 {
         let mut added = 0;
         for part in additions {
-            if let Some(index) = index {
-                self.extra.clear();
-                index.candidates_for_part(part.name(), part.data(), &mut self.extra);
-                for &candidate in &self.extra {
-                    if candidate as usize <= position {
-                        continue;
-                    }
-                    if let Err(at) = self.positions[next..].binary_search(&candidate) {
-                        self.positions.insert(next + at, candidate);
-                        added += 1;
-                    }
+            self.extra.clear();
+            index.candidates_for_part(part.name(), part.data(), &mut self.extra);
+            for &candidate in &self.extra {
+                if candidate as usize <= position {
+                    continue;
+                }
+                if let Err(at) = self.positions[next..].binary_search(&candidate) {
+                    self.positions.insert(next + at, candidate);
+                    added += 1;
                 }
             }
             *current = current.with_part(part);
@@ -474,12 +471,6 @@ impl Dispatcher {
         }
     }
 
-    /// The batch size this dispatcher pops with (configured via
-    /// [`EngineBuilder::batch_size`](crate::EngineBuilder::batch_size)).
-    fn batch_size(&self) -> usize {
-        self.core.config.batch_size.max(1)
-    }
-
     /// Takes a free dispatch slot and, holding it, pops and dispatches batches
     /// through the workers' batch routine, [`Dispatcher::dispatch_popped`],
     /// until the queue is empty or `deadline` passes. Returns the number of
@@ -493,7 +484,7 @@ impl Dispatcher {
         let Some(_slot) = queue.take_slot() else {
             return 0;
         };
-        let batch_size = self.batch_size();
+        let batch_size = self.core.config.batch_size;
         let mut batch = Vec::new();
         let mut dispatched = 0;
         while queue.pop_batch_into(self.preferred_shard, batch_size, &mut batch) > 0 {
@@ -503,41 +494,6 @@ impl Dispatcher {
             }
         }
         dispatched
-    }
-
-    /// Dispatches events until the queue drains (including events published during
-    /// dispatch). Returns the number of events dispatched.
-    ///
-    /// Like every path that pops the queue it needs a free dispatch slot, so
-    /// while all of an engine's workers are busy it dispatches nothing. With
-    /// worker threads running concurrently this drains the *queue*, not the
-    /// engine: use [`EngineHandle::wait_idle`](crate::EngineHandle::wait_idle) to
-    /// wait for in-flight dispatches as well.
-    pub fn pump_until_idle(&self) -> EngineResult<usize> {
-        Ok(self.drain(None) as usize)
-    }
-
-    /// Keeps pumping for at least `duration` (useful when other threads publish
-    /// concurrently); returns the number of events dispatched. While the queue
-    /// is empty, or every dispatch slot is held, the thread parks on the run
-    /// queue's wakeup signal instead of spinning.
-    pub fn pump_for(&self, duration: Duration) -> EngineResult<usize> {
-        let deadline = Instant::now() + duration;
-        let mut dispatched = 0;
-        loop {
-            dispatched += self.drain(None) as usize;
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            // On a stopped and fully drained engine nothing can ever arrive;
-            // waiting out the deadline (or worse, spinning) would be pointless.
-            if self.core.run_queue.is_stopping() && self.core.run_queue.is_idle() {
-                break;
-            }
-            self.core.run_queue.park_for_work(deadline - now);
-        }
-        Ok(dispatched)
     }
 
     /// Runs the blocking worker loop: dispatch events as they arrive until the
@@ -552,7 +508,7 @@ impl Dispatcher {
     /// one epoch-cached dispatch context across the batch. The worker keeps
     /// its dispatch slot while it finds work and gives it up when it parks.
     pub(crate) fn run_worker(self) -> u64 {
-        let batch_size = self.batch_size();
+        let batch_size = self.core.config.batch_size;
         let queue = &self.core.run_queue;
         let mut dispatched = 0;
         // Given back when the worker parks, exits or unwinds.
@@ -748,12 +704,10 @@ impl Dispatcher {
                 Some((slot, snapshot))
             })
             .collect();
-        if index.is_some() {
-            self.core
-                .index_stats
-                .rebuilds
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.core
+            .index_stats
+            .rebuilds
+            .fetch_add(1, Ordering::Relaxed);
         Arc::new(BatchContext {
             subscriptions,
             owners,
@@ -839,13 +793,11 @@ impl Dispatcher {
     /// delivery path, at every batch size.
     ///
     /// The walk is a worklist of subscription positions in ascending order —
-    /// the index's candidate set for the event, or every live position with
-    /// the index off — so deliveries happen in strict subscription order. A
-    /// delivery's main-path part additions reach only the subscriptions
-    /// positioned after it (§3.1.6): with the index on, the positions the
-    /// released parts index to join the rest of the worklist; with it off,
-    /// every later position is there already. Either way the delivery set is
-    /// the linear scan's.
+    /// the index's candidate set for the event — so deliveries happen in
+    /// strict subscription order. A delivery's main-path part additions reach
+    /// only the subscriptions positioned after it (§3.1.6): the positions the
+    /// released parts index to join the rest of the worklist. The delivery set
+    /// is that of a linear walk over every subscription.
     ///
     /// A matched direct subscription opens a *run*: its owner's cell stays
     /// locked while the next candidates are the same owner's direct
@@ -869,17 +821,8 @@ impl Dispatcher {
         // RefCell borrow.
         let mut work = std::mem::take(&mut *self.scratch.borrow_mut());
         work.memo.clear();
-        let index = batch.index.as_deref();
-        match index {
-            Some(index) => index.candidates_into(&current, &mut work.positions),
-            None => {
-                work.positions.clear();
-                work.positions.extend(
-                    (0..batch.subscriptions.len() as u32)
-                        .filter(|&position| batch.subscriptions[position as usize].is_some()),
-                );
-            }
-        }
+        let index = &*batch.index;
+        index.candidates_into(&current, &mut work.positions);
         let mut candidate_total = work.positions.len() as u64;
         let mut exact_rejects = 0u64;
         let mut next = 0;
@@ -1003,14 +946,13 @@ impl Dispatcher {
                 self.core.handle_unit_fault(unit);
             }
         }
-        // Index telemetry: a linear walk consults no index, so reports none.
-        if index.is_some() && candidate_total > 0 {
+        if candidate_total > 0 {
             self.core
                 .index_stats
                 .candidates
                 .fetch_add(candidate_total, Ordering::Relaxed);
         }
-        if index.is_some() && exact_rejects > 0 {
+        if exact_rejects > 0 {
             self.core
                 .index_stats
                 .exact_rejects

@@ -20,7 +20,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::admission::{AdmissionCounters, IngressConfig};
 use crate::builder::EngineBuilder;
 use crate::context::UnitContext;
-use crate::dispatcher::{Cascade, Dispatcher};
+use crate::dispatcher::Cascade;
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{FaultAction, FaultCounters, FaultPolicy};
 use crate::handle::{EngineHandle, Publisher};
@@ -99,77 +99,17 @@ impl fmt::Display for SecurityMode {
     }
 }
 
-/// Engine construction parameters.
-///
-/// Applications normally build this through [`Engine::builder`]; the struct
-/// itself stays public so that deployments can be described declaratively (e.g.
-/// in a platform config) and handed to [`EngineBuilder::config`].
+/// Engine construction parameters, written only by [`EngineBuilder`]; each
+/// setting is documented on its setter.
 #[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// The security configuration.
-    pub mode: SecurityMode,
-    /// The number of dispatcher worker threads [`Engine::start`] spawns; all
-    /// of them stay active until shutdown, and the run queue has one shard
-    /// per worker. Zero means no background dispatch: the returned handle is
-    /// driven manually via [`EngineHandle::pump_until_idle`] /
-    /// [`EngineHandle::run_for`] / [`EngineHandle::wait_idle`] (which
-    /// dispatches on the waiting thread), which is what single-threaded
-    /// tests and benchmarks want. Deployments that should adapt to their hardware pass
-    /// [`auto_worker_count`](crate::auto_worker_count).
-    pub workers: usize,
-    /// Maximum number of events a dispatcher pops (and accounts for) per run
-    /// queue lock round-trip, and the natural chunk size for
-    /// [`Publisher::publish_batch`](crate::Publisher::publish_batch). The
-    /// default of 1 preserves classic one-event-at-a-time queueing; larger
-    /// sizes amortise the shard lock, the in-flight accounting update, the
-    /// wakeup check and the subscription/owner-state snapshot over the whole
-    /// batch. Delivery order is unaffected: each event of a batch is
-    /// dispatched in turn, to its subscribers in strict subscription order.
-    /// The one thing batch size changes is the snapshot window: dispatch
-    /// observes each subscriber's security state as snapshotted when the
-    /// batch began, so a unit changing its own labels during a delivery
-    /// affects visibility checks from the next batch on (see
-    /// `Dispatcher::batch_context`).
-    pub batch_size: usize,
-    /// Selects the inverted subscription index (the default): dispatch planning
-    /// consults an index from part name (and string or integer part value) to
-    /// candidate subscriptions — a provable superset of the true matches — and
-    /// runs the exact filter and flow check only on candidates, so planning
-    /// cost scales with *matching* subscriptions instead of registered ones.
-    /// The index lives in the subscription table and is maintained under the
-    /// table's write lock: a subscribe appends and keys one entry, an
-    /// unsubscribe or unit removal tombstones its entries and unlists them
-    /// from the one bucket each was keyed under, and a full build — which
-    /// also compacts the tombstones — runs only once the changes since the
-    /// last one exceed half the live count. A dispatcher refresh after the
-    /// `security_epoch` bump shares the table's index and snapshots each owner
-    /// unit once, so a change costs what changed. `false` keeps no index and
-    /// runs the linear scan over every live subscription — the reference the
-    /// index property tests compare against. Delivery sets are identical
-    /// either way.
-    pub subscription_index: bool,
-    /// Write-ahead log configuration. When set, every externally published
-    /// event (publisher batches, `with_unit` closure outputs, driver-side
-    /// bootstrap publishes) is appended to the log *before* it is enqueued —
-    /// one frame per publish batch, flushed per the configured
-    /// [`FsyncPolicy`](defcon_durability::FsyncPolicy). Cascade publications
-    /// (events units emit while processing) are not logged: replaying the log
-    /// through [`Engine::recover_from`] regenerates them via normal dispatch.
-    /// `None` (the default) keeps the engine purely in-memory.
-    pub wal: Option<WalConfig>,
-    /// Bounded-admission configuration. When set,
-    /// [`Publisher::try_publish_batch`](crate::Publisher::try_publish_batch)
-    /// enforces the configured queue bound, and an
-    /// ingress tier built over the engine paces its sessions by credit window
-    /// under the configured full-queue policy. `None` (the default) keeps the
-    /// classic unbounded publish path.
-    pub ingress: Option<IngressConfig>,
-    /// Fault policy. When set, the dispatcher counts panicking deliveries per
-    /// unit and trips the configured [`FaultAction`] (auto-swap to a standby,
-    /// or quarantine-and-shed) once a unit exceeds the panic budget within its
-    /// delivery window. `None` (the default) keeps the classic behaviour:
-    /// panics are counted in `unit_errors` and otherwise tolerated forever.
-    pub fault: Option<FaultPolicy>,
+pub(crate) struct EngineConfig {
+    pub(crate) mode: SecurityMode,
+    pub(crate) workers: usize,
+    /// At least 1: [`EngineBuilder::batch_size`] clamps it.
+    pub(crate) batch_size: usize,
+    pub(crate) wal: Option<WalConfig>,
+    pub(crate) ingress: Option<IngressConfig>,
+    pub(crate) fault: Option<FaultPolicy>,
 }
 
 impl Default for EngineConfig {
@@ -178,7 +118,6 @@ impl Default for EngineConfig {
             mode: SecurityMode::LabelsFreeze,
             workers: 0,
             batch_size: 1,
-            subscription_index: true,
             wal: None,
             ingress: None,
             fault: None,
@@ -187,8 +126,7 @@ impl Default for EngineConfig {
 }
 
 /// A snapshot of the run queue's and the engine's telemetry counters
-/// ([`Engine::queue_stats`] / [`EngineHandle::queue_stats`]): what a
-/// deployment's operator sees.
+/// ([`Engine::queue_stats`]): what a deployment's operator sees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events currently queued across all shards.
@@ -236,9 +174,9 @@ pub struct QueueStats {
     /// dispatcher had already built it.
     pub sched_snapshot_hits: u64,
     /// Candidate subscriptions produced by the inverted subscription index
-    /// across all indexed plans (accumulated candidate-set sizes). Compare
-    /// against `registered subscriptions × events` — the linear scan's cost —
-    /// to read the index's sublinearity; zero with the index disabled.
+    /// across all plans (accumulated candidate-set sizes). Compare against
+    /// `registered subscriptions × events` — a linear scan's cost — to read
+    /// the index's sublinearity.
     pub index_candidates: u64,
     /// Index candidates whose exact filter or flow check rejected the
     /// delivery: the index's false positives, each paid at exact-match cost
@@ -363,8 +301,8 @@ pub(crate) struct UnitSlot {
 pub(crate) struct EngineCore {
     pub(crate) config: EngineConfig,
     pub(crate) units: RwLock<HashMap<UnitId, Arc<UnitSlot>>>,
-    /// Every live subscription, its owner ordinals and (with the index on)
-    /// the inverted index over them, edited under this one lock.
+    /// Every live subscription, its owner ordinals and the inverted index
+    /// over them, edited under this one lock.
     pub(crate) subscriptions: RwLock<SubscriptionTable>,
     pub(crate) run_queue: RunQueue,
     pub(crate) memory: MemoryAccountant,
@@ -386,7 +324,7 @@ pub(crate) struct EngineCore {
     /// so an unchanged epoch lets consecutive batches reuse one
     /// subscription/owner snapshot instead of refreshing it.
     pub(crate) security_epoch: AtomicU64,
-    /// The write-ahead log appender, present when [`EngineConfig::wal`] is
+    /// The write-ahead log appender, present when [`EngineBuilder::wal`] is
     /// set. The mutex serialises appends from concurrent publishers, which
     /// also makes log order a linearisation of the publish calls.
     pub(crate) wal: Option<Mutex<WalWriter>>,
@@ -395,8 +333,7 @@ pub(crate) struct EngineCore {
     /// configured.
     pub(crate) faults: FaultCounters,
     /// Subscription-index telemetry (candidate counts, exact rejects,
-    /// snapshot refreshes); always present — all zero when the index is disabled — so
-    /// `queue_stats()` reads one shape either way.
+    /// snapshot refreshes), exported through `queue_stats()`.
     pub(crate) index_stats: crate::sub_index::IndexCounters,
     /// Standby factories for fault-triggered auto-swap, keyed by the unit id
     /// they stand in for ([`Engine::set_standby`]). Keyed by id — not slot —
@@ -850,15 +787,10 @@ impl Engine {
         EngineBuilder::new()
     }
 
-    /// Creates an engine directly from a configuration (the low-level
-    /// constructor behind [`EngineBuilder::build`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a configured write-ahead log directory cannot be opened for
-    /// appending — a deployment that asked for durability and cannot have it
-    /// should not come up at all.
-    pub fn new(config: EngineConfig) -> Self {
+    /// Creates an engine from the builder's configuration (see
+    /// [`EngineBuilder::build`], which documents the panic on an unopenable
+    /// write-ahead log).
+    pub(crate) fn new(config: EngineConfig) -> Self {
         let wal = config.wal.clone().map(|wal_config| {
             let dir = wal_config.dir.clone();
             Mutex::new(WalWriter::open(wal_config).unwrap_or_else(|err| {
@@ -866,12 +798,11 @@ impl Engine {
             }))
         });
         let run_queue = RunQueue::new(config.workers.max(1));
-        let subscriptions = SubscriptionTable::new(config.subscription_index);
         Engine {
             core: Arc::new(EngineCore {
                 config,
                 units: RwLock::new(HashMap::new()),
-                subscriptions: RwLock::new(subscriptions),
+                subscriptions: RwLock::new(SubscriptionTable::new()),
                 run_queue,
                 memory: MemoryAccountant::new(),
                 stats: EngineStats::default(),
@@ -895,8 +826,7 @@ impl Engine {
     /// eventually shut down.
     ///
     /// With `workers == 0` no threads are spawned; the handle's
-    /// [`pump_until_idle`](EngineHandle::pump_until_idle),
-    /// [`run_for`](EngineHandle::run_for) and
+    /// [`pump_until_idle`](EngineHandle::pump_until_idle) and
     /// [`wait_idle`](EngineHandle::wait_idle) drive dispatch on the calling
     /// thread.
     ///
@@ -971,19 +901,6 @@ impl Engine {
         self.core.config.mode
     }
 
-    /// Returns the number of dispatcher worker threads [`Engine::start`] will
-    /// spawn.
-    pub fn configured_workers(&self) -> usize {
-        self.core.config.workers
-    }
-
-    /// Returns `true` when dispatch planning consults the inverted
-    /// subscription index instead of scanning every subscription (see
-    /// [`EngineConfig::subscription_index`]).
-    pub fn subscription_index(&self) -> bool {
-        self.core.config.subscription_index
-    }
-
     /// Samples the run queue's and the engine's telemetry counters: total and
     /// per-shard queue depth, in-flight dispatches, the worker count, and the
     /// admission, fault, scheduler and subscription-index counters.
@@ -1037,14 +954,7 @@ impl Engine {
 
     /// Returns the configured dispatch batch size (at least 1).
     pub fn configured_batch_size(&self) -> usize {
-        self.core.config.batch_size.max(1)
-    }
-
-    /// Returns the run queue's shard count: the worker count at construction
-    /// (one shard per dispatcher, at least one), so producers never spread
-    /// over more locks than there are consumers to drain them.
-    pub fn run_queue_shards(&self) -> usize {
-        self.core.run_queue.shard_count()
+        self.core.config.batch_size
     }
 
     /// Registers a processing unit, running its `init` callback, and returns its
@@ -1174,11 +1084,6 @@ impl Engine {
         let slot = self.core.slot(unit)?;
         let event = slot.cell.lock().mailbox.pop_front();
         Ok(event)
-    }
-
-    /// Returns a single-threaded dispatcher for this engine.
-    pub fn dispatcher(&self) -> Dispatcher {
-        Dispatcher::new(Arc::clone(&self.core))
     }
 
     /// Number of events waiting in the dispatch queue: external events and

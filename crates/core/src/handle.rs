@@ -3,14 +3,15 @@
 //! [`Engine::start`] returns an [`EngineHandle`] owning the dispatcher worker
 //! threads (the multi-core deployment of §6: distinct units process distinct
 //! events in parallel inside one address space, while per-unit locks keep each
-//! unit single-threaded from its own point of view). The handle is how drivers
-//! interact with a live engine:
+//! unit single-threaded from its own point of view). The handle owns the
+//! runtime and nothing else; every operation on engine state — publishers,
+//! swaps, standbys, telemetry — belongs to the [`Engine`]
+//! ([`EngineHandle::engine`]). External event sources publish through typed
+//! [`Publisher`]s from [`Engine::publisher`]. The handle:
 //!
-//! * [`EngineHandle::publisher`] hands out typed [`Publisher`]s for external
-//!   event sources, replacing most `with_unit` closures;
-//! * [`EngineHandle::pump_until_idle`] / [`EngineHandle::run_for`] drive
-//!   dispatch inline when the engine was built with `workers(0)` — the
-//!   single-threaded mode tests and benchmarks use;
+//! * [`EngineHandle::pump_until_idle`] drives dispatch inline when the engine
+//!   was built with `workers(0)` — the single-threaded mode tests and
+//!   benchmarks use;
 //! * [`EngineHandle::wait_idle`] returns once the queue has drained *and* no
 //!   dispatch is in flight. The waiting thread does the work: while a
 //!   dispatch slot is free (a worker is parked, or at `workers(0)` always) it
@@ -95,71 +96,16 @@ impl EngineHandle {
         self.workers.len()
     }
 
-    /// Samples the run queue's and the engine's telemetry counters: total and
-    /// per-shard queue depth, in-flight dispatches, the scheduler counters
-    /// (`sched_steals`, `sched_snapshot_hits`), plus the subscription index's
-    /// planning counters (`index_candidates`, `index_exact_rejects`,
-    /// `index_rebuilds`). This is what a deployment's dashboards read.
-    pub fn queue_stats(&self) -> crate::engine::QueueStats {
-        self.engine.queue_stats()
-    }
-
-    /// Returns a typed publisher for `unit` (see [`Publisher`]).
-    pub fn publisher(&self, unit: UnitId) -> EngineResult<Publisher> {
-        self.engine.publisher(unit)
-    }
-
-    /// Hot-replaces a live unit without stopping the engine — the runtime-side
-    /// entry point of [`Engine::swap_unit`]: drains in-flight deliveries to
-    /// the unit, migrates its state/labels/privileges onto `replacement` under
-    /// a bumped version, and resumes with exactly-once and per-unit order
-    /// preserved. Returns the new version.
-    pub fn swap_unit(
-        &self,
-        unit: UnitId,
-        replacement: Box<dyn crate::unit::Unit>,
-    ) -> EngineResult<u64> {
-        self.engine.swap_unit(unit, replacement)
-    }
-
-    /// Registers a standby factory for fault-triggered auto-swap — see
-    /// [`Engine::set_standby`].
-    pub fn set_standby(&self, unit: UnitId, factory: crate::unit::UnitFactory) -> EngineResult<()> {
-        self.engine.set_standby(unit, factory)
-    }
-
-    /// Publishes a batch of drafts *as* `unit` in one run-queue transaction —
-    /// shorthand for [`Publisher::publish_batch`] when a driver does not keep a
-    /// long-lived publisher around. Returns the typed [`Admission`] result.
-    pub fn publish_batch(&self, unit: UnitId, drafts: Vec<EventDraft>) -> EngineResult<Admission> {
-        self.engine.publisher(unit)?.publish_batch(drafts)
-    }
-
-    /// Non-blocking bounded publish *as* `unit` — shorthand for
-    /// [`Publisher::try_publish_batch`].
-    pub fn try_publish_batch(
-        &self,
-        unit: UnitId,
-        drafts: Vec<EventDraft>,
-    ) -> EngineResult<TryPublish> {
-        self.engine.publisher(unit)?.try_publish_batch(drafts)
-    }
-
     /// Dispatches queued events on the calling thread until the queue drains;
     /// returns the number of events dispatched here.
     ///
-    /// This is the drive mode for `workers(0)` handles. With workers running
-    /// it dispatches only while a dispatch slot is free, that is while a
-    /// worker is parked; [`EngineHandle::wait_idle`] is the call that also
-    /// waits for in-flight dispatches.
+    /// This is the drive mode for `workers(0)` handles. Like every path that
+    /// pops the queue it needs a free dispatch slot, so with workers running
+    /// it dispatches only while a worker is parked, and it drains the
+    /// *queue*, not the engine: [`EngineHandle::wait_idle`] is the call that
+    /// also waits for in-flight dispatches.
     pub fn pump_until_idle(&self) -> EngineResult<usize> {
-        self.engine.dispatcher().pump_until_idle()
-    }
-
-    /// Dispatches on the calling thread for at least `duration`, yielding while
-    /// the queue is empty; returns the number of events dispatched here.
-    pub fn run_for(&self, duration: Duration) -> EngineResult<usize> {
-        self.engine.dispatcher().pump_for(duration)
+        Ok(Dispatcher::new(self.engine.core()).drain(None) as usize)
     }
 
     /// Returns once the engine is idle — queue empty and no dispatch in
@@ -197,8 +143,8 @@ impl EngineHandle {
     /// the total number of events dispatched over the runtime's lifetime by
     /// the workers and by threads waiting in [`EngineHandle::wait_idle`],
     /// plus the final drain. Events pumped with
-    /// [`EngineHandle::pump_until_idle`] or [`EngineHandle::run_for`] were
-    /// reported to their caller and are not counted again.
+    /// [`EngineHandle::pump_until_idle`] were reported to their caller and are
+    /// not counted again.
     ///
     /// With `workers(0)` the remaining queue is drained on the calling thread.
     pub fn shutdown(mut self) -> EngineResult<u64> {
@@ -570,8 +516,8 @@ mod tests {
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
 
+        let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
         assert!(publisher
             .publish(EventDraft::new().public_part("type", Value::str("tick")))
             .unwrap());
@@ -600,8 +546,8 @@ mod tests {
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
 
+        let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
         let drafts = vec![
             EventDraft::new().public_part("type", Value::str("tick")),
             EventDraft::new(), // dropped per Table 1
@@ -618,31 +564,6 @@ mod tests {
         handle.pump_until_idle().unwrap();
         assert_eq!(seen.load(Ordering::Relaxed), 2);
         assert_eq!(engine.stats().published(), 2);
-        handle.shutdown().unwrap();
-    }
-
-    #[test]
-    fn handle_publish_batch_shorthand_matches_publisher() {
-        let engine = Engine::builder().batch_size(4).build();
-        let seen = Arc::new(AtomicU64::new(0));
-        engine
-            .register_unit(
-                UnitSpec::new("counter"),
-                Box::new(Counter {
-                    seen: Arc::clone(&seen),
-                }),
-            )
-            .unwrap();
-        let source = engine
-            .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
-            .unwrap();
-        let handle = engine.start();
-        let drafts = (0..8)
-            .map(|_| EventDraft::new().public_part("type", Value::str("tick")))
-            .collect();
-        assert_eq!(handle.publish_batch(source, drafts).unwrap().accepted(), 8);
-        handle.pump_until_idle().unwrap();
-        assert_eq!(seen.load(Ordering::Relaxed), 8);
         handle.shutdown().unwrap();
     }
 
@@ -675,8 +596,8 @@ mod tests {
         let source = engine
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
 
         let drafts = |n: usize| -> Vec<EventDraft> {
             (0..n)
@@ -723,12 +644,13 @@ mod tests {
         let source = engine
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
         for _ in 0..5 {
             let drafts = (0..100)
                 .map(|_| EventDraft::new().public_part("type", Value::str("tick")))
                 .collect();
-            match handle.try_publish_batch(source, drafts).unwrap() {
+            match publisher.try_publish_batch(drafts).unwrap() {
                 crate::admission::TryPublish::Admitted(admission) => {
                     assert_eq!(admission.accepted(), 100)
                 }
@@ -763,7 +685,7 @@ mod tests {
 
         let handle = engine.start();
         assert_eq!(handle.worker_count(), 2);
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         for _ in 0..100 {
             publisher
                 .publish(EventDraft::new().public_part("type", Value::str("tick")))
@@ -851,8 +773,8 @@ mod tests {
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
 
+        let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
         for _ in 0..20 {
             publisher
                 .publish(EventDraft::new().public_part("type", Value::str("tick")))
@@ -912,8 +834,8 @@ mod tests {
         let source = engine
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let mut handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
         let tick = || EventDraft::new().public_part("type", Value::str("tick"));
         assert!(publisher.publish(tick()).unwrap());
         // Stands in for the worker: pops the first event through the worker's
@@ -951,8 +873,8 @@ mod tests {
         let source = engine
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
         let tag = publisher
             .with_context(|ctx| Ok(ctx.create_owned_tag("t")))
             .unwrap();

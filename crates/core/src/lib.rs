@@ -9,7 +9,7 @@
 //! * **Label/tag management** — units create opaque tags through their
 //!   [`UnitContext`]; the engine tracks per-unit input/output labels and
 //!   privileges.
-//! * **Inter-unit communication** — a publish/subscribe [`Dispatcher`] that matches
+//! * **Inter-unit communication** — a publish/subscribe dispatcher that matches
 //!   events against subscriptions, checking the can-flow-to relation per part at
 //!   matching time, and delivers events to units without revealing who else was
 //!   notified.
@@ -29,9 +29,11 @@
 //! # Quick start
 //!
 //! The runtime API follows an [`EngineBuilder`] → [`Engine`] → [`EngineHandle`]
-//! lifecycle: configure, register units, start (optionally with dispatcher
-//! worker threads), publish through typed [`Publisher`] handles, and shut down
-//! gracefully.
+//! lifecycle, one owner per step: the builder configures, the engine owns
+//! units, publishers, swaps and telemetry, and the handle owns the runtime
+//! (its worker threads, driving dispatch, and shutdown). Configure, register
+//! units, start (optionally with dispatcher worker threads), publish through
+//! typed [`Publisher`] handles, and shut down gracefully.
 //!
 //! ```
 //! use defcon_core::{Engine, EngineResult, EventDraft, SecurityMode, Unit, UnitContext, UnitSpec};
@@ -60,8 +62,8 @@
 //!
 //! // Start the runtime and publish from outside (e.g. a market-data feed
 //! // thread) through a typed publisher handle.
+//! let feed = engine.publisher(source).unwrap();
 //! let handle = engine.start();
-//! let feed = handle.publisher(source).unwrap();
 //! feed.publish(
 //!     EventDraft::new()
 //!         .public_part("type", Value::str("greeting"))
@@ -78,7 +80,7 @@
 pub mod admission;
 pub mod builder;
 pub mod context;
-pub mod dispatcher;
+mod dispatcher;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -91,8 +93,7 @@ pub mod unit;
 pub use admission::{Admission, AdmissionCounters, FullQueuePolicy, IngressConfig, TryPublish};
 pub use builder::{auto_worker_count, EngineBuilder};
 pub use context::{DraftEvent, UnitContext};
-pub use dispatcher::Dispatcher;
-pub use engine::{Engine, EngineConfig, EngineStats, QueueStats, RecoveryReport, SecurityMode};
+pub use engine::{Engine, EngineStats, QueueStats, RecoveryReport, SecurityMode};
 pub use error::{EngineError, EngineResult};
 pub use fault::{FaultAction, FaultCounters, FaultPolicy};
 pub use handle::{EngineHandle, EventDraft, Publisher};

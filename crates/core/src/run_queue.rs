@@ -37,7 +37,7 @@
 //!
 //! Queue depth counts external events and *spilled* cascades only. An event a
 //! unit publishes during dispatch normally stays on its dispatcher's own
-//! cascade stack (see [`Dispatcher`](crate::Dispatcher)) and never enters the
+//! cascade stack (see [`Dispatcher`](crate::dispatcher::Dispatcher)) and never enters the
 //! queue: it counts as in flight from publication until its batch settles
 //! ([`BatchGuard::hold`]). Only while a worker is parked
 //! ([`RunQueue::has_waiters`]) *and* a slot is free
@@ -168,12 +168,6 @@ impl RunQueue {
         self.len.load(Ordering::SeqCst) > 0 && self.free_slots.load(Ordering::SeqCst) > 0
     }
 
-    /// Number of internal shards (clamped to the worker count at construction:
-    /// one shard per dispatcher, at least one).
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Events accepted but not yet completed (queued plus in flight) — the
     /// counter idleness is defined over.
     pub(crate) fn pending(&self) -> usize {
@@ -187,8 +181,9 @@ impl RunQueue {
     }
 
     /// Samples every shard's current depth. Each read takes that shard's lock
-    /// briefly; intended for telemetry ([`EngineHandle::queue_stats`]
-    /// (crate::EngineHandle::queue_stats)) and diagnostics, not for hot paths —
+    /// briefly; intended for telemetry
+    /// ([`Engine::queue_stats`](crate::Engine::queue_stats)) and diagnostics,
+    /// not for hot paths —
     /// the hot-path depth signal is the lock-free [`RunQueue::len`].
     pub(crate) fn shard_depths(&self) -> Vec<usize> {
         self.shards.iter().map(|shard| shard.lock().len()).collect()
@@ -543,23 +538,6 @@ impl RunQueue {
                 return 0;
             }
         }
-    }
-
-    /// Parks the caller until work it could take may be available (queued
-    /// events and a free slot) or `max_wait` elapses — the blocking primitive
-    /// behind [`Dispatcher::pump_for`](crate::Dispatcher::pump_for), so polling
-    /// drivers do not spin a core while the queue is empty or every slot is
-    /// held. Parks regardless of the stopping flag (callers exit on
-    /// `stopping && idle` themselves): in-flight dispatches of a stopping queue
-    /// may still publish, and `complete_many` wakes all waiters when a stopping
-    /// queue goes idle.
-    pub(crate) fn park_for_work(&self, max_wait: Duration) {
-        let mut signal = self.signal_lock.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        if !self.has_takeable_work() {
-            self.work_signal.wait_for(&mut signal, max_wait);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Asks consumers to exit once the queue has fully drained. External pushes

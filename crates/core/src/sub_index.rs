@@ -70,9 +70,8 @@
 //!
 //! A dispatcher refreshes its snapshot once per security epoch that reaches a
 //! dispatch: it clones the table's `Arc`s and snapshots each *owner unit*
-//! once, through the dense owner ordinal the table keeps per entry. With the
-//! `subscription_index` knob off the table keeps no index, and the linear scan
-//! skips tombstones. [`IndexCounters`] exposes the refresh count plus per-plan
+//! once, through the dense owner ordinal the table keeps per entry.
+//! [`IndexCounters`] exposes the refresh count plus per-plan
 //! candidate/reject telemetry through `queue_stats()`.
 
 use std::collections::hash_map::DefaultHasher;
@@ -89,12 +88,12 @@ use crate::unit::UnitId;
 /// Telemetry of the subscription index, sampled by `Engine::queue_stats`.
 ///
 /// `candidates` versus the registered subscription count is the sublinearity
-/// check: with the index on, accumulated candidate-set sizes stay proportional
-/// to *matching* subscriptions, not registered ones.
+/// check: accumulated candidate-set sizes stay proportional to *matching*
+/// subscriptions, not registered ones.
 #[derive(Debug, Default)]
 pub(crate) struct IndexCounters {
     /// Candidate subscriptions produced across all indexed plans (accumulated
-    /// candidate-set sizes; the linear scan would have counted every
+    /// candidate-set sizes; a linear scan would have counted every
     /// registered subscription once per event instead).
     pub(crate) candidates: AtomicU64,
     /// Candidates whose exact filter (or flow check) rejected the delivery —
@@ -406,8 +405,7 @@ struct Owner {
 #[derive(Debug)]
 pub(crate) struct SubscriptionTable {
     entries: Entries,
-    /// `None` with the `subscription_index` knob off.
-    index: Option<Arc<SubscriptionIndex>>,
+    index: Arc<SubscriptionIndex>,
     /// Owner units by ordinal; `None` marks a free ordinal.
     owners: Vec<Option<Owner>>,
     ordinals: HashMap<UnitId, u32>,
@@ -424,16 +422,16 @@ pub(crate) struct SubscriptionTable {
 /// What a dispatcher refresh takes from the table under its read lock.
 pub(crate) struct TableSnapshot {
     pub(crate) entries: Entries,
-    pub(crate) index: Option<Arc<SubscriptionIndex>>,
+    pub(crate) index: Arc<SubscriptionIndex>,
     /// Owner units by ordinal; `None` for a free ordinal.
     pub(crate) owners: Vec<Option<UnitId>>,
 }
 
 impl SubscriptionTable {
-    pub(crate) fn new(indexed: bool) -> Self {
+    pub(crate) fn new() -> Self {
         SubscriptionTable {
             entries: Arc::new(Vec::new()),
-            index: indexed.then(Default::default),
+            index: Arc::default(),
             owners: Vec::new(),
             ordinals: HashMap::new(),
             free: Vec::new(),
@@ -451,7 +449,7 @@ impl SubscriptionTable {
     pub(crate) fn snapshot(&self) -> TableSnapshot {
         TableSnapshot {
             entries: Arc::clone(&self.entries),
-            index: self.index.clone(),
+            index: Arc::clone(&self.index),
             owners: self
                 .owners
                 .iter()
@@ -466,9 +464,7 @@ impl SubscriptionTable {
         subscription.filter = self.share(subscription.filter);
         let ordinal = self.ordinal(subscription.owner);
         let position = self.entries.len() as u32;
-        if let Some(index) = &mut self.index {
-            Arc::make_mut(index).insert(position, &subscription.filter);
-        }
+        Arc::make_mut(&mut self.index).insert(position, &subscription.filter);
         self.owners[ordinal as usize]
             .as_mut()
             .expect("mapped ordinals are occupied")
@@ -570,9 +566,7 @@ impl SubscriptionTable {
         let entry = Arc::make_mut(&mut self.entries)[position as usize]
             .take()
             .expect("owned positions are live");
-        if let Some(index) = &mut self.index {
-            Arc::make_mut(index).remove(position, &entry.subscription.filter);
-        }
+        Arc::make_mut(&mut self.index).remove(position, &entry.subscription.filter);
         self.live -= 1;
     }
 
@@ -597,13 +591,11 @@ impl SubscriptionTable {
                 .positions
                 .push(position as u32);
         }
-        if self.index.is_some() {
-            let filters = entries
-                .iter()
-                .flatten()
-                .map(|entry| &*entry.subscription.filter);
-            self.index = Some(Arc::new(SubscriptionIndex::build(filters)));
-        }
+        let filters = entries
+            .iter()
+            .flatten()
+            .map(|entry| &*entry.subscription.filter);
+        self.index = Arc::new(SubscriptionIndex::build(filters));
         self.filters
             .retain(|_, filter| Arc::strong_count(filter) > 1);
     }
@@ -874,7 +866,7 @@ mod tests {
         // filters in order.
         let filters = mixed_filters();
         let events = mixed_events();
-        let mut table = SubscriptionTable::new(true);
+        let mut table = SubscriptionTable::new();
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut below = |bound: u64| {
             state ^= state << 13;
@@ -907,7 +899,7 @@ mod tests {
                 }
             }
             let snapshot = table.snapshot();
-            let index = snapshot.index.as_ref().expect("indexed table");
+            let index = &*snapshot.index;
             let live: Vec<(u32, &Filter)> = snapshot
                 .entries
                 .iter()
@@ -978,7 +970,7 @@ mod tests {
     #[test]
     fn equal_filters_share_one_allocation() {
         use crate::unit::{NullUnit, Unit};
-        let mut table = SubscriptionTable::new(true);
+        let mut table = SubscriptionTable::new();
         let (a, b) = (UnitId::from_raw(1), UnitId::from_raw(2));
         let list = || Value::List([Value::Int(1), Value::str("a")].into_iter().collect());
         let filters = [
@@ -1014,7 +1006,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_shared_filters_no_subscription_holds() {
-        let mut table = SubscriptionTable::new(true);
+        let mut table = SubscriptionTable::new();
         let kept = UnitId::from_raw(1);
         table.push(Subscription::direct(kept, Filter::for_type("kept")));
         for n in 0..40 {

@@ -100,7 +100,7 @@ fn publish_batch_order_is_preserved_with_a_single_worker() {
             .unwrap();
 
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         const TOTAL: i64 = 20 * 8;
         for batch in 0..20 {
             let drafts = (0..8).map(|i| tick_draft(batch * 8 + i)).collect();
@@ -186,7 +186,7 @@ fn batch_size_does_not_change_single_threaded_results() {
             .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
             .unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         for batch in 0..10 {
             let drafts = (0..7).map(|i| tick_draft(batch * 7 + i)).collect();
             let _ = publisher.publish_batch(drafts).unwrap();
@@ -336,7 +336,7 @@ fn publish_batch_racing_shutdown_is_exact() {
             .unwrap();
 
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let accepted = Arc::new(AtomicUsize::new(0));
         let driver = {
             let accepted = Arc::clone(&accepted);
@@ -411,7 +411,7 @@ fn run_roots(
         .unwrap();
     let handle = engine.start();
     let count = roots.len();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     assert_eq!(publisher.publish_batch(roots).unwrap().accepted(), count);
     if wait {
         assert!(handle.wait_idle(Duration::from_secs(30)));
@@ -508,7 +508,7 @@ fn a_waiting_thread_keeps_its_cascades_in_preorder_at_one_worker() {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     let mut expected = Vec::new();
     for round in 0..ROUNDS {
         let (first, second) = (2 * round, 2 * round + 1);
@@ -888,7 +888,7 @@ fn a_parked_worker_takes_spilled_cascades() {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     // The other worker must be parked when the root's dispatch ends; one
     // still starting up is given further roots.
     let spread = || threads.lock().values().any(|seen| seen.len() == 2);

@@ -100,7 +100,7 @@ fn check_delivery_invariants(
     let threads: Vec<_> = sources
         .iter()
         .map(|&source| {
-            let publisher = handle.publisher(source).unwrap();
+            let publisher = engine.publisher(source).unwrap();
             let batch = batch_size;
             let total = events_each;
             std::thread::spawn(move || {

@@ -1326,84 +1326,76 @@ fn equal_filters_are_evaluated_once_and_charged_as_often_as_they_occur() {
     //   pub4  public       as pub3                     ->   delivered, 1 reject
     //
     // that is 4 label rejections and 6 deliveries per event, in that
-    // order. The shared filter's memo must reproduce exactly
+    // order, out of 8 index candidates, of which pub1 and pub2 fail the
+    // exact match. The shared filter's memo must reproduce exactly
     // this: pub2 repeats pub1's rejection, and the stamper's part flips
     // pub3 and pub4, which pub1's remembered verdict must not answer.
-    for indexed in [true, false] {
-        let handle = Engine::builder()
-            .mode(SecurityMode::LabelsFreezeIsolation)
-            .workers(0)
-            .batch_size(8)
-            .subscription_index(indexed)
-            .start();
-        let engine = handle.engine();
-        let log = DeliveryLog::default();
-        let source = engine
-            .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
-            .unwrap();
-        let feed = engine.publisher(source).unwrap();
-        let s = feed
-            .with_context(|ctx| Ok(ctx.create_owned_tag("s")))
-            .unwrap();
-        let secret = Label::confidential(TagSet::singleton(s));
-        let body_filter = || Filter::for_type("tick").where_exists("body");
-        let register = |spec: UnitSpec, unit: Box<dyn Unit>| {
-            engine.register_unit(spec, unit).unwrap();
-        };
-        let tally = |name: &'static str, input: &Label| {
-            register(
-                UnitSpec::new(name).with_input_label(input.clone()),
-                Box::new(Tally::new(name, Some(body_filter()), &log)),
-            );
-        };
-        let public = Label::public();
-        tally("pub1", &public);
-        tally("sec1", &secret);
-        tally("pub2", &public);
+    let handle = Engine::builder()
+        .mode(SecurityMode::LabelsFreezeIsolation)
+        .workers(0)
+        .batch_size(8)
+        .start();
+    let engine = handle.engine();
+    let log = DeliveryLog::default();
+    let source = engine
+        .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
+        .unwrap();
+    let feed = engine.publisher(source).unwrap();
+    let s = feed
+        .with_context(|ctx| Ok(ctx.create_owned_tag("s")))
+        .unwrap();
+    let secret = Label::confidential(TagSet::singleton(s));
+    let body_filter = || Filter::for_type("tick").where_exists("body");
+    let register = |spec: UnitSpec, unit: Box<dyn Unit>| {
+        engine.register_unit(spec, unit).unwrap();
+    };
+    let tally = |name: &'static str, input: &Label| {
         register(
-            UnitSpec::new("mgd"),
-            Box::new(ManagedTally {
-                name: "mgd",
-                filter: body_filter(),
-                panics: 0,
-                log: Arc::clone(&log),
-            }),
+            UnitSpec::new(name).with_input_label(input.clone()),
+            Box::new(Tally::new(name, Some(body_filter()), &log)),
         );
-        let mut stamper = Tally::new("stamp", Some(Filter::for_type("tick")), &log);
-        stamper.add_body = true;
-        register(UnitSpec::new("stamp"), Box::new(stamper));
-        tally("pub3", &public);
-        tally("sec2", &secret);
-        tally("pub4", &public);
+    };
+    let public = Label::public();
+    tally("pub1", &public);
+    tally("sec1", &secret);
+    tally("pub2", &public);
+    register(
+        UnitSpec::new("mgd"),
+        Box::new(ManagedTally {
+            name: "mgd",
+            filter: body_filter(),
+            panics: 0,
+            log: Arc::clone(&log),
+        }),
+    );
+    let mut stamper = Tally::new("stamp", Some(Filter::for_type("tick")), &log);
+    stamper.add_body = true;
+    register(UnitSpec::new("stamp"), Box::new(stamper));
+    tally("pub3", &public);
+    tally("sec2", &secret);
+    tally("pub4", &public);
 
-        for seq in 0..2 {
-            feed.publish(
-                EventDraft::new()
-                    .public_part("type", Value::str("tick"))
-                    .part("body", secret.clone(), Value::Int(seq))
-                    .public_part("seq", Value::Int(seq)),
-            )
-            .unwrap();
-        }
-        assert_eq!(handle.pump_until_idle().unwrap(), 2);
-
-        let order = ["sec1", "mgd", "stamp", "pub3", "sec2", "pub4"];
-        let expected: Vec<_> = (0..2)
-            .flat_map(|seq| order.iter().map(move |&name| (name, seq)))
-            .collect();
-        assert_eq!(*log.lock(), expected, "indexed={indexed}");
-        assert_eq!(
-            engine.stats().label_rejections(),
-            2 * 4,
-            "indexed={indexed}"
-        );
-        assert_eq!(engine.stats().deliveries(), 2 * 6, "indexed={indexed}");
-        if indexed {
-            let stats = engine.queue_stats();
-            assert_eq!(stats.index_candidates, 2 * 8);
-            assert_eq!(stats.index_exact_rejects, 2 * 2);
-        }
+    for seq in 0..2 {
+        feed.publish(
+            EventDraft::new()
+                .public_part("type", Value::str("tick"))
+                .part("body", secret.clone(), Value::Int(seq))
+                .public_part("seq", Value::Int(seq)),
+        )
+        .unwrap();
     }
+    assert_eq!(handle.pump_until_idle().unwrap(), 2);
+
+    let order = ["sec1", "mgd", "stamp", "pub3", "sec2", "pub4"];
+    let expected: Vec<_> = (0..2)
+        .flat_map(|seq| order.iter().map(move |&name| (name, seq)))
+        .collect();
+    assert_eq!(*log.lock(), expected);
+    assert_eq!(engine.stats().label_rejections(), 2 * 4);
+    assert_eq!(engine.stats().deliveries(), 2 * 6);
+    let stats = engine.queue_stats();
+    assert_eq!(stats.index_candidates, 2 * 8);
+    assert_eq!(stats.index_exact_rejects, 2 * 2);
 }
 
 #[test]
@@ -1508,7 +1500,7 @@ fn label_checks_hold_under_concurrent_dispatch() {
             .iter()
             .enumerate()
             .map(|(i, &source)| {
-                let publisher = handle.publisher(source).unwrap();
+                let publisher = engine.publisher(source).unwrap();
                 std::thread::spawn(move || {
                     // Each driver confines its order bodies under its own tag.
                     let tag = publisher
@@ -1618,7 +1610,7 @@ fn managed_handlers_instantiating_units_under_workers_register_only_the_children
         .iter()
         .enumerate()
         .map(|(i, &source)| {
-            let publisher = handle.publisher(source).unwrap();
+            let publisher = engine.publisher(source).unwrap();
             std::thread::spawn(move || {
                 for n in 0..100u64 {
                     // A fresh tag per order: every event demands a new managed
@@ -1652,7 +1644,7 @@ fn managed_handlers_instantiating_units_under_workers_register_only_the_children
 }
 
 #[test]
-fn run_for_drives_dispatch_against_live_publishers() {
+fn wait_idle_drives_dispatch_against_live_publishers() {
     let handle = Engine::builder().mode(SecurityMode::LabelsFreeze).start();
     let engine = handle.engine();
     let (recorder, received, _) = Recorder::new(Filter::for_type("tick"));
@@ -1662,7 +1654,7 @@ fn run_for_drives_dispatch_against_live_publishers() {
     let source = engine
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
 
     let driver = std::thread::spawn(move || {
         for _ in 0..50 {
@@ -1672,9 +1664,11 @@ fn run_for_drives_dispatch_against_live_publishers() {
             std::thread::sleep(Duration::from_millis(1));
         }
     });
-    // run_for keeps pumping while the driver publishes from another thread.
+    // wait_idle dispatches on this thread while the driver publishes from
+    // another.
     while received.load(Ordering::Relaxed) < 50 {
-        handle.run_for(Duration::from_millis(20)).unwrap();
+        assert!(handle.wait_idle(Duration::from_secs(30)));
+        std::thread::sleep(Duration::from_millis(1));
     }
     driver.join().unwrap();
     assert_eq!(received.load(Ordering::Relaxed), 50);
@@ -1716,7 +1710,7 @@ fn shutdown_waits_for_cascading_publications() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     for _ in 0..200 {
         publisher
             .publish(EventDraft::new().public_part("type", Value::str("tick")))
@@ -1747,7 +1741,7 @@ fn wait_idle_drains_a_cascade_without_workers() {
     let source = engine
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
-    handle
+    engine
         .publisher(source)
         .unwrap()
         .publish(EventDraft::new().public_part("type", Value::str("tick")))
@@ -1792,7 +1786,7 @@ fn mid_burst_shutdown_drains_cascades_and_rejects_late_publishes_loudly() {
             .unwrap();
 
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         for _ in 0..200 {
             publisher.publish(tick()).unwrap();
         }

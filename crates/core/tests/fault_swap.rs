@@ -111,11 +111,11 @@ fn publisher_rebinds_transparently_across_a_swap_of_its_unit() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     assert!(publisher.publish(tick()).unwrap());
 
     // Swap the *publishing* unit out from under its long-lived publisher.
-    assert_eq!(handle.swap_unit(source, Box::new(NullUnit)).unwrap(), 2);
+    assert_eq!(engine.swap_unit(source, Box::new(NullUnit)).unwrap(), 2);
 
     // Same publisher, no re-resolution by the caller: both paths must land.
     assert!(publisher.publish(tick()).unwrap());
@@ -147,7 +147,7 @@ fn publisher_to_a_removed_unit_still_fails_loudly() {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     assert!(publisher.publish(tick()).unwrap());
     engine.remove_unit(source).unwrap();
     let result = publisher.publish(tick());
@@ -167,7 +167,7 @@ fn quarantined_unit_refuses_publishes_until_swapped() {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     assert!(publisher.publish(tick()).unwrap());
 
     engine.quarantine_unit(source).unwrap();
@@ -224,7 +224,7 @@ fn auto_swap_replaces_a_panicking_unit_within_the_fault_window() {
     let handle = engine.start();
     {
         let standby_ok = Arc::clone(&standby_ok);
-        handle
+        engine
             .set_standby(
                 target,
                 Box::new(move || {
@@ -236,7 +236,7 @@ fn auto_swap_replaces_a_panicking_unit_within_the_fault_window() {
             .unwrap();
     }
 
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     const TOTAL: u64 = 10;
     for _ in 0..TOTAL {
         publisher.publish(tick()).unwrap();
@@ -292,7 +292,7 @@ fn quarantine_policy_sheds_the_remaining_stream_with_exact_accounting() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     const TOTAL: u64 = 10;
     for _ in 0..TOTAL {
         publisher.publish(tick()).unwrap();
@@ -325,7 +325,7 @@ fn quarantine_policy_sheds_the_remaining_stream_with_exact_accounting() {
     );
 
     // The quarantined unit also refuses direct publishes.
-    let poisoned = handle.publisher(target).unwrap();
+    let poisoned = engine.publisher(target).unwrap();
     let result = poisoned.publish(tick());
     assert!(
         matches!(result, Err(EngineError::UnitQuarantined(_))),
@@ -358,7 +358,7 @@ fn auto_swap_without_a_standby_falls_back_to_quarantine() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     for _ in 0..5 {
         publisher.publish(tick()).unwrap();
     }
@@ -403,7 +403,7 @@ fn panics_outside_the_window_do_not_trip_the_policy() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     const TOTAL: u64 = 40;
     for _ in 0..TOTAL {
         publisher.publish(tick()).unwrap();
@@ -459,7 +459,7 @@ fn a_fault_trip_mid_batch_applies_to_the_rest_of_the_batch() {
         }
 
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let drafts = (0..8)
             .map(|seq| tick().public_part("seq", Value::Int(seq)))
             .collect();

@@ -54,7 +54,7 @@ fn deployment() -> (Engine, EngineHandle, UnitId, Publisher) {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let feed = handle.publisher(feed).unwrap();
+    let feed = engine.publisher(feed).unwrap();
     (engine, handle, reader, feed)
 }
 
@@ -210,7 +210,7 @@ fn a_managed_owners_new_privilege_reaches_the_next_handler_instance() {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let feed = handle.publisher(feed).unwrap();
+    let feed = engine.publisher(feed).unwrap();
 
     // A first order caches the batch context.
     feed.publish(EventDraft::new().public_part("type", Value::str("order")))

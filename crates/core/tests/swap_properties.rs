@@ -139,7 +139,7 @@ fn check_swap_invariants(
 
     std::thread::scope(|scope| {
         for (p, &source) in sources.iter().enumerate() {
-            let publisher = handle.publisher(source).unwrap();
+            let publisher = engine.publisher(source).unwrap();
             scope.spawn(move || {
                 let base = p as u64 * EVENTS_EACH;
                 let mut next = base;
@@ -160,11 +160,11 @@ fn check_swap_invariants(
         // The racing swapper: replacement k carries incarnation k + 2 and the
         // engine must assign exactly that version.
         let swap_ledger = Arc::clone(&ledger);
-        let handle_ref = &handle;
+        let engine = &engine;
         scope.spawn(move || {
             for k in 0..swaps {
                 std::thread::sleep(std::time::Duration::from_micros(spacing_us));
-                let version = handle_ref
+                let version = engine
                     .swap_unit(
                         target,
                         Box::new(VersionedProbe {
@@ -259,7 +259,6 @@ fn swap_unit_migrates_index_entries_under_the_epoch_bump() {
         .mode(SecurityMode::LabelsFreeze)
         .workers(0)
         .batch_size(4)
-        .subscription_index(true)
         .build();
     let ledger = Arc::new(SwapLedger::new((BEFORE + AFTER) as usize));
     let target = engine
@@ -276,7 +275,7 @@ fn swap_unit_migrates_index_entries_under_the_epoch_bump() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     for seq in 0..BEFORE {
         publisher.publish(tick_draft(seq as i64)).unwrap();
     }
@@ -284,7 +283,7 @@ fn swap_unit_migrates_index_entries_under_the_epoch_bump() {
     let rebuilds_before_swap = engine.queue_stats().index_rebuilds;
     assert!(
         rebuilds_before_swap > 0,
-        "pumping with the index on must have built it"
+        "pumping must have built the index"
     );
     assert_eq!(
         ledger.last_version.load(Ordering::SeqCst),
@@ -292,7 +291,7 @@ fn swap_unit_migrates_index_entries_under_the_epoch_bump() {
         "pre-swap events belong to incarnation 1"
     );
 
-    let version = handle
+    let version = engine
         .swap_unit(
             target,
             Box::new(VersionedProbe {
@@ -378,7 +377,7 @@ fn single_worker_fifo_order_is_preserved_across_the_swap_boundary() {
         .unwrap();
 
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     for batch in 0..20i64 {
         let drafts = (0..8).map(|i| tick_draft(batch * 8 + i)).collect();
         let _ = publisher.publish_batch(drafts).unwrap();
@@ -394,7 +393,7 @@ fn single_worker_fifo_order_is_preserved_across_the_swap_boundary() {
                 std::thread::sleep(std::time::Duration::from_micros(50));
             }
             // Mid-stream swap while the worker is draining earlier batches.
-            let version = handle
+            let version = engine
                 .swap_unit(
                     target,
                     Box::new(OrderProbe {

@@ -66,12 +66,12 @@ fn fixed_pools_never_change_their_activation() {
         .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
         .unwrap();
     let handle = engine.start();
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
     for _ in 0..64 {
         let _ = publisher.publish_batch(tick_batch(32)).unwrap();
     }
     assert!(handle.wait_idle(Duration::from_secs(30)));
-    let stats = handle.queue_stats();
+    let stats = engine.queue_stats();
     assert_eq!(handle.worker_count(), 2);
     assert_eq!(stats.shard_depths.len(), 2);
     assert_eq!(stats.workers_high_water, 2);
@@ -114,16 +114,16 @@ fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
     let handle = engine.start();
     assert_eq!(handle.worker_count(), WORKERS);
     assert_eq!(
-        handle.queue_stats().shard_depths.len(),
+        engine.queue_stats().shard_depths.len(),
         WORKERS,
         "one shard per worker"
     );
-    let publisher = handle.publisher(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
 
     let mut published = 0u64;
     let mut bursts = 0;
     let fired = |stats: &QueueStats| stats.sched_steals > 0 && stats.sched_snapshot_hits > 0;
-    while bursts < MAX_BURSTS && !fired(&handle.queue_stats()) {
+    while bursts < MAX_BURSTS && !fired(&engine.queue_stats()) {
         for _ in 0..RUNS_PER_BURST {
             published += publisher.publish_batch(tick_batch(RUN)).unwrap().accepted() as u64;
         }
@@ -133,7 +133,7 @@ fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
         );
         bursts += 1;
     }
-    let stats = handle.queue_stats();
+    let stats = engine.queue_stats();
     assert!(
         fired(&stats),
         "after {bursts} bursts: steals={} snapshot_hits={}",
@@ -218,7 +218,7 @@ fn waiting_threads_dispatch_only_in_a_free_slot() {
             .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
             .unwrap();
         let handle = engine.start();
-        let publisher = handle.publisher(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let published = AtomicBool::new(false);
         std::thread::scope(|scope| {
             scope.spawn(|| {

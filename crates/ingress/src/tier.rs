@@ -83,7 +83,7 @@ impl IngressTier {
 
     /// Opens a logical publisher session publishing *as* `unit`, assigned to
     /// an executor thread round-robin. Fails like
-    /// [`Engine::publisher`](defcon_core::EngineHandle::publisher) when the
+    /// [`Engine::publisher`](defcon_core::Engine::publisher) when the
     /// unit is unknown or not startable.
     pub fn session(&self, unit: UnitId) -> EngineResult<SessionHandle> {
         let publisher = self.engine.publisher(unit)?;

@@ -347,9 +347,9 @@ impl TradingPlatform {
     /// every watcher's filter carries a string-equality clause on the tick's
     /// `symbol` part, so the engine's subscription index resolves each tick
     /// to one symbol's watcher list instead of evaluating every registered
-    /// watcher, while the linear scan pays the full population per tick.
-    /// Watchers are inert (they never order, publish or augment), so
-    /// registering thousands changes planning cost and nothing else.
+    /// watcher, as a linear scan would per tick. Watchers are inert (they
+    /// never order, publish or augment), so registering thousands changes
+    /// planning cost and nothing else.
     pub fn register_audit_watchers(&self, watchers: usize) -> EngineResult<Arc<AtomicU64>> {
         let universe = SymbolUniverse::standard(self.config.symbols);
         let received = Arc::new(AtomicU64::new(0));

@@ -100,7 +100,7 @@ fn main() -> EngineResult<()> {
         ("patient-C", 88.0),
     ] {
         let monitor = engine.register_unit(UnitSpec::new("ward-monitor"), Box::new(NullUnit))?;
-        let publisher = handle.publisher(monitor)?;
+        let publisher = engine.publisher(monitor)?;
         publisher.with_context(|ctx| {
             let tag = ctx.create_owned_tag(format!("s-{patient}"));
             let draft = ctx.create_event();

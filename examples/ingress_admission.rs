@@ -79,7 +79,7 @@ fn main() {
     println!("== direct (unbounded) publish path, {events} events ==");
     let (engine, source, delivered) = slow_engine(None);
     let handle = engine.start();
-    let publisher = handle.publisher(source).expect("publisher");
+    let publisher = engine.publisher(source).expect("publisher");
     let (mut published, mut peak) = (0u64, 0usize);
     for burst in bursts(events) {
         let admission = publisher.publish_batch(burst).expect("engine running");

@@ -41,9 +41,9 @@ pub use defcon_workload as workload;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use defcon_core::{
-        auto_worker_count, Admission, Engine, EngineBuilder, EngineConfig, EngineError,
-        EngineHandle, EngineResult, EventDraft, FullQueuePolicy, IngressConfig, Publisher,
-        QueueStats, SecurityMode, TryPublish, Unit, UnitContext, UnitId, UnitSpec,
+        auto_worker_count, Admission, Engine, EngineBuilder, EngineError, EngineHandle,
+        EngineResult, EventDraft, FullQueuePolicy, IngressConfig, Publisher, QueueStats,
+        SecurityMode, TryPublish, Unit, UnitContext, UnitId, UnitSpec,
     };
     pub use defcon_defc::{Component, Label, Privilege, PrivilegeKind, Tag, TagSet};
     pub use defcon_events::{Event, EventBuilder, Filter, Predicate, Value, ValueList, ValueMap};

@@ -143,7 +143,7 @@ fn prelude_covers_the_common_api_surface() {
         .register_unit(UnitSpec::new("u"), Box::new(defcon::core::unit::NullUnit))
         .unwrap();
     let handle: EngineHandle = engine.start();
-    let publisher: Publisher = handle.publisher(unit).unwrap();
+    let publisher: Publisher = engine.publisher(unit).unwrap();
     let tag = publisher
         .with_context(|ctx| Ok(ctx.create_owned_tag("t")))
         .unwrap();
