@@ -156,21 +156,16 @@ pub struct IngressConfig {
     pub credit_window: usize,
     /// What happens when a session's window is full (see [`FullQueuePolicy`]).
     pub policy: FullQueuePolicy,
-    /// OS threads the ingress executor drives sessions on (at least 1); many
-    /// logical sessions multiplex onto each thread.
-    pub executor_threads: usize,
 }
 
 impl IngressConfig {
     /// An ingress configuration bounding run-queue depth at `queue_bound`,
-    /// with the default credit window (64), the `Block` policy and one
-    /// executor thread.
+    /// with the default credit window (64) and the `Block` policy.
     pub fn new(queue_bound: usize) -> Self {
         IngressConfig {
             queue_bound: queue_bound.max(1),
             credit_window: 64,
             policy: FullQueuePolicy::Block,
-            executor_threads: 1,
         }
     }
 
@@ -183,12 +178,6 @@ impl IngressConfig {
     /// Sets the full-queue policy.
     pub fn policy(mut self, policy: FullQueuePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the executor thread count (clamped to at least 1).
-    pub fn executor_threads(mut self, threads: usize) -> Self {
-        self.executor_threads = threads.max(1);
         self
     }
 }
@@ -279,12 +268,10 @@ mod tests {
     fn ingress_config_clamps_and_chains() {
         let config = IngressConfig::new(0)
             .credit_window(0)
-            .policy(FullQueuePolicy::ShedOldest)
-            .executor_threads(0);
+            .policy(FullQueuePolicy::ShedOldest);
         assert_eq!(config.queue_bound, 1);
         assert_eq!(config.credit_window, 1);
         assert_eq!(config.policy, FullQueuePolicy::ShedOldest);
-        assert_eq!(config.executor_threads, 1);
     }
 
     #[test]

@@ -946,10 +946,23 @@ impl Engine {
     /// Blocks until queued depth drops below `target`, the runtime stops, or
     /// `timeout` elapses; returns `true` when depth is below `target` (or the
     /// queue is stopping — a stopping queue drains, so blocked admitters must
-    /// not wait out their full timeout). This is the drain-side depth signal
-    /// `Block`-policy ingress sessions park on instead of spinning.
+    /// not wait out their full timeout). A publisher refused by the queue
+    /// bound parks here instead of spinning.
     pub fn wait_queue_depth_below(&self, target: usize, timeout: Duration) -> bool {
         self.core.run_queue.wait_depth_below(target, timeout)
+    }
+
+    /// Blocks until [`Engine::dequeued`] reaches `target` or the queue is
+    /// empty, or `timeout` elapses (a timeout too large for the clock never
+    /// does); returns whether either holds. With `target` a watermark sampled
+    /// as `queue_depth() + dequeued()`, the wait ends once every event queued
+    /// at that instant has left the queue; an empty queue proves it too, as a
+    /// publish racing shutdown withdraws events without popping them. Every
+    /// pop wakes the waiter, so an ingress session waits for its credits on
+    /// dispatch progress, not on a timer.
+    pub fn wait_dequeued(&self, target: u64, timeout: Duration) -> bool {
+        let queue = &self.core.run_queue;
+        queue.wait_on_depth_signal(|| queue.popped() >= target || queue.len() == 0, timeout)
     }
 
     /// Returns the configured dispatch batch size (at least 1).

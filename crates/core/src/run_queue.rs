@@ -93,12 +93,13 @@ pub(crate) struct RunQueue {
     /// Signalled when the queue becomes fully idle, or a slot is given back
     /// over queued work.
     idle_signal: Condvar,
-    /// Blocked admitters (ingress publishers waiting for queued depth to
-    /// drop) currently parked on `depth_signal`; lets the hot pop path skip
-    /// the signal lock when nobody is watching depth.
+    /// Threads waiting for queued depth to drop or for pops to reach a
+    /// watermark (ingress sessions awaiting room or credit), currently parked
+    /// on `depth_signal`; lets the hot pop path skip the signal lock when
+    /// nobody is watching.
     depth_waiters: AtomicUsize,
-    /// Signalled when queued depth drops (events popped for dispatch) — the
-    /// drain-side sampling hook bounded admission parks on.
+    /// Signalled when queued depth drops (events popped for dispatch or
+    /// withdrawn) and when the queue starts stopping.
     depth_signal: Condvar,
 }
 
@@ -126,15 +127,16 @@ impl RunQueue {
     }
 
     /// Number of events currently queued (not counting in-flight dispatches).
+    /// SeqCst, like `popped`, for the depth waiters' re-check.
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.len.load(Ordering::SeqCst)
     }
 
     /// Events popped off the queue so far. Read *after* [`RunQueue::len`],
     /// `popped + len` never undercounts: a pop raises `popped` before it
     /// releases the lower `len`.
     pub(crate) fn popped(&self) -> u64 {
-        self.popped.load(Ordering::Acquire)
+        self.popped.load(Ordering::SeqCst)
     }
 
     /// Whether a consumer is parked (or about to park) waiting for work.
@@ -291,6 +293,11 @@ impl RunQueue {
                         self.len.fetch_sub(withdrawn, Ordering::SeqCst);
                     }
                 }
+                // Withdrawn events leave the queue without a pop; a thread
+                // waiting for the queue to empty must still hear of it.
+                if withdrawn > 0 {
+                    self.note_depth_drop();
+                }
                 self.complete_many(withdrawn);
                 let accepted = n - withdrawn;
                 if accepted > 0 {
@@ -340,10 +347,10 @@ impl RunQueue {
     }
 
     /// Wakes parked consumers after `inserted` events were enqueued. SeqCst
-    /// pairs with the waiter registration in [`RunQueue::next_batch`]: either
-    /// this load sees the registered waiter (and we wake it), or the waiter's
-    /// pre-sleep `len` recheck — sequenced after its registration — sees our
-    /// insert and never parks.
+    /// pairs with the waiter registrations in [`RunQueue::next_batch`] and
+    /// [`RunQueue::wait_idle`]: either these loads see the registered waiter
+    /// (and we wake it), or the waiter's pre-sleep `len` recheck — sequenced
+    /// after its registration — sees our insert and never parks.
     fn wake_consumers(&self, inserted: usize) {
         if self.waiters.load(Ordering::SeqCst) > 0 {
             let _signal = self.signal_lock.lock();
@@ -354,6 +361,14 @@ impl RunQueue {
             } else {
                 self.work_signal.notify_one();
             }
+        } else if self.idle_waiters.load(Ordering::SeqCst) > 0 {
+            // No worker is parked, so a thread waiting for idleness is the one
+            // to dispatch this (at `workers(0)` the only one). It may have
+            // seen the insert's `pending` rise but not yet its `len` and
+            // parked on "in flight"; without this wake it would sleep out its
+            // whole timeout.
+            let _signal = self.signal_lock.lock();
+            self.idle_signal.notify_all();
         }
     }
 
@@ -387,11 +402,13 @@ impl RunQueue {
             }
             let take = queue.len().min(max);
             out.extend(queue.drain(..take));
-            // Raised before `len` falls (see `popped`).
-            self.popped.fetch_add(take as u64, Ordering::Relaxed);
+            // Raised before `len` falls (see `popped`). Both are SeqCst so
+            // that they pair with a depth waiter's registration (see
+            // `wait_on_depth_signal`), as `wake_consumers` pairs a push.
+            self.popped.fetch_add(take as u64, Ordering::SeqCst);
             // Decremented while the shard lock is held so `len` can never lag
             // a concurrent pop and wrap below zero.
-            self.len.fetch_sub(take, Ordering::AcqRel);
+            self.len.fetch_sub(take, Ordering::SeqCst);
             drop(queue);
             if offset > 0 {
                 self.steals.fetch_add(1, Ordering::Relaxed);
@@ -402,9 +419,9 @@ impl RunQueue {
         0
     }
 
-    /// Wakes admitters parked on the depth signal after queued depth dropped.
-    /// One relaxed-ish atomic load on the hot pop path when nobody is
-    /// watching; waiters re-check their own depth condition after waking.
+    /// Wakes threads parked on the depth signal after queued depth dropped.
+    /// One atomic load on the hot pop path when nobody is watching; waiters
+    /// re-check their own condition after waking.
     fn note_depth_drop(&self) {
         if self.depth_waiters.load(Ordering::SeqCst) > 0 {
             let _signal = self.signal_lock.lock();
@@ -416,29 +433,38 @@ impl RunQueue {
     /// stopping, or `timeout` elapses; returns `true` when depth is below
     /// `target` or the queue is stopping (a stopping queue drains, so blocked
     /// admitters should bail out rather than wait out the timeout).
-    ///
-    /// Each park is additionally bounded (1 ms slices) so the rare missed
-    /// wakeup — a pop's waiter check racing this thread's registration —
-    /// costs a bounded delay, never a hang.
     pub(crate) fn wait_depth_below(&self, target: usize, timeout: Duration) -> bool {
-        const WAIT_SLICE: Duration = Duration::from_millis(1);
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.len() < target || self.is_stopping() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
+        self.wait_on_depth_signal(|| self.len() < target || self.is_stopping(), timeout)
+    }
+
+    /// Parks on the depth signal until `ready` holds or `timeout` elapses
+    /// (a timeout too large for an `Instant` never elapses); returns `ready`.
+    ///
+    /// No wake is lost: a waiter registers (SeqCst) before it re-checks
+    /// `ready`, and a pop raises `popped` and lowers `len` (SeqCst) before it
+    /// loads the waiter count, so either the pop sees the waiter and
+    /// notifies, or the re-check sees the pop. Withdrawals and `stop` notify
+    /// too; the 1 ms slice per park is a backstop only.
+    pub(crate) fn wait_on_depth_signal(&self, ready: impl Fn() -> bool, timeout: Duration) -> bool {
+        const BACKSTOP_SLICE: Duration = Duration::from_millis(1);
+        let deadline = Instant::now().checked_add(timeout);
+        while !ready() {
+            let slice = match deadline {
+                Some(deadline) => deadline.saturating_duration_since(Instant::now()),
+                None => BACKSTOP_SLICE,
+            };
+            if slice.is_zero() {
                 return false;
             }
             let mut signal = self.signal_lock.lock();
             self.depth_waiters.fetch_add(1, Ordering::SeqCst);
-            if self.len.load(Ordering::SeqCst) >= target && !self.is_stopping() {
+            if !ready() {
                 self.depth_signal
-                    .wait_for(&mut signal, (deadline - now).min(WAIT_SLICE));
+                    .wait_for(&mut signal, slice.min(BACKSTOP_SLICE));
             }
             self.depth_waiters.fetch_sub(1, Ordering::SeqCst);
         }
+        true
     }
 
     /// Marks one popped event's dispatch as finished.

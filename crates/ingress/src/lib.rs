@@ -1,24 +1,26 @@
-//! `defcon-ingress`: a credit-gated async ingress tier for the DEFCon engine.
+//! `defcon-ingress`: a credit-gated ingress tier for the DEFCon engine.
 //!
 //! The batched publish path ([`Publisher::publish_batch`]) is synchronous and
 //! unbounded: a flood of publishers facing a slow consumer grows the run
 //! queue to arbitrary depth (the `ingress_admission` example shows it). This
 //! crate adds the SEDA-style admission stage in front of it:
 //!
-//! * an [`IngressTier`] owns a small band of executor threads — a minimal
-//!   poll-based reactor shim (no async-runtime dependency, no `unsafe`) — and
-//!   multiplexes N logical publisher [`SessionHandle`]s across them;
+//! * an [`IngressTier`] opens N logical publisher [`SessionHandle`]s over one
+//!   engine; a session runs on the thread that submits to it, so an event
+//!   crosses no thread on its way to the run queue;
 //! * each session holds a **credit window**
 //!   ([`IngressConfig::credit_window`]): at most that many of its events may
-//!   be buffered or queued-but-undrained at once, and credits replenish only
-//!   as the session observes its events drain through dispatch;
-//! * sessions drain onto the engine through the *bounded*
+//!   be buffered or queued-but-undrained at once, and credits return as the
+//!   session observes its events leave the queue through dispatch;
+//! * sessions publish through the *bounded*
 //!   [`Publisher::try_publish_batch`] path, so the run queue holds the
 //!   configured [`IngressConfig::queue_bound`] no matter how many sessions
 //!   feed it;
-//! * when a window fills, the configured [`FullQueuePolicy`] decides between
-//!   backpressure ([`Block`](FullQueuePolicy::Block)) and load-shedding
-//!   ([`ShedNewest`](FullQueuePolicy::ShedNewest) /
+//! * when a window or the queue is full, the configured [`FullQueuePolicy`]
+//!   decides between backpressure ([`Block`](FullQueuePolicy::Block): the
+//!   submitter waits on dispatch progress through
+//!   [`Engine::wait_dequeued`](defcon_core::Engine::wait_dequeued)) and
+//!   load-shedding ([`ShedNewest`](FullQueuePolicy::ShedNewest) /
 //!   [`ShedOldest`](FullQueuePolicy::ShedOldest)), with every shed event and
 //!   credit stall counted on the engine's admission ledger
 //!   ([`Engine::queue_stats`](defcon_core::Engine::queue_stats)).
@@ -61,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod executor;
 mod session;
 mod tier;
 

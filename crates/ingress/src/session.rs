@@ -1,15 +1,13 @@
-//! Ingress sessions: per-publisher credit windows over the batched publish
-//! path.
+//! Ingress sessions: per-publisher credit windows over the bounded publish
+//! path, run on the submitting thread.
 //!
-//! A session is two halves sharing one state block:
-//!
-//! * the [`SessionHandle`] a client driver holds — [`SessionHandle::submit`]
-//!   applies the configured [`FullQueuePolicy`] against the session's credit
-//!   window and buffers what it accepts;
-//! * the `SessionFuture` an executor thread polls — it drains the buffer onto
-//!   the engine through the bounded
-//!   [`try_publish_batch`](defcon_core::Publisher::try_publish_batch) path and
-//!   replenishes credits as it observes its events drain through dispatch.
+//! [`SessionHandle::submit`] applies the configured [`FullQueuePolicy`]
+//! against the session's credit window and then publishes what the window
+//! admits, in engine-batch-sized chunks, through the bounded
+//! [`try_publish_batch`](defcon_core::Publisher::try_publish_batch) path. It
+//! does so on the caller's thread, under the session's one mutex, so one
+//! session's events reach the queue in the order they were submitted. No
+//! thread runs on a session's behalf.
 //!
 //! **Credit semantics.** A session may have at most `credit_window` events
 //! *unfinished* (buffered or published-but-not-yet-drained) at a time. Drain
@@ -22,36 +20,43 @@
 //! queue, so they cannot return a still-queued chunk's credits early. A slow
 //! consumer therefore paces every session publishing into it, which is the
 //! point.
+//!
+//! **Lazy retirement.** Nothing watches a session between calls: chunks
+//! whose watermark has passed retire at the start of its next `submit` or
+//! `wait_drained`. A caller that has to wait — a `Block` submit without
+//! credit or queue room, a `wait_drained` — releases the session's mutex and
+//! parks on [`Engine::wait_dequeued`], which every pop wakes, so credits
+//! return with dispatch progress rather than on a timer.
 
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defcon_core::{Admission, Engine, EventDraft, FullQueuePolicy, Publisher, TryPublish};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-/// How long a `Block`-policy submitter sleeps per wait slice before
-/// re-checking its window (paired notifies normally wake it much sooner).
-const SUBMIT_WAIT_SLICE: Duration = Duration::from_millis(5);
-
+#[derive(Default)]
 pub(crate) struct SessionState {
-    /// Accepted-but-not-yet-published drafts, oldest first.
-    pub(crate) inbox: VecDeque<EventDraft>,
-    /// Events published to the engine whose drain has not been observed yet.
-    pub(crate) outstanding: usize,
-    /// Set by [`SessionHandle::close`] (and the tier's shutdown): no further
-    /// submits are accepted and the future completes once drained.
-    pub(crate) closed: bool,
-    /// Set by the future when it completes (drained after close, or the
-    /// engine shut down underneath it).
-    pub(crate) done: bool,
+    /// Accepted-but-not-yet-published drafts, oldest first: what the queue
+    /// bound refused when they were submitted.
+    inbox: VecDeque<EventDraft>,
+    /// Published chunks awaiting their drain watermark, oldest first, as
+    /// `(watermark, events)`.
+    pending: VecDeque<(u64, usize)>,
+    /// Events in `pending`, kept as a count: a shedding session may hold
+    /// hundreds of one-event chunks.
+    outstanding: usize,
+    /// Set by [`SessionHandle::close`] (and the tier's shutdown): further
+    /// submits shed, while what the session holds still drains.
+    closed: bool,
+    /// Set once the session can publish no more: the tier shut down or was
+    /// dropped, or a publish was refused for good.
+    done: bool,
 }
 
 impl SessionState {
-    /// Events currently counted against the credit window.
+    /// Events currently counted against the credit window: buffered, or
+    /// published with their drain not observed yet.
     fn unfinished(&self) -> usize {
         self.inbox.len() + self.outstanding
     }
@@ -59,177 +64,263 @@ impl SessionState {
 
 pub(crate) struct SessionShared {
     pub(crate) state: Mutex<SessionState>,
-    /// Signalled when window space frees up (credits replenish, the session
-    /// completes) — what `Block`-policy submitters park on.
-    pub(crate) space_signal: Condvar,
-    /// Signalled when the session becomes fully drained (empty inbox, no
-    /// outstanding events) or completes.
-    pub(crate) drain_signal: Condvar,
-    /// The executor-side waker, registered by the future's poll; submits wake
-    /// it so fresh work is published without waiting for a reactor tick.
-    pub(crate) waker: Mutex<Option<Waker>>,
+    pub(crate) engine: Engine,
+    pub(crate) publisher: Publisher,
+    /// Events per publish chunk: the engine's batch size, clamped so one
+    /// chunk can always fit under the engine's queue bound.
+    pub(crate) chunk_size: usize,
 }
 
 impl SessionShared {
-    pub(crate) fn new() -> Self {
-        SessionShared {
-            state: Mutex::new(SessionState {
-                inbox: VecDeque::new(),
-                outstanding: 0,
-                closed: false,
-                done: false,
-            }),
-            space_signal: Condvar::new(),
-            drain_signal: Condvar::new(),
-            waker: Mutex::new(None),
+    /// Returns the credits of every chunk that has left the queue.
+    fn retire(&self, state: &mut SessionState) {
+        let dequeued = self.engine.dequeued();
+        // An empty queue also proves every queued chunk left it (dispatched
+        // or withdrawn at stop), which keeps credits flowing across an
+        // engine shutdown that withdrew events before they dispatched.
+        let queue_empty = self.engine.queue_depth() == 0;
+        while let Some(&(watermark, events)) = state.pending.front() {
+            if dequeued < watermark && !queue_empty {
+                break;
+            }
+            state.outstanding -= events;
+            state.pending.pop_front();
         }
     }
 
-    pub(crate) fn wake_session(&self) {
-        if let Some(waker) = self.waker.lock().take() {
-            waker.wake();
+    /// Publishes the inbox, oldest first, in chunks. Returns `false` when the
+    /// queue bound refused a chunk, which then stays at the inbox front;
+    /// `true` once the inbox is empty or the session is done.
+    fn publish_buffered(&self, state: &mut SessionState) -> bool {
+        while !state.done && !state.inbox.is_empty() {
+            let take = state.inbox.len().min(self.chunk_size);
+            let chunk: Vec<EventDraft> = state.inbox.drain(..take).collect();
+            match self.publisher.try_publish_batch(chunk) {
+                Ok(TryPublish::Admitted(admission)) => {
+                    // Watermark: once the queue's pops reach what is queued
+                    // right now, this chunk has left the queue. Depth first
+                    // (see `Engine::dequeued`).
+                    let depth = self.engine.queue_depth() as u64;
+                    let watermark = depth + self.engine.dequeued();
+                    if admission.accepted() > 0 {
+                        state.pending.push_back((watermark, admission.accepted()));
+                        state.outstanding += admission.accepted();
+                    }
+                    // The rest never reached the queue and holds no credit:
+                    // empty drafts are dropped per Table 1, and the withdrawn
+                    // remainder of a shutdown race is shed.
+                    if admission.shed() > 0 {
+                        self.engine.admission().record_shed(admission.shed() as u64);
+                    }
+                }
+                Ok(TryPublish::WouldBlock { drafts }) => {
+                    for draft in drafts.into_iter().rev() {
+                        state.inbox.push_front(draft);
+                    }
+                    self.engine.admission().record_credit_stalls(1);
+                    return false;
+                }
+                Err(_) => {
+                    // The unit is quarantined or gone, or the runtime shut
+                    // down: nothing further can be published. The consumed
+                    // chunk is lost; count it with the buffer and complete.
+                    self.finish(state, take);
+                }
+            }
         }
+        true
     }
 
-    /// Blocks until the session is drained (or done), or `timeout` elapses.
-    pub(crate) fn wait_drained(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+    /// The pop count by which the queue, at its depth now, has room for the
+    /// chunk at the inbox front again.
+    fn room_watermark(&self, state: &SessionState) -> u64 {
+        let want = state.inbox.len().min(self.chunk_size);
+        let bound = self
+            .engine
+            .ingress_config()
+            .map_or(usize::MAX, |config| config.queue_bound);
+        let depth = self.engine.queue_depth();
+        // At least one pop: concurrent admitters' reservations can refuse a
+        // chunk that the depth alone would admit.
+        let excess = (depth + want).saturating_sub(bound).max(1);
+        self.engine.dequeued() + excess as u64
+    }
+
+    /// Publishes what is buffered and blocks until the session is drained
+    /// (or done), or `deadline` passes; `None` waits without one.
+    pub(crate) fn wait_drained(&self, deadline: Option<Instant>) -> bool {
         let mut state = self.state.lock();
         loop {
+            self.retire(&mut state);
             if state.done || state.unfinished() == 0 {
                 return true;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let published = self.publish_buffered(&mut state);
+            let target = match state.pending.back() {
+                _ if !published => self.room_watermark(&state),
+                Some(&(watermark, _)) => watermark,
+                None => continue,
+            };
+            let timeout = deadline.map_or(Duration::MAX, |deadline| {
+                deadline.saturating_duration_since(Instant::now())
+            });
+            if timeout.is_zero() {
                 return false;
             }
-            self.drain_signal
-                .wait_for(&mut state, (deadline - now).min(SUBMIT_WAIT_SLICE));
+            // The mutex is released while waiting, so other callers proceed.
+            drop(state);
+            self.engine.wait_dequeued(target, timeout);
+            state = self.state.lock();
         }
     }
 
-    /// Marks the session closed so the future drains and completes.
+    /// Marks the session closed: further submits shed.
     pub(crate) fn close(&self) {
-        let mut state = self.state.lock();
-        state.closed = true;
-        self.space_signal.notify_all();
-        drop(state);
-        self.wake_session();
+        self.state.lock().closed = true;
+    }
+
+    /// Marks the session done, shedding its buffer loudly. Idempotent.
+    pub(crate) fn complete(&self) {
+        self.finish(&mut self.state.lock(), 0);
+    }
+
+    /// Marks the session done, shedding what can no longer be published
+    /// loudly: `lost` drafts already taken from the inbox, and the inbox.
+    fn finish(&self, state: &mut SessionState, lost: usize) {
+        if state.done {
+            return;
+        }
+        let abandoned = lost + state.inbox.len();
+        state.inbox.clear();
+        // Published events were accepted by the engine and will (or did)
+        // dispatch; they are not lost, but the session stops observing them.
+        state.pending.clear();
+        state.outstanding = 0;
+        state.done = true;
+        if abandoned > 0 {
+            self.engine.admission().record_shed(abandoned as u64);
+        }
     }
 }
 
 /// A logical publisher session on an [`IngressTier`](crate::IngressTier).
 ///
-/// `submit` never talks to the engine directly: it applies the session's
-/// credit window and full-queue policy, buffers what it accepts, and the
-/// executor-driven session future publishes the buffer through the bounded
-/// admission path in engine-batch-sized chunks.
+/// `submit` applies the session's credit window and full-queue policy and
+/// publishes what it accepts on the calling thread, through the bounded
+/// admission path in engine-batch-sized chunks (see the module docs).
 pub struct SessionHandle {
     pub(crate) shared: Arc<SessionShared>,
-    pub(crate) engine: Engine,
     pub(crate) credit_window: usize,
     pub(crate) policy: FullQueuePolicy,
 }
 
 impl SessionHandle {
-    /// Submits a chunk of drafts to the session under its credit window,
-    /// returning the typed per-chunk [`Admission`]: how many drafts entered
-    /// the window (`accepted`), how many the policy dropped (`shed`), and how
-    /// many wait slices a `Block` submit spent stalled (`credit_waits`).
+    /// Submits a chunk of drafts to the session under its credit window and
+    /// publishes what the window admits before returning. The typed
+    /// per-chunk [`Admission`] says how many drafts entered the window
+    /// (`accepted`), how many the policy dropped (`shed`), and how many times
+    /// a `Block` submit waited (`credit_waits`).
     ///
-    /// * [`FullQueuePolicy::Block`] — backpressure: the call blocks until the
-    ///   whole chunk fits (in window-sized instalments for chunks larger than
-    ///   the window). Nothing is ever dropped while the engine is running.
+    /// * [`FullQueuePolicy::Block`] — backpressure: the call returns once the
+    ///   whole chunk is published (in window-sized instalments for chunks
+    ///   larger than the window), waiting on dispatch progress for credits
+    ///   and for room under the queue bound. Nothing is ever dropped while
+    ///   the engine is running. A waiting submit sees the session closed, or
+    ///   the tier dropped, at the next pop.
     /// * [`FullQueuePolicy::ShedNewest`] — the part of the *incoming* chunk
     ///   that does not fit is dropped and counted.
     /// * [`FullQueuePolicy::ShedOldest`] — the *oldest buffered* drafts are
     ///   evicted to make room for the newest (conflation); a chunk larger
     ///   than the whole window additionally sheds its own oldest drafts.
     ///
+    /// **The shed-policy remainder.** A shedding submit never waits. When the
+    /// queue bound refuses a chunk, that chunk and everything after it stay
+    /// buffered in the session: they keep counting against the window, and
+    /// `ShedOldest` may still evict them. The session's next `submit`, its
+    /// [`wait_drained`](SessionHandle::wait_drained), or the tier's
+    /// [`drain`](crate::IngressTier::drain) or
+    /// [`shutdown`](crate::IngressTier::shutdown) publishes them; no
+    /// background thread does.
+    ///
     /// Every shed event and every stall is also recorded on the engine's
     /// [`admission()`](defcon_core::Engine::admission) ledger, so
-    /// `queue_stats()` tells the same story as the per-chunk results.
+    /// `queue_stats()` tells the same story as the per-chunk results. Drafts
+    /// that entered the window but whose publish the engine refused (a
+    /// quarantined unit, a stopped runtime) count as shed on the ledger only.
     pub fn submit(&self, mut drafts: Vec<EventDraft>) -> Admission {
-        let mut shed = 0usize;
-        let mut credit_waits = 0usize;
-        let mut accepted = 0usize;
-        let window = self.credit_window;
-        let mut state = self.shared.state.lock();
+        let shared = &*self.shared;
+        let (mut accepted, mut shed, mut credit_waits) = (0, 0, 0);
+        let mut state = shared.state.lock();
         loop {
+            shared.retire(&mut state);
             if state.closed || state.done {
                 shed += drafts.len();
-                drafts.clear();
                 break;
             }
-            let free = window.saturating_sub(state.unfinished());
-            if drafts.len() <= free {
-                accepted += drafts.len();
-                state.inbox.extend(drafts.drain(..));
-                break;
-            }
-            match self.policy {
-                FullQueuePolicy::Block => {
-                    // Feed what fits now, then wait for credits to replenish.
-                    if free > 0 {
-                        accepted += free;
-                        state.inbox.extend(drafts.drain(..free));
-                        drop(state);
-                        self.shared.wake_session();
-                        state = self.shared.state.lock();
-                        continue;
+            let free = self.credit_window.saturating_sub(state.unfinished());
+            let admit = if drafts.len() <= free {
+                drafts.len()
+            } else {
+                match self.policy {
+                    FullQueuePolicy::Block => free,
+                    FullQueuePolicy::ShedNewest => {
+                        shed += drafts.len() - free;
+                        drafts.truncate(free);
+                        free
                     }
-                    credit_waits += 1;
-                    self.engine.admission().record_credit_stalls(1);
-                    self.shared
-                        .space_signal
-                        .wait_for(&mut state, SUBMIT_WAIT_SLICE);
-                }
-                FullQueuePolicy::ShedNewest => {
-                    shed += drafts.len() - free;
-                    drafts.truncate(free);
-                    accepted += drafts.len();
-                    state.inbox.extend(drafts.drain(..));
-                    break;
-                }
-                FullQueuePolicy::ShedOldest => {
-                    let need = drafts.len() - free;
-                    // Evict buffered oldest first; `outstanding` events are
-                    // already on the engine and cannot be recalled.
-                    let evict = need.min(state.inbox.len());
-                    state.inbox.drain(..evict);
-                    shed += evict;
-                    let still_over = need - evict;
-                    if still_over > 0 {
+                    FullQueuePolicy::ShedOldest => {
+                        let need = drafts.len() - free;
+                        // Evict buffered oldest first; published events are
+                        // already on the engine and cannot be recalled.
+                        let evict = need.min(state.inbox.len());
+                        state.inbox.drain(..evict);
                         // The chunk alone exceeds the window: its own oldest
                         // drafts are the stalest data and shed too.
-                        drafts.drain(..still_over);
-                        shed += still_over;
+                        drafts.drain(..need - evict);
+                        shed += need;
+                        drafts.len()
                     }
-                    accepted += drafts.len();
-                    state.inbox.extend(drafts.drain(..));
-                    break;
                 }
+            };
+            accepted += admit;
+            state.inbox.extend(drafts.drain(..admit));
+            let published = shared.publish_buffered(&mut state);
+            if self.policy != FullQueuePolicy::Block || (published && drafts.is_empty()) {
+                break;
             }
+            // Block: wait for room under the queue bound, or for the oldest
+            // chunk's credits.
+            let target = match state.pending.front() {
+                _ if !published => shared.room_watermark(&state),
+                Some(&(watermark, _)) => {
+                    shared.engine.admission().record_credit_stalls(1);
+                    watermark
+                }
+                None => continue,
+            };
+            credit_waits += 1;
+            drop(state);
+            shared.engine.wait_dequeued(target, Duration::MAX);
+            state = shared.state.lock();
         }
         drop(state);
         if shed > 0 {
-            self.engine.admission().record_shed(shed as u64);
-        }
-        if accepted > 0 {
-            self.shared.wake_session();
+            shared.engine.admission().record_shed(shed as u64);
         }
         Admission::new(accepted, shed, credit_waits)
     }
 
-    /// Blocks until everything this session accepted has been published *and*
-    /// observed draining through dispatch (or the session completed), or
-    /// `timeout` elapses; returns whether the session is drained.
+    /// Publishes what this session holds buffered and blocks until
+    /// everything it accepted has been observed draining through dispatch
+    /// (or the session is done), or `timeout` elapses; returns whether the
+    /// session is drained.
     pub fn wait_drained(&self, timeout: Duration) -> bool {
-        self.shared.wait_drained(timeout)
+        self.shared
+            .wait_drained(Instant::now().checked_add(timeout))
     }
 
-    /// Closes the session: further submits shed loudly, and the session
-    /// future completes once the buffer has drained.
+    /// Closes the session: further submits shed loudly, while what it holds
+    /// still drains.
     pub fn close(&self) {
         self.shared.close();
     }
@@ -245,170 +336,5 @@ impl std::fmt::Debug for SessionHandle {
             .field("credit_window", &self.credit_window)
             .field("policy", &self.policy)
             .finish()
-    }
-}
-
-/// The executor-driven half of a session (see the module docs).
-pub(crate) struct SessionFuture {
-    pub(crate) shared: Arc<SessionShared>,
-    pub(crate) engine: Engine,
-    pub(crate) publisher: Publisher,
-    /// Events per publish chunk: the engine's batch size, clamped so one
-    /// chunk can always fit under the engine's queue bound.
-    pub(crate) chunk_size: usize,
-    /// Published chunks awaiting their drain watermark, oldest first.
-    pub(crate) pending_chunks: VecDeque<(u64, usize)>,
-}
-
-impl SessionFuture {
-    /// Observes dispatch progress and returns credits for drained chunks.
-    fn retire_drained(&mut self) {
-        if self.pending_chunks.is_empty() {
-            return;
-        }
-        let dequeued = self.engine.dequeued();
-        // An empty queue also proves every queued chunk left it (dispatched
-        // or withdrawn at stop), which keeps credits flowing across an
-        // engine shutdown that withdrew events before they dispatched.
-        let queue_empty = self.engine.queue_depth() == 0;
-        let mut retired = 0usize;
-        while let Some(&(watermark, count)) = self.pending_chunks.front() {
-            if dequeued >= watermark || queue_empty {
-                retired += count;
-                self.pending_chunks.pop_front();
-            } else {
-                break;
-            }
-        }
-        if retired > 0 {
-            let mut state = self.shared.state.lock();
-            state.outstanding -= retired;
-            self.shared.space_signal.notify_all();
-            if state.unfinished() == 0 {
-                self.shared.drain_signal.notify_all();
-            }
-        }
-    }
-
-    /// Marks the session complete, shedding whatever could no longer be
-    /// published (engine shutdown, executor abort) loudly. Idempotent.
-    fn finish(&mut self, lost: usize) {
-        let mut state = self.shared.state.lock();
-        if state.done {
-            return;
-        }
-        let abandoned = lost + state.inbox.len();
-        state.inbox.clear();
-        // Outstanding events were accepted by the engine and will (or did)
-        // dispatch; they are not lost, but this future stops observing them.
-        state.outstanding = 0;
-        state.done = true;
-        self.shared.space_signal.notify_all();
-        self.shared.drain_signal.notify_all();
-        drop(state);
-        if abandoned > 0 {
-            self.engine.admission().record_shed(abandoned as u64);
-        }
-    }
-}
-
-impl Drop for SessionFuture {
-    fn drop(&mut self) {
-        // An aborted executor drops unfinished futures: complete the session
-        // loudly (buffered drafts count as shed, waiters are released) so
-        // nothing blocks on a session that will never run again.
-        self.finish(0);
-    }
-}
-
-impl Future for SessionFuture {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        loop {
-            this.retire_drained();
-
-            // Take one publish chunk from the inbox, counting it as
-            // outstanding immediately so the credit window never dips while
-            // the chunk is in flight between buffer and queue.
-            let (chunk, closed) = {
-                let mut state = this.shared.state.lock();
-                let take = state.inbox.len().min(this.chunk_size);
-                let chunk: Vec<EventDraft> = state.inbox.drain(..take).collect();
-                state.outstanding += chunk.len();
-                (chunk, state.closed)
-            };
-            let chunk_len = chunk.len();
-
-            if chunk.is_empty() {
-                if closed && this.pending_chunks.is_empty() {
-                    this.finish(0);
-                    return Poll::Ready(());
-                }
-                // Idle (awaiting submits) or awaiting drain watermarks: the
-                // submit path wakes us for new work, the executor's reactor
-                // tick re-polls for drain progress.
-                *this.shared.waker.lock() = Some(cx.waker().clone());
-                return Poll::Pending;
-            }
-
-            match this.publisher.try_publish_batch(chunk) {
-                Ok(TryPublish::Admitted(admission)) => {
-                    // Watermark: once the queue's pops reach what is queued
-                    // right now, this chunk has left the queue. Depth first
-                    // (see `Engine::dequeued`).
-                    let depth = this.engine.queue_depth() as u64;
-                    let watermark = depth + this.engine.dequeued();
-                    if admission.accepted() > 0 {
-                        this.pending_chunks
-                            .push_back((watermark, admission.accepted()));
-                    }
-                    // Anything that did not reach the queue (empty drafts,
-                    // the withdrawn remainder of a shutdown race) releases
-                    // its credit immediately.
-                    let unqueued = chunk_len - admission.accepted();
-                    if unqueued > 0 {
-                        let mut state = this.shared.state.lock();
-                        state.outstanding -= unqueued;
-                        this.shared.space_signal.notify_all();
-                        if state.unfinished() == 0 {
-                            this.shared.drain_signal.notify_all();
-                        }
-                    }
-                    if admission.shed() > 0 {
-                        this.engine.admission().record_shed(admission.shed() as u64);
-                    }
-                }
-                Ok(TryPublish::WouldBlock { drafts }) => {
-                    // Queue at its bound: hand the chunk back to the buffer
-                    // front (order preserved) and retry after the engine
-                    // drains — the reactor tick plus the engine's depth
-                    // signal bound the retry latency.
-                    let stalled = drafts.len();
-                    {
-                        let mut state = this.shared.state.lock();
-                        state.outstanding -= stalled;
-                        for draft in drafts.into_iter().rev() {
-                            state.inbox.push_front(draft);
-                        }
-                    }
-                    this.engine.admission().record_credit_stalls(1);
-                    *this.shared.waker.lock() = Some(cx.waker().clone());
-                    return Poll::Pending;
-                }
-                Err(_) => {
-                    // The runtime shut down underneath the session: nothing
-                    // further can be published. The consumed chunk is lost —
-                    // count it, drain the buffer and complete.
-                    {
-                        let mut state = this.shared.state.lock();
-                        state.outstanding -= chunk_len;
-                    }
-                    this.finish(chunk_len);
-                    return Poll::Ready(());
-                }
-            }
-        }
     }
 }

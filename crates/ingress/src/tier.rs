@@ -1,14 +1,13 @@
-//! The ingress tier: N sessions multiplexed over a small band of executor
-//! threads, all funneling into one engine's batched publish path.
+//! The ingress tier: N sessions over one engine, each publishing on the
+//! thread that submits to it, all into the engine's bounded publish path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defcon_core::{Engine, EngineResult, IngressConfig, UnitId};
+use parking_lot::Mutex;
 
-use crate::executor::Executor;
-use crate::session::{SessionFuture, SessionHandle, SessionShared};
+use crate::session::{SessionHandle, SessionShared};
 
 /// Final accounting snapshot returned by [`IngressTier::shutdown`], read from
 /// the engine's admission ledger (the same numbers
@@ -25,49 +24,39 @@ pub struct IngressReport {
     pub credit_stalls: u64,
 }
 
-/// A credit-gated async ingress tier over one [`Engine`].
+/// A credit-gated ingress tier over one [`Engine`].
 ///
-/// The tier owns a small band of executor threads (a poll-based reactor shim;
-/// see the crate docs) and multiplexes every [`SessionHandle`] opened through
-/// [`IngressTier::session`] across them round-robin. Each session buffers its
-/// publisher's events under a per-session credit window and drains onto the
-/// engine through the bounded
+/// Every [`SessionHandle`] opened through [`IngressTier::session`] holds its
+/// publisher's events under a per-session credit window and publishes them
+/// on the submitting thread through the bounded
 /// [`try_publish_batch`](defcon_core::Publisher::try_publish_batch) path, so
 /// the run queue never exceeds the configured
 /// [`queue_bound`](defcon_core::IngressConfig::queue_bound) on account of
-/// ingress traffic.
+/// ingress traffic. The tier runs no threads: it keeps its sessions so that
+/// [`drain`](IngressTier::drain) and [`shutdown`](IngressTier::shutdown) can
+/// publish what shedding sessions left buffered and wait for everything to
+/// drain.
 ///
 /// The sizing knobs come from the engine's own
 /// [`IngressConfig`](defcon_core::EngineBuilder::ingress); building a tier
 /// over an engine without one uses [`IngressConfig::default`] for the session
 /// credit windows, but the engine-side queue bound is then not enforced.
 ///
-/// Shut the tier down **before** the engine handle: sessions complete by
+/// Shut the tier down **before** the engine handle: sessions finish by
 /// observing their published events drain through dispatch.
 pub struct IngressTier {
     engine: Engine,
     config: IngressConfig,
-    executors: Vec<Executor>,
-    next_executor: AtomicUsize,
-    sessions: parking_lot::Mutex<Vec<Arc<SessionShared>>>,
-    opened: AtomicUsize,
+    sessions: Mutex<Vec<Arc<SessionShared>>>,
 }
 
 impl IngressTier {
-    /// Builds a tier over `engine`, spawning the configured number of
-    /// executor threads.
+    /// Builds a tier over `engine`.
     pub fn new(engine: &Engine) -> Self {
-        let config = engine.ingress_config().cloned().unwrap_or_default();
-        let executors = (0..config.executor_threads.max(1))
-            .map(|index| Executor::start(format!("defcon-ingress-{index}")))
-            .collect();
         IngressTier {
             engine: engine.clone(),
-            config,
-            executors,
-            next_executor: AtomicUsize::new(0),
-            sessions: parking_lot::Mutex::new(Vec::new()),
-            opened: AtomicUsize::new(0),
+            config: engine.ingress_config().cloned().unwrap_or_default(),
+            sessions: Mutex::new(Vec::new()),
         }
     }
 
@@ -78,91 +67,70 @@ impl IngressTier {
 
     /// Sessions opened over the tier's lifetime.
     pub fn session_count(&self) -> usize {
-        self.opened.load(Ordering::Acquire)
+        self.sessions.lock().len()
     }
 
-    /// Opens a logical publisher session publishing *as* `unit`, assigned to
-    /// an executor thread round-robin. Fails like
-    /// [`Engine::publisher`](defcon_core::Engine::publisher) when the
-    /// unit is unknown or not startable.
+    /// Opens a logical publisher session publishing *as* `unit`. Fails like
+    /// [`Engine::publisher`](defcon_core::Engine::publisher) when the unit is
+    /// unknown or not startable.
     pub fn session(&self, unit: UnitId) -> EngineResult<SessionHandle> {
-        let publisher = self.engine.publisher(unit)?;
-        let shared = Arc::new(SessionShared::new());
         // One publish chunk must be admissible under the queue bound, or a
-        // session could spin on WouldBlock forever.
-        let chunk_size = self
-            .engine
-            .configured_batch_size()
-            .max(1)
-            .min(self.config.queue_bound);
-        let future = SessionFuture {
-            shared: Arc::clone(&shared),
+        // session could wait for room forever.
+        let chunk_size = self.engine.configured_batch_size().max(1);
+        let shared = Arc::new(SessionShared {
+            state: Default::default(),
             engine: self.engine.clone(),
-            publisher,
-            chunk_size,
-            pending_chunks: std::collections::VecDeque::new(),
-        };
-        let slot = self.next_executor.fetch_add(1, Ordering::AcqRel) % self.executors.len();
-        self.executors[slot].spawn(Box::pin(future));
-        self.opened.fetch_add(1, Ordering::AcqRel);
+            publisher: self.engine.publisher(unit)?,
+            chunk_size: chunk_size.min(self.config.queue_bound),
+        });
         self.sessions.lock().push(Arc::clone(&shared));
         Ok(SessionHandle {
             shared,
-            engine: self.engine.clone(),
             credit_window: self.config.credit_window.max(1),
             policy: self.config.policy,
         })
     }
 
-    /// Blocks until every session the tier opened has drained (empty buffer,
-    /// all published events observed through dispatch) or `timeout` elapses;
-    /// returns whether all sessions drained.
+    /// Publishes what every session the tier opened holds buffered and
+    /// blocks until each has drained (all published events observed through
+    /// dispatch) or `timeout` elapses; returns whether all sessions drained.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let sessions = self.sessions.lock().clone();
-        for shared in sessions {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if !shared.wait_drained(deadline - now) {
-                return false;
-            }
-        }
-        true
+        sessions.iter().all(|shared| shared.wait_drained(deadline))
     }
 
-    /// Closes every session, drains the executors (each joins once its
-    /// futures complete) and returns the final admission accounting.
+    /// Closes every session, waits until each has drained, and returns the
+    /// final admission accounting.
     ///
     /// Call before [`EngineHandle::shutdown`](defcon_core::EngineHandle):
     /// sessions need the dispatch path alive to finish draining.
-    pub fn shutdown(mut self) -> IngressReport {
-        self.close_all();
-        for executor in self.executors.drain(..) {
-            executor.shutdown();
+    pub fn shutdown(self) -> IngressReport {
+        let sessions = self.sessions.lock().clone();
+        for shared in &sessions {
+            shared.close();
+        }
+        // Drained sessions shed nothing when `drop(self)` marks them done.
+        for shared in &sessions {
+            shared.wait_drained(None);
         }
         let counters = self.engine.admission();
         IngressReport {
-            sessions: self.session_count(),
+            sessions: sessions.len(),
             admitted: counters.admitted(),
             shed: counters.shed(),
             credit_stalls: counters.credit_stalls(),
-        }
-    }
-
-    fn close_all(&self) {
-        for shared in self.sessions.lock().iter() {
-            shared.close();
         }
     }
 }
 
 impl Drop for IngressTier {
     fn drop(&mut self) {
-        // A dropped (not shut down) tier still closes its sessions so the
-        // executor threads, joined by their own Drop, can exit.
-        self.close_all();
+        // A dropped (not shut down) tier publishes nothing more: its sessions
+        // are done, and what they still buffer is shed loudly.
+        for shared in self.sessions.lock().iter() {
+            shared.complete();
+        }
     }
 }
 
@@ -170,7 +138,6 @@ impl std::fmt::Debug for IngressTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngressTier")
             .field("sessions", &self.session_count())
-            .field("executors", &self.executors.len())
             .field("config", &self.config)
             .finish()
     }

@@ -1,14 +1,15 @@
 //! Integration tests for the credit-gated ingress tier: policy semantics,
-//! bound enforcement, and accounting consistency.
+//! bound enforcement, accounting consistency, and sessions that publish and
+//! regain credit on the submitting thread.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defcon_core::unit::NullUnit;
 use defcon_core::{
-    Engine, EngineResult, EventDraft, FullQueuePolicy, IngressConfig, SecurityMode, Unit,
-    UnitContext, UnitSpec,
+    Engine, EngineHandle, EngineResult, EventDraft, FullQueuePolicy, IngressConfig, SecurityMode,
+    Unit, UnitContext, UnitSpec,
 };
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Value};
@@ -124,13 +125,11 @@ fn shed_oldest_conflates_in_favour_of_fresh_data() {
 
     // A chunk far larger than the window: everything buffered is evicted,
     // the chunk's own oldest drafts shed, its newest fill the free space.
+    // The submit published up to the bound itself, so exactly the 6 the
+    // queue refused were buffered.
     let huge = session.submit((100..130).map(draft).collect());
     assert_eq!(huge.shed(), 30, "evictions + own-oldest overflow");
-    let buffered_before = huge.accepted(); // == what was evictable
-    assert!(
-        (6..=10).contains(&buffered_before),
-        "between 6 (queue full) and 10 (nothing published yet) buffered, got {buffered_before}"
-    );
+    assert_eq!(huge.accepted(), 6, "what was evictable");
     drop(tier);
 }
 
@@ -140,8 +139,7 @@ fn queue_bound_holds_under_many_flooding_sessions() {
     let (engine, source) = engine_with(
         IngressConfig::new(BOUND)
             .credit_window(16)
-            .policy(FullQueuePolicy::Block)
-            .executor_threads(2),
+            .policy(FullQueuePolicy::Block),
         1,
     );
     let handle = engine.start();
@@ -408,7 +406,7 @@ fn sessions_bound_to_a_quarantined_unit_shed_loudly() {
     assert!(tier.drain(Duration::from_secs(30)));
 
     engine.quarantine_unit(source).unwrap();
-    // The chunk enters the session window, then every publish is refused with
+    // The chunk enters the session window, then its publish is refused with
     // `UnitQuarantined` — the session counts the loss instead of hiding it.
     let _ = session.submit((10..30).map(draft).collect());
     assert!(
@@ -443,4 +441,93 @@ fn closed_sessions_shed_further_submits_loudly() {
     let report = tier.shutdown();
     assert!(report.shed >= 5);
     handle.shutdown().unwrap();
+}
+
+/// A session runs on the thread that submits to it: with no workers and
+/// nobody pumping, the submitted events are on the queue and in the ledger
+/// when `submit` returns, under every policy.
+#[test]
+fn submit_publishes_on_the_calling_thread() {
+    for policy in FullQueuePolicy::all() {
+        let (engine, source) = engine_with(IngressConfig::new(64).policy(policy), 0);
+        let _handle = engine.start();
+        let tier = IngressTier::new(&engine);
+        let admission = tier
+            .session(source)
+            .unwrap()
+            .submit((0..5).map(draft).collect());
+        assert_eq!((admission.accepted(), admission.shed()), (5, 0), "{policy}");
+        assert_eq!(engine.queue_depth(), 5, "{policy}: the submit queued them");
+        assert_eq!(engine.queue_stats().ingress_admitted, 5, "{policy}");
+    }
+}
+
+/// Pumps on this thread until `waiter` finishes; fails after 30 s instead of
+/// hanging when the waiter never sees the progress (an unscoped waiter is
+/// left behind rather than joined).
+fn pump_until_finished<T>(handle: &EngineHandle, waiter: &std::thread::JoinHandle<T>) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !waiter.is_finished() {
+        assert!(Instant::now() < deadline, "the waiter missed the pops");
+        handle.pump_until_idle().unwrap();
+        std::thread::yield_now();
+    }
+}
+
+/// What the queue bound refuses a shedding session stays buffered in it;
+/// no thread publishes it until the session's next call does.
+#[test]
+fn buffered_remainder_is_published_by_the_next_call() {
+    for policy in [FullQueuePolicy::ShedNewest, FullQueuePolicy::ShedOldest] {
+        let (engine, source) =
+            engine_with(IngressConfig::new(4).credit_window(10).policy(policy), 0);
+        let delivered = Arc::new(AtomicU64::new(0));
+        let counter = TickCounter(Arc::clone(&delivered));
+        engine
+            .register_unit(UnitSpec::new("counter"), Box::new(counter))
+            .unwrap();
+        let handle = engine.start();
+        let tier = IngressTier::new(&engine);
+        let session = tier.session(source).unwrap();
+        let admitted = || engine.queue_stats().ingress_admitted;
+
+        let admission = session.submit((0..10).map(draft).collect());
+        assert_eq!(
+            (admission.accepted(), admission.shed()),
+            (10, 0),
+            "{policy}"
+        );
+        assert_eq!((engine.queue_depth(), admitted()), (4, 4), "{policy}");
+        assert_eq!(handle.pump_until_idle().unwrap(), 4, "{policy}");
+        assert_eq!(admitted(), 4, "{policy}: nothing published in between");
+        // The next submit publishes the buffer first, 4 of the 6.
+        assert_eq!(session.submit(Vec::new()).accepted(), 0, "{policy}");
+        assert_eq!((engine.queue_depth(), admitted()), (4, 8), "{policy}");
+        // `wait_drained` publishes the last 2 and waits for their dispatch.
+        let waiter = std::thread::spawn(move || session.wait_drained(Duration::from_secs(30)));
+        pump_until_finished(&handle, &waiter);
+        assert!(waiter.join().unwrap(), "{policy}: the session drains");
+        handle.pump_until_idle().unwrap();
+        assert_eq!(delivered.load(Ordering::Relaxed), 10, "{policy}: once each");
+        let report = tier.shutdown();
+        assert_eq!((report.admitted, report.shed), (10, 0), "{policy}");
+    }
+}
+
+/// A `Block` submitter without credit waits on dispatch progress alone: at
+/// `workers(0)` only this thread's pumping returns its credits.
+#[test]
+fn block_credits_return_through_dispatch_alone() {
+    let (engine, source) = engine_with(IngressConfig::new(64).credit_window(4), 0);
+    let handle = engine.start();
+    let tier = IngressTier::new(&engine);
+    let session = tier.session(source).unwrap();
+    let submitter = std::thread::spawn(move || session.submit((0..40).map(draft).collect()));
+    pump_until_finished(&handle, &submitter);
+    let admission = submitter.join().unwrap();
+    assert_eq!((admission.accepted(), admission.shed()), (40, 0));
+    assert!(admission.credit_waits() > 0, "a window of 4 must wait");
+    handle.pump_until_idle().unwrap();
+    let report = tier.shutdown();
+    assert_eq!((report.admitted, report.shed), (40, 0));
 }

@@ -180,8 +180,9 @@ pub struct TradingPlatform {
     engine: Engine,
     /// The credit-gated feed path (tier + the exchange's session), present
     /// when the config enables ingress. Declared before `handle` so drop
-    /// order closes the sessions and stops the executor threads before the
-    /// engine's dispatch runtime goes away underneath them.
+    /// order marks the sessions done (shedding anything still buffered
+    /// loudly) before the engine's dispatch runtime goes away underneath
+    /// them.
     ingress_tier: Option<IngressTier>,
     feed_session: Option<SessionHandle>,
     handle: EngineHandle,
