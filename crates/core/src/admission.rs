@@ -16,7 +16,9 @@
 //! what admission decides on never disagree about how backlogged the engine
 //! is.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 use crate::handle::EventDraft;
 
@@ -63,14 +65,6 @@ impl Admission {
     /// `Block` policy report their stalls here.
     pub fn credit_waits(&self) -> usize {
         self.credit_waits
-    }
-
-    /// Folds another admission result into this one (a session aggregates one
-    /// `Admission` per submitted chunk).
-    pub fn merge(&mut self, other: Admission) {
-        self.accepted += other.accepted;
-        self.shed += other.shed;
-        self.credit_waits += other.credit_waits;
     }
 }
 
@@ -195,8 +189,11 @@ impl Default for IngressConfig {
 pub struct AdmissionCounters {
     /// Depth reserved by in-progress `try_publish_batch` calls: admission
     /// checks `depth + reserved + k <= bound` so concurrent admitters can
-    /// never jointly overshoot the bound.
-    pub(crate) reserved: AtomicUsize,
+    /// never jointly overshoot the bound. A lock, not an atomic: the check
+    /// reads depth, and a reservation released (its events now in depth)
+    /// between that read and a compare-and-swap on an atomic count would go
+    /// unseen when another admitter had reserved the same count meanwhile.
+    pub(crate) reserved: Mutex<usize>,
     pub(crate) admitted: AtomicU64,
     pub(crate) shed: AtomicU64,
     pub(crate) credit_stalls: AtomicU64,
@@ -242,17 +239,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn admission_accessors_and_merge() {
-        let mut total = Admission::default();
-        assert_eq!(
-            (total.accepted(), total.shed(), total.credit_waits()),
-            (0, 0, 0)
-        );
-        total.merge(Admission::new(8, 2, 1));
-        total.merge(Admission::new(4, 0, 3));
-        assert_eq!(total.accepted(), 12);
-        assert_eq!(total.shed(), 2);
-        assert_eq!(total.credit_waits(), 4);
+    fn admission_accessors() {
+        let admission = Admission::new(8, 2, 1);
+        assert_eq!(admission.accepted(), 8);
+        assert_eq!(admission.shed(), 2);
+        assert_eq!(admission.credit_waits(), 1);
     }
 
     #[test]

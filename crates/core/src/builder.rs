@@ -51,9 +51,8 @@ impl EngineBuilder {
     }
 
     /// Sets the dispatcher worker pool: [`Engine::start`] spawns exactly
-    /// `workers` threads and all of them stay active until shutdown. The run
-    /// queue gets one shard per worker. [`auto_worker_count`] sizes the pool
-    /// to the host.
+    /// `workers` threads and all of them stay active until shutdown, popping
+    /// from one run queue. [`auto_worker_count`] sizes the pool to the host.
     ///
     /// Zero (the default) means no background dispatch: the started handle is
     /// driven on the calling thread with
@@ -92,7 +91,7 @@ impl EngineBuilder {
     /// accounts for) per run-queue lock round-trip, and the chunk size batched
     /// publishers enqueue with. The default of 1 preserves classic
     /// one-event-at-a-time queueing; 0 is clamped to 1. Larger sizes amortise
-    /// the shard lock, the in-flight accounting and the owner-state snapshot
+    /// the run-queue lock, the in-flight accounting and the owner-state snapshot
     /// over the batch.
     ///
     /// Delivery order is the same at every batch size: each event of a batch
@@ -161,7 +160,7 @@ mod tests {
             )
             .build();
         assert_eq!(engine.mode(), SecurityMode::LabelsClone);
-        assert_eq!(engine.queue_stats().shard_depths.len(), 3);
+        assert_eq!(engine.queue_stats().workers_high_water, 3);
         assert_eq!(engine.configured_batch_size(), 16);
         let ingress = engine.ingress_config().expect("ingress config set");
         assert_eq!(ingress.queue_bound, 256);
@@ -179,11 +178,6 @@ mod tests {
         let stats = engine.queue_stats();
         assert_eq!(stats.workers_high_water, 0);
         assert_eq!(stats.sched_wakes, 0);
-        assert_eq!(
-            stats.shard_depths.len(),
-            1,
-            "a manual engine keeps one shard"
-        );
     }
 
     #[test]
@@ -203,14 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn workers_n_gives_one_run_queue_shard_per_worker() {
+    fn workers_n_starts_n_workers() {
         assert!(auto_worker_count() >= 1);
         for workers in [1, 3] {
             let engine = Engine::builder().workers(workers).build();
-            // One run-queue shard per worker: producers spread over exactly
-            // as many locks as there are consumers to drain them.
             let stats = engine.queue_stats();
-            assert_eq!(stats.shard_depths.len(), workers);
             assert_eq!(stats.workers_high_water, workers);
             assert_eq!(stats.sched_wakes, 0);
             let handle = engine.start();

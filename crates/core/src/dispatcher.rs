@@ -24,12 +24,12 @@
 //! # The batched hot path
 //!
 //! Workers pop whole batches (one run-queue lock round-trip, one in-flight
-//! accounting update) — from their own shard, or a whole run from a sibling
-//! when their own is dry — and share one owner-state snapshot per batch. Each
-//! event of the batch is then dispatched on its own, in batch order, by the
-//! one delivery loop: deliveries follow strict subscription order at every
-//! batch size, and consecutive deliveries to the same unit's direct
-//! subscriptions run under a single acquisition of its cell lock. The
+//! accounting update) off the one run queue, and share one owner-state
+//! snapshot per batch. Each event of the batch is then dispatched on its own,
+//! in batch order, by the one delivery loop: deliveries follow strict
+//! subscription order at every batch size, and consecutive deliveries to the
+//! same unit's direct subscriptions run under a single acquisition of its
+//! cell lock. The
 //! snapshot itself is cached across batches and keyed on the engine's
 //! security epoch, so consecutive batches over an unchanged
 //! subscription/label population skip the refresh entirely. The epoch moves
@@ -60,8 +60,8 @@
 //!
 //! What one dispatcher promises:
 //!
-//! * **External events in FIFO order** per publisher: a queue shard is FIFO,
-//!   and a publish batch lands on one shard.
+//! * **External events in FIFO order** at pop: the run queue is one FIFO
+//!   queue, so runs pop in the order they were queued, whoever pops them.
 //! * **Cascades in preorder:** an event is dispatched right after the
 //!   dispatch that published it, its own cascades before its next sibling's.
 //! * **Per-publisher FIFO for cascades:** a unit's cascades reach every
@@ -70,11 +70,11 @@
 //!   cascade is still stacked — the newer event goes just below the older
 //!   one instead.
 //!
-//! Not promised: any order between different publishers (nor between one
-//! unit's external publishes and its cascades), and any order across
-//! workers, including cascades spilled to the queue. One condition is new: a
-//! cascade that never ends keeps its dispatcher from the queue, so it delays
-//! the queued external events instead of interleaving with them.
+//! Not promised: any order between one unit's external publishes and its
+//! cascades, and any delivery order across concurrent workers, including
+//! cascades spilled to the queue. A cascade that never ends keeps its
+//! dispatcher from the queue, so it delays the queued external events instead
+//! of interleaving with them.
 //!
 //! # The subscription index
 //!
@@ -120,7 +120,7 @@ use crate::sub_index::{Entries, SubscriptionIndex, TableSnapshot};
 use crate::subscription::{Subscription, SubscriptionKind};
 use crate::unit::{UnitId, UnitState};
 
-/// A pump over an engine's sharded run queue.
+/// A pump over an engine's run queue.
 ///
 /// Multiple dispatchers over the same engine may run on different threads — that
 /// is exactly what [`Engine::start`](crate::Engine::start) does with
@@ -128,10 +128,6 @@ use crate::unit::{UnitId, UnitState};
 /// distinct units dispatch distinct events in parallel.
 pub(crate) struct Dispatcher {
     core: Arc<EngineCore>,
-    /// Run-queue shard this dispatcher prefers when popping (reduces contention
-    /// between workers; any dispatcher may steal from any shard): the worker's
-    /// index, 0 for a manual pump.
-    preferred_shard: usize,
     /// Batch context reused across consecutive batches while the subscription
     /// snapshot and security epoch are unchanged (see
     /// [`Dispatcher::batch_context`]).
@@ -201,41 +197,6 @@ struct ManagedOwnerState {
     name: String,
 }
 
-/// Identity key of one memoised flow decision: a `(part label, owner input
-/// label)` pair, plus whether the managed (integrity-only) rule applied.
-///
-/// Hash and equality are by interned-label *identity*, not structure — the key
-/// owns clones of both labels, so the backing allocations (and therefore the
-/// identity tokens) stay valid for as long as the memo lives.
-struct FlowKey {
-    part: Label,
-    owner: Label,
-    managed: bool,
-}
-
-impl PartialEq for FlowKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.managed == other.managed
-            && self.part.ptr_eq(&other.part)
-            && self.owner.ptr_eq(&other.owner)
-    }
-}
-
-impl Eq for FlowKey {}
-
-impl std::hash::Hash for FlowKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_usize(self.part.identity());
-        state.write_usize(self.owner.identity() ^ self.managed as usize);
-    }
-}
-
-/// Bound on the flow memo: the context is reused across batches now, so a
-/// pathological label churn must not grow it without limit. Clearing (rather
-/// than evicting) keeps the hot path branch-free; the memo refills in one
-/// batch.
-const FLOW_MEMO_CAP: usize = 4096;
-
 /// Dispatch state prepared once per security epoch and shared by batches.
 struct BatchContext {
     /// The subscription table's list, shared: registration order by
@@ -250,18 +211,6 @@ struct BatchContext {
     /// matches. Taken under the same read lock as the list, so the two always
     /// agree.
     index: Arc<SubscriptionIndex>,
-    /// Memo of flow decisions that needed the exact sorted-vector scan (the
-    /// pointer/fingerprint fast paths answer without consulting it): repeated
-    /// deliveries over the same handful of interned labels pay each lattice
-    /// scan once. Sound for as long as the context lives because labels are
-    /// immutable values and the owner snapshot is fixed per context; an owner
-    /// label change bumps the security epoch, which retires the whole context
-    /// (memo included). Behind a mutex because the context is *shared*:
-    /// [`SharedContextSlot::get_or_build`] hands one `Arc<BatchContext>` to
-    /// every worker of an epoch, so all workers take this one lock on each
-    /// memo lookup. It is a suspect for cross-worker contention that no
-    /// benchmark cell measures yet.
-    flow_memo: Mutex<HashMap<FlowKey, bool>>,
 }
 
 /// The cache slot of [`Dispatcher::batch_context`]: the snapshot plus the
@@ -344,39 +293,6 @@ impl BatchContext {
         let (slot, owner) = self.owners[entry.owner as usize].as_ref()?;
         Some((&entry.subscription, slot, owner))
     }
-
-    /// Answers `part_label ≺ owner_input` (or the managed integrity-only
-    /// variant), memoising decisions the constant-time fast path cannot make.
-    fn flow_allowed(&self, part_label: &Label, owner_input: &Label, managed: bool) -> bool {
-        let decide = || {
-            if managed {
-                // Managed handlers accept any additional confidentiality
-                // taint; only the integrity requirement of the owner's input
-                // label constrains matching.
-                part_label.integrity().is_superset(owner_input.integrity())
-            } else {
-                part_label.can_flow_to_exact(owner_input)
-            }
-        };
-        if managed {
-            if owner_input.integrity().is_empty() {
-                return true;
-            }
-        } else if let Some(answer) = part_label.can_flow_to_fast(owner_input) {
-            return answer;
-        }
-        let mut memo = self.flow_memo.lock();
-        if memo.len() >= FLOW_MEMO_CAP {
-            memo.clear();
-        }
-        *memo
-            .entry(FlowKey {
-                part: part_label.clone(),
-                owner: owner_input.clone(),
-                managed,
-            })
-            .or_insert_with(decide)
-    }
 }
 
 /// One filter evaluation: whether the filter matched, and the parts it
@@ -454,17 +370,6 @@ impl Dispatcher {
     pub(crate) fn new(core: Arc<EngineCore>) -> Self {
         Dispatcher {
             core,
-            preferred_shard: 0,
-            context_cache: RefCell::new(None),
-            scratch: RefCell::new(Worklist::default()),
-            cascades: RefCell::default(),
-        }
-    }
-
-    pub(crate) fn for_worker(core: Arc<EngineCore>, worker_index: usize) -> Self {
-        Dispatcher {
-            core,
-            preferred_shard: worker_index,
             context_cache: RefCell::new(None),
             scratch: RefCell::new(Worklist::default()),
             cascades: RefCell::default(),
@@ -487,7 +392,7 @@ impl Dispatcher {
         let batch_size = self.core.config.batch_size;
         let mut batch = Vec::new();
         let mut dispatched = 0;
-        while queue.pop_batch_into(self.preferred_shard, batch_size, &mut batch) > 0 {
+        while queue.pop_batch_into(batch_size, &mut batch) > 0 {
             dispatched += self.dispatch_popped(&mut batch);
             if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 break;
@@ -501,8 +406,7 @@ impl Dispatcher {
     /// this worker dispatched, cascades included.
     ///
     /// This is the hot path of the multi-core deployment. Every iteration pops
-    /// one run straight off the shared sharded queue — from the worker's own
-    /// shard, or whole from a sibling when its own is dry — so each dispatched
+    /// the oldest run straight off the one run queue, so each dispatched
     /// batch costs a single lock round-trip on the pop side, settles its
     /// in-flight accounting with one update and one wakeup check, and shares
     /// one epoch-cached dispatch context across the batch. The worker keeps
@@ -516,7 +420,7 @@ impl Dispatcher {
         // The popped-batch buffer is reused across iterations: a steady-state
         // batch costs no allocation on the pop side.
         let mut batch: Vec<Event> = Vec::new();
-        while queue.next_batch_into(self.preferred_shard, batch_size, &mut batch, &mut slot) > 0 {
+        while queue.next_batch_into(batch_size, &mut batch, &mut slot) > 0 {
             dispatched += self.dispatch_popped(&mut batch);
         }
         dispatched
@@ -712,7 +616,6 @@ impl Dispatcher {
             subscriptions,
             owners,
             index,
-            flow_memo: Mutex::new(HashMap::new()),
         })
     }
 
@@ -726,7 +629,6 @@ impl Dispatcher {
     #[inline(always)]
     fn subscription_matches(
         &self,
-        batch: &BatchContext,
         memo: &mut Vec<Memo>,
         subscription: &Subscription,
         owner_input: &Label,
@@ -741,8 +643,7 @@ impl Dispatcher {
         let verdict = match remembered {
             Some(entry) => entry.verdict,
             None => {
-                let verdict =
-                    self.evaluate(batch, &subscription.filter, owner_input, managed, event);
+                let verdict = self.evaluate(&subscription.filter, owner_input, managed, event);
                 if memo.len() == MEMO_CAP {
                     memo.remove(0);
                 }
@@ -765,10 +666,13 @@ impl Dispatcher {
     }
 
     /// Evaluates `filter` against `event` as visible to an owner, with label
-    /// checks per part.
+    /// checks per part: a part is visible to a direct subscription's owner
+    /// when its label can flow to the owner's input label. Managed handlers
+    /// accept any additional confidentiality taint, so for a managed
+    /// subscription only the integrity requirement of the owner's input label
+    /// constrains matching.
     fn evaluate(
         &self,
-        batch: &BatchContext,
         filter: &Filter,
         owner_input: &Label,
         managed: bool,
@@ -782,7 +686,12 @@ impl Dispatcher {
         }
         let mut rejected = 0;
         let matched = filter.matches(event, |part: &Part| {
-            let visible = batch.flow_allowed(part.label(), owner_input, managed);
+            let label = part.label();
+            let visible = if managed {
+                label.integrity().is_superset(owner_input.integrity())
+            } else {
+                label.can_flow_to(owner_input)
+            };
             rejected += u32::from(!visible);
             visible
         });
@@ -834,14 +743,7 @@ impl Dispatcher {
             };
             let managed = subscription.is_managed();
             let input = &owner.input;
-            if !self.subscription_matches(
-                batch,
-                &mut work.memo,
-                subscription,
-                input,
-                managed,
-                &current,
-            ) {
+            if !self.subscription_matches(&mut work.memo, subscription, input, managed, &current) {
                 exact_rejects += 1;
                 continue;
             }
@@ -914,14 +816,8 @@ impl Dispatcher {
                     }
                     next += 1;
                     let input = &following_owner.input;
-                    if self.subscription_matches(
-                        batch,
-                        &mut work.memo,
-                        following,
-                        input,
-                        false,
-                        &current,
-                    ) {
+                    if self.subscription_matches(&mut work.memo, following, input, false, &current)
+                    {
                         run = Some((candidate as usize, following));
                         break;
                     }

@@ -129,10 +129,8 @@ impl Default for EngineConfig {
 /// ([`Engine::queue_stats`]): what a deployment's operator sees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events currently queued across all shards.
+    /// Events currently queued.
     pub depth: usize,
-    /// Per-shard queued depths (sampled under each shard's lock).
-    pub shard_depths: Vec<usize>,
     /// Events popped but whose dispatch has not finished.
     pub in_flight: usize,
     /// The configured worker count, which is the number of workers
@@ -161,9 +159,9 @@ pub struct QueueStats {
     pub units_quarantined: u64,
     /// Deliveries shed because their target unit was quarantined.
     pub quarantine_shed: u64,
-    /// Whole runs a dispatcher popped from a run-queue shard other than its
-    /// preferred one because its own shard was dry (always zero with a single
-    /// shard, i.e. one worker or a manual engine).
+    /// Always zero: the run queue is one FIFO queue that every dispatcher
+    /// pops from, so no dispatcher takes work from another's. Kept for the
+    /// benchmark's `core.sched_steals` cell.
     pub sched_steals: u64,
     /// Always zero: every worker is active from start to shutdown, so none is
     /// ever woken to join the pool. Kept for the benchmark's
@@ -364,8 +362,8 @@ impl EngineCore {
 
     /// Attempts to reserve depth for `events` new external events against the
     /// configured ingress bound. Admission holds `depth + reserved + events <=
-    /// queue_bound` under a CAS loop, so concurrent admitters can never
-    /// jointly overshoot; the reservation must be released with
+    /// queue_bound` under the reservation lock, so concurrent admitters can
+    /// never jointly overshoot; the reservation must be released with
     /// [`EngineCore::release_admission`] once the enqueue has made the events
     /// visible in `len` (the momentary double-count in between is
     /// conservative). Always succeeds when no ingress bound is configured.
@@ -373,29 +371,18 @@ impl EngineCore {
         let Some(ingress) = &self.config.ingress else {
             return true;
         };
-        let bound = ingress.queue_bound;
-        let mut reserved = self.admission.reserved.load(Ordering::Acquire);
-        loop {
-            let depth = self.run_queue.len();
-            if depth + reserved + events > bound {
-                return false;
-            }
-            match self.admission.reserved.compare_exchange_weak(
-                reserved,
-                reserved + events,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => reserved = actual,
-            }
+        let mut reserved = self.admission.reserved.lock();
+        if self.run_queue.len() + *reserved + events > ingress.queue_bound {
+            return false;
         }
+        *reserved += events;
+        true
     }
 
     /// Releases a reservation taken by [`EngineCore::try_admit`].
     pub(crate) fn release_admission(&self, events: usize) {
         if self.config.ingress.is_some() && events > 0 {
-            self.admission.reserved.fetch_sub(events, Ordering::AcqRel);
+            *self.admission.reserved.lock() -= events;
         }
     }
 
@@ -465,8 +452,8 @@ impl EngineCore {
         }
     }
 
-    /// Enqueues a batch of external events onto one run-queue shard under a
-    /// single lock acquisition, returning how many were accepted. The batch is
+    /// Enqueues a batch of external events in order under a single run-queue
+    /// lock acquisition, returning how many were accepted. The batch is
     /// drained out of `events` (so publishers reuse one buffer per thread).
     /// When the write-ahead log is enabled the whole batch is appended as one
     /// frame — and flushed per the fsync policy — before anything is enqueued.
@@ -499,7 +486,7 @@ impl EngineCore {
 
     /// Re-feeds recovered events into the run queue through the normal
     /// dispatch path *without* re-logging them (their log records already
-    /// exist). Each recovered batch keeps its internal order on one shard,
+    /// exist). Each recovered batch is queued in order under one lock,
     /// exactly like the original `publish_batch` transaction did.
     pub(crate) fn enqueue_recovered_batch(&self, events: &mut Vec<Event>) -> EngineResult<usize> {
         if events.is_empty() {
@@ -821,7 +808,7 @@ impl Engine {
     }
 
     /// Starts the engine's runtime, spawning the configured number of dispatcher
-    /// worker threads over the sharded run queue, and returns the
+    /// worker threads over the run queue, and returns the
     /// [`EngineHandle`] through which the running engine is driven and
     /// eventually shut down.
     ///
@@ -901,15 +888,14 @@ impl Engine {
         self.core.config.mode
     }
 
-    /// Samples the run queue's and the engine's telemetry counters: total and
-    /// per-shard queue depth, in-flight dispatches, the worker count, and the
+    /// Samples the run queue's and the engine's telemetry counters: queue
+    /// depth, in-flight dispatches, the worker count, and the
     /// admission, fault, scheduler and subscription-index counters.
     pub fn queue_stats(&self) -> QueueStats {
         let depth = self.core.run_queue.len();
         let pending = self.core.run_queue.pending();
         QueueStats {
             depth,
-            shard_depths: self.core.run_queue.shard_depths(),
             in_flight: pending.saturating_sub(depth),
             workers_high_water: self.core.config.workers,
             ingress_admitted: self.core.admission.admitted(),
@@ -920,7 +906,7 @@ impl Engine {
             unit_panics: self.core.faults.unit_panics(),
             units_quarantined: self.core.faults.units_quarantined(),
             quarantine_shed: self.core.faults.quarantine_shed(),
-            sched_steals: self.core.run_queue.steals(),
+            sched_steals: 0,
             sched_wakes: 0,
             sched_snapshot_hits: self.core.shared_context.hits(),
             index_candidates: self.core.index_stats.candidates(),
@@ -1108,10 +1094,9 @@ impl Engine {
 
     /// Events taken off the dispatch queue so far. Stacked cascades never
     /// enter the queue, so unlike [`EngineStats::dispatched`] this count
-    /// reaches `queue_depth() + dequeued()` sampled at some instant only once
-    /// as many events left the queue as it held then — on a one-shard queue
-    /// (at most one worker), once every one of them has. Sample the depth
-    /// first: that order never undercounts a racing pop.
+    /// reaches `queue_depth() + dequeued()` sampled at some instant once every
+    /// event queued then has left the queue. Sample the depth first: that
+    /// order never undercounts a racing pop.
     pub fn dequeued(&self) -> u64 {
         self.core.run_queue.popped()
     }

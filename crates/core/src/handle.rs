@@ -66,7 +66,7 @@ impl EngineHandle {
         let core = engine.core();
         let workers = (0..core.config.workers)
             .map(|index| {
-                let dispatcher = Dispatcher::for_worker(Arc::clone(&core), index);
+                let dispatcher = Dispatcher::new(Arc::clone(&core));
                 std::thread::Builder::new()
                     .name(format!("defcon-dispatch-{index}"))
                     .spawn(move || dispatcher.run_worker())
@@ -328,8 +328,8 @@ impl Publisher {
     }
 
     /// Publishes a batch of drafts in one run-queue transaction: the unit's
-    /// output label is read once, every built event lands on a single shard in
-    /// draft order under one lock acquisition, and consumers are woken once —
+    /// output label is read once, every built event is queued in draft order
+    /// under one lock acquisition, and consumers are woken once —
     /// the driver-side half of the engine's batched dispatch hot path. Empty
     /// drafts are dropped per Table 1.
     ///
@@ -844,7 +844,7 @@ mod tests {
         let dying = std::thread::spawn(move || -> u64 {
             let queue = &core.run_queue;
             let (mut batch, mut slot) = (Vec::new(), None);
-            assert_eq!(queue.next_batch_into(0, 4, &mut batch, &mut slot), 1);
+            assert_eq!(queue.next_batch_into(4, &mut batch, &mut slot), 1);
             let _settled = queue.batch_guard(batch.len());
             panic!("a worker dies holding its dispatch slot");
         });

@@ -1,20 +1,15 @@
-//! The engine's sharded run queue.
+//! The engine's run queue.
 //!
-//! Published-but-not-yet-dispatched events live here. The queue is split into
-//! shards so that concurrent dispatcher workers (§6's multi-core configuration)
-//! do not all contend on one mutex: producers enqueue round-robin, and each
-//! worker prefers "its" shard, stealing from the others when it runs dry.
-//! Ordering is therefore FIFO per shard, not globally — the engine has never
-//! promised a global dispatch order across independent events, only that each
+//! Published-but-not-yet-dispatched events live here, in one FIFO queue:
+//! runs pop in the order they were queued, whoever pops them. The engine
+//! promises no dispatch order across concurrent workers, only that each
 //! event's deliveries happen in subscription order and that deliveries to one
 //! unit are serialised (by the per-unit mutex, not by the queue).
 //!
-//! Consumers pop in *batches*: [`RunQueue::pop_batch`] drains a whole run of up
-//! to `max` events from one shard under a single lock acquisition (stealing a
-//! run, not one item, when the preferred shard is dry — the engine's only
-//! work-stealing mechanism, counted as `queue_stats().sched_steals`), and the
-//! paired [`BatchGuard`] settles the in-flight accounting for the entire batch
-//! with one atomic update and one wakeup check. A batch size of 1 degenerates to
+//! Consumers pop in *batches*: [`RunQueue::pop_batch`] drains a run of up to
+//! `max` events under a single lock acquisition, and the paired
+//! [`BatchGuard`] settles the in-flight accounting for the entire batch with
+//! one atomic update and one wakeup check. A batch size of 1 degenerates to
 //! the classic one-event-per-lock behaviour.
 //!
 //! The queue also tracks how many events are *in flight* (popped but whose
@@ -25,9 +20,8 @@
 //! # Who may pop
 //!
 //! Only a thread holding a *dispatch slot* pops, and it keeps the slot until
-//! the popped batch is dispatched. There are `max(workers, 1)` slots (one per
-//! shard), so at most that many threads dispatch at once, and at one slot a
-//! publisher's external events reach units in FIFO order whoever pops them.
+//! the popped batch is dispatched. There are `max(workers, 1)` slots, so at
+//! most that many threads dispatch at once.
 //! A worker holds its slot while it runs and gives it up when it parks in
 //! [`RunQueue::next_batch_into`]. Every other consumer — a thread waiting in
 //! [`EngineHandle::wait_idle`](crate::EngineHandle::wait_idle), a manual
@@ -58,8 +52,8 @@ use parking_lot::{Condvar, Mutex};
 
 /// A multi-producer multi-consumer queue of events awaiting dispatch.
 pub(crate) struct RunQueue {
-    shards: Vec<Mutex<VecDeque<Event>>>,
-    /// Events queued across all shards.
+    queue: Mutex<VecDeque<Event>>,
+    /// Events queued, readable without the queue lock.
     len: AtomicUsize,
     /// Events ever popped off the queue (withdrawn events are not popped).
     popped: AtomicU64,
@@ -70,13 +64,8 @@ pub(crate) struct RunQueue {
     pending: AtomicUsize,
     /// Set by [`RunQueue::stop`]; workers exit once the queue is fully idle.
     stopping: AtomicBool,
-    /// Round-robin cursor for enqueue shard selection.
-    next_shard: AtomicUsize,
-    /// Runs [`RunQueue::pop_batch_into`] took from a shard other than the
-    /// caller's preferred one.
-    steals: AtomicU64,
     /// Dispatch slots not held by any thread (see the module docs): starts at
-    /// the shard count, `max(workers, 1)`.
+    /// `max(workers, 1)`.
     free_slots: AtomicUsize,
     /// Consumers currently parked (or about to park) on `work_signal`; lets the
     /// hot internal push skip the signal lock when nobody is listening.
@@ -104,18 +93,15 @@ pub(crate) struct RunQueue {
 }
 
 impl RunQueue {
-    /// Creates a queue with `shards` internal shards (at least one).
-    pub(crate) fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// Creates a queue with `slots` dispatch slots (at least one).
+    pub(crate) fn new(slots: usize) -> Self {
         RunQueue {
-            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(VecDeque::new()),
             len: AtomicUsize::new(0),
             popped: AtomicU64::new(0),
             pending: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
-            next_shard: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            free_slots: AtomicUsize::new(shards),
+            free_slots: AtomicUsize::new(slots.max(1)),
             waiters: AtomicUsize::new(0),
             idle_waiters: AtomicUsize::new(0),
             signal_lock: Mutex::new(()),
@@ -176,21 +162,6 @@ impl RunQueue {
         self.pending.load(Ordering::Acquire)
     }
 
-    /// Whole runs popped from a sibling of the caller's preferred shard
-    /// (`queue_stats().sched_steals`).
-    pub(crate) fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Samples every shard's current depth. Each read takes that shard's lock
-    /// briefly; intended for telemetry
-    /// ([`Engine::queue_stats`](crate::Engine::queue_stats)) and diagnostics,
-    /// not for hot paths —
-    /// the hot-path depth signal is the lock-free [`RunQueue::len`].
-    pub(crate) fn shard_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|shard| shard.lock().len()).collect()
-    }
-
     /// Returns `true` if nothing is queued and nothing is being dispatched.
     pub(crate) fn is_idle(&self) -> bool {
         self.pending.load(Ordering::SeqCst) == 0
@@ -199,15 +170,15 @@ impl RunQueue {
     /// Enqueues a block of events from *inside* dispatch (cascades spilled to
     /// a parked worker). Always accepted: the publishing dispatch is in
     /// flight, so stopping workers cannot have exited yet and the events are
-    /// guaranteed to drain. All events land on one shard in order under a
-    /// single lock acquisition, with a single wakeup check; the global signal
+    /// guaranteed to drain. All events are queued in order under a single
+    /// lock acquisition, with a single wakeup check; the global signal
     /// lock is only touched when a consumer is actually parked.
-    pub(crate) fn push_batch(&self, events: Vec<Event>) {
+    pub(crate) fn push_batch(&self, mut events: Vec<Event>) {
         let n = events.len();
         if n == 0 {
             return;
         }
-        self.insert_batch(events);
+        self.insert_batch(&mut events);
         self.wake_consumers(n);
     }
 
@@ -230,9 +201,9 @@ impl RunQueue {
             return false;
         }
         let id = event.id();
-        let shard = self.insert(event);
+        self.insert(event);
         if self.stopping.load(Ordering::SeqCst) {
-            let mut queue = self.shards[shard].lock();
+            let mut queue = self.queue.lock();
             if let Some(position) = queue.iter().position(|queued| queued.id() == id) {
                 queue.remove(position);
                 self.len.fetch_sub(1, Ordering::SeqCst);
@@ -245,7 +216,7 @@ impl RunQueue {
         true
     }
 
-    /// Enqueues a batch of external events onto one shard under one lock,
+    /// Enqueues a batch of external events in order under one lock,
     /// returning how many were accepted (and will therefore be dispatched).
     /// The batch is *drained* out of `events` (accepted or not — a rejected
     /// batch is cleared), so callers can reuse one buffer across batches.
@@ -275,14 +246,15 @@ impl RunQueue {
             let mut ids = ids.borrow_mut();
             ids.clear();
             ids.extend(events.iter().map(|event| event.id()));
-            let shard = self.insert_batch_drain(events);
+            self.insert_batch(events);
             if self.stopping.load(Ordering::SeqCst) {
-                // Raced with shutdown; the drain may already be past this
-                // shard. Withdraw whatever is still queued — anything gone is
-                // being dispatched by a consumer, so those publishes stand.
+                // Raced with shutdown; the drain may already have popped part
+                // of the batch. Withdraw whatever is still queued — anything
+                // gone is being dispatched by a consumer, so those publishes
+                // stand.
                 let mut withdrawn = 0;
                 {
-                    let mut queue = self.shards[shard].lock();
+                    let mut queue = self.queue.lock();
                     for id in ids.iter() {
                         if let Some(position) = queue.iter().position(|queued| queued.id() == *id) {
                             queue.remove(position);
@@ -310,40 +282,26 @@ impl RunQueue {
         })
     }
 
-    fn insert(&self, event: Event) -> usize {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut queue = self.shards[shard].lock();
+    fn insert(&self, event: Event) {
+        let mut queue = self.queue.lock();
         // `pending` rises with the insert and only falls at `complete_many`, so a
         // cascade event published during a dispatch is counted before that
         // dispatch completes — idleness can never be observed in between.
         self.pending.fetch_add(1, Ordering::SeqCst);
         queue.push_back(event);
-        // Incremented while the shard lock is held so `len` can never lag a
+        // Incremented while the queue lock is held so `len` can never lag a
         // concurrent pop and wrap below zero.
         self.len.fetch_add(1, Ordering::SeqCst);
-        shard
     }
 
-    fn insert_batch(&self, events: Vec<Event>) -> usize {
+    /// Queues every event of `events` in order, draining the buffer (the
+    /// external publish path reuses one buffer per thread).
+    fn insert_batch(&self, events: &mut Vec<Event>) {
         let n = events.len();
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut queue = self.shards[shard].lock();
-        self.pending.fetch_add(n, Ordering::SeqCst);
-        queue.extend(events);
-        self.len.fetch_add(n, Ordering::SeqCst);
-        shard
-    }
-
-    /// [`RunQueue::insert_batch`], draining a caller-owned buffer instead of
-    /// consuming it — the external publish path reuses one buffer per thread.
-    fn insert_batch_drain(&self, events: &mut Vec<Event>) -> usize {
-        let n = events.len();
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut queue = self.shards[shard].lock();
+        let mut queue = self.queue.lock();
         self.pending.fetch_add(n, Ordering::SeqCst);
         queue.extend(events.drain(..));
         self.len.fetch_add(n, Ordering::SeqCst);
-        shard
     }
 
     /// Wakes parked consumers after `inserted` events were enqueued. SeqCst
@@ -355,8 +313,8 @@ impl RunQueue {
         if self.waiters.load(Ordering::SeqCst) > 0 {
             let _signal = self.signal_lock.lock();
             if inserted > 1 {
-                // A batch can feed several workers (they steal runs from the
-                // shard it landed on); a single token would leave them parked.
+                // A batch can feed several workers (each pops a run of it); a
+                // single token would leave the others parked.
                 self.work_signal.notify_all();
             } else {
                 self.work_signal.notify_one();
@@ -372,51 +330,36 @@ impl RunQueue {
         }
     }
 
-    /// Pops up to `max` events in FIFO order from one shard under a single lock
-    /// acquisition, preferring shard `preferred` and stealing a whole run from a
-    /// sibling shard when the preferred one is dry. Every popped event counts as
-    /// in flight until completed (see [`RunQueue::batch_guard`]).
+    /// Pops up to `max` events in FIFO order under a single lock acquisition.
+    /// Every popped event counts as in flight until completed (see
+    /// [`RunQueue::batch_guard`]).
     #[cfg(test)]
-    fn pop_batch(&self, preferred: usize, max: usize) -> Vec<Event> {
+    fn pop_batch(&self, max: usize) -> Vec<Event> {
         let mut batch = Vec::new();
-        self.pop_batch_into(preferred, max, &mut batch);
+        self.pop_batch_into(max, &mut batch);
         batch
     }
 
     /// Allocation-free twin of [`RunQueue::pop_batch`]: appends the popped run
     /// to `out` (which the hot worker loop reuses across batches) and returns
     /// how many events were popped. The caller holds a dispatch slot.
-    pub(crate) fn pop_batch_into(
-        &self,
-        preferred: usize,
-        max: usize,
-        out: &mut Vec<Event>,
-    ) -> usize {
-        let max = max.max(1);
-        let shard_count = self.shards.len();
-        for offset in 0..shard_count {
-            let shard = &self.shards[(preferred + offset) % shard_count];
-            let mut queue = shard.lock();
-            if queue.is_empty() {
-                continue;
-            }
-            let take = queue.len().min(max);
-            out.extend(queue.drain(..take));
-            // Raised before `len` falls (see `popped`). Both are SeqCst so
-            // that they pair with a depth waiter's registration (see
-            // `wait_on_depth_signal`), as `wake_consumers` pairs a push.
-            self.popped.fetch_add(take as u64, Ordering::SeqCst);
-            // Decremented while the shard lock is held so `len` can never lag
-            // a concurrent pop and wrap below zero.
-            self.len.fetch_sub(take, Ordering::SeqCst);
-            drop(queue);
-            if offset > 0 {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            self.note_depth_drop();
-            return take;
+    pub(crate) fn pop_batch_into(&self, max: usize, out: &mut Vec<Event>) -> usize {
+        let mut queue = self.queue.lock();
+        let take = queue.len().min(max.max(1));
+        if take == 0 {
+            return 0;
         }
-        0
+        out.extend(queue.drain(..take));
+        // Raised before `len` falls (see `popped`). Both are SeqCst so that
+        // they pair with a depth waiter's registration (see
+        // `wait_on_depth_signal`), as `wake_consumers` pairs a push.
+        self.popped.fetch_add(take as u64, Ordering::SeqCst);
+        // Decremented while the queue lock is held so `len` can never lag a
+        // concurrent pop and wrap below zero.
+        self.len.fetch_sub(take, Ordering::SeqCst);
+        drop(queue);
+        self.note_depth_drop();
+        take
     }
 
     /// Wakes threads parked on the depth signal after queued depth dropped.
@@ -503,13 +446,13 @@ impl RunQueue {
     }
 
     /// Blocks until at least one event is available, returning a batch of up to
-    /// `max` events from one shard, or an empty batch once the queue is
+    /// `max` events, or an empty batch once the queue is
     /// stopping *and* fully idle (telling a worker to exit). The slot the pop
     /// takes is given back on return, so test consumers need not track it.
     #[cfg(test)]
-    pub(crate) fn next_batch(&self, preferred: usize, max: usize) -> Vec<Event> {
+    pub(crate) fn next_batch(&self, max: usize) -> Vec<Event> {
         let mut batch = Vec::new();
-        self.next_batch_into(preferred, max, &mut batch, &mut None);
+        self.next_batch_into(max, &mut batch, &mut None);
         batch
     }
 
@@ -526,7 +469,6 @@ impl RunQueue {
     /// given back too.
     pub(crate) fn next_batch_into<'q>(
         &'q self,
-        preferred: usize,
         max: usize,
         out: &mut Vec<Event>,
         slot: &mut Option<SlotGuard<'q>>,
@@ -536,7 +478,7 @@ impl RunQueue {
                 *slot = self.take_slot();
             }
             if slot.is_some() {
-                let popped = self.pop_batch_into(preferred, max, out);
+                let popped = self.pop_batch_into(max, out);
                 if popped > 0 {
                     return popped;
                 }
@@ -677,8 +619,8 @@ mod tests {
 
     /// Blocking single-event pop: the batch-size-1 degenerate case of
     /// [`RunQueue::next_batch`].
-    fn next_event(queue: &RunQueue, preferred: usize) -> Option<Event> {
-        queue.next_batch(preferred, 1).pop()
+    fn next_event(queue: &RunQueue) -> Option<Event> {
+        queue.next_batch(1).pop()
     }
 
     /// Waits until the consumers have drained the queue to idle on their
@@ -712,13 +654,13 @@ mod tests {
         queue.push(event(2));
         assert_eq!(queue.len(), 2);
 
-        assert_eq!(queue.pop_batch(0, 1).len(), 1, "event queued");
+        assert_eq!(queue.pop_batch(1).len(), 1, "event queued");
         assert!(!queue.is_idle(), "popped event is in flight");
         queue.complete();
-        assert_eq!(queue.pop_batch(0, 1).len(), 1);
+        assert_eq!(queue.pop_batch(1).len(), 1);
         queue.complete();
         assert!(queue.is_idle());
-        assert!(queue.pop_batch(0, 1).is_empty());
+        assert!(queue.pop_batch(1).is_empty());
     }
 
     #[test]
@@ -727,69 +669,48 @@ mod tests {
         queue.push_batch((0..10).map(event).collect());
         assert_eq!(queue.len(), 10);
 
-        let batch = queue.pop_batch(0, 4);
+        let batch = queue.pop_batch(4);
         assert_eq!(
             batch.iter().map(event_value).collect::<Vec<_>>(),
             vec![0, 1, 2, 3],
-            "a batch preserves shard FIFO order"
+            "a batch preserves FIFO order"
         );
         assert_eq!(queue.len(), 6);
         queue.complete_many(batch.len());
 
-        let rest = queue.pop_batch(0, 100);
+        let rest = queue.pop_batch(100);
         assert_eq!(rest.len(), 6, "bounded by what is queued");
         queue.complete_many(rest.len());
         assert!(queue.is_idle());
     }
 
+    /// Runs pop in push order whoever pops them: one thread, then another,
+    /// each taking the oldest run left. There are more runs than slots, so
+    /// no split of the queue by slot or by caller keeps them in order.
     #[test]
-    fn pop_batch_steals_a_whole_run_from_a_sibling_shard() {
-        let queue = RunQueue::new(4);
-        // One push_batch lands on a single shard (shard 0, round-robin from 0).
-        queue.push_batch((0..8).map(event).collect());
-
-        // Worker preferring shard 2 finds its own shard dry and steals the
-        // entire run from shard 0 under one lock, not one event at a time.
-        let stolen = queue.pop_batch(2, 8);
-        assert_eq!(stolen.len(), 8, "steal takes the whole run");
-        assert_eq!(
-            stolen.iter().map(event_value).collect::<Vec<_>>(),
-            (0..8).collect::<Vec<_>>()
-        );
-        assert_eq!(queue.len(), 0);
-        queue.complete_many(stolen.len());
-        assert!(queue.is_idle());
-    }
-
-    #[test]
-    fn only_runs_from_a_sibling_shard_count_as_steals() {
-        let queue = RunQueue::new(2);
-        // Round-robin: the first run lands on shard 0, the second on shard 1.
-        queue.push_batch((0..4).map(event).collect());
-        queue.push_batch((4..8).map(event).collect());
-
-        let own = queue.pop_batch(0, 8);
-        assert_eq!(own.len(), 4);
-        assert_eq!(
-            queue.steals(),
-            0,
-            "a pop from the preferred shard is no steal"
-        );
-
-        // Shard 0 is dry now: the next pop takes shard 1's run in two halves,
-        // and each run taken from the sibling counts once, however long.
-        let first = queue.pop_batch(0, 2);
-        assert_eq!(
-            first.iter().map(event_value).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
-        assert_eq!(queue.steals(), 1);
-        let second = queue.pop_batch(0, 8);
-        assert_eq!(second.len(), 2);
-        assert_eq!(queue.steals(), 2);
-        assert!(queue.pop_batch(0, 8).is_empty());
-        assert_eq!(queue.steals(), 2, "an empty pop steals nothing");
-        queue.complete_many(8);
+    fn runs_pop_in_push_order_whichever_caller_pops_first() {
+        const SLOTS: usize = 4;
+        const RUN: i64 = 3;
+        let runs: Vec<Vec<i64>> = (0..=SLOTS as i64)
+            .map(|run| (run * RUN..(run + 1) * RUN).collect())
+            .collect();
+        let queue = RunQueue::new(SLOTS);
+        for run in &runs {
+            queue.push_batch(run.iter().copied().map(event).collect());
+        }
+        let popped: Vec<Vec<i64>> = (0..runs.len())
+            .map(|nth| {
+                let pop = || queue.next_batch(RUN as usize);
+                let batch = if nth % 2 == 0 {
+                    pop()
+                } else {
+                    std::thread::scope(|scope| scope.spawn(pop).join().unwrap())
+                };
+                queue.complete_many(batch.len());
+                batch.iter().map(event_value).collect()
+            })
+            .collect();
+        assert_eq!(popped, runs, "runs pop whole, in push order");
         assert!(queue.is_idle());
     }
 
@@ -799,7 +720,7 @@ mod tests {
         queue.push_batch((0..3).map(event).collect());
         let inner = Arc::clone(&queue);
         let result = std::panic::catch_unwind(move || {
-            let batch = inner.pop_batch(0, 3);
+            let batch = inner.pop_batch(3);
             let _guard = inner.batch_guard(batch.len());
             panic!("dispatch blew up mid-batch");
         });
@@ -816,10 +737,10 @@ mod tests {
         queue.push(event(1));
         queue.stop();
         // Still one event queued: consumers must drain it before exiting.
-        let got = next_event(&queue, 0).expect("queued event survives stop");
+        let got = next_event(&queue).expect("queued event survives stop");
         let _ = got;
         queue.complete();
-        assert!(next_event(&queue, 0).is_none());
+        assert!(next_event(&queue).is_none());
     }
 
     #[test]
@@ -831,7 +752,7 @@ mod tests {
         // Internal (cascade) pushes are still accepted and drainable.
         queue.push(event(3));
         assert_eq!(queue.len(), 2);
-        while next_event(&queue, 0).is_some() {
+        while next_event(&queue).is_some() {
             queue.complete();
         }
         assert!(queue.is_idle());
@@ -852,7 +773,7 @@ mod tests {
             "rejected once stopping"
         );
         assert_eq!(queue.len(), 5);
-        while next_event(&queue, 0).is_some() {
+        while next_event(&queue).is_some() {
             queue.complete();
         }
         assert!(queue.is_idle());
@@ -871,7 +792,7 @@ mod tests {
                 let queue = Arc::clone(&queue);
                 let consumed = Arc::clone(&consumed);
                 std::thread::spawn(move || loop {
-                    let batch = queue.next_batch(0, 4);
+                    let batch = queue.next_batch(4);
                     if batch.is_empty() {
                         return;
                     }
@@ -911,7 +832,7 @@ mod tests {
     fn wait_idle_times_out_while_in_flight() {
         let queue = RunQueue::new(1);
         queue.push(event(1));
-        assert_eq!(queue.pop_batch(0, 1).len(), 1);
+        assert_eq!(queue.pop_batch(1).len(), 1);
         let deadline = |ms| Instant::now() + Duration::from_millis(ms);
         assert!(!queue.wait_idle(deadline(20)));
         queue.complete();
@@ -930,7 +851,7 @@ mod tests {
         let consumer = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
-                let event = next_event(&queue, 0);
+                let event = next_event(&queue);
                 let woken_at = Instant::now();
                 queue.complete();
                 (event.is_some(), woken_at)
@@ -956,7 +877,7 @@ mod tests {
         let queue = Arc::new(RunQueue::new(2));
         let consumer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || next_event(&queue, 0))
+            std::thread::spawn(move || next_event(&queue))
         };
         std::thread::sleep(Duration::from_millis(100));
         queue.stop();
@@ -972,11 +893,11 @@ mod tests {
     fn a_held_slot_parks_consumers_until_it_is_given_back() {
         let queue = Arc::new(RunQueue::new(1));
         let slot = queue.take_slot().expect("a fresh queue has a free slot");
-        assert!(queue.take_slot().is_none(), "one slot per shard");
+        assert!(queue.take_slot().is_none(), "one slot at one worker");
         queue.push(event(1));
         let consumer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || next_event(&queue, 0).map(|event| event_value(&event)))
+            std::thread::spawn(move || next_event(&queue).map(|event| event_value(&event)))
         };
         std::thread::sleep(Duration::from_millis(100));
         assert!(!consumer.is_finished(), "no consumer pops without a slot");
@@ -999,7 +920,7 @@ mod tests {
             std::thread::spawn(move || queue.wait_depth_below(5, Duration::from_secs(5)))
         };
         std::thread::sleep(Duration::from_millis(50));
-        let batch = queue.pop_batch(0, 4); // depth 8 -> 4, below the target
+        let batch = queue.pop_batch(4); // depth 8 -> 4, below the target
         assert!(
             waiter.join().unwrap(),
             "a pop dropping depth below the target must release the waiter"
@@ -1009,6 +930,50 @@ mod tests {
         // A stopping queue releases blocked admitters even at depth.
         queue.stop();
         assert!(queue.wait_depth_below(1, Duration::from_secs(5)));
+    }
+
+    /// A pop itself wakes a thread parked on the depth signal: each of the
+    /// rounds parks a waiter for `popped ≥ round`, pops one event, and times
+    /// the waiter's release. On a 2-vCPU host the median release reads about
+    /// 11 µs; with the pop's wake removed, the 1 ms backstop releases it after
+    /// about 1.05 ms.
+    #[test]
+    fn a_pop_wakes_a_depth_waiter_without_the_backstop() {
+        const ROUNDS: u64 = 200;
+        let queue = Arc::new(RunQueue::new(1));
+        let (released_tx, released_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                for round in 1..=ROUNDS {
+                    let ready = || queue.popped() >= round;
+                    assert!(queue.wait_on_depth_signal(ready, Duration::from_secs(10)));
+                    released_tx.send(Instant::now()).unwrap();
+                }
+            })
+        };
+        let mut latencies = Vec::new();
+        for _ in 0..ROUNDS {
+            queue.push(event(0));
+            while queue.depth_waiters.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            // The waiter registers under the signal lock and releases it only
+            // inside its wait, so once the lock is free again it is parked.
+            drop(queue.signal_lock.lock());
+            let popped_at = Instant::now();
+            assert_eq!(queue.pop_batch(1).len(), 1);
+            queue.complete();
+            let released_at = released_rx.recv().unwrap();
+            latencies.push(released_at.saturating_duration_since(popped_at));
+        }
+        waiter.join().unwrap();
+        latencies.sort();
+        let median = latencies[latencies.len() / 2];
+        assert!(
+            median < Duration::from_micros(300),
+            "median release {median:?} after a pop; the backstop alone gives about 1 ms"
+        );
     }
 
     #[test]
@@ -1028,11 +993,11 @@ mod tests {
             })
             .collect();
         let consumers: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let queue = Arc::clone(&queue);
                 let consumed = Arc::clone(&consumed);
                 std::thread::spawn(move || {
-                    while let Some(_event) = next_event(&queue, w) {
+                    while let Some(_event) = next_event(&queue) {
                         consumed.fetch_add(1, Ordering::Relaxed);
                         queue.complete();
                     }
@@ -1070,11 +1035,11 @@ mod tests {
             })
             .collect();
         let consumers: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let queue = Arc::clone(&queue);
                 let consumed = Arc::clone(&consumed);
                 std::thread::spawn(move || loop {
-                    let batch = queue.next_batch(w, 8);
+                    let batch = queue.next_batch(8);
                     if batch.is_empty() {
                         return;
                     }

@@ -75,8 +75,8 @@ impl Unit for OrderProbe {
     }
 }
 
-/// With a single worker (one shard) the queue is FIFO, and a `publish_batch`
-/// lands on one shard in draft order — so a subscriber must observe the exact
+/// With a single worker the queue is FIFO, and a `publish_batch` is queued in
+/// draft order — so a subscriber must observe the exact
 /// publication order even though events travel in batches of 8.
 #[test]
 fn publish_batch_order_is_preserved_with_a_single_worker() {

@@ -183,9 +183,7 @@ proptest! {
 /// seeded random cases sample: four workers popping batches of eight while
 /// four publisher threads contend, in every security mode — the configuration the deleted
 /// `workers(4) × batch(8)` sweeps exercised, at their original contention
-/// level. Four shards under four publishers is also where a worker whose own
-/// shard runs dry takes whole runs from its siblings, so whole-run stealing is
-/// exercised under real contention.
+/// level.
 #[test]
 fn the_hot_point_stays_covered_at_full_contention() {
     for mode in SecurityMode::all() {

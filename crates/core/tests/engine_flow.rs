@@ -1440,7 +1440,7 @@ fn manual_pumping_survives_an_engine_fault_mid_batch() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent dispatch: workers(4) over the sharded run queue. (Exactly-once
+// Concurrent dispatch: workers(4) over the run queue. (Exactly-once
 // delivery and per-unit serialisation over the full random grid of
 // `(workers, batch_size, mode, publishers, events)` live in
 // `tests/dispatch_properties.rs`; here only the label-check and lifecycle

@@ -332,7 +332,7 @@ fn swap_unit_migrates_index_entries_under_the_epoch_bump() {
 }
 
 /// Per-unit FIFO across the swap boundary, pinned exactly: with one worker the
-/// run queue is a single FIFO shard, so the recorded `(seq, incarnation)`
+/// run queue pops in FIFO order, so the recorded `(seq, incarnation)`
 /// stream must be `0..N` in publish order with a non-decreasing incarnation —
 /// the swap may move the cut point but never reorder or drop events.
 #[test]

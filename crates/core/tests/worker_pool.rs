@@ -1,11 +1,11 @@
 //! End-to-end pins of the dispatcher worker pool and its scheduler counters.
 //!
 //! The pool is a fixed band: `workers(n)` spawns `n` workers that stay active
-//! until shutdown, over one run-queue shard each, so its activation never
-//! moves. Under slow deliveries two workers must take whole runs from a
-//! sibling shard (`sched_steals`) and reuse a sibling-built security snapshot
-//! (`sched_snapshot_hits`), while no worker is ever woken to join the band
-//! (`sched_wakes` stays 0) and every event is delivered exactly once.
+//! until shutdown, all popping from one run queue, so its activation never
+//! moves. Under slow deliveries two workers must reuse a sibling-built
+//! security snapshot (`sched_snapshot_hits`), while no worker is ever woken
+//! to join the band (`sched_wakes` stays 0), none takes work from another
+//! (`sched_steals` stays 0) and every event is delivered exactly once.
 //! Fixed-pool drain on shutdown and late-publish rejection are pinned by the
 //! `handle` unit tests. A thread waiting in `wait_idle` dispatches in a parked
 //! worker's place, and the dispatch-slot law — at most `max(workers, 1)`
@@ -48,7 +48,7 @@ fn tick_batch(n: usize) -> Vec<EventDraft> {
 }
 
 /// A flood through a `workers(2)` pool leaves its activation where it
-/// started: two workers, two shards, no wakes, and every event delivered.
+/// started: two workers, no wakes, and every event delivered.
 #[test]
 fn fixed_pools_never_change_their_activation() {
     let received = Arc::new(AtomicU64::new(0));
@@ -73,7 +73,6 @@ fn fixed_pools_never_change_their_activation() {
     assert!(handle.wait_idle(Duration::from_secs(30)));
     let stats = engine.queue_stats();
     assert_eq!(handle.worker_count(), 2);
-    assert_eq!(stats.shard_depths.len(), 2);
     assert_eq!(stats.workers_high_water, 2);
     assert_eq!(stats.sched_wakes, 0, "a fixed pool never recruits");
     handle.shutdown().unwrap();
@@ -82,13 +81,13 @@ fn fixed_pools_never_change_their_activation() {
 
 /// The end-to-end pin of the scheduler counters. A band of two workers over
 /// slow (200 µs) deliveries is fed bursts published as 8-event runs, which
-/// the run queue's round-robin spreads over both shards. The second worker's
-/// first batch reuses the snapshot the first one published for the unchanged
-/// epoch (a snapshot hit), and a worker whose own shard runs dry takes a
-/// whole run from the other (a steal). The band never changes size, so no
-/// worker is woken, and every published event is delivered exactly once.
+/// both workers pop off the one run queue. The second worker's first batch
+/// reuses the snapshot the first one published for the unchanged epoch (a
+/// snapshot hit). The band never changes size, so no worker is woken, no
+/// worker takes work from another, and every published event is delivered
+/// exactly once.
 #[test]
-fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
+fn two_workers_share_one_snapshot_and_deliver_exactly_once() {
     const WORKERS: usize = 2;
     const RUN: usize = 8;
     const RUNS_PER_BURST: usize = 12;
@@ -113,16 +112,12 @@ fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
         .unwrap();
     let handle = engine.start();
     assert_eq!(handle.worker_count(), WORKERS);
-    assert_eq!(
-        engine.queue_stats().shard_depths.len(),
-        WORKERS,
-        "one shard per worker"
-    );
+    assert_eq!(engine.queue_stats().workers_high_water, WORKERS);
     let publisher = engine.publisher(source).unwrap();
 
     let mut published = 0u64;
     let mut bursts = 0;
-    let fired = |stats: &QueueStats| stats.sched_steals > 0 && stats.sched_snapshot_hits > 0;
+    let fired = |stats: &QueueStats| stats.sched_snapshot_hits > 0;
     while bursts < MAX_BURSTS && !fired(&engine.queue_stats()) {
         for _ in 0..RUNS_PER_BURST {
             published += publisher.publish_batch(tick_batch(RUN)).unwrap().accepted() as u64;
@@ -136,11 +131,11 @@ fn an_elastic_band_fires_every_scheduler_counter_and_delivers_exactly_once() {
     let stats = engine.queue_stats();
     assert!(
         fired(&stats),
-        "after {bursts} bursts: steals={} snapshot_hits={}",
-        stats.sched_steals,
+        "after {bursts} bursts: snapshot_hits={}",
         stats.sched_snapshot_hits
     );
     assert_eq!(stats.sched_wakes, 0, "a fixed band never wakes a worker");
+    assert_eq!(stats.sched_steals, 0, "one queue leaves nothing to steal");
     assert_eq!(stats.workers_high_water, WORKERS);
 
     let dispatched = handle.shutdown().unwrap();

@@ -176,9 +176,8 @@ impl Label {
 
     /// Constant-time portion of [`Label::can_flow_to`]: `Some(answer)` when the
     /// pointer/fingerprint fast paths decide, `None` when the exact scan is
-    /// needed. Exposed so callers that memoise expensive decisions (the
-    /// dispatcher's per-batch flow memo) can skip the memo when the fast path
-    /// already answered.
+    /// needed. Exposed so that the label property tests can check every fast
+    /// answer against [`Label::can_flow_to_exact`].
     #[inline]
     pub fn can_flow_to_fast(&self, other: &Label) -> Option<bool> {
         if self.ptr_eq(other) {

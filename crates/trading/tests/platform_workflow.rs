@@ -128,7 +128,7 @@ fn workflow_works_in_every_security_mode() {
 #[test]
 fn workflow_works_with_dispatcher_workers_in_every_security_mode() {
     // The same Figure 4 cascade, but dispatched by four worker threads over the
-    // sharded run queue: distinct units process in parallel while label checks
+    // run queue: distinct units process in parallel while label checks
     // and per-unit serialisation keep the workflow's semantics.
     for mode in SecurityMode::all() {
         let config = TradingPlatformConfig {
