@@ -37,7 +37,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use defcon_defc::{Component, Label, Privilege, PrivilegeKind, PrivilegeSet, Tag};
+use defcon_defc::{Component, Label, Privilege, PrivilegeKind, Tag};
 use defcon_events::{Event, Filter, Part, Value};
 
 use crate::dispatcher::Cascade;
@@ -178,9 +178,9 @@ impl<'a> UnitContext<'a> {
     /// (§3.1.3).
     pub fn create_tag(&mut self, name: impl AsRef<str>) -> Tag {
         let tag = Tag::with_name(name.as_ref());
-        self.state
-            .privileges
-            .absorb(&PrivilegeSet::for_created_tag(&tag));
+        let privileges = &mut self.state.privileges;
+        privileges.grant(Privilege::add_authority(tag.clone()));
+        privileges.grant(Privilege::remove_authority(tag.clone()));
         self.snapshotted_state_changed();
         tag
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use defcon_defc::Label;
-use defcon_durability::{WalConfig, WalRecord, WalWriter};
+use defcon_durability::{WalConfig, WalWriter};
 use defcon_events::Event;
 use defcon_metrics::{memory::MemoryCategory, MemoryAccountant};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -414,16 +414,8 @@ impl EngineCore {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
-        let record = WalRecord {
-            publisher_unit: source.as_u64(),
-            output_label: output_label.clone(),
-            arrival_ns,
-            // Events clone by `Arc`, so logging shares the parts buffers the
-            // queue is about to take.
-            events: events.to_vec(),
-        };
         wal.lock()
-            .append(&record)
+            .append_batch(source.as_u64(), output_label, arrival_ns, events)
             .map_err(|err| EngineError::Durability(format!("wal append failed: {err}")))
     }
 

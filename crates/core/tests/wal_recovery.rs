@@ -4,7 +4,7 @@
 //! per-unit order matching a clean run — including a torn-tail variant.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use defcon_core::{
@@ -197,6 +197,98 @@ fn torn_tail_is_truncated_and_the_prefix_replays_exactly_once() {
     assert_eq!(alpha.len() + beta.len(), 72);
     assert_eq!(alpha[..], clean_alpha[..alpha.len()]);
     assert_eq!(beta[..], clean_beta[..beta.len()]);
+}
+
+/// The log's one segment file.
+fn single_segment(dir: &Path) -> PathBuf {
+    let mut segments: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    assert_eq!(segments.len(), 1);
+    segments.pop().unwrap()
+}
+
+/// Offset just past the last frame, found by walking the length prefixes
+/// after the 8-byte magic up to the first all-zero header.
+fn frames_end(bytes: &[u8]) -> usize {
+    let mut at = 8;
+    while let Some(header) = bytes.get(at..at + 8) {
+        if header.iter().all(|&b| b == 0) {
+            break;
+        }
+        at += 8 + u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    }
+    at
+}
+
+/// "Crashes" a `workers(0)` engine by leaking it after it accepted all ten
+/// batches, so the log writer's `Drop` never trims the zeros it laid ahead.
+fn leaked_log(name: &str) -> PathBuf {
+    let dir = temp_dir(name);
+    let crashed = build_engine(Some(WalConfig::new(&dir).fsync(FsyncPolicy::EveryBatch)));
+    assert_eq!(publish_all(&crashed), 80);
+    std::mem::forget(crashed);
+    dir
+}
+
+#[test]
+fn a_leaked_engine_recovers_to_the_clean_runs_sequences() {
+    let (clean_alpha, clean_beta) = clean_run();
+    let dir = leaked_log("leaked");
+    let segment = single_segment(&dir);
+    let bytes = fs::read(&segment).unwrap();
+    assert!(
+        bytes.len() > frames_end(&bytes),
+        "the zeros are still there"
+    );
+
+    let recovered = build_engine(None);
+    let report = recovered.engine.recover_from(&dir).unwrap();
+    assert_eq!(report.batches, 10);
+    assert_eq!(report.events, 80);
+    assert!(!report.torn_tail_truncated, "a zero tail is a clean end");
+
+    let handle = recovered.engine.start();
+    handle.pump_until_idle().unwrap();
+    handle.shutdown().unwrap();
+    assert_eq!(*recovered.alpha.lock(), clean_alpha);
+    assert_eq!(*recovered.beta.lock(), clean_beta);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_leaked_engine_with_its_last_frame_zeroed_replays_the_prefix() {
+    let (clean_alpha, clean_beta) = clean_run();
+    let dir = leaked_log("leaked-torn");
+    let segment = single_segment(&dir);
+    let mut bytes = fs::read(&segment).unwrap();
+    let end = frames_end(&bytes);
+    // Zero the last frame's final bytes, keeping the file's length.
+    let tail = &mut bytes[end - 16..end];
+    assert!(
+        tail.iter().any(|&b| b != 0),
+        "zeroing must change the frame"
+    );
+    tail.fill(0);
+    fs::write(&segment, &bytes).unwrap();
+
+    let recovered = build_engine(None);
+    let report = recovered.engine.recover_from(&dir).unwrap();
+    assert!(report.torn_tail_truncated);
+    assert_eq!(report.batches, 9, "the broken final batch is dropped");
+    assert_eq!(report.events, 72);
+
+    let handle = recovered.engine.start();
+    handle.pump_until_idle().unwrap();
+    handle.shutdown().unwrap();
+    let alpha = recovered.alpha.lock().clone();
+    let beta = recovered.beta.lock().clone();
+    assert_eq!(alpha.len() + beta.len(), 72);
+    assert_eq!(alpha[..], clean_alpha[..alpha.len()]);
+    assert_eq!(beta[..], clean_beta[..beta.len()]);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

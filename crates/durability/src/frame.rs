@@ -2,10 +2,16 @@
 //!
 //! A framed file is an 8-byte magic header followed by frames of
 //! `len: u32 LE | crc32: u32 LE | payload`, where the checksum covers the
-//! payload only. The format is deliberately dumb: any prefix of a file cut at
-//! an arbitrary byte offset — the failure mode of a crash mid-write — decodes
-//! to a prefix of the frames that were appended, never to a corrupt payload,
-//! because a cut frame fails either the length bound or the checksum.
+//! length prefix and the payload. The format is deliberately dumb: any prefix
+//! of a file cut at an arbitrary byte offset — the failure mode of a crash
+//! mid-write — decodes to a prefix of the frames that were appended, never to
+//! a corrupt payload, because a cut frame fails either the length bound or
+//! the checksum.
+//!
+//! Because the checksum covers the length, an all-zero header is never a
+//! valid frame (`crc32` of four zero bytes is not zero), so zeros written
+//! ahead of the last frame are unambiguous: a scan that finds nothing but
+//! zeros after its last intact frame reports a clean end, not a torn tail.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -15,7 +21,8 @@ use std::path::Path;
 /// treated as corruption rather than an allocation request.
 pub const MAX_FRAME_BYTES: u32 = 256 * 1024 * 1024;
 
-const FRAME_HEADER_BYTES: usize = 8;
+/// Bytes of the `len | crc32` header in front of every payload.
+pub(crate) const FRAME_HEADER_BYTES: usize = 8;
 
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -39,24 +46,32 @@ const fn build_crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = build_crc_table();
 
-/// CRC-32 (IEEE 802.3 polynomial), the checksum guarding every frame.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     for &byte in data {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
-/// Appends one frame (header + payload) to `out`; returns the bytes written.
-pub fn write_frame(out: &mut File, payload: &[u8]) -> io::Result<u64> {
+/// CRC-32 (IEEE 802.3 polynomial), the checksum guarding every frame.
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, data)
+}
+
+/// A frame's checksum: CRC-32 over the little-endian length, then the payload.
+fn frame_crc(len: [u8; 4], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(0xFFFF_FFFF, &len), payload)
+}
+
+/// Fills in the header of `frame`, whose first [`FRAME_HEADER_BYTES`] are
+/// reserved and whose rest is the payload, so the whole slice can be written
+/// as one frame.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
     debug_assert!(payload.len() as u64 <= MAX_FRAME_BYTES as u64);
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    out.write_all(&header)?;
-    out.write_all(payload)?;
-    Ok((FRAME_HEADER_BYTES + payload.len()) as u64)
+    let len = (payload.len() as u32).to_le_bytes();
+    header[..4].copy_from_slice(&len);
+    header[4..].copy_from_slice(&frame_crc(len, payload).to_le_bytes());
 }
 
 /// Writes the 8-byte magic header that starts every framed file.
@@ -75,20 +90,25 @@ pub struct FileScan {
     pub valid_len: u64,
     /// Total file length as read.
     pub file_len: u64,
+    /// Whether every byte from `valid_len` to `file_len` is zero (or there
+    /// is none): zeros a writer laid ahead of its frames end a file cleanly.
+    pub clean_end: bool,
 }
 
 impl FileScan {
-    /// Whether the file ended in a torn (incomplete or checksum-failing) frame.
+    /// Whether the file ended in a torn (incomplete or checksum-failing) frame
+    /// rather than at a frame boundary or in zeros.
     pub fn torn(&self) -> bool {
-        self.valid_len < self.file_len
+        !self.clean_end
     }
 }
 
 /// Reads a framed file and splits it into intact payloads plus a torn tail.
 ///
 /// Never fails on truncation: a file cut at any byte offset yields the frames
-/// before the cut. A magic header that *mismatches* (rather than being a cut
-/// prefix) is a different file format and reports `InvalidData`.
+/// before the cut. A tail of zeros after the last intact frame is a clean end.
+/// A magic header that *mismatches* (rather than being a cut prefix) is a
+/// different file format and reports `InvalidData`.
 pub fn scan_file(path: &Path, magic: &[u8; 8]) -> io::Result<FileScan> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
@@ -106,6 +126,7 @@ pub fn scan_file(path: &Path, magic: &[u8; 8]) -> io::Result<FileScan> {
             payloads: Vec::new(),
             valid_len: 0,
             file_len,
+            clean_end: file_len == 0,
         });
     }
     if bytes[..magic.len()] != magic[..] {
@@ -122,7 +143,8 @@ pub fn scan_file(path: &Path, magic: &[u8; 8]) -> io::Result<FileScan> {
         let Some(header) = bytes.get(offset..offset + FRAME_HEADER_BYTES) else {
             break; // torn inside a frame header
         };
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let len_bytes: [u8; 4] = header[..4].try_into().expect("a 4-byte slice");
+        let len = u32::from_le_bytes(len_bytes);
         let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
         if len > MAX_FRAME_BYTES {
             break; // implausible length: treat as torn/corrupt tail
@@ -131,8 +153,8 @@ pub fn scan_file(path: &Path, magic: &[u8; 8]) -> io::Result<FileScan> {
         let Some(payload) = bytes.get(start..start + len as usize) else {
             break; // torn inside the payload
         };
-        if crc32(payload) != crc {
-            break; // checksum failure: torn or corrupt tail
+        if frame_crc(len_bytes, payload) != crc {
+            break; // checksum failure: torn or corrupt tail (or zeros)
         }
         payloads.push(payload.to_vec());
         offset = start + len as usize;
@@ -143,6 +165,7 @@ pub fn scan_file(path: &Path, magic: &[u8; 8]) -> io::Result<FileScan> {
         payloads,
         valid_len,
         file_len,
+        clean_end: bytes[offset..].iter().all(|&byte| byte == 0),
     })
 }
 
@@ -152,6 +175,16 @@ mod tests {
     use std::fs;
 
     const MAGIC: &[u8; 8] = b"DEFCTST1";
+
+    /// Appends one frame (header + payload) to `out`; returns the bytes
+    /// written.
+    fn write_frame(out: &mut File, payload: &[u8]) -> io::Result<u64> {
+        let mut frame = vec![0u8; FRAME_HEADER_BYTES];
+        frame.extend_from_slice(payload);
+        seal_frame(&mut frame);
+        out.write_all(&frame)?;
+        Ok(frame.len() as u64)
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("defcon-frame-{}-{name}", std::process::id()));
@@ -233,6 +266,45 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let scan = scan_file(&path, MAGIC).unwrap();
         assert!(scan.payloads.is_empty());
+        assert!(scan.torn());
+    }
+
+    #[test]
+    fn an_all_zero_header_never_parses_as_a_frame() {
+        assert_ne!(frame_crc([0; 4], b""), 0, "an empty frame's checksum");
+        let path = temp_path("zeros");
+        let mut file = File::create(&path).unwrap();
+        write_magic(&mut file, MAGIC).unwrap();
+        let end = MAGIC.len() as u64 + write_frame(&mut file, b"").unwrap();
+        file.write_all(&[0; 100]).unwrap();
+        drop(file);
+        let scan = scan_file(&path, MAGIC).unwrap();
+        assert_eq!(scan.payloads, vec![Vec::<u8>::new()], "only the real frame");
+        assert_eq!(scan.valid_len, end);
+        assert!(scan.clean_end && !scan.torn(), "zeros are a clean end");
+
+        // Zeros straight after the magic: no frame, still clean.
+        fs::write(&path, [MAGIC.as_slice(), &[0; 8]].concat()).unwrap();
+        let scan = scan_file(&path, MAGIC).unwrap();
+        assert!(scan.payloads.is_empty());
+        assert!(!scan.torn());
+    }
+
+    #[test]
+    fn a_broken_frame_before_zeros_is_torn() {
+        let path = temp_path("broken-then-zeros");
+        let mut file = File::create(&path).unwrap();
+        write_magic(&mut file, MAGIC).unwrap();
+        write_frame(&mut file, b"kept").unwrap();
+        write_frame(&mut file, b"cut-short").unwrap();
+        file.write_all(&[0; 64]).unwrap();
+        drop(file);
+        let mut bytes = fs::read(&path).unwrap();
+        let last_payload_byte = bytes.len() - 65;
+        bytes[last_payload_byte] = 0;
+        fs::write(&path, &bytes).unwrap();
+        let scan = scan_file(&path, MAGIC).unwrap();
+        assert_eq!(scan.payloads, vec![b"kept".to_vec()]);
         assert!(scan.torn());
     }
 

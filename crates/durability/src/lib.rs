@@ -8,13 +8,17 @@
 //! [`wal`] is a segmented, CRC32-framed append-only log of externally
 //! published batches. Appends piggyback on the engine's
 //! one-transaction-per-chunk `publish_batch` path: one frame per batch, one
-//! optional fsync per batch (policy [`FsyncPolicy`]). Recovery scans the
-//! segments, truncates a torn tail at the last valid frame and re-feeds the
-//! surviving records through normal dispatch.
+//! optional fsync per batch (policy [`FsyncPolicy`]). Under a syncing policy
+//! the writer keeps zeros ahead of its frames, so a per-batch sync flushes
+//! data without a file-size change. Recovery scans the segments, reads a zero
+//! tail as a clean end, truncates a torn tail at the last valid frame and
+//! re-feeds the surviving records through normal dispatch.
 //!
 //! The on-disk format lives in [`frame`]: a little-endian `len: u32` +
-//! `crc32: u32` header per payload, with a magic-prefixed file header, so a
-//! partially flushed tail is always detectable.
+//! `crc32: u32` header per payload, the checksum covering the length as well
+//! as the payload, with a magic-prefixed file header (`DEFCWAL2`), so a
+//! partially flushed tail is always detectable and an all-zero header is
+//! never a frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,17 +13,38 @@
 //! rotates when the current segment exceeds the configured size. Recovery
 //! scans segments in order, truncates a torn tail at the last valid frame and
 //! returns the surviving records.
+//!
+//! Under a syncing [`FsyncPolicy`] the writer keeps real zeros ahead of its
+//! append cursor, laid down in 1 MiB steps, so the `fdatasync` after
+//! an append flushes data pages only instead of also committing a new file
+//! size through the filesystem journal; the size changes once per step. The
+//! price is that the device writes each log byte twice (zeros, then the
+//! frame). A writer trims its zeros when it rotates or is dropped, so a
+//! cleanly closed segment is exactly its frames; after a crash the final
+//! segment keeps up to one step of zeros, which a scan reads as a clean end.
 
 use std::fs::{self, File, OpenOptions};
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use defcon_events::codec::{decode_wal_record, encode_wal_record, WalRecord};
+use bytes::{BufMut, BytesMut};
+use defcon_defc::Label;
+use defcon_events::codec::{decode_wal_record, encode_wal_batch_into, WalRecord};
+use defcon_events::Event;
 
 use crate::frame;
 
-const SEGMENT_MAGIC: &[u8; 8] = b"DEFCWAL1";
+const SEGMENT_MAGIC: &[u8; 8] = b"DEFCWAL2";
+
+/// How far past its last frame a syncing writer zero-fills a segment at a
+/// time (capped at the rotation threshold plus the frame being written).
+const ZERO_STEP: u64 = 1024 * 1024;
+
+/// The block the zeros are written from: static, so zero-filling allocates
+/// nothing.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
 
 /// When, relative to the batched append path, the log file is flushed to disk.
 ///
@@ -31,7 +52,10 @@ const SEGMENT_MAGIC: &[u8; 8] = b"DEFCWAL1";
 /// (fast, loses the page-cache tail on power failure), `EveryBatch` makes each
 /// acknowledged publish durable (one `fdatasync` per batch — the cost the
 /// batched path amortises over the batch), `IntervalMs` bounds the loss window
-/// by time instead.
+/// by time while appends continue: it syncs inside an append that finds the
+/// interval elapsed, so batches appended just before a quiet period stay
+/// unsynced until the next append, the OS's write-back, or the writer's clean
+/// close (dropping a writer syncs under both syncing policies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync; rely on the OS to write back dirty pages.
@@ -107,9 +131,15 @@ pub struct WalWriter {
     config: WalConfig,
     file: File,
     segment_index: u64,
+    /// End of the last frame in the current segment.
     segment_len: u64,
+    /// How far the current segment is written (frames, then zeros); equals
+    /// `segment_len` under `FsyncPolicy::Never`.
+    zeroed_to: u64,
     last_sync: Instant,
     records_appended: u64,
+    /// The frame being appended, reused across appends: header, then payload.
+    frame: BytesMut,
 }
 
 impl WalWriter {
@@ -128,8 +158,10 @@ impl WalWriter {
             file,
             segment_index: next_index,
             segment_len,
+            zeroed_to: segment_len,
             last_sync: Instant::now(),
             records_appended: 0,
+            frame: BytesMut::new(),
         })
     }
 
@@ -147,11 +179,44 @@ impl WalWriter {
     /// to the OS (and, under `EveryBatch`, after they are on disk) — the
     /// write-ahead contract the engine relies on before enqueueing.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+        self.append_batch(
+            record.publisher_unit,
+            &record.output_label,
+            record.arrival_ns,
+            &record.events,
+        )
+    }
+
+    /// [`WalWriter::append`] for a borrowed batch: the record is encoded
+    /// straight into the writer's reused frame buffer and written with one
+    /// positional write.
+    pub fn append_batch(
+        &mut self,
+        publisher_unit: u64,
+        output_label: &Label,
+        arrival_ns: u64,
+        events: &[Event],
+    ) -> io::Result<()> {
         if self.segment_len >= self.config.segment_bytes {
             self.rotate()?;
         }
-        let payload = encode_wal_record(record);
-        self.segment_len += frame::write_frame(&mut self.file, &payload)?;
+        self.frame.clear();
+        self.frame.put_slice(&[0; frame::FRAME_HEADER_BYTES]);
+        encode_wal_batch_into(
+            &mut self.frame,
+            publisher_unit,
+            output_label,
+            arrival_ns,
+            events,
+        );
+        frame::seal_frame(&mut self.frame);
+        let end = self.segment_len + self.frame.len() as u64;
+        if end > self.zeroed_to && self.config.fsync != FsyncPolicy::Never {
+            self.zero_ahead(end)?;
+        }
+        self.file.write_all_at(&self.frame, self.segment_len)?;
+        self.segment_len = end;
+        self.zeroed_to = self.zeroed_to.max(end);
         self.records_appended += 1;
         match self.config.fsync {
             FsyncPolicy::Never => {}
@@ -165,14 +230,44 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Writes zeros from `end` (the end of the frame about to be written) to
+    /// the next [`ZERO_STEP`] boundary, but never past the rotation threshold
+    /// plus that frame: a segment rotates before it grows further, so zeros
+    /// beyond it would only be trimmed again.
+    fn zero_ahead(&mut self, end: u64) -> io::Result<()> {
+        let frame_len = end - self.segment_len;
+        let cap = self.config.segment_bytes.max(self.segment_len) + frame_len;
+        let target = end.next_multiple_of(ZERO_STEP).min(cap);
+        let mut at = self.zeroed_to.max(end);
+        while at < target {
+            let len = (target - at).min(ZEROS.len() as u64);
+            self.file.write_all_at(&ZEROS[..len as usize], at)?;
+            at += len;
+        }
+        self.zeroed_to = target;
+        Ok(())
+    }
+
+    /// Cuts the zeros past the last frame, so the segment is exactly its
+    /// frames.
+    fn trim(&mut self) -> io::Result<()> {
+        if self.zeroed_to > self.segment_len {
+            self.file.set_len(self.segment_len)?;
+            self.zeroed_to = self.segment_len;
+        }
+        Ok(())
+    }
+
     fn rotate(&mut self) -> io::Result<()> {
         // Make the finished segment durable before moving on, regardless of
         // policy: a rotation is a natural (and rare) durability point.
+        self.trim()?;
         self.file.sync_data()?;
         self.segment_index += 1;
         let (file, len) = Self::new_segment(&self.config.dir, self.segment_index)?;
         self.file = file;
         self.segment_len = len;
+        self.zeroed_to = len;
         Ok(())
     }
 
@@ -186,6 +281,19 @@ impl WalWriter {
     /// Number of batches appended through this writer.
     pub fn records_appended(&self) -> u64 {
         self.records_appended
+    }
+}
+
+impl Drop for WalWriter {
+    /// A clean close: trims the zeros and, under a syncing policy, makes the
+    /// segment durable, so `IntervalMs` loses nothing appended before it.
+    fn drop(&mut self) {
+        // Errors cannot be returned from `drop`; a failed trim leaves zeros
+        // that recovery reads as a clean end, a failed sync what a crash would.
+        let _ = self.trim();
+        if self.config.fsync != FsyncPolicy::Never {
+            let _ = self.file.sync_data();
+        }
     }
 }
 
@@ -211,6 +319,10 @@ impl WalScan {
 
 /// Scans a log directory, truncates a torn tail in the final segment at the
 /// last valid frame, and returns the surviving records in append order.
+///
+/// Zeros after the last intact frame are a clean end in any segment: a writer
+/// that crashed (or was leaked) left the zeros it laid ahead of its frames,
+/// and they are neither truncated nor reported as a tear.
 ///
 /// Appends are strictly sequential across segments, so only the final segment
 /// can legitimately end mid-frame; a CRC-valid frame that fails to decode, or
@@ -367,6 +479,102 @@ mod tests {
         writer.append(&record(1, &[3])).unwrap();
         drop(writer);
         assert_eq!(recover(&dir).unwrap().records.len(), 2);
+    }
+
+    fn segment_scan(path: &Path) -> frame::FileScan {
+        frame::scan_file(path, SEGMENT_MAGIC).unwrap()
+    }
+
+    #[test]
+    fn syncing_writers_zero_ahead_and_trim_on_close() {
+        for policy in [FsyncPolicy::EveryBatch, FsyncPolicy::IntervalMs(1_000)] {
+            let dir = temp_dir("zero-ahead");
+            let mut writer = WalWriter::open(WalConfig::new(&dir).fsync(policy)).unwrap();
+            writer.append(&record(1, &[1, 2])).unwrap();
+            writer.append(&record(1, &[3])).unwrap();
+            let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+            let open = segment_scan(&path);
+            assert_eq!(open.payloads.len(), 2, "{policy:?}");
+            assert_eq!(open.file_len, ZERO_STEP, "{policy:?}: one step of zeros");
+            assert!(open.clean_end, "{policy:?}");
+            drop(writer);
+            let closed = segment_scan(&path);
+            assert_eq!(closed.file_len, open.valid_len, "{policy:?}: trimmed");
+        }
+    }
+
+    #[test]
+    fn never_writes_no_zeros() {
+        let dir = temp_dir("never-zeros");
+        let mut writer = WalWriter::open(WalConfig::new(&dir).fsync(FsyncPolicy::Never)).unwrap();
+        for seq in 0..3 {
+            writer.append(&record(1, &[seq])).unwrap();
+            let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+            let scan = segment_scan(&path);
+            assert_eq!(scan.payloads.len(), seq as usize + 1);
+            assert_eq!(scan.file_len, scan.valid_len, "the segment is its frames");
+        }
+    }
+
+    #[test]
+    fn zeros_stop_at_the_rotation_threshold_plus_the_frame() {
+        let dir = temp_dir("zero-cap");
+        let config = WalConfig::new(&dir).segment_bytes(64);
+        let mut writer = WalWriter::open(config).unwrap();
+        writer.append(&record(1, &[1])).unwrap();
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let scan = segment_scan(&path);
+        let frame_len = scan.valid_len - SEGMENT_MAGIC.len() as u64;
+        assert_eq!(scan.file_len, 64 + frame_len);
+        drop(writer);
+    }
+
+    #[test]
+    fn leaked_writers_leave_zero_tails_that_recover_cleanly() {
+        let dir = temp_dir("leaked");
+        let mut first = WalWriter::open(WalConfig::new(&dir)).unwrap();
+        first.append(&record(1, &[1])).unwrap();
+        first.append(&record(1, &[2])).unwrap();
+        std::mem::forget(first);
+        let scan = recover(&dir).unwrap();
+        assert_eq!(scan.records.len(), 2);
+        assert!(!scan.torn_tail_truncated, "a zero tail is not a tear");
+
+        // Once a later writer has started, the zero tail is in a non-final
+        // segment; it is still a clean end.
+        let mut second = WalWriter::open(WalConfig::new(&dir)).unwrap();
+        second.append(&record(2, &[3])).unwrap();
+        drop(second);
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2);
+        assert!(
+            fs::metadata(&segments[0].1).unwrap().len() > segment_scan(&segments[0].1).valid_len
+        );
+        let scan = recover(&dir).unwrap();
+        assert!(!scan.torn_tail_truncated);
+        let units: Vec<u64> = scan.records.iter().map(|r| r.publisher_unit).collect();
+        assert_eq!(units, [1, 1, 2]);
+
+        // A non-zero byte in that tail is corruption, not a clean end.
+        let mut bytes = fs::read(&segments[0].1).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] = 0x5A;
+        fs::write(&segments[0].1, &bytes).unwrap();
+        let err = recover(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_first_format_segment_is_refused() {
+        let dir = temp_dir("old-format");
+        fs::create_dir_all(&dir).unwrap();
+        let mut file = File::create(segment_path(&dir, 0)).unwrap();
+        frame::write_magic(&mut file, b"DEFCWAL1").unwrap();
+        drop(file);
+        let err = recover(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Torn-write property: truncating a log segment at *every* byte offset must
-//! leave recovery panic-free, yielding a clean prefix of the appended batches
-//! and never a corrupt event.
+//! Torn-write properties: truncating a log segment at *every* byte offset, or
+//! zeroing it from every offset on, must leave recovery panic-free, yielding a
+//! clean prefix of the appended batches and never a corrupt event.
+//!
+//! The "crashes" here leak a writer with `std::mem::forget`, so its `Drop`
+//! never trims the zeros it laid ahead of its frames. They model a process
+//! crash: the OS page cache survives, so nothing here models a power loss.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use defcon_defc::Label;
-use defcon_durability::{recover, FsyncPolicy, WalConfig, WalRecord, WalWriter};
+use defcon_durability::{recover, FsyncPolicy, WalConfig, WalRecord, WalScan, WalWriter};
 use defcon_events::{Event, EventBuilder, Value};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -24,11 +28,8 @@ fn event(seq: i64) -> Event {
         .unwrap()
 }
 
-#[test]
-fn recovery_survives_truncation_at_every_byte_offset() {
-    // Build a reference log of several batches in one segment.
-    let source = temp_dir("source");
-    let mut writer = WalWriter::open(WalConfig::new(&source).fsync(FsyncPolicy::Never)).unwrap();
+/// Appends four batches of three events; returns each batch's event ids.
+fn append_batches(writer: &mut WalWriter) -> Vec<Vec<u64>> {
     let mut batch_ids: Vec<Vec<u64>> = Vec::new();
     for batch in 0..4i64 {
         let events: Vec<Event> = (0..3).map(|i| event(batch * 3 + i)).collect();
@@ -42,53 +43,78 @@ fn recovery_survives_truncation_at_every_byte_offset() {
             })
             .unwrap();
     }
-    drop(writer);
+    batch_ids
+}
 
-    let segments: Vec<_> = fs::read_dir(&source)
+/// The log's one segment file.
+fn single_segment(dir: &Path) -> PathBuf {
+    let segments: Vec<_> = fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
     assert_eq!(segments.len(), 1, "test expects a single segment");
-    let full = fs::read(&segments[0]).unwrap();
-    let segment_name = segments[0].file_name().unwrap().to_owned();
+    segments.into_iter().next().unwrap()
+}
 
-    let scratch = temp_dir("scratch");
+/// Asserts that `scan` holds a prefix of the appended batches, uncorrupted.
+fn assert_clean_prefix(scan: &WalScan, batch_ids: &[Vec<u64>], at: &str) {
+    assert!(
+        scan.records.len() <= batch_ids.len(),
+        "{at}: more records than were written"
+    );
+    for (i, record) in scan.records.iter().enumerate() {
+        assert_eq!(record.publisher_unit, 1, "{at}");
+        assert_eq!(record.arrival_ns, i as u64, "{at}");
+        let ids: Vec<u64> = record.events.iter().map(|e| e.id().as_u64()).collect();
+        assert_eq!(ids, batch_ids[i], "{at}: batch {i} ids");
+        for (j, ev) in record.events.iter().enumerate() {
+            let seq = (i * 3 + j) as i64;
+            assert!(
+                ev.first_part("seq")
+                    .unwrap()
+                    .data()
+                    .structurally_equals(&Value::Int(seq)),
+                "{at}: corrupt event payload"
+            );
+        }
+    }
+}
+
+/// Writes `bytes` as the only segment of a scratch log and recovers it twice:
+/// the first scan repairs any tear, so the second must find a clean log with
+/// the same records.
+fn recover_bytes(
+    scratch: &Path,
+    segment_name: &std::ffi::OsStr,
+    bytes: &[u8],
+    at: &str,
+) -> WalScan {
+    fs::write(scratch.join(segment_name), bytes).unwrap();
+    let scan = recover(scratch).unwrap();
+    let rescan = recover(scratch).unwrap();
+    assert!(!rescan.torn_tail_truncated, "{at}");
+    assert_eq!(rescan.records.len(), scan.records.len(), "{at}");
+    scan
+}
+
+fn truncation_sweep(policy: FsyncPolicy, name: &str) {
+    // Build a reference log of several batches in one segment, closed cleanly.
+    let source = temp_dir(&format!("source-{name}"));
+    let mut writer = WalWriter::open(WalConfig::new(&source).fsync(policy)).unwrap();
+    let batch_ids = append_batches(&mut writer);
+    drop(writer);
+
+    let segment = single_segment(&source);
+    let full = fs::read(&segment).unwrap();
+    let scratch = temp_dir(&format!("scratch-{name}"));
     fs::create_dir_all(&scratch).unwrap();
-    let scratch_segment = scratch.join(segment_name);
 
     let mut prefix_counts = vec![0usize; full.len() + 1];
     for cut in 0..=full.len() {
-        fs::write(&scratch_segment, &full[..cut]).unwrap();
-
-        // Recovery must never panic and must yield a clean prefix of batches.
-        let scan = recover(&scratch).unwrap();
-        assert!(
-            scan.records.len() <= batch_ids.len(),
-            "cut at {cut}: more records than were written"
-        );
-        for (i, record) in scan.records.iter().enumerate() {
-            assert_eq!(record.publisher_unit, 1, "cut at {cut}");
-            assert_eq!(record.arrival_ns, i as u64, "cut at {cut}");
-            let ids: Vec<u64> = record.events.iter().map(|e| e.id().as_u64()).collect();
-            assert_eq!(ids, batch_ids[i], "cut at {cut}: batch {i} ids");
-            for (j, ev) in record.events.iter().enumerate() {
-                let seq = (i * 3 + j) as i64;
-                assert!(
-                    ev.first_part("seq")
-                        .unwrap()
-                        .data()
-                        .structurally_equals(&Value::Int(seq)),
-                    "cut at {cut}: corrupt event payload"
-                );
-            }
-        }
+        let at = format!("{policy:?}: cut at {cut}");
+        let scan = recover_bytes(&scratch, segment.file_name().unwrap(), &full[..cut], &at);
+        assert_clean_prefix(&scan, &batch_ids, &at);
         prefix_counts[cut] = scan.records.len();
-
-        // The truncation repaired the tail: scanning again finds a clean log
-        // with the same surviving prefix.
-        let rescan = recover(&scratch).unwrap();
-        assert!(!rescan.torn_tail_truncated, "cut at {cut}");
-        assert_eq!(rescan.records.len(), scan.records.len(), "cut at {cut}");
     }
 
     // Sanity on the sweep itself: recovery is monotone in the cut offset and
@@ -96,4 +122,84 @@ fn recovery_survives_truncation_at_every_byte_offset() {
     assert!(prefix_counts.windows(2).all(|w| w[0] <= w[1]));
     assert_eq!(prefix_counts[full.len()], batch_ids.len());
     assert_eq!(prefix_counts[0], 0);
+}
+
+#[test]
+fn recovery_survives_truncation_at_every_byte_offset() {
+    truncation_sweep(FsyncPolicy::Never, "never");
+}
+
+#[test]
+fn recovery_survives_truncation_at_every_byte_offset_under_every_batch() {
+    truncation_sweep(FsyncPolicy::EveryBatch, "every-batch");
+}
+
+/// Offsets just past each frame, found by walking the length prefixes up to
+/// the first all-zero header.
+fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 8;
+    while let Some(header) = bytes.get(at..at + 8) {
+        if header.iter().all(|&b| b == 0) {
+            break;
+        }
+        at += 8 + u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        ends.push(at);
+    }
+    ends
+}
+
+#[test]
+fn a_leaked_writers_zero_tail_recovers_and_survives_zeroing_from_every_offset() {
+    // A small rotation threshold caps the zeros laid ahead (at the threshold
+    // plus the frame being written), which keeps the sweep small.
+    let source = temp_dir("leaked");
+    let config = WalConfig::new(&source)
+        .fsync(FsyncPolicy::EveryBatch)
+        .segment_bytes(4096);
+    let mut writer = WalWriter::open(config).unwrap();
+    let batch_ids = append_batches(&mut writer);
+    std::mem::forget(writer);
+
+    let segment = single_segment(&source);
+    let full = fs::read(&segment).unwrap();
+    let ends = frame_ends(&full);
+    let last_end = *ends.last().unwrap();
+    assert_eq!(ends.len(), batch_ids.len());
+    assert!(full.len() > last_end, "the leaked writer left zeros");
+    assert!(full[last_end..].iter().all(|&b| b == 0));
+
+    let scan = recover(&source).unwrap();
+    assert_clean_prefix(&scan, &batch_ids, "leaked");
+    assert_eq!(scan.records.len(), batch_ids.len());
+    assert!(!scan.torn_tail_truncated, "a zero tail is a clean end");
+    assert_eq!(fs::read(&segment).unwrap(), full, "recovery kept the zeros");
+
+    // Zero everything from `k` on, keeping the length: the shape of a crash
+    // that lost the frames past `k`. (Offsets inside the magic header make a
+    // different file format, which recovery refuses.)
+    let scratch = temp_dir("leaked-scratch");
+    fs::create_dir_all(&scratch).unwrap();
+    let mut counts = Vec::new();
+    for k in 8..=full.len() {
+        let at = format!("zeroed from {k}");
+        let mut bytes = full.clone();
+        bytes[k..].fill(0);
+        let scan = recover_bytes(&scratch, segment.file_name().unwrap(), &bytes, &at);
+        assert_clean_prefix(&scan, &batch_ids, &at);
+        let intact = ends.iter().filter(|end| **end <= k).count();
+        assert!(scan.records.len() >= intact, "{at}: lost an intact frame");
+        if k == 8 || ends.contains(&k) {
+            // Zeros from a frame boundary on are a clean end, not a tear.
+            assert_eq!(scan.records.len(), intact, "{at}");
+            assert!(!scan.torn_tail_truncated, "{at}");
+        }
+        if k >= last_end {
+            assert_eq!(scan.records.len(), batch_ids.len(), "{at}");
+            assert!(!scan.torn_tail_truncated, "{at}");
+        }
+        counts.push(scan.records.len());
+    }
+    assert!(counts.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(counts[0], 0);
 }

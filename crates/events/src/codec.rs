@@ -128,14 +128,32 @@ pub struct WalRecord {
 /// timestamp round-trip alongside the batch's events (ids preserved).
 pub fn encode_wal_record(record: &WalRecord) -> Bytes {
     let mut buf = BytesMut::with_capacity(256);
-    buf.put_u64_le(record.publisher_unit);
-    encode_label(&mut buf, &record.output_label);
-    buf.put_u64_le(record.arrival_ns);
-    buf.put_u32_le(record.events.len() as u32);
-    for event in &record.events {
-        encode_event_into(&mut buf, event);
-    }
+    encode_wal_batch_into(
+        &mut buf,
+        record.publisher_unit,
+        &record.output_label,
+        record.arrival_ns,
+        &record.events,
+    );
     buf.freeze()
+}
+
+/// Appends the [`encode_wal_record`] encoding of a borrowed batch to `buf`,
+/// so a log writer can reuse one buffer and never clone the batch.
+pub fn encode_wal_batch_into(
+    buf: &mut BytesMut,
+    publisher_unit: u64,
+    output_label: &Label,
+    arrival_ns: u64,
+    events: &[Event],
+) {
+    buf.put_u64_le(publisher_unit);
+    encode_label(buf, output_label);
+    buf.put_u64_le(arrival_ns);
+    buf.put_u32_le(events.len() as u32);
+    for event in events {
+        encode_event_into(buf, event);
+    }
 }
 
 /// Deserialises a [`WalRecord`] produced by [`encode_wal_record`], preserving
