@@ -415,7 +415,7 @@ impl EngineCore {
             return Ok(());
         };
         wal.lock()
-            .append_batch(source.as_u64(), output_label, arrival_ns, events)
+            .append(source.as_u64(), output_label, arrival_ns, events)
             .map_err(|err| EngineError::Durability(format!("wal append failed: {err}")))
     }
 

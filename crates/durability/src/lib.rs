@@ -8,9 +8,9 @@
 //! [`wal`] is a segmented, CRC32-framed append-only log of externally
 //! published batches. Appends piggyback on the engine's
 //! one-transaction-per-chunk `publish_batch` path: one frame per batch, one
-//! optional fsync per batch (policy [`FsyncPolicy`]). Under a syncing policy
-//! the writer keeps zeros ahead of its frames, so a per-batch sync flushes
-//! data without a file-size change. Recovery scans the segments, reads a zero
+//! optional fsync per batch (policy [`FsyncPolicy`]). Under
+//! [`FsyncPolicy::EveryBatch`] the writer keeps zeros ahead of its frames, so
+//! a per-batch sync flushes data without a file-size change. Recovery scans the segments, reads a zero
 //! tail as a clean end, truncates a torn tail at the last valid frame and
 //! re-feeds the surviving records through normal dispatch.
 //!

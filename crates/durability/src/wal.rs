@@ -14,14 +14,18 @@
 //! scans segments in order, truncates a torn tail at the last valid frame and
 //! returns the surviving records.
 //!
-//! Under a syncing [`FsyncPolicy`] the writer keeps real zeros ahead of its
+//! Under [`FsyncPolicy::EveryBatch`] the writer keeps real zeros ahead of its
 //! append cursor, laid down in 1 MiB steps, so the `fdatasync` after
 //! an append flushes data pages only instead of also committing a new file
 //! size through the filesystem journal; the size changes once per step. The
 //! price is that the device writes each log byte twice (zeros, then the
-//! frame). A writer trims its zeros when it rotates or is dropped, so a
-//! cleanly closed segment is exactly its frames; after a crash the final
-//! segment keeps up to one step of zeros, which a scan reads as a clean end.
+//! frame), and the append that lays down a step waits for that step's
+//! 1 MiB of zeros to reach the disk in its own sync. A writer trims its zeros
+//! when it rotates or is dropped, so a cleanly closed segment is exactly its
+//! frames; after a crash the final segment keeps up to one step of zeros,
+//! which a scan reads as a clean end. The other policies write no zeros:
+//! `Never` never syncs and `IntervalMs` syncs once per interval, so neither
+//! pays a size commit per batch.
 
 use std::fs::{self, File, OpenOptions};
 use std::io;
@@ -38,8 +42,8 @@ use crate::frame;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"DEFCWAL2";
 
-/// How far past its last frame a syncing writer zero-fills a segment at a
-/// time (capped at the rotation threshold plus the frame being written).
+/// How far past its last frame an `EveryBatch` writer zero-fills a segment at
+/// a time (capped at the rotation threshold plus the frame being written).
 const ZERO_STEP: u64 = 1024 * 1024;
 
 /// The block the zeros are written from: static, so zero-filling allocates
@@ -134,7 +138,7 @@ pub struct WalWriter {
     /// End of the last frame in the current segment.
     segment_len: u64,
     /// How far the current segment is written (frames, then zeros); equals
-    /// `segment_len` under `FsyncPolicy::Never`.
+    /// `segment_len` unless the policy is `FsyncPolicy::EveryBatch`.
     zeroed_to: u64,
     last_sync: Instant,
     records_appended: u64,
@@ -177,20 +181,10 @@ impl WalWriter {
     /// Appends one publish batch as a single frame, rotating and flushing
     /// according to the configuration. Returns only after the bytes are handed
     /// to the OS (and, under `EveryBatch`, after they are on disk) — the
-    /// write-ahead contract the engine relies on before enqueueing.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.append_batch(
-            record.publisher_unit,
-            &record.output_label,
-            record.arrival_ns,
-            &record.events,
-        )
-    }
-
-    /// [`WalWriter::append`] for a borrowed batch: the record is encoded
-    /// straight into the writer's reused frame buffer and written with one
-    /// positional write.
-    pub fn append_batch(
+    /// write-ahead contract the engine relies on before enqueueing. The
+    /// borrowed batch is encoded straight into the writer's reused frame
+    /// buffer and written with one positional write.
+    pub fn append(
         &mut self,
         publisher_unit: u64,
         output_label: &Label,
@@ -211,7 +205,7 @@ impl WalWriter {
         );
         frame::seal_frame(&mut self.frame);
         let end = self.segment_len + self.frame.len() as u64;
-        if end > self.zeroed_to && self.config.fsync != FsyncPolicy::Never {
+        if end > self.zeroed_to && self.config.fsync == FsyncPolicy::EveryBatch {
             self.zero_ahead(end)?;
         }
         self.file.write_all_at(&self.frame, self.segment_len)?;
@@ -390,21 +384,17 @@ mod tests {
             .unwrap()
     }
 
-    fn record(unit: u64, seqs: &[i64]) -> WalRecord {
-        WalRecord {
-            publisher_unit: unit,
-            output_label: Label::public(),
-            arrival_ns: 42,
-            events: seqs.iter().map(|s| event(*s)).collect(),
-        }
+    fn append(writer: &mut WalWriter, unit: u64, seqs: &[i64]) {
+        let events: Vec<Event> = seqs.iter().map(|s| event(*s)).collect();
+        writer.append(unit, &Label::public(), 42, &events).unwrap();
     }
 
     #[test]
     fn append_then_recover_round_trips_batches() {
         let dir = temp_dir("roundtrip");
         let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
-        writer.append(&record(1, &[1, 2, 3])).unwrap();
-        writer.append(&record(2, &[4])).unwrap();
+        append(&mut writer, 1, &[1, 2, 3]);
+        append(&mut writer, 2, &[4]);
         assert_eq!(writer.records_appended(), 2);
         drop(writer);
 
@@ -425,7 +415,7 @@ mod tests {
             .segment_bytes(64); // force rotation on nearly every batch
         let mut writer = WalWriter::open(config).unwrap();
         for seq in 0..10 {
-            writer.append(&record(1, &[seq])).unwrap();
+            append(&mut writer, 1, &[seq]);
         }
         drop(writer);
 
@@ -442,10 +432,10 @@ mod tests {
     fn reopen_starts_a_fresh_segment_and_keeps_history() {
         let dir = temp_dir("reopen");
         let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
-        writer.append(&record(1, &[1])).unwrap();
+        append(&mut writer, 1, &[1]);
         drop(writer);
         let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
-        writer.append(&record(1, &[2])).unwrap();
+        append(&mut writer, 1, &[2]);
         drop(writer);
 
         assert_eq!(list_segments(&dir).unwrap().len(), 2);
@@ -457,8 +447,8 @@ mod tests {
     fn torn_tail_is_truncated_and_prefix_survives() {
         let dir = temp_dir("torn");
         let mut writer = WalWriter::open(WalConfig::new(&dir).fsync(FsyncPolicy::Never)).unwrap();
-        writer.append(&record(1, &[1])).unwrap();
-        writer.append(&record(1, &[2])).unwrap();
+        append(&mut writer, 1, &[1]);
+        append(&mut writer, 1, &[2]);
         drop(writer);
 
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
@@ -476,7 +466,7 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert!(!scan.torn_tail_truncated);
         let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
-        writer.append(&record(1, &[3])).unwrap();
+        append(&mut writer, 1, &[3]);
         drop(writer);
         assert_eq!(recover(&dir).unwrap().records.len(), 2);
     }
@@ -486,33 +476,33 @@ mod tests {
     }
 
     #[test]
-    fn syncing_writers_zero_ahead_and_trim_on_close() {
-        for policy in [FsyncPolicy::EveryBatch, FsyncPolicy::IntervalMs(1_000)] {
-            let dir = temp_dir("zero-ahead");
-            let mut writer = WalWriter::open(WalConfig::new(&dir).fsync(policy)).unwrap();
-            writer.append(&record(1, &[1, 2])).unwrap();
-            writer.append(&record(1, &[3])).unwrap();
-            let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-            let open = segment_scan(&path);
-            assert_eq!(open.payloads.len(), 2, "{policy:?}");
-            assert_eq!(open.file_len, ZERO_STEP, "{policy:?}: one step of zeros");
-            assert!(open.clean_end, "{policy:?}");
-            drop(writer);
-            let closed = segment_scan(&path);
-            assert_eq!(closed.file_len, open.valid_len, "{policy:?}: trimmed");
-        }
+    fn every_batch_writers_zero_ahead_and_trim_on_close() {
+        let dir = temp_dir("zero-ahead");
+        let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
+        append(&mut writer, 1, &[1, 2]);
+        append(&mut writer, 1, &[3]);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let open = segment_scan(&path);
+        assert_eq!(open.payloads.len(), 2);
+        assert_eq!(open.file_len, ZERO_STEP, "one step of zeros");
+        assert!(open.clean_end);
+        drop(writer);
+        let closed = segment_scan(&path);
+        assert_eq!(closed.file_len, open.valid_len, "trimmed");
     }
 
     #[test]
-    fn never_writes_no_zeros() {
-        let dir = temp_dir("never-zeros");
-        let mut writer = WalWriter::open(WalConfig::new(&dir).fsync(FsyncPolicy::Never)).unwrap();
-        for seq in 0..3 {
-            writer.append(&record(1, &[seq])).unwrap();
-            let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-            let scan = segment_scan(&path);
-            assert_eq!(scan.payloads.len(), seq as usize + 1);
-            assert_eq!(scan.file_len, scan.valid_len, "the segment is its frames");
+    fn never_and_interval_writers_write_no_zeros() {
+        for policy in [FsyncPolicy::Never, FsyncPolicy::IntervalMs(0)] {
+            let dir = temp_dir("no-zeros");
+            let mut writer = WalWriter::open(WalConfig::new(&dir).fsync(policy)).unwrap();
+            for seq in 0..3 {
+                append(&mut writer, 1, &[seq]);
+                let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+                let scan = segment_scan(&path);
+                assert_eq!(scan.payloads.len(), seq as usize + 1, "{policy:?}");
+                assert_eq!(scan.file_len, scan.valid_len, "{policy:?}: only frames");
+            }
         }
     }
 
@@ -521,7 +511,7 @@ mod tests {
         let dir = temp_dir("zero-cap");
         let config = WalConfig::new(&dir).segment_bytes(64);
         let mut writer = WalWriter::open(config).unwrap();
-        writer.append(&record(1, &[1])).unwrap();
+        append(&mut writer, 1, &[1]);
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
         let scan = segment_scan(&path);
         let frame_len = scan.valid_len - SEGMENT_MAGIC.len() as u64;
@@ -533,8 +523,8 @@ mod tests {
     fn leaked_writers_leave_zero_tails_that_recover_cleanly() {
         let dir = temp_dir("leaked");
         let mut first = WalWriter::open(WalConfig::new(&dir)).unwrap();
-        first.append(&record(1, &[1])).unwrap();
-        first.append(&record(1, &[2])).unwrap();
+        append(&mut first, 1, &[1]);
+        append(&mut first, 1, &[2]);
         std::mem::forget(first);
         let scan = recover(&dir).unwrap();
         assert_eq!(scan.records.len(), 2);
@@ -543,7 +533,7 @@ mod tests {
         // Once a later writer has started, the zero tail is in a non-final
         // segment; it is still a clean end.
         let mut second = WalWriter::open(WalConfig::new(&dir)).unwrap();
-        second.append(&record(2, &[3])).unwrap();
+        append(&mut second, 2, &[3]);
         drop(second);
         let segments = list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 2);
@@ -591,12 +581,7 @@ mod tests {
         let original = event(7);
         let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
         writer
-            .append(&WalRecord {
-                publisher_unit: 9,
-                output_label: Label::public(),
-                arrival_ns: 1,
-                events: vec![original.clone()],
-            })
+            .append(9, &Label::public(), 1, std::slice::from_ref(&original))
             .unwrap();
         drop(writer);
 

@@ -10,7 +10,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use defcon_defc::Label;
-use defcon_durability::{recover, FsyncPolicy, WalConfig, WalRecord, WalScan, WalWriter};
+use defcon_durability::{recover, FsyncPolicy, WalConfig, WalScan, WalWriter};
 use defcon_events::{Event, EventBuilder, Value};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -35,12 +35,7 @@ fn append_batches(writer: &mut WalWriter) -> Vec<Vec<u64>> {
         let events: Vec<Event> = (0..3).map(|i| event(batch * 3 + i)).collect();
         batch_ids.push(events.iter().map(|e| e.id().as_u64()).collect());
         writer
-            .append(&WalRecord {
-                publisher_unit: 1,
-                output_label: Label::public(),
-                arrival_ns: batch as u64,
-                events,
-            })
+            .append(1, &Label::public(), batch as u64, &events)
             .unwrap();
     }
     batch_ids
@@ -97,23 +92,38 @@ fn recover_bytes(
     scan
 }
 
-fn truncation_sweep(policy: FsyncPolicy, name: &str) {
-    // Build a reference log of several batches in one segment, closed cleanly.
-    let source = temp_dir(&format!("source-{name}"));
-    let mut writer = WalWriter::open(WalConfig::new(&source).fsync(policy)).unwrap();
+/// Truncates a log's one segment at every byte offset and checks that
+/// recovery yields a clean prefix each time. With `leak` the writer is leaked
+/// instead of dropped, so the zeros an `EveryBatch` writer lays ahead of its
+/// frames stay and the cuts run through frames and then through real zeros.
+fn truncation_sweep(config: WalConfig, leak: bool, name: &str) {
+    // Build a reference log of several batches in one segment.
+    let source = config.dir.clone();
+    let _ = fs::remove_dir_all(&source);
+    let mut writer = WalWriter::open(config).unwrap();
     let batch_ids = append_batches(&mut writer);
-    drop(writer);
+    if leak {
+        std::mem::forget(writer);
+    } else {
+        drop(writer);
+    }
 
     let segment = single_segment(&source);
     let full = fs::read(&segment).unwrap();
+    let last_end = *frame_ends(&full).last().unwrap();
+    assert_eq!(leak, full.len() > last_end, "zeros stay only when leaked");
     let scratch = temp_dir(&format!("scratch-{name}"));
     fs::create_dir_all(&scratch).unwrap();
 
     let mut prefix_counts = vec![0usize; full.len() + 1];
     for cut in 0..=full.len() {
-        let at = format!("{policy:?}: cut at {cut}");
+        let at = format!("{name}: cut at {cut}");
         let scan = recover_bytes(&scratch, segment.file_name().unwrap(), &full[..cut], &at);
         assert_clean_prefix(&scan, &batch_ids, &at);
+        if cut >= last_end {
+            assert_eq!(scan.records.len(), batch_ids.len(), "{at}");
+            assert!(!scan.torn_tail_truncated, "{at}: zeros are a clean end");
+        }
         prefix_counts[cut] = scan.records.len();
     }
 
@@ -126,12 +136,19 @@ fn truncation_sweep(policy: FsyncPolicy, name: &str) {
 
 #[test]
 fn recovery_survives_truncation_at_every_byte_offset() {
-    truncation_sweep(FsyncPolicy::Never, "never");
+    let config = WalConfig::new(temp_dir("source-never")).fsync(FsyncPolicy::Never);
+    truncation_sweep(config, false, "never");
 }
 
 #[test]
-fn recovery_survives_truncation_at_every_byte_offset_under_every_batch() {
-    truncation_sweep(FsyncPolicy::EveryBatch, "every-batch");
+fn recovery_survives_truncation_at_every_byte_offset_of_a_leaked_every_batch_log() {
+    // The rotation threshold caps the zeros laid ahead (at the threshold plus
+    // the frame being written), which keeps the sweep small; the four batches
+    // still fit in one segment.
+    let config = WalConfig::new(temp_dir("source-leaked"))
+        .fsync(FsyncPolicy::EveryBatch)
+        .segment_bytes(2048);
+    truncation_sweep(config, true, "leaked-every-batch");
 }
 
 /// Offsets just past each frame, found by walking the length prefixes up to
