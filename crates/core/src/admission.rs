@@ -1,31 +1,48 @@
-//! Typed admission results and the grouped ingress configuration.
+//! Bounded admission: the [`IngressConfig`] handed to
+//! [`EngineBuilder::ingress`](crate::EngineBuilder::ingress), the
+//! [`FullQueuePolicy`] it names, the typed [`Admission`] every batched publish
+//! reports, and the credit window a [`Publisher`] publishes through when the
+//! engine has an ingress configuration.
 //!
-//! The v2 publish API returned a bare `usize` from
-//! [`Publisher::publish_batch`](crate::Publisher::publish_batch), so callers
-//! could not distinguish "accepted" from "shed" from "would block". This module
-//! is the redesigned surface: every batched publish reports a typed
-//! [`Admission`], the non-blocking
-//! [`try_publish_batch`](crate::Publisher::try_publish_batch) returns a
-//! [`TryPublish`] that hands un-admitted drafts back to the caller, and the
-//! knobs governing bounded admission live in one [`IngressConfig`] handed to
-//! [`EngineBuilder::ingress`](crate::EngineBuilder::ingress) — mirroring how
-//! [`WalConfig`](defcon_durability::WalConfig) groups the durability knobs.
+//! **The window.** Each [`Engine::publisher`](crate::Engine::publisher) call
+//! opens one window, shared by that publisher's clones. At most
+//! `credit_window` of its events may be *unfinished* at a time: buffered in
+//! the window, or queued and not yet popped. Drain is observed
+//! conservatively: each published chunk is stamped with a watermark of queue
+//! depth plus the queue's pop count at publish time, and once the pop count
+//! passes the stamp, everything queued ahead of (and including) the chunk has
+//! left the queue, so the chunk's credits return. The stamp counts pops, not
+//! dispatches: cascades that dispatchers run off their own stacks never pass
+//! through the queue, so they cannot return a still-queued chunk's credits
+//! early. An empty queue returns every credit too, as a publish racing
+//! shutdown withdraws events without popping them.
+//!
+//! **Lazy retirement.** No thread watches a window: chunks whose watermark has
+//! passed retire at the start of the publisher's next
+//! [`publish_batch`](Publisher::publish_batch) or
+//! [`wait_drained`](Publisher::wait_drained). A caller that has to wait
+//! releases the window's mutex and parks on the run queue's depth signal,
+//! which every pop wakes, so credits return with dispatch progress rather
+//! than on a timer.
 //!
 //! Admission reads the run queue's lock-free `len` as its depth signal — the
 //! same number `queue_stats().depth` reports — so what an operator sees and
 //! what admission decides on never disagree about how backlogged the engine
 //! is.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::handle::EventDraft;
+use crate::engine::EngineCore;
+use crate::error::EngineResult;
+use crate::handle::{EventDraft, Publisher};
+use crate::run_queue::RunQueue;
 
-/// The outcome of a batched publish: how many events were accepted for
-/// dispatch, how many were shed by an admission policy, and how many times the
-/// publish stalled waiting for credit. Replaces the bare `usize` the v2 API
-/// returned.
+/// The outcome of a batched publish: how many events were accepted, how many
+/// were shed, and how many times the publish waited for credit.
 ///
 /// Accessors instead of public fields (and no `Deref` to a count): call sites
 /// must say *which* number they mean.
@@ -38,8 +55,7 @@ pub struct Admission {
 }
 
 impl Admission {
-    /// Builds an admission result from its three counters.
-    pub fn new(accepted: usize, shed: usize, credit_waits: usize) -> Self {
+    pub(crate) fn new(accepted: usize, shed: usize, credit_waits: usize) -> Self {
         Admission {
             accepted,
             shed,
@@ -47,50 +63,37 @@ impl Admission {
         }
     }
 
-    /// Events accepted for dispatch — exactly the number that will be
-    /// dispatched (a batch racing shutdown may be partially accepted).
+    /// Events accepted for dispatch. Without a credit window this is exactly
+    /// the number that will be dispatched (a batch racing shutdown may be
+    /// partially accepted). Under a window it counts the events that entered
+    /// it: queued now, or buffered until the publisher's next call publishes
+    /// them.
     pub fn accepted(&self) -> usize {
         self.accepted
     }
 
-    /// Events dropped by an admission policy (or a shutdown race) instead of
-    /// being enqueued. Zero on the unbounded direct publish path unless the
-    /// runtime is shutting down.
+    /// Events dropped instead of being enqueued: by a credit window's shed
+    /// policy, or withdrawn by a shutdown race. Under a window every shed
+    /// event is also counted in `queue_stats().ingress_shed`.
     pub fn shed(&self) -> usize {
         self.shed
     }
 
-    /// Times the publish stalled waiting for credit or queue space before
-    /// completing. Zero on the direct publish path; ingress sessions under the
-    /// `Block` policy report their stalls here.
+    /// Times the publish waited for credit or queue room before completing.
+    /// Only a [`Block`](FullQueuePolicy::Block) publisher under a credit
+    /// window waits; zero otherwise.
     pub fn credit_waits(&self) -> usize {
         self.credit_waits
     }
 }
 
-/// Result of a non-blocking [`try_publish_batch`](crate::Publisher::try_publish_batch):
-/// either the batch was admitted (with its typed [`Admission`]), or admitting
-/// it would overflow the configured queue bound and the drafts are handed back
-/// untouched so the caller can retry, shed, or buffer them.
-#[derive(Debug)]
-#[must_use = "a TryPublish may hand the drafts back; dropping it loses them"]
-pub enum TryPublish {
-    /// The batch was admitted; the admission reports exact accounting.
-    Admitted(Admission),
-    /// Admitting the batch would push queued depth past
-    /// [`IngressConfig::queue_bound`]; nothing was enqueued.
-    WouldBlock {
-        /// The unmodified drafts, returned so the caller decides their fate.
-        drafts: Vec<EventDraft>,
-    },
-}
-
-/// What an ingress session (or a direct `try_publish_batch` caller) does when
-/// admitting more events would overflow the configured bound.
+/// What a publisher's credit window does with a publish that does not fit in
+/// it, or that the queue bound refuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FullQueuePolicy {
-    /// Apply backpressure: the submitter blocks until credit frees up. No
-    /// event is ever dropped; slow consumers slow their producers down.
+    /// Apply backpressure: `publish_batch` waits until credit and queue room
+    /// free up. No event is ever dropped; slow consumers slow their producers
+    /// down.
     #[default]
     Block,
     /// Shed the *incoming* events: the newest arrivals are dropped (and
@@ -132,23 +135,22 @@ impl std::fmt::Display for FullQueuePolicy {
 /// [`WalConfig`](defcon_durability::WalConfig) and handed to
 /// [`EngineBuilder::ingress`](crate::EngineBuilder::ingress).
 ///
-/// When set, [`try_publish_batch`](crate::Publisher::try_publish_batch)
-/// enforces `queue_bound` on run-queue depth, and an ingress tier built over
-/// the engine paces its sessions with `credit_window` credits under the
-/// configured [`FullQueuePolicy`].
+/// When set, every [`Publisher`] the engine hands out publishes through a
+/// credit window of `credit_window` events under `policy`, and publishers
+/// keep run-queue depth within `queue_bound`. Cascade publications and
+/// publishes inside [`Engine::with_unit`](crate::Engine::with_unit) and
+/// [`Publisher::with_context`] closures are never bounded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngressConfig {
-    /// Maximum run-queue depth admitted publishes may build up. A
-    /// `try_publish_batch` that would push queued depth past this bound
-    /// returns [`TryPublish::WouldBlock`] instead of enqueueing. Unrelated to
-    /// cascade publications, which are never blocked (a dispatch in flight
-    /// must always be able to publish).
+    /// Maximum run-queue depth publishers may build up: a chunk that would
+    /// push queued depth past it stays buffered in its publisher's window.
+    /// Cascade publications are never refused (a dispatch in flight must
+    /// always be able to publish).
     pub queue_bound: usize,
-    /// Per-session credit window: the number of events one ingress session may
-    /// have submitted-but-not-yet-drained at a time. Credits replenish as the
-    /// session observes its events drain through dispatch.
+    /// Per-publisher credit window: the number of events one publisher (with
+    /// its clones) may have accepted but not yet seen leave the run queue.
     pub credit_window: usize,
-    /// What happens when a session's window is full (see [`FullQueuePolicy`]).
+    /// What happens when a window is full (see [`FullQueuePolicy`]).
     pub policy: FullQueuePolicy,
 }
 
@@ -163,7 +165,7 @@ impl IngressConfig {
         }
     }
 
-    /// Sets the per-session credit window (clamped to at least 1).
+    /// Sets the per-publisher credit window (clamped to at least 1).
     pub fn credit_window(mut self, credits: usize) -> Self {
         self.credit_window = credits.max(1);
         self
@@ -182,56 +184,310 @@ impl Default for IngressConfig {
     }
 }
 
-/// The engine-side admission ledger: reservation state for the depth bound
-/// plus the shed/admit/credit-stall counters `queue_stats()` exports — the
-/// ingress tier records into these so operators read one set of numbers.
+/// The engine's admission ledger: the reservation state for the queue bound
+/// and the counters `queue_stats()` exports as `ingress_*`. Credit windows
+/// record into it.
 #[derive(Debug, Default)]
-pub struct AdmissionCounters {
-    /// Depth reserved by in-progress `try_publish_batch` calls: admission
-    /// checks `depth + reserved + k <= bound` so concurrent admitters can
-    /// never jointly overshoot the bound. A lock, not an atomic: the check
-    /// reads depth, and a reservation released (its events now in depth)
-    /// between that read and a compare-and-swap on an atomic count would go
-    /// unseen when another admitter had reserved the same count meanwhile.
-    pub(crate) reserved: Mutex<usize>,
-    pub(crate) admitted: AtomicU64,
-    pub(crate) shed: AtomicU64,
-    pub(crate) credit_stalls: AtomicU64,
+pub(crate) struct AdmissionCounters {
+    /// Depth reserved by windows between their bound check and their enqueue:
+    /// admission checks `depth + reserved + k <= bound` so concurrent
+    /// publishers can never jointly overshoot the bound. A lock, not an
+    /// atomic: the check reads depth, and a reservation released (its events
+    /// now in depth) between that read and a compare-and-swap on an atomic
+    /// count would go unseen when another publisher had reserved the same
+    /// count meanwhile.
+    reserved: Mutex<usize>,
+    admitted: AtomicU64,
+    shed: AtomicU64,
+    credit_stalls: AtomicU64,
 }
 
 impl AdmissionCounters {
-    /// Events admitted through the admission layer (`try_publish_batch` and
-    /// ingress sessions); direct `publish_batch` calls bypass it.
-    pub fn admitted(&self) -> u64 {
+    /// Events credit windows published onto the run queue.
+    pub(crate) fn admitted(&self) -> u64 {
         self.admitted.load(Ordering::Relaxed)
     }
 
-    /// Events shed by a full-queue policy (loud accounting: every dropped
-    /// event lands here).
-    pub fn shed(&self) -> u64 {
+    /// Events credit windows shed (loud accounting: every dropped event lands
+    /// here).
+    pub(crate) fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Times a submitter stalled on an exhausted credit window or a full
-    /// queue.
-    pub fn credit_stalls(&self) -> u64 {
+    /// Times a window found its credit exhausted or the queue at its bound.
+    pub(crate) fn credit_stalls(&self) -> u64 {
         self.credit_stalls.load(Ordering::Relaxed)
     }
 
-    /// Records events admitted through the admission layer.
-    pub fn record_admitted(&self, events: u64) {
-        self.admitted.fetch_add(events, Ordering::Relaxed);
+    fn record_admitted(&self, events: usize) {
+        self.admitted.fetch_add(events as u64, Ordering::Relaxed);
     }
 
-    /// Records events shed by a full-queue policy.
-    pub fn record_shed(&self, events: u64) {
-        self.shed.fetch_add(events, Ordering::Relaxed);
+    fn record_shed(&self, events: usize) {
+        if events > 0 {
+            self.shed.fetch_add(events as u64, Ordering::Relaxed);
+        }
     }
 
-    /// Records submitter stalls on credit or queue space.
-    pub fn record_credit_stalls(&self, stalls: u64) {
-        self.credit_stalls.fetch_add(stalls, Ordering::Relaxed);
+    fn record_credit_stall(&self) {
+        self.credit_stalls.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// A publisher's credit window (see the module docs): present on every
+/// [`Publisher`] of an engine built with an [`IngressConfig`], and shared by
+/// the publisher's clones, so one mutex keeps their events in FIFO order.
+pub(crate) struct CreditWindow {
+    state: Mutex<WindowState>,
+    credit_window: usize,
+    policy: FullQueuePolicy,
+    queue_bound: usize,
+    /// Events per publish chunk: the engine's batch size, clamped so one
+    /// chunk always fits under the queue bound.
+    chunk_size: usize,
+}
+
+#[derive(Default)]
+struct WindowState {
+    /// Accepted-but-not-yet-published drafts, oldest first: what the queue
+    /// bound refused when they were accepted.
+    inbox: VecDeque<EventDraft>,
+    /// Published chunks awaiting their drain watermark, oldest first, as
+    /// `(watermark, events)`.
+    pending: VecDeque<(u64, usize)>,
+    /// Events in `pending`, kept as a count: a shedding publisher may hold
+    /// hundreds of one-event chunks.
+    outstanding: usize,
+}
+
+impl WindowState {
+    /// Events currently counted against the window: buffered, or published
+    /// with their drain not observed yet.
+    fn unfinished(&self) -> usize {
+        self.inbox.len() + self.outstanding
+    }
+}
+
+impl CreditWindow {
+    pub(crate) fn new(config: &IngressConfig, batch_size: usize) -> Self {
+        CreditWindow {
+            state: Mutex::default(),
+            credit_window: config.credit_window.max(1),
+            policy: config.policy,
+            queue_bound: config.queue_bound,
+            chunk_size: batch_size.min(config.queue_bound).max(1),
+        }
+    }
+
+    /// [`Publisher::publish_batch`] under the window: admits `drafts` under
+    /// the window's policy and publishes what the window holds, in chunks, on
+    /// the calling thread.
+    pub(crate) fn publish(
+        &self,
+        publisher: &Publisher,
+        mut drafts: Vec<EventDraft>,
+    ) -> EngineResult<Admission> {
+        // Empty drafts are dropped per Table 1 before they take a credit.
+        drafts.retain(|draft| !draft.is_empty());
+        let core = &*publisher.core;
+        let (mut accepted, mut shed, mut credit_waits) = (0, 0, 0);
+        let mut state = self.state.lock();
+        let refused = loop {
+            retire(&core.run_queue, &mut state);
+            let free = self.credit_window.saturating_sub(state.unfinished());
+            let admit = if drafts.len() <= free {
+                drafts.len()
+            } else {
+                match self.policy {
+                    FullQueuePolicy::Block => free,
+                    FullQueuePolicy::ShedNewest => {
+                        shed += drafts.len() - free;
+                        drafts.truncate(free);
+                        free
+                    }
+                    FullQueuePolicy::ShedOldest => {
+                        let need = drafts.len() - free;
+                        // Evict buffered oldest first; published events are
+                        // already on the engine and cannot be recalled.
+                        let evict = need.min(state.inbox.len());
+                        state.inbox.drain(..evict);
+                        // The publish alone exceeds the window: its own
+                        // oldest drafts are the stalest data and shed too.
+                        drafts.drain(..need - evict);
+                        shed += need;
+                        drafts.len()
+                    }
+                }
+            };
+            accepted += admit;
+            state.inbox.extend(drafts.drain(..admit));
+            let published = match self.publish_buffered(publisher, &mut state) {
+                Ok(published) => published,
+                Err(error) => break Some(error),
+            };
+            if self.policy != FullQueuePolicy::Block || (published && drafts.is_empty()) {
+                break None;
+            }
+            // Block: wait for room under the queue bound, or for the oldest
+            // chunk's credits.
+            let target = match state.pending.front() {
+                _ if !published => self.room_watermark(&core.run_queue, &state),
+                Some(&(watermark, _)) => {
+                    core.admission.record_credit_stall();
+                    watermark
+                }
+                None => continue,
+            };
+            credit_waits += 1;
+            drop(state);
+            wait_popped(&core.run_queue, target, Duration::MAX);
+            state = self.state.lock();
+        };
+        drop(state);
+        match refused {
+            None => {
+                core.admission.record_shed(shed);
+                Ok(Admission::new(accepted, shed, credit_waits))
+            }
+            Some(error) => {
+                // What this call had not yet admitted is lost with the
+                // buffer `publish_buffered` shed.
+                core.admission.record_shed(shed + drafts.len());
+                Err(error)
+            }
+        }
+    }
+
+    /// [`Publisher::wait_drained`] under the window.
+    pub(crate) fn wait_drained(&self, publisher: &Publisher, timeout: Duration) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        let queue = &publisher.core.run_queue;
+        let mut state = self.state.lock();
+        loop {
+            retire(queue, &mut state);
+            if state.unfinished() == 0 {
+                return true;
+            }
+            // A refused publish sheds the buffer; what was published still
+            // drains.
+            let published = self.publish_buffered(publisher, &mut state).unwrap_or(true);
+            let target = match state.pending.back() {
+                _ if !published => self.room_watermark(queue, &state),
+                Some(&(watermark, _)) => watermark,
+                None => continue,
+            };
+            let timeout = deadline.map_or(Duration::MAX, |deadline| {
+                deadline.saturating_duration_since(Instant::now())
+            });
+            if timeout.is_zero() {
+                return false;
+            }
+            // The mutex is released while waiting, so clones proceed.
+            drop(state);
+            wait_popped(queue, target, timeout);
+            state = self.state.lock();
+        }
+    }
+
+    /// Sheds what the window still buffers, loudly: the last clone of its
+    /// publisher dropped, so nothing will publish it.
+    pub(crate) fn close(self, core: &EngineCore) {
+        core.admission
+            .record_shed(self.state.into_inner().inbox.len());
+    }
+
+    /// Publishes the inbox, oldest first, in chunks. Returns `Ok(false)` when
+    /// the queue bound refused a chunk, which then stays at the inbox front,
+    /// and `Ok(true)` once the inbox is empty. When the engine refuses a
+    /// chunk (a quarantined or removed unit, a stopped runtime), the chunk
+    /// and the rest of the inbox can no longer be published: they are shed
+    /// and the error returned.
+    fn publish_buffered(
+        &self,
+        publisher: &Publisher,
+        state: &mut WindowState,
+    ) -> EngineResult<bool> {
+        let core = &*publisher.core;
+        let queue = &core.run_queue;
+        while !state.inbox.is_empty() {
+            let take = state.inbox.len().min(self.chunk_size);
+            if !self.reserve(core, take) {
+                core.admission.record_credit_stall();
+                return Ok(false);
+            }
+            let published = publisher.publish_unbounded(state.inbox.drain(..take).collect());
+            // The enqueue has made the events visible in queue depth (or
+            // failed); either way the reservation is no longer needed.
+            *core.admission.reserved.lock() -= take;
+            let admission = match published {
+                Ok(admission) => admission,
+                Err(error) => {
+                    core.admission.record_shed(take + state.inbox.len());
+                    state.inbox.clear();
+                    return Err(error);
+                }
+            };
+            core.admission.record_admitted(admission.accepted());
+            // Watermark: once the queue's pops reach what is queued right
+            // now, this chunk has left the queue. Depth first (see
+            // `RunQueue::popped`).
+            let watermark = queue.len() as u64 + queue.popped();
+            if admission.accepted() > 0 {
+                state.pending.push_back((watermark, admission.accepted()));
+                state.outstanding += admission.accepted();
+            }
+            // The withdrawn remainder of a shutdown race never reached the
+            // queue and holds no credit.
+            core.admission.record_shed(admission.shed());
+        }
+        Ok(true)
+    }
+
+    /// Reserves queue depth for `events` under the bound: holds `depth +
+    /// reserved + events <= queue_bound` under the reservation lock, so
+    /// concurrent publishers never jointly overshoot. The momentary
+    /// double-count between the enqueue and the release is conservative.
+    fn reserve(&self, core: &EngineCore, events: usize) -> bool {
+        let mut reserved = core.admission.reserved.lock();
+        if core.run_queue.len() + *reserved + events > self.queue_bound {
+            return false;
+        }
+        *reserved += events;
+        true
+    }
+
+    /// The pop count by which the queue, at its depth now, has room for the
+    /// chunk at the inbox front again.
+    fn room_watermark(&self, queue: &RunQueue, state: &WindowState) -> u64 {
+        let want = state.inbox.len().min(self.chunk_size);
+        // At least one pop: concurrent publishers' reservations can refuse a
+        // chunk that the depth alone would admit.
+        let excess = (queue.len() + want).saturating_sub(self.queue_bound).max(1);
+        queue.popped() + excess as u64
+    }
+}
+
+/// Returns the credits of every chunk that has left the queue.
+fn retire(queue: &RunQueue, state: &mut WindowState) {
+    let popped = queue.popped();
+    // An empty queue also proves every queued chunk left it (dispatched or
+    // withdrawn at stop), which keeps credits flowing across an engine
+    // shutdown that withdrew events before they dispatched.
+    let queue_empty = queue.len() == 0;
+    while let Some(&(watermark, events)) = state.pending.front() {
+        if popped < watermark && !queue_empty {
+            break;
+        }
+        state.outstanding -= events;
+        state.pending.pop_front();
+    }
+}
+
+/// Parks on the queue's depth signal until its pop count reaches `target` or
+/// it is empty, or `timeout` elapses (a timeout too large for the clock never
+/// does).
+fn wait_popped(queue: &RunQueue, target: u64, timeout: Duration) {
+    queue.wait_on_depth_signal(|| queue.popped() >= target || queue.len() == 0, timeout);
 }
 
 #[cfg(test)]
@@ -270,7 +526,8 @@ mod tests {
         let counters = AdmissionCounters::default();
         counters.record_admitted(10);
         counters.record_shed(3);
-        counters.record_credit_stalls(2);
+        counters.record_credit_stall();
+        counters.record_credit_stall();
         counters.record_admitted(5);
         assert_eq!(counters.admitted(), 15);
         assert_eq!(counters.shed(), 3);

@@ -63,13 +63,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables bounded admission, grouped like [`EngineBuilder::wal`]: the
-    /// engine enforces the configured
-    /// [`queue_bound`](crate::IngressConfig::queue_bound) on
-    /// [`try_publish_batch`](crate::Publisher::try_publish_batch) calls, and
-    /// an ingress tier built over the engine paces its sessions with
-    /// [`credit_window`](crate::IngressConfig::credit_window) credits under
-    /// the configured [`FullQueuePolicy`](crate::FullQueuePolicy).
+    /// Enables bounded admission, grouped like [`EngineBuilder::wal`]: every
+    /// [`Publisher`](crate::Publisher) the engine hands out publishes through
+    /// a window of [`credit_window`](crate::IngressConfig::credit_window)
+    /// credits under the configured [`FullQueuePolicy`](crate::FullQueuePolicy),
+    /// and publishers keep run-queue depth within
+    /// [`queue_bound`](crate::IngressConfig::queue_bound).
     pub fn ingress(mut self, config: IngressConfig) -> Self {
         self.config.ingress = Some(config);
         self

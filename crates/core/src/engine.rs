@@ -137,15 +137,16 @@ pub struct QueueStats {
     /// [`Engine::start`] spawns and keeps active (0 for manual engines). Kept
     /// under this name for the benchmark's `core.workers_high_water` cell.
     pub workers_high_water: usize,
-    /// Events admitted through the admission layer (`try_publish_batch` and
-    /// ingress sessions); zero for engines publishing only via the direct
-    /// unbounded path.
+    /// Events publishers' credit windows put on the run queue; zero for an
+    /// engine without an [`IngressConfig`], whose publishers are unbounded.
     pub ingress_admitted: u64,
-    /// Events shed by a full-queue policy — loud accounting, one count per
+    /// Events credit windows shed — by their [`FullQueuePolicy`](crate::FullQueuePolicy),
+    /// when the engine refused a publish, or still buffered when the last
+    /// clone of their publisher dropped. Loud accounting: one count per
     /// dropped event.
     pub ingress_shed: u64,
-    /// Times a submitter stalled on an exhausted credit window or a full
-    /// queue before making progress.
+    /// Times a credit window found its credit exhausted or the queue at its
+    /// bound.
     pub ingress_credit_stalls: u64,
     /// Successful unit swaps ([`Engine::swap_unit`]), manual and
     /// fault-triggered.
@@ -305,7 +306,7 @@ pub(crate) struct EngineCore {
     pub(crate) run_queue: RunQueue,
     pub(crate) memory: MemoryAccountant,
     pub(crate) stats: EngineStats,
-    /// Admission reservation state and shed/admit/credit-stall counters (see
+    /// The admission ledger credit windows record into (see
     /// [`AdmissionCounters`]); always present so `queue_stats()` reads one
     /// shape whether or not bounded admission is configured.
     pub(crate) admission: AdmissionCounters,
@@ -323,8 +324,9 @@ pub(crate) struct EngineCore {
     /// subscription/owner snapshot instead of refreshing it.
     pub(crate) security_epoch: AtomicU64,
     /// The write-ahead log appender, present when [`EngineBuilder::wal`] is
-    /// set. The mutex serialises appends from concurrent publishers, which
-    /// also makes log order a linearisation of the publish calls.
+    /// set. The mutex serialises appends from concurrent publishers, and the
+    /// queue push happens under it, so log order is the order external
+    /// batches reach the queue.
     pub(crate) wal: Option<Mutex<WalWriter>>,
     /// Swap and fault telemetry (see [`FaultCounters`]); always present so
     /// `queue_stats()` reads one shape whether or not a fault policy is
@@ -360,32 +362,6 @@ impl EngineCore {
         self.security_epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Attempts to reserve depth for `events` new external events against the
-    /// configured ingress bound. Admission holds `depth + reserved + events <=
-    /// queue_bound` under the reservation lock, so concurrent admitters can
-    /// never jointly overshoot; the reservation must be released with
-    /// [`EngineCore::release_admission`] once the enqueue has made the events
-    /// visible in `len` (the momentary double-count in between is
-    /// conservative). Always succeeds when no ingress bound is configured.
-    pub(crate) fn try_admit(&self, events: usize) -> bool {
-        let Some(ingress) = &self.config.ingress else {
-            return true;
-        };
-        let mut reserved = self.admission.reserved.lock();
-        if self.run_queue.len() + *reserved + events > ingress.queue_bound {
-            return false;
-        }
-        *reserved += events;
-        true
-    }
-
-    /// Releases a reservation taken by [`EngineCore::try_admit`].
-    pub(crate) fn release_admission(&self, events: usize) {
-        if self.config.ingress.is_some() && events > 0 {
-            *self.admission.reserved.lock() -= events;
-        }
-    }
-
     /// Enqueues a batch of events published from inside dispatch (one unit
     /// delivery's cascade outputs) as a single run-queue transaction.
     pub(crate) fn enqueue_batch(&self, events: Vec<Event>) {
@@ -398,61 +374,24 @@ impl EngineCore {
         self.run_queue.push_batch(events);
     }
 
-    /// Appends one publish batch to the write-ahead log (no-op when the log is
-    /// disabled). Called *before* the queue push — the write-ahead contract:
-    /// an append failure rejects the publish, so no event is ever dispatched
-    /// without being durable first. The converse race is documented rather
-    /// than prevented: a batch logged here and then rejected by a concurrent
-    /// shutdown stays in the log and is re-fed on recovery.
-    fn log_external_batch(
-        &self,
-        source: UnitId,
-        output_label: &Label,
-        arrival_ns: u64,
-        events: &[Event],
-    ) -> EngineResult<()> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        wal.lock()
-            .append(source.as_u64(), output_label, arrival_ns, events)
-            .map_err(|err| EngineError::Durability(format!("wal append failed: {err}")))
-    }
-
-    /// Enqueues an event from an external driver, logging it first when the
-    /// write-ahead log is enabled; fails once the runtime has shut down
-    /// instead of silently losing the event.
-    pub(crate) fn enqueue_external(
-        &self,
-        source: UnitId,
-        output_label: &Label,
-        event: Event,
-    ) -> EngineResult<()> {
-        self.log_external_batch(
-            source,
-            output_label,
-            event.origin_ns(),
-            std::slice::from_ref(&event),
-        )?;
-        if self.run_queue.push_external(event) {
-            self.stats.published.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        } else {
-            Err(EngineError::InvalidOperation(
-                "engine runtime has shut down; event rejected".into(),
-            ))
-        }
-    }
-
-    /// Enqueues a batch of external events in order under a single run-queue
-    /// lock acquisition, returning how many were accepted. The batch is
-    /// drained out of `events` (so publishers reuse one buffer per thread).
+    /// Enqueues a batch of external events in order, returning how many were
+    /// accepted: the one site where externally published events enter the
+    /// engine. The batch is drained out of `events` (so publishers reuse one
+    /// buffer per thread).
+    ///
     /// When the write-ahead log is enabled the whole batch is appended as one
-    /// frame — and flushed per the fsync policy — before anything is enqueued.
-    /// An entirely rejected batch (runtime shut down) fails loudly like
-    /// [`EngineCore::enqueue_external`]; a batch that races shutdown may be
-    /// partially accepted — the returned count is exactly the number of events
-    /// that will be dispatched.
+    /// frame — and flushed per the fsync policy — before anything is
+    /// enqueued: an append failure rejects the publish, so no event is ever
+    /// dispatched without being durable first. The push happens under the
+    /// log's lock, so log order is queue order and recovery, which replays
+    /// log order, re-feeds concurrent publishers' batches in the order they
+    /// were popped. The converse race is documented rather than prevented: a
+    /// batch logged here and then rejected by a concurrent shutdown stays in
+    /// the log and is re-fed on recovery.
+    ///
+    /// An entirely rejected batch (runtime shut down) fails loudly; a batch
+    /// that races shutdown may be partially accepted — the returned count is
+    /// exactly the number of events that will be dispatched.
     pub(crate) fn enqueue_external_batch(
         &self,
         source: UnitId,
@@ -463,8 +402,15 @@ impl EngineCore {
         if events.is_empty() {
             return Ok(0);
         }
-        self.log_external_batch(source, output_label, arrival_ns, events)?;
-        let accepted = self.run_queue.push_external_batch(events);
+        let accepted = match &self.wal {
+            Some(wal) => {
+                let mut wal = wal.lock();
+                wal.append(source.as_u64(), output_label, arrival_ns, events)
+                    .map_err(|err| EngineError::Durability(format!("wal append failed: {err}")))?;
+                self.run_queue.push_external_batch(events)
+            }
+            None => self.run_queue.push_external_batch(events),
+        };
         if accepted == 0 {
             return Err(EngineError::InvalidOperation(
                 "engine runtime has shut down; event batch rejected".into(),
@@ -528,7 +474,7 @@ impl EngineCore {
         let output_label = cell.state.output_label.clone();
         drop(cell);
         for Cascade { event, .. } in outputs {
-            self.enqueue_external(unit, &output_label, event)?;
+            self.enqueue_external_batch(unit, &output_label, event.origin_ns(), &mut vec![event])?;
         }
         result
     }
@@ -585,7 +531,7 @@ impl EngineCore {
         // events are rejected loudly (the unit itself stays registered)
         // instead of rotting on the stopped queue.
         for Cascade { event, .. } in external {
-            self.enqueue_external(id, &output_label, event)?;
+            self.enqueue_external_batch(id, &output_label, event.origin_ns(), &mut vec![event])?;
         }
         Ok(id)
     }
@@ -867,7 +813,9 @@ impl Engine {
 
     /// Returns a typed publisher handle that lets an external driver (a
     /// market-data feed, a test harness) publish events *as* `unit` without
-    /// going through a [`Engine::with_unit`] closure.
+    /// going through a [`Engine::with_unit`] closure. With an
+    /// [`IngressConfig`] each call opens a fresh credit window, which the
+    /// returned publisher's clones share (see [`Publisher`]).
     pub fn publisher(&self, unit: UnitId) -> EngineResult<Publisher> {
         // Fail fast if the unit does not exist; the resolved slot is cached in
         // the publisher so the hot publish path skips the registry lookup.
@@ -907,14 +855,6 @@ impl Engine {
         }
     }
 
-    /// The engine's admission ledger: shed/admit/credit-stall counters the
-    /// ingress tier records into and `queue_stats()` exports. Public so the
-    /// tier (a separate crate) and the admission layer share one set of
-    /// numbers.
-    pub fn admission(&self) -> &AdmissionCounters {
-        &self.core.admission
-    }
-
     /// The configured ingress admission parameters, when bounded admission is
     /// enabled (see [`EngineBuilder::ingress`](crate::EngineBuilder::ingress)).
     pub fn ingress_config(&self) -> Option<&IngressConfig> {
@@ -928,19 +868,6 @@ impl Engine {
     /// bound parks here instead of spinning.
     pub fn wait_queue_depth_below(&self, target: usize, timeout: Duration) -> bool {
         self.core.run_queue.wait_depth_below(target, timeout)
-    }
-
-    /// Blocks until [`Engine::dequeued`] reaches `target` or the queue is
-    /// empty, or `timeout` elapses (a timeout too large for the clock never
-    /// does); returns whether either holds. With `target` a watermark sampled
-    /// as `queue_depth() + dequeued()`, the wait ends once every event queued
-    /// at that instant has left the queue; an empty queue proves it too, as a
-    /// publish racing shutdown withdraws events without popping them. Every
-    /// pop wakes the waiter, so an ingress session waits for its credits on
-    /// dispatch progress, not on a timer.
-    pub fn wait_dequeued(&self, target: u64, timeout: Duration) -> bool {
-        let queue = &self.core.run_queue;
-        queue.wait_on_depth_signal(|| queue.popped() >= target || queue.len() == 0, timeout)
     }
 
     /// Returns the configured dispatch batch size (at least 1).
@@ -967,9 +894,9 @@ impl Engine {
     /// boundary: every admitted event is delivered to the old instance or the
     /// new one, never both, never neither. Subscriptions are owned by the
     /// stable unit id and carry over; the replacement's `init` is **not** run
-    /// (an init-time re-subscribe would break exactly-once). Publishers and
-    /// ingress sessions holding the unit keep publishing — they rebind to the
-    /// replacement transparently. A quarantined unit is revived by swapping in
+    /// (an init-time re-subscribe would break exactly-once). Publishers
+    /// holding the unit keep publishing — they rebind to the replacement
+    /// transparently. A quarantined unit is revived by swapping in
     /// a healthy replacement.
     pub fn swap_unit(&self, unit: UnitId, replacement: Box<dyn Unit>) -> EngineResult<u64> {
         self.core.swap_unit(unit, replacement)
@@ -1082,15 +1009,6 @@ impl Engine {
     /// queued.
     pub fn queue_depth(&self) -> usize {
         self.core.run_queue.len()
-    }
-
-    /// Events taken off the dispatch queue so far. Stacked cascades never
-    /// enter the queue, so unlike [`EngineStats::dispatched`] this count
-    /// reaches `queue_depth() + dequeued()` sampled at some instant once every
-    /// event queued then has left the queue. Sample the depth first: that
-    /// order never undercounts a racing pop.
-    pub fn dequeued(&self) -> u64 {
-        self.core.run_queue.popped()
     }
 
     /// Returns the engine statistics counters.

@@ -33,7 +33,7 @@ use defcon_defc::Label;
 use defcon_events::{Event, Value};
 use parking_lot::Mutex;
 
-use crate::admission::{Admission, TryPublish};
+use crate::admission::{Admission, CreditWindow};
 use crate::context::UnitContext;
 use crate::dispatcher::Dispatcher;
 use crate::engine::{Engine, EngineCore};
@@ -263,7 +263,8 @@ impl EventDraft {
 }
 
 /// A typed handle for publishing events *as* a registered unit from outside the
-/// engine — the market-data-feed pattern.
+/// engine — the market-data-feed pattern, and the engine's one way in for
+/// external events (Table 1's `publish`).
 ///
 /// A `Publisher` replaces the `engine.with_unit(id, |_, ctx| { ... publish
 /// ... })` closures external drivers used to need: it is `Send`, cheap to
@@ -271,18 +272,31 @@ impl EventDraft {
 /// whole closure body. For operations beyond publishing (creating tags,
 /// changing labels), [`Publisher::with_context`] still exposes the full
 /// Table 1 API.
+///
+/// On an engine built with an [`IngressConfig`](crate::IngressConfig), each
+/// [`Engine::publisher`] call opens a fresh **credit window** (see
+/// [`crate::admission`]) that the publisher's clones share: every
+/// [`publish_batch`](Publisher::publish_batch) is admitted against the
+/// window and the queue bound under the configured
+/// [`FullQueuePolicy`](crate::FullQueuePolicy). When the last clone drops,
+/// whatever its window still buffers is shed, counted in
+/// `queue_stats().ingress_shed`. Without an ingress configuration publishing
+/// is unbounded and takes no lock beyond the run queue's.
 pub struct Publisher {
-    core: Arc<EngineCore>,
+    pub(crate) core: Arc<EngineCore>,
     unit: UnitId,
     /// The publishing unit's slot, resolved once at construction so the hot
     /// publish path reads the output label without a registry lookup. A
     /// *swapped* unit retires its old slot after installing the replacement
     /// under the same id — the label read detects the retirement and rebinds
-    /// here transparently, so long-lived publishers (and the ingress sessions
-    /// holding them) keep admitting to the replacement instead of silently
-    /// going stale. A *removed* unit has no live slot, and a *quarantined*
-    /// one refuses publishes — both fail loudly.
+    /// here transparently, so long-lived publishers keep admitting to the
+    /// replacement instead of silently going stale. A *removed* unit has no
+    /// live slot, and a *quarantined* one refuses publishes — both fail
+    /// loudly.
     slot: parking_lot::RwLock<Arc<crate::engine::UnitSlot>>,
+    /// The credit window, on engines with an ingress configuration; shared
+    /// by clones.
+    window: Option<Arc<CreditWindow>>,
 }
 
 impl Clone for Publisher {
@@ -291,6 +305,15 @@ impl Clone for Publisher {
             core: Arc::clone(&self.core),
             unit: self.unit,
             slot: parking_lot::RwLock::new(Arc::clone(&self.slot.read())),
+            window: self.window.clone(),
+        }
+    }
+}
+
+impl Drop for Publisher {
+    fn drop(&mut self) {
+        if let Some(window) = self.window.take().and_then(Arc::into_inner) {
+            window.close(&self.core);
         }
     }
 }
@@ -301,10 +324,16 @@ impl Publisher {
         unit: UnitId,
         slot: Arc<crate::engine::UnitSlot>,
     ) -> Self {
+        let window = core
+            .config
+            .ingress
+            .as_ref()
+            .map(|config| Arc::new(CreditWindow::new(config, core.config.batch_size)));
         Publisher {
             core,
             unit,
             slot: parking_lot::RwLock::new(slot),
+            window,
         }
     }
 
@@ -313,36 +342,76 @@ impl Publisher {
         self.unit
     }
 
-    /// Publishes a draft, raising each part's label to the unit's output label
-    /// (when label checks are enabled). Returns `Ok(false)` for empty drafts,
-    /// which are dropped per Table 1.
+    /// Publishes one draft: a one-draft [`Publisher::publish_batch`]. Returns
+    /// whether the draft was accepted — `Ok(false)` for an empty draft, which
+    /// is dropped per Table 1, or one a shedding credit window dropped.
     pub fn publish(&self, draft: EventDraft) -> EngineResult<bool> {
-        if draft.parts.is_empty() {
-            return Ok(false);
-        }
-        let output_label = self.output_label()?;
-        let event = self.build_event(draft, &output_label, defcon_events::now_ns())?;
-        self.core
-            .enqueue_external(self.unit, &output_label, event)?;
-        Ok(true)
+        Ok(self.publish_batch(vec![draft])?.accepted() > 0)
     }
 
-    /// Publishes a batch of drafts in one run-queue transaction: the unit's
-    /// output label is read once, every built event is queued in draft order
-    /// under one lock acquisition, and consumers are woken once —
-    /// the driver-side half of the engine's batched dispatch hot path. Empty
-    /// drafts are dropped per Table 1.
+    /// Publishes a batch of drafts, raising each part's label to the unit's
+    /// output label (when label checks are enabled). Empty drafts are dropped
+    /// per Table 1. Each run-queue transaction reads the output label once,
+    /// queues its events in draft order under one lock acquisition and wakes
+    /// consumers once — the driver-side half of the engine's batched
+    /// dispatch hot path.
     ///
-    /// Returns the typed [`Admission`] result: `accepted()` is exactly the
-    /// number of events that will be dispatched. An entirely rejected batch
-    /// (the runtime has shut down) fails loudly like [`Publisher::publish`]; a
-    /// batch racing shutdown may be partially accepted, and the withdrawn
-    /// remainder is reported as `shed()`.
+    /// **Without an ingress configuration** the whole batch is one such
+    /// transaction and `accepted()` is exactly the number of events that will
+    /// be dispatched. An entirely rejected batch (the runtime has shut down)
+    /// fails loudly; a batch racing shutdown may be partially accepted, and
+    /// the withdrawn remainder is reported as `shed()`.
     ///
-    /// This direct path bypasses bounded admission; use
-    /// [`Publisher::try_publish_batch`] to respect a configured
-    /// [`IngressConfig`](crate::IngressConfig) queue bound.
+    /// **With one**, the batch is admitted against this publisher's credit
+    /// window under the configured policy, then what the window holds is
+    /// published in chunks of `min(batch_size, queue_bound)` events, each
+    /// only while the run queue has room under its bound:
+    ///
+    /// * [`Block`](crate::FullQueuePolicy::Block) — the call returns once the
+    ///   whole batch is published (in window-sized instalments for batches
+    ///   larger than the window), waiting on dispatch progress for credits
+    ///   and for queue room; each wait counts in `credit_waits()`. Nothing
+    ///   is dropped while the engine runs. The wait ends only when events
+    ///   leave the queue: at `workers(0)` another thread must pump, or the
+    ///   call never returns.
+    /// * [`ShedNewest`](crate::FullQueuePolicy::ShedNewest) — the part of the
+    ///   batch that does not fit in the window is dropped.
+    /// * [`ShedOldest`](crate::FullQueuePolicy::ShedOldest) — the oldest
+    ///   buffered drafts are evicted to make room for the newest
+    ///   (conflation); a batch larger than the whole window also sheds its
+    ///   own oldest drafts.
+    ///
+    /// A shedding publish never waits. What the queue bound refuses stays
+    /// buffered in the window, still counted against it (and evictable
+    /// under `ShedOldest`), until this publisher's next `publish_batch` or
+    /// [`wait_drained`](Publisher::wait_drained) publishes it; no thread
+    /// does so in between. `accepted()` counts the drafts that entered the
+    /// window, and every shed draft is also on the engine's ledger
+    /// (`queue_stats().ingress_shed`). When the engine refuses a chunk (a
+    /// quarantined or removed unit, a stopped runtime), the call fails, and
+    /// the chunk, the rest of the window's buffer and the rest of the batch
+    /// are counted as shed on the ledger.
     pub fn publish_batch(&self, drafts: Vec<EventDraft>) -> EngineResult<Admission> {
+        match &self.window {
+            Some(window) => window.publish(self, drafts),
+            None => self.publish_unbounded(drafts),
+        }
+    }
+
+    /// Publishes what this publisher's credit window holds buffered and
+    /// blocks until every event it accepted has left the run queue, or
+    /// `timeout` elapses; returns whether the window drained. Waits on
+    /// dispatch progress, so at `workers(0)` another thread must pump.
+    /// Without an ingress configuration nothing is buffered or tracked and
+    /// this returns `true` at once.
+    pub fn wait_drained(&self, timeout: Duration) -> bool {
+        self.window
+            .as_ref()
+            .is_none_or(|window| window.wait_drained(self, timeout))
+    }
+
+    /// The batch as one run-queue transaction, with no admission check.
+    pub(crate) fn publish_unbounded(&self, drafts: Vec<EventDraft>) -> EngineResult<Admission> {
         // The built events live in a reused per-thread buffer: the queue
         // drains it on enqueue, so a steady feed allocates no batch vectors.
         thread_local! {
@@ -382,37 +451,6 @@ impl Publisher {
                     .enqueue_external_batch(self.unit, label, origin_ns, &mut events)?;
             Ok(Admission::new(accepted, built - accepted, 0))
         })
-    }
-
-    /// Non-blocking bounded variant of [`Publisher::publish_batch`]: admission
-    /// first checks the engine's configured
-    /// [`IngressConfig::queue_bound`](crate::IngressConfig::queue_bound)
-    /// against current run-queue depth (plus concurrent admitters'
-    /// reservations, so the bound holds exactly under contention). If the
-    /// batch fits it is published and counted toward the engine's
-    /// `ingress_admitted` telemetry; otherwise nothing is enqueued and the
-    /// drafts come back in [`TryPublish::WouldBlock`] for the caller to retry,
-    /// buffer or shed. Without an ingress configuration the admission check
-    /// always passes.
-    pub fn try_publish_batch(&self, drafts: Vec<EventDraft>) -> EngineResult<TryPublish> {
-        // Reserve for every non-empty draft: the reservation is a conservative
-        // upper bound on what the publish will enqueue.
-        let want = drafts.iter().filter(|draft| !draft.is_empty()).count();
-        if want == 0 {
-            return Ok(TryPublish::Admitted(Admission::default()));
-        }
-        if !self.core.try_admit(want) {
-            return Ok(TryPublish::WouldBlock { drafts });
-        }
-        let result = self.publish_batch(drafts);
-        // The enqueue has made the events visible in queue depth (or failed);
-        // either way the reservation is no longer needed.
-        self.core.release_admission(want);
-        let admission = result?;
-        self.core
-            .admission
-            .record_admitted(admission.accepted() as u64);
-        Ok(TryPublish::Admitted(admission))
     }
 
     /// Snapshot of the publishing unit's output label from the cached slot.
@@ -589,10 +627,17 @@ mod tests {
     }
 
     #[test]
-    fn try_publish_batch_enforces_the_configured_queue_bound() {
-        use crate::admission::{IngressConfig, TryPublish};
-        // workers(0): nothing drains, so queued depth is fully deterministic.
-        let engine = Engine::builder().ingress(IngressConfig::new(6)).build();
+    fn publish_batch_holds_the_configured_queue_bound() {
+        use crate::admission::{FullQueuePolicy, IngressConfig};
+        // workers(0): nothing drains, so queued depth is fully deterministic;
+        // a shedding policy never waits, and a window of 100 sheds nothing.
+        let engine = Engine::builder()
+            .ingress(
+                IngressConfig::new(6)
+                    .credit_window(100)
+                    .policy(FullQueuePolicy::ShedNewest),
+            )
+            .build();
         let source = engine
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
             .unwrap();
@@ -604,42 +649,29 @@ mod tests {
                 .map(|_| EventDraft::new().public_part("type", Value::str("tick")))
                 .collect()
         };
-        match publisher.try_publish_batch(drafts(4)).unwrap() {
-            TryPublish::Admitted(admission) => {
-                assert_eq!(admission.accepted(), 4);
-                assert_eq!(admission.shed(), 0);
-            }
-            other => panic!("a batch within the bound admits, got {other:?}"),
-        }
-        // 4 queued + 4 more would overshoot the bound of 6: handed back.
-        match publisher.try_publish_batch(drafts(4)).unwrap() {
-            TryPublish::WouldBlock { drafts } => {
-                assert_eq!(drafts.len(), 4, "drafts come back untouched");
-                assert_eq!(engine.queue_depth(), 4, "nothing was enqueued");
-            }
-            other => panic!("an overflowing batch must not admit, got {other:?}"),
-        }
-        // A smaller batch still fits exactly up to the bound.
-        match publisher.try_publish_batch(drafts(2)).unwrap() {
-            TryPublish::Admitted(admission) => assert_eq!(admission.accepted(), 2),
-            other => panic!("a batch filling the bound exactly admits, got {other:?}"),
-        }
+        let admission = publisher.publish_batch(drafts(4)).unwrap();
+        assert_eq!((admission.accepted(), admission.shed()), (4, 0));
+        assert_eq!(engine.queue_depth(), 4);
+        // 4 queued + 4 more would overshoot the bound of 6: the queue fills
+        // exactly up to it and the window buffers the rest.
+        let admission = publisher.publish_batch(drafts(4)).unwrap();
+        assert_eq!((admission.accepted(), admission.shed()), (4, 0));
         assert_eq!(engine.queue_depth(), 6);
         let stats = engine.queue_stats();
         assert_eq!(stats.ingress_admitted, 6);
         assert_eq!(stats.ingress_shed, 0);
+        assert_eq!(stats.ingress_credit_stalls, 1);
 
-        handle.pump_until_idle().unwrap();
-        // Drained: the next admission passes again.
-        match publisher.try_publish_batch(drafts(4)).unwrap() {
-            TryPublish::Admitted(admission) => assert_eq!(admission.accepted(), 4),
-            other => panic!("a drained queue re-admits, got {other:?}"),
-        }
+        assert_eq!(handle.pump_until_idle().unwrap(), 6);
+        // Drained: the next publish sends the buffered 2 first, then its own.
+        assert_eq!(publisher.publish_batch(drafts(4)).unwrap().accepted(), 4);
+        assert_eq!(engine.queue_depth(), 6);
+        assert_eq!(engine.queue_stats().ingress_admitted, 12);
         handle.shutdown().unwrap();
     }
 
     #[test]
-    fn try_publish_batch_without_ingress_config_always_admits() {
+    fn publish_batch_without_ingress_config_is_unbounded() {
         let engine = Engine::builder().build();
         let source = engine
             .register_unit(UnitSpec::new("source"), Box::new(NullUnit))
@@ -650,13 +682,11 @@ mod tests {
             let drafts = (0..100)
                 .map(|_| EventDraft::new().public_part("type", Value::str("tick")))
                 .collect();
-            match publisher.try_publish_batch(drafts).unwrap() {
-                crate::admission::TryPublish::Admitted(admission) => {
-                    assert_eq!(admission.accepted(), 100)
-                }
-                other => panic!("unbounded engines never block, got {other:?}"),
-            }
+            assert_eq!(publisher.publish_batch(drafts).unwrap().accepted(), 100);
         }
+        assert_eq!(engine.queue_depth(), 500);
+        assert!(publisher.wait_drained(Duration::ZERO), "nothing is tracked");
+        assert_eq!(engine.queue_stats().ingress_admitted, 0, "no ledger");
         handle.pump_until_idle().unwrap();
         handle.shutdown().unwrap();
     }

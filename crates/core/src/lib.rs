@@ -90,7 +90,7 @@ mod sub_index;
 pub mod subscription;
 pub mod unit;
 
-pub use admission::{Admission, AdmissionCounters, FullQueuePolicy, IngressConfig, TryPublish};
+pub use admission::{Admission, FullQueuePolicy, IngressConfig};
 pub use builder::{auto_worker_count, EngineBuilder};
 pub use context::{DraftEvent, UnitContext};
 pub use engine::{Engine, EngineStats, QueueStats, RecoveryReport, SecurityMode};

@@ -83,7 +83,7 @@ pub(crate) struct RunQueue {
     /// over queued work.
     idle_signal: Condvar,
     /// Threads waiting for queued depth to drop or for pops to reach a
-    /// watermark (ingress sessions awaiting room or credit), currently parked
+    /// watermark (credit windows awaiting room or credit), currently parked
     /// on `depth_signal`; lets the hot pop path skip the signal lock when
     /// nobody is watching.
     depth_waiters: AtomicUsize,
@@ -185,35 +185,7 @@ impl RunQueue {
     /// Single-event [`RunQueue::push_batch`], for the queue's own tests.
     #[cfg(test)]
     fn push(&self, event: Event) {
-        self.insert(event);
-        self.wake_consumers(1);
-    }
-
-    /// Enqueues an event from an external driver (publisher handles, `with_unit`
-    /// closures). Returns `false` — without enqueueing — once the queue is
-    /// stopping: after the drain finishes nothing would ever dispatch the
-    /// event, so accepting it would lose it silently.
-    ///
-    /// Allocation-free single-event twin of [`RunQueue::push_external_batch`],
-    /// with the same stop-race reconciliation (see there).
-    pub(crate) fn push_external(&self, event: Event) -> bool {
-        if self.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        let id = event.id();
-        self.insert(event);
-        if self.stopping.load(Ordering::SeqCst) {
-            let mut queue = self.queue.lock();
-            if let Some(position) = queue.iter().position(|queued| queued.id() == id) {
-                queue.remove(position);
-                self.len.fetch_sub(1, Ordering::SeqCst);
-                drop(queue);
-                self.complete_many(1);
-                return false;
-            }
-        }
-        self.wake_consumers(1);
-        true
+        self.push_batch(vec![event]);
     }
 
     /// Enqueues a batch of external events in order under one lock,
@@ -282,25 +254,18 @@ impl RunQueue {
         })
     }
 
-    fn insert(&self, event: Event) {
-        let mut queue = self.queue.lock();
-        // `pending` rises with the insert and only falls at `complete_many`, so a
-        // cascade event published during a dispatch is counted before that
-        // dispatch completes — idleness can never be observed in between.
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        queue.push_back(event);
-        // Incremented while the queue lock is held so `len` can never lag a
-        // concurrent pop and wrap below zero.
-        self.len.fetch_add(1, Ordering::SeqCst);
-    }
-
     /// Queues every event of `events` in order, draining the buffer (the
     /// external publish path reuses one buffer per thread).
     fn insert_batch(&self, events: &mut Vec<Event>) {
         let n = events.len();
         let mut queue = self.queue.lock();
+        // `pending` rises with the insert and only falls at `complete_many`,
+        // so a cascade event published during a dispatch is counted before
+        // that dispatch completes — idleness can never be observed between.
         self.pending.fetch_add(n, Ordering::SeqCst);
         queue.extend(events.drain(..));
+        // Raised while the queue lock is held so `len` can never lag a
+        // concurrent pop and wrap below zero.
         self.len.fetch_add(n, Ordering::SeqCst);
     }
 
@@ -746,9 +711,17 @@ mod tests {
     #[test]
     fn external_pushes_are_rejected_after_stop_but_internal_ones_drain() {
         let queue = RunQueue::new(2);
-        assert!(queue.push_external(event(1)), "accepted while running");
+        assert_eq!(
+            queue.push_external_batch(&mut vec![event(1)]),
+            1,
+            "accepted while running"
+        );
         queue.stop();
-        assert!(!queue.push_external(event(2)), "rejected once stopping");
+        assert_eq!(
+            queue.push_external_batch(&mut vec![event(2)]),
+            0,
+            "rejected once stopping"
+        );
         // Internal (cascade) pushes are still accepted and drainable.
         queue.push(event(3));
         assert_eq!(queue.len(), 2);

@@ -1,6 +1,6 @@
-//! Integration tests for the credit-gated ingress tier: policy semantics,
-//! bound enforcement, accounting consistency, and sessions that publish and
-//! regain credit on the submitting thread.
+//! Bounded admission through `Publisher`s of an engine built with an
+//! `IngressConfig`: what each policy sheds, the queue bound, loud accounting,
+//! and credit windows that publish and regain credit on the calling thread.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -8,12 +8,11 @@ use std::time::{Duration, Instant};
 
 use defcon_core::unit::NullUnit;
 use defcon_core::{
-    Engine, EngineHandle, EngineResult, EventDraft, FullQueuePolicy, IngressConfig, SecurityMode,
-    Unit, UnitContext, UnitSpec,
+    Engine, EngineError, EngineHandle, EngineResult, EventDraft, FullQueuePolicy, IngressConfig,
+    SecurityMode, Unit, UnitContext, UnitSpec,
 };
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Value};
-use defcon_ingress::IngressTier;
 use proptest::prelude::*;
 
 fn draft(seq: i64) -> EventDraft {
@@ -43,33 +42,32 @@ fn block_policy_delivers_everything_exactly_once() {
         1,
     );
     let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
 
     let mut accepted = 0u64;
     let mut waits = 0u64;
     for burst in 0..20 {
-        let admission = session.submit((0..25).map(|i| draft(burst * 25 + i)).collect());
+        let admission = publisher
+            .publish_batch((0..25).map(|i| draft(burst * 25 + i)).collect())
+            .unwrap();
         accepted += admission.accepted() as u64;
         waits += admission.credit_waits() as u64;
         assert_eq!(admission.shed(), 0, "Block never sheds");
     }
     assert_eq!(accepted, 500);
-    assert!(tier.drain(Duration::from_secs(30)), "session must drain");
+    assert!(
+        publisher.wait_drained(Duration::from_secs(30)),
+        "the window must drain"
+    );
 
     let stats = engine.queue_stats();
     assert_eq!(
         stats.ingress_admitted, 500,
-        "every accepted event reaches the bounded publish path exactly once"
+        "every accepted event reaches the queue exactly once"
     );
     assert_eq!(stats.ingress_shed, 0);
     // Bursts of 25 against a window of 8 must stall at least once each.
-    assert!(waits > 0, "credit window must have paced the submitter");
-
-    let report = tier.shutdown();
-    assert_eq!(report.admitted, 500);
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.sessions, 1);
+    assert!(waits > 0, "the credit window must have paced the publisher");
     let dispatched = handle.shutdown().unwrap();
     assert_eq!(dispatched, 500);
 }
@@ -85,27 +83,29 @@ fn shed_newest_drops_the_overflow_and_counts_it() {
         0,
     );
     let _handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
 
-    let admission = session.submit((0..50).map(draft).collect());
+    let admission = publisher
+        .publish_batch((0..50).map(draft).collect())
+        .unwrap();
     assert_eq!(admission.accepted(), 10, "window admits its size");
     assert_eq!(admission.shed(), 40, "the newest overflow is dropped");
 
     // Nothing can drain, so the window is still full: the whole second
-    // chunk sheds.
-    let again = session.submit((50..60).map(draft).collect());
+    // batch sheds.
+    let again = publisher
+        .publish_batch((50..60).map(draft).collect())
+        .unwrap();
     assert_eq!(again.accepted(), 0);
     assert_eq!(again.shed(), 10);
     assert_eq!(engine.queue_stats().ingress_shed, 50);
-    drop(tier);
 }
 
 #[test]
 fn shed_oldest_conflates_in_favour_of_fresh_data() {
     // The *queue* is the bottleneck (bound 4): at most 4 of the window's 10
-    // events can be in flight on the engine, so at least 6 stay buffered in
-    // the session — and buffered events are what ShedOldest can evict.
+    // events can be on the engine, so at least 6 stay buffered in the window
+    // — and buffered events are what ShedOldest can evict.
     let (engine, source) = engine_with(
         IngressConfig::new(4)
             .credit_window(10)
@@ -113,24 +113,23 @@ fn shed_oldest_conflates_in_favour_of_fresh_data() {
         0,
     );
     let _handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
+    let publish = |drafts: Vec<EventDraft>| publisher.publish_batch(drafts).unwrap();
 
-    // Fill the window, then submit fresh data: the buffered oldest are
-    // evicted to make room, counted as shed on this chunk's admission.
-    assert_eq!(session.submit((0..10).map(draft).collect()).accepted(), 10);
-    let fresh = session.submit((10..16).map(draft).collect());
+    // Fill the window, then publish fresh data: the buffered oldest are
+    // evicted to make room, counted as shed on this batch's admission.
+    assert_eq!(publish((0..10).map(draft).collect()).accepted(), 10);
+    let fresh = publish((10..16).map(draft).collect());
     assert_eq!(fresh.accepted(), 6, "fresh data enters by evicting stale");
     assert_eq!(fresh.shed(), 6, "the evicted buffered events are counted");
 
-    // A chunk far larger than the window: everything buffered is evicted,
-    // the chunk's own oldest drafts shed, its newest fill the free space.
-    // The submit published up to the bound itself, so exactly the 6 the
-    // queue refused were buffered.
-    let huge = session.submit((100..130).map(draft).collect());
+    // A batch far larger than the window: everything buffered is evicted,
+    // the batch's own oldest drafts shed, its newest fill the free space.
+    // The publish queued up to the bound itself, so exactly the 6 the queue
+    // refused were buffered.
+    let huge = publish((100..130).map(draft).collect());
     assert_eq!(huge.shed(), 30, "evictions + own-oldest overflow");
     assert_eq!(huge.accepted(), 6, "what was evictable");
-    drop(tier);
 }
 
 #[test]
@@ -143,16 +142,15 @@ fn queue_bound_holds_under_many_flooding_sessions() {
         1,
     );
     let handle = engine.start();
-    let tier = IngressTier::new(&engine);
+    let publishers: Vec<_> = (0..6).map(|_| engine.publisher(source).unwrap()).collect();
 
     let mut peak = 0usize;
     std::thread::scope(|scope| {
-        for s in 0..6 {
-            let session = tier.session(source).unwrap();
+        for (p, publisher) in (0i64..).zip(&publishers) {
             scope.spawn(move || {
                 for burst in 0..10 {
-                    let chunk = (0..20).map(|i| draft(s * 1_000 + burst * 20 + i)).collect();
-                    let _ = session.submit(chunk);
+                    let chunk = (0..20).map(|i| draft(p * 1_000 + burst * 20 + i)).collect();
+                    assert_eq!(publisher.publish_batch(chunk).unwrap().accepted(), 20);
                 }
             });
         }
@@ -165,10 +163,12 @@ fn queue_bound_holds_under_many_flooding_sessions() {
         peak <= BOUND,
         "run-queue depth {peak} exceeded the configured bound {BOUND}"
     );
-    assert!(tier.drain(Duration::from_secs(60)));
-    let report = tier.shutdown();
-    assert_eq!(report.admitted, 6 * 10 * 20);
-    assert_eq!(report.shed, 0);
+    for publisher in &publishers {
+        assert!(publisher.wait_drained(Duration::from_secs(60)));
+    }
+    let stats = engine.queue_stats();
+    assert_eq!(stats.ingress_admitted, 6 * 10 * 20);
+    assert_eq!(stats.ingress_shed, 0);
     handle.shutdown().unwrap();
 }
 
@@ -190,10 +190,11 @@ impl Unit for TickCounter {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Over random admission configurations, with bursts submitted
-    /// round-robin over the sessions, the admission laws hold:
+    /// Over random admission configurations, with bursts published
+    /// round-robin over several publishers (each with its own window), the
+    /// admission laws hold:
     ///
-    /// 1. **loud accounting** — engine-admitted + shed == submitted;
+    /// 1. **loud accounting** — engine-admitted + shed == published;
     /// 2. **the bound** — sampled run-queue depth never exceeds the queue
     ///    bound;
     /// 3. **`Block` sheds nothing**;
@@ -222,9 +223,8 @@ proptest! {
             )
             .unwrap();
         let handle = engine.start();
-        let tier = IngressTier::new(&engine);
-        let sessions: Vec<_> = (0..sessions)
-            .map(|_| tier.session(source).unwrap())
+        let publishers: Vec<_> = (0..sessions)
+            .map(|_| engine.publisher(source).unwrap())
             .collect();
 
         let mut peak = 0usize;
@@ -233,10 +233,12 @@ proptest! {
             let chunk = (start..(start + batch).min(TOTAL))
                 .map(|seq| draft(seq as i64))
                 .collect();
-            shed += sessions[burst % sessions.len()].submit(chunk).shed();
+            shed += publishers[burst % publishers.len()].publish_batch(chunk).unwrap().shed();
             peak = peak.max(engine.queue_depth());
         }
-        prop_assert!(tier.drain(Duration::from_secs(120)), "sessions must drain");
+        for publisher in &publishers {
+            prop_assert!(publisher.wait_drained(Duration::from_secs(120)), "windows must drain");
+        }
         prop_assert!(
             peak <= queue_bound,
             "sampled depth {peak} exceeded bound {queue_bound}"
@@ -245,13 +247,13 @@ proptest! {
             prop_assert_eq!(shed, 0, "Block never sheds");
         }
 
-        tier.shutdown();
+        drop(publishers);
         handle.shutdown().unwrap();
         let stats = engine.queue_stats();
         prop_assert_eq!(
             stats.ingress_admitted + stats.ingress_shed,
             TOTAL as u64,
-            "admitted {} + shed {} must cover all {} submitted",
+            "admitted {} + shed {} must cover all {} published",
             stats.ingress_admitted,
             stats.ingress_shed,
             TOTAL
@@ -292,7 +294,7 @@ impl Unit for Relay {
 /// dispatched count passes the chunk's stamp: cascades dispatched off a
 /// dispatcher's stack raise that count without popping anything, so a stamp
 /// over it would return a still-queued chunk's credits early and let the
-/// session queue more than its window.
+/// publisher queue more than its window.
 #[test]
 fn cascades_do_not_return_credits_of_still_queued_chunks() {
     const WINDOW: usize = 8;
@@ -313,15 +315,15 @@ fn cascades_do_not_return_credits_of_still_queued_chunks() {
         .register_unit(UnitSpec::new("relay"), Box::new(Relay { copies: 4 }))
         .unwrap();
     let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
 
     let mut peak = 0usize;
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for burst in 0..20 {
-                let _ = session.submit((0..10).map(|i| draft(burst * 10 + i)).collect());
+                let drafts = (0..10).map(|i| draft(burst * 10 + i)).collect();
+                assert_eq!(publisher.publish_batch(drafts).unwrap().accepted(), 10);
             }
             done.store(true, Ordering::SeqCst);
         });
@@ -330,14 +332,16 @@ fn cascades_do_not_return_credits_of_still_queued_chunks() {
             std::thread::sleep(Duration::from_micros(50));
         }
     });
-    assert!(tier.drain(Duration::from_secs(30)), "session must drain");
+    assert!(
+        publisher.wait_drained(Duration::from_secs(30)),
+        "the window must drain"
+    );
     assert!(
         peak <= WINDOW,
-        "the queue held {peak} of the session's events, over its window of {WINDOW}"
+        "the queue held {peak} of the publisher's events, over its window of {WINDOW}"
     );
-    let report = tier.shutdown();
-    assert_eq!(report.admitted, 200);
-    assert_eq!(report.shed, 0);
+    let stats = engine.queue_stats();
+    assert_eq!((stats.ingress_admitted, stats.ingress_shed), (200, 0));
     assert_eq!(
         handle.shutdown().unwrap(),
         200 * 5,
@@ -345,9 +349,9 @@ fn cascades_do_not_return_credits_of_still_queued_chunks() {
     );
 }
 
-/// A live session holds a `Publisher` whose cached slot goes stale when its
-/// unit is hot-swapped. The publisher rebinds transparently, so the session
-/// must keep admitting to the replacement — no silent drops, no shed.
+/// A live publisher's cached slot goes stale when its unit is hot-swapped.
+/// The publisher rebinds transparently, so its window must keep admitting to
+/// the replacement — no silent drops, no shed.
 #[test]
 fn sessions_keep_admitting_across_a_swap_of_their_unit() {
     let (engine, source) = engine_with(
@@ -357,28 +361,24 @@ fn sessions_keep_admitting_across_a_swap_of_their_unit() {
         1,
     );
     let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
+    let publisher = engine.publisher(source).unwrap();
+    let publish_burst = |burst: i64| {
+        let drafts = (0..50).map(|i| draft(burst * 50 + i)).collect();
+        publisher.publish_batch(drafts).unwrap().accepted()
+    };
 
     for burst in 0..3 {
-        assert_eq!(
-            session
-                .submit((0..50).map(|i| draft(burst * 50 + i)).collect())
-                .accepted(),
-            50
-        );
+        assert_eq!(publish_burst(burst), 50);
     }
-    // Hot-swap the session's unit mid-stream; the session is never told.
+    // Hot-swap the publisher's unit mid-stream; the publisher is never told.
     assert_eq!(engine.swap_unit(source, Box::new(NullUnit)).unwrap(), 2);
     for burst in 3..6 {
-        assert_eq!(
-            session
-                .submit((0..50).map(|i| draft(burst * 50 + i)).collect())
-                .accepted(),
-            50
-        );
+        assert_eq!(publish_burst(burst), 50);
     }
-    assert!(tier.drain(Duration::from_secs(30)), "session must drain");
+    assert!(
+        publisher.wait_drained(Duration::from_secs(30)),
+        "the window must drain"
+    );
 
     let stats = engine.queue_stats();
     assert_eq!(
@@ -387,77 +387,113 @@ fn sessions_keep_admitting_across_a_swap_of_their_unit() {
     );
     assert_eq!(stats.ingress_shed, 0);
     assert_eq!(stats.unit_swaps, 1);
-    let report = tier.shutdown();
-    assert_eq!(report.admitted, 300);
-    assert_eq!(report.shed, 0);
     assert_eq!(handle.shutdown().unwrap(), 300);
 }
 
-/// A session bound to a *quarantined* unit must not silently drop events: the
-/// publisher refuses with a typed error and the session records every refused
-/// event as shed, visible in the tier report.
+/// A publisher bound to a *quarantined* unit must not silently drop events:
+/// the publish fails with a typed error and the window records every refused
+/// event as shed on the engine's ledger.
 #[test]
 fn sessions_bound_to_a_quarantined_unit_shed_loudly() {
     let (engine, source) = engine_with(IngressConfig::new(64).credit_window(16), 1);
     let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
-    assert_eq!(session.submit((0..10).map(draft).collect()).accepted(), 10);
-    assert!(tier.drain(Duration::from_secs(30)));
+    let publisher = engine.publisher(source).unwrap();
+    let admission = publisher
+        .publish_batch((0..10).map(draft).collect())
+        .unwrap();
+    assert_eq!(admission.accepted(), 10);
+    assert!(publisher.wait_drained(Duration::from_secs(30)));
 
     engine.quarantine_unit(source).unwrap();
-    // The chunk enters the session window, then its publish is refused with
-    // `UnitQuarantined` — the session counts the loss instead of hiding it.
-    let _ = session.submit((10..30).map(draft).collect());
+    // The batch enters the window, then its publish is refused with
+    // `UnitQuarantined` — the window counts the loss instead of hiding it.
+    let refused = publisher.publish_batch((10..30).map(draft).collect());
     assert!(
-        tier.drain(Duration::from_secs(30)),
-        "refused chunks still resolve"
+        matches!(refused, Err(EngineError::UnitQuarantined(_))),
+        "{refused:?}"
+    );
+    assert!(
+        publisher.wait_drained(Duration::from_secs(30)),
+        "refused batches still resolve"
     );
 
-    let report = tier.shutdown();
+    let stats = engine.queue_stats();
     assert_eq!(
-        report.admitted, 10,
+        stats.ingress_admitted, 10,
         "only the pre-quarantine burst admitted"
     );
     assert_eq!(
-        report.shed, 20,
+        stats.ingress_shed, 20,
         "every refused event is counted, none vanish"
     );
-    assert_eq!(engine.queue_stats().ingress_admitted, 10);
     assert_eq!(handle.shutdown().unwrap(), 10);
 }
 
+/// Each `Engine::publisher` call opens its own window; clones share theirs,
+/// and the last clone to drop sheds what the window still buffers, loudly.
 #[test]
-fn closed_sessions_shed_further_submits_loudly() {
-    let (engine, source) = engine_with(IngressConfig::new(64), 1);
-    let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
-    assert_eq!(session.submit((0..5).map(draft).collect()).accepted(), 5);
-    session.close();
-    let late = session.submit((5..10).map(draft).collect());
-    assert_eq!(late.accepted(), 0);
-    assert_eq!(late.shed(), 5);
-    let report = tier.shutdown();
-    assert!(report.shed >= 5);
-    handle.shutdown().unwrap();
+fn a_window_is_shared_by_clones_and_shed_when_the_last_drops() {
+    let (engine, source) = engine_with(
+        IngressConfig::new(4)
+            .credit_window(10)
+            .policy(FullQueuePolicy::ShedNewest),
+        0,
+    );
+    let _handle = engine.start();
+    let publisher = engine.publisher(source).unwrap();
+    let admission = publisher
+        .publish_batch((0..10).map(draft).collect())
+        .unwrap();
+    assert_eq!((admission.accepted(), admission.shed()), (10, 0));
+    assert_eq!(engine.queue_depth(), 4, "6 stay buffered under the bound");
+
+    let clone = publisher.clone();
+    let full = clone.publish_batch((10..15).map(draft).collect()).unwrap();
+    assert_eq!(
+        (full.accepted(), full.shed()),
+        (0, 5),
+        "the clone's window is full"
+    );
+    let fresh = engine.publisher(source).unwrap();
+    let own = fresh.publish_batch((15..18).map(draft).collect()).unwrap();
+    assert_eq!(
+        (own.accepted(), own.shed()),
+        (3, 0),
+        "a new publisher, a new window"
+    );
+
+    drop(publisher);
+    assert_eq!(
+        engine.queue_stats().ingress_shed,
+        5,
+        "a clone still holds it"
+    );
+    drop(clone);
+    assert_eq!(
+        engine.queue_stats().ingress_shed,
+        5 + 6,
+        "its buffer is shed"
+    );
+    drop(fresh);
+    assert_eq!(engine.queue_stats().ingress_shed, 5 + 6 + 3);
+    assert_eq!(engine.queue_stats().ingress_admitted, 4);
 }
 
-/// A session runs on the thread that submits to it: with no workers and
-/// nobody pumping, the submitted events are on the queue and in the ledger
-/// when `submit` returns, under every policy.
+/// A window has no thread of its own: with no workers and nobody pumping,
+/// the published events are on the queue and in the ledger when
+/// `publish_batch` returns, under every policy.
 #[test]
-fn submit_publishes_on_the_calling_thread() {
+fn publish_batch_queues_on_the_calling_thread() {
     for policy in FullQueuePolicy::all() {
         let (engine, source) = engine_with(IngressConfig::new(64).policy(policy), 0);
         let _handle = engine.start();
-        let tier = IngressTier::new(&engine);
-        let admission = tier
-            .session(source)
+        let admission = engine
+            .publisher(source)
             .unwrap()
-            .submit((0..5).map(draft).collect());
+            .publish_batch((0..5).map(draft).collect())
+            .unwrap();
         assert_eq!((admission.accepted(), admission.shed()), (5, 0), "{policy}");
-        assert_eq!(engine.queue_depth(), 5, "{policy}: the submit queued them");
+        assert_eq!(engine.queue_depth(), 5, "{policy}: the publish queued them");
         assert_eq!(engine.queue_stats().ingress_admitted, 5, "{policy}");
     }
 }
@@ -474,8 +510,8 @@ fn pump_until_finished<T>(handle: &EngineHandle, waiter: &std::thread::JoinHandl
     }
 }
 
-/// What the queue bound refuses a shedding session stays buffered in it;
-/// no thread publishes it until the session's next call does.
+/// What the queue bound refuses a shedding publisher stays buffered in its
+/// window; no thread publishes it until the publisher's next call does.
 #[test]
 fn buffered_remainder_is_published_by_the_next_call() {
     for policy in [FullQueuePolicy::ShedNewest, FullQueuePolicy::ShedOldest] {
@@ -487,11 +523,12 @@ fn buffered_remainder_is_published_by_the_next_call() {
             .register_unit(UnitSpec::new("counter"), Box::new(counter))
             .unwrap();
         let handle = engine.start();
-        let tier = IngressTier::new(&engine);
-        let session = tier.session(source).unwrap();
+        let publisher = engine.publisher(source).unwrap();
         let admitted = || engine.queue_stats().ingress_admitted;
 
-        let admission = session.submit((0..10).map(draft).collect());
+        let admission = publisher
+            .publish_batch((0..10).map(draft).collect())
+            .unwrap();
         assert_eq!(
             (admission.accepted(), admission.shed()),
             (10, 0),
@@ -500,34 +537,39 @@ fn buffered_remainder_is_published_by_the_next_call() {
         assert_eq!((engine.queue_depth(), admitted()), (4, 4), "{policy}");
         assert_eq!(handle.pump_until_idle().unwrap(), 4, "{policy}");
         assert_eq!(admitted(), 4, "{policy}: nothing published in between");
-        // The next submit publishes the buffer first, 4 of the 6.
-        assert_eq!(session.submit(Vec::new()).accepted(), 0, "{policy}");
+        // The next publish sends the buffer first, 4 of the 6.
+        let empty = publisher.publish_batch(Vec::new()).unwrap();
+        assert_eq!(empty.accepted(), 0, "{policy}");
         assert_eq!((engine.queue_depth(), admitted()), (4, 8), "{policy}");
         // `wait_drained` publishes the last 2 and waits for their dispatch.
-        let waiter = std::thread::spawn(move || session.wait_drained(Duration::from_secs(30)));
+        let waiter = std::thread::spawn(move || publisher.wait_drained(Duration::from_secs(30)));
         pump_until_finished(&handle, &waiter);
-        assert!(waiter.join().unwrap(), "{policy}: the session drains");
+        assert!(waiter.join().unwrap(), "{policy}: the window drains");
         handle.pump_until_idle().unwrap();
         assert_eq!(delivered.load(Ordering::Relaxed), 10, "{policy}: once each");
-        let report = tier.shutdown();
-        assert_eq!((report.admitted, report.shed), (10, 0), "{policy}");
+        let stats = engine.queue_stats();
+        assert_eq!(
+            (stats.ingress_admitted, stats.ingress_shed),
+            (10, 0),
+            "{policy}"
+        );
     }
 }
 
-/// A `Block` submitter without credit waits on dispatch progress alone: at
+/// A `Block` publisher without credit waits on dispatch progress alone: at
 /// `workers(0)` only this thread's pumping returns its credits.
 #[test]
 fn block_credits_return_through_dispatch_alone() {
     let (engine, source) = engine_with(IngressConfig::new(64).credit_window(4), 0);
     let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let session = tier.session(source).unwrap();
-    let submitter = std::thread::spawn(move || session.submit((0..40).map(draft).collect()));
+    let publisher = engine.publisher(source).unwrap();
+    let drafts = (0..40).map(draft).collect();
+    let submitter = std::thread::spawn(move || publisher.publish_batch(drafts).unwrap());
     pump_until_finished(&handle, &submitter);
     let admission = submitter.join().unwrap();
     assert_eq!((admission.accepted(), admission.shed()), (40, 0));
     assert!(admission.credit_waits() > 0, "a window of 4 must wait");
     handle.pump_until_idle().unwrap();
-    let report = tier.shutdown();
-    assert_eq!((report.admitted, report.shed), (40, 0));
+    let stats = engine.queue_stats();
+    assert_eq!((stats.ingress_admitted, stats.ingress_shed), (40, 0));
 }

@@ -389,3 +389,48 @@ fn recovery_after_a_mid_log_swap_matches_a_never_crashed_run() {
         "the recovered replacement is a fresh version-1 registration"
     );
 }
+
+/// Log order is pop order: two threads publish into one logged engine at
+/// once, and recovery, which replays log order, re-delivers the sequence the
+/// engine delivered. Were a batch pushed after the log lock is released, a
+/// second publisher could log after it and queue before it.
+#[test]
+fn concurrent_publishers_recover_in_the_order_they_were_delivered() {
+    const BATCHES: i64 = 1_000;
+    let dir = temp_dir("order");
+    let logged = build_engine(Some(WalConfig::new(&dir).fsync(FsyncPolicy::Never)));
+    let handle = logged.engine.start();
+    std::thread::scope(|scope| {
+        for thread in 0..2i64 {
+            let publisher = logged.engine.publisher(logged.source).unwrap();
+            scope.spawn(move || {
+                for batch in 0..BATCHES {
+                    let drafts: Vec<_> = (0..4)
+                        .map(|i| {
+                            EventDraft::new()
+                                .public_part("type", Value::str("alpha"))
+                                .public_part("seq", Value::Int((thread * BATCHES + batch) * 4 + i))
+                        })
+                        .collect();
+                    assert_eq!(publisher.publish_batch(drafts).unwrap().accepted(), 4);
+                }
+            });
+        }
+    });
+    handle.pump_until_idle().unwrap();
+    handle.shutdown().unwrap();
+    let delivered = logged.alpha.lock().clone();
+    assert_eq!(delivered.len(), 2 * BATCHES as usize * 4);
+    drop(logged);
+
+    let recovered = build_engine(None);
+    assert_eq!(
+        recovered.engine.recover_from(&dir).unwrap().batches,
+        2 * BATCHES as u64
+    );
+    let handle = recovered.engine.start();
+    handle.pump_until_idle().unwrap();
+    handle.shutdown().unwrap();
+    assert_eq!(*recovered.alpha.lock(), delivered);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -65,13 +65,30 @@ fn frame_crc(len: [u8; 4], payload: &[u8]) -> u32 {
 
 /// Fills in the header of `frame`, whose first [`FRAME_HEADER_BYTES`] are
 /// reserved and whose rest is the payload, so the whole slice can be written
-/// as one frame.
-pub(crate) fn seal_frame(frame: &mut [u8]) {
+/// as one frame. Fails, writing nothing, on a payload over
+/// [`MAX_FRAME_BYTES`].
+pub(crate) fn seal_frame(frame: &mut [u8]) -> io::Result<()> {
     let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
-    debug_assert!(payload.len() as u64 <= MAX_FRAME_BYTES as u64);
-    let len = (payload.len() as u32).to_le_bytes();
+    let len = frame_len(payload.len())?.to_le_bytes();
     header[..4].copy_from_slice(&len);
     header[4..].copy_from_slice(&frame_crc(len, payload).to_le_bytes());
+    Ok(())
+}
+
+/// The length prefix of a `len`-byte payload, or `InvalidInput` past
+/// [`MAX_FRAME_BYTES`]: a scan reads such a prefix as corruption, so a frame
+/// written with it would be acknowledged and then dropped by recovery, with
+/// every frame after it.
+fn frame_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a {len}-byte frame payload exceeds the {MAX_FRAME_BYTES}-byte limit"),
+            )
+        })
 }
 
 /// Writes the 8-byte magic header that starts every framed file.
@@ -181,7 +198,7 @@ mod tests {
     fn write_frame(out: &mut File, payload: &[u8]) -> io::Result<u64> {
         let mut frame = vec![0u8; FRAME_HEADER_BYTES];
         frame.extend_from_slice(payload);
-        seal_frame(&mut frame);
+        seal_frame(&mut frame)?;
         out.write_all(&frame)?;
         Ok(frame.len() as u64)
     }
@@ -306,6 +323,17 @@ mod tests {
         let scan = scan_file(&path, MAGIC).unwrap();
         assert_eq!(scan.payloads, vec![b"kept".to_vec()]);
         assert!(scan.torn());
+    }
+
+    #[test]
+    fn payloads_over_the_frame_limit_are_refused() {
+        let max = MAX_FRAME_BYTES as usize;
+        assert_eq!(frame_len(0).unwrap(), 0);
+        assert_eq!(frame_len(max).unwrap(), MAX_FRAME_BYTES);
+        for len in [max + 1, usize::MAX] {
+            let err = frame_len(len).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{len}");
+        }
     }
 
     #[test]

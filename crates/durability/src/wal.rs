@@ -156,7 +156,7 @@ impl WalWriter {
             .last()
             .map(|(index, _)| index + 1)
             .unwrap_or(0);
-        let (file, segment_len) = Self::new_segment(&config.dir, next_index)?;
+        let (file, segment_len) = Self::new_segment(&config, next_index)?;
         Ok(WalWriter {
             config,
             file,
@@ -169,12 +169,18 @@ impl WalWriter {
         })
     }
 
-    fn new_segment(dir: &Path, index: u64) -> io::Result<(File, u64)> {
+    /// Creates segment `index`. Under the syncing policies the directory is
+    /// synced after the create, so a batch whose `fdatasync` acknowledged
+    /// it cannot lose its segment's directory entry to a power loss.
+    fn new_segment(config: &WalConfig, index: u64) -> io::Result<(File, u64)> {
         let mut file = OpenOptions::new()
             .create_new(true)
             .write(true)
-            .open(segment_path(dir, index))?;
+            .open(segment_path(&config.dir, index))?;
         let len = frame::write_magic(&mut file, SEGMENT_MAGIC)?;
+        if config.fsync != FsyncPolicy::Never {
+            File::open(&config.dir)?.sync_all()?;
+        }
         Ok((file, len))
     }
 
@@ -183,7 +189,9 @@ impl WalWriter {
     /// to the OS (and, under `EveryBatch`, after they are on disk) — the
     /// write-ahead contract the engine relies on before enqueueing. The
     /// borrowed batch is encoded straight into the writer's reused frame
-    /// buffer and written with one positional write.
+    /// buffer and written with one positional write. A batch whose payload
+    /// exceeds [`frame::MAX_FRAME_BYTES`] fails with `InvalidInput` before
+    /// any byte is written.
     pub fn append(
         &mut self,
         publisher_unit: u64,
@@ -191,9 +199,6 @@ impl WalWriter {
         arrival_ns: u64,
         events: &[Event],
     ) -> io::Result<()> {
-        if self.segment_len >= self.config.segment_bytes {
-            self.rotate()?;
-        }
         self.frame.clear();
         self.frame.put_slice(&[0; frame::FRAME_HEADER_BYTES]);
         encode_wal_batch_into(
@@ -203,7 +208,10 @@ impl WalWriter {
             arrival_ns,
             events,
         );
-        frame::seal_frame(&mut self.frame);
+        frame::seal_frame(&mut self.frame)?;
+        if self.segment_len >= self.config.segment_bytes {
+            self.rotate()?;
+        }
         let end = self.segment_len + self.frame.len() as u64;
         if end > self.zeroed_to && self.config.fsync == FsyncPolicy::EveryBatch {
             self.zero_ahead(end)?;
@@ -258,7 +266,7 @@ impl WalWriter {
         self.trim()?;
         self.file.sync_data()?;
         self.segment_index += 1;
-        let (file, len) = Self::new_segment(&self.config.dir, self.segment_index)?;
+        let (file, len) = Self::new_segment(&self.config, self.segment_index)?;
         self.file = file;
         self.segment_len = len;
         self.zeroed_to = len;

@@ -16,7 +16,6 @@ use defcon_core::{
     Engine, EngineHandle, EngineResult, IngressConfig, Publisher, SecurityMode, UnitSpec,
 };
 use defcon_defc::Privilege;
-use defcon_ingress::{IngressTier, SessionHandle};
 use defcon_metrics::ThroughputRecorder;
 use defcon_workload::{assign_pairs, SymbolUniverse, TickGenerator, TickGeneratorConfig};
 
@@ -58,11 +57,11 @@ pub struct TradingPlatformConfig {
     /// Seed for the Zipf pair assignment.
     pub seed: u64,
     /// Bounded admission for the exchange feed. `None` (the default) keeps
-    /// the classic unbounded blocking publish; `Some` routes every tick
-    /// through a credit-gated ingress session under this configuration (run
-    /// queue bounded, full-queue policy applied), which requires `workers >=
-    /// 1` — with no dispatcher the feed session could never earn credits
-    /// back and the first over-window burst would deadlock, so
+    /// the classic unbounded publish; `Some` builds the engine with this
+    /// configuration, so the exchange's publisher admits every tick through
+    /// its credit window (run queue bounded, full-queue policy applied).
+    /// That requires `workers >= 1` — with no dispatcher the feed could never
+    /// earn credits back and the first over-window burst would deadlock, so
     /// [`TradingPlatform::build`] rejects that combination loudly.
     pub ingress: Option<IngressConfig>,
 }
@@ -178,13 +177,6 @@ impl defcon_core::Unit for AuditWatcher {
 pub struct TradingPlatform {
     config: TradingPlatformConfig,
     engine: Engine,
-    /// The credit-gated feed path (tier + the exchange's session), present
-    /// when the config enables ingress. Declared before `handle` so drop
-    /// order marks the sessions done (shedding anything still buffered
-    /// loudly) before the engine's dispatch runtime goes away underneath
-    /// them.
-    ingress_tier: Option<IngressTier>,
-    feed_session: Option<SessionHandle>,
     handle: EngineHandle,
     exchange_feed: Publisher,
     /// The interned `(∅, {s})` endorsement label, computed once and cloned per
@@ -210,7 +202,7 @@ impl TradingPlatform {
         if config.ingress.is_some() && config.workers == 0 {
             return Err(defcon_core::EngineError::InvalidOperation(
                 "an ingress-fed platform needs dispatcher workers: with workers=0 nothing \
-                 drains the queue, so the feed session could never earn its credits back"
+                 drains the queue, so the feed could never earn its credits back"
                     .into(),
             ));
         }
@@ -286,19 +278,10 @@ impl TradingPlatform {
 
         let generator = TickGenerator::new(universe, config.tick_config.clone());
         let handle = engine.start();
-        let (ingress_tier, feed_session) = if config.ingress.is_some() {
-            let tier = IngressTier::new(&engine);
-            let session = tier.session(exchange)?;
-            (Some(tier), Some(session))
-        } else {
-            (None, None)
-        };
         let exchange_label = StockExchange::endorsed_label(&exchange_tag);
         Ok(TradingPlatform {
             config,
             engine,
-            ingress_tier,
-            feed_session,
             handle,
             exchange_feed,
             exchange_label,
@@ -321,12 +304,6 @@ impl TradingPlatform {
     /// Returns the running engine's handle (workers, publishers, idle waits).
     pub fn handle(&self) -> &EngineHandle {
         &self.handle
-    }
-
-    /// Returns the credit-gated ingress tier feeding the exchange, if the
-    /// config enabled one ([`TradingPlatformConfig::ingress`]).
-    pub fn ingress_tier(&self) -> Option<&IngressTier> {
-        self.ingress_tier.as_ref()
     }
 
     /// Returns the broker's shared state (order book, latency, trade counters).
@@ -387,25 +364,19 @@ impl TradingPlatform {
         )
     }
 
-    /// Feeds `drafts` to the engine — through the credit-gated ingress
-    /// session when the config enables it, on the direct (unbounded,
-    /// blocking) publish path otherwise — returning how many events were
-    /// admitted. The ingress path waits for the session to drain, so on
-    /// return every admitted event has reached dispatch; anything a shed
-    /// policy dropped is on the engine's admission ledger.
+    /// Feeds `drafts` to the engine through the exchange's publisher,
+    /// returning how many events were admitted. With ingress enabled the
+    /// publisher's credit window then drains, so on return every admitted
+    /// event has reached dispatch; anything a shed policy dropped is on the
+    /// engine's admission ledger.
     fn feed_drafts(&self, drafts: Vec<defcon_core::EventDraft>) -> EngineResult<u64> {
-        match &self.feed_session {
-            Some(session) => {
-                let admission = session.submit(drafts);
-                if !session.wait_drained(Duration::from_secs(30)) {
-                    return Err(defcon_core::EngineError::InvalidOperation(
-                        "the ingress feed session did not drain within 30s".into(),
-                    ));
-                }
-                Ok(admission.accepted() as u64)
-            }
-            None => Ok(self.exchange_feed.publish_batch(drafts)?.accepted() as u64),
+        let admitted = self.exchange_feed.publish_batch(drafts)?.accepted() as u64;
+        if !self.exchange_feed.wait_drained(Duration::from_secs(30)) {
+            return Err(defcon_core::EngineError::InvalidOperation(
+                "the exchange feed did not drain within 30s".into(),
+            ));
         }
+        Ok(admitted)
     }
 
     /// Waits until the engine is idle — dispatching on this thread while a
@@ -428,12 +399,7 @@ impl TradingPlatform {
         let tick = self.generator.next_tick();
         let before = self.engine.stats().dispatched();
         let draft = StockExchange::tick_draft_at(&self.exchange_label, &tick);
-        let admitted = if self.feed_session.is_some() {
-            self.feed_drafts(vec![draft])?
-        } else {
-            self.exchange_feed.publish(draft)?;
-            1
-        };
+        let admitted = self.feed_drafts(vec![draft])?;
         let dispatched = self.drain_cascades(before)?;
         self.ticks_published += admitted;
         // Figure 5 counts processed events; every dispatched event (ticks plus the

@@ -300,7 +300,7 @@ fn unit_count_is_constant_over_long_runs() {
 
 #[test]
 fn ingress_fed_platform_runs_the_workflow_with_a_bounded_queue() {
-    // The exchange feed routed through a credit-gated ingress session: the
+    // The exchange feed admitted through its publisher's credit window: the
     // full Figure 4 cascade still runs, every tick is admitted under the
     // Block policy, and the engine's admission ledger accounts for them.
     let config = TradingPlatformConfig {
@@ -314,7 +314,7 @@ fn ingress_fed_platform_runs_the_workflow_with_a_bounded_queue() {
         ..small_config(SecurityMode::LabelsFreeze, 10)
     };
     let mut platform = TradingPlatform::build(config).unwrap();
-    assert!(platform.ingress_tier().is_some());
+    assert!(platform.engine().ingress_config().is_some());
     let report = platform.run_ticks(600).unwrap();
     assert_eq!(report.ticks, 600, "Block admits every tick");
     assert!(report.orders > 0, "no orders through the ingress feed");
@@ -327,7 +327,7 @@ fn ingress_fed_platform_runs_the_workflow_with_a_bounded_queue() {
 #[test]
 fn ingress_without_workers_is_rejected_loudly() {
     // With workers=0 nothing drains the queue except explicit pumping, so a
-    // credit-gated feed session could never earn its credits back: the build
+    // credit-gated feed could never earn its credits back: the build
     // must refuse the combination instead of deadlocking the first tick.
     let config = TradingPlatformConfig {
         workers: 0,

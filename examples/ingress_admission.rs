@@ -1,8 +1,9 @@
-//! Credit-gated admission in action: the same slow-consumer flood run twice —
-//! once on the direct (unbounded) publish path, once through the async
-//! ingress tier with a bounded run queue — printing the peak queue depth and
-//! admission ledger each way. The direct path's backlog grows with the flood;
-//! the credit-gated path holds the configured bound.
+//! Bounded admission in action: the same slow-consumer flood run twice —
+//! once into an engine without an `IngressConfig` (unbounded publishers),
+//! once into one with a bounded run queue, where every `Publisher` admits
+//! through its credit window — printing the peak queue depth and admission
+//! ledger each way. The unbounded backlog grows with the flood; the bounded
+//! engine holds the configured bound.
 //!
 //! Run with: `cargo run --release --example ingress_admission [events]`
 
@@ -15,7 +16,7 @@ use defcon_core::unit::NullUnit;
 
 const QUEUE_BOUND: usize = 64;
 const BURST: u64 = 128;
-const SESSIONS: usize = 4;
+const PUBLISHERS: usize = 4;
 
 /// The consumer that cannot keep up: 20µs per event.
 struct SlowSink(Arc<AtomicU64>);
@@ -57,17 +58,35 @@ fn slow_engine(ingress: Option<IngressConfig>) -> (Engine, UnitId, Arc<AtomicU64
     (engine, source, delivered)
 }
 
-/// The flood as bursts of up to [`BURST`] ticks, `events` ticks in all.
-fn bursts(events: u64) -> impl Iterator<Item = Vec<EventDraft>> {
-    (0..events).step_by(BURST as usize).map(move |start| {
-        (start..(start + BURST).min(events))
+/// Floods `engine` with `events` ticks in bursts of up to [`BURST`],
+/// round-robin over [`PUBLISHERS`] publishers of `source`, and drains it.
+/// Returns the events accepted and the peak queue depth sampled after each
+/// burst.
+fn flood(engine: &Engine, source: UnitId, events: u64) -> (u64, usize) {
+    let handle = engine.start();
+    let publishers: Vec<_> = (0..PUBLISHERS)
+        .map(|_| engine.publisher(source).expect("publisher"))
+        .collect();
+    let (mut accepted, mut peak) = (0u64, 0usize);
+    for (i, start) in (0..events).step_by(BURST as usize).enumerate() {
+        let burst = (start..(start + BURST).min(events))
             .map(|seq| {
                 EventDraft::new()
                     .public_part("type", Value::str("tick"))
                     .public_part("seq", Value::Int(seq as i64))
             })
-            .collect()
-    })
+            .collect();
+        let admission = publishers[i % PUBLISHERS]
+            .publish_batch(burst)
+            .expect("engine running");
+        accepted += admission.accepted() as u64;
+        peak = peak.max(engine.queue_depth());
+    }
+    for publisher in &publishers {
+        assert!(publisher.wait_drained(Duration::from_secs(120)), "drains");
+    }
+    handle.shutdown().expect("shutdown");
+    (accepted, peak)
 }
 
 fn main() {
@@ -76,55 +95,36 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(20_000);
 
-    println!("== direct (unbounded) publish path, {events} events ==");
+    println!("== no IngressConfig: unbounded publishers, {events} events ==");
     let (engine, source, delivered) = slow_engine(None);
-    let handle = engine.start();
-    let publisher = engine.publisher(source).expect("publisher");
-    let (mut published, mut peak) = (0u64, 0usize);
-    for burst in bursts(events) {
-        let admission = publisher.publish_batch(burst).expect("engine running");
-        published += admission.accepted() as u64;
-        peak = peak.max(engine.queue_depth());
-    }
-    handle.shutdown().expect("shutdown");
+    let (published, peak) = flood(&engine, source, events);
     println!(
         "published {published} events; peak queue depth {peak} (unbounded: grows with the flood)"
     );
     assert_eq!(published, events);
     assert_eq!(delivered.load(Ordering::Relaxed), events);
 
-    println!("\n== credit-gated ingress tier, queue bound {QUEUE_BOUND} ==");
+    println!("\n== IngressConfig: queue bound {QUEUE_BOUND}, Block policy ==");
     let (engine, source, delivered) = slow_engine(Some(
         IngressConfig::new(QUEUE_BOUND)
             .credit_window(32)
             .policy(FullQueuePolicy::Block),
     ));
-    let handle = engine.start();
-    let tier = IngressTier::new(&engine);
-    let sessions: Vec<_> = (0..SESSIONS)
-        .map(|_| tier.session(source).expect("session"))
-        .collect();
-    let mut peak = 0usize;
-    for (i, burst) in bursts(events).enumerate() {
-        let _ = sessions[i % SESSIONS].submit(burst);
-        peak = peak.max(engine.queue_depth());
-    }
-    assert!(tier.drain(Duration::from_secs(120)), "sessions drain");
-    let report = tier.shutdown();
-    handle.shutdown().expect("shutdown");
+    let (accepted, peak) = flood(&engine, source, events);
     let stats = engine.queue_stats();
     println!(
         "admitted {} / shed {} / credit stalls {}; peak queue depth {peak} (bound {QUEUE_BOUND} held: {})",
-        report.admitted,
-        report.shed,
+        stats.ingress_admitted,
+        stats.ingress_shed,
         stats.ingress_credit_stalls,
         peak <= QUEUE_BOUND
     );
 
     // A sanity check worthy of the name "example": the Block policy admits
     // every event, and the sampled backlog respects the bound.
-    assert_eq!(report.admitted, events);
-    assert_eq!(report.shed, 0);
+    assert_eq!(accepted, events);
+    assert_eq!(stats.ingress_admitted, events);
+    assert_eq!(stats.ingress_shed, 0);
     assert!(peak <= QUEUE_BOUND);
     assert_eq!(delivered.load(Ordering::Relaxed), events);
 }

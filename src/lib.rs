@@ -11,12 +11,10 @@
 //!   §5);
 //! * [`durability`] — segmented CRC32-framed write-ahead log for crash
 //!   recovery;
-//! * [`core`] — the DEFCon engine: dispatcher, subscriptions, the Table 1 API.
-//!   The paper's §4 isolation of units inside one JVM needs no crate here:
+//! * [`core`] — the DEFCon engine: dispatcher, subscriptions, the Table 1 API,
+//!   and bounded admission for its publishers. The paper's §4 isolation of units inside one JVM needs no crate here:
 //!   Rust's ownership, module privacy and `#![forbid(unsafe_code)]` enforce
 //!   it when the code compiles;
-//! * [`ingress`] — the credit-gated async ingress tier funnelling many logical
-//!   publisher sessions onto the bounded batched publish path;
 //! * [`metrics`] — throughput, latency and memory instrumentation (§6.2);
 //! * [`workload`] — the synthetic LSE-style workload (§6.2);
 //! * [`trading`] — the Figure 4 trading platform;
@@ -33,7 +31,6 @@ pub use defcon_core as core;
 pub use defcon_defc as defc;
 pub use defcon_durability as durability;
 pub use defcon_events as events;
-pub use defcon_ingress as ingress;
 pub use defcon_metrics as metrics;
 pub use defcon_trading as trading;
 pub use defcon_workload as workload;
@@ -43,9 +40,8 @@ pub mod prelude {
     pub use defcon_core::{
         auto_worker_count, Admission, Engine, EngineBuilder, EngineError, EngineHandle,
         EngineResult, EventDraft, FullQueuePolicy, IngressConfig, Publisher, QueueStats,
-        SecurityMode, TryPublish, Unit, UnitContext, UnitId, UnitSpec,
+        SecurityMode, Unit, UnitContext, UnitId, UnitSpec,
     };
     pub use defcon_defc::{Component, Label, Privilege, PrivilegeKind, Tag, TagSet};
     pub use defcon_events::{Event, EventBuilder, Filter, Predicate, Value, ValueList, ValueMap};
-    pub use defcon_ingress::{IngressTier, SessionHandle};
 }
