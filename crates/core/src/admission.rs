@@ -14,8 +14,9 @@
 //! left the queue, so the chunk's credits return. The stamp counts pops, not
 //! dispatches: cascades that dispatchers run off their own stacks never pass
 //! through the queue, so they cannot return a still-queued chunk's credits
-//! early. An empty queue returns every credit too, as a publish racing
-//! shutdown withdraws events without popping them.
+//! early. An empty queue returns every credit too: the stamp reads depth
+//! before the pop count, so it can overcount pops still to come, and an
+//! empty queue proves the chunk has left it all the same.
 //!
 //! **Lazy retirement.** No thread watches a window: chunks whose watermark has
 //! passed retire at the start of the publisher's next
@@ -64,17 +65,16 @@ impl Admission {
     }
 
     /// Events accepted for dispatch. Without a credit window this is exactly
-    /// the number that will be dispatched (a batch racing shutdown may be
-    /// partially accepted). Under a window it counts the events that entered
-    /// it: queued now, or buffered until the publisher's next call publishes
-    /// them.
+    /// the number that will be dispatched: the batch's non-empty drafts. Under
+    /// a window it counts the events that entered it: queued now, or buffered
+    /// until the publisher's next call publishes them.
     pub fn accepted(&self) -> usize {
         self.accepted
     }
 
-    /// Events dropped instead of being enqueued: by a credit window's shed
-    /// policy, or withdrawn by a shutdown race. Under a window every shed
-    /// event is also counted in `queue_stats().ingress_shed`.
+    /// Events a credit window's shed policy dropped instead of enqueueing,
+    /// each also counted in `queue_stats().ingress_shed`; zero without a
+    /// window.
     pub fn shed(&self) -> usize {
         self.shed
     }
@@ -419,26 +419,18 @@ impl CreditWindow {
             // The enqueue has made the events visible in queue depth (or
             // failed); either way the reservation is no longer needed.
             *core.admission.reserved.lock() -= take;
-            let admission = match published {
-                Ok(admission) => admission,
-                Err(error) => {
-                    core.admission.record_shed(take + state.inbox.len());
-                    state.inbox.clear();
-                    return Err(error);
-                }
-            };
-            core.admission.record_admitted(admission.accepted());
+            if let Err(error) = published {
+                core.admission.record_shed(take + state.inbox.len());
+                state.inbox.clear();
+                return Err(error);
+            }
+            core.admission.record_admitted(take);
             // Watermark: once the queue's pops reach what is queued right
             // now, this chunk has left the queue. Depth first (see
             // `RunQueue::popped`).
             let watermark = queue.len() as u64 + queue.popped();
-            if admission.accepted() > 0 {
-                state.pending.push_back((watermark, admission.accepted()));
-                state.outstanding += admission.accepted();
-            }
-            // The withdrawn remainder of a shutdown race never reached the
-            // queue and holds no credit.
-            core.admission.record_shed(admission.shed());
+            state.pending.push_back((watermark, take));
+            state.outstanding += take;
         }
         Ok(true)
     }
@@ -470,9 +462,9 @@ impl CreditWindow {
 /// Returns the credits of every chunk that has left the queue.
 fn retire(queue: &RunQueue, state: &mut WindowState) {
     let popped = queue.popped();
-    // An empty queue also proves every queued chunk left it (dispatched or
-    // withdrawn at stop), which keeps credits flowing across an engine
-    // shutdown that withdrew events before they dispatched.
+    // An empty queue also proves every queued chunk left it, whatever its
+    // watermark: the stamp reads depth before the pop count, so a pop in
+    // between makes it overcount by what that pop took.
     let queue_empty = queue.len() == 0;
     while let Some(&(watermark, events)) = state.pending.front() {
         if popped < watermark && !queue_empty {
@@ -485,7 +477,10 @@ fn retire(queue: &RunQueue, state: &mut WindowState) {
 
 /// Parks on the queue's depth signal until its pop count reaches `target` or
 /// it is empty, or `timeout` elapses (a timeout too large for the clock never
-/// does).
+/// does). An empty queue ends the wait because the target may never be
+/// reached: a watermark can overcount (see [`retire`]), and a room target
+/// asks for at least one pop even when reservations, not depth, refused the
+/// chunk.
 fn wait_popped(queue: &RunQueue, target: u64, timeout: Duration) {
     queue.wait_on_depth_signal(|| queue.popped() >= target || queue.len() == 0, timeout);
 }

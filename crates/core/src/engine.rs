@@ -189,27 +189,27 @@ pub struct QueueStats {
     pub index_rebuilds: u64,
 }
 
-/// Counters describing engine activity.
+/// Counters describing engine activity, read through the accessors.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     /// Events accepted by `publish`.
-    pub published: AtomicU64,
+    pub(crate) published: AtomicU64,
     /// Events dispatched: taken off the queue, or off a dispatcher's
     /// cascade stack.
-    pub dispatched: AtomicU64,
+    pub(crate) dispatched: AtomicU64,
     /// Individual deliveries to units (one event may be delivered to many units).
-    pub deliveries: AtomicU64,
+    pub(crate) deliveries: AtomicU64,
     /// Subscriptions whose filter matched structurally but whose label check
     /// rejected the delivery.
-    pub label_rejections: AtomicU64,
+    pub(crate) label_rejections: AtomicU64,
     /// Errors returned by unit callbacks (isolated and counted, never propagated to
     /// other units).
-    pub unit_errors: AtomicU64,
+    pub(crate) unit_errors: AtomicU64,
     /// Engine-level dispatch failures on worker threads (distinct from unit
     /// misbehaviour; any nonzero value indicates an engine bug worth reporting).
-    pub engine_errors: AtomicU64,
+    pub(crate) engine_errors: AtomicU64,
     /// Managed deliveries: one handler built, run and dropped per delivery.
-    pub managed_deliveries: AtomicU64,
+    pub(crate) managed_deliveries: AtomicU64,
 }
 
 impl EngineStats {
@@ -374,81 +374,78 @@ impl EngineCore {
         self.run_queue.push_batch(events);
     }
 
-    /// Enqueues a batch of external events in order, returning how many were
-    /// accepted: the one site where externally published events enter the
-    /// engine. The batch is drained out of `events` (so publishers reuse one
+    /// Stops the run queue, so that external batches are refused from here
+    /// on. With a write-ahead log the flag flips under the log's lock, the
+    /// lock [`EngineCore::enqueue_external_batch`] decides under: a batch
+    /// is logged and queued before the stop, or neither after it.
+    pub(crate) fn stop(&self) {
+        let _wal = self.wal.as_ref().map(Mutex::lock);
+        self.run_queue.stop();
+    }
+
+    /// Enqueues a batch of external events in order: the one site where
+    /// externally published events enter the engine. The whole batch is
+    /// queued, or, once the runtime has shut down, refused with an error;
+    /// a queued batch is drained out of `events` (so publishers reuse one
     /// buffer per thread).
     ///
     /// When the write-ahead log is enabled the whole batch is appended as one
     /// frame — and flushed per the fsync policy — before anything is
     /// enqueued: an append failure rejects the publish, so no event is ever
-    /// dispatched without being durable first. The push happens under the
-    /// log's lock, so log order is queue order and recovery, which replays
-    /// log order, re-feeds concurrent publishers' batches in the order they
-    /// were popped. The converse race is documented rather than prevented: a
-    /// batch logged here and then rejected by a concurrent shutdown stays in
-    /// the log and is re-fed on recovery.
-    ///
-    /// An entirely rejected batch (runtime shut down) fails loudly; a batch
-    /// that races shutdown may be partially accepted — the returned count is
-    /// exactly the number of events that will be dispatched.
+    /// dispatched without being durable first. The shutdown check, the
+    /// append and the push all happen under the log's lock, which
+    /// [`EngineCore::stop`] takes too: a refused batch is never logged, and
+    /// log order is queue order, so recovery, which replays log order,
+    /// re-feeds concurrent publishers' batches in the order they were popped.
     pub(crate) fn enqueue_external_batch(
         &self,
         source: UnitId,
         output_label: &Label,
         arrival_ns: u64,
         events: &mut Vec<Event>,
-    ) -> EngineResult<usize> {
-        if events.is_empty() {
-            return Ok(0);
+    ) -> EngineResult<()> {
+        let n = events.len() as u64;
+        if n == 0 {
+            return Ok(());
         }
-        let accepted = match &self.wal {
-            Some(wal) => {
-                let mut wal = wal.lock();
-                wal.append(source.as_u64(), output_label, arrival_ns, events)
-                    .map_err(|err| EngineError::Durability(format!("wal append failed: {err}")))?;
-                self.run_queue.push_external_batch(events)
-            }
-            None => self.run_queue.push_external_batch(events),
-        };
-        if accepted == 0 {
+        // The push below refuses a batch once the queue is stopping, and such
+        // a batch must not reach the log either.
+        let mut wal = self.wal.as_ref().map(Mutex::lock);
+        if let Some(wal) = wal.as_mut().filter(|_| !self.run_queue.is_stopping()) {
+            wal.append(source.as_u64(), output_label, arrival_ns, events)
+                .map_err(|err| EngineError::Durability(format!("wal append failed: {err}")))?;
+        }
+        if !self.run_queue.push_external_batch(events) {
             return Err(EngineError::InvalidOperation(
                 "engine runtime has shut down; event batch rejected".into(),
             ));
         }
-        self.stats
-            .published
-            .fetch_add(accepted as u64, Ordering::Relaxed);
-        Ok(accepted)
+        self.stats.published.fetch_add(n, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// Re-feeds recovered events into the run queue through the normal
-    /// dispatch path *without* re-logging them (their log records already
-    /// exist). Each recovered batch is queued in order under one lock,
-    /// exactly like the original `publish_batch` transaction did.
-    pub(crate) fn enqueue_recovered_batch(&self, events: &mut Vec<Event>) -> EngineResult<usize> {
-        if events.is_empty() {
-            return Ok(0);
-        }
-        let expected = events.len();
-        let accepted = self.run_queue.push_external_batch(events);
-        if accepted < expected {
-            return Err(EngineError::InvalidOperation(
-                "engine runtime has shut down; recovery batch rejected".into(),
-            ));
-        }
-        self.stats
-            .published
-            .fetch_add(accepted as u64, Ordering::Relaxed);
-        Ok(accepted)
+    /// Enqueues what a driver closure or a unit's `init` published as `unit`
+    /// as one external batch: one log frame, queued or refused whole.
+    fn enqueue_outputs(
+        &self,
+        unit: UnitId,
+        output_label: &Label,
+        outputs: Vec<Cascade>,
+    ) -> EngineResult<()> {
+        let Some(first) = outputs.first() else {
+            return Ok(());
+        };
+        let arrival_ns = first.event.origin_ns();
+        let mut events = outputs.into_iter().map(|cascade| cascade.event).collect();
+        self.enqueue_external_batch(unit, output_label, arrival_ns, &mut events)
     }
 
     /// Runs a closure with exclusive access to a unit and a [`UnitContext`] for
     /// it, enqueueing whatever the closure published once the unit is unlocked.
     ///
-    /// Driver closures count as external publishers: events they publish after
-    /// the runtime has shut down are rejected (the closure's other effects —
-    /// tag creation, label changes — stand).
+    /// Driver closures count as external publishers: what they publish is
+    /// one batch, refused whole after the runtime has shut down (the
+    /// closure's other effects — tag creation, label changes — stand).
     pub(crate) fn with_unit_context<R>(
         self: &Arc<Self>,
         unit: UnitId,
@@ -473,9 +470,7 @@ impl EngineCore {
         // label is the one its publishes were raised to.
         let output_label = cell.state.output_label.clone();
         drop(cell);
-        for Cascade { event, .. } in outputs {
-            self.enqueue_external_batch(unit, &output_label, event.origin_ns(), &mut vec![event])?;
-        }
+        self.enqueue_outputs(unit, &output_label, outputs)?;
         result
     }
 
@@ -530,9 +525,7 @@ impl EngineCore {
         // Registration from a driver thread: after shutdown the bootstrap
         // events are rejected loudly (the unit itself stays registered)
         // instead of rotting on the stopped queue.
-        for Cascade { event, .. } in external {
-            self.enqueue_external_batch(id, &output_label, event.origin_ns(), &mut vec![event])?;
-        }
+        self.enqueue_outputs(id, &output_label, external)?;
         Ok(id)
     }
 
@@ -806,7 +799,15 @@ impl Engine {
             ..RecoveryReport::default()
         };
         for mut record in scan.records {
-            report.events += self.core.enqueue_recovered_batch(&mut record.events)? as u64;
+            let n = record.events.len() as u64;
+            // Queued as the original publish was, without re-logging it.
+            if !self.core.run_queue.push_external_batch(&mut record.events) {
+                return Err(EngineError::InvalidOperation(
+                    "engine runtime has shut down; recovery batch rejected".into(),
+                ));
+            }
+            self.core.stats.published.fetch_add(n, Ordering::Relaxed);
+            report.events += n;
         }
         Ok(report)
     }

@@ -152,8 +152,7 @@ impl EngineHandle {
     }
 
     fn shutdown_in_place(&mut self) -> EngineResult<u64> {
-        let core = self.engine.core();
-        core.run_queue.stop();
+        self.engine.core().stop();
         let mut dispatched = 0;
         // Join *every* worker before reporting an error: bailing on the first
         // panicked thread would leak the remaining ones.
@@ -165,9 +164,9 @@ impl EngineHandle {
             }
         }
         // Final drain on the calling thread: the whole queue in `workers(0)`
-        // mode, and any external publish that raced `stop` and slipped in after
-        // the workers' last idle check otherwise — accepted events are never
-        // lost. The exited workers gave their slots back.
+        // mode, and whatever a worker that died left queued otherwise —
+        // accepted events are never lost. The exited workers gave their
+        // slots back.
         let waiter = self.waiter.get_mut();
         dispatched += std::mem::take(&mut waiter.dispatched) + waiter.dispatcher.drain(None);
         if panicked > 0 {
@@ -238,15 +237,8 @@ impl EventDraft {
         self.part(name, Label::public(), data)
     }
 
-    /// A draft over already-built parts — the replay path: a recorded arrival
-    /// trace stores each draft's parts verbatim (pre-label-raise), and feeding
-    /// them back through here reproduces the original publish byte-for-byte.
-    pub fn from_parts(parts: Vec<defcon_events::Part>) -> Self {
-        EventDraft { parts }
-    }
-
-    /// The parts added so far, in order — what a trace recorder captures
-    /// before the draft is consumed by publishing.
+    /// The parts added so far, in order, with their requested labels (the
+    /// raise to the output label happens at publish time).
     pub fn parts(&self) -> &[defcon_events::Part] {
         &self.parts
     }
@@ -357,10 +349,9 @@ impl Publisher {
     /// dispatch hot path.
     ///
     /// **Without an ingress configuration** the whole batch is one such
-    /// transaction and `accepted()` is exactly the number of events that will
-    /// be dispatched. An entirely rejected batch (the runtime has shut down)
-    /// fails loudly; a batch racing shutdown may be partially accepted, and
-    /// the withdrawn remainder is reported as `shed()`.
+    /// transaction: it is queued whole, and `accepted()` is exactly the
+    /// number of events that will be dispatched, or refused whole with an
+    /// error once the runtime has shut down.
     ///
     /// **With one**, the batch is admitted against this publisher's credit
     /// window under the configured policy, then what the window holds is
@@ -446,10 +437,9 @@ impl Publisher {
             let label = output_label
                 .as_ref()
                 .expect("non-empty batch snapshots the label");
-            let accepted =
-                self.core
-                    .enqueue_external_batch(self.unit, label, origin_ns, &mut events)?;
-            Ok(Admission::new(accepted, built - accepted, 0))
+            self.core
+                .enqueue_external_batch(self.unit, label, origin_ns, &mut events)?;
+            Ok(Admission::new(built, 0, 0))
         })
     }
 

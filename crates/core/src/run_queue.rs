@@ -48,14 +48,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use defcon_events::Event;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// A multi-producer multi-consumer queue of events awaiting dispatch.
 pub(crate) struct RunQueue {
     queue: Mutex<VecDeque<Event>>,
     /// Events queued, readable without the queue lock.
     len: AtomicUsize,
-    /// Events ever popped off the queue (withdrawn events are not popped).
+    /// Events ever popped off the queue.
     popped: AtomicU64,
     /// Events accepted but not yet *completed* (queued + in flight). Idleness
     /// is this single counter reaching zero — reading `len` and an in-flight
@@ -87,8 +87,8 @@ pub(crate) struct RunQueue {
     /// on `depth_signal`; lets the hot pop path skip the signal lock when
     /// nobody is watching.
     depth_waiters: AtomicUsize,
-    /// Signalled when queued depth drops (events popped for dispatch or
-    /// withdrawn) and when the queue starts stopping.
+    /// Signalled when queued depth drops (events popped for dispatch) and
+    /// when the queue starts stopping.
     depth_signal: Condvar,
 }
 
@@ -174,12 +174,7 @@ impl RunQueue {
     /// lock acquisition, with a single wakeup check; the global signal
     /// lock is only touched when a consumer is actually parked.
     pub(crate) fn push_batch(&self, mut events: Vec<Event>) {
-        let n = events.len();
-        if n == 0 {
-            return;
-        }
-        self.insert_batch(&mut events);
-        self.wake_consumers(n);
+        self.insert_batch(self.queue.lock(), &mut events);
     }
 
     /// Single-event [`RunQueue::push_batch`], for the queue's own tests.
@@ -188,77 +183,32 @@ impl RunQueue {
         self.push_batch(vec![event]);
     }
 
-    /// Enqueues a batch of external events in order under one lock,
-    /// returning how many were accepted (and will therefore be dispatched).
-    /// The batch is *drained* out of `events` (accepted or not — a rejected
-    /// batch is cleared), so callers can reuse one buffer across batches.
+    /// Enqueues a batch of external events in order under one lock: all of
+    /// it, or none once the queue is stopping. Returns whether it was
+    /// queued; a queued batch is *drained* out of `events` (so publishers
+    /// reuse one buffer per thread), a refused one is left there.
     ///
-    /// Lock-free on the accept path, with a re-check after the insert closing
-    /// the race against a concurrent full shutdown: if `stop` was observed
-    /// false before the insert, the insert is SeqCst-ordered before the flag
-    /// flip and the stopping drain is guaranteed to see the events; if stopping
-    /// is observed afterwards, the still-queued tail of the batch is withdrawn
-    /// by identity — events a drain already popped are in flight and their
-    /// publish stands. The returned count is exactly the number of events that
-    /// will reach dispatch.
-    pub(crate) fn push_external_batch(&self, events: &mut Vec<Event>) -> usize {
-        let n = events.len();
-        if n == 0 || self.stopping.load(Ordering::SeqCst) {
-            events.clear();
-            return 0;
+    /// [`RunQueue::stop`] sets the flag under the same lock, so the flag
+    /// read and the insert are one step against it: a batch queued before
+    /// the stop raised `pending` first, so the stopping workers (or the
+    /// final drain) dispatch it; a batch after it never reaches the queue.
+    pub(crate) fn push_external_batch(&self, events: &mut Vec<Event>) -> bool {
+        let queue = self.queue.lock();
+        // Relaxed: the queue lock orders this read against `stop`'s store.
+        if self.stopping.load(Ordering::Relaxed) {
+            return false;
         }
-        // The ids are only consulted on the (rare) stop race below, but they
-        // must be captured before the insert hands the events away. A reused
-        // thread-local keeps this capture allocation-free per batch.
-        thread_local! {
-            static WITHDRAW_IDS: std::cell::RefCell<Vec<defcon_events::EventId>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        WITHDRAW_IDS.with(|ids| {
-            let mut ids = ids.borrow_mut();
-            ids.clear();
-            ids.extend(events.iter().map(|event| event.id()));
-            self.insert_batch(events);
-            if self.stopping.load(Ordering::SeqCst) {
-                // Raced with shutdown; the drain may already have popped part
-                // of the batch. Withdraw whatever is still queued — anything
-                // gone is being dispatched by a consumer, so those publishes
-                // stand.
-                let mut withdrawn = 0;
-                {
-                    let mut queue = self.queue.lock();
-                    for id in ids.iter() {
-                        if let Some(position) = queue.iter().position(|queued| queued.id() == *id) {
-                            queue.remove(position);
-                            withdrawn += 1;
-                        }
-                    }
-                    if withdrawn > 0 {
-                        self.len.fetch_sub(withdrawn, Ordering::SeqCst);
-                    }
-                }
-                // Withdrawn events leave the queue without a pop; a thread
-                // waiting for the queue to empty must still hear of it.
-                if withdrawn > 0 {
-                    self.note_depth_drop();
-                }
-                self.complete_many(withdrawn);
-                let accepted = n - withdrawn;
-                if accepted > 0 {
-                    self.wake_consumers(accepted);
-                }
-                return accepted;
-            }
-            self.wake_consumers(n);
-            n
-        })
+        self.insert_batch(queue, events);
+        true
     }
 
-    /// Queues every event of `events` in order, draining the buffer (the
-    /// external publish path reuses one buffer per thread).
-    fn insert_batch(&self, events: &mut Vec<Event>) {
+    /// Queues every event of `events` in order under the held queue lock,
+    /// draining the buffer, then releases the lock and wakes consumers.
+    fn insert_batch(&self, mut queue: MutexGuard<'_, VecDeque<Event>>, events: &mut Vec<Event>) {
         let n = events.len();
-        let mut queue = self.queue.lock();
+        if n == 0 {
+            return;
+        }
         // `pending` rises with the insert and only falls at `complete_many`,
         // so a cascade event published during a dispatch is counted before
         // that dispatch completes — idleness can never be observed between.
@@ -267,6 +217,8 @@ impl RunQueue {
         // Raised while the queue lock is held so `len` can never lag a
         // concurrent pop and wrap below zero.
         self.len.fetch_add(n, Ordering::SeqCst);
+        drop(queue);
+        self.wake_consumers(n);
     }
 
     /// Wakes parked consumers after `inserted` events were enqueued. SeqCst
@@ -351,8 +303,8 @@ impl RunQueue {
     /// No wake is lost: a waiter registers (SeqCst) before it re-checks
     /// `ready`, and a pop raises `popped` and lowers `len` (SeqCst) before it
     /// loads the waiter count, so either the pop sees the waiter and
-    /// notifies, or the re-check sees the pop. Withdrawals and `stop` notify
-    /// too; the 1 ms slice per park is a backstop only.
+    /// notifies, or the re-check sees the pop. `stop` notifies too; the
+    /// 1 ms slice per park is a backstop only.
     pub(crate) fn wait_on_depth_signal(&self, ready: impl Fn() -> bool, timeout: Duration) -> bool {
         const BACKSTOP_SLICE: Duration = Duration::from_millis(1);
         let deadline = Instant::now().checked_add(timeout);
@@ -473,11 +425,13 @@ impl RunQueue {
         }
     }
 
-    /// Asks consumers to exit once the queue has fully drained. External pushes
-    /// are rejected from this point on (see `push_external_batch` for how the
-    /// flag flip and racing inserts reconcile).
+    /// Asks consumers to exit once the queue has fully drained. External
+    /// batches are refused whole from this point on: the flag is set under
+    /// the queue lock, the lock `push_external_batch` reads it under.
     pub(crate) fn stop(&self) {
+        let queue = self.queue.lock();
         self.stopping.store(true, Ordering::SeqCst);
+        drop(queue);
         let _signal = self.signal_lock.lock();
         self.work_signal.notify_all();
         self.idle_signal.notify_all();
@@ -711,15 +665,13 @@ mod tests {
     #[test]
     fn external_pushes_are_rejected_after_stop_but_internal_ones_drain() {
         let queue = RunQueue::new(2);
-        assert_eq!(
+        assert!(
             queue.push_external_batch(&mut vec![event(1)]),
-            1,
             "accepted while running"
         );
         queue.stop();
-        assert_eq!(
-            queue.push_external_batch(&mut vec![event(2)]),
-            0,
+        assert!(
+            !queue.push_external_batch(&mut vec![event(2)]),
             "rejected once stopping"
         );
         // Internal (cascade) pushes are still accepted and drainable.
@@ -734,17 +686,19 @@ mod tests {
     #[test]
     fn external_batch_is_rejected_whole_once_stopping() {
         let queue = RunQueue::new(2);
-        assert_eq!(
-            queue.push_external_batch(&mut (0..5).map(event).collect()),
-            5,
+        let mut accepted = (0..5).map(event).collect();
+        assert!(
+            queue.push_external_batch(&mut accepted),
             "accepted while running"
         );
+        assert!(accepted.is_empty(), "a queued batch is drained");
         queue.stop();
-        assert_eq!(
-            queue.push_external_batch(&mut (5..10).map(event).collect()),
-            0,
+        let mut refused = (5..10).map(event).collect();
+        assert!(
+            !queue.push_external_batch(&mut refused),
             "rejected once stopping"
         );
+        assert_eq!(refused.len(), 5, "a refused batch is left to its caller");
         assert_eq!(queue.len(), 5);
         while next_event(&queue).is_some() {
             queue.complete();
@@ -752,10 +706,10 @@ mod tests {
         assert!(queue.is_idle());
     }
 
-    /// The batch-straddles-stop race: a stop() that lands between a batch's
-    /// insert and its post-insert recheck must leave the accounting exact —
-    /// every accepted event is dispatched exactly once, withdrawn events never
-    /// are, and the queue always reaches idle.
+    /// External batches racing stop() are queued or refused whole: every
+    /// round, each batch's eight events are dispatched exactly once or not
+    /// at all, no batch is queued after a refused one, and the queue always
+    /// reaches idle.
     #[test]
     fn external_batch_straddling_stop_keeps_accounting_exact() {
         for round in 0..50 {
@@ -777,26 +731,34 @@ mod tests {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
                     // Vary the interleaving: sometimes stop lands before the
-                    // publisher's insert, sometimes between insert and recheck,
-                    // sometimes after.
+                    // publisher's first batch, sometimes between batches,
+                    // sometimes after the last.
                     if round % 3 == 0 {
                         std::thread::yield_now();
                     }
                     queue.stop();
                 })
             };
-            let mut accepted = 0;
-            for chunk in 0..4 {
-                accepted += queue
-                    .push_external_batch(&mut (chunk * 8..(chunk + 1) * 8).map(event).collect());
-            }
+            let outcomes: Vec<bool> = (0..4)
+                .map(|chunk| {
+                    let mut batch = (chunk * 8..(chunk + 1) * 8).map(event).collect();
+                    let queued = queue.push_external_batch(&mut batch);
+                    assert_eq!(batch.len(), if queued { 0 } else { 8 }, "round {round}");
+                    queued
+                })
+                .collect();
             stopper.join().unwrap();
             consumer.join().unwrap();
             assert!(queue.is_idle(), "round {round}: queue must settle idle");
+            assert!(
+                outcomes.windows(2).all(|pair| pair[0] || !pair[1]),
+                "round {round}: nothing is queued after a refusal: {outcomes:?}"
+            );
+            let queued = outcomes.iter().filter(|&&queued| queued).count();
             assert_eq!(
                 consumed.load(Ordering::SeqCst),
-                accepted,
-                "round {round}: every accepted event is dispatched exactly once"
+                8 * queued,
+                "round {round}: every queued batch is dispatched whole, exactly once"
             );
         }
     }

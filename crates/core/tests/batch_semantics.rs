@@ -308,9 +308,9 @@ fn batch_size_one_makes_mid_batch_label_changes_observable() {
 }
 
 /// The engine-level batch-straddles-stop race: batches racing `shutdown` are
-/// either rejected whole, or partially accepted with the accepted count exactly
-/// matching what reaches the subscriber. Nothing is lost, nothing is duplicated
-/// and the engine always settles idle.
+/// accepted whole or rejected whole, and the accepted count exactly matches
+/// what reaches the subscriber. Nothing is lost, nothing is duplicated and
+/// the engine always settles idle.
 #[test]
 fn publish_batch_racing_shutdown_is_exact() {
     for round in 0..20 {
@@ -344,11 +344,13 @@ fn publish_batch_racing_shutdown_is_exact() {
                 for batch in 0..50i64 {
                     let drafts = (0..4).map(|i| tick_draft(batch * 4 + i)).collect();
                     match publisher.publish_batch(drafts) {
+                        // A batch is queued whole or refused whole.
                         Ok(admission) => {
+                            assert_eq!((admission.accepted(), admission.shed()), (4, 0));
                             accepted.fetch_add(admission.accepted(), Ordering::SeqCst);
                         }
                         // The runtime shut down underneath us: rejected loudly,
-                        // nothing partially enqueued from this call onwards.
+                        // nothing enqueued from this call onwards.
                         Err(_) => return,
                     }
                 }

@@ -1801,13 +1801,9 @@ fn mid_burst_shutdown_drains_cascades_and_rejects_late_publishes_loudly() {
             for _ in 0..2_000_000 / burst {
                 match publisher.publish_batch((0..burst).map(|_| tick()).collect()) {
                     Ok(admission) => {
-                        accepted += admission.accepted() as u64;
+                        assert_eq!((admission.accepted(), admission.shed()), (burst, 0));
+                        accepted += burst as u64;
                         let _ = started.send(());
-                        // A batch straddling shutdown is partially accepted;
-                        // the shed remainder is the loud rejection.
-                        if admission.shed() > 0 {
-                            return (accepted, true);
-                        }
                     }
                     Err(_) => return (accepted, true),
                 }

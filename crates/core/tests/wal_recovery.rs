@@ -1,16 +1,20 @@
 //! Crash-recovery integration: publish batches with `fsync: EveryBatch`, drop
 //! the engine without shutdown (the queue's contents die with the process),
 //! recover the log into a fresh engine and assert exactly-once delivery with
-//! per-unit order matching a clean run — including a torn-tail variant.
+//! per-unit order matching a clean run — including a torn-tail variant. The
+//! log also agrees with shutdown: a publish the runtime refused is never
+//! logged, so recovery replays exactly what was accepted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use defcon_core::{
     Engine, EngineResult, EventDraft, FsyncPolicy, SecurityMode, Unit, UnitContext, UnitSpec,
     WalConfig,
 };
+use defcon_defc::Label;
 use defcon_events::{Event, Filter, Value};
 use parking_lot::Mutex;
 
@@ -51,8 +55,13 @@ struct Fixture {
 /// A manual (workers(0)) engine: dispatch only happens when pumped, so an
 /// un-pumped drop models a crash with events accepted but not yet processed.
 fn build_engine(wal: Option<WalConfig>) -> Fixture {
+    build_engine_with_workers(0, wal)
+}
+
+fn build_engine_with_workers(workers: usize, wal: Option<WalConfig>) -> Fixture {
     let mut builder = Engine::builder()
         .mode(SecurityMode::LabelsFreeze)
+        .workers(workers)
         .batch_size(8);
     if let Some(config) = wal {
         builder = builder.wal(config);
@@ -432,5 +441,160 @@ fn concurrent_publishers_recover_in_the_order_they_were_delivered() {
     handle.pump_until_idle().unwrap();
     handle.shutdown().unwrap();
     assert_eq!(*recovered.alpha.lock(), delivered);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Publishes `seqs` on the alpha lane from inside a unit context.
+fn publish_alpha(ctx: &mut UnitContext<'_>, seqs: std::ops::Range<i64>) -> EngineResult<()> {
+    for seq in seqs {
+        let draft = ctx.create_event();
+        ctx.add_part(&draft, Label::public(), "type", Value::str("alpha"))?;
+        ctx.add_part(&draft, Label::public(), "seq", Value::Int(seq))?;
+        ctx.publish(draft)?;
+    }
+    Ok(())
+}
+
+/// Publishes `count` alpha events from its `init`.
+struct Bootstrapper {
+    count: i64,
+}
+
+impl Unit for Bootstrapper {
+    fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
+        publish_alpha(ctx, 1_000..1_000 + self.count)
+    }
+
+    fn on_event(&mut self, _ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
+        Ok(())
+    }
+}
+
+/// After `shutdown()` every kind of external publish is refused, and the
+/// refusal reaches the log too: a `Publisher` batch, a `with_unit` closure's
+/// publishes and a late unit's bootstrap publishes each fail, and recovery
+/// replays none of them.
+#[test]
+fn publishes_refused_by_shutdown_are_never_logged() {
+    let dir = temp_dir("refused");
+    let fixture = build_engine(Some(WalConfig::new(&dir).fsync(FsyncPolicy::EveryBatch)));
+    let publisher = fixture.engine.publisher(fixture.source).unwrap();
+    fixture.engine.start().shutdown().unwrap();
+
+    let batch = workload().remove(0);
+    assert_eq!(batch.len(), 8);
+    assert!(publisher.publish_batch(batch).is_err(), "publisher batch");
+    let closure = fixture
+        .engine
+        .with_unit(fixture.source, |_, ctx| publish_alpha(ctx, 0..3));
+    assert!(closure.is_err(), "with_unit closure");
+    let late = fixture
+        .engine
+        .register_unit(UnitSpec::new("late"), Box::new(Bootstrapper { count: 2 }));
+    assert!(late.is_err(), "bootstrap publishes of a late unit");
+    assert_eq!(fixture.engine.stats().published(), 0);
+    drop(publisher);
+    drop(fixture);
+
+    let report = build_engine(None).engine.recover_from(&dir).unwrap();
+    assert_eq!(
+        (report.batches, report.events),
+        (0, 0),
+        "a refused publish is never logged"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Publishers racing `shutdown()` on a logged engine with workers: what the
+/// publishers were told was accepted is exactly what the engine delivered,
+/// and exactly what recovery replays, event for event.
+#[test]
+fn publishers_racing_shutdown_log_exactly_what_was_accepted() {
+    const PUBLISHERS: i64 = 2;
+    const MAX_BATCHES: i64 = 1_000_000;
+    for round in 0..10 {
+        let dir = temp_dir(&format!("race-{round}"));
+        let logged =
+            build_engine_with_workers(2, Some(WalConfig::new(&dir).fsync(FsyncPolicy::Never)));
+        let handle = logged.engine.start();
+        let accepted = Arc::new(AtomicU64::new(0));
+        let (started, first_accepted) = std::sync::mpsc::channel();
+        let racers: Vec<_> = (0..PUBLISHERS)
+            .map(|thread| {
+                let publisher = logged.engine.publisher(logged.source).unwrap();
+                let accepted = Arc::clone(&accepted);
+                let started = started.clone();
+                std::thread::spawn(move || {
+                    for batch in 0..MAX_BATCHES {
+                        let drafts: Vec<_> = (0..4)
+                            .map(|i| {
+                                EventDraft::new()
+                                    .public_part("type", Value::str("alpha"))
+                                    .public_part(
+                                        "seq",
+                                        Value::Int((thread * MAX_BATCHES + batch) * 4 + i),
+                                    )
+                            })
+                            .collect();
+                        match publisher.publish_batch(drafts) {
+                            Ok(admission) => {
+                                assert_eq!((admission.accepted(), admission.shed()), (4, 0));
+                                accepted.fetch_add(4, Ordering::SeqCst);
+                                let _ = started.send(());
+                            }
+                            Err(_) => return,
+                        }
+                    }
+                    panic!("shutdown never refused publisher {thread}");
+                })
+            })
+            .collect();
+        first_accepted.recv().unwrap();
+        handle.shutdown().unwrap();
+        for racer in racers {
+            racer.join().unwrap();
+        }
+        let accepted = accepted.load(Ordering::SeqCst);
+        let mut delivered = logged.alpha.lock().clone();
+        assert_eq!(delivered.len() as u64, accepted, "round {round}: delivered");
+        drop(logged);
+
+        let recovered = build_engine(None);
+        let report = recovered.engine.recover_from(&dir).unwrap();
+        assert_eq!(report.events, accepted, "round {round}: recovered");
+        let handle = recovered.engine.start();
+        handle.pump_until_idle().unwrap();
+        handle.shutdown().unwrap();
+        // Two workers may interleave batches in delivery; compare as sets.
+        let mut replayed = recovered.alpha.lock().clone();
+        delivered.sort_unstable();
+        replayed.sort_unstable();
+        assert_eq!(replayed, delivered, "round {round}: the same events");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// What one `with_unit` closure publishes is one batch, so one log frame;
+/// so is what one unit's `init` publishes.
+#[test]
+fn a_closure_and_an_init_append_one_frame_each() {
+    let dir = temp_dir("one-frame");
+    let fixture = build_engine(Some(WalConfig::new(&dir).fsync(FsyncPolicy::Never)));
+    fixture
+        .engine
+        .with_unit(fixture.source, |_, ctx| publish_alpha(ctx, 0..3))
+        .unwrap();
+    drop(fixture);
+    let report = build_engine(None).engine.recover_from(&dir).unwrap();
+    assert_eq!((report.batches, report.events), (1, 3));
+
+    let fixture = build_engine(Some(WalConfig::new(&dir).fsync(FsyncPolicy::Never)));
+    fixture
+        .engine
+        .register_unit(UnitSpec::new("boot"), Box::new(Bootstrapper { count: 2 }))
+        .unwrap();
+    drop(fixture);
+    let report = build_engine(None).engine.recover_from(&dir).unwrap();
+    assert_eq!((report.batches, report.events), (2, 5));
     let _ = fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,10 @@
 //! once into one with a bounded run queue, where every `Publisher` admits
 //! through its credit window — printing the peak queue depth and admission
 //! ledger each way. The unbounded backlog grows with the flood; the bounded
-//! engine holds the configured bound.
+//! engine holds the configured bound. Its credit windows are wider than the
+//! bound plus a burst, so no burst runs out of credit and only the bound
+//! can make a publisher wait: every credit stall is the bound refusing a
+//! chunk.
 //!
 //! Run with: `cargo run --release --example ingress_admission [events]`
 
@@ -17,6 +20,10 @@ use defcon_core::unit::NullUnit;
 const QUEUE_BOUND: usize = 64;
 const BURST: u64 = 128;
 const PUBLISHERS: usize = 4;
+/// Room for a whole burst on top of a full queue's worth of this
+/// publisher's events still awaiting their drain, with slack for the drain
+/// watermark's overcount.
+const CREDIT_WINDOW: usize = 2 * (QUEUE_BOUND + BURST as usize);
 
 /// The consumer that cannot keep up: 20µs per event.
 struct SlowSink(Arc<AtomicU64>);
@@ -104,10 +111,12 @@ fn main() {
     assert_eq!(published, events);
     assert_eq!(delivered.load(Ordering::Relaxed), events);
 
-    println!("\n== IngressConfig: queue bound {QUEUE_BOUND}, Block policy ==");
+    println!(
+        "\n== IngressConfig: queue bound {QUEUE_BOUND}, credit window {CREDIT_WINDOW}, Block policy =="
+    );
     let (engine, source, delivered) = slow_engine(Some(
         IngressConfig::new(QUEUE_BOUND)
-            .credit_window(32)
+            .credit_window(CREDIT_WINDOW)
             .policy(FullQueuePolicy::Block),
     ));
     let (accepted, peak) = flood(&engine, source, events);
@@ -121,10 +130,15 @@ fn main() {
     );
 
     // A sanity check worthy of the name "example": the Block policy admits
-    // every event, and the sampled backlog respects the bound.
+    // every event, the bound refused chunks (no window runs out of credit,
+    // so each stall is a refusal), and the sampled backlog respects it.
     assert_eq!(accepted, events);
     assert_eq!(stats.ingress_admitted, events);
     assert_eq!(stats.ingress_shed, 0);
+    assert!(
+        stats.ingress_credit_stalls > 0,
+        "the queue bound never refused a chunk"
+    );
     assert!(peak <= QUEUE_BOUND);
     assert_eq!(delivered.load(Ordering::Relaxed), events);
 }
