@@ -26,19 +26,21 @@
 //! Workers pop whole batches (one run-queue lock round-trip, one in-flight
 //! accounting update) off the one run queue, and share one owner-state
 //! snapshot per batch. Each event of the batch is then dispatched on its own,
-//! in batch order, by the one delivery loop: deliveries follow strict
-//! subscription order at every batch size, and consecutive deliveries to the
-//! same unit's direct subscriptions run under a single acquisition of its
-//! cell lock. The
-//! snapshot itself is cached across batches and keyed on the engine's
-//! security epoch, so consecutive batches over an unchanged
-//! subscription/label population skip the refresh entirely. The epoch moves
-//! only when something the snapshot holds changes — the subscription list, an
-//! input label, or a managed owner's output label or privileges — so tag
-//! creation and privilege traffic of ordinary units never force a refresh.
-//! A refresh costs what it copies: the subscription table's list and index
-//! are shared `Arc`s, and owner state is snapshotted once per owner *unit*,
-//! not once per subscription.
+//! in batch order, in two halves. [`plan`] walks the event's candidates
+//! against the snapshot and writes the matched deliveries, in subscription
+//! order, into a reused per-worker worklist; it takes no lock and touches no
+//! counter. [`Dispatcher::execute`] walks the plan at every batch size:
+//! consecutive entries that are the same unit's direct subscriptions run
+//! under a single acquisition of its cell lock, and the plan's tallies are
+//! charged once per event. The snapshot itself is cached across batches and
+//! keyed on the engine's security epoch, so consecutive batches over an
+//! unchanged subscription/label population skip the refresh entirely. The
+//! epoch moves only when something the snapshot holds changes — the
+//! subscription list, an input label, or a managed owner's output label or
+//! privileges — so tag creation and privilege traffic of ordinary units never
+//! force a refresh. A refresh costs what it copies: the subscription table's
+//! list and index are shared `Arc`s, and owner state is snapshotted once per
+//! owner *unit*, not once per subscription.
 //!
 //! # Cascades and dispatch order
 //!
@@ -87,10 +89,11 @@
 //! most selective literal, usually the match set itself): fan-out cost scales
 //! with candidates per event instead of total registered subscriptions. The
 //! table updates the index under its own write lock on every subscribe,
-//! unsubscribe and removal, so a refresh never rebuilds it. Parts released by
-//! main-path augmentation are looked up per delivery, so filters naming
-//! augmentation-released parts match when positioned after the delivery that
-//! released them.
+//! unsubscribe and removal, so a refresh never rebuilds it. The parts a
+//! delivery adds (main-path augmentation) are looked up too, and the plan
+//! past that delivery is made again against the augmented event, so filters
+//! naming augmentation-released parts match when positioned after the
+//! delivery that released them.
 //!
 //! # Shared filters
 //!
@@ -99,9 +102,10 @@
 //! rule (direct or managed): later candidates with the same filter pointer,
 //! input label identity and rule reuse the verdict from a small per-worker
 //! memo. A hit charges the label rejections the evaluation charged, so the
-//! accounting is that of evaluating every candidate. The memo is cleared per event and whenever augmentation adds a
-//! part. It pays only when candidates of one event share both a filter and
-//! an owner input label; otherwise it costs one probe per candidate.
+//! accounting is that of evaluating every candidate. The memo is cleared per
+//! event and whenever augmentation adds a part. It pays only when candidates
+//! of one event share both a filter and an owner input label; otherwise it
+//! costs one probe per candidate.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -110,13 +114,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use defcon_defc::Label;
-use defcon_events::{Event, Filter, Part};
+use defcon_events::{Event, Part};
 use parking_lot::Mutex;
 
 use crate::context::UnitContext;
 use crate::engine::{EngineCore, UnitCell, UnitSlot};
 use crate::run_queue::BatchGuard;
-use crate::sub_index::{Entries, SubscriptionIndex, TableSnapshot};
+use crate::sub_index::{Entries, Entry, SubscriptionIndex, TableSnapshot};
 use crate::subscription::{Subscription, SubscriptionKind};
 use crate::unit::{UnitId, UnitState};
 
@@ -286,38 +290,52 @@ impl std::fmt::Debug for SharedContextSlot {
 }
 
 impl BatchContext {
-    /// The live subscription at `position` with its owner's slot and
-    /// snapshot; `None` for a tombstone or a removed owner.
-    fn entry(&self, position: usize) -> Option<(&Subscription, &Arc<UnitSlot>, &OwnerSnapshot)> {
-        let entry = self.subscriptions[position].as_ref()?;
+    /// The live entry at `position` with its owner's slot and snapshot;
+    /// `None` for a tombstone or a removed owner.
+    fn entry(&self, position: u32) -> Option<(&Entry, &Arc<UnitSlot>, &OwnerSnapshot)> {
+        let entry = self.subscriptions[position as usize].as_ref()?;
         let (slot, owner) = self.owners[entry.owner as usize].as_ref()?;
-        Some((&entry.subscription, slot, owner))
+        Some((entry, slot, owner))
     }
 }
 
-/// One filter evaluation: whether the filter matched, and the parts it
-/// found invisible, which the evaluation charges to the label rejections.
-#[derive(Clone, Copy)]
-struct Verdict {
-    matched: bool,
-    rejected: u32,
-}
-
-/// A verdict remembered for the event as augmented so far, keyed by the
-/// shared filter's pointer, the owner input label's identity and the managed
-/// rule: together they fix every part check the evaluation makes.
+/// A filter evaluation remembered for the event as augmented so far, keyed
+/// by the shared filter's pointer, the owner input label's identity and the
+/// managed rule: together they fix every part check the evaluation makes.
+/// `rejected` counts the parts it found invisible, which every evaluation
+/// (and every hit) charges to the label rejections.
 struct Memo {
     filter: usize,
     owner: usize,
     managed: bool,
-    verdict: Verdict,
+    matched: bool,
+    rejected: u32,
 }
 
 /// Verdicts remembered at once. Equal filters are usually adjacent in the
 /// worklist, so a few entries searched linearly catch the repeats.
 const MEMO_CAP: usize = 8;
 
-/// Reusable buffers of [`Dispatcher::dispatch_in`].
+/// What an event's walk charges to the engine's counters besides its
+/// candidates (which are the worklist's final length).
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    label_rejections: u64,
+    exact_rejects: u64,
+}
+
+/// One planned delivery: a matched subscription's position, its owner's
+/// ordinal and rule, and the walk's tally up to and including it.
+#[derive(Clone, Copy)]
+struct Planned {
+    position: u32,
+    owner: u32,
+    managed: bool,
+    tally: Tally,
+}
+
+/// One event's plan and the buffers it is built in, reused across events
+/// so that a steady-state dispatch allocates none.
 #[derive(Default)]
 struct Worklist {
     /// The event's candidate positions, ascending (grows as augmentation
@@ -328,42 +346,130 @@ struct Worklist {
     /// The event's filter verdicts; cleared per event and whenever
     /// augmentation adds a part.
     memo: Vec<Memo>,
+    /// The matched deliveries, in subscription order.
+    plan: Vec<Planned>,
+    /// The tally of the whole plan.
+    tally: Tally,
 }
 
 impl Worklist {
-    /// Folds the parts the delivery at `position` added into `current`, in
-    /// the order they were added, and returns how many candidates they
-    /// added. An augmentation-released part can satisfy clauses of
-    /// subscriptions the original event never indexed to; their turn is still
-    /// ahead only for subscriptions positioned after this delivery, so only
-    /// those join the worklist (from `next` on). Called only when a delivery
-    /// added something: most add nothing.
-    fn fold(
+    /// Folds the parts the plan's entry `executed - 1` added into `current`,
+    /// in the order they were added, and re-plans what follows it. An
+    /// augmentation-released part can satisfy clauses of subscriptions the
+    /// original event never indexed to; their turn is still ahead only for
+    /// subscriptions positioned after this delivery, so only those join the
+    /// worklist. The entries planned past it are dropped with their tallies
+    /// and planned again against the augmented event. Called only when a
+    /// delivery added something: most add nothing.
+    fn augment(
         &mut self,
-        index: &SubscriptionIndex,
+        batch: &BatchContext,
+        checks_labels: bool,
         additions: Vec<Part>,
-        position: usize,
-        next: usize,
+        executed: usize,
         current: &mut Event,
-    ) -> u64 {
-        let mut added = 0;
+    ) {
+        self.plan.truncate(executed);
+        let position = self.plan[executed - 1].position;
+        let index = &batch.index;
         for part in additions {
             self.extra.clear();
             index.candidates_for_part(part.name(), part.data(), &mut self.extra);
             for &candidate in &self.extra {
-                if candidate as usize <= position {
+                if candidate <= position {
                     continue;
                 }
-                if let Err(at) = self.positions[next..].binary_search(&candidate) {
-                    self.positions.insert(next + at, candidate);
-                    added += 1;
+                if let Err(at) = self.positions.binary_search(&candidate) {
+                    self.positions.insert(at, candidate);
                 }
             }
             *current = current.with_part(part);
             self.memo.clear();
         }
-        added
+        plan(batch, checks_labels, current, self);
     }
+}
+
+/// Plans `event`'s deliveries into `work.plan`: every index candidate, in
+/// ascending position, whose filter matches the parts its owner may see. It
+/// reads only the batch context and the event, so it takes no lock and
+/// touches no counter; the walk's tallies go into the plan for
+/// [`Dispatcher::execute`] to charge. An empty plan starts the event from
+/// the index; a non-empty one ends at a delivery that augmented `event`
+/// ([`Worklist::augment`]) and is extended past it, from its tally.
+///
+/// This is the one place a filter is evaluated (the module docs' "Shared
+/// filters" describe the memo). A part is visible to a direct
+/// subscription's owner when its label can flow to the owner's input label;
+/// a managed handler accepts any added confidentiality taint, so only the
+/// integrity of the owner's input label constrains a managed match. The
+/// evaluation stays inside this loop: as a call of its own it cost
+/// `fanout_churn` (500 candidates per event) about 8% of its throughput.
+fn plan(batch: &BatchContext, checks_labels: bool, event: &Event, work: &mut Worklist) {
+    let (next, mut tally) = match work.plan.last() {
+        None => {
+            batch.index.candidates_into(event, &mut work.positions);
+            work.memo.clear();
+            (0, Tally::default())
+        }
+        Some(last) => {
+            let next = work.positions.partition_point(|&at| at <= last.position);
+            (next, last.tally)
+        }
+    };
+    for &position in &work.positions[next..] {
+        let Some((entry, _, owner)) = batch.entry(position) else {
+            continue;
+        };
+        let subscription = &entry.subscription;
+        let managed = subscription.is_managed();
+        let input = &owner.input;
+        let filter = Arc::as_ptr(&subscription.filter) as usize;
+        let identity = input.identity();
+        let remembered = work.memo.iter().rev().find(|seen| {
+            seen.filter == filter && seen.owner == identity && seen.managed == managed
+        });
+        let (matched, rejected) = match remembered {
+            Some(seen) => (seen.matched, seen.rejected),
+            None => {
+                let mut rejected = 0;
+                let matched = subscription.filter.matches(event, |part: &Part| {
+                    let label = part.label();
+                    let visible = !checks_labels
+                        || if managed {
+                            label.integrity().is_superset(input.integrity())
+                        } else {
+                            label.can_flow_to(input)
+                        };
+                    rejected += u32::from(!visible);
+                    visible
+                });
+                if work.memo.len() == MEMO_CAP {
+                    work.memo.remove(0);
+                }
+                work.memo.push(Memo {
+                    filter,
+                    owner: identity,
+                    managed,
+                    matched,
+                    rejected,
+                });
+                (matched, rejected)
+            }
+        };
+        tally.label_rejections += u64::from(rejected);
+        if !matched {
+            tally.exact_rejects += 1;
+            continue;
+        }
+        work.plan.push(Planned {
+            position,
+            owner: entry.owner,
+            managed,
+            tally,
+        });
+    }
+    work.tally = tally;
 }
 
 impl Dispatcher {
@@ -619,159 +725,74 @@ impl Dispatcher {
         })
     }
 
-    /// Whether one subscription's filter matches `event` as visible to its
-    /// owner. Equal filters share one allocation, so `memo` answers a filter
-    /// evaluated already for this event, owner input label and rule; a hit
-    /// charges the rejections the evaluation charged.
-    /// Called once per candidate, so it is kept inside the walk's loop:
-    /// left to the compiler it became a call of its own, which cost
-    /// `fanout_churn` (500 candidates per event) about 8% of its throughput.
-    #[inline(always)]
-    fn subscription_matches(
-        &self,
-        memo: &mut Vec<Memo>,
-        subscription: &Subscription,
-        owner_input: &Label,
-        managed: bool,
-        event: &Event,
-    ) -> bool {
-        let filter = Arc::as_ptr(&subscription.filter) as usize;
-        let owner = owner_input.identity();
-        let remembered = memo.iter().rev().find(|entry| {
-            entry.filter == filter && entry.owner == owner && entry.managed == managed
-        });
-        let verdict = match remembered {
-            Some(entry) => entry.verdict,
-            None => {
-                let verdict = self.evaluate(&subscription.filter, owner_input, managed, event);
-                if memo.len() == MEMO_CAP {
-                    memo.remove(0);
-                }
-                memo.push(Memo {
-                    filter,
-                    owner,
-                    managed,
-                    verdict,
-                });
-                verdict
-            }
-        };
-        if verdict.rejected > 0 {
-            self.core
-                .stats
-                .label_rejections
-                .fetch_add(verdict.rejected.into(), Ordering::Relaxed);
-        }
-        verdict.matched
-    }
-
-    /// Evaluates `filter` against `event` as visible to an owner, with label
-    /// checks per part: a part is visible to a direct subscription's owner
-    /// when its label can flow to the owner's input label. Managed handlers
-    /// accept any additional confidentiality taint, so for a managed
-    /// subscription only the integrity requirement of the owner's input label
-    /// constrains matching.
-    fn evaluate(
-        &self,
-        filter: &Filter,
-        owner_input: &Label,
-        managed: bool,
-        event: &Event,
-    ) -> Verdict {
-        if !self.core.config.mode.checks_labels() {
-            return Verdict {
-                matched: filter.matches_any_visibility(event),
-                rejected: 0,
-            };
-        }
-        let mut rejected = 0;
-        let matched = filter.matches(event, |part: &Part| {
-            let label = part.label();
-            let visible = if managed {
-                label.integrity().is_superset(owner_input.integrity())
-            } else {
-                label.can_flow_to(owner_input)
-            };
-            rejected += u32::from(!visible);
-            visible
-        });
-        Verdict { matched, rejected }
-    }
-
     /// Dispatches one event to every matching subscription: the engine's one
-    /// delivery path, at every batch size.
-    ///
-    /// The walk is a worklist of subscription positions in ascending order —
-    /// the index's candidate set for the event — so deliveries happen in
-    /// strict subscription order. A delivery's main-path part additions reach
-    /// only the subscriptions positioned after it (§3.1.6): the positions the
-    /// released parts index to join the rest of the worklist. The delivery set
-    /// is that of a linear walk over every subscription.
-    ///
-    /// A matched direct subscription opens a *run*: its owner's cell stays
-    /// locked while the next candidates are the same owner's direct
-    /// subscriptions, each matched against the event as augmented so far. A
-    /// run ends at a different owner, a managed subscription, the end of the
-    /// worklist or a delivery that trips the fault policy, and then settles its
-    /// delivery counts and fault handling once. Its deliveries append what
-    /// they publish to `published`, each tagged with the publishing unit
-    /// (a unit they instantiate tags its `init`'s events with its own id).
-    /// A managed delivery is no run: it locks no cell, and goes through
-    /// [`Dispatcher::deliver_managed`], kept out of line so that the direct
-    /// path stays as small as it was.
+    /// delivery path, at every batch size. It [`plan`]s the event's
+    /// deliveries, then [`Dispatcher::execute`]s the plan.
     fn dispatch_in(&self, batch: &BatchContext, event: Event, published: &mut Vec<Cascade>) {
         self.core.stats.dispatched.fetch_add(1, Ordering::Relaxed);
+        // The worklist is taken out of the scratch (not borrowed across
+        // delivery calls) so unit callbacks can never observe a held RefCell
+        // borrow.
+        let mut work = std::mem::take(&mut *self.scratch.borrow_mut());
+        work.plan.clear();
+        let checks_labels = self.core.config.mode.checks_labels();
+        plan(batch, checks_labels, &event, &mut work);
+        self.execute(batch, checks_labels, event, &mut work, published);
+        *self.scratch.borrow_mut() = work;
+    }
 
+    /// Delivers `event` along `work`'s plan, in strict subscription order,
+    /// then charges the walk's tallies once. A delivery's main-path part
+    /// additions reach only the subscriptions positioned after it (§3.1.6):
+    /// the plan past it is re-planned against the augmented event. The
+    /// delivery set is that of a linear walk over every subscription.
+    ///
+    /// Consecutive entries that are the same owner's direct subscriptions
+    /// form a *run*: the owner's cell stays locked for all of them. A run
+    /// ends at a different owner, a managed entry, the end of the plan or a
+    /// delivery that trips the fault policy, and then settles its delivery
+    /// counts and fault handling once. Its deliveries append what they
+    /// publish to `published`, each tagged with the publishing unit (a unit
+    /// they instantiate tags its `init`'s events with its own id). A managed
+    /// delivery is no run: it locks no cell, and goes through
+    /// [`Dispatcher::deliver_managed`], kept out of line so that the direct
+    /// path stays as small as it was.
+    fn execute(
+        &self,
+        batch: &BatchContext,
+        checks_labels: bool,
+        event: Event,
+        work: &mut Worklist,
+        published: &mut Vec<Cascade>,
+    ) {
+        let planned = |entry: &Planned| batch.entry(entry.position).expect("planned as live");
         // The event as augmented so far along the main dataflow path.
         let mut current = event;
-
-        // The worklist buffers are taken out of the scratch (not borrowed
-        // across delivery calls) so unit callbacks can never observe a held
-        // RefCell borrow.
-        let mut work = std::mem::take(&mut *self.scratch.borrow_mut());
-        work.memo.clear();
-        let index = &*batch.index;
-        index.candidates_into(&current, &mut work.positions);
-        let mut candidate_total = work.positions.len() as u64;
-        let mut exact_rejects = 0u64;
-        let mut next = 0;
-        while next < work.positions.len() {
-            let position = work.positions[next] as usize;
-            next += 1;
-            let Some((subscription, owner_slot, owner)) = batch.entry(position) else {
-                continue;
-            };
-            let managed = subscription.is_managed();
-            let input = &owner.input;
-            if !self.subscription_matches(&mut work.memo, subscription, input, managed, &current) {
-                exact_rejects += 1;
-                continue;
-            }
-            if managed {
+        let mut at = 0;
+        'plan: while let Some(&head) = work.plan.get(at) {
+            at += 1;
+            let (entry, owner_slot, owner) = planned(&head);
+            let mut subscription = &*entry.subscription;
+            if head.managed {
                 let additions = self.deliver_managed(subscription, owner, &current, published);
                 if !additions.is_empty() {
-                    candidate_total += work.fold(index, additions, position, next, &mut current);
+                    work.augment(batch, checks_labels, additions, at, &mut current);
                 }
                 continue;
             }
             // The head of the run: chase a swap's replacement, which a swap
             // installs before it retires the old cell, so the run forwards
-            // exactly once.
+            // exactly once. A removed owner's deliveries are skipped.
             let mut slot = Arc::clone(owner_slot);
-            let cell = loop {
-                let cell = slot.cell.lock();
-                if !cell.retired {
-                    break Some(cell);
-                }
+            let mut cell = slot.cell.lock();
+            while cell.retired {
                 drop(cell);
-                match self.forwarded_slot(&slot, subscription.owner) {
-                    Some(fresh) => slot = fresh,
-                    None => break None,
-                }
-            };
-            let Some(mut cell) = cell else {
-                continue;
-            };
+                let Ok(fresh) = self.core.forwarded_slot(&slot, subscription.owner) else {
+                    continue 'plan;
+                };
+                slot = fresh;
+                cell = slot.cell.lock();
+            }
             if cell.quarantined {
                 // Shed loudly: the unit exists but the fault policy took it
                 // out of service.
@@ -785,8 +806,7 @@ impl Dispatcher {
             let mut delivered = 0u64;
             let mut unit_errors = 0u64;
             let mut faulted = false;
-            let mut run = Some((position, subscription));
-            while let Some((position, subscription)) = run.take() {
+            loop {
                 delivered += 1;
                 let additions = self.deliver_into_cell(
                     &slot,
@@ -800,28 +820,14 @@ impl Dispatcher {
                 // Most deliveries add nothing: skip the fold, and the empty
                 // list was never allocated.
                 if !additions.is_empty() {
-                    candidate_total += work.fold(index, additions, position, next, &mut current);
+                    work.augment(batch, checks_labels, additions, at, &mut current);
                 }
-                if faulted {
-                    break;
-                }
-                // Extend the run over the owner's next direct candidates.
-                while let Some(&candidate) = work.positions.get(next) {
-                    let Some((following, _, following_owner)) = batch.entry(candidate as usize)
-                    else {
-                        break;
-                    };
-                    if following.owner != subscription.owner || following.is_managed() {
-                        break;
+                match work.plan.get(at) {
+                    Some(next) if !faulted && !next.managed && next.owner == head.owner => {
+                        subscription = &planned(next).0.subscription;
+                        at += 1;
                     }
-                    next += 1;
-                    let input = &following_owner.input;
-                    if self.subscription_matches(&mut work.memo, following, input, false, &current)
-                    {
-                        run = Some((candidate as usize, following));
-                        break;
-                    }
-                    exact_rejects += 1;
+                    _ => break,
                 }
             }
             drop(cell);
@@ -838,23 +844,21 @@ impl Dispatcher {
             if faulted {
                 // Cell lock released above: the fault action may swap (cell →
                 // units.write) or quarantine (re-lock the cell). The owner's
-                // next candidate opens a new run and sees either.
+                // next planned delivery opens a new run and sees either.
                 self.core.handle_unit_fault(unit);
             }
         }
-        if candidate_total > 0 {
-            self.core
-                .index_stats
-                .candidates
-                .fetch_add(candidate_total, Ordering::Relaxed);
+        let (stats, index) = (&self.core.stats, &self.core.index_stats);
+        let candidates = work.positions.len() as u64;
+        for (counter, tally) in [
+            (&stats.label_rejections, work.tally.label_rejections),
+            (&index.candidates, candidates),
+            (&index.exact_rejects, work.tally.exact_rejects),
+        ] {
+            if tally > 0 {
+                counter.fetch_add(tally, Ordering::Relaxed);
+            }
         }
-        if exact_rejects > 0 {
-            self.core
-                .index_stats
-                .exact_rejects
-                .fetch_add(exact_rejects, Ordering::Relaxed);
-        }
-        *self.scratch.borrow_mut() = work;
     }
 
     /// Runs one managed delivery (§5, `subscribeManaged`): the subscription's
@@ -927,7 +931,7 @@ impl Dispatcher {
 
     /// Runs one delivery into an **already locked** unit cell — the single
     /// implementation of the engine's delivery semantics, called by
-    /// [`Dispatcher::dispatch_in`] once per delivery of a run, under the one
+    /// [`Dispatcher::execute`] once per delivery of a run, under the one
     /// lock the run holds: bumps the unit's delivered count, queues into the
     /// mailbox in pull mode (cloning per the security mode), or invokes
     /// `on_event` with per-delivery error/panic isolation. Returns the parts
@@ -1015,20 +1019,5 @@ impl Dispatcher {
             }
         }
         ctx.finish()
-    }
-
-    /// Resolves where a delivery that found its target slot retired should
-    /// go instead. A *swap* installs the replacement slot in the registry
-    /// before retiring the old cell, so a direct subscription forwards to the
-    /// live slot under the owner's stable unit id — that forwarding is what
-    /// keeps exactly-once across a swap racing a dispatch that cached the old
-    /// slot Arc (epoch-keyed batch contexts hold slots across batches).
-    /// Returns `None` when the unit was truly removed: the delivery is
-    /// skipped.
-    fn forwarded_slot(&self, stale: &Arc<UnitSlot>, owner: UnitId) -> Option<Arc<UnitSlot>> {
-        let fresh = self.core.slot(owner).ok()?;
-        // Defensive: a registry still mapping to the retired slot means the
-        // unit is being removed, not swapped — skip rather than spin.
-        (!Arc::ptr_eq(&fresh, stale)).then_some(fresh)
     }
 }

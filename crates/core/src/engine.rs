@@ -9,7 +9,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defcon_defc::Label;
 use defcon_durability::{WalConfig, WalWriter};
@@ -483,6 +483,26 @@ impl EngineCore {
             .ok_or_else(|| EngineError::UnknownUnit(format!("{unit}")))
     }
 
+    /// The live slot of `unit`, whose slot `stale` was found retired. A swap
+    /// installs the replacement in the registry before it retires the old
+    /// cell, so a retired slot forwards to the live one under the stable unit
+    /// id: that keeps exactly-once across a swap racing a dispatch that
+    /// cached the old slot (epoch-keyed batch contexts hold slots across
+    /// batches), and lets a `get_event` waiter follow the mailbox. A registry
+    /// without the unit, or still mapping to the retired slot, means a
+    /// removal: `UnknownUnit`.
+    pub(crate) fn forwarded_slot(
+        &self,
+        stale: &Arc<UnitSlot>,
+        unit: UnitId,
+    ) -> EngineResult<Arc<UnitSlot>> {
+        let fresh = self.slot(unit)?;
+        if Arc::ptr_eq(&fresh, stale) {
+            return Err(EngineError::UnknownUnit(format!("{unit}")));
+        }
+        Ok(fresh)
+    }
+
     /// Registers a unit and runs its `init` callback. `cascades` is the
     /// instantiating unit's outputs when the registration was triggered from
     /// inside an in-flight dispatch (`ctx.instantiate_unit` in an
@@ -558,16 +578,9 @@ impl EngineCore {
         loop {
             let mut old = slot.cell.lock();
             if old.retired {
-                // Raced another swap (or a removal): chase the live slot. The
-                // registry holds the replacement before a slot retires, so a
-                // re-resolve that returns the same retired slot (or nothing)
-                // means the unit is truly gone.
+                // Raced another swap (or a removal): chase the live slot.
                 drop(old);
-                let fresh = self.slot(unit)?;
-                if Arc::ptr_eq(&fresh, &slot) {
-                    return Err(EngineError::UnknownUnit(format!("{unit}")));
-                }
-                slot = fresh;
+                slot = self.forwarded_slot(&slot, unit)?;
                 continue;
             }
 
@@ -603,7 +616,7 @@ impl EngineCore {
             self.memory
                 .release(MemoryCategory::UnitState, old.state.estimated_size());
             drop(old);
-            // Pull-mode waiters parked on the old slot re-resolve on wake.
+            // `get_event` waiters parked on the old slot re-resolve on wake.
             slot.mailbox_signal.notify_all();
             self.faults.unit_swaps.fetch_add(1, Ordering::Relaxed);
             self.bump_security_epoch();
@@ -947,6 +960,8 @@ impl Engine {
             .memory
             .release(MemoryCategory::UnitState, cell.state.estimated_size());
         drop(cell);
+        // `get_event` waiters re-resolve on wake and find the unit gone.
+        slot.mailbox_signal.notify_all();
         self.core.subscriptions.write().remove_owner(unit);
         self.core.bump_security_epoch();
         Ok(())
@@ -979,23 +994,38 @@ impl Engine {
     }
 
     /// Blocks the caller until an event is delivered to the unit's mailbox or the
-    /// timeout expires (Table 1, `getEvent`). Requires pull mode.
+    /// timeout expires (Table 1, `getEvent`). Requires pull mode. A swap
+    /// moves the mailbox to the replacement, and the wait follows it; a
+    /// removal ends the wait with `UnknownUnit`.
     pub fn get_event(
         &self,
         unit: UnitId,
         timeout: Duration,
     ) -> EngineResult<Option<(Event, SubscriptionId)>> {
-        let slot = self.core.slot(unit)?;
-        let mut cell = slot.cell.lock();
-        if !cell.pull_mode {
-            return Err(EngineError::InvalidOperation(
-                "get_event requires pull mode (set_pull_mode)".into(),
-            ));
+        let deadline = Instant::now().checked_add(timeout);
+        let mut slot = self.core.slot(unit)?;
+        loop {
+            let mut cell = slot.cell.lock();
+            if cell.retired {
+                drop(cell);
+                slot = self.core.forwarded_slot(&slot, unit)?;
+                continue;
+            }
+            if !cell.pull_mode {
+                return Err(EngineError::InvalidOperation(
+                    "get_event requires pull mode (set_pull_mode)".into(),
+                ));
+            }
+            if let Some(event) = cell.mailbox.pop_front() {
+                return Ok(Some(event));
+            }
+            let remaining =
+                deadline.map_or(timeout, |at| at.saturating_duration_since(Instant::now()));
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            slot.mailbox_signal.wait_for(&mut cell, remaining);
         }
-        if cell.mailbox.is_empty() {
-            slot.mailbox_signal.wait_for(&mut cell, timeout);
-        }
-        Ok(cell.mailbox.pop_front())
     }
 
     /// Non-blocking variant of [`Engine::get_event`].

@@ -1060,6 +1060,59 @@ fn pull_mode_get_event_blocks_until_delivery() {
     ));
 }
 
+/// `get_event` follows its unit: a waiter parked before a swap receives an
+/// event delivered after it (the swap moved the mailbox to a new slot), and
+/// a waiter whose unit is removed gets `UnknownUnit` at once instead of
+/// sleeping out its timeout.
+#[test]
+fn get_event_waits_across_a_swap_and_ends_at_a_removal() {
+    let handle = started(SecurityMode::LabelsFreeze);
+    let engine = handle.engine();
+    let unit = engine
+        .register_unit(UnitSpec::new("puller"), Box::new(NullUnit))
+        .unwrap();
+    engine.set_pull_mode(unit, true).unwrap();
+    engine
+        .with_unit(unit, |_, ctx| {
+            ctx.subscribe(Filter::for_type("tick"))?;
+            Ok(())
+        })
+        .unwrap();
+    // The pause lets each waiter park before the swap or removal it waits
+    // through; the assertions hold however the threads interleave.
+    let pause = || std::thread::sleep(Duration::from_millis(100));
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| engine.get_event(unit, Duration::from_secs(3)));
+        pause();
+        engine.swap_unit(unit, Box::new(NullUnit)).unwrap();
+        pause();
+        publish_public(engine, &[("type", Value::str("tick"))]);
+        handle.pump_until_idle().unwrap();
+        let received = waiter.join().unwrap().unwrap();
+        assert!(
+            received.is_some(),
+            "the event delivered after the swap reaches the waiter"
+        );
+
+        let waiter = scope.spawn(|| {
+            let start = std::time::Instant::now();
+            (
+                engine.get_event(unit, Duration::from_secs(3)),
+                start.elapsed(),
+            )
+        });
+        pause();
+        engine.remove_unit(unit).unwrap();
+        let (result, waited) = waiter.join().unwrap();
+        assert!(
+            matches!(result, Err(EngineError::UnknownUnit(_))),
+            "{result:?}"
+        );
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+    });
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn remove_unit_cleans_up_subscriptions() {
     let handle = started(SecurityMode::LabelsFreeze);

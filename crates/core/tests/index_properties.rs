@@ -477,7 +477,11 @@ proptest! {
 
 /// Adds an `audit` part to every `tick` it sees — releasing it onto the main
 /// dataflow path for the deliveries that follow.
-struct Stamper;
+/// Adds a public `audit` part and a `memo` part at its own (secret) label
+/// to every event delivered to it.
+struct Stamper {
+    memo: Label,
+}
 
 impl Unit for Stamper {
     fn init(&mut self, ctx: &mut UnitContext<'_>) -> EngineResult<()> {
@@ -487,6 +491,7 @@ impl Unit for Stamper {
 
     fn on_event(&mut self, ctx: &mut UnitContext<'_>, _event: &Event) -> EngineResult<()> {
         ctx.add_part_to_current(Label::public(), "audit", Value::str("stamped"))?;
+        ctx.add_part_to_current(self.memo.clone(), "memo", Value::str("kept"))?;
         Ok(())
     }
 }
@@ -495,11 +500,20 @@ impl Unit for Stamper {
 /// delivery reaches the subscriptions positioned after it and no others. A
 /// recorder registered after the stamper, filtering on the released part,
 /// receives every event; one registered before it receives none, since its
-/// turn came before the part existed. Both hold at every batch size.
+/// turn came before the part existed. Both hold at every batch size, and so
+/// do the counters: the walk charges each candidate once, against the event
+/// as augmented when its turn comes.
 #[test]
 fn augmentation_released_parts_reach_only_later_subscriptions() {
     for batch_size in [1, 8] {
         let engine = Engine::builder().workers(0).batch_size(batch_size).build();
+        let source = engine
+            .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
+            .unwrap();
+        let tag = engine
+            .with_unit(source, |_, ctx| Ok(ctx.create_owned_tag("memo")))
+            .unwrap();
+        let memo = Label::confidential(TagSet::singleton(tag));
         let stamped = || Profile {
             filters: vec![Filter::new().where_eq("audit", Value::str("stamped"))],
             secret_input: false,
@@ -508,12 +522,17 @@ fn augmentation_released_parts_reach_only_later_subscriptions() {
         let public = Label::public();
         let (_, before) = register_recorder(&engine, stamped(), &public);
         engine
-            .register_unit(UnitSpec::new("stamper"), Box::new(Stamper))
+            .register_unit(UnitSpec::new("stamper"), Box::new(Stamper { memo }))
             .unwrap();
         let (_, after) = register_recorder(&engine, stamped(), &public);
-        let source = engine
-            .register_unit(UnitSpec::new("feed"), Box::new(NullUnit))
-            .unwrap();
+        // Keyed under `type == tick`, so a candidate from the start; its
+        // public input cannot see the stamper's memo.
+        let snooper = Profile {
+            filters: vec![Filter::for_type("tick").where_exists("memo")],
+            secret_input: false,
+            managed: false,
+        };
+        let (_, snooped) = register_recorder(&engine, snooper, &public);
 
         let publisher = engine.publisher(source).unwrap();
         let handle = engine.start();
@@ -542,5 +561,17 @@ fn augmentation_released_parts_reach_only_later_subscriptions() {
             "{config}: a subscription positioned before the stamper had its \
              turn before the part was released"
         );
+        assert_eq!(snooped.lock().unwrap().seen, Vec::<i64>::new(), "{config}");
+        // Per event: the stamper and the snooper are the index's candidates
+        // for the published parts, and `audit` adds the recorder after the
+        // stamper (the one before it is passed over), so 3 candidates. The
+        // stamper and that recorder take 2 deliveries. The snooper is
+        // matched once, against the augmented event: its public input cannot
+        // see the secret memo, which is 1 label rejection and 1 exact reject.
+        let stats = engine.queue_stats();
+        assert_eq!(engine.stats().deliveries(), 8 * 2, "{config}");
+        assert_eq!(engine.stats().label_rejections(), 8, "{config}");
+        assert_eq!(stats.index_candidates, 8 * 3, "{config}");
+        assert_eq!(stats.index_exact_rejects, 8, "{config}");
     }
 }

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use defcon_core::{
-    Engine, EngineResult, EventDraft, FsyncPolicy, SecurityMode, Unit, UnitContext, UnitSpec,
-    WalConfig,
+    Engine, EngineError, EngineResult, EventDraft, FsyncPolicy, SecurityMode, Unit, UnitContext,
+    UnitSpec, WalConfig,
 };
 use defcon_defc::Label;
 use defcon_events::{Event, Filter, Value};
@@ -596,5 +596,41 @@ fn a_closure_and_an_init_append_one_frame_each() {
     drop(fixture);
     let report = build_engine(None).engine.recover_from(&dir).unwrap();
     assert_eq!((report.batches, report.events), (2, 5));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A failed log write poisons the log: the OS may already have dropped what
+/// a failed write or sync left dirty, so a later append that succeeds would
+/// acknowledge a log with a hole in it. Here a removed log directory fails
+/// the rotation of the next publish; once the directory is back, every
+/// later publish still fails with `Durability`, and none of them is queued.
+#[test]
+fn a_failed_log_write_refuses_every_later_publish() {
+    let dir = temp_dir("poisoned");
+    let fixture = build_engine(Some(WalConfig::new(&dir).segment_bytes(1)));
+    let publisher = fixture.engine.publisher(fixture.source).unwrap();
+    let mut batches = workload().into_iter();
+    let first = publisher.publish_batch(batches.next().unwrap()).unwrap();
+    assert_eq!(first.accepted(), 8);
+
+    fs::remove_dir_all(&dir).unwrap();
+    let failed = publisher.publish_batch(batches.next().unwrap());
+    assert!(
+        matches!(failed, Err(EngineError::Durability(_))),
+        "{failed:?}"
+    );
+    fs::create_dir_all(&dir).unwrap();
+    for batch in batches {
+        let refused = publisher.publish_batch(batch);
+        assert!(
+            matches!(refused, Err(EngineError::Durability(_))),
+            "{refused:?}"
+        );
+    }
+    assert_eq!(fixture.engine.stats().published(), 8);
+    assert_eq!(fixture.engine.queue_stats().depth, 8);
+    let handle = fixture.engine.start();
+    assert_eq!(handle.pump_until_idle().unwrap(), 8);
+    assert_eq!(fixture.alpha.lock().len() + fixture.beta.lock().len(), 8);
     let _ = fs::remove_dir_all(&dir);
 }

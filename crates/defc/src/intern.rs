@@ -28,15 +28,15 @@ use crate::tagset::TagSet;
 /// The shared representation of one distinct `(S, I)` label value.
 ///
 /// Construction goes through [`intern`], which guarantees that at any moment
-/// at most one live `LabelInner` exists per distinct tag-set pair (labels that
-/// were mutated in place via `component_mut` are the only un-interned ones;
-/// they re-enter the table as soon as a lattice operation touches them).
+/// at most one live `LabelInner` exists per distinct tag-set pair (labels
+/// built by `Label::unshared` are the only un-interned ones; a lattice
+/// operation on them interns its result).
 #[derive(Debug, Clone)]
 pub(crate) struct LabelInner {
     pub(crate) confidentiality: TagSet,
     pub(crate) integrity: TagSet,
-    /// Hash + fingerprints, computed at intern time; reset (and lazily
-    /// recomputed) when a label is mutated in place through `component_mut`.
+    /// Hash + fingerprints, computed at intern time (lazily for an
+    /// un-interned label).
     cache: OnceLock<LabelCache>,
 }
 
@@ -69,12 +69,6 @@ impl LabelInner {
             fp_confidentiality: self.confidentiality.fingerprint(),
             fp_integrity: self.integrity.fingerprint(),
         })
-    }
-
-    /// Clears the cached derived data (called right before an in-place
-    /// mutation through a uniquely-owned inner).
-    pub(crate) fn invalidate_cache(&mut self) {
-        self.cache = OnceLock::new();
     }
 }
 

@@ -119,22 +119,6 @@ impl Label {
         }
     }
 
-    /// Returns a mutable reference to the requested component.
-    ///
-    /// This de-interns the label: the mutated value lives in its own (possibly
-    /// non-canonical) allocation and no longer participates in pointer-equality
-    /// fast paths until a lattice operation re-interns a result derived from
-    /// it. Correctness is unaffected — comparisons always fall back to the
-    /// exact structural check.
-    pub fn component_mut(&mut self, which: Component) -> &mut TagSet {
-        let inner = Arc::make_mut(&mut self.inner);
-        inner.invalidate_cache();
-        match which {
-            Component::Confidentiality => &mut inner.confidentiality,
-            Component::Integrity => &mut inner.integrity,
-        }
-    }
-
     /// Returns `true` if this label is the public label.
     #[inline]
     pub fn is_public(&self) -> bool {
@@ -143,8 +127,7 @@ impl Label {
 
     /// Returns `true` if both labels are backed by the same interned
     /// allocation. Implies equality; the converse holds for labels produced by
-    /// the interning constructors (everything except in-place
-    /// [`Label::component_mut`] edits).
+    /// the interning constructors (everything except [`Label::unshared`]).
     #[inline]
     pub fn ptr_eq(&self, other: &Label) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
@@ -453,11 +436,7 @@ mod tests {
     fn component_accessors() {
         let s = tag("s");
         let i = tag("i");
-        let mut label = Label::public();
-        label
-            .component_mut(Component::Confidentiality)
-            .insert(s.clone());
-        label.component_mut(Component::Integrity).insert(i.clone());
+        let label = Label::new(TagSet::singleton(s.clone()), TagSet::singleton(i.clone()));
         assert!(label.component(Component::Confidentiality).contains(&s));
         assert!(label.component(Component::Integrity).contains(&i));
         assert_eq!(label.tag_count(), 2);
@@ -509,23 +488,6 @@ mod tests {
             "unshared labels are not canonical"
         );
         assert_eq!(unshared, interned, "equality stays structural");
-        assert!(unshared.can_flow_to(&interned) && interned.can_flow_to(&unshared));
-        // Ordered joins still shortcut by reference, and a join against the
-        // interned twin converges back to the canonical allocation.
-        assert!(unshared.join(&Label::public()).ptr_eq(&unshared));
-        assert!(unshared.join(&interned).ptr_eq(&interned));
-    }
-
-    #[test]
-    fn mutated_labels_stay_correct_without_canonicality() {
-        let s = tag("s");
-        let mut edited = Label::public();
-        edited
-            .component_mut(Component::Confidentiality)
-            .insert(s.clone());
-        let interned = Label::confidential(TagSet::singleton(s));
-        // Equality and hashing remain structural...
-        assert_eq!(edited, interned);
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let hash_of = |l: &Label| {
@@ -533,9 +495,16 @@ mod tests {
             l.hash(&mut h);
             h.finish()
         };
-        assert_eq!(hash_of(&edited), hash_of(&interned));
-        // ...and so does the lattice, even though the pointers differ.
-        assert!(edited.can_flow_to(&interned) && interned.can_flow_to(&edited));
+        assert_eq!(
+            hash_of(&unshared),
+            hash_of(&interned),
+            "and so does hashing"
+        );
+        assert!(unshared.can_flow_to(&interned) && interned.can_flow_to(&unshared));
+        // Ordered joins still shortcut by reference, and a join against the
+        // interned twin converges back to the canonical allocation.
+        assert!(unshared.join(&Label::public()).ptr_eq(&unshared));
+        assert!(unshared.join(&interned).ptr_eq(&interned));
     }
 
     #[test]

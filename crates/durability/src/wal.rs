@@ -26,6 +26,12 @@
 //! which a scan reads as a clean end. The other policies write no zeros:
 //! `Never` never syncs and `IntervalMs` syncs once per interval, so neither
 //! pays a size commit per batch.
+//!
+//! An I/O error in an append (its write, zero-fill, rotation or sync)
+//! poisons the writer, which refuses every later append. After a failed
+//! `fdatasync` the OS may already have dropped the pages it left dirty, and
+//! a later sync can then succeed over the hole (PostgreSQL's "fsyncgate");
+//! an append acknowledged after that would claim a log that is not on disk.
 
 use std::fs::{self, File, OpenOptions};
 use std::io;
@@ -144,6 +150,8 @@ pub struct WalWriter {
     records_appended: u64,
     /// The frame being appended, reused across appends: header, then payload.
     frame: BytesMut,
+    /// The I/O error that poisoned the writer, if one did.
+    poisoned: Option<String>,
 }
 
 impl WalWriter {
@@ -166,6 +174,7 @@ impl WalWriter {
             last_sync: Instant::now(),
             records_appended: 0,
             frame: BytesMut::new(),
+            poisoned: None,
         })
     }
 
@@ -191,7 +200,9 @@ impl WalWriter {
     /// borrowed batch is encoded straight into the writer's reused frame
     /// buffer and written with one positional write. A batch whose payload
     /// exceeds [`frame::MAX_FRAME_BYTES`] fails with `InvalidInput` before
-    /// any byte is written.
+    /// any byte is written. Any other error poisons the writer: this append
+    /// and every later one fail, and the failed batch's frame may already be
+    /// in the file.
     pub fn append(
         &mut self,
         publisher_unit: u64,
@@ -199,24 +210,40 @@ impl WalWriter {
         arrival_ns: u64,
         events: &[Event],
     ) -> io::Result<()> {
-        self.frame.clear();
-        self.frame.put_slice(&[0; frame::FRAME_HEADER_BYTES]);
-        encode_wal_batch_into(
-            &mut self.frame,
-            publisher_unit,
-            output_label,
-            arrival_ns,
-            events,
-        );
-        frame::seal_frame(&mut self.frame)?;
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.put_slice(&[0; frame::FRAME_HEADER_BYTES]);
+        encode_wal_batch_into(&mut frame, publisher_unit, output_label, arrival_ns, events);
+        let appended = self.append_frame(&mut frame);
+        self.frame = frame;
+        appended
+    }
+
+    /// Seals `frame` (header, then payload) and writes it, poisoning the
+    /// writer on any error past the size check.
+    fn append_frame(&mut self, frame: &mut [u8]) -> io::Result<()> {
+        if let Some(cause) = &self.poisoned {
+            return Err(io::Error::other(format!(
+                "the log refuses appends after an earlier I/O error: {cause}"
+            )));
+        }
+        frame::seal_frame(frame)?;
+        let written = self.write_frame(frame);
+        if let Err(err) = &written {
+            self.poisoned = Some(err.to_string());
+        }
+        written
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
         if self.segment_len >= self.config.segment_bytes {
             self.rotate()?;
         }
-        let end = self.segment_len + self.frame.len() as u64;
+        let end = self.segment_len + frame.len() as u64;
         if end > self.zeroed_to && self.config.fsync == FsyncPolicy::EveryBatch {
             self.zero_ahead(end)?;
         }
-        self.file.write_all_at(&self.frame, self.segment_len)?;
+        self.file.write_all_at(frame, self.segment_len)?;
         self.segment_len = end;
         self.zeroed_to = self.zeroed_to.max(end);
         self.records_appended += 1;
@@ -273,9 +300,12 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Forces the current segment to disk.
+    /// Forces the current segment to disk. A failure poisons the writer.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
+        if let Err(err) = self.file.sync_data() {
+            self.poisoned = Some(err.to_string());
+            return Err(err);
+        }
         self.last_sync = Instant::now();
         Ok(())
     }
@@ -413,6 +443,21 @@ mod tests {
         assert_eq!(scan.records[0].publisher_unit, 1);
         assert_eq!(scan.records[0].events.len(), 3);
         assert_eq!(scan.records[1].publisher_unit, 2);
+    }
+
+    #[test]
+    fn an_oversize_frame_is_refused_without_poisoning_the_writer() {
+        let dir = temp_dir("oversize");
+        let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
+        // Allocated zeroed and never written, so it costs no resident memory.
+        let mut oversize = vec![0; frame::FRAME_HEADER_BYTES + frame::MAX_FRAME_BYTES as usize + 1];
+        let err = writer.append_frame(&mut oversize).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        drop(oversize);
+        append(&mut writer, 1, &[1, 2]);
+        drop(writer);
+        assert_eq!(recover(&dir).unwrap().event_count(), 2);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
