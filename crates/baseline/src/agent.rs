@@ -103,8 +103,8 @@ impl StrategyAgent {
         }
     }
 
-    /// Processes one tick exactly as the threaded loop does; exposed for tests.
-    pub fn handle_tick(&mut self, tick: Tick, ors: &SerializingChannel) {
+    /// Processes one tick: the threaded loop's work per received tick.
+    fn handle_tick(&mut self, tick: Tick, ors: &SerializingChannel) {
         // Local filtering: this is the per-agent work that the paper identifies as
         // Marketcetera's scalability bottleneck. Every agent runs this for every
         // tick of every symbol.

@@ -144,11 +144,6 @@ impl<'a> UnitContext<'a> {
         self.state.id
     }
 
-    /// The unit's diagnostic name.
-    pub fn unit_name(&self) -> &str {
-        &self.state.name
-    }
-
     /// The unit's current input (contamination) label.
     pub fn input_label(&self) -> Label {
         self.state.input_label.clone()

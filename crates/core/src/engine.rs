@@ -1028,13 +1028,6 @@ impl Engine {
         }
     }
 
-    /// Non-blocking variant of [`Engine::get_event`].
-    pub fn poll_event(&self, unit: UnitId) -> EngineResult<Option<(Event, SubscriptionId)>> {
-        let slot = self.core.slot(unit)?;
-        let event = slot.cell.lock().mailbox.pop_front();
-        Ok(event)
-    }
-
     /// Number of events waiting in the dispatch queue: external events and
     /// cascades spilled to it. Cascades on a dispatcher's own stack are not
     /// queued.

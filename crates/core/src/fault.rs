@@ -94,18 +94,18 @@ impl FaultPolicy {
 /// [`EngineStats`](crate::EngineStats) so the classic counters stay exactly
 /// what they were.
 #[derive(Debug, Default)]
-pub struct FaultCounters {
+pub(crate) struct FaultCounters {
     /// Successful unit swaps, manual and fault-triggered.
-    pub unit_swaps: AtomicU64,
+    pub(crate) unit_swaps: AtomicU64,
     /// The subset of `unit_swaps` tripped by the fault policy.
-    pub fault_swaps: AtomicU64,
+    pub(crate) fault_swaps: AtomicU64,
     /// Panicking deliveries (a subset of `EngineStats::unit_errors`).
-    pub unit_panics: AtomicU64,
+    pub(crate) unit_panics: AtomicU64,
     /// Units put into quarantine by the fault policy.
-    pub units_quarantined: AtomicU64,
+    pub(crate) units_quarantined: AtomicU64,
     /// Deliveries shed because their target was quarantined (one count per
     /// shed delivery — loud accounting, like ingress shed).
-    pub quarantine_shed: AtomicU64,
+    pub(crate) quarantine_shed: AtomicU64,
 }
 
 impl FaultCounters {

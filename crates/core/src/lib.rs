@@ -95,7 +95,7 @@ pub use builder::{auto_worker_count, EngineBuilder};
 pub use context::{DraftEvent, UnitContext};
 pub use engine::{Engine, EngineStats, QueueStats, RecoveryReport, SecurityMode};
 pub use error::{EngineError, EngineResult};
-pub use fault::{FaultAction, FaultCounters, FaultPolicy};
+pub use fault::{FaultAction, FaultPolicy};
 pub use handle::{EngineHandle, EventDraft, Publisher};
 pub use subscription::{Subscription, SubscriptionId, SubscriptionKind};
 pub use unit::{Unit, UnitFactory, UnitId, UnitSpec, UnitState};

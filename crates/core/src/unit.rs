@@ -117,13 +117,6 @@ impl UnitSpec {
         self
     }
 
-    /// Sets both labels to the same value (a unit instantiated "at" a label).
-    pub fn at_label(mut self, label: Label) -> Self {
-        self.input_label = label.clone();
-        self.output_label = label;
-        self
-    }
-
     /// Grants an initial privilege.
     pub fn with_privilege(mut self, privilege: Privilege) -> Self {
         self.privileges.grant(privilege);
@@ -231,8 +224,10 @@ mod tests {
     #[test]
     fn spec_builder_sets_labels_and_privileges() {
         let t = Tag::with_name("t");
+        let secret = Label::confidential(TagSet::singleton(t.clone()));
         let spec = UnitSpec::new("broker")
-            .at_label(Label::confidential(TagSet::singleton(t.clone())))
+            .with_input_label(secret.clone())
+            .with_output_label(secret)
             .with_privilege(Privilege::remove(t.clone()));
         assert_eq!(spec.name, "broker");
         assert!(spec.input_label.confidentiality().contains(&t));

@@ -184,7 +184,10 @@ fn confidential_parts_are_hidden_from_untagged_units() {
         })
         .unwrap();
     handle.pump_until_idle().unwrap();
-    let (event, _) = engine.poll_event(curious2).unwrap().expect("delivered");
+    let (event, _) = engine
+        .get_event(curious2, Duration::ZERO)
+        .unwrap()
+        .expect("delivered");
     engine
         .with_unit(curious2, |_, ctx| {
             assert!(
@@ -328,7 +331,10 @@ fn privilege_carrying_parts_bestow_privileges_on_read() {
         .unwrap();
 
     handle.pump_until_idle().unwrap();
-    let (event, _) = engine.poll_event(regulator).unwrap().expect("delivered");
+    let (event, _) = engine
+        .get_event(regulator, Duration::ZERO)
+        .unwrap()
+        .expect("delivered");
 
     engine
         .with_unit(regulator, |_, ctx| {
@@ -418,7 +424,10 @@ fn contamination_independence_raises_part_labels() {
 
     // The observer lacks tag d, so the filtered part is invisible and the event is
     // not delivered at all.
-    assert!(engine.poll_event(observer).unwrap().is_none());
+    assert!(engine
+        .get_event(observer, Duration::ZERO)
+        .unwrap()
+        .is_none());
     assert!(engine.stats().label_rejections() >= 1);
 }
 
@@ -876,7 +885,55 @@ fn clone_event_applies_output_label_and_new_identity() {
 
     // The clone's parts now carry tag d, so the (untagged) subscription of the same
     // unit cannot see them — the event is filtered out.
-    assert!(engine.poll_event(unit).unwrap().is_none());
+    assert!(engine.get_event(unit, Duration::ZERO).unwrap().is_none());
+}
+
+#[test]
+fn del_part_removes_only_parts_with_a_matching_label() {
+    // Table 1's `delPart(e, S, I, name)` removes the draft's parts that carry
+    // `name` under exactly that label; a same-named part under another label
+    // stays.
+    let handle = started(SecurityMode::LabelsFreeze);
+    let engine = handle.engine();
+    let secret = Label::confidential(TagSet::singleton(Tag::with_name("t")));
+    let elsewhere = Label::confidential(TagSet::singleton(Tag::with_name("u")));
+    let reader = engine
+        .register_unit(
+            UnitSpec::new("reader").with_input_label(secret.clone()),
+            Box::new(NullUnit),
+        )
+        .unwrap();
+    engine.set_pull_mode(reader, true).unwrap();
+    engine
+        .with_unit(reader, |_, ctx| {
+            ctx.subscribe(Filter::for_type("memo"))?;
+            Ok(())
+        })
+        .unwrap();
+    let writer = engine
+        .register_unit(UnitSpec::new("writer"), Box::new(NullUnit))
+        .unwrap();
+    engine
+        .with_unit(writer, |_, ctx| {
+            let draft = ctx.create_event();
+            ctx.add_part(&draft, Label::public(), "type", Value::str("memo"))?;
+            ctx.add_part(&draft, Label::public(), "note", Value::Int(1))?;
+            ctx.add_part(&draft, secret.clone(), "note", Value::Int(2))?;
+            ctx.del_part(&draft, elsewhere.clone(), "note")?;
+            ctx.del_part(&draft, Label::public(), "note")?;
+            ctx.publish(draft)
+        })
+        .unwrap();
+    handle.pump_until_idle().unwrap();
+
+    let (event, _) = engine
+        .get_event(reader, Duration::ZERO)
+        .unwrap()
+        .expect("delivered");
+    let notes: Vec<_> = event.parts_named("note").collect();
+    assert_eq!(notes.len(), 1, "{event:?}");
+    assert_eq!(notes[0].label(), &secret);
+    assert_eq!(notes[0].data(), &Value::Int(2));
 }
 
 #[test]
@@ -912,7 +969,7 @@ fn draft_kept_past_its_callback_is_unknown_in_the_next() {
         matches!(outcome, Err(EngineError::UnknownDraft(_))),
         "{outcome:?}"
     );
-    assert!(engine.poll_event(unit).unwrap().is_none());
+    assert!(engine.get_event(unit, Duration::ZERO).unwrap().is_none());
     assert_eq!(engine.stats().deliveries(), 0);
 }
 
@@ -1208,7 +1265,7 @@ fn remove_unit_cleans_up_subscriptions() {
     // The survivor's two subscriptions deliver each event in registration
     // order.
     let mut deliveries = Vec::new();
-    while let Some((event, subscription)) = engine.poll_event(survivor).unwrap() {
+    while let Some((event, subscription)) = engine.get_event(survivor, Duration::ZERO).unwrap() {
         let seq = event.first_part("seq").unwrap().data().as_int().unwrap();
         deliveries.push((seq, subscription));
     }

@@ -13,8 +13,7 @@
 //! ```
 //!
 //! Labels form a lattice under this order; [`Label::join`] (least upper bound) is the
-//! label of data derived from two sources and [`Label::meet`] (greatest lower bound)
-//! is the most permissive label that can flow to both operands.
+//! label of data derived from two sources.
 //!
 //! # Representation
 //!
@@ -219,26 +218,6 @@ impl Label {
         )
     }
 
-    /// Greatest lower bound: the most restrictive-on-integrity, least-secret label
-    /// that can flow to both operands.
-    ///
-    /// Like [`Label::join`], returns the lower operand by reference-count bump
-    /// when the operands are already ordered, and interns fresh results.
-    pub fn meet(&self, other: &Label) -> Label {
-        if self.can_flow_to(other) {
-            return self.clone();
-        }
-        if other.can_flow_to(self) {
-            return other.clone();
-        }
-        Label::new(
-            self.inner
-                .confidentiality
-                .intersection(&other.inner.confidentiality),
-            self.inner.integrity.union(&other.inner.integrity),
-        )
-    }
-
     /// Returns a copy of this label with `tag` added to `component`, interned.
     pub fn with_tag(&self, component: Component, tag: Tag) -> Label {
         if self.component(component).contains(&tag) {
@@ -400,20 +379,6 @@ mod tests {
 
         assert!(a.can_flow_to(&j));
         assert!(b.can_flow_to(&j));
-    }
-
-    #[test]
-    fn meet_is_greatest_lower_bound() {
-        let s1 = tag("s1");
-        let i1 = tag("i1");
-        let i2 = tag("i2");
-
-        let a = Label::new(TagSet::singleton(s1.clone()), TagSet::singleton(i1.clone()));
-        let b = Label::new(TagSet::empty(), TagSet::singleton(i2.clone()));
-        let m = a.meet(&b);
-
-        assert!(m.can_flow_to(&a));
-        assert!(m.can_flow_to(&b));
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::DefcError;
-use crate::label::{Component, Label};
 use crate::tag::Tag;
 use crate::tagset::TagSet;
 
@@ -41,21 +40,13 @@ impl PrivilegeKind {
     ///
     /// `Add` and `AddAuthority` are both delegated under `AddAuthority`; likewise
     /// for the `Remove` side.
-    pub fn required_authority(self) -> PrivilegeKind {
+    fn required_authority(self) -> PrivilegeKind {
         match self {
             PrivilegeKind::Add | PrivilegeKind::AddAuthority => PrivilegeKind::AddAuthority,
             PrivilegeKind::Remove | PrivilegeKind::RemoveAuthority => {
                 PrivilegeKind::RemoveAuthority
             }
         }
-    }
-
-    /// Returns `true` if this is one of the two authority (delegation) kinds.
-    pub fn is_authority(self) -> bool {
-        matches!(
-            self,
-            PrivilegeKind::AddAuthority | PrivilegeKind::RemoveAuthority
-        )
     }
 }
 
@@ -135,7 +126,7 @@ impl PrivilegeSet {
     /// `t+auth` and `t-auth` (§3.1.3). Note that, exactly as in the paper, creating
     /// a tag grants only the *authority* privileges; most units immediately
     /// self-delegate to also obtain `t+` / `t-`.
-    pub fn for_created_tag(tag: &Tag) -> Self {
+    fn for_created_tag(tag: &Tag) -> Self {
         let mut set = PrivilegeSet::empty();
         set.grant(Privilege::add_authority(tag.clone()));
         set.grant(Privilege::remove_authority(tag.clone()));
@@ -156,19 +147,9 @@ impl PrivilegeSet {
         self.set_for(kind).contains(tag)
     }
 
-    /// Returns `true` if the set holds the given privilege.
-    pub fn holds_privilege(&self, privilege: &Privilege) -> bool {
-        self.holds(&privilege.tag, privilege.kind)
-    }
-
     /// Grants a privilege unconditionally (used by the trusted engine).
     pub fn grant(&mut self, privilege: Privilege) {
         self.set_for_mut(privilege.kind).insert(privilege.tag);
-    }
-
-    /// Revokes a privilege; returns `true` if it was held.
-    pub fn revoke(&mut self, privilege: &Privilege) -> bool {
-        self.set_for_mut(privilege.kind).remove(&privilege.tag)
     }
 
     /// Revokes all four privileges over `tag`; returns `true` if any was held.
@@ -220,27 +201,6 @@ impl PrivilegeSet {
         }
     }
 
-    /// Computes the set of label changes a holder of these privileges could make to
-    /// move data labelled `from` towards label `to`, verifying every individual
-    /// change. Returns the resulting label.
-    ///
-    /// This is the work-horse behind input/output label changes (§3.1.4): adding a
-    /// confidentiality tag or an integrity tag requires `t+`; removing either
-    /// requires `t-`.
-    pub fn apply_label_transition(&self, from: &Label, to: &Label) -> Result<Label, DefcError> {
-        for component in [Component::Confidentiality, Component::Integrity] {
-            let f = from.component(component);
-            let t = to.component(component);
-            for added in t.difference(f).iter() {
-                self.check_may_add(added)?;
-            }
-            for removed in f.difference(t).iter() {
-                self.check_may_remove(removed)?;
-            }
-        }
-        Ok(to.clone())
-    }
-
     /// Returns an iterator over every privilege in the set.
     pub fn iter(&self) -> impl Iterator<Item = Privilege> + '_ {
         let adds = self.add.iter().cloned().map(Privilege::add);
@@ -265,7 +225,7 @@ impl PrivilegeSet {
     }
 
     /// Returns the tag set backing a given privilege kind.
-    pub fn set_for(&self, kind: PrivilegeKind) -> &TagSet {
+    fn set_for(&self, kind: PrivilegeKind) -> &TagSet {
         match kind {
             PrivilegeKind::Add => &self.add,
             PrivilegeKind::Remove => &self.remove,
@@ -365,32 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_label_transition_enforces_privileges() {
-        let t = Tag::with_name("t");
-        let from = Label::public();
-        let to = Label::confidential(TagSet::singleton(t.clone()));
-
-        let none = PrivilegeSet::empty();
-        assert!(matches!(
-            none.apply_label_transition(&from, &to),
-            Err(DefcError::MissingAddPrivilege(_))
-        ));
-
-        let owner = PrivilegeSet::owner(&t);
-        assert_eq!(owner.apply_label_transition(&from, &to).unwrap(), to);
-        // Declassification (removal) also checked.
-        assert_eq!(owner.apply_label_transition(&to, &from).unwrap(), from);
-
-        let mut add_only = PrivilegeSet::empty();
-        add_only.grant(Privilege::add(t.clone()));
-        assert!(add_only.apply_label_transition(&from, &to).is_ok());
-        assert!(matches!(
-            add_only.apply_label_transition(&to, &from),
-            Err(DefcError::MissingRemovePrivilege(_))
-        ));
-    }
-
-    #[test]
     fn absorb_merges_privileges() {
         let t1 = Tag::with_name("t1");
         let t2 = Tag::with_name("t2");
@@ -405,12 +339,14 @@ mod tests {
     #[test]
     fn revoke_and_iter() {
         let t = Tag::with_name("t");
-        let mut set = PrivilegeSet::owner(&t);
-        assert!(set.revoke(&Privilege::add(t.clone())));
-        assert!(!set.revoke(&Privilege::add(t.clone())));
-        assert_eq!(set.len(), 3);
-        let kinds: Vec<_> = set.iter().map(|p| p.kind).collect();
-        assert!(!kinds.contains(&PrivilegeKind::Add));
+        let other = Tag::with_name("other");
+        let mut set = PrivilegeSet::for_created_tag(&t);
+        set.absorb(&PrivilegeSet::owner(&other));
+        assert!(set.revoke_all(&other));
+        assert_eq!(set.len(), 2);
+        let listed: PrivilegeSet = set.iter().collect();
+        assert_eq!(listed, PrivilegeSet::for_created_tag(&t));
+        assert!(set.iter().all(|p| p.tag == t));
     }
 
     #[test]
@@ -445,7 +381,9 @@ mod tests {
             PrivilegeKind::Remove.required_authority(),
             PrivilegeKind::RemoveAuthority
         );
-        assert!(PrivilegeKind::AddAuthority.is_authority());
-        assert!(!PrivilegeKind::Add.is_authority());
+        assert_eq!(
+            PrivilegeKind::RemoveAuthority.required_authority(),
+            PrivilegeKind::RemoveAuthority
+        );
     }
 }

@@ -1,9 +1,13 @@
 //! Property-based tests for the DEFC label lattice.
 //!
 //! These check the algebraic laws that the engine's dispatch logic relies on:
-//! can-flow-to must be a partial order, join/meet must be the lattice bounds, and
-//! privilege-checked transitions must agree with unrestricted lattice movement.
+//! can-flow-to must be a partial order and join an upper bound, and a unit's
+//! label changes (Table 1's `changeOutLabel` / `changeInOutLabel`, driven
+//! through the engine) must be exactly the moves its privileges allow.
 
+use defcon_core::context::LabelOp;
+use defcon_core::unit::NullUnit;
+use defcon_core::{Engine, SecurityMode, UnitSpec};
 use defcon_defc::{Component, Label, Privilege, PrivilegeSet, Tag, TagSet};
 use proptest::prelude::*;
 
@@ -30,7 +34,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn join_is_upper_bound_and_meet_is_lower_bound(
+    fn join_is_a_commutative_idempotent_upper_bound(
         seed in 0u64..u64::MAX,
     ) {
         // Derive two labels deterministically from the seed over a shared universe.
@@ -53,26 +57,13 @@ proptest! {
         prop_assert!(a.can_flow_to(&j));
         prop_assert!(b.can_flow_to(&j));
 
-        let m = a.meet(&b);
-        prop_assert!(m.can_flow_to(&a));
-        prop_assert!(m.can_flow_to(&b));
-
-        // Join/meet are commutative and idempotent.
+        // Join is commutative and idempotent.
         prop_assert_eq!(a.join(&b), b.join(&a));
-        prop_assert_eq!(a.meet(&b), b.meet(&a));
         prop_assert_eq!(a.join(&a), a.clone());
-        prop_assert_eq!(a.meet(&a), a.clone());
-
-        // Absorption: a ⊔ (a ⊓ b) = a and a ⊓ (a ⊔ b) = a — the pair of laws
-        // that (with commutativity) makes (join, meet) an actual lattice, not
-        // just two monotone operators.
-        prop_assert_eq!(a.join(&a.meet(&b)), a.clone());
-        prop_assert_eq!(a.meet(&a.join(&b)), a.clone());
 
         // Interning canonicalises: operations producing equal values converge
         // to pointer-identical labels.
         prop_assert!(a.join(&b).ptr_eq(&b.join(&a)));
-        prop_assert!(a.meet(&b).ptr_eq(&b.meet(&a)));
 
         // Antisymmetry on interned pointers: mutual flow implies the operands
         // are the *same allocation*, so the exhaustive-check formulation
@@ -164,6 +155,36 @@ fn can_flow_to_is_antisymmetric_and_transitive_on_universe() {
     }
 }
 
+/// The confidentiality-only label over the universe tags whose bits are set.
+fn confidential_over(uni: &[Tag], bits: u16) -> Label {
+    Label::confidential(
+        uni.iter()
+            .enumerate()
+            .filter(|(i, _)| bits >> i & 1 == 1)
+            .map(|(_, t)| t.clone())
+            .collect(),
+    )
+}
+
+/// Registers a unit with input and output label `at` and the given
+/// privileges on an unstarted, checking engine.
+fn unit_at(at: &Label, privileges: &PrivilegeSet) -> (Engine, defcon_core::UnitId) {
+    let engine = Engine::builder()
+        .mode(SecurityMode::LabelsFreeze)
+        .workers(0)
+        .build();
+    let unit = engine
+        .register_unit(
+            UnitSpec::new("mover")
+                .with_input_label(at.clone())
+                .with_output_label(at.clone())
+                .with_privileges(privileges),
+            Box::new(NullUnit),
+        )
+        .unwrap();
+    (engine, unit)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -174,32 +195,52 @@ proptest! {
         for t in &uni {
             privs.absorb(&PrivilegeSet::owner(t));
         }
-        let pick = |shift: u16| -> Label {
-            let s: TagSet = uni.iter().enumerate()
-                .filter(|(i, _)| bits.rotate_left(shift as u32) >> i & 1 == 1)
-                .map(|(_, t)| t.clone())
-                .collect();
-            Label::confidential(s)
-        };
-        let from = pick(0);
-        let to = pick(5);
-        prop_assert!(privs.apply_label_transition(&from, &to).is_ok());
+        let from = confidential_over(&uni, bits);
+        let to = confidential_over(&uni, bits.rotate_left(5));
+        let (engine, unit) = unit_at(&from, &privs);
+        let (input, output) = engine.with_unit(unit, |_, ctx| {
+            // Both labels move from `from` to `to`, one tag at a time...
+            for added in to.confidentiality().difference(from.confidentiality()).iter() {
+                ctx.change_in_out_label(Component::Confidentiality, LabelOp::Add, added)?;
+            }
+            for removed in from.confidentiality().difference(to.confidentiality()).iter() {
+                ctx.change_in_out_label(Component::Confidentiality, LabelOp::Remove, removed)?;
+            }
+            // ...then the output label alone moves back.
+            for removed in to.confidentiality().difference(from.confidentiality()).iter() {
+                ctx.change_out_label(Component::Confidentiality, LabelOp::Remove, removed)?;
+            }
+            for added in from.confidentiality().difference(to.confidentiality()).iter() {
+                ctx.change_out_label(Component::Confidentiality, LabelOp::Add, added)?;
+            }
+            Ok((ctx.input_label(), ctx.output_label()))
+        }).unwrap();
+        prop_assert_eq!(input, to);
+        prop_assert_eq!(output, from);
     }
 
     #[test]
-    fn empty_privileges_only_allow_identity_transitions(bits in 1u8..=255u8) {
+    fn empty_privileges_only_allow_identity_transitions(bits in 1u16..=255u16) {
         let uni = universe();
-        let s: TagSet = uni.iter().enumerate()
-            .filter(|(i, _)| bits >> i & 1 == 1)
-            .map(|(_, t)| t.clone())
-            .collect();
-        let from = Label::public();
-        let to = Label::confidential(s);
+        let secret = confidential_over(&uni, bits);
         let none = PrivilegeSet::empty();
-        // bits >= 1 so `to` is never public; the transition must fail.
-        prop_assert!(none.apply_label_transition(&from, &to).is_err());
-        // Identity transition always allowed.
-        prop_assert!(none.apply_label_transition(&to, &to).is_ok());
+        // bits >= 1, so `secret` holds at least one tag: a public unit may not
+        // add any of them, and a unit at `secret` may not remove any.
+        for (at, op) in [(Label::public(), LabelOp::Add), (secret.clone(), LabelOp::Remove)] {
+            let (engine, unit) = unit_at(&at, &none);
+            let (allowed, input, output) = engine.with_unit(unit, |_, ctx| {
+                let mut allowed = 0;
+                for tag in secret.confidentiality().iter() {
+                    allowed += ctx.change_out_label(Component::Confidentiality, op, tag).is_ok() as usize;
+                    allowed += ctx.change_in_out_label(Component::Confidentiality, op, tag).is_ok() as usize;
+                }
+                Ok((allowed, ctx.input_label(), ctx.output_label()))
+            }).unwrap();
+            prop_assert_eq!(allowed, 0);
+            // Every refused change left both labels where they were.
+            prop_assert_eq!(input, at.clone());
+            prop_assert_eq!(output, at);
+        }
     }
 }
 
@@ -208,7 +249,12 @@ fn delegation_chain_preserves_model() {
     // u creates tag t -> holds t+auth, t-auth. It self-delegates t+ and t-, then
     // delegates t+ to v. v cannot further delegate because it lacks t+auth.
     let t = Tag::with_name("t");
-    let mut u = PrivilegeSet::for_created_tag(&t);
+    let mut u: PrivilegeSet = [
+        Privilege::add_authority(t.clone()),
+        Privilege::remove_authority(t.clone()),
+    ]
+    .into_iter()
+    .collect();
 
     u.check_may_delegate(&Privilege::add(t.clone())).unwrap();
     u.grant(Privilege::add(t.clone()));

@@ -26,7 +26,6 @@
 pub mod frame;
 pub mod wal;
 
-pub use frame::crc32;
 pub use wal::{recover, FsyncPolicy, WalConfig, WalScan, WalWriter};
 
 // The record type lives in the events crate (the codec owns its wire format);

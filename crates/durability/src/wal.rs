@@ -147,7 +147,6 @@ pub struct WalWriter {
     /// `segment_len` unless the policy is `FsyncPolicy::EveryBatch`.
     zeroed_to: u64,
     last_sync: Instant,
-    records_appended: u64,
     /// The frame being appended, reused across appends: header, then payload.
     frame: BytesMut,
     /// The I/O error that poisoned the writer, if one did.
@@ -172,7 +171,6 @@ impl WalWriter {
             segment_len,
             zeroed_to: segment_len,
             last_sync: Instant::now(),
-            records_appended: 0,
             frame: BytesMut::new(),
             poisoned: None,
         })
@@ -246,7 +244,6 @@ impl WalWriter {
         self.file.write_all_at(frame, self.segment_len)?;
         self.segment_len = end;
         self.zeroed_to = self.zeroed_to.max(end);
-        self.records_appended += 1;
         match self.config.fsync {
             FsyncPolicy::Never => {}
             FsyncPolicy::EveryBatch => self.sync()?,
@@ -308,11 +305,6 @@ impl WalWriter {
         }
         self.last_sync = Instant::now();
         Ok(())
-    }
-
-    /// Number of batches appended through this writer.
-    pub fn records_appended(&self) -> u64 {
-        self.records_appended
     }
 }
 
@@ -433,7 +425,6 @@ mod tests {
         let mut writer = WalWriter::open(WalConfig::new(&dir)).unwrap();
         append(&mut writer, 1, &[1, 2, 3]);
         append(&mut writer, 2, &[4]);
-        assert_eq!(writer.records_appended(), 2);
         drop(writer);
 
         let scan = recover(&dir).unwrap();

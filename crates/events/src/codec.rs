@@ -1,12 +1,10 @@
-//! A compact binary codec for events.
+//! The binary encoding of events in the write-ahead log.
 //!
-//! DEFCon itself never serialises events: the entire point of sharing a single
-//! address space (§4) is that immutable event data can be passed between isolates by
-//! reference. The codec exists to model the systems DEFCon is compared against:
-//!
-//! * the `labels+clone` configuration of Figure 5 (deep copies per dispatch), and
-//! * the Marketcetera-style baseline (Figures 8 and 9), where every message crossing
-//!   a JVM boundary must be serialised, copied through the kernel and deserialised.
+//! The engine never serialises an event to pass it between units: units share
+//! one address space (§4), so immutable event data is passed by reference. It
+//! serialises in one place: the write-ahead log encodes every logged batch with
+//! [`encode_wal_batch_into`], and recovery decodes it with [`decode_wal_record`].
+//! [`encode_event`] encodes one event on its own, in the same per-event format.
 //!
 //! The format is a straightforward length-prefixed, little-endian encoding with no
 //! external dependencies beyond the `bytes` crate.
@@ -33,59 +31,11 @@ fn encode_event_into(buf: &mut BytesMut, event: &Event) {
     encode_parts_into(buf, event.parts());
 }
 
-/// Deserialises an event previously produced by [`encode_event`].
-///
-/// The decoded event receives a fresh [`EventId`] internally via
-/// [`Event::with_origin`]; the encoded identifier is only used for diagnostics and
-/// is returned alongside the event. Recovery and replay paths, which need the
-/// original identity, use [`decode_event_preserving_id`] instead.
-pub fn decode_event(mut data: &[u8]) -> Result<(u64, Event), EventError> {
-    let buf = &mut data;
-    let original_id = take_u64(buf)?;
-    let origin_ns = take_u64(buf)?;
-    let parts = decode_parts_from(buf)?;
-    let event = Event::with_origin(parts, origin_ns)?;
-    Ok((original_id, event))
-}
-
-/// Deserialises an event, keeping the encoded [`EventId`] as the
-/// decoded event's identity.
-///
-/// [`decode_event`] always mints a fresh id, which is correct for the
-/// copy-cost-modelling baselines but breaks replay determinism and exactly-once
-/// accounting across recovery: the write-ahead log must hand back the *same*
-/// event it logged. Construction goes through [`Event::with_identity`], which
-/// also advances the process-wide id sequence past the recovered id so freshly
-/// minted events never collide with it.
-pub fn decode_event_preserving_id(mut data: &[u8]) -> Result<Event, EventError> {
-    decode_event_from(&mut data)
-}
-
 fn decode_event_from(buf: &mut &[u8]) -> Result<Event, EventError> {
     let id = take_u64(buf)?;
     let origin_ns = take_u64(buf)?;
     let parts = decode_parts_from(buf)?;
     Event::with_identity(EventId::from_raw(id), parts, origin_ns)
-}
-
-/// Serialises a bare part list (count-prefixed, no event header).
-///
-/// This is the unit of the recorded arrival-trace format: a draft captured
-/// before publish has no identity, label raise or timestamp yet, only parts.
-pub fn encode_parts(parts: &[Part]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    encode_parts_into(&mut buf, parts);
-    buf.freeze()
-}
-
-/// Deserialises a part list produced by [`encode_parts`], rejecting trailing
-/// bytes.
-pub fn decode_parts(mut data: &[u8]) -> Result<Vec<Part>, EventError> {
-    let parts = decode_parts_from(&mut data)?;
-    if !data.is_empty() {
-        return Err(EventError::Codec("trailing bytes after parts".into()));
-    }
-    Ok(parts)
 }
 
 fn encode_parts_into(buf: &mut BytesMut, parts: &[Part]) {
@@ -124,22 +74,9 @@ pub struct WalRecord {
     pub events: Vec<Event>,
 }
 
-/// Serialises a [`WalRecord`]: publisher unit, output label and arrival
-/// timestamp round-trip alongside the batch's events (ids preserved).
-pub fn encode_wal_record(record: &WalRecord) -> Bytes {
-    let mut buf = BytesMut::with_capacity(256);
-    encode_wal_batch_into(
-        &mut buf,
-        record.publisher_unit,
-        &record.output_label,
-        record.arrival_ns,
-        &record.events,
-    );
-    buf.freeze()
-}
-
-/// Appends the [`encode_wal_record`] encoding of a borrowed batch to `buf`,
-/// so a log writer can reuse one buffer and never clone the batch.
+/// Appends the encoding of one logged batch to `buf`: publisher unit, output
+/// label and arrival timestamp, then the batch's events (ids preserved). The
+/// batch is borrowed, so a log writer can reuse one buffer and never clone it.
 pub fn encode_wal_batch_into(
     buf: &mut BytesMut,
     publisher_unit: u64,
@@ -156,7 +93,7 @@ pub fn encode_wal_batch_into(
     }
 }
 
-/// Deserialises a [`WalRecord`] produced by [`encode_wal_record`], preserving
+/// Deserialises a [`WalRecord`] produced by [`encode_wal_batch_into`], preserving
 /// every event's identity and rejecting trailing bytes.
 pub fn decode_wal_record(mut data: &[u8]) -> Result<WalRecord, EventError> {
     let buf = &mut data;
@@ -429,13 +366,23 @@ mod tests {
             .unwrap()
     }
 
+    /// Encodes `events` as one logged batch from unit 17, public, at 12345 ns.
+    fn logged(events: &[Event]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_wal_batch_into(&mut buf, 17, &Label::public(), 12345, events);
+        buf
+    }
+
+    /// The length of a logged batch's header: publisher unit, a public
+    /// label's two empty tag sets, arrival timestamp and event count.
+    const BATCH_HEADER: usize = 8 + 4 + 4 + 8 + 4;
+
     #[test]
     fn round_trip_preserves_structure() {
         let event = rich_event();
-        let encoded = encode_event(&event);
-        let (original_id, decoded) = decode_event(&encoded).unwrap();
+        let decoded = decode_wal_record(&logged(std::slice::from_ref(&event))).unwrap();
+        let decoded = &decoded.events[0];
 
-        assert_eq!(original_id, event.id().as_u64());
         assert_eq!(decoded.origin_ns(), event.origin_ns());
         assert_eq!(decoded.part_count(), event.part_count());
 
@@ -454,8 +401,8 @@ mod tests {
     #[test]
     fn decode_preserving_id_round_trips_identity() {
         let event = rich_event();
-        let encoded = encode_event(&event);
-        let decoded = decode_event_preserving_id(&encoded).unwrap();
+        let record = decode_wal_record(&logged(std::slice::from_ref(&event))).unwrap();
+        let decoded = &record.events[0];
         assert_eq!(decoded.id(), event.id());
         assert_eq!(decoded.origin_ns(), event.origin_ns());
         assert_eq!(decoded.part_count(), event.part_count());
@@ -465,33 +412,12 @@ mod tests {
     }
 
     #[test]
-    fn parts_round_trip_and_reject_trailing_bytes() {
-        let event = rich_event();
-        let encoded = encode_parts(event.parts());
-        let decoded = decode_parts(&encoded).unwrap();
-        assert_eq!(decoded.len(), event.part_count());
-        for (a, b) in decoded.iter().zip(event.parts()) {
-            assert_eq!(a.name(), b.name());
-            assert_eq!(a.label(), b.label());
-            assert!(a.data().structurally_equals(b.data()));
-        }
-        let mut padded = encoded.to_vec();
-        padded.push(0);
-        assert!(decode_parts(&padded).is_err());
-    }
-
-    #[test]
     fn wal_record_round_trips_batch_metadata() {
         let t = Tag::with_name("wal-test");
         let label = Label::confidential(TagSet::singleton(t));
         let events = vec![rich_event(), rich_event()];
-        let record = WalRecord {
-            publisher_unit: 17,
-            output_label: label.clone(),
-            arrival_ns: 12345,
-            events: events.clone(),
-        };
-        let encoded = encode_wal_record(&record);
+        let mut encoded = BytesMut::new();
+        encode_wal_batch_into(&mut encoded, 17, &label, 12345, &events);
         let decoded = decode_wal_record(&encoded).unwrap();
         assert_eq!(decoded.publisher_unit, 17);
         assert_eq!(decoded.output_label, label);
@@ -510,10 +436,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_input() {
-        let event = rich_event();
-        let encoded = encode_event(&event);
-        for cut in [0, 1, 5, encoded.len() / 2, encoded.len() - 1] {
-            let result = decode_event(&encoded[..cut]);
+        let encoded = logged(&[rich_event()]);
+        for cut in [0, 1, 5, BATCH_HEADER, encoded.len() / 2, encoded.len() - 1] {
+            let result = decode_wal_record(&encoded[..cut]);
             assert!(result.is_err(), "cut at {cut} should fail");
         }
     }
@@ -524,12 +449,13 @@ mod tests {
             .part("x", Label::public(), Value::Int(1))
             .build()
             .unwrap();
-        let mut encoded = encode_event(&event).to_vec();
-        // Corrupt the value type tag of the first part: it lives after the header
-        // (8+8+4), the name (4+1) and the label (4+4).
-        let offset = 8 + 8 + 4 + 4 + 1 + 4 + 4;
+        let mut encoded = logged(&[event]).to_vec();
+        // Corrupt the value type tag of the first part: it lives after the batch
+        // header, the event header (8+8+4), the name (4+1) and the label (4+4).
+        let offset = BATCH_HEADER + 8 + 8 + 4 + 4 + 1 + 4 + 4;
+        assert_eq!(encoded[offset], TAG_INT);
         encoded[offset] = 0xEE;
-        assert!(decode_event(&encoded).is_err());
+        assert!(decode_wal_record(&encoded).is_err());
     }
 
     #[test]
@@ -547,12 +473,17 @@ mod tests {
 
     #[test]
     fn empty_event_cannot_be_decoded_into_existence() {
-        // Craft a buffer claiming zero parts: decoding must fail because events
-        // without parts are invalid.
-        let mut buf = BytesMut::new();
+        // Craft a logged batch holding one event that claims zero parts:
+        // decoding must fail because events without parts are invalid.
+        let mut buf = logged(&[]);
+        let count_at = BATCH_HEADER - 4;
+        buf[count_at..BATCH_HEADER].copy_from_slice(&1u32.to_le_bytes());
         buf.put_u64_le(1);
         buf.put_u64_le(0);
         buf.put_u32_le(0);
-        assert!(decode_event(&buf).is_err());
+        assert!(matches!(
+            decode_wal_record(&buf),
+            Err(EventError::EmptyEvent)
+        ));
     }
 }

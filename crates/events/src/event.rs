@@ -39,16 +39,15 @@ impl EventId {
 
     /// Reconstitutes an identifier from its raw value, as stored by the codec.
     ///
-    /// Callers that mint events with a recovered id must also call
-    /// [`EventId::advance_past`] (or construct via [`Event::with_identity`],
-    /// which does so) to keep future fresh ids collision-free.
+    /// Callers that mint events with a recovered id construct them through
+    /// [`Event::with_identity`], which keeps future fresh ids collision-free.
     pub fn from_raw(raw: u64) -> Self {
         EventId(raw)
     }
 
     /// Advances the process-wide id sequence past `raw`, so that identifiers
     /// recovered from a log can never collide with freshly minted ones.
-    pub fn advance_past(raw: u64) {
+    pub(crate) fn advance_past(raw: u64) {
         EVENT_SEQUENCE.fetch_max(raw.saturating_add(1), Ordering::Relaxed);
     }
 }
@@ -153,17 +152,6 @@ impl Event {
         self.parts.iter().find(|p| p.name() == name)
     }
 
-    /// Returns the distinct part names in this event, in part order.
-    pub fn part_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = Vec::with_capacity(self.parts.len());
-        for p in self.parts.iter() {
-            if !names.contains(&p.name()) {
-                names.push(p.name());
-            }
-        }
-        names
-    }
-
     /// Returns a new event with `part` appended, sharing all existing parts.
     ///
     /// This models partial event processing (§3.1.6): the labels of unrelated parts
@@ -171,22 +159,6 @@ impl Event {
     pub fn with_part(&self, part: Part) -> Event {
         let mut parts: Vec<Part> = self.parts.to_vec();
         parts.push(part);
-        Event {
-            id: self.id,
-            origin_ns: self.origin_ns,
-            parts: Arc::new(parts),
-        }
-    }
-
-    /// Returns a new event with all parts matching `name` *and* `label` removed
-    /// (Table 1, `delPart`).
-    pub fn without_part(&self, name: &str, label: &Label) -> Event {
-        let parts: Vec<Part> = self
-            .parts
-            .iter()
-            .filter(|p| !(p.name() == name && p.label() == label))
-            .cloned()
-            .collect();
         Event {
             id: self.id,
             origin_ns: self.origin_ns,
@@ -365,7 +337,11 @@ mod tests {
             simple_event().with_part(Part::new("price", Label::public(), Value::Float(11.0)));
         let versions: Vec<_> = event.parts_named("price").collect();
         assert_eq!(versions.len(), 2, "conflicting versions both retained");
-        assert_eq!(event.part_names(), vec!["type", "price"]);
+        assert_eq!(
+            event.first_part("price").unwrap().data(),
+            versions[0].data(),
+            "the first version comes first"
+        );
         assert_eq!(event.part_count(), 3);
     }
 
@@ -381,19 +357,6 @@ mod tests {
         assert_eq!(extended.part_count(), 3);
         assert_eq!(event.part_count(), 2);
         assert_eq!(extended.origin_ns(), event.origin_ns());
-    }
-
-    #[test]
-    fn without_part_requires_matching_label() {
-        let t = Tag::with_name("t");
-        let secret = Label::confidential(TagSet::singleton(t));
-        let event = simple_event().with_part(Part::new("note", secret.clone(), Value::Int(1)));
-        // Wrong label: nothing removed.
-        let unchanged = event.without_part("note", &Label::public());
-        assert_eq!(unchanged.part_count(), 3);
-        // Correct label: removed.
-        let removed = event.without_part("note", &secret);
-        assert_eq!(removed.part_count(), 2);
     }
 
     #[test]

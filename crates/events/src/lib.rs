@@ -21,11 +21,10 @@
 //! model. Only the `labels+clone` configuration copies data, through
 //! [`Value::deep_clone`].
 //!
-//! The [`codec`] module provides a compact binary encoding of events. The DEFCon
-//! engine itself never serialises events (that is the point of the shared-address
-//! -space design); the codec exists to model the *cost* of the alternatives that the
-//! paper compares against: the `labels+clone` configuration and the
-//! process-isolated Marketcetera-style baseline.
+//! The [`codec`] module provides a compact binary encoding of events. The
+//! engine never serialises an event to hand it to a unit (that is the point of
+//! the shared-address-space design); the write-ahead log encodes every logged
+//! batch with it, and recovery decodes the log with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

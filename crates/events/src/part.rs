@@ -159,11 +159,6 @@ impl Part {
         &self.name
     }
 
-    /// Returns the interned part name handle.
-    pub fn name_handle(&self) -> PartName {
-        self.name.clone()
-    }
-
     /// Returns the part's security label.
     pub fn label(&self) -> &Label {
         &self.label
@@ -180,7 +175,7 @@ impl Part {
     }
 
     /// Returns `true` if this part carries at least one privilege.
-    pub fn is_privilege_carrying(&self) -> bool {
+    pub(crate) fn is_privilege_carrying(&self) -> bool {
         !self.privileges.is_empty()
     }
 

@@ -77,14 +77,6 @@ impl Value {
         }
     }
 
-    /// Returns the boolean if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Returns the string slice if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -101,26 +93,10 @@ impl Value {
         }
     }
 
-    /// Returns the timestamp if this is a `Timestamp`.
-    pub fn as_timestamp(&self) -> Option<u64> {
-        match self {
-            Value::Timestamp(t) => Some(*t),
-            _ => None,
-        }
-    }
-
     /// Returns the tag reference if this is a `Tag`.
     pub fn as_tag(&self) -> Option<TagId> {
         match self {
             Value::Tag(t) => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// Returns the list if this is a `List`.
-    pub fn as_list(&self) -> Option<&ValueList> {
-        match self {
-            Value::List(l) => Some(l),
             _ => None,
         }
     }
@@ -131,11 +107,6 @@ impl Value {
             Value::Map(m) => Some(m),
             _ => None,
         }
-    }
-
-    /// Returns `true` if this value is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 
     /// Produces a deep copy of this value: new storage for every string, byte
@@ -264,17 +235,25 @@ impl fmt::Display for Value {
 ///
 /// let list: ValueList = [Value::Int(1), Value::str("two")].into_iter().collect();
 /// let part = Part::new("history", Label::public(), Value::List(list));
-/// let read = part.data().as_list().unwrap();
+/// let Value::List(read) = part.data() else {
+///     unreachable!()
+/// };
 /// assert_eq!(read.get(0), Some(&Value::Int(1)));
 /// assert_eq!(read.iter().count(), 2);
 /// ```
 ///
-/// A list read out of a part has no mutating method:
+/// A list read out of a part has no mutating method, not even on a copy of
+/// its own:
 ///
 /// ```compile_fail
 /// # use defcon_events::{Part, Value};
 /// fn change(part: &Part) {
-///     part.data().as_list().unwrap().push(Value::Int(3));
+///     match part.data() {
+///         Value::List(list) => {
+///             list.clone().push(Value::Int(3));
+///         }
+///         _ => {}
+///     }
 /// }
 /// ```
 #[derive(Clone, Debug)]
@@ -382,11 +361,8 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_float(), Some(7.0));
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::bytes(vec![1, 2]).as_bytes(), Some(&[1u8, 2][..]));
-        assert_eq!(Value::Timestamp(10).as_timestamp(), Some(10));
-        assert!(Value::Null.is_null());
         let t = TagId::from_raw(5);
         assert_eq!(Value::Tag(t).as_tag(), Some(t));
         assert_eq!(Value::Int(7).as_str(), None);
@@ -402,8 +378,10 @@ mod tests {
 
     /// The address of the string at the front of a list value.
     fn front_at(list: &Value) -> *const u8 {
-        let front = list.as_list().and_then(|l| l.get(0));
-        front.and_then(Value::as_str).unwrap().as_ptr()
+        let Value::List(list) = list else {
+            panic!("not a list: {list}")
+        };
+        list.get(0).and_then(Value::as_str).unwrap().as_ptr()
     }
 
     #[test]

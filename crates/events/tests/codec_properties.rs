@@ -1,16 +1,16 @@
-//! Property tests for the event codec: decode(encode(e)) must reproduce the
-//! event's structure for arbitrary nested values, labels and privileges.
+//! Property tests for the event codec: decoding a logged batch must reproduce
+//! each event's identity and structure for arbitrary nested values, labels
+//! and privileges. These are the encoder and decoder the write-ahead log and
+//! recovery run.
 //!
 //! Events are generated from a drawn seed through a small deterministic PRNG
 //! rather than a flattened strategy: the interesting inputs (nested
 //! lists/maps, tag-ref values, interned labels with privilege-carrying parts)
 //! are recursive, which a seed-driven generator expresses directly.
 
+use bytes::BytesMut;
 use defcon_defc::{Label, Privilege, PrivilegeKind, Tag, TagId, TagSet};
-use defcon_events::codec::{
-    decode_event, decode_event_preserving_id, decode_wal_record, encode_event, encode_wal_record,
-    WalRecord,
-};
+use defcon_events::codec::{decode_wal_record, encode_event, encode_wal_batch_into};
 use defcon_events::{Event, Part, Value};
 use proptest::prelude::*;
 
@@ -122,6 +122,18 @@ fn assert_parts_structurally_equal(a: &Event, b: &Event) {
     }
 }
 
+/// Encodes `events` as one logged batch, as the write-ahead log does.
+fn logged(
+    publisher_unit: u64,
+    output_label: &Label,
+    arrival_ns: u64,
+    events: &[Event],
+) -> BytesMut {
+    let mut buf = BytesMut::new();
+    encode_wal_batch_into(&mut buf, publisher_unit, output_label, arrival_ns, events);
+    buf
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -129,32 +141,30 @@ proptest! {
     fn round_trip_preserves_structure(seed in 0u64..) {
         let mut rng = Gen(seed);
         let event = gen_event(&mut rng);
-        let encoded = encode_event(&event);
+        let encoded = logged(1, &Label::public(), 0, std::slice::from_ref(&event));
+        // A one-event batch ends with that event's own encoding.
+        assert!(encoded.ends_with(&encode_event(&event)));
 
-        let (original_id, decoded) = decode_event(&encoded).unwrap();
-        assert_eq!(original_id, event.id().as_u64());
+        let decoded = decode_wal_record(&encoded).unwrap();
+        assert_eq!(decoded.events.len(), 1);
+        let decoded = &decoded.events[0];
+        assert_eq!(decoded.id(), event.id());
         assert_eq!(decoded.origin_ns(), event.origin_ns());
-        assert_parts_structurally_equal(&decoded, &event);
-
-        let preserved = decode_event_preserving_id(&encoded).unwrap();
-        assert_eq!(preserved.id(), event.id());
-        assert_parts_structurally_equal(&preserved, &event);
+        assert_parts_structurally_equal(decoded, &event);
     }
 
     #[test]
     fn wal_record_round_trips(seed in 0u64..) {
         let mut rng = Gen(seed);
         let events: Vec<Event> = (0..1 + rng.below(4)).map(|_| gen_event(&mut rng)).collect();
-        let record = WalRecord {
-            publisher_unit: rng.next(),
-            output_label: gen_label(&mut rng),
-            arrival_ns: rng.next(),
-            events: events.clone(),
-        };
-        let decoded = decode_wal_record(&encode_wal_record(&record)).unwrap();
-        assert_eq!(decoded.publisher_unit, record.publisher_unit);
-        assert_eq!(decoded.output_label, record.output_label);
-        assert_eq!(decoded.arrival_ns, record.arrival_ns);
+        let publisher_unit = rng.next();
+        let output_label = gen_label(&mut rng);
+        let arrival_ns = rng.next();
+        let encoded = logged(publisher_unit, &output_label, arrival_ns, &events);
+        let decoded = decode_wal_record(&encoded).unwrap();
+        assert_eq!(decoded.publisher_unit, publisher_unit);
+        assert_eq!(decoded.output_label, output_label);
+        assert_eq!(decoded.arrival_ns, arrival_ns);
         assert_eq!(decoded.events.len(), events.len());
         for (a, b) in decoded.events.iter().zip(&events) {
             assert_eq!(a.id(), b.id());
@@ -166,10 +176,9 @@ proptest! {
     fn truncated_event_never_decodes(seed in 0u64..) {
         let mut rng = Gen(seed);
         let event = gen_event(&mut rng);
-        let encoded = encode_event(&event);
+        let encoded = logged(1, &Label::public(), 0, &[event]);
         // Any strict prefix must fail cleanly — never panic, never yield an event.
         let cut = rng.below(encoded.len() as u64) as usize;
-        assert!(decode_event(&encoded[..cut]).is_err());
-        assert!(decode_event_preserving_id(&encoded[..cut]).is_err());
+        assert!(decode_wal_record(&encoded[..cut]).is_err());
     }
 }

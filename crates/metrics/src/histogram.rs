@@ -24,7 +24,6 @@ struct State {
     buckets: Vec<u64>,
     count: u64,
     sum_ns: u128,
-    min_ns: u64,
     max_ns: u64,
 }
 
@@ -42,7 +41,6 @@ impl LatencyHistogram {
                 buckets: vec![0; SUB_BUCKETS * POWERS],
                 count: 0,
                 sum_ns: 0,
-                min_ns: u64::MAX,
                 max_ns: 0,
             }),
         }
@@ -55,13 +53,7 @@ impl LatencyHistogram {
         state.buckets[idx] += 1;
         state.count += 1;
         state.sum_ns += latency_ns as u128;
-        state.min_ns = state.min_ns.min(latency_ns);
         state.max_ns = state.max_ns.max(latency_ns);
-    }
-
-    /// Records a latency expressed as a `Duration`.
-    pub fn record_duration(&self, latency: std::time::Duration) {
-        self.record(latency.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Returns the number of recorded samples.
@@ -70,7 +62,7 @@ impl LatencyHistogram {
     }
 
     /// Returns the arithmetic mean in nanoseconds, or `None` if empty.
-    pub fn mean_ns(&self) -> Option<f64> {
+    fn mean_ns(&self) -> Option<f64> {
         let state = self.inner.lock();
         if state.count == 0 {
             None
@@ -79,14 +71,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// Returns the smallest recorded sample, or `None` if empty.
-    pub fn min_ns(&self) -> Option<u64> {
-        let state = self.inner.lock();
-        (state.count > 0).then_some(state.min_ns)
-    }
-
     /// Returns the largest recorded sample, or `None` if empty.
-    pub fn max_ns(&self) -> Option<u64> {
+    fn max_ns(&self) -> Option<u64> {
         let state = self.inner.lock();
         (state.count > 0).then_some(state.max_ns)
     }
@@ -95,7 +81,7 @@ impl LatencyHistogram {
     ///
     /// The returned value is the representative (upper bound) of the bucket in which
     /// the requested rank falls, clamped to the observed maximum.
-    pub fn percentile_ns(&self, pct: f64) -> Option<u64> {
+    fn percentile_ns(&self, pct: f64) -> Option<u64> {
         let state = self.inner.lock();
         if state.count == 0 {
             return None;
@@ -149,7 +135,6 @@ impl LatencyHistogram {
         state.buckets.iter_mut().for_each(|b| *b = 0);
         state.count = 0;
         state.sum_ns = 0;
-        state.min_ns = u64::MAX;
         state.max_ns = 0;
     }
 
@@ -162,10 +147,7 @@ impl LatencyHistogram {
         }
         state.count += other_state.count;
         state.sum_ns += other_state.sum_ns;
-        if other_state.count > 0 {
-            state.min_ns = state.min_ns.min(other_state.min_ns);
-            state.max_ns = state.max_ns.max(other_state.max_ns);
-        }
+        state.max_ns = state.max_ns.max(other_state.max_ns);
     }
 }
 
@@ -218,7 +200,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean_ns(), None);
         assert_eq!(h.percentile_ns(70.0), None);
-        assert_eq!(h.min_ns(), None);
         assert_eq!(h.max_ns(), None);
     }
 
@@ -230,7 +211,6 @@ mod tests {
             let v = h.percentile_ns(pct).unwrap();
             assert!((950_000..=1_050_000).contains(&v), "pct {pct}: {v}");
         }
-        assert_eq!(h.min_ns(), Some(1_000_000));
         assert_eq!(h.max_ns(), Some(1_000_000));
     }
 
@@ -276,7 +256,8 @@ mod tests {
         b.record(1_000_000);
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.min_ns(), Some(1_000));
+        let low = a.percentile_ns(0.0).unwrap();
+        assert!((1_000..=1_070).contains(&low), "p0 = {low}");
         assert_eq!(a.max_ns(), Some(1_000_000));
     }
 
@@ -292,13 +273,6 @@ mod tests {
                 "value {value} upper {upper}"
             );
         }
-    }
-
-    #[test]
-    fn record_duration_matches_record() {
-        let h = LatencyHistogram::new();
-        h.record_duration(std::time::Duration::from_micros(500));
-        assert!(h.percentile_ns(100.0).unwrap() >= 500_000);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   trade, reported as the 70th percentile (Figures 6 and 9); and
 //! * **memory consumption** — occupied heap memory (Figure 7).
 //!
-//! This crate provides exactly those three instruments plus small statistics
-//! helpers, so that the benchmark harness reports the same rows the paper plots.
+//! This crate provides exactly those three instruments plus the percentile
+//! helper the benchmark harness summarises its samples with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,5 +21,4 @@ pub mod throughput;
 
 pub use histogram::{LatencyHistogram, LatencySummary};
 pub use memory::MemoryAccountant;
-pub use stats::{mean, median, percentile, std_dev, Summary};
 pub use throughput::ThroughputRecorder;

@@ -1,28 +1,5 @@
-//! Small statistics helpers shared by the benchmark harness.
-//!
-//! These operate on plain `f64` slices and are used to post-process per-window
-//! throughput samples and per-series latency arrays before printing figure rows.
-
-/// Returns the arithmetic mean, or `None` for an empty slice.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// Returns the population standard deviation, or `None` for an empty slice.
-pub fn std_dev(values: &[f64]) -> Option<f64> {
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64;
-    Some(var.sqrt())
-}
-
-/// Returns the median, or `None` for an empty slice.
-pub fn median(values: &[f64]) -> Option<f64> {
-    percentile(values, 50.0)
-}
+//! The percentile helper the benchmark harness uses to summarise per-slice
+//! samples (throughput rates, latencies) of plain `f64` slices.
 
 /// Returns the given percentile (0–100) using linear interpolation between ranks,
 /// or `None` for an empty slice.
@@ -43,69 +20,22 @@ pub fn percentile(values: &[f64], pct: f64) -> Option<f64> {
     Some(sorted[lower] * (1.0 - weight) + sorted[upper] * weight)
 }
 
-/// A five-number summary of a sample, convenient for printing figure rows.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// 70th percentile (the paper's latency metric).
-    pub p70: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary, or `None` for an empty slice.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Some(Summary {
-            count: values.len(),
-            mean: mean(values)?,
-            median: median(values)?,
-            p70: percentile(values, 70.0)?,
-            p99: percentile(values, 99.0)?,
-            min,
-            max,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_slices_return_none() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(median(&[]), None);
-        assert_eq!(std_dev(&[]), None);
         assert_eq!(percentile(&[], 50.0), None);
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn mean_and_std_dev() {
-        let values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&values), Some(5.0));
-        assert!((std_dev(&values).unwrap() - 2.0).abs() < 1e-12);
+        assert_eq!(percentile(&[], 0.0), None);
     }
 
     #[test]
     fn median_even_and_odd() {
-        assert_eq!(median(&[1.0, 3.0, 2.0]), Some(2.0));
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), Some(2.5));
+        // The 50th percentile is the middle value, or the mean of the two
+        // middle values, whatever the input order.
+        assert_eq!(percentile(&[1.0, 3.0, 2.0], 50.0), Some(2.0));
+        assert_eq!(percentile(&[4.0, 1.0, 3.0, 2.0], 50.0), Some(2.5));
     }
 
     #[test]
@@ -119,16 +49,5 @@ mod tests {
     #[test]
     fn percentile_single_value() {
         assert_eq!(percentile(&[42.0], 99.0), Some(42.0));
-    }
-
-    #[test]
-    fn summary_fields_are_consistent() {
-        let values: Vec<f64> = (1..=10).map(|v| v as f64).collect();
-        let s = Summary::of(&values).unwrap();
-        assert_eq!(s.count, 10);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 10.0);
-        assert!(s.median <= s.p70 && s.p70 <= s.p99);
-        assert_eq!(s.mean, 5.5);
     }
 }

@@ -34,7 +34,7 @@ impl ThroughputRecorder {
     }
 
     /// Creates a recorder with a custom sampling window.
-    pub fn with_window(window: Duration) -> Self {
+    fn with_window(window: Duration) -> Self {
         let now = Instant::now();
         ThroughputRecorder {
             window,
@@ -78,19 +78,9 @@ impl ThroughputRecorder {
         }
     }
 
-    /// Records a single completed event.
-    pub fn record_one(&self) {
-        self.record(1);
-    }
-
     /// Total number of events recorded.
     pub fn total(&self) -> u64 {
         self.inner.lock().total_count
-    }
-
-    /// Number of closed sampling windows.
-    pub fn sample_count(&self) -> usize {
-        self.inner.lock().samples.len()
     }
 
     /// Median of the per-window rates in events per second (Figure 5's metric).
@@ -115,7 +105,7 @@ impl ThroughputRecorder {
     }
 
     /// Overall events/second across the whole run.
-    pub fn overall_rate(&self) -> Option<f64> {
+    fn overall_rate(&self) -> Option<f64> {
         let state = self.inner.lock();
         let (start, end) = (state.started?, state.finished?);
         let elapsed = end.duration_since(start).as_secs_f64();
@@ -166,7 +156,7 @@ mod tests {
     fn counts_accumulate() {
         let r = ThroughputRecorder::new();
         r.record(10);
-        r.record_one();
+        r.record(1);
         assert_eq!(r.total(), 11);
     }
 
@@ -178,7 +168,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         r.record(100);
-        assert!(r.sample_count() >= 1, "at least one window closed");
+        assert!(!r.samples().is_empty(), "at least one window closed");
         // Every closed window saw events, so the median per-window rate is positive.
         assert!(r.median_rate().unwrap() > 0.0);
         assert_eq!(r.total(), 600);
@@ -201,7 +191,7 @@ mod tests {
         r.record(5);
         r.reset();
         assert_eq!(r.total(), 0);
-        assert_eq!(r.sample_count(), 0);
+        assert!(r.samples().is_empty());
     }
 
     #[test]

@@ -23,30 +23,21 @@ pub struct RestingOrder {
     pub identity_tag: TagId,
 }
 
+/// Resting orders kept per symbol; older ones beyond it are discarded.
+const MAX_DEPTH: usize = 256;
+
 /// A simple dark-pool order book with bounded resting depth per symbol.
 #[derive(Debug, Default)]
 pub struct OrderBook {
     resting: HashMap<String, Vec<RestingOrder>>,
-    max_depth: usize,
     matched: u64,
     submitted: u64,
 }
 
 impl OrderBook {
-    /// Creates an empty book with the default resting depth (256 per symbol).
+    /// Creates an empty book.
     pub fn new() -> Self {
-        OrderBook {
-            resting: HashMap::new(),
-            max_depth: 256,
-            matched: 0,
-            submitted: 0,
-        }
-    }
-
-    /// Overrides the per-symbol resting depth.
-    pub fn with_max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = depth.max(1);
-        self
+        OrderBook::default()
     }
 
     /// Submits an order; returns the resulting trade and the identity tags of both
@@ -70,8 +61,8 @@ impl OrderBook {
             identity_tag,
         });
         // Bound memory: discard the oldest resting orders beyond the depth limit.
-        if queue.len() > self.max_depth {
-            let excess = queue.len() - self.max_depth;
+        if queue.len() > MAX_DEPTH {
+            let excess = queue.len() - MAX_DEPTH;
             queue.drain(0..excess);
         }
         None
@@ -88,7 +79,7 @@ impl OrderBook {
     }
 
     /// Total resting orders across all symbols.
-    pub fn resting_depth(&self) -> usize {
+    fn resting_depth(&self) -> usize {
         self.resting.values().map(Vec::len).sum()
     }
 
@@ -150,14 +141,11 @@ mod tests {
 
     #[test]
     fn depth_is_bounded() {
-        let mut book = OrderBook::new().with_max_depth(10);
-        for i in 0..100 {
-            book.submit(
-                order(i, OrderSide::Buy, 1.0 + i as f64 * 0.0),
-                tag(i as u128),
-            );
+        let mut book = OrderBook::new();
+        for i in 0..2 * MAX_DEPTH as u64 {
+            book.submit(order(i, OrderSide::Buy, 1.0), tag(i as u128));
         }
-        assert!(book.resting_depth() <= 10);
+        assert_eq!(book.resting_depth(), MAX_DEPTH);
         assert!(book.estimated_size() > 0);
     }
 

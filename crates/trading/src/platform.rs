@@ -412,7 +412,7 @@ impl TradingPlatform {
     /// exchange's publisher — one run-queue transaction for the whole chunk —
     /// and fully processes the cascades they trigger, exactly like
     /// [`TradingPlatform::publish_tick`] does for a single tick.
-    pub fn publish_tick_batch(&mut self, count: usize) -> EngineResult<()> {
+    fn publish_tick_batch(&mut self, count: usize) -> EngineResult<()> {
         if count == 0 {
             return Ok(());
         }

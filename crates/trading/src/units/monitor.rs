@@ -39,12 +39,6 @@ impl PairMonitor {
             stats: PairsTradeStats::standard(),
         }
     }
-
-    /// Overrides the pairs statistic (e.g. a different window or threshold).
-    pub fn with_stats(mut self, stats: PairsTradeStats) -> Self {
-        self.stats = stats;
-        self
-    }
 }
 
 impl Unit for PairMonitor {

@@ -40,7 +40,6 @@ pub struct Trader {
     /// what makes dark-pool matches possible among co-located clients.
     contrarian: bool,
     orders_placed: Arc<AtomicU64>,
-    own_tag: Option<Tag>,
     order_sequence: u64,
 }
 
@@ -66,14 +65,8 @@ impl Trader {
             quantity: 100,
             contrarian: id % 2 == 1,
             orders_placed,
-            own_tag: None,
             order_sequence: 0,
         }
-    }
-
-    /// Returns the trader's confidentiality tag (available after `init`).
-    pub fn own_tag(&self) -> Option<&Tag> {
-        self.own_tag.as_ref()
     }
 }
 
@@ -102,7 +95,6 @@ impl Unit for Trader {
             Filter::for_type(event_type::MATCH).where_eq(pairs_match::TRADER, self.id as i64),
         )?;
 
-        self.own_tag = Some(tag);
         Ok(())
     }
 
