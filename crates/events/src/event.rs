@@ -275,12 +275,6 @@ impl EventBuilder {
         self
     }
 
-    /// Adds an already-constructed part.
-    pub fn raw_part(mut self, part: Part) -> Self {
-        self.parts.push(part);
-        self
-    }
-
     /// Sets the origin timestamp explicitly (inherited latency baseline).
     pub fn origin_ns(mut self, origin_ns: u64) -> Self {
         self.origin_ns = Some(origin_ns);
