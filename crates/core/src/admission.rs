@@ -9,27 +9,30 @@
 //! `credit_window` of its events may be *unfinished* at a time: buffered in
 //! the window, or queued and not yet popped. Drain is observed
 //! conservatively: each published chunk is stamped with a watermark of queue
-//! depth plus the queue's pop count at publish time, and once the pop count
-//! passes the stamp, everything queued ahead of (and including) the chunk has
-//! left the queue, so the chunk's credits return. The stamp counts pops, not
-//! dispatches: cascades that dispatchers run off their own stacks never pass
-//! through the queue, so they cannot return a still-queued chunk's credits
-//! early. An empty queue returns every credit too: the stamp reads depth
-//! before the pop count, so it can overcount pops still to come, and an
-//! empty queue proves the chunk has left it all the same.
+//! depth plus the queue's pop count, read together just after the push, and
+//! once the pop count passes the stamp, everything queued ahead of (and
+//! including) the chunk has left the queue, so the chunk's credits return.
+//! The stamp counts pops, not dispatches: cascades that dispatchers run off
+//! their own stacks never pass through the queue, so they cannot return a
+//! still-queued chunk's credits early. The stamp is read after the push, so
+//! it may also count what other publishers queued meanwhile, which errs on
+//! the safe side; the queue is FIFO, so once it has been empty every stamp
+//! has passed.
 //!
 //! **Lazy retirement.** No thread watches a window: chunks whose watermark has
 //! passed retire at the start of the publisher's next
 //! [`publish_batch`](Publisher::publish_batch) or
 //! [`wait_drained`](Publisher::wait_drained). A caller that has to wait
-//! releases the window's mutex and parks on the run queue's depth signal,
-//! which every pop wakes, so credits return with dispatch progress rather
-//! than on a timer.
+//! releases the window's mutex and waits on the run queue
+//! (`RunQueue::wait_popped`), which every pop wakes, so credits return with
+//! dispatch progress rather than on a timer.
 //!
-//! Admission reads the run queue's lock-free `len` as its depth signal — the
-//! same number `queue_stats().depth` reports — so what an operator sees and
-//! what admission decides on never disagree about how backlogged the engine
-//! is.
+//! **The queue bound.** A chunk is published under a reservation of queue
+//! depth (`RunQueue::reserve`), checked and taken under the run queue's
+//! lock, so concurrent publishers never jointly push depth past the bound.
+//! Admission decides on the same depth `queue_stats().depth` reports, so what
+//! an operator sees and what admission decides on never disagree about how
+//! backlogged the engine is.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,19 +187,10 @@ impl Default for IngressConfig {
     }
 }
 
-/// The engine's admission ledger: the reservation state for the queue bound
-/// and the counters `queue_stats()` exports as `ingress_*`. Credit windows
-/// record into it.
+/// The engine's admission ledger: the counters `queue_stats()` exports as
+/// `ingress_*`. Credit windows record into it.
 #[derive(Debug, Default)]
 pub(crate) struct AdmissionCounters {
-    /// Depth reserved by windows between their bound check and their enqueue:
-    /// admission checks `depth + reserved + k <= bound` so concurrent
-    /// publishers can never jointly overshoot the bound. A lock, not an
-    /// atomic: the check reads depth, and a reservation released (its events
-    /// now in depth) between that read and a compare-and-swap on an atomic
-    /// count would go unseen when another publisher had reserved the same
-    /// count meanwhile.
-    reserved: Mutex<usize>,
     admitted: AtomicU64,
     shed: AtomicU64,
     credit_stalls: AtomicU64,
@@ -340,7 +334,7 @@ impl CreditWindow {
             };
             credit_waits += 1;
             drop(state);
-            wait_popped(&core.run_queue, target, Duration::MAX);
+            core.run_queue.wait_popped(target, Duration::MAX);
             state = self.state.lock();
         };
         drop(state);
@@ -384,7 +378,7 @@ impl CreditWindow {
             }
             // The mutex is released while waiting, so clones proceed.
             drop(state);
-            wait_popped(queue, target, timeout);
+            queue.wait_popped(target, timeout);
             state = self.state.lock();
         }
     }
@@ -411,14 +405,11 @@ impl CreditWindow {
         let queue = &core.run_queue;
         while !state.inbox.is_empty() {
             let take = state.inbox.len().min(self.chunk_size);
-            if !self.reserve(core, take) {
+            let chunk = || publisher.publish_unbounded(state.inbox.drain(..take).collect());
+            let Some(published) = queue.reserve(take, self.queue_bound, chunk) else {
                 core.admission.record_credit_stall();
                 return Ok(false);
-            }
-            let published = publisher.publish_unbounded(state.inbox.drain(..take).collect());
-            // The enqueue has made the events visible in queue depth (or
-            // failed); either way the reservation is no longer needed.
-            *core.admission.reserved.lock() -= take;
+            };
             if let Err(error) = published {
                 core.admission.record_shed(take + state.inbox.len());
                 state.inbox.clear();
@@ -426,63 +417,36 @@ impl CreditWindow {
             }
             core.admission.record_admitted(take);
             // Watermark: once the queue's pops reach what is queued right
-            // now, this chunk has left the queue. Depth first (see
-            // `RunQueue::popped`).
-            let watermark = queue.len() as u64 + queue.popped();
-            state.pending.push_back((watermark, take));
+            // now, this chunk has left the queue.
+            let (depth, popped) = queue.depth_and_popped();
+            state.pending.push_back((depth as u64 + popped, take));
             state.outstanding += take;
         }
         Ok(true)
-    }
-
-    /// Reserves queue depth for `events` under the bound: holds `depth +
-    /// reserved + events <= queue_bound` under the reservation lock, so
-    /// concurrent publishers never jointly overshoot. The momentary
-    /// double-count between the enqueue and the release is conservative.
-    fn reserve(&self, core: &EngineCore, events: usize) -> bool {
-        let mut reserved = core.admission.reserved.lock();
-        if core.run_queue.len() + *reserved + events > self.queue_bound {
-            return false;
-        }
-        *reserved += events;
-        true
     }
 
     /// The pop count by which the queue, at its depth now, has room for the
     /// chunk at the inbox front again.
     fn room_watermark(&self, queue: &RunQueue, state: &WindowState) -> u64 {
         let want = state.inbox.len().min(self.chunk_size);
+        let (depth, popped) = queue.depth_and_popped();
         // At least one pop: concurrent publishers' reservations can refuse a
         // chunk that the depth alone would admit.
-        let excess = (queue.len() + want).saturating_sub(self.queue_bound).max(1);
-        queue.popped() + excess as u64
+        let excess = (depth + want).saturating_sub(self.queue_bound).max(1);
+        popped + excess as u64
     }
 }
 
 /// Returns the credits of every chunk that has left the queue.
 fn retire(queue: &RunQueue, state: &mut WindowState) {
-    let popped = queue.popped();
-    // An empty queue also proves every queued chunk left it, whatever its
-    // watermark: the stamp reads depth before the pop count, so a pop in
-    // between makes it overcount by what that pop took.
-    let queue_empty = queue.len() == 0;
+    let (_, popped) = queue.depth_and_popped();
     while let Some(&(watermark, events)) = state.pending.front() {
-        if popped < watermark && !queue_empty {
+        if popped < watermark {
             break;
         }
         state.outstanding -= events;
         state.pending.pop_front();
     }
-}
-
-/// Parks on the queue's depth signal until its pop count reaches `target` or
-/// it is empty, or `timeout` elapses (a timeout too large for the clock never
-/// does). An empty queue ends the wait because the target may never be
-/// reached: a watermark can overcount (see [`retire`]), and a room target
-/// asks for at least one pop even when reservations, not depth, refused the
-/// chunk.
-fn wait_popped(queue: &RunQueue, target: u64, timeout: Duration) {
-    queue.wait_on_depth_signal(|| queue.popped() >= target || queue.len() == 0, timeout);
 }
 
 #[cfg(test)]

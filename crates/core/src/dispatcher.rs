@@ -604,11 +604,10 @@ impl Dispatcher {
         if published == 0 {
             return;
         }
-        let queue = &self.core.run_queue;
         // The dispatching thread holds a slot, so at `workers(0)` or `(1)`
         // none is free and nothing spills: a caller helping in `wait_idle`
         // keeps its cascades on its own stack.
-        if queue.has_waiters() && queue.has_free_slot() {
+        if !guard.hold_unless_spill(published) {
             let block = stack.events.drain(held..).map(|cascade| cascade.event);
             self.core.enqueue_batch(block.collect());
             return;
@@ -617,7 +616,6 @@ impl Dispatcher {
             .stats
             .published
             .fetch_add(published as u64, Ordering::Relaxed);
-        guard.hold(published);
         let CascadeStack { events, stacked } = stack;
         // Read before this block is counted: does the publisher have an
         // older event stacked?

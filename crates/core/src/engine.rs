@@ -846,11 +846,10 @@ impl Engine {
     /// depth, in-flight dispatches, the worker count, and the
     /// admission, fault, scheduler and subscription-index counters.
     pub fn queue_stats(&self) -> QueueStats {
-        let depth = self.core.run_queue.len();
-        let pending = self.core.run_queue.pending();
+        let (depth, in_flight) = self.core.run_queue.depth_and_in_flight();
         QueueStats {
             depth,
-            in_flight: pending.saturating_sub(depth),
+            in_flight,
             workers_high_water: self.core.config.workers,
             ingress_admitted: self.core.admission.admitted(),
             ingress_shed: self.core.admission.shed(),

@@ -444,21 +444,17 @@ impl Publisher {
     }
 
     /// Snapshot of the publishing unit's output label from the cached slot.
-    /// A retired slot means the unit was swapped (rebind to the replacement
-    /// and retry) or removed (fail loudly, exactly like the registry lookup
-    /// used to); a quarantined unit refuses publishes with a typed error.
+    /// A retired slot forwards to the live one
+    /// ([`EngineCore::forwarded_slot`]): a swapped unit rebinds to its
+    /// replacement, a removed one fails loudly; a quarantined unit refuses
+    /// publishes with a typed error.
     fn output_label(&self) -> EngineResult<Label> {
         loop {
             let slot = Arc::clone(&self.slot.read());
             let guard = slot.cell.lock();
             if guard.retired {
                 drop(guard);
-                let fresh = self.core.slot(self.unit)?;
-                if Arc::ptr_eq(&fresh, &slot) {
-                    // Registry still maps to the retired slot: mid-removal.
-                    return Err(EngineError::UnknownUnit(format!("{}", self.unit)));
-                }
-                *self.slot.write() = fresh;
+                *self.slot.write() = self.core.forwarded_slot(&slot, self.unit)?;
                 continue;
             }
             if guard.quarantined {

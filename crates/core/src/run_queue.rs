@@ -6,11 +6,11 @@
 //! event's deliveries happen in subscription order and that deliveries to one
 //! unit are serialised (by the per-unit mutex, not by the queue).
 //!
-//! Consumers pop in *batches*: [`RunQueue::pop_batch`] drains a run of up to
-//! `max` events under a single lock acquisition, and the paired
+//! Consumers pop in *batches*: [`RunQueue::pop_batch_into`] drains a run of
+//! up to `max` events under a single lock acquisition, and the paired
 //! [`BatchGuard`] settles the in-flight accounting for the entire batch with
-//! one atomic update and one wakeup check. A batch size of 1 degenerates to
-//! the classic one-event-per-lock behaviour.
+//! one update and one wakeup check. A batch size of 1 degenerates to the
+//! classic one-event-per-lock behaviour.
 //!
 //! The queue also tracks how many events are *in flight* (popped but whose
 //! dispatch has not finished), which is what makes [`RunQueue::wait_idle`] and
@@ -33,18 +33,27 @@
 //! unit publishes during dispatch normally stays on its dispatcher's own
 //! cascade stack (see [`Dispatcher`](crate::dispatcher::Dispatcher)) and never enters the
 //! queue: it counts as in flight from publication until its batch settles
-//! ([`BatchGuard::hold`]). Only while a worker is parked
-//! ([`RunQueue::has_waiters`]) *and* a slot is free
-//! ([`RunQueue::has_free_slot`]) does a cascade block go to the queue, so the
-//! idle worker can take it.
+//! ([`BatchGuard::hold_unless_spill`]). Only while a worker is parked *and* a
+//! slot is free does a cascade block go to the queue, so the idle worker can
+//! take it.
 //!
-//! Blocked consumers park on a condvar and rely purely on paired signalling —
-//! every insert either observes a registered waiter (and notifies) or the
-//! waiter's pre-sleep recheck observes the insert; there is no periodic-wakeup
-//! safety net, so an idle engine's workers sleep silently instead of polling.
+//! # One lock
+//!
+//! The queue is a monitor: one mutex guards the deque and every counter (pops,
+//! pending events, the stopping flag, free slots, the parked, idle and depth
+//! waiters, and the depth credit windows have reserved), and every wait is a
+//! condvar wait on it. A waiter checks its condition, counts itself and parks
+//! in one critical section, and whoever changes that condition does so under
+//! the same lock, so it either sees the waiter counted and notifies it, or the
+//! waiter's check sees the change. No wake is lost and nothing polls: an idle
+//! engine's workers sleep silently. A notify is a wake syscall even when no
+//! thread waits, so every hot-path notify is gated by its waiter count.
+//!
+//! The lock is a leaf: no code outside this module runs while it is held. The
+//! write-ahead log's lock and a credit window's lock are taken before it, never
+//! under it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use defcon_events::Event;
@@ -52,129 +61,106 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// A multi-producer multi-consumer queue of events awaiting dispatch.
 pub(crate) struct RunQueue {
-    queue: Mutex<VecDeque<Event>>,
-    /// Events queued, readable without the queue lock.
-    len: AtomicUsize,
+    state: Mutex<State>,
+    /// Signalled when work arrives, a slot is given back over queued work,
+    /// the queue stops, or a stopping queue becomes idle.
+    work: Condvar,
+    /// Signalled when the queue becomes idle, work arrives while no worker is
+    /// parked, a slot is given back over queued work, or the queue stops.
+    idle: Condvar,
+    /// Signalled when events are popped, or the queue stops.
+    depth: Condvar,
+}
+
+/// Everything the queue knows, under its one lock.
+#[derive(Default)]
+struct State {
+    queue: VecDeque<Event>,
     /// Events ever popped off the queue.
-    popped: AtomicU64,
-    /// Events accepted but not yet *completed* (queued + in flight). Idleness
-    /// is this single counter reaching zero — reading `len` and an in-flight
-    /// count as a pair would admit a race where a cascade publication between
-    /// the two loads makes a busy queue look idle.
-    pending: AtomicUsize,
+    popped: u64,
+    /// Events accepted but not yet *completed* (queued + in flight): the
+    /// queue is idle when this is zero.
+    pending: usize,
     /// Set by [`RunQueue::stop`]; workers exit once the queue is fully idle.
-    stopping: AtomicBool,
-    /// Dispatch slots not held by any thread (see the module docs): starts at
-    /// `max(workers, 1)`.
-    free_slots: AtomicUsize,
-    /// Consumers currently parked (or about to park) on `work_signal`; lets the
-    /// hot internal push skip the signal lock when nobody is listening.
-    waiters: AtomicUsize,
-    /// Callers of [`RunQueue::wait_idle`] currently parked (or about to park)
-    /// on `idle_signal`; lets a settling batch skip the signal lock when
-    /// nobody waits for idleness.
-    idle_waiters: AtomicUsize,
-    /// Guards the wakeup condvars (the counters themselves are atomics).
-    signal_lock: Mutex<()>,
-    /// Signalled when work arrives, a slot is given back over queued work, or
-    /// the queue starts stopping.
-    work_signal: Condvar,
-    /// Signalled when the queue becomes fully idle, or a slot is given back
-    /// over queued work.
-    idle_signal: Condvar,
-    /// Threads waiting for queued depth to drop or for pops to reach a
-    /// watermark (credit windows awaiting room or credit), currently parked
-    /// on `depth_signal`; lets the hot pop path skip the signal lock when
-    /// nobody is watching.
-    depth_waiters: AtomicUsize,
-    /// Signalled when queued depth drops (events popped for dispatch) and
-    /// when the queue starts stopping.
-    depth_signal: Condvar,
+    stopping: bool,
+    /// Dispatch slots not held by any thread (see the module docs).
+    free_slots: usize,
+    /// Workers parked on `work`.
+    parked: usize,
+    /// Callers of [`RunQueue::wait_idle`] parked on `idle`.
+    idle_waiters: usize,
+    /// Threads parked on `depth`.
+    depth_waiters: usize,
+    /// Depth credit windows reserved and have not queued yet (see
+    /// [`RunQueue::reserve`]).
+    reserved: usize,
+}
+
+impl State {
+    /// Whether a consumer without a slot could dispatch now: work is queued
+    /// and a slot is free.
+    fn has_takeable_work(&self) -> bool {
+        !self.queue.is_empty() && self.free_slots > 0
+    }
 }
 
 impl RunQueue {
     /// Creates a queue with `slots` dispatch slots (at least one).
     pub(crate) fn new(slots: usize) -> Self {
         RunQueue {
-            queue: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-            popped: AtomicU64::new(0),
-            pending: AtomicUsize::new(0),
-            stopping: AtomicBool::new(false),
-            free_slots: AtomicUsize::new(slots.max(1)),
-            waiters: AtomicUsize::new(0),
-            idle_waiters: AtomicUsize::new(0),
-            signal_lock: Mutex::new(()),
-            work_signal: Condvar::new(),
-            idle_signal: Condvar::new(),
-            depth_waiters: AtomicUsize::new(0),
-            depth_signal: Condvar::new(),
+            state: Mutex::new(State {
+                free_slots: slots.max(1),
+                ..State::default()
+            }),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+            depth: Condvar::new(),
         }
     }
 
     /// Number of events currently queued (not counting in-flight dispatches).
-    /// SeqCst, like `popped`, for the depth waiters' re-check.
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        self.state.lock().queue.len()
     }
 
-    /// Events popped off the queue so far. Read *after* [`RunQueue::len`],
-    /// `popped + len` never undercounts: a pop raises `popped` before it
-    /// releases the lower `len`.
-    pub(crate) fn popped(&self) -> u64 {
-        self.popped.load(Ordering::SeqCst)
+    /// Queued depth and in-flight events (popped or held, not yet completed),
+    /// read together.
+    pub(crate) fn depth_and_in_flight(&self) -> (usize, usize) {
+        let state = self.state.lock();
+        (state.queue.len(), state.pending - state.queue.len())
     }
 
-    /// Whether a consumer is parked (or about to park) waiting for work.
-    pub(crate) fn has_waiters(&self) -> bool {
-        self.waiters.load(Ordering::Relaxed) > 0
-    }
-
-    /// Whether a dispatch slot is free, so a parked consumer could take
-    /// queued work.
-    pub(crate) fn has_free_slot(&self) -> bool {
-        self.free_slots.load(Ordering::Relaxed) > 0
+    /// Queued depth and the events popped so far, read together: their sum
+    /// is the pop count by which everything queued now has left the queue.
+    pub(crate) fn depth_and_popped(&self) -> (usize, u64) {
+        let state = self.state.lock();
+        (state.queue.len(), state.popped)
     }
 
     /// Takes a free dispatch slot, or returns `None` when every slot is held.
     /// The slot is given back when the guard drops, waking a parked consumer
     /// if work is queued.
     pub(crate) fn take_slot(&self) -> Option<SlotGuard<'_>> {
-        self.free_slots
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
-                free.checked_sub(1)
-            })
-            .is_ok()
-            .then(|| SlotGuard { queue: self })
-    }
-
-    /// Whether a consumer without a slot could dispatch now: work is queued
-    /// and a slot is free. SeqCst, pairing with [`SlotGuard`]'s drop: either a
-    /// parking consumer's check sees the given-back slot, or the giver sees
-    /// the consumer registered and wakes it.
-    fn has_takeable_work(&self) -> bool {
-        self.len.load(Ordering::SeqCst) > 0 && self.free_slots.load(Ordering::SeqCst) > 0
-    }
-
-    /// Events accepted but not yet completed (queued plus in flight) — the
-    /// counter idleness is defined over.
-    pub(crate) fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
+        let mut state = self.state.lock();
+        if state.free_slots == 0 {
+            return None;
+        }
+        state.free_slots -= 1;
+        Some(SlotGuard { queue: self })
     }
 
     /// Returns `true` if nothing is queued and nothing is being dispatched.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.pending.load(Ordering::SeqCst) == 0
+    #[cfg(test)]
+    fn is_idle(&self) -> bool {
+        self.state.lock().pending == 0
     }
 
     /// Enqueues a block of events from *inside* dispatch (cascades spilled to
     /// a parked worker). Always accepted: the publishing dispatch is in
     /// flight, so stopping workers cannot have exited yet and the events are
-    /// guaranteed to drain. All events are queued in order under a single
-    /// lock acquisition, with a single wakeup check; the global signal
-    /// lock is only touched when a consumer is actually parked.
+    /// guaranteed to drain.
     pub(crate) fn push_batch(&self, mut events: Vec<Event>) {
-        self.insert_batch(self.queue.lock(), &mut events);
+        self.insert(self.state.lock(), &mut events);
     }
 
     /// Single-event [`RunQueue::push_batch`], for the queue's own tests.
@@ -188,62 +174,40 @@ impl RunQueue {
     /// queued; a queued batch is *drained* out of `events` (so publishers
     /// reuse one buffer per thread), a refused one is left there.
     ///
-    /// [`RunQueue::stop`] sets the flag under the same lock, so the flag
-    /// read and the insert are one step against it: a batch queued before
-    /// the stop raised `pending` first, so the stopping workers (or the
-    /// final drain) dispatch it; a batch after it never reaches the queue.
+    /// [`RunQueue::stop`] sets the flag under the same lock, so a batch
+    /// queued before the stop is dispatched by the stopping workers (or the
+    /// final drain), and a batch after it never reaches the queue.
     pub(crate) fn push_external_batch(&self, events: &mut Vec<Event>) -> bool {
-        let queue = self.queue.lock();
-        // Relaxed: the queue lock orders this read against `stop`'s store.
-        if self.stopping.load(Ordering::Relaxed) {
+        let state = self.state.lock();
+        if state.stopping {
             return false;
         }
-        self.insert_batch(queue, events);
+        self.insert(state, events);
         true
     }
 
-    /// Queues every event of `events` in order under the held queue lock,
-    /// draining the buffer, then releases the lock and wakes consumers.
-    fn insert_batch(&self, mut queue: MutexGuard<'_, VecDeque<Event>>, events: &mut Vec<Event>) {
+    /// Queues every event of `events` in order under the held lock, draining
+    /// the buffer, then releases the lock and wakes consumers.
+    fn insert(&self, mut state: MutexGuard<'_, State>, events: &mut Vec<Event>) {
         let n = events.len();
         if n == 0 {
             return;
         }
-        // `pending` rises with the insert and only falls at `complete_many`,
-        // so a cascade event published during a dispatch is counted before
-        // that dispatch completes — idleness can never be observed between.
-        self.pending.fetch_add(n, Ordering::SeqCst);
-        queue.extend(events.drain(..));
-        // Raised while the queue lock is held so `len` can never lag a
-        // concurrent pop and wrap below zero.
-        self.len.fetch_add(n, Ordering::SeqCst);
-        drop(queue);
-        self.wake_consumers(n);
-    }
-
-    /// Wakes parked consumers after `inserted` events were enqueued. SeqCst
-    /// pairs with the waiter registrations in [`RunQueue::next_batch`] and
-    /// [`RunQueue::wait_idle`]: either these loads see the registered waiter
-    /// (and we wake it), or the waiter's pre-sleep `len` recheck — sequenced
-    /// after its registration — sees our insert and never parks.
-    fn wake_consumers(&self, inserted: usize) {
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _signal = self.signal_lock.lock();
-            if inserted > 1 {
-                // A batch can feed several workers (each pops a run of it); a
-                // single token would leave the others parked.
-                self.work_signal.notify_all();
-            } else {
-                self.work_signal.notify_one();
-            }
-        } else if self.idle_waiters.load(Ordering::SeqCst) > 0 {
-            // No worker is parked, so a thread waiting for idleness is the one
-            // to dispatch this (at `workers(0)` the only one). It may have
-            // seen the insert's `pending` rise but not yet its `len` and
-            // parked on "in flight"; without this wake it would sleep out its
-            // whole timeout.
-            let _signal = self.signal_lock.lock();
-            self.idle_signal.notify_all();
+        // `pending` only falls when a batch settles, so an event counts from
+        // its insert until its dispatch completes.
+        state.pending += n;
+        state.queue.extend(events.drain(..));
+        let (parked, idle_waiters) = (state.parked, state.idle_waiters);
+        drop(state);
+        if parked > 0 && n > 1 {
+            // A batch can feed several workers (each pops a run of it).
+            self.work.notify_all();
+        } else if parked > 0 {
+            self.work.notify_one();
+        } else if idle_waiters > 0 {
+            // No worker is parked, so a thread waiting for idleness is the
+            // one to dispatch this (at `workers(0)` the only one).
+            self.idle.notify_all();
         }
     }
 
@@ -261,32 +225,26 @@ impl RunQueue {
     /// to `out` (which the hot worker loop reuses across batches) and returns
     /// how many events were popped. The caller holds a dispatch slot.
     pub(crate) fn pop_batch_into(&self, max: usize, out: &mut Vec<Event>) -> usize {
-        let mut queue = self.queue.lock();
-        let take = queue.len().min(max.max(1));
-        if take == 0 {
-            return 0;
-        }
-        out.extend(queue.drain(..take));
-        // Raised before `len` falls (see `popped`). Both are SeqCst so that
-        // they pair with a depth waiter's registration (see
-        // `wait_on_depth_signal`), as `wake_consumers` pairs a push.
-        self.popped.fetch_add(take as u64, Ordering::SeqCst);
-        // Decremented while the queue lock is held so `len` can never lag a
-        // concurrent pop and wrap below zero.
-        self.len.fetch_sub(take, Ordering::SeqCst);
-        drop(queue);
-        self.note_depth_drop();
-        take
+        self.pop_locked(self.state.lock(), max, out)
     }
 
-    /// Wakes threads parked on the depth signal after queued depth dropped.
-    /// One atomic load on the hot pop path when nobody is watching; waiters
-    /// re-check their own condition after waking.
-    fn note_depth_drop(&self) {
-        if self.depth_waiters.load(Ordering::SeqCst) > 0 {
-            let _signal = self.signal_lock.lock();
-            self.depth_signal.notify_all();
+    /// [`RunQueue::pop_batch_into`] under the held lock, which it releases
+    /// before waking the threads waiting for depth to drop.
+    fn pop_locked(
+        &self,
+        mut state: MutexGuard<'_, State>,
+        max: usize,
+        out: &mut Vec<Event>,
+    ) -> usize {
+        let take = state.queue.len().min(max.max(1));
+        out.extend(state.queue.drain(..take));
+        state.popped += take as u64;
+        let watched = take > 0 && state.depth_waiters > 0;
+        drop(state);
+        if watched {
+            self.depth.notify_all();
         }
+        take
     }
 
     /// Blocks until queued depth is below `target`, the queue starts
@@ -294,67 +252,103 @@ impl RunQueue {
     /// `target` or the queue is stopping (a stopping queue drains, so blocked
     /// admitters should bail out rather than wait out the timeout).
     pub(crate) fn wait_depth_below(&self, target: usize, timeout: Duration) -> bool {
-        self.wait_on_depth_signal(|| self.len() < target || self.is_stopping(), timeout)
+        self.wait_on_depth(
+            |state| state.queue.len() < target || state.stopping,
+            timeout,
+        )
     }
 
-    /// Parks on the depth signal until `ready` holds or `timeout` elapses
-    /// (a timeout too large for an `Instant` never elapses); returns `ready`.
-    ///
-    /// No wake is lost: a waiter registers (SeqCst) before it re-checks
-    /// `ready`, and a pop raises `popped` and lowers `len` (SeqCst) before it
-    /// loads the waiter count, so either the pop sees the waiter and
-    /// notifies, or the re-check sees the pop. `stop` notifies too; the
-    /// 1 ms slice per park is a backstop only.
-    pub(crate) fn wait_on_depth_signal(&self, ready: impl Fn() -> bool, timeout: Duration) -> bool {
-        const BACKSTOP_SLICE: Duration = Duration::from_millis(1);
+    /// Blocks until the pop count reaches `target` or the queue is empty, or
+    /// `timeout` elapses. An empty queue ends the wait because a credit
+    /// window's room target may never be reached: it asks for at least one
+    /// pop even when reservations, not depth, refused the chunk, and the
+    /// reserving publisher's push may be refused.
+    pub(crate) fn wait_popped(&self, target: u64, timeout: Duration) {
+        self.wait_on_depth(
+            |state| state.popped >= target || state.queue.is_empty(),
+            timeout,
+        );
+    }
+
+    /// Parks on `depth` until `ready` holds or `timeout` elapses (a timeout
+    /// too large for an `Instant` never elapses); returns `ready`. The wait
+    /// is untimed but for that timeout: every pop and `stop` wake it.
+    fn wait_on_depth(&self, ready: impl Fn(&State) -> bool, timeout: Duration) -> bool {
         let deadline = Instant::now().checked_add(timeout);
-        while !ready() {
-            let slice = match deadline {
-                Some(deadline) => deadline.saturating_duration_since(Instant::now()),
-                None => BACKSTOP_SLICE,
-            };
-            if slice.is_zero() {
+        let mut state = self.state.lock();
+        while !ready(&state) {
+            let left = deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
                 return false;
             }
-            let mut signal = self.signal_lock.lock();
-            self.depth_waiters.fetch_add(1, Ordering::SeqCst);
-            if !ready() {
-                self.depth_signal
-                    .wait_for(&mut signal, slice.min(BACKSTOP_SLICE));
+            state.depth_waiters += 1;
+            match left {
+                Some(left) => {
+                    self.depth.wait_for(&mut state, left);
+                }
+                None => self.depth.wait(&mut state),
             }
-            self.depth_waiters.fetch_sub(1, Ordering::SeqCst);
+            state.depth_waiters -= 1;
         }
         true
     }
 
+    /// Reserves `events` of queue depth under `bound` for `enqueue`, runs it,
+    /// and releases the reservation; returns its result, or `None` without
+    /// running it when queued depth plus reservations plus `events` would
+    /// pass `bound`. The check and the reservation are one step under the
+    /// queue lock, the lock every push changes depth under, so concurrent
+    /// credit windows never jointly overshoot the bound. `enqueue` runs
+    /// without the lock; its events are counted twice between its push and
+    /// the release, which is conservative.
+    pub(crate) fn reserve<R>(
+        &self,
+        events: usize,
+        bound: usize,
+        enqueue: impl FnOnce() -> R,
+    ) -> Option<R> {
+        {
+            let mut state = self.state.lock();
+            if state.queue.len() + state.reserved + events > bound {
+                return None;
+            }
+            state.reserved += events;
+        }
+        let enqueued = enqueue();
+        self.state.lock().reserved -= events;
+        Some(enqueued)
+    }
+
     /// Marks one popped event's dispatch as finished.
     #[cfg(test)]
-    pub(crate) fn complete(&self) {
+    fn complete(&self) {
         self.complete_many(1);
     }
 
     /// Marks `n` popped events' dispatches as finished in one accounting
-    /// update: a single atomic subtraction and a single idle check for the
-    /// whole batch.
-    pub(crate) fn complete_many(&self, n: usize) {
+    /// update, with a single idle check for the whole batch.
+    fn complete_many(&self, n: usize) {
         if n == 0 {
             return;
         }
-        self.pending.fetch_sub(n, Ordering::SeqCst);
-        // SeqCst loads after the decrement pair with the registration of a
-        // waiter before its idle check: either side sees the other.
-        if self.is_idle() && (self.idle_waiters.load(Ordering::SeqCst) > 0 || self.is_stopping()) {
-            let _signal = self.signal_lock.lock();
-            self.idle_signal.notify_all();
-            // Stopping workers park on the work signal; wake them so they can
-            // observe the idle queue and exit.
-            self.work_signal.notify_all();
+        let mut state = self.state.lock();
+        state.pending -= n;
+        let idle = state.pending == 0;
+        let wake_idle = idle && state.idle_waiters > 0;
+        // Stopping workers park on `work` until the queue is idle, then exit.
+        let wake_workers = idle && state.stopping && state.parked > 0;
+        drop(state);
+        if wake_idle {
+            self.idle.notify_all();
+        }
+        if wake_workers {
+            self.work.notify_all();
         }
     }
 
     /// Returns a guard that settles the in-flight accounting for a batch of `n`
-    /// popped events when dropped — one atomic update and one wakeup check for
-    /// the whole batch, balanced even if a dispatch panics mid-batch.
+    /// popped events when dropped — one update and one wakeup check for the
+    /// whole batch, balanced even if a dispatch panics mid-batch.
     pub(crate) fn batch_guard(&self, n: usize) -> BatchGuard<'_> {
         BatchGuard {
             queue: self,
@@ -367,7 +361,7 @@ impl RunQueue {
     /// stopping *and* fully idle (telling a worker to exit). The slot the pop
     /// takes is given back on return, so test consumers need not track it.
     #[cfg(test)]
-    pub(crate) fn next_batch(&self, max: usize) -> Vec<Event> {
+    fn next_batch(&self, max: usize) -> Vec<Event> {
         let mut batch = Vec::new();
         self.next_batch_into(max, &mut batch, &mut None);
         batch
@@ -390,59 +384,47 @@ impl RunQueue {
         out: &mut Vec<Event>,
         slot: &mut Option<SlotGuard<'q>>,
     ) -> usize {
+        let mut state = self.state.lock();
         loop {
-            if slot.is_none() && self.len() > 0 {
-                *slot = self.take_slot();
+            if slot.is_none() && state.has_takeable_work() {
+                state.free_slots -= 1;
+                *slot = Some(SlotGuard { queue: self });
             }
-            if slot.is_some() {
-                let popped = self.pop_batch_into(max, out);
-                if popped > 0 {
-                    return popped;
-                }
+            if slot.is_some() && !state.queue.is_empty() {
+                return self.pop_locked(state, max, out);
             }
-            let mut signal = self.signal_lock.lock();
-            // Register as a waiter *before* the checks (SeqCst, pairing with
-            // `wake_consumers`, `SlotGuard`'s drop and `complete_many`): a
-            // push, a given-back slot or the final completion racing the pop
-            // above is seen here or wakes the wait. The wait itself is
-            // untimed — the pairing guarantees no insert is ever missed, so an
-            // idle engine's workers park silently instead of waking on a
-            // polling interval.
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            // The slot is given back without a wakeup: the check below sees
-            // it free if work raced in, and the loop takes it again.
-            if let Some(slot) = slot.take() {
-                slot.give_back_to_park();
+            // Nothing to pop: the queue is empty, or every slot is held. A
+            // held slot is given back without a wakeup, since the queue is
+            // empty (and without its guard's drop, which takes the lock).
+            if let Some(held) = slot.take() {
+                state.free_slots += 1;
+                std::mem::forget(held);
             }
-            let exit = self.stopping.load(Ordering::Acquire) && self.is_idle();
-            if !exit && !self.has_takeable_work() {
-                self.work_signal.wait(&mut signal);
-            }
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            if exit {
+            if state.stopping && state.pending == 0 {
                 return 0;
             }
+            state.parked += 1;
+            self.work.wait(&mut state);
+            state.parked -= 1;
         }
     }
 
     /// Asks consumers to exit once the queue has fully drained. External
     /// batches are refused whole from this point on: the flag is set under
-    /// the queue lock, the lock `push_external_batch` reads it under.
+    /// the lock `push_external_batch` reads it under. It runs once, so it
+    /// wakes every waiter ungated: workers to drain and exit, idle waiters,
+    /// and blocked admitters, which observe the stop instead of waiting for
+    /// a depth drop that may never come.
     pub(crate) fn stop(&self) {
-        let queue = self.queue.lock();
-        self.stopping.store(true, Ordering::SeqCst);
-        drop(queue);
-        let _signal = self.signal_lock.lock();
-        self.work_signal.notify_all();
-        self.idle_signal.notify_all();
-        // Blocked admitters must observe the stop instead of waiting for a
-        // depth drop that may never come.
-        self.depth_signal.notify_all();
+        self.state.lock().stopping = true;
+        self.work.notify_all();
+        self.idle.notify_all();
+        self.depth.notify_all();
     }
 
     /// Returns `true` once [`RunQueue::stop`] has been called.
     pub(crate) fn is_stopping(&self) -> bool {
-        self.stopping.load(Ordering::Acquire)
+        self.state.lock().stopping
     }
 
     /// The parking half of
@@ -452,19 +434,14 @@ impl RunQueue {
     /// whether the queue is idle. So it parks only while nothing is queued and
     /// a dispatch is in flight, or while every slot is held.
     pub(crate) fn wait_idle(&self, deadline: Instant) -> bool {
-        if self.is_idle() {
-            return true;
+        let mut state = self.state.lock();
+        let left = deadline.saturating_duration_since(Instant::now());
+        if state.pending > 0 && !left.is_zero() && !state.has_takeable_work() {
+            state.idle_waiters += 1;
+            self.idle.wait_for(&mut state, left);
+            state.idle_waiters -= 1;
         }
-        let mut signal = self.signal_lock.lock();
-        // Registered before the checks (SeqCst), pairing with `complete_many`
-        // and `SlotGuard`'s drop.
-        self.idle_waiters.fetch_add(1, Ordering::SeqCst);
-        let now = Instant::now();
-        if now < deadline && !self.is_idle() && !self.has_takeable_work() {
-            self.idle_signal.wait_for(&mut signal, deadline - now);
-        }
-        self.idle_waiters.fetch_sub(1, Ordering::SeqCst);
-        self.is_idle()
+        state.pending == 0
     }
 }
 
@@ -474,28 +451,20 @@ pub(crate) struct SlotGuard<'a> {
     queue: &'a RunQueue,
 }
 
-impl SlotGuard<'_> {
-    /// Gives the slot back without waking anyone, for a worker about to
-    /// park: it holds the signal lock and is registered as a waiter, and it
-    /// re-checks for takeable work itself before it waits.
-    fn give_back_to_park(self) {
-        self.queue.free_slots.fetch_add(1, Ordering::SeqCst);
-        std::mem::forget(self);
-    }
-}
-
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
         let queue = self.queue;
-        queue.free_slots.fetch_add(1, Ordering::SeqCst);
+        let mut state = queue.state.lock();
+        state.free_slots += 1;
         // A consumer that found work but no slot parked; the slot is free now.
-        if queue.len.load(Ordering::SeqCst) > 0
-            && (queue.waiters.load(Ordering::SeqCst) > 0
-                || queue.idle_waiters.load(Ordering::SeqCst) > 0)
-        {
-            let _signal = queue.signal_lock.lock();
-            queue.work_signal.notify_all();
-            queue.idle_signal.notify_all();
+        let queued = !state.queue.is_empty();
+        let (parked, idle_waiters) = (queued && state.parked > 0, queued && state.idle_waiters > 0);
+        drop(state);
+        if parked {
+            queue.work.notify_all();
+        }
+        if idle_waiters {
+            queue.idle.notify_all();
         }
     }
 }
@@ -508,11 +477,19 @@ pub(crate) struct BatchGuard<'a> {
 }
 
 impl BatchGuard<'_> {
-    /// Counts `n` more events as in flight until this guard settles: the
-    /// cascades a dispatcher keeps on its own stack instead of queueing them.
-    pub(crate) fn hold(&mut self, n: usize) {
-        self.queue.pending.fetch_add(n, Ordering::SeqCst);
+    /// Counts `n` more events as in flight until this guard settles — the
+    /// cascades a dispatcher keeps on its own stack instead of queueing them
+    /// — unless a worker is parked and a slot is free: then it counts
+    /// nothing and returns `false`, and the caller spills them to the queue,
+    /// where the idle worker can take them.
+    pub(crate) fn hold_unless_spill(&mut self, n: usize) -> bool {
+        let mut state = self.queue.state.lock();
+        if state.parked > 0 && state.free_slots > 0 {
+            return false;
+        }
+        state.pending += n;
         self.remaining += n;
+        true
     }
 }
 
@@ -527,6 +504,7 @@ mod tests {
     use super::*;
     use defcon_defc::Label;
     use defcon_events::{EventBuilder, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn event(n: i64) -> Event {
@@ -839,7 +817,11 @@ mod tests {
         assert_eq!(queue.len(), 1);
         drop(slot);
         assert_eq!(consumer.join().unwrap(), Some(1));
-        assert!(queue.has_free_slot(), "the consumer gave its slot back");
+        assert_eq!(
+            queue.state.lock().free_slots,
+            1,
+            "the consumer gave its slot back"
+        );
     }
 
     #[test]
@@ -867,11 +849,12 @@ mod tests {
         assert!(queue.wait_depth_below(1, Duration::from_secs(5)));
     }
 
-    /// A pop itself wakes a thread parked on the depth signal: each of the
+    /// A pop itself wakes a thread parked on the depth condvar: each of the
     /// rounds parks a waiter for `popped ≥ round`, pops one event, and times
     /// the waiter's release. On a 2-vCPU host the median release reads about
-    /// 11 µs; with the pop's wake removed, the 1 ms backstop releases it after
-    /// about 1.05 ms.
+    /// 11 µs. The wait is untimed, as a `Block` publisher's is, so with the
+    /// pop's notify removed nothing releases the waiter, and the test fails
+    /// after 10 s.
     #[test]
     fn a_pop_wakes_a_depth_waiter_without_the_backstop() {
         const ROUNDS: u64 = 200;
@@ -881,8 +864,8 @@ mod tests {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
                 for round in 1..=ROUNDS {
-                    let ready = || queue.popped() >= round;
-                    assert!(queue.wait_on_depth_signal(ready, Duration::from_secs(10)));
+                    let ready = |state: &State| state.popped >= round;
+                    assert!(queue.wait_on_depth(ready, Duration::MAX));
                     released_tx.send(Instant::now()).unwrap();
                 }
             })
@@ -890,16 +873,17 @@ mod tests {
         let mut latencies = Vec::new();
         for _ in 0..ROUNDS {
             queue.push(event(0));
-            while queue.depth_waiters.load(Ordering::SeqCst) == 0 {
+            // The waiter counts itself and parks in one critical section, so
+            // once it is counted it is parked.
+            while queue.state.lock().depth_waiters == 0 {
                 std::thread::yield_now();
             }
-            // The waiter registers under the signal lock and releases it only
-            // inside its wait, so once the lock is free again it is parked.
-            drop(queue.signal_lock.lock());
             let popped_at = Instant::now();
             assert_eq!(queue.pop_batch(1).len(), 1);
             queue.complete();
-            let released_at = released_rx.recv().unwrap();
+            let released_at = released_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("only the pop's notify can release the waiter");
             latencies.push(released_at.saturating_duration_since(popped_at));
         }
         waiter.join().unwrap();
@@ -907,8 +891,63 @@ mod tests {
         let median = latencies[latencies.len() / 2];
         assert!(
             median < Duration::from_micros(300),
-            "median release {median:?} after a pop; the backstop alone gives about 1 ms"
+            "median release {median:?} after a pop"
         );
+    }
+
+    /// The queue bound, scripted: two credit windows reserve, are refused,
+    /// push, release and reserve again against one queue of bound 8. Each
+    /// reservation is refused exactly when queued depth plus reservations
+    /// plus its own events pass the bound, and after every step queued depth
+    /// plus the reservations not queued yet stay within it.
+    #[test]
+    fn reservations_hold_the_queue_bound_step_by_step() {
+        const BOUND: usize = 8;
+        let queue = RunQueue::new(1);
+        let push = |n: i64| queue.push_batch((0..n).map(event).collect());
+        // `queued` of the reserved events are already in depth: a push counts
+        // them twice until its reservation is released.
+        let within_bound = |queued: usize| {
+            let state = queue.state.lock();
+            let promised = state.queue.len() + state.reserved - queued;
+            assert!(
+                promised <= BOUND,
+                "{promised} events promised, bound {BOUND}"
+            );
+        };
+        // A reserves 3 of the 8 and pushes them.
+        let a = queue.reserve(3, BOUND, || {
+            within_bound(0);
+            // B: 0 queued + 3 reserved + 6 > 8 is refused; + 5 fits exactly.
+            assert!(queue.reserve(6, BOUND, || ()).is_none(), "B's 6 refused");
+            assert!(queue.reserve(5, BOUND, || within_bound(0)).is_some());
+            within_bound(0);
+            push(3);
+            within_bound(3);
+            // 3 queued + A's 3 still reserved + 3 > 8.
+            assert!(queue.reserve(3, BOUND, || ()).is_none(), "B's 3 refused");
+        });
+        assert!(a.is_some(), "A's 3 fit an empty queue");
+        within_bound(0);
+        assert_eq!(queue.state.lock().reserved, 0, "A released");
+        // B again: 3 queued + 0 reserved + 6 > 8 is refused; 5 fits exactly.
+        assert!(queue.reserve(6, BOUND, || ()).is_none(), "B's 6 refused");
+        let b = queue.reserve(5, BOUND, || {
+            within_bound(0);
+            // Full: A's one more event is refused.
+            assert!(queue.reserve(1, BOUND, || ()).is_none(), "A's 1 refused");
+            push(5);
+            within_bound(5);
+        });
+        assert!(b.is_some(), "B's 5 fit");
+        within_bound(0);
+        assert_eq!(queue.len(), BOUND);
+        // A pop makes room for exactly what it took.
+        assert_eq!(queue.pop_batch(2).len(), 2);
+        assert!(queue.reserve(3, BOUND, || ()).is_none(), "6 queued + 3 > 8");
+        assert!(queue.reserve(2, BOUND, || push(2)).is_some());
+        within_bound(0);
+        assert_eq!(queue.len(), BOUND);
     }
 
     #[test]

@@ -304,19 +304,20 @@ impl FromIterator<Value> for ValueList {
 /// assert_eq!(read.len(), 2);
 /// ```
 ///
-/// A map read out of a part can be neither extended nor shrunk:
+/// A map read out of a part can be neither extended nor shrunk, not even a
+/// copy of its own:
 ///
 /// ```compile_fail
 /// # use defcon_events::{Part, Value};
 /// fn change(part: &Part) {
-///     part.data().as_map().unwrap().insert("quantity", Value::Int(100));
+///     part.data().as_map().unwrap().clone().insert("quantity", Value::Int(100));
 /// }
 /// ```
 ///
 /// ```compile_fail
 /// # use defcon_events::Part;
 /// fn change(part: &Part) {
-///     part.data().as_map().unwrap().remove("price");
+///     part.data().as_map().unwrap().clone().remove("price");
 /// }
 /// ```
 #[derive(Clone, Debug)]

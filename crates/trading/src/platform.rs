@@ -391,31 +391,13 @@ impl TradingPlatform {
         Ok(self.engine.stats().dispatched() - before)
     }
 
-    /// Publishes the next synthetic tick as the Stock Exchange and fully processes
-    /// the cascade it triggers (monitors, traders, broker, regulator), by
-    /// waiting for the engine to drain it: inline when the platform runs
-    /// without workers or its workers are parked.
-    pub fn publish_tick(&mut self) -> EngineResult<()> {
-        let tick = self.generator.next_tick();
-        let before = self.engine.stats().dispatched();
-        let draft = StockExchange::tick_draft_at(&self.exchange_label, &tick);
-        let admitted = self.feed_drafts(vec![draft])?;
-        let dispatched = self.drain_cascades(before)?;
-        self.ticks_published += admitted;
-        // Figure 5 counts processed events; every dispatched event (ticks plus the
-        // derived matches, orders, trades, ...) contributes to the supported rate.
-        self.throughput.record(dispatched.max(admitted));
-        Ok(())
-    }
-
-    /// Publishes the next `count` synthetic ticks as one batch through the
-    /// exchange's publisher — one run-queue transaction for the whole chunk —
-    /// and fully processes the cascades they trigger, exactly like
-    /// [`TradingPlatform::publish_tick`] does for a single tick.
+    /// Publishes the next `count` synthetic ticks as the Stock Exchange, as
+    /// one batch through the exchange's publisher — one run-queue transaction
+    /// for the whole chunk — and fully processes the cascades they trigger
+    /// (monitors, traders, broker, regulator) by waiting for the engine to
+    /// drain them: inline when the platform runs without workers or its
+    /// workers are parked.
     fn publish_tick_batch(&mut self, count: usize) -> EngineResult<()> {
-        if count == 0 {
-            return Ok(());
-        }
         let before = self.engine.stats().dispatched();
         let drafts = self
             .generator
@@ -428,6 +410,8 @@ impl TradingPlatform {
         // Under a shedding ingress policy the admitted count can run below
         // `count`; only ticks that actually entered the engine are reported.
         self.ticks_published += admitted;
+        // Figure 5 counts processed events; every dispatched event (ticks plus the
+        // derived matches, orders, trades, ...) contributes to the supported rate.
         self.throughput.record(dispatched.max(admitted));
         Ok(())
     }
@@ -437,17 +421,11 @@ impl TradingPlatform {
     /// drive).
     pub fn run_ticks(&mut self, n: usize) -> EngineResult<PlatformReport> {
         let chunk = self.config.batch_size.max(1);
-        if chunk == 1 {
-            for _ in 0..n {
-                self.publish_tick()?;
-            }
-        } else {
-            let mut remaining = n;
-            while remaining > 0 {
-                let take = remaining.min(chunk);
-                self.publish_tick_batch(take)?;
-                remaining -= take;
-            }
+        let mut remaining = n;
+        while remaining > 0 {
+            let take = remaining.min(chunk);
+            self.publish_tick_batch(take)?;
+            remaining -= take;
         }
         Ok(self.report())
     }
